@@ -23,7 +23,6 @@ import numpy as np
 
 from . import dirac as dc
 from . import nonrel as nr
-from . import verify as vf
 from .errors import LadderError
 from .params import DiracParams, NRParams, PhysicalParams
 
@@ -194,6 +193,10 @@ def _table_fig3(cfg: RunConfig):
 
 
 def _table_verify(cfg: RunConfig):
+    # Imported here, not at module level: verify pulls in the oracle and
+    # scipy.linalg, which no other mode needs and which dominate cold start.
+    from . import verify as vf
+
     style = cfg.style()
     if style == "default":
         nr_params = NRParams(FIG2_NR["a"], FIG2_NR["b"])

@@ -39,7 +39,6 @@ ALPHA2 = np.block([[_ZERO2, S2], [S2, _ZERO2]])
 ALPHA3 = np.block([[_ZERO2, S3], [S3, _ZERO2]])
 BETA = np.block([[S0, _ZERO2], [_ZERO2, -S0]])
 SIGMA1 = np.block([[S1, _ZERO2], [_ZERO2, S1]])
-SIGMA3 = np.block([[S3, _ZERO2], [_ZERO2, S3]])
 
 FAMILIES = ("a", "b", "c", "d")
 

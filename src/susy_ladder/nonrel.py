@@ -89,10 +89,6 @@ def ladder(params: NRParams, n: int, direction: str) -> ScalarLadder:
     return ScalarLadder(direction, n, superpotential(params, n))
 
 
-def apply_ladder(op: ScalarLadder, f: ExpoPoly) -> ExpoPoly:
-    return op.apply(f)
-
-
 def apply_hamiltonian(params: NRParams, n: int, f: ExpoPoly) -> ExpoPoly:
     """-(1/2) f'' + V_n f, exactly in the algebra."""
     return (f.differentiate().differentiate().scale(-0.5)

@@ -13,6 +13,12 @@ from dataclasses import dataclass
 from .errors import NoBoundStates
 
 
+def _require_finite(record) -> None:
+    for name, value in vars(record).items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class NRParams:
     """Dimensionless parameters of the scalar radial problem.
@@ -25,6 +31,7 @@ class NRParams:
     b: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.a > 0:
             raise ValueError(f"a must be positive, got {self.a}")
         if not self.b > 0:
@@ -45,6 +52,7 @@ class DiracParams:
     mbar: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.a > 0:
             raise ValueError(f"a must be positive, got {self.a}")
         if not self.b > 0:
@@ -67,6 +75,7 @@ class PhysicalParams:
     ell: float
 
     def __post_init__(self):
+        _require_finite(self)
         for name in ("hbar", "m", "c", "e"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")

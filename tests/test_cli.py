@@ -4,7 +4,11 @@ round trip, output files, and exit codes."""
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +162,19 @@ class TestConfigValidation:
         code, _ = capture(["nr-spectrum", "--hbar", "1", "--m", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("field,argv", [
+        ("a", ["nr-spectrum", "--a", "inf", "--b", "1"]),
+        ("d0", ["dirac-spectrum", "--a", "1", "--b", "1", "--d0", "nan"]),
+        ("mbar", ["dirac-spectrum", "--a", "1", "--b", "1", "--mbar", "inf"]),
+        ("pz", ["nr-spectrum", "--hbar", "1", "--m", "1", "--c", "1", "--e", "1",
+                "--k", "2", "--pz", "inf", "--ell", "1"]),
+    ])
+    def test_non_finite_parameters_rejected(self, field, argv, capsys):
+        code, text = capture(argv)
+        assert code == 2
+        assert text == ""
+        assert f"{field} must be finite" in capsys.readouterr().err
+
 
 class TestOutputFile:
     def test_out_writes_identical_content(self, tmp_path):
@@ -200,3 +217,18 @@ class TestParser:
         assert RunConfig(mode="fig2", hbar=1.0).style() == "physical"
         with pytest.raises(ValueError):
             RunConfig(mode="fig2", a=1.0, hbar=1.0).style()
+
+
+def test_cli_import_loads_no_scipy():
+    # Only verify needs the oracle; importing it eagerly would put scipy's
+    # import cost on every mode's cold start.
+    script = ("import sys, susy_ladder.cli; "
+              "assert 'scipy' not in sys.modules, 'cli loaded scipy'; "
+              "import susy_ladder.oracle; "
+              "assert 'scipy.integrate' not in sys.modules, 'oracle loaded scipy.integrate'")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr

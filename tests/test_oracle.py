@@ -214,3 +214,14 @@ class TestQuadrature:
             errs_t.append(abs(trapz_val - exact))
         assert 12.0 < errs_s[0] / errs_s[1] < 20.0  # ~16 for h^4
         assert 3.0 < errs_t[0] / errs_t[1] < 5.0    # ~4 for h^2
+
+    @pytest.mark.parametrize("n_points", [64, 65, 4096, 4097, 16384, 32768])
+    def test_simpson_bit_identical_to_scipy(self, n_points):
+        from scipy.integrate import simpson
+        rng = np.random.default_rng(n_points)
+        grid = orc.RadialGrid(1e-3 * 50.0, 50.0, n_points)
+        f, g = (rng.standard_normal((2, n_points))
+                + 1j * rng.standard_normal((2, n_points)))
+        f[-1] = g[-1] = 1e-9  # the tail guard wants a decayed integrand
+        expected = complex(simpson(np.conjugate(f) * g, dx=grid.h))
+        assert orc.quad_inner(f, g, grid) == expected
