@@ -10,7 +10,7 @@ confirms every eigenvalue and eigenfunction numerically.
 from .errors import (ContextMismatch, DegenerateDenominator, DivergentIntegral,
                      DomainError, GridTooCoarse, LadderError, NegativeRadicand,
                      NoBoundStates, SingularXi, TailNotDecayed)
-from .expalg import DecayIndex, Exponent, ExpoPoly, ExpoTerm
+from .expalg import ExpoPoly
 from .params import DiracParams, NRParams, PhysicalParams
 
 __version__ = "0.1.0"
@@ -19,7 +19,7 @@ __all__ = [
     "ContextMismatch", "DegenerateDenominator", "DivergentIntegral",
     "DomainError", "GridTooCoarse", "LadderError", "NegativeRadicand",
     "NoBoundStates", "SingularXi", "TailNotDecayed",
-    "DecayIndex", "Exponent", "ExpoPoly", "ExpoTerm",
+    "ExpoPoly",
     "DiracParams", "NRParams", "PhysicalParams",
     "__version__",
 ]

@@ -15,8 +15,9 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -121,75 +122,68 @@ def _density(params: DiracParams, n: int, fam: str, xs: np.ndarray) -> np.ndarra
 
 
 # -- table builders ----------------------------------------------------------
+#
+# Each builder returns its table as {column name: column values}.
 
 
 def _table_nr_spectrum(cfg: RunConfig):
     params = _nr_params(cfg)
-    cols = ["n", "energy"]
-    rows = [[n, nr.spectrum_radial(params, n)] for n in range(cfg.levels)]
-    return cols, rows
+    return {"n": list(range(cfg.levels)),
+            "energy": [nr.spectrum_radial(params, n) for n in range(cfg.levels)]}
 
 
-def _table_nr_eigenfunctions(cfg: RunConfig):
-    params = _nr_params(cfg)
-    rho_max = cfg.rho_max or nr.default_rho_max(params, cfg.levels - 1)
+def _table_nr_eigenfunctions(cfg: RunConfig, params: NRParams | None = None):
+    if params is None:
+        params = _nr_params(cfg)
+    rho_max = (nr.default_rho_max(params, cfg.levels - 1) if cfg.rho_max is None
+               else cfg.rho_max)
     xs = _samples(rho_max)
-    funcs = [nr.normalize(nr.eigenfunction(params, n)).eval_array(xs).real
-             for n in range(cfg.levels)]
-    cols = ["rho"] + [f"G{n}" for n in range(cfg.levels)]
-    rows = [[xs[i]] + [funcs[n][i] for n in range(cfg.levels)]
-            for i in range(len(xs))]
-    return cols, rows
+    table = {"rho": xs}
+    for n in range(cfg.levels):
+        table[f"G{n}"] = nr.normalize(nr.eigenfunction(params, n)).eval_array(xs).real
+    return table
 
 
 def _table_dirac_spectrum(cfg: RunConfig):
     params = _dirac_params(cfg)
-    cols = ["family", "n", "energy"]
-    rows = [[fam, n, dc.family_eigenvalue(params, n, fam)]
-            for fam in cfg.families for n in range(cfg.levels)]
-    return cols, rows
+    keys = [(fam, n) for fam in cfg.families for n in range(cfg.levels)]
+    return {"family": [fam for fam, _ in keys], "n": [n for _, n in keys],
+            "energy": [dc.family_eigenvalue(params, n, fam) for fam, n in keys]}
 
 
-def _table_dirac_eigenfunctions(cfg: RunConfig):
-    params = _dirac_params(cfg)
-    rho_max = cfg.rho_max or 40.0 * (params.a + cfg.levels) / params.b
+def _table_dirac_eigenfunctions(cfg: RunConfig, params: DiracParams | None = None):
+    if params is None:
+        params = _dirac_params(cfg)
+    rho_max = (40.0 * (params.a + cfg.levels) / params.b if cfg.rho_max is None
+               else cfg.rho_max)
     xs = _samples(rho_max)
-    dens = {(fam, n): _density(params, n, fam, xs)
-            for fam in cfg.families for n in range(cfg.levels)}
-    cols = ["rho"] + [f"density_{fam}{n}"
-                      for fam in cfg.families for n in range(cfg.levels)]
-    rows = [[xs[i]] + [dens[fam, n][i]
-                       for fam in cfg.families for n in range(cfg.levels)]
-            for i in range(len(xs))]
-    return cols, rows
+    table = {"rho": xs}
+    for fam in cfg.families:
+        for n in range(cfg.levels):
+            table[f"density_{fam}{n}"] = _density(params, n, fam, xs)
+    return table
 
 
 def _table_fig2(cfg: RunConfig):
+    """Three scalar eigenfunctions with the potential and the energies."""
     params = _nr_params(cfg, default=FIG2_NR)
-    rho_max = cfg.rho_max or nr.default_rho_max(params, 2)
-    xs = _samples(rho_max)
-    v0 = nr.potential(params, 0).eval_array(xs).real
-    funcs = [nr.normalize(nr.eigenfunction(params, n)).eval_array(xs).real
-             for n in range(3)]
-    energies = [nr.spectrum_radial(params, n) for n in range(3)]
-    cols = ["rho", "V0", "G0", "G1", "G2", "E0", "E1", "E2"]
-    rows = [[xs[i], v0[i], funcs[0][i], funcs[1][i], funcs[2][i]] + energies
-            for i in range(len(xs))]
-    return cols, rows
+    funcs = _table_nr_eigenfunctions(replace(cfg, levels=3), params)
+    xs = funcs["rho"]
+    table = {"rho": xs, "V0": nr.potential(params, 0).eval_array(xs).real} | funcs
+    for n in range(3):
+        table[f"E{n}"] = [nr.spectrum_radial(params, n)] * FIG_SAMPLES
+    return table
 
 
 def _table_fig3(cfg: RunConfig):
+    """Densities of families a and c at three levels, with the energies."""
     params = _dirac_params(cfg, default=FIG3_DIRAC)
-    rho_max = cfg.rho_max or 40.0 * (params.a + 3) / params.b
-    xs = _samples(rho_max)
-    fams = ("a", "c")
-    dens = {(fam, n): _density(params, n, fam, xs) for fam in fams for n in range(3)}
-    energies = [dc.family_eigenvalue(params, n, fam) for fam in fams for n in range(3)]
-    cols = (["rho"] + [f"density_{fam}{n}" for fam in fams for n in range(3)]
-            + [f"E_{fam}{n}" for fam in fams for n in range(3)])
-    rows = [[xs[i]] + [dens[fam, n][i] for fam in fams for n in range(3)] + energies
-            for i in range(len(xs))]
-    return cols, rows
+    fig = replace(cfg, levels=3, families=("a", "c"))
+    table = _table_dirac_eigenfunctions(fig, params)
+    for fam in fig.families:
+        for n in range(fig.levels):
+            table[f"E_{fam}{n}"] = [dc.family_eigenvalue(params, n, fam)] * FIG_SAMPLES
+    return table
 
 
 def _table_verify(cfg: RunConfig):
@@ -209,10 +203,10 @@ def _table_verify(cfg: RunConfig):
         dirac_params = _dirac_params(cfg)
     results = vf.run_all(nr_params, dirac_params, tol=cfg.tolerance,
                          n_points=cfg.grid_points)
-    cols = ["check", "passed", "detail"]
-    rows = [[r.name, "pass" if r.passed else "FAIL", r.detail] for r in results]
-    ok = all(r.passed for r in results)
-    return cols, rows, ok
+    table = {"check": [r.name for r in results],
+             "passed": ["pass" if r.passed else "FAIL" for r in results],
+             "detail": [r.detail for r in results]}
+    return table, all(r.passed for r in results)
 
 
 # -- rendering ---------------------------------------------------------------
@@ -240,15 +234,11 @@ def _render_csv(cols, rows) -> str:
 def _json_scalar(value) -> str:
     if value is None:
         return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt_float(float(value))
-    escaped = (str(value).replace("\\", "\\\\").replace('"', '\\"')
-               .replace("\n", "\\n"))
-    return f'"{escaped}"'
+    if isinstance(value, str):
+        escaped = (value.replace("\\", "\\\\").replace('"', '\\"')
+                   .replace("\n", "\\n"))
+        return f'"{escaped}"'
+    return _cell(value)
 
 
 def _json_value(value) -> str:
@@ -286,9 +276,13 @@ def run(cfg: RunConfig) -> int:
         for fam in cfg.families:
             if fam not in dc.FAMILIES:
                 raise ValueError(f"unknown family {fam!r}")
+        if cfg.rho_max is not None and not (math.isfinite(cfg.rho_max) and cfg.rho_max > 0):
+            raise ValueError(f"--rho-max must be finite and positive, got {cfg.rho_max}")
+        if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
+            raise ValueError(f"--tolerance must be finite and positive, got {cfg.tolerance}")
         verify_ok = True
         if cfg.mode == "verify":
-            cols, rows, verify_ok = _table_verify(cfg)
+            table, verify_ok = _table_verify(cfg)
         else:
             builder = {
                 "nr-spectrum": _table_nr_spectrum,
@@ -298,11 +292,12 @@ def run(cfg: RunConfig) -> int:
                 "fig2": _table_fig2,
                 "fig3": _table_fig3,
             }[cfg.mode]
-            cols, rows = builder(cfg)
+            table = builder(cfg)
     except (LadderError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    cols, rows = list(table), list(zip(*table.values()))
     text = (_render_csv(cols, rows) if cfg.fmt == "csv"
             else _render_json(cols, rows, _meta(cfg)))
     if cfg.out:

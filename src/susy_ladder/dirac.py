@@ -313,7 +313,8 @@ def eigenvector(params: DiracParams, n: int, fam: str) -> tuple[SpinorFn, float]
     s = math.hypot(params.mbar, d)
     if fam in ("a", "c"):
         if s + params.mbar == 0.0:
-            raise DegenerateDenominator("mbar = 0 and d = 0 leave the ratio undefined")
+            raise DegenerateDenominator(f"family {fam}, level {n}: mbar = 0 and d = 0 "
+                                        "leave the ratio undefined")
         ratio = d / (s + params.mbar)
         if fam == "c":
             ratio = -ratio
@@ -321,7 +322,7 @@ def eigenvector(params: DiracParams, n: int, fam: str) -> tuple[SpinorFn, float]
     else:
         if d == 0.0:
             raise DegenerateDenominator(
-                f"family {fam} needs a nonzero d (level constant); got d = 0")
+                f"family {fam}, level {n}: needs a nonzero d (level constant); got d = 0")
         # s - mbar rewritten as d^2/(s + mbar) for numerical stability
         ratio = (s + params.mbar) / d
         if fam == "b":

@@ -21,7 +21,8 @@ fed back into the algebra).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,55 +33,22 @@ from .errors import ContextMismatch, DivergentIntegral, DomainError
 REL_TOL = 1e-13
 
 
-@dataclass(frozen=True)
-class Exponent:
-    """Symbolic power mu*a + j with integer keys mu in {0, 1} and j."""
+class Term(NamedTuple):
+    """coeff * rho**(mu*a + j) * exp(-beta*rho); k=None means beta = 0,
+    otherwise beta = b/(a + k)."""
 
     mu: int
     j: int
-
-    def __post_init__(self):
-        if self.mu not in (0, 1):
-            raise ValueError(f"exponent multiplier must be 0 or 1, got {self.mu}")
-        if not isinstance(self.j, int):
-            raise ValueError("exponent offset must be an integer")
-
-    def realized(self, a: float) -> float:
-        return self.mu * a + self.j
-
-
-@dataclass(frozen=True)
-class DecayIndex:
-    """Decay rate selector: k=None means no decay, otherwise beta = b/(a+k)."""
-
-    k: int | None = None
-
-    def __post_init__(self):
-        if self.k is not None and not isinstance(self.k, int):
-            raise ValueError("decay index must be an integer or None")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.k is None
-
-    def rate(self, a: float, b: float) -> float:
-        if self.k is None:
-            return 0.0
-        return b / (a + self.k)
-
-
-ZERO_DECAY = DecayIndex(None)
-
-
-@dataclass(frozen=True)
-class ExpoTerm:
+    k: int | None
     coeff: complex
-    exp: Exponent
-    decay: DecayIndex = ZERO_DECAY
 
-    def key(self) -> tuple:
-        k = self.decay.k
-        return (self.exp.mu, self.exp.j, k is not None, 0 if k is None else k)
+
+def _power(t: Term, a: float) -> float:
+    return t.mu * a + t.j
+
+
+def _rate(t: Term, a: float, b: float) -> float:
+    return 0.0 if t.k is None else b / (a + t.k)
 
 
 @dataclass(frozen=True)
@@ -89,7 +57,7 @@ class ExpoPoly:
 
     a: float
     b: float
-    terms: tuple[ExpoTerm, ...] = field(default_factory=tuple)
+    terms: tuple[Term, ...] = ()
 
     def __post_init__(self):
         if not (self.a > 0 and self.b > 0):
@@ -105,7 +73,14 @@ class ExpoPoly:
     @classmethod
     def term(cls, a: float, b: float, coeff: complex, mu: int = 0, j: int = 0,
              k: int | None = None) -> "ExpoPoly":
-        return cls(a, b, (ExpoTerm(complex(coeff), Exponent(mu, j), DecayIndex(k)),))
+        coeff = complex(coeff)
+        if mu not in (0, 1):
+            raise ValueError(f"exponent multiplier must be 0 or 1, got {mu}")
+        if not isinstance(j, int):
+            raise ValueError("exponent offset must be an integer")
+        if k is not None and not isinstance(k, int):
+            raise ValueError("decay index must be an integer or None")
+        return cls(a, b, (Term(mu, j, k, coeff),))
 
     # -- ring-like operations -----------------------------------------------
 
@@ -126,13 +101,14 @@ class ExpoPoly:
 
     def scale(self, c: complex) -> "ExpoPoly":
         return ExpoPoly(self.a, self.b, tuple(
-            ExpoTerm(t.coeff * c, t.exp, t.decay) for t in self.terms))
+            Term(mu, j, k, coeff * c) for mu, j, k, coeff in self.terms))
 
     def mul_power(self, s: int) -> "ExpoPoly":
         """Multiply by rho**s: shifts every integer offset j by s."""
+        if not isinstance(s, int):
+            raise ValueError("exponent offset must be an integer")
         return ExpoPoly(self.a, self.b, tuple(
-            ExpoTerm(t.coeff, Exponent(t.exp.mu, t.exp.j + s), t.decay)
-            for t in self.terms))
+            Term(mu, j + s, k, coeff) for mu, j, k, coeff in self.terms))
 
     def mul_laurent(self, other: "ExpoPoly") -> "ExpoPoly":
         """Multiply by a pure Laurent polynomial (mu = 0, no decay, all terms).
@@ -143,30 +119,28 @@ class ExpoPoly:
         self._check_context(other)
         out = []
         for q in other.terms:
-            if q.exp.mu != 0 or not q.decay.is_zero:
+            if q.mu != 0 or q.k is not None:
                 raise ValueError("multiplier must be a pure Laurent polynomial "
                                  "(mu = 0 and no exponential decay)")
-            for t in self.terms:
-                out.append(ExpoTerm(t.coeff * q.coeff,
-                                    Exponent(t.exp.mu, t.exp.j + q.exp.j), t.decay))
+            for mu, j, k, coeff in self.terms:
+                out.append(Term(mu, j + q.j, k, coeff * q.coeff))
         return ExpoPoly(self.a, self.b, tuple(out))
 
     def differentiate(self) -> "ExpoPoly":
         """d/d(rho). Term-wise product rule; the realized power becomes a coefficient."""
         out = []
         for t in self.terms:
-            p = t.exp.realized(self.a)
+            p = _power(t, self.a)
             if p != 0.0:
-                out.append(ExpoTerm(t.coeff * p,
-                                    Exponent(t.exp.mu, t.exp.j - 1), t.decay))
-            beta = t.decay.rate(self.a, self.b)
+                out.append(Term(t.mu, t.j - 1, t.k, t.coeff * p))
+            beta = _rate(t, self.a, self.b)
             if beta != 0.0:
-                out.append(ExpoTerm(-t.coeff * beta, t.exp, t.decay))
+                out.append(Term(t.mu, t.j, t.k, -t.coeff * beta))
         return ExpoPoly(self.a, self.b, tuple(out))
 
     def conjugate(self) -> "ExpoPoly":
         return ExpoPoly(self.a, self.b, tuple(
-            ExpoTerm(t.coeff.conjugate(), t.exp, t.decay) for t in self.terms))
+            Term(mu, j, k, coeff.conjugate()) for mu, j, k, coeff in self.terms))
 
     # -- evaluation and integration -----------------------------------------
 
@@ -175,9 +149,8 @@ class ExpoPoly:
             raise DomainError(f"rho must be positive, got {rho}")
         total = 0j
         for t in self.terms:
-            p = t.exp.realized(self.a)
-            beta = t.decay.rate(self.a, self.b)
-            total += t.coeff * rho ** p * math.exp(-beta * rho)
+            total += (t.coeff * rho ** _power(t, self.a)
+                      * math.exp(-_rate(t, self.a, self.b) * rho))
         return total
 
     def eval_array(self, rhos: np.ndarray) -> np.ndarray:
@@ -187,9 +160,8 @@ class ExpoPoly:
         total = np.zeros(rhos.shape, dtype=complex)
         with np.errstate(under="ignore"):
             for t in self.terms:
-                p = t.exp.realized(self.a)
-                beta = t.decay.rate(self.a, self.b)
-                total += t.coeff * rhos ** p * np.exp(-beta * rhos)
+                total += (t.coeff * rhos ** _power(t, self.a)
+                          * np.exp(-_rate(t, self.a, self.b) * rhos))
         return total
 
     def inner_product(self, other: "ExpoPoly") -> complex:
@@ -200,12 +172,12 @@ class ExpoPoly:
         s > -1 and gamma > 0 for every product term.
         """
         self._check_context(other)
+        a, b = self.a, self.b
         total = 0j
         for t1 in self.terms:
             for t2 in other.terms:
-                s = t1.exp.realized(self.a) + t2.exp.realized(self.a)
-                gamma = (t1.decay.rate(self.a, self.b)
-                         + t2.decay.rate(self.a, self.b))
+                s = _power(t1, a) + _power(t2, a)
+                gamma = _rate(t1, a, b) + _rate(t2, a, b)
                 if s <= -1.0:
                     raise DivergentIntegral(
                         f"product power {s} is not integrable at 0")
@@ -235,34 +207,38 @@ class ExpoPoly:
         if not self.terms:
             return "0"
         parts = []
-        for t in self.terms:
+        for mu, j, k, coeff in self.terms:
             power = []
-            if t.exp.mu:
-                power.append("a" if t.exp.j == 0 else f"a{t.exp.j:+d}")
-            elif t.exp.j:
-                power.append(str(t.exp.j))
+            if mu:
+                power.append("a" if j == 0 else f"a{j:+d}")
+            elif j:
+                power.append(str(j))
             pw = f"*rho^({'+'.join(power)})" if power else ""
-            dk = "" if t.decay.is_zero else f"*exp(-b/(a+{t.decay.k}) rho)"
-            parts.append(f"({t.coeff:.6g}){pw}{dk}")
+            dk = "" if k is None else f"*exp(-b/(a+{k}) rho)"
+            parts.append(f"({coeff:.6g}){pw}{dk}")
         return " + ".join(parts)
 
 
-def _canonicalize(a: float, b: float,
-                  terms: tuple[ExpoTerm, ...]) -> tuple[ExpoTerm, ...]:
+def _order(key: tuple) -> tuple:
+    """Sort key of (mu, j, k): undecayed terms before decayed ones, then by k."""
+    mu, j, k = key
+    return (mu, j, k is not None, 0 if k is None else k)
+
+
+def _canonicalize(a: float, b: float, terms: tuple[Term, ...]) -> tuple[Term, ...]:
     acc: dict[tuple, complex] = {}
-    for t in terms:
-        if t.decay.k is not None and a + t.decay.k <= 0:
-            raise ValueError(f"decay index {t.decay.k} gives a non-positive rate")
-        key = t.key()
-        acc[key] = acc.get(key, 0j) + complex(t.coeff)
+    for mu, j, k, coeff in terms:
+        if k is not None and a + k <= 0:
+            raise ValueError(f"decay index {k} gives a non-positive rate")
+        key = (mu, j, k)
+        acc[key] = acc.get(key, 0j) + complex(coeff)
     if not acc:
         return ()
     peak = max(abs(c) for c in acc.values())
     kept = []
-    for key in sorted(acc):
+    for key in sorted(acc, key=_order):
         c = acc[key]
         if abs(c) == 0.0 or abs(c) <= REL_TOL * peak:
             continue
-        mu, j, indexed, k = key
-        kept.append(ExpoTerm(c, Exponent(mu, j), DecayIndex(k if indexed else None)))
+        kept.append(Term(*key, c))
     return tuple(kept)

@@ -28,7 +28,7 @@ class CheckResult:
     detail: str
 
 
-def _random_poly(rng, a: float, b: float, n_terms: int = 3) -> ExpoPoly:
+def random_poly(rng, a: float, b: float, n_terms: int = 3) -> ExpoPoly:
     total = ExpoPoly.zero(a, b)
     for _ in range(n_terms):
         coeff = complex(rng.standard_normal(), rng.standard_normal())
@@ -38,22 +38,23 @@ def _random_poly(rng, a: float, b: float, n_terms: int = 3) -> ExpoPoly:
     return total
 
 
-def _random_spinor(rng, a: float, b: float, size: int) -> dc.SpinorFn:
-    return dc.SpinorFn(tuple(_random_poly(rng, a, b) for _ in range(size)))
+def random_spinor(rng, a: float, b: float, size: int) -> dc.SpinorFn:
+    return dc.SpinorFn(tuple(random_poly(rng, a, b) for _ in range(size)))
 
 
-def _random_nr(rng) -> NRParams:
+def random_nr(rng) -> NRParams:
     return NRParams(a=float(rng.uniform(0.4, 2.5)), b=float(rng.uniform(0.4, 2.5)))
 
 
-def _random_dirac(rng) -> DiracParams:
+def random_dirac(rng) -> DiracParams:
     d0 = float(rng.uniform(0.1, 1.5)) * (1.0 if rng.uniform() < 0.5 else -1.0)
     return DiracParams(a=float(rng.uniform(0.5, 2.0)),
                        b=float(rng.uniform(0.4, 2.0)),
                        d0=d0, mbar=float(rng.uniform(0.0, 1.5)))
 
 
-def _random_phys(rng) -> PhysicalParams:
+def random_phys(rng) -> PhysicalParams:
+    """Physical draws admissible for both hierarchies (lam/hbar > 1/2, pz*k > 0)."""
     sign = 1.0 if rng.uniform() < 0.5 else -1.0
     hbar = float(rng.uniform(0.5, 2.0))
     return PhysicalParams(
@@ -68,7 +69,7 @@ def check_riccati(tol: float, draws: int = 8) -> CheckResult:
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for _ in range(draws):
-        p = _random_nr(rng)
+        p = random_nr(rng)
         for n in range(1, 5):
             worst = max(worst, nr.riccati_residual(p, n).max_abs_coeff())
     return CheckResult("nr-riccati-residual", worst <= tol,
@@ -79,8 +80,8 @@ def check_nr_factorization(tol: float, draws: int = 6) -> CheckResult:
     rng = np.random.default_rng(SEED + 1)
     worst = 0.0
     for _ in range(draws):
-        p = _random_nr(rng)
-        f = _random_poly(rng, p.a, p.b)
+        p = random_nr(rng)
+        f = random_poly(rng, p.a, p.b)
         for n in range(1, 5):
             up = nr.ladder(p, n, "creation")
             down = nr.ladder(p, n, "annihilation")
@@ -98,8 +99,8 @@ def check_nr_intertwining(tol: float, draws: int = 6) -> CheckResult:
     rng = np.random.default_rng(SEED + 2)
     worst = 0.0
     for _ in range(draws):
-        p = _random_nr(rng)
-        f = _random_poly(rng, p.a, p.b)
+        p = random_nr(rng)
+        f = random_poly(rng, p.a, p.b)
         for n in range(0, 4):
             up = nr.ladder(p, n + 1, "creation")
             r = (nr.apply_hamiltonian(p, n + 1, up.apply(f))
@@ -159,7 +160,7 @@ def check_dirac_kernels(tol: float, draws: int = 8) -> CheckResult:
     rng = np.random.default_rng(SEED + 3)
     worst = 0.0
     for _ in range(draws):
-        p = _random_dirac(rng)
+        p = random_dirac(rng)
         for n in range(0, 5):
             bd = dc.b_dagger(p, n)
             worst = max(worst,
@@ -177,9 +178,9 @@ def check_dirac_intertwining(tol: float, draws: int = 5) -> CheckResult:
     rng = np.random.default_rng(SEED + 4)
     worst = 0.0
     for _ in range(draws):
-        p = _random_dirac(rng)
-        f2 = _random_spinor(rng, p.a, p.b, 2)
-        f4 = _random_spinor(rng, p.a, p.b, 4)
+        p = random_dirac(rng)
+        f2 = random_spinor(rng, p.a, p.b, 2)
+        f4 = random_spinor(rng, p.a, p.b, 4)
         for n in range(0, 4):
             bd = dc.b_dagger(p, n)
             r2 = (dc.h_operator(p, n + 1).apply(bd.apply(f2))
@@ -217,7 +218,7 @@ def check_spectrum_identity(draws: int = 50) -> CheckResult:
     rng = np.random.default_rng(SEED + 5)
     worst = 0.0
     for _ in range(draws):
-        phys = _random_phys(rng)
+        phys = random_phys(rng)
         p = phys.to_dirac()
         for n in range(0, 6):
             for sign in (1, -1):

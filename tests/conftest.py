@@ -1,50 +1,10 @@
 """Shared helpers for the test suite: reproducible random draws of algebra
-elements and parameter records."""
+elements and parameter records. The draws are the verify battery's own."""
 
 import numpy as np
 
-from susy_ladder.dirac import SpinorFn
-from susy_ladder.expalg import ExpoPoly
-from susy_ladder.params import DiracParams, NRParams, PhysicalParams
-
-
-def random_poly(rng, a, b, n_terms=3, complex_coeffs=True):
-    total = ExpoPoly.zero(a, b)
-    for _ in range(n_terms):
-        coeff = rng.standard_normal()
-        if complex_coeffs:
-            coeff = complex(coeff, rng.standard_normal())
-        total = total + ExpoPoly.term(a, b, coeff, mu=1,
-                                      j=int(rng.integers(0, 4)),
-                                      k=int(rng.integers(0, 4)))
-    return total
-
-
-def random_spinor(rng, a, b, size):
-    return SpinorFn(tuple(random_poly(rng, a, b) for _ in range(size)))
-
-
-def random_nr(rng):
-    return NRParams(a=float(rng.uniform(0.4, 2.5)), b=float(rng.uniform(0.4, 2.5)))
-
-
-def random_dirac(rng):
-    d0 = float(rng.uniform(0.1, 1.5)) * (1.0 if rng.uniform() < 0.5 else -1.0)
-    return DiracParams(a=float(rng.uniform(0.5, 2.0)),
-                       b=float(rng.uniform(0.4, 2.0)),
-                       d0=d0, mbar=float(rng.uniform(0.0, 1.5)))
-
-
-def random_phys(rng):
-    """Physical draws admissible for both hierarchies (lam/hbar > 1/2, pz*k > 0)."""
-    sign = 1.0 if rng.uniform() < 0.5 else -1.0
-    hbar = float(rng.uniform(0.5, 2.0))
-    return PhysicalParams(
-        hbar=hbar, m=float(rng.uniform(0.5, 2.0)), c=float(rng.uniform(0.5, 2.0)),
-        e=float(rng.uniform(0.5, 2.0)),
-        k=sign * float(rng.uniform(0.7, 2.0)) * hbar,
-        pz=sign * float(rng.uniform(0.2, 2.0)),
-        ell=float(rng.uniform(-2.0, 2.0)))
+from susy_ladder.verify import (random_dirac, random_nr, random_phys,  # noqa: F401
+                                random_poly, random_spinor)
 
 
 def rng_for(tag: int):

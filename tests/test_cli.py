@@ -175,6 +175,22 @@ class TestConfigValidation:
         assert text == ""
         assert f"{field} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,argv", [
+        ("--rho-max", ["nr-eigenfunctions", "--a", "1.5", "--b", "0.5", "--rho-max", "0"]),
+        ("--rho-max", ["nr-eigenfunctions", "--a", "1.5", "--b", "0.5", "--rho-max", "nan"]),
+        ("--rho-max", ["fig3", "--rho-max", "-5"]),
+        ("--rho-max", ["dirac-eigenfunctions", "--a", "1", "--b", "2", "--d0", "1",
+                       "--rho-max", "inf"]),
+        ("--tolerance", ["verify", "--tolerance", "-1"]),
+        ("--tolerance", ["verify", "--tolerance", "0"]),
+        ("--tolerance", ["verify", "--tolerance", "nan"]),
+    ])
+    def test_bad_rho_max_or_tolerance_rejected(self, flag, argv, capsys):
+        code, text = capture(argv)
+        assert code == 2
+        assert text == ""
+        assert f"{flag} must be finite and positive" in capsys.readouterr().err
+
 
 class TestOutputFile:
     def test_out_writes_identical_content(self, tmp_path):

@@ -216,7 +216,7 @@ class TestEigenvectors:
 
     def test_degenerate_denominator(self):
         p = DiracParams(a=1.0, b=2.0, d0=0.0, mbar=0.5)
-        with pytest.raises(DegenerateDenominator):
+        with pytest.raises(DegenerateDenominator, match="family b, level 0"):
             dc.eigenvector(p, 0, "b")
         # families a/c stay regular, and b at level 1 has d_1 != 0
         dc.eigenvector(p, 0, "a")

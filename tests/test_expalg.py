@@ -8,7 +8,7 @@ import pytest
 from conftest import random_poly, rng_for
 
 from susy_ladder.errors import ContextMismatch, DivergentIntegral, DomainError
-from susy_ladder.expalg import Exponent, ExpoPoly
+from susy_ladder.expalg import ExpoPoly
 
 
 def term(a, b, coeff, mu=0, j=0, k=None):
@@ -37,7 +37,17 @@ class TestCanonicalForm:
 
     def test_exponent_multiplier_restricted(self):
         with pytest.raises(ValueError):
-            Exponent(2, 0)
+            ExpoPoly.term(1.0, 1.0, 1.0, mu=2)
+
+    @pytest.mark.parametrize("build", [
+        lambda: term(1.0, 1.0, 1.0, mu=2),
+        lambda: term(1.0, 1.0, 1.0, j=1.5),
+        lambda: term(1.0, 1.0, 1.0, k=1.5),
+        lambda: term(1.0, 1.0, 1.0, mu=1, k=1).mul_power(0.5),
+    ], ids=["mu=2", "j=1.5", "k=1.5", "mul_power(0.5)"])
+    def test_bad_term_keys_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
 
     def test_decay_rate_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -226,6 +236,6 @@ class TestIsZero:
         p = random_poly(rng, 1.1, 0.9, n_terms=4)
         q = p.differentiate().mul_power(-1) + p.scale(2.3j)
         for t in q.terms:
-            assert t.exp.mu in (0, 1)
-            assert isinstance(t.exp.j, int)
-            assert t.decay.k is None or isinstance(t.decay.k, int)
+            assert t.mu in (0, 1)
+            assert isinstance(t.j, int)
+            assert t.k is None or isinstance(t.k, int)

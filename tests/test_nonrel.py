@@ -15,7 +15,7 @@ FIG2 = NRParams(1.5, 0.5)
 
 
 def coeffs(poly):
-    return {(t.exp.mu, t.exp.j, t.decay.k): t.coeff for t in poly.terms}
+    return {(t.mu, t.j, t.k): t.coeff for t in poly.terms}
 
 
 class TestSuperpotential:
@@ -175,7 +175,7 @@ class TestEigenfunctions:
         # n+1 terms rho^(a+1+j) e^(-b rho/(a+n+1)), j = 0..n
         for n in range(0, 6):
             f = nr.eigenfunction(FIG2, n)
-            keys = {(t.exp.mu, t.exp.j, t.decay.k) for t in f.terms}
+            keys = {(t.mu, t.j, t.k) for t in f.terms}
             assert keys == {(1, 1 + j, n + 1) for j in range(n + 1)}
 
     def test_eigen_equation_exact(self):
