@@ -7,7 +7,8 @@ digit scientific notation so identical configurations produce identical
 bytes on every platform.
 
 Exit codes: 0 success, 2 invalid configuration or parameters, 3 when verify
-finds a failed check.
+finds a failed check (an oracle grid that does not converge on refinement
+fails its check; the other checks still run).
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ All operator applications happen inside the exact algebra.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -119,6 +120,11 @@ class MatrixOp:
     dcoef: np.ndarray
     potential: tuple[tuple[ExpoPoly, ...], ...]
 
+    def __post_init__(self):
+        # Operators are cached and shared; a write through one holder would
+        # change every chain built from it.
+        self.dcoef.setflags(write=False)
+
     @property
     def size(self) -> int:
         return self.dcoef.shape[0]
@@ -129,15 +135,15 @@ class MatrixOp:
         derivs = [p.differentiate() for p in f.components]
         out = []
         for i in range(self.size):
-            total = ExpoPoly.zero(f.a, f.b)
+            parts = []
             for j in range(self.size):
                 c = self.dcoef[i, j]
                 if c != 0:
-                    total = total + derivs[j].scale(c)
+                    parts.append(derivs[j].scale(c))
                 pot = self.potential[i][j]
                 if pot.terms:
-                    total = total + f.components[j].mul_laurent(pot)
-            out.append(total)
+                    parts.append(f.components[j].mul_laurent(pot))
+            out.append(ExpoPoly.sum(f.a, f.b, parts))
         return SpinorFn(tuple(out))
 
     def potential_at(self, rho: float) -> np.ndarray:
@@ -147,18 +153,11 @@ class MatrixOp:
 def _pot_matrix(params: DiracParams,
                 parts: list[tuple[ExpoPoly, np.ndarray]],
                 size: int) -> tuple[tuple[ExpoPoly, ...], ...]:
-    zero = ExpoPoly.zero(params.a, params.b)
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            entry = zero
-            for poly, mat in parts:
-                if mat[i, j] != 0:
-                    entry = entry + poly.scale(mat[i, j])
-            row.append(entry)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(
+        tuple(ExpoPoly.sum(params.a, params.b,
+                           [poly.scale(mat[i, j]) for poly, mat in parts if mat[i, j] != 0])
+              for j in range(size))
+        for i in range(size))
 
 
 def _const(params: DiracParams, value: complex) -> ExpoPoly:
@@ -258,8 +257,14 @@ def a_dagger(params: DiracParams, n: int) -> MatrixOp:
     return _block_diag(b_dagger(params, n), params)
 
 
+@functools.lru_cache(maxsize=64)
 def a_op(params: DiracParams, n: int) -> MatrixOp:
-    """Formal adjoint of a_dagger; lowers level n+1 eigenvectors to level n."""
+    """Formal adjoint of a_dagger; lowers level n+1 eigenvectors to level n.
+
+    Cached per (params, n): every chain through level n+1 applies this same
+    operator, and a chain sweep to level 12 over four families needs 12. The
+    returned operator is shared, so it is read-only.
+    """
     return _block_diag(b_op(params, n), params)
 
 

@@ -84,13 +84,29 @@ class ExpoPoly:
 
     # -- ring-like operations -----------------------------------------------
 
-    def _check_context(self, other: "ExpoPoly") -> None:
-        if (self.a, self.b) != (other.a, other.b):
-            raise ContextMismatch(
-                f"contexts differ: ({self.a}, {self.b}) vs ({other.a}, {other.b})")
+    @classmethod
+    def sum(cls, a: float, b: float, parts) -> "ExpoPoly":
+        """parts[0] + parts[1] + ..., bit for bit, with one sort at the end.
+
+        Chaining + canonicalizes after every part: it adds each key's
+        coefficients in part order, then cuts against the running maximum.
+        This does both per part on one running dict and hands the last part
+        to the constructor, which adds it, cuts and sorts once.
+        """
+        parts = list(parts)
+        for part in parts:
+            _check_context(a, b, part)
+        if not parts:
+            return cls(a, b, ())
+        acc: dict[tuple, complex] = {}
+        for part in parts[:-1]:
+            _accumulate(acc, a, part.terms)
+            if acc:
+                _cut(acc)
+        return cls(a, b, tuple([Term(*key, c) for key, c in acc.items()]) + parts[-1].terms)
 
     def __add__(self, other: "ExpoPoly") -> "ExpoPoly":
-        self._check_context(other)
+        _check_context(self.a, self.b, other)
         return ExpoPoly(self.a, self.b, self.terms + other.terms)
 
     def __sub__(self, other: "ExpoPoly") -> "ExpoPoly":
@@ -116,7 +132,7 @@ class ExpoPoly:
         The restriction keeps the product inside the algebra; general products
         would create powers 2a + j and summed decay rates outside the key set.
         """
-        self._check_context(other)
+        _check_context(self.a, self.b, other)
         out = []
         for q in other.terms:
             if q.mu != 0 or q.k is not None:
@@ -171,7 +187,7 @@ class ExpoPoly:
         summed realized power and gamma the summed decay rate. Raises unless
         s > -1 and gamma > 0 for every product term.
         """
-        self._check_context(other)
+        _check_context(self.a, self.b, other)
         a, b = self.a, self.b
         total = 0j
         for t1 in self.terms:
@@ -219,26 +235,41 @@ class ExpoPoly:
         return " + ".join(parts)
 
 
+def _check_context(a: float, b: float, other: ExpoPoly) -> None:
+    if (a, b) != (other.a, other.b):
+        raise ContextMismatch(
+            f"contexts differ: ({a}, {b}) vs ({other.a}, {other.b})")
+
+
 def _order(key: tuple) -> tuple:
     """Sort key of (mu, j, k): undecayed terms before decayed ones, then by k."""
     mu, j, k = key
     return (mu, j, k is not None, 0 if k is None else k)
 
 
-def _canonicalize(a: float, b: float, terms: tuple[Term, ...]) -> tuple[Term, ...]:
-    acc: dict[tuple, complex] = {}
+def _accumulate(acc: dict[tuple, complex], a: float, terms) -> None:
+    """Add each term's coefficient into acc under its (mu, j, k) key, in order."""
     for mu, j, k, coeff in terms:
         if k is not None and a + k <= 0:
             raise ValueError(f"decay index {k} gives a non-positive rate")
         key = (mu, j, k)
         acc[key] = acc.get(key, 0j) + complex(coeff)
+
+
+def _cut(acc: dict[tuple, complex]) -> None:
+    """The canonical cut, in place on a non-empty acc: drop exact zeros and
+    coefficients at or below REL_TOL times the largest magnitude."""
+    limit = REL_TOL * max(map(abs, acc.values()))
+    if min(map(abs, acc.values())) > limit:
+        return
+    for key in [key for key, c in acc.items() if (m := abs(c)) == 0.0 or m <= limit]:
+        del acc[key]
+
+
+def _canonicalize(a: float, b: float, terms: tuple[Term, ...]) -> tuple[Term, ...]:
+    acc: dict[tuple, complex] = {}
+    _accumulate(acc, a, terms)
     if not acc:
         return ()
-    peak = max(abs(c) for c in acc.values())
-    kept = []
-    for key in sorted(acc, key=_order):
-        c = acc[key]
-        if abs(c) == 0.0 or abs(c) <= REL_TOL * peak:
-            continue
-        kept.append(Term(*key, c))
-    return tuple(kept)
+    _cut(acc)
+    return tuple([Term(*key, acc[key]) for key in sorted(acc, key=_order)])

@@ -30,10 +30,7 @@ def _ctx(params: NRParams) -> tuple[float, float]:
 
 def _laurent(params: NRParams, pairs: list[tuple[float, int]]) -> ExpoPoly:
     a, b = _ctx(params)
-    total = ExpoPoly.zero(a, b)
-    for coeff, j in pairs:
-        total = total + ExpoPoly.term(a, b, coeff, mu=0, j=j)
-    return total
+    return ExpoPoly.sum(a, b, [ExpoPoly.term(a, b, coeff, mu=0, j=j) for coeff, j in pairs])
 
 
 def superpotential(params: NRParams, n: int) -> ExpoPoly:
@@ -81,8 +78,9 @@ class ScalarLadder:
 
     def apply(self, f: ExpoPoly) -> ExpoPoly:
         sign = -1.0 if self.direction == "creation" else 1.0
-        return (f.differentiate().scale(sign) + f.mul_laurent(self.superpotential)
-                ).scale(1.0 / SQRT2)
+        return ExpoPoly.sum(f.a, f.b, (f.differentiate().scale(sign),
+                                       f.mul_laurent(self.superpotential))
+                            ).scale(1.0 / SQRT2)
 
 
 def ladder(params: NRParams, n: int, direction: str) -> ScalarLadder:

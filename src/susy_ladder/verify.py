@@ -15,6 +15,7 @@ import numpy as np
 from . import dirac as dc
 from . import nonrel as nr
 from . import oracle as orc
+from .errors import GridTooCoarse
 from .expalg import ExpoPoly
 from .params import DiracParams, NRParams, PhysicalParams
 
@@ -29,13 +30,10 @@ class CheckResult:
 
 
 def random_poly(rng, a: float, b: float, n_terms: int = 3) -> ExpoPoly:
-    total = ExpoPoly.zero(a, b)
-    for _ in range(n_terms):
-        coeff = complex(rng.standard_normal(), rng.standard_normal())
-        total = total + ExpoPoly.term(a, b, coeff, mu=1,
-                                      j=int(rng.integers(0, 4)),
-                                      k=int(rng.integers(0, 4)))
-    return total
+    return ExpoPoly.sum(a, b, [
+        ExpoPoly.term(a, b, complex(rng.standard_normal(), rng.standard_normal()),
+                      mu=1, j=int(rng.integers(0, 4)), k=int(rng.integers(0, 4)))
+        for _ in range(n_terms)])
 
 
 def random_spinor(rng, a: float, b: float, size: int) -> dc.SpinorFn:
@@ -150,7 +148,10 @@ def _gram_check(name: str, gram) -> CheckResult:
 
 def check_nr_fd(params: NRParams, n_points: int) -> CheckResult:
     grid = orc.default_grid(params, 3, n_points)
-    fd = orc.fd_schrodinger_eigs(params, 3, grid)
+    try:
+        fd = orc.fd_schrodinger_eigs(params, 3, grid)
+    except GridTooCoarse as exc:
+        return CheckResult("nr-fd-eigenvalues", False, f"grid too coarse: {exc}")
     worst = max(abs(fd[n] - nr.spectrum_radial(params, n)) for n in range(3))
     return CheckResult("nr-fd-eigenvalues", worst <= 1e-5,
                        f"max |fd - analytic| {worst:.3e} (tol 1e-05)")
@@ -247,7 +248,10 @@ def check_dirac_scan(params: DiracParams, n_points: int) -> CheckResult:
     lo = 0.95 * levels[0]
     hi = 0.5 * (levels[2] + levels[3])
     grid = orc.wall_grid(40.0 * (params.a + 4) / params.b, n_points)
-    found = orc.dirac_spectrum_scan(params, (lo, hi), grid)
+    try:
+        found = orc.dirac_spectrum_scan(params, (lo, hi), grid)
+    except GridTooCoarse as exc:
+        return CheckResult("dirac-fd-scan", False, f"grid too coarse: {exc}")
     expect = sorted([levels[0], levels[1], levels[1], levels[2], levels[2]])
     ok = len(found) == len(expect) and all(
         abs(x - y) <= 1e-3 for x, y in zip(found, expect))

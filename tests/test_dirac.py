@@ -1,7 +1,9 @@
 """Tests of the matrix hierarchy: level constants, operators, kernel spinors,
 the four eigenvector families, lowering chains, and physical spectra."""
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from susy_ladder import dirac as dc
 from susy_ladder import nonrel as nr
 from susy_ladder.errors import (DegenerateDenominator, DomainError,
                                 NoBoundStates)
-from susy_ladder.params import DiracParams, PhysicalParams
+from susy_ladder.expalg import ExpoPoly
+from susy_ladder.params import DiracParams, NRParams, PhysicalParams
 
 FIG3 = DiracParams(a=1.0, b=2.0, d0=1.0, mbar=0.1)
 
@@ -259,6 +262,40 @@ class TestChains:
                     rel = abs(gram[i][j]) / math.sqrt(
                         gram[i][i].real * gram[j][j].real)
                     assert rel <= 1e-9
+
+
+class TestOperatorCache:
+    def test_a_op_is_shared_and_read_only(self):
+        op = dc.a_op(FIG3, 2)
+        assert dc.a_op(FIG3, 2) is op
+        with pytest.raises(ValueError):
+            op.dcoef[0, 0] = 1.0
+
+    def test_apply_coefficients_are_python_complex(self):
+        f = random_spinor(rng_for(60), FIG3.a, FIG3.b, 4)
+        for op in (dc.a_op(FIG3, 1), dc.a_dagger(FIG3, 1), dc.big_hamiltonian(FIG3, 0)):
+            out = op.apply(f)
+            assert all(type(t.coeff) is complex for p in out.components for t in p.terms)
+
+    def test_chains_bit_identical_to_uncached_chained_add(self, monkeypatch):
+        # The reference builds every operator afresh and sums by chaining +.
+        nr_sets = [NRParams(1.5, 0.5), NRParams(FIG3.a, FIG3.b)]
+        dirac_sets = [FIG3, DiracParams(1.5, 0.5, -0.4, 0.2)]
+        levels = range(13)
+        fast_nr = {(p, n): nr.eigenfunction(p, n) for p in nr_sets for n in levels}
+        fast_dirac = {(q, n, fam): dc.eigenfunction_chain(q, n, fam)
+                      for q in dirac_sets for n in levels for fam in dc.FAMILIES}
+
+        def chained(cls, a, b, parts):
+            return functools.reduce(operator.add, parts, cls.zero(a, b))
+        monkeypatch.setattr(ExpoPoly, "sum", classmethod(chained))
+        for (p, n), fast in fast_nr.items():
+            assert fast.terms == nr.eigenfunction(p, n).terms
+        for (q, n, fam), fast in fast_dirac.items():
+            phi, _ = dc.eigenvector(q, n, fam)
+            for k in range(n - 1, -1, -1):
+                phi = dc.a_op.__wrapped__(q, k).apply(phi)
+            assert [c.terms for c in fast.components] == [c.terms for c in phi.components]
 
 
 class TestRotation:

@@ -1,7 +1,9 @@
 """Tests of the exponential-polynomial algebra: canonical form, arithmetic,
 differentiation, evaluation, and the closed-form inner product."""
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -56,6 +58,35 @@ class TestCanonicalForm:
     def test_context_mismatch(self):
         with pytest.raises(ContextMismatch):
             term(1.0, 1.0, 1.0) + term(2.0, 1.0, 1.0)
+
+
+class TestSum:
+    """ExpoPoly.sum must equal chaining + bit for bit, compared with ==."""
+
+    @pytest.mark.parametrize("tag", range(6))
+    def test_matches_chained_add(self, tag):
+        rng = rng_for(40 + tag)
+        parts = [random_poly(rng, 1.3, 0.7, n_terms=int(rng.integers(1, 6)))
+                 for _ in range(2 + tag)]
+        chained = functools.reduce(operator.add, parts)
+        assert ExpoPoly.sum(1.3, 0.7, parts).terms == chained.terms
+
+    def test_keeps_the_cut_after_each_part(self):
+        # q's constant term sets the scale; the third part cancels p down to
+        # about 1e-15 relative, which the cut after that part drops, so the
+        # last part lands on empty keys instead of on the leftover.
+        a, b = 1.3, 0.7
+        p = random_poly(rng_for(50), a, b)
+        q = term(a, b, 1.0)
+        parts = [p, q, p.scale(-(1.0 - 2.0 ** -50)), p.scale(1e-3)]
+        assert functools.reduce(operator.add, parts[:3]).terms == q.terms
+        chained = functools.reduce(operator.add, parts)
+        assert ExpoPoly.sum(a, b, parts).terms == chained.terms
+
+    def test_empty_and_context(self):
+        assert ExpoPoly.sum(1.0, 1.0, []) == ExpoPoly.zero(1.0, 1.0)
+        with pytest.raises(ContextMismatch):
+            ExpoPoly.sum(1.0, 1.0, [term(1.0, 1.0, 1.0), term(2.0, 1.0, 1.0)])
 
 
 class TestScaleAndPower:

@@ -44,6 +44,22 @@ def test_cli_verify_exit_codes(tmp_path):
     assert "FAIL" in Path(out).read_text()
 
 
+@pytest.mark.parametrize("argv, failed", [
+    (["--grid-points", "64"], "nr-fd-eigenvalues"),
+    (["--a", "1.2", "--b", "0.8", "--d0", "0.4", "--mbar", "0.2"], "dirac-fd-scan"),
+], ids=["coarse-nr-grid", "unstable-dirac-scan"])
+def test_cli_verify_reports_unconverged_oracle(argv, failed, capsys):
+    # a refinement shift past the oracle's bound fails its own check;
+    # the other checks still run and print
+    assert main(["verify", *argv]) == 3
+    rows = [line.split(",", 2) for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 15
+    by_name = {name: (passed, detail) for name, passed, detail in rows}
+    passed, detail = by_name[failed]
+    assert passed == "FAIL"
+    assert detail.startswith("grid too coarse: ")
+
+
 def test_oracle_is_independent_of_solver_modules():
     # the cross-check code must never import the ladder construction
     import ast
