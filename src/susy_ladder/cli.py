@@ -28,8 +28,6 @@ from . import nonrel as nr
 from .errors import LadderError
 from .params import DiracParams, NRParams, PhysicalParams
 
-MODES = ("nr-spectrum", "nr-eigenfunctions", "dirac-spectrum",
-         "dirac-eigenfunctions", "fig2", "fig3", "verify")
 FIG_SAMPLES = 512
 
 # Canonical parameter sets reproduced by the figure subcommands.
@@ -38,6 +36,21 @@ FIG3_DIRAC = {"a": 1.0, "b": 2.0, "d0": 1.0, "mbar": 0.1}
 
 _DIMENSIONLESS = ("a", "b", "d0", "mbar")
 _PHYSICAL = ("hbar", "m", "c", "e", "k", "pz", "ell")
+
+# The RunConfig fields each mode reads from its own flag; every mode also
+# takes --format and --out.
+_NR_FLAGS = ("a", "b", *_PHYSICAL)
+_DIRAC_FLAGS = (*_DIMENSIONLESS, *_PHYSICAL)
+_MODE_FLAGS = {
+    "nr-spectrum": (*_NR_FLAGS, "levels"),
+    "nr-eigenfunctions": (*_NR_FLAGS, "levels", "rho_max"),
+    "dirac-spectrum": (*_DIRAC_FLAGS, "levels", "families"),
+    "dirac-eigenfunctions": (*_DIRAC_FLAGS, "levels", "families", "rho_max"),
+    "fig2": (*_NR_FLAGS, "rho_max"),
+    "fig3": (*_DIRAC_FLAGS, "rho_max"),
+    "verify": (*_DIRAC_FLAGS, "grid_points", "tolerance"),
+}
+MODES = tuple(_MODE_FLAGS)
 
 
 @dataclass
@@ -192,18 +205,8 @@ def _table_verify(cfg: RunConfig):
     # scipy.linalg, which no other mode needs and which dominate cold start.
     from . import verify as vf
 
-    style = cfg.style()
-    if style == "default":
-        nr_params = NRParams(FIG2_NR["a"], FIG2_NR["b"])
-        dirac_params = DiracParams(**FIG3_DIRAC)
-    elif style == "physical":
-        phys = _physical(cfg)
-        nr_params, dirac_params = phys.to_nr(), phys.to_dirac()
-    else:
-        nr_params = _nr_params(cfg)
-        dirac_params = _dirac_params(cfg)
-    results = vf.run_all(nr_params, dirac_params, tol=cfg.tolerance,
-                         n_points=cfg.grid_points)
+    results = vf.run_all(_nr_params(cfg, FIG2_NR), _dirac_params(cfg, FIG3_DIRAC),
+                         tol=cfg.tolerance, n_points=cfg.grid_points)
     table = {"check": [r.name for r in results],
              "passed": ["pass" if r.passed else "FAIL" for r in results],
              "detail": [r.detail for r in results]}
@@ -232,24 +235,18 @@ def _render_csv(cols, rows) -> str:
     return buf.getvalue()
 
 
-def _json_scalar(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, str):
-        escaped = (value.replace("\\", "\\\\").replace('"', '\\"')
-                   .replace("\n", "\\n"))
-        return f'"{escaped}"'
-    return _cell(value)
-
-
 def _json_value(value) -> str:
     if isinstance(value, dict):
-        inner = ",".join(f'{_json_scalar(k)}:{_json_value(v)}'
-                         for k, v in value.items())
-        return "{" + inner + "}"
+        return "{" + ",".join(f"{_json_value(k)}:{_json_value(v)}"
+                              for k, v in value.items()) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_json_value(v) for v in value) + "]"
-    return _json_scalar(value)
+    if value is None or isinstance(value, str):
+        # Imported here so that a CSV run never loads json.
+        import json
+        return json.dumps(value, ensure_ascii=False)
+    # Numbers keep the CSV cells' fixed 17-digit format, which json.dumps lacks.
+    return _cell(value)
 
 
 def _render_json(cols, rows, meta: dict) -> str:
@@ -312,43 +309,32 @@ def run(cfg: RunConfig) -> int:
     return 0 if verify_ok else 3
 
 
+def _families(text: str) -> tuple[str, ...]:
+    return tuple(s for s in text.split(",") if s)
+
+
+_FLAG_TYPES = {"levels": int, "grid_points": int, "families": _families}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="susy-ladder",
         description="Exact ladder-operator spectra for a charged particle in a "
                     "1/rho magnetic field, with finite-difference verification.")
     sub = parser.add_subparsers(dest="mode", required=True, metavar="mode")
-    for mode in MODES:
-        p = sub.add_parser(mode)
-        p.add_argument("--a", type=float)
-        p.add_argument("--b", type=float)
-        p.add_argument("--d0", type=float)
-        p.add_argument("--mbar", type=float)
-        p.add_argument("--hbar", type=float)
-        p.add_argument("--m", type=float)
-        p.add_argument("--c", type=float)
-        p.add_argument("--e", type=float)
-        p.add_argument("--k", type=float)
-        p.add_argument("--pz", type=float)
-        p.add_argument("--ell", type=float)
-        p.add_argument("--levels", type=int, default=3)
-        p.add_argument("--families", type=str, default="a,b,c,d")
-        p.add_argument("--grid-points", type=int, default=4096)
-        p.add_argument("--rho-max", type=float)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", type=str)
-        p.add_argument("--tolerance", type=float, default=1e-11)
+    for mode, names in _MODE_FLAGS.items():
+        # No flag sets a default of its own: an absent flag leaves RunConfig's.
+        p = sub.add_parser(mode, argument_default=argparse.SUPPRESS)
+        for name in names:
+            p.add_argument("--" + name.replace("_", "-"),
+                           type=_FLAG_TYPES.get(name, float))
+        p.add_argument("--format", dest="fmt", choices=("csv", "json"))
+        p.add_argument("--out")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    families = tuple(s for s in args.families.split(",") if s)
-    return RunConfig(
-        mode=args.mode, a=args.a, b=args.b, d0=args.d0, mbar=args.mbar,
-        hbar=args.hbar, m=args.m, c=args.c, e=args.e, k=args.k, pz=args.pz,
-        ell=args.ell, levels=args.levels, families=families,
-        grid_points=args.grid_points, rho_max=args.rho_max, fmt=args.format,
-        out=args.out, tolerance=args.tolerance)
+    return RunConfig(**vars(args))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -359,15 +359,14 @@ def rotation_matrix(phys: PhysicalParams) -> np.ndarray:
             - 1j * math.sin(theta / 2.0) * SIGMA1)
 
 
-def superpotential_matrix_residual(params: DiracParams, n: int,
-                                   rho_samples, skip_singular: bool = False) -> float:
+def superpotential_matrix_residual(params: DiracParams, n: int, rho_samples) -> float:
     """Max Frobenius mismatch between the raising intertwiner's potential part
     W(rho) and Xi'(rho) Xi(rho)^(-1), where Xi has the four level-n family
     eigenvectors as columns.
 
     Annihilation of every column by (-d/drho + W) forces W Xi = Xi', so the
     residual vanishes wherever Xi is invertible. Near-singular samples raise
-    SingularXi, or are skipped when skip_singular is set.
+    SingularXi.
     """
     cols = [eigenvector(params, n, fam)[0] for fam in FAMILIES]
     dcols = [SpinorFn(tuple(p.differentiate() for p in col.components))
@@ -378,8 +377,6 @@ def superpotential_matrix_residual(params: DiracParams, n: int,
         xi = np.stack([col.eval(rho) for col in cols], axis=1)
         dxi = np.stack([col.eval(rho) for col in dcols], axis=1)
         if np.linalg.cond(xi) > 1e12:
-            if skip_singular:
-                continue
             raise SingularXi(f"eigenvector matrix is singular at rho = {rho}")
         resid = wop.potential_at(rho) - dxi @ np.linalg.inv(xi)
         worst = max(worst, float(np.linalg.norm(resid)))

@@ -147,16 +147,16 @@ def default_rho_max(params: NRParams, n: int) -> float:
     return 40.0 * (params.a + n + 1) / params.b
 
 
-def interior_zeros(f: ExpoPoly, rho_max: float, samples: int = 4096,
-                   refine_tol: float = 1e-10) -> list[float]:
-    """Sign changes of Re f on (0, rho_max), refined by bisection."""
-    xs = np.linspace(rho_max / samples, rho_max, samples)
+def interior_zeros(f: ExpoPoly, rho_max: float) -> list[float]:
+    """Sign changes of Re f over 4096 samples of (0, rho_max], each refined by
+    bisection to a bracket narrower than 1e-10."""
+    xs = np.linspace(rho_max / 4096, rho_max, 4096)
     vals = f.eval_array(xs).real
     zeros = []
     for i in np.nonzero(vals[:-1] * vals[1:] < 0)[0]:
         lo, hi = xs[i], xs[i + 1]
         flo = vals[i]
-        while hi - lo > refine_tol:
+        while hi - lo > 1e-10:
             mid = 0.5 * (lo + hi)
             fmid = f.eval(mid).real
             if flo * fmid <= 0:

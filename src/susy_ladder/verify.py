@@ -20,6 +20,7 @@ from .expalg import ExpoPoly
 from .params import DiracParams, NRParams, PhysicalParams
 
 SEED = 20121028
+SCAN_POINTS = 16384  # grid of the Dirac finite-difference scan
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,10 @@ def random_phys(rng) -> PhysicalParams:
         ell=float(rng.uniform(-2.0, 2.0)))
 
 
-def check_riccati(tol: float, draws: int = 8) -> CheckResult:
+def check_riccati(tol: float) -> CheckResult:
     rng = np.random.default_rng(SEED)
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(8):
         p = random_nr(rng)
         for n in range(1, 5):
             worst = max(worst, nr.riccati_residual(p, n).max_abs_coeff())
@@ -74,10 +75,10 @@ def check_riccati(tol: float, draws: int = 8) -> CheckResult:
                        f"max coefficient {worst:.3e} (tol {tol:.1e})")
 
 
-def check_nr_factorization(tol: float, draws: int = 6) -> CheckResult:
+def check_nr_factorization(tol: float) -> CheckResult:
     rng = np.random.default_rng(SEED + 1)
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(6):
         p = random_nr(rng)
         f = random_poly(rng, p.a, p.b)
         for n in range(1, 5):
@@ -93,10 +94,10 @@ def check_nr_factorization(tol: float, draws: int = 6) -> CheckResult:
                        f"max coefficient {worst:.3e} (tol {tol:.1e})")
 
 
-def check_nr_intertwining(tol: float, draws: int = 6) -> CheckResult:
+def check_nr_intertwining(tol: float) -> CheckResult:
     rng = np.random.default_rng(SEED + 2)
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(6):
         p = random_nr(rng)
         f = random_poly(rng, p.a, p.b)
         for n in range(0, 4):
@@ -157,10 +158,10 @@ def check_nr_fd(params: NRParams, n_points: int) -> CheckResult:
                        f"max |fd - analytic| {worst:.3e} (tol 1e-05)")
 
 
-def check_dirac_kernels(tol: float, draws: int = 8) -> CheckResult:
+def check_dirac_kernels(tol: float) -> CheckResult:
     rng = np.random.default_rng(SEED + 3)
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(8):
         p = random_dirac(rng)
         for n in range(0, 5):
             bd = dc.b_dagger(p, n)
@@ -175,10 +176,10 @@ def check_dirac_kernels(tol: float, draws: int = 8) -> CheckResult:
                        f"max coefficient {worst:.3e} (tol {tol:.1e})")
 
 
-def check_dirac_intertwining(tol: float, draws: int = 5) -> CheckResult:
+def check_dirac_intertwining(tol: float) -> CheckResult:
     rng = np.random.default_rng(SEED + 4)
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(5):
         p = random_dirac(rng)
         f2 = random_spinor(rng, p.a, p.b, 2)
         f4 = random_spinor(rng, p.a, p.b, 4)
@@ -195,12 +196,13 @@ def check_dirac_intertwining(tol: float, draws: int = 5) -> CheckResult:
 
 
 def check_dirac_eigen(params: DiracParams, tol: float) -> CheckResult:
+    h0 = dc.big_hamiltonian(params, 0)
     worst = 0.0
     for n in range(0, 4):
         for fam in dc.FAMILIES:
             chain = dc.eigenfunction_chain(params, n, fam)
             value = dc.family_eigenvalue(params, n, fam)
-            r = dc.big_hamiltonian(params, 0).apply(chain) - chain.scale(value)
+            r = h0.apply(chain) - chain.scale(value)
             scale = max(1.0, chain.max_abs_coeff())
             worst = max(worst, r.max_abs_coeff() / scale)
     return CheckResult("dirac-eigen-equations", worst <= tol,
@@ -215,10 +217,10 @@ def check_degeneracy(params: DiracParams) -> CheckResult:
                        "family c level n matches family a level n+1 exactly (and d/b)")
 
 
-def check_spectrum_identity(draws: int = 50) -> CheckResult:
+def check_spectrum_identity() -> CheckResult:
     rng = np.random.default_rng(SEED + 5)
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(50):
         phys = random_phys(rng)
         p = phys.to_dirac()
         for n in range(0, 6):
@@ -243,11 +245,11 @@ def check_xi_superpotential(params: DiracParams) -> CheckResult:
                        f"max Frobenius residual {worst:.3e} (tol 1e-08)")
 
 
-def check_dirac_scan(params: DiracParams, n_points: int) -> CheckResult:
+def check_dirac_scan(params: DiracParams) -> CheckResult:
     levels = [math.hypot(params.mbar, dc.dn(params, n)) for n in range(8)]
     lo = 0.95 * levels[0]
     hi = 0.5 * (levels[2] + levels[3])
-    grid = orc.wall_grid(40.0 * (params.a + 4) / params.b, n_points)
+    grid = orc.wall_grid(40.0 * (params.a + 4) / params.b, SCAN_POINTS)
     try:
         found = orc.dirac_spectrum_scan(params, (lo, hi), grid)
     except GridTooCoarse as exc:
@@ -278,8 +280,7 @@ def check_gamma_vs_quadrature(params: NRParams) -> CheckResult:
 
 
 def run_all(nr_params: NRParams, dirac_params: DiracParams,
-            tol: float = 1e-11, n_points: int = 4096,
-            scan_points: int = 16384) -> list[CheckResult]:
+            tol: float = 1e-11, n_points: int = 4096) -> list[CheckResult]:
     return [
         check_riccati(tol),
         check_nr_factorization(tol),
@@ -294,6 +295,6 @@ def run_all(nr_params: NRParams, dirac_params: DiracParams,
         check_degeneracy(dirac_params),
         check_spectrum_identity(),
         check_xi_superpotential(dirac_params),
-        check_dirac_scan(dirac_params, scan_points),
+        check_dirac_scan(dirac_params),
         check_gamma_vs_quadrature(nr_params),
     ]

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -218,8 +219,48 @@ class TestOutputFile:
         assert doc["meta"]["levels"] == 2
         assert doc["meta"]["a"] == 1.5
 
+    def test_json_escapes_control_characters(self, tmp_path):
+        target = tmp_path / 'a\tb"c\\d\u00e9.json'
+        code, _ = capture(["nr-spectrum", "--a", "1.5", "--b", "0.5",
+                           "--format", "json", "--out", str(target)])
+        assert code == 0
+        assert json.loads(target.read_text())["meta"]["out"] == str(target)
+
+
+_PHYSICAL_FLAGS = {"--hbar", "--m", "--c", "--e", "--k", "--pz", "--ell"}
+_NR_FLAGS = {"--format", "--out", "--a", "--b"} | _PHYSICAL_FLAGS
+_DIRAC_FLAGS = _NR_FLAGS | {"--d0", "--mbar"}
+MODE_FLAGS = {
+    "nr-spectrum": _NR_FLAGS | {"--levels"},
+    "nr-eigenfunctions": _NR_FLAGS | {"--levels", "--rho-max"},
+    "dirac-spectrum": _DIRAC_FLAGS | {"--levels", "--families"},
+    "dirac-eigenfunctions": _DIRAC_FLAGS | {"--levels", "--families", "--rho-max"},
+    "fig2": _NR_FLAGS | {"--rho-max"},
+    "fig3": _DIRAC_FLAGS | {"--rho-max"},
+    "verify": _DIRAC_FLAGS | {"--grid-points", "--tolerance"},
+}
+ALL_FLAGS = set().union(*MODE_FLAGS.values())
+
 
 class TestParser:
+    @pytest.mark.parametrize("mode", list(MODE_FLAGS))
+    def test_mode_takes_only_its_own_flags(self, mode, capsys):
+        assert len(ALL_FLAGS) == 18
+        parser = build_parser()
+        assert config_from_args(parser.parse_args([mode])) == RunConfig(mode=mode)
+        for flag in sorted(MODE_FLAGS[mode]):
+            parser.parse_args([mode, flag, "json" if flag == "--format" else "1"])
+        for flag in sorted(ALL_FLAGS - MODE_FLAGS[mode]):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([mode, flag, "1"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([mode, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out))
+        assert listed - {"--help"} == MODE_FLAGS[mode]
+
     def test_config_from_args_families(self):
         args = build_parser().parse_args(["dirac-spectrum", "--a", "1", "--b", "2",
                                           "--families", "a,c"])
