@@ -316,12 +316,24 @@ def _families(text: str) -> tuple[str, ...]:
 _FLAG_TYPES = {"levels": int, "grid_points": int, "families": _families}
 
 
+class _ModeParser(argparse.ArgumentParser):
+    """A mode's parser. It rejects arguments it does not take itself, so the
+    error shows the mode's usage rather than the top-level one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="susy-ladder",
         description="Exact ladder-operator spectra for a charged particle in a "
                     "1/rho magnetic field, with finite-difference verification.")
-    sub = parser.add_subparsers(dest="mode", required=True, metavar="mode")
+    sub = parser.add_subparsers(dest="mode", required=True, metavar="mode",
+                                parser_class=_ModeParser)
     for mode, names in _MODE_FLAGS.items():
         # No flag sets a default of its own: an absent flag leaves RunConfig's.
         p = sub.add_parser(mode, argument_default=argparse.SUPPRESS)

@@ -138,7 +138,11 @@ class MatrixOp:
             parts = []
             for j in range(self.size):
                 c = self.dcoef[i, j]
-                if c != 0:
+                if c == 1:
+                    # Exact: a canonical coefficient is finite with no -0.0
+                    # part (expalg._accumulate), so times 1 it is unchanged.
+                    parts.append(derivs[j])
+                elif c != 0:
                     parts.append(derivs[j].scale(c))
                 pot = self.potential[i][j]
                 if pot.terms:
@@ -233,7 +237,15 @@ def _adjoint(op: MatrixOp) -> MatrixOp:
     return MatrixOp(-op.dcoef.conj().T, pot)
 
 
+@functools.lru_cache(maxsize=64)
 def b_op(params: DiracParams, n: int) -> MatrixOp:
+    """Formal adjoint of b_dagger; lowers each 2-component half of a level
+    n+1 eigenvector to level n.
+
+    Cached per (params, n): every chain through level n+1 applies this same
+    operator, and a chain sweep to level 12 needs 12. The returned operator
+    is shared, so it is read-only.
+    """
     return _adjoint(b_dagger(params, n))
 
 
@@ -252,18 +264,19 @@ def _block_diag(op: MatrixOp, params: DiracParams) -> MatrixOp:
     return MatrixOp(dcoef, tuple(pot))
 
 
-def a_dagger(params: DiracParams, n: int) -> MatrixOp:
-    """4x4 raising intertwiner: the 2x2 intertwiner on both diagonal blocks."""
-    return _block_diag(b_dagger(params, n), params)
+def a_dagger(params: DiracParams, n: int, block: MatrixOp | None = None) -> MatrixOp:
+    """4x4 raising intertwiner: the 2x2 intertwiner on both diagonal blocks.
+
+    block is b_dagger(params, n) when the caller has already built it.
+    """
+    return _block_diag(b_dagger(params, n) if block is None else block, params)
 
 
-@functools.lru_cache(maxsize=64)
 def a_op(params: DiracParams, n: int) -> MatrixOp:
     """Formal adjoint of a_dagger; lowers level n+1 eigenvectors to level n.
 
-    Cached per (params, n): every chain through level n+1 applies this same
-    operator, and a chain sweep to level 12 over four families needs 12. The
-    returned operator is shared, so it is read-only.
+    Applying it equals applying b_op to each half, bit for bit: every row is
+    summed from the same parts in the same order.
     """
     return _block_diag(b_op(params, n), params)
 
@@ -300,6 +313,28 @@ def family_eigenvalue(params: DiracParams, n: int, fam: str) -> float:
     return s if fam in ("a", "c") else -s
 
 
+_KERNELS = {"a": kernel_chi, "b": kernel_chi, "c": kernel_xi, "d": kernel_xi}
+
+
+def _lower_ratio(params: DiracParams, n: int, fam: str) -> float:
+    """The family's level-n eigenvector has the kernel spinor as its upper
+    block and this ratio times it as its lower block."""
+    d = dn(params, n) if fam in ("a", "b") else dn(params, n + 1)
+    s = math.hypot(params.mbar, d)
+    if fam in ("a", "c"):
+        if s + params.mbar == 0.0:
+            raise DegenerateDenominator(f"family {fam}, level {n}: mbar = 0 and d = 0 "
+                                        "leave the ratio undefined")
+        ratio = d / (s + params.mbar)
+        return -ratio if fam == "c" else ratio
+    if d == 0.0:
+        raise DegenerateDenominator(
+            f"family {fam}, level {n}: needs a nonzero d (level constant); got d = 0")
+    # s - mbar rewritten as d^2/(s + mbar) for numerical stability
+    ratio = (s + params.mbar) / d
+    return -ratio if fam == "b" else ratio
+
+
 def eigenvector(params: DiracParams, n: int, fam: str) -> tuple[SpinorFn, float]:
     """Level-n eigenvector annihilated by the raising intertwiner, with its
     eigenvalue. Families a/b stack the chi kernel, c/d the xi kernel; the
@@ -309,42 +344,44 @@ def eigenvector(params: DiracParams, n: int, fam: str) -> tuple[SpinorFn, float]
     d; that case raises DegenerateDenominator instead of guessing a limit.
     """
     _check_family(fam)
-    if fam in ("a", "b"):
-        d = dn(params, n)
-        seed = kernel_chi(params, n)
-    else:
-        d = dn(params, n + 1)
-        seed = kernel_xi(params, n)
-    s = math.hypot(params.mbar, d)
-    if fam in ("a", "c"):
-        if s + params.mbar == 0.0:
-            raise DegenerateDenominator(f"family {fam}, level {n}: mbar = 0 and d = 0 "
-                                        "leave the ratio undefined")
-        ratio = d / (s + params.mbar)
-        if fam == "c":
-            ratio = -ratio
-        value = s
-    else:
-        if d == 0.0:
-            raise DegenerateDenominator(
-                f"family {fam}, level {n}: needs a nonzero d (level constant); got d = 0")
-        # s - mbar rewritten as d^2/(s + mbar) for numerical stability
-        ratio = (s + params.mbar) / d
-        if fam == "b":
-            ratio = -ratio
-        value = -s
+    ratio = _lower_ratio(params, n, fam)
+    seed = _KERNELS[fam](params, n)
     lower = seed.scale(ratio)
-    return SpinorFn(seed.components + lower.components), value
+    return SpinorFn(seed.components + lower.components), family_eigenvalue(params, n, fam)
+
+
+def _lower(params: DiracParams, n: int, half: SpinorFn) -> SpinorFn:
+    """Apply b_op at levels n-1, ..., 0 to a 2-component level-n function."""
+    for k in range(n - 1, -1, -1):
+        half = b_op(params, k).apply(half)
+    return half
+
+
+@functools.lru_cache(maxsize=64)
+def _lowered_kernel(params: DiracParams, n: int, kernel) -> SpinorFn:
+    """Upper half of the level-0 chain of both families seeded by kernel.
+
+    Cached per (params, n, kernel), so families a/b (and c/d) lower it once;
+    a four-family sweep holds two entries per (params, n). The result is
+    shared, and frozen like every SpinorFn.
+    """
+    return _lower(params, n, kernel(params, n))
 
 
 def eigenfunction_chain(params: DiracParams, n: int, fam: str) -> SpinorFn:
     """Level-0 eigenfunction obtained by lowering the level-n eigenvector
     through the chain; eigenvector of the base operator at the family's
-    level-n eigenvalue."""
-    phi, _ = eigenvector(params, n, fam)
-    for k in range(n - 1, -1, -1):
-        phi = a_op(params, k).apply(phi)
-    return phi
+    level-n eigenvalue.
+
+    a_op is block-diagonal, so each half of the eigenvector is lowered on its
+    own through b_op, bit for bit as through a_op.
+    """
+    _check_family(fam)
+    ratio = _lower_ratio(params, n, fam)
+    kernel = _KERNELS[fam]
+    upper = _lowered_kernel(params, n, kernel)
+    lower = _lower(params, n, kernel(params, n).scale(ratio))
+    return SpinorFn(upper.components + lower.components)
 
 
 def rotation_matrix(phys: PhysicalParams) -> np.ndarray:

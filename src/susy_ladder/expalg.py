@@ -248,7 +248,12 @@ def _order(key: tuple) -> tuple:
 
 
 def _accumulate(acc: dict[tuple, complex], a: float, terms) -> None:
-    """Add each term's coefficient into acc under its (mu, j, k) key, in order."""
+    """Add each term's coefficient into acc under its (mu, j, k) key, in order.
+
+    Every key starts at 0j, and 0.0 + -0.0 is 0.0, so no stored coefficient
+    has a -0.0 part. Multiplying such a finite complex by 1 returns it bit
+    for bit, which lets operator applications skip unit multipliers.
+    """
     for mu, j, k, coeff in terms:
         if k is not None and a + k <= 0:
             raise ValueError(f"decay index {k} gives a non-positive rate")

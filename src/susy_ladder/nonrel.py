@@ -77,9 +77,12 @@ class ScalarLadder:
             raise ValueError(f"unknown direction {self.direction!r}")
 
     def apply(self, f: ExpoPoly) -> ExpoPoly:
-        sign = -1.0 if self.direction == "creation" else 1.0
-        return ExpoPoly.sum(f.a, f.b, (f.differentiate().scale(sign),
-                                       f.mul_laurent(self.superpotential))
+        deriv = f.differentiate()
+        if self.direction == "creation":
+            deriv = deriv.scale(-1.0)
+        # Annihilation adds f' as it is: scaling a canonical coefficient by +1
+        # returns it unchanged (expalg._accumulate), so this is exact.
+        return ExpoPoly.sum(f.a, f.b, (deriv, f.mul_laurent(self.superpotential))
                             ).scale(1.0 / SQRT2)
 
 

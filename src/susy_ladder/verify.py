@@ -168,7 +168,7 @@ def check_dirac_kernels(tol: float) -> CheckResult:
             worst = max(worst,
                         bd.apply(dc.kernel_chi(p, n)).max_abs_coeff(),
                         bd.apply(dc.kernel_xi(p, n)).max_abs_coeff())
-            ad = dc.a_dagger(p, n)
+            ad = dc.a_dagger(p, n, bd)
             for fam in dc.FAMILIES:
                 vec, _ = dc.eigenvector(p, n, fam)
                 worst = max(worst, ad.apply(vec).max_abs_coeff())
@@ -187,7 +187,7 @@ def check_dirac_intertwining(tol: float) -> CheckResult:
             bd = dc.b_dagger(p, n)
             r2 = (dc.h_operator(p, n + 1).apply(bd.apply(f2))
                   - bd.apply(dc.h_operator(p, n).apply(f2)))
-            ad = dc.a_dagger(p, n)
+            ad = dc.a_dagger(p, n, bd)
             r4 = (dc.big_hamiltonian(p, n + 1).apply(ad.apply(f4))
                   - ad.apply(dc.big_hamiltonian(p, n).apply(f4)))
             worst = max(worst, r2.max_abs_coeff(), r4.max_abs_coeff())

@@ -261,6 +261,15 @@ class TestParser:
         listed = set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out))
         assert listed - {"--help"} == MODE_FLAGS[mode]
 
+    def test_unknown_flag_reported_with_the_modes_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig2", "--levels", "9"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: susy-ladder fig2 ")
+        assert set(re.findall(r"--[a-z][a-z0-9-]*", err.split("error:")[0])) == MODE_FLAGS["fig2"]
+        assert "susy-ladder fig2: error: unrecognized arguments: --levels 9" in err
+
     def test_config_from_args_families(self):
         args = build_parser().parse_args(["dirac-spectrum", "--a", "1", "--b", "2",
                                           "--families", "a,c"])

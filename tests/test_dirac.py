@@ -265,9 +265,9 @@ class TestChains:
 
 
 class TestOperatorCache:
-    def test_a_op_is_shared_and_read_only(self):
-        op = dc.a_op(FIG3, 2)
-        assert dc.a_op(FIG3, 2) is op
+    def test_b_op_is_shared_and_read_only(self):
+        op = dc.b_op(FIG3, 2)
+        assert dc.b_op(FIG3, 2) is op
         with pytest.raises(ValueError):
             op.dcoef[0, 0] = 1.0
 
@@ -278,9 +278,10 @@ class TestOperatorCache:
             assert all(type(t.coeff) is complex for p in out.components for t in p.terms)
 
     def test_chains_bit_identical_to_uncached_chained_add(self, monkeypatch):
-        # The reference builds every operator afresh and sums by chaining +.
+        # The reference lowers whole 4-spinors through a 4x4 a_op built per
+        # level, and sums by chaining +.
         nr_sets = [NRParams(1.5, 0.5), NRParams(FIG3.a, FIG3.b)]
-        dirac_sets = [FIG3, DiracParams(1.5, 0.5, -0.4, 0.2)]
+        dirac_sets = [FIG3, DiracParams(1.5, 0.5, -0.4, 0.2), DiracParams(1.2, 0.8, 0.4, 0.0)]
         levels = range(13)
         fast_nr = {(p, n): nr.eigenfunction(p, n) for p in nr_sets for n in levels}
         fast_dirac = {(q, n, fam): dc.eigenfunction_chain(q, n, fam)
@@ -294,8 +295,17 @@ class TestOperatorCache:
         for (q, n, fam), fast in fast_dirac.items():
             phi, _ = dc.eigenvector(q, n, fam)
             for k in range(n - 1, -1, -1):
-                phi = dc.a_op.__wrapped__(q, k).apply(phi)
+                phi = dc.a_op(q, k).apply(phi)
             assert [c.terms for c in fast.components] == [c.terms for c in phi.components]
+
+    def test_paired_families_share_the_kernel_half(self):
+        for q in (FIG3, DiracParams(1.5, 0.5, -0.4, 0.2), DiracParams(1.2, 0.8, 0.4, 0.0)):
+            for n in (0, 1, 5):
+                for pair in (("a", "b"), ("c", "d")):
+                    first, second = (dc.eigenfunction_chain(q, n, fam) for fam in pair)
+                    assert all(x is y for x, y in
+                               zip(first.components[:2], second.components[:2]))
+                    assert first.components[2:] != second.components[2:]
 
 
 class TestRotation:

@@ -60,6 +60,30 @@ class TestCanonicalForm:
             term(1.0, 1.0, 1.0) + term(2.0, 1.0, 1.0)
 
 
+class TestSignedZero:
+    """Operator applications skip multiplying by an exact 1; that is exact
+    only because no canonical coefficient has a -0.0 part."""
+
+    @staticmethod
+    def bits(p):
+        return [(t.mu, t.j, t.k, t.coeff.real.hex(), t.coeff.imag.hex()) for t in p.terms]
+
+    def test_no_negative_zero_and_unit_scale_is_exact(self):
+        a, b = 1.3, 0.7
+        rng = rng_for(71)
+        signed = [term(a, b, complex(-0.0, 1.0), mu=1, j=1, k=0),
+                  term(a, b, complex(1.0, -0.0), mu=0, j=-1),
+                  term(a, b, complex(-0.0, -0.0) - 2.5j, mu=1, j=2, k=3)]
+        polys = [random_poly(rng, a, b, n_terms=5) for _ in range(20)] + signed
+        polys.append(ExpoPoly.sum(a, b, signed))
+        for p in polys:
+            for t in p.terms:
+                assert "-0x0.0p+0" not in (t.coeff.real.hex(), t.coeff.imag.hex())
+            for one in (1, 1.0, complex(1, -0.0), np.complex128(complex(1, -0.0))):
+                assert p.scale(one).terms == p.terms
+                assert self.bits(p.scale(one)) == self.bits(p)
+
+
 class TestSum:
     """ExpoPoly.sum must equal chaining + bit for bit, compared with ==."""
 
