@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (DegenerateDenominator, DomainError, NegativeRadicand,
                      NoBoundStates, SingularXi)
-from .expalg import ExpoPoly
+from .expalg import ExpoPoly, checked_norm2
 from .params import DiracParams, PhysicalParams
 
 S0 = np.eye(2, dtype=complex)
@@ -104,7 +104,7 @@ def spinor_inner(f: SpinorFn, g: SpinorFn) -> complex:
 
 
 def normalize_spinor(f: SpinorFn) -> SpinorFn:
-    return f.scale(1.0 / math.sqrt(spinor_inner(f, f).real))
+    return f.scale(1.0 / math.sqrt(checked_norm2(spinor_inner(f, f).real)))
 
 
 @dataclass(frozen=True)

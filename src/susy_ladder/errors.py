@@ -39,3 +39,7 @@ class GridTooCoarse(LadderError):
 
 class TailNotDecayed(LadderError):
     """Quadrature requested on a grid that does not capture the exponential tail."""
+
+
+class PrecisionLoss(LadderError):
+    """A closed-form quantity lost its meaning to float cancellation (e.g. norm^2 <= 0)."""

@@ -8,7 +8,8 @@ with a complex coefficient c, integer keys mu in {0, 1} and j for the power,
 and an integer index k selecting the decay rate. The positive reals (a, b)
 form a shared numeric context. Because terms are merged by their integer
 keys and never by floating-point comparison of realized powers, the
-canonical form is exact even when a and b are irrational.
+canonical form is exact even when a and b are irrational. Canonicalization
+drops only coefficients that are exactly zero, however small the rest are.
 
 The family is closed under addition, scaling, power shifts, multiplication
 by pure Laurent polynomials, and differentiation. Integrating a product of
@@ -26,11 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContextMismatch, DivergentIntegral, DomainError
-
-# Canonicalization drops terms this far below the largest coefficient. Kept
-# below every assertion tolerance used downstream so it cannot mask defects.
-REL_TOL = 1e-13
+from .errors import ContextMismatch, DivergentIntegral, DomainError, PrecisionLoss
 
 
 class Term(NamedTuple):
@@ -53,7 +50,10 @@ def _rate(t: Term, a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class ExpoPoly:
-    """Canonical finite sum of exponential-polynomial terms in one (a, b) context."""
+    """Canonical finite sum of exponential-polynomial terms in one (a, b) context.
+
+    The constructor takes any sequence of terms and stores their canonical tuple.
+    """
 
     a: float
     b: float
@@ -86,24 +86,12 @@ class ExpoPoly:
 
     @classmethod
     def sum(cls, a: float, b: float, parts) -> "ExpoPoly":
-        """parts[0] + parts[1] + ..., bit for bit, with one sort at the end.
-
-        Chaining + canonicalizes after every part: it adds each key's
-        coefficients in part order, then cuts against the running maximum.
-        This does both per part on one running dict and hands the last part
-        to the constructor, which adds it, cuts and sorts once.
-        """
+        """parts[0] + parts[1] + ..., bit for bit, with one sort at the end."""
         parts = list(parts)
         for part in parts:
             _check_context(a, b, part)
-        if not parts:
-            return cls(a, b, ())
-        acc: dict[tuple, complex] = {}
-        for part in parts[:-1]:
-            _accumulate(acc, a, part.terms)
-            if acc:
-                _cut(acc)
-        return cls(a, b, tuple([Term(*key, c) for key, c in acc.items()]) + parts[-1].terms)
+        # A list: one short-lived tuple per sum raised peak RSS over long runs.
+        return cls(a, b, [t for part in parts for t in part.terms])
 
     def __add__(self, other: "ExpoPoly") -> "ExpoPoly":
         _check_context(self.a, self.b, other)
@@ -205,7 +193,7 @@ class ExpoPoly:
         return total
 
     def norm(self) -> float:
-        return math.sqrt(self.inner_product(self).real)
+        return math.sqrt(checked_norm2(self.inner_product(self).real))
 
     # -- predicates -----------------------------------------------------------
 
@@ -241,6 +229,14 @@ def _check_context(a: float, b: float, other: ExpoPoly) -> None:
             f"contexts differ: ({a}, {b}) vs ({other.a}, {other.b})")
 
 
+def checked_norm2(norm2: float) -> float:
+    """norm2 itself when finite and positive, else PrecisionLoss naming it."""
+    if not (0.0 < norm2 < math.inf):
+        raise PrecisionLoss(f"closed-form norm^2 is {norm2!r}, not finite and positive: "
+                            "the Gamma sum has cancelled past float precision")
+    return norm2
+
+
 def _order(key: tuple) -> tuple:
     """Sort key of (mu, j, k): undecayed terms before decayed ones, then by k."""
     mu, j, k = key
@@ -261,20 +257,8 @@ def _accumulate(acc: dict[tuple, complex], a: float, terms) -> None:
         acc[key] = acc.get(key, 0j) + complex(coeff)
 
 
-def _cut(acc: dict[tuple, complex]) -> None:
-    """The canonical cut, in place on a non-empty acc: drop exact zeros and
-    coefficients at or below REL_TOL times the largest magnitude."""
-    limit = REL_TOL * max(map(abs, acc.values()))
-    if min(map(abs, acc.values())) > limit:
-        return
-    for key in [key for key, c in acc.items() if (m := abs(c)) == 0.0 or m <= limit]:
-        del acc[key]
-
-
 def _canonicalize(a: float, b: float, terms: tuple[Term, ...]) -> tuple[Term, ...]:
+    """Merge terms by key and sort them, dropping only exact zeros."""
     acc: dict[tuple, complex] = {}
     _accumulate(acc, a, terms)
-    if not acc:
-        return ()
-    _cut(acc)
-    return tuple([Term(*key, acc[key]) for key in sorted(acc, key=_order)])
+    return tuple([Term(*key, acc[key]) for key in sorted(acc, key=_order) if acc[key] != 0j])

@@ -192,6 +192,20 @@ class TestConfigValidation:
         assert text == ""
         assert f"{flag} must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["nr-eigenfunctions", "--a", "1.5", "--b", "0.5", "--levels", "18"],
+        ["dirac-eigenfunctions", "--a", "1.5", "--b", "0.5", "--d0", "1", "--mbar", "0.1",
+         "--levels", "18"],
+    ], ids=["nr", "dirac"])
+    def test_norm_lost_to_cancellation_refused(self, argv, capsys):
+        # Level 17's Gamma-sum norm^2 cancels to a negative number here.
+        code, text = capture(argv)
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: closed-form norm\^2 is -\S+, not finite and positive: "
+                            r"the Gamma sum has cancelled past float precision\n", err)
+
 
 class TestOutputFile:
     def test_out_writes_identical_content(self, tmp_path):

@@ -237,7 +237,7 @@ class TestChains:
     def test_chains_are_base_eigenvectors(self):
         h0 = dc.big_hamiltonian(FIG3, 0)
         for fam in dc.FAMILIES:
-            for n in range(0, 4):
+            for n in range(0, 13):
                 chain = dc.eigenfunction_chain(FIG3, n, fam)
                 value = dc.family_eigenvalue(FIG3, n, fam)
                 r = h0.apply(chain) - chain.scale(value)

@@ -95,15 +95,19 @@ class TestSum:
         chained = functools.reduce(operator.add, parts)
         assert ExpoPoly.sum(1.3, 0.7, parts).terms == chained.terms
 
-    def test_keeps_the_cut_after_each_part(self):
-        # q's constant term sets the scale; the third part cancels p down to
-        # about 1e-15 relative, which the cut after that part drops, so the
-        # last part lands on empty keys instead of on the leftover.
+    def test_drops_only_exact_zeros(self):
+        # The third part cancels p down to about 2e-16 relative. Those
+        # leftovers are real coefficients and stay; only p + (-p) vanishes.
         a, b = 1.3, 0.7
         p = random_poly(rng_for(50), a, b)
         q = term(a, b, 1.0)
-        parts = [p, q, p.scale(-(1.0 - 2.0 ** -50)), p.scale(1e-3)]
-        assert functools.reduce(operator.add, parts[:3]).terms == q.terms
+        parts = [p, q, p.scale(-(1.0 - 2.0 ** -52)), p.scale(1e-3)]
+        left = {t[:3]: t.coeff for t in functools.reduce(operator.add, parts[:3]).terms}
+        assert left.pop((0, 0, None)) == 1.0
+        assert left.keys() == {t[:3] for t in p.terms}
+        for t in p.terms:
+            assert 0.0 < abs(left[t[:3]]) <= 1e-15 * abs(t.coeff)
+        assert (p + (-p)).terms == ()
         chained = functools.reduce(operator.add, parts)
         assert ExpoPoly.sum(a, b, parts).terms == chained.terms
 

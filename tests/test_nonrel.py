@@ -12,6 +12,7 @@ from susy_ladder.expalg import ExpoPoly
 from susy_ladder.params import NRParams, PhysicalParams
 
 FIG2 = NRParams(1.5, 0.5)
+SETS = (FIG2, NRParams(1.0, 2.0), NRParams(0.4, 2.5))  # the figure regimes and an a < 0.5 set
 
 
 def coeffs(poly):
@@ -172,11 +173,13 @@ class TestEigenfunctions:
         assert nr.eigenfunction(FIG2, 0) == nr.ground_state(FIG2, 0)
 
     def test_term_structure(self):
-        # n+1 terms rho^(a+1+j) e^(-b rho/(a+n+1)), j = 0..n
-        for n in range(0, 6):
-            f = nr.eigenfunction(FIG2, n)
-            keys = {(t.mu, t.j, t.k) for t in f.terms}
-            assert keys == {(1, 1 + j, n + 1) for j in range(n + 1)}
+        # n+1 terms rho^(a+1+j) e^(-b rho/(a+n+1)), j = 0..n. Above level 6
+        # the coefficients span more than 13 decades; every one is a real term.
+        for params in SETS:
+            for n in range(0, 13):
+                f = nr.eigenfunction(params, n)
+                keys = {(t.mu, t.j, t.k) for t in f.terms}
+                assert keys == {(1, 1 + j, n + 1) for j in range(n + 1)}
 
     def test_eigen_equation_exact(self):
         # residual measured against the chain's own coefficient scale, which
@@ -191,8 +194,9 @@ class TestEigenfunctions:
         assert (direct - nr.eigenfunction(FIG2, 1)).is_zero(1e-13)
 
     def test_node_counts(self):
-        for n in range(0, 4):
-            assert len(nr.eigenfunction_nodes(FIG2, n)) == n
+        for params in SETS:
+            for n in range(0, 13):
+                assert len(nr.eigenfunction_nodes(params, n)) == n
 
     def test_orthogonality(self):
         fs = [nr.eigenfunction(FIG2, n) for n in range(6)]

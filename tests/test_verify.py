@@ -11,6 +11,7 @@ from susy_ladder import verify as vf
 from susy_ladder.cli import main
 from susy_ladder.dirac import superpotential_matrix_residual
 from susy_ladder.errors import DegenerateDenominator
+from susy_ladder.expalg import ExpoPoly
 from susy_ladder.params import DiracParams, NRParams
 
 
@@ -25,6 +26,25 @@ def test_results_are_deterministic():
     first = vf.run_all(NRParams(1.5, 0.5), DiracParams(1.0, 2.0, 1.0, 0.1))
     second = vf.run_all(NRParams(1.5, 0.5), DiracParams(1.0, 2.0, 1.0, 0.1))
     assert first == second
+
+
+def test_nr_eigen_check_fails_a_chain_that_lost_a_term(monkeypatch):
+    # The smallest coefficient at fig2 n=7 is below 1e-13 of the largest, so
+    # the chain without it still passes the eigen-equation tolerance.
+    full = vf.nr.eigenfunction
+
+    def lossy(params, n):
+        f = full(params, n)
+        if n != 7:
+            return f
+        smallest = min(f.terms, key=lambda t: abs(t.coeff))
+        return ExpoPoly(f.a, f.b, tuple(t for t in f.terms if t is not smallest))
+
+    monkeypatch.setattr(vf.nr, "eigenfunction", lossy)
+    result = vf.check_nr_eigen(NRParams(1.5, 0.5), 1e-11)
+    assert not result.passed
+    assert result.detail.startswith("levels 0..10, max relative coefficient ")
+    assert result.detail.endswith(", levels [7] lack n+1 terms")
 
 
 def test_cli_verify_exit_codes(tmp_path):
