@@ -9,7 +9,7 @@ confirms every eigenvalue and eigenfunction numerically.
 
 from .errors import (ContextMismatch, DegenerateDenominator, DivergentIntegral,
                      DomainError, GridTooCoarse, LadderError, NegativeRadicand,
-                     NoBoundStates, SingularXi, TailNotDecayed)
+                     NoBoundStates, PrecisionLoss, SingularXi, TailNotDecayed)
 from .expalg import ExpoPoly
 from .params import DiracParams, NRParams, PhysicalParams
 
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ContextMismatch", "DegenerateDenominator", "DivergentIntegral",
     "DomainError", "GridTooCoarse", "LadderError", "NegativeRadicand",
-    "NoBoundStates", "SingularXi", "TailNotDecayed",
+    "NoBoundStates", "PrecisionLoss", "SingularXi", "TailNotDecayed",
     "ExpoPoly",
     "DiracParams", "NRParams", "PhysicalParams",
     "__version__",

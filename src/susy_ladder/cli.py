@@ -26,7 +26,7 @@ import numpy as np
 from . import dirac as dc
 from . import nonrel as nr
 from .errors import LadderError
-from .params import DiracParams, NRParams, PhysicalParams
+from .params import DiracParams, NRParams, PhysicalParams, default_rho_max
 
 FIG_SAMPLES = 512
 
@@ -149,7 +149,7 @@ def _table_nr_spectrum(cfg: RunConfig):
 def _table_nr_eigenfunctions(cfg: RunConfig, params: NRParams | None = None):
     if params is None:
         params = _nr_params(cfg)
-    rho_max = (nr.default_rho_max(params, cfg.levels - 1) if cfg.rho_max is None
+    rho_max = (default_rho_max(params, cfg.levels - 1) if cfg.rho_max is None
                else cfg.rho_max)
     xs = _samples(rho_max)
     table = {"rho": xs}
@@ -168,7 +168,7 @@ def _table_dirac_spectrum(cfg: RunConfig):
 def _table_dirac_eigenfunctions(cfg: RunConfig, params: DiracParams | None = None):
     if params is None:
         params = _dirac_params(cfg)
-    rho_max = (40.0 * (params.a + cfg.levels) / params.b if cfg.rho_max is None
+    rho_max = (default_rho_max(params, cfg.levels - 1) if cfg.rho_max is None
                else cfg.rho_max)
     xs = _samples(rho_max)
     table = {"rho": xs}

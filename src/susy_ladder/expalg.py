@@ -207,21 +207,6 @@ class ExpoPoly:
     def max_abs_coeff(self) -> float:
         return max((abs(t.coeff) for t in self.terms), default=0.0)
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mu, j, k, coeff in self.terms:
-            power = []
-            if mu:
-                power.append("a" if j == 0 else f"a{j:+d}")
-            elif j:
-                power.append(str(j))
-            pw = f"*rho^({'+'.join(power)})" if power else ""
-            dk = "" if k is None else f"*exp(-b/(a+{k}) rho)"
-            parts.append(f"({coeff:.6g}){pw}{dk}")
-        return " + ".join(parts)
-
 
 def _check_context(a: float, b: float, other: ExpoPoly) -> None:
     if (a, b) != (other.a, other.b):

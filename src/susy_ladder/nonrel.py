@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, NoBoundStates
 from .expalg import ExpoPoly
-from .params import NRParams, PhysicalParams
+from .params import NRParams, PhysicalParams, default_rho_max
 
 SQRT2 = math.sqrt(2.0)
 
@@ -145,29 +145,13 @@ def field_magnitude(phys: PhysicalParams, rho: float) -> float:
     return phys.c * phys.k / (phys.e * rho ** 2)
 
 
-def default_rho_max(params: NRParams, n: int) -> float:
-    """Radius capturing the exponential tail of levels up to n (rate b/(a+n+1))."""
-    return 40.0 * (params.a + n + 1) / params.b
-
-
 def interior_zeros(f: ExpoPoly, rho_max: float) -> list[float]:
-    """Sign changes of Re f over 4096 samples of (0, rho_max], each refined by
-    bisection to a bracket narrower than 1e-10."""
+    """Sign changes of Re f over 4096 samples of (0, rho_max], each located
+    at the midpoint of its bracketing sample pair (to within rho_max/8192)."""
     xs = np.linspace(rho_max / 4096, rho_max, 4096)
     vals = f.eval_array(xs).real
-    zeros = []
-    for i in np.nonzero(vals[:-1] * vals[1:] < 0)[0]:
-        lo, hi = xs[i], xs[i + 1]
-        flo = vals[i]
-        while hi - lo > 1e-10:
-            mid = 0.5 * (lo + hi)
-            fmid = f.eval(mid).real
-            if flo * fmid <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        zeros.append(0.5 * (lo + hi))
-    return zeros
+    i = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
+    return [float(x) for x in 0.5 * (xs[i] + xs[i + 1])]
 
 
 def eigenfunction_nodes(params: NRParams, n: int) -> list[float]:

@@ -16,19 +16,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import GridTooCoarse, TailNotDecayed
-from .params import DiracParams, NRParams
+from .params import DiracParams, NRParams, default_rho_max
 
 RICHARDSON_SHIFT = 1e-4
 
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform grid on [rho_min, rho_max] with Dirichlet ends."""
+    """Uniform grid on [rho_min, rho_max] with Dirichlet ends.
+
+    rho_min may not exceed 1e-3 * rho_max, which bounds how far from the origin
+    the implicit wall sits; a wall grid puts it at rho = 0 and is exempt.
+    """
 
     rho_min: float
     rho_max: float
@@ -37,7 +42,7 @@ class RadialGrid:
     def __post_init__(self):
         if not 0 < self.rho_min < self.rho_max:
             raise ValueError("need 0 < rho_min < rho_max")
-        if self.rho_min > 1e-3 * self.rho_max:
+        if self.rho_min > 1e-3 * self.rho_max and not _is_wall_grid(self):
             raise ValueError("rho_min must not exceed 1e-3 * rho_max")
         if self.n_points < 64:
             raise ValueError("need at least 64 grid points")
@@ -58,7 +63,7 @@ def default_grid(params, n_max: int, n_points: int = 8192) -> RadialGrid:
     large enough that the five-point stencil never straddles the fractional
     power singularity at the origin.
     """
-    rho_max = 40.0 * (params.a + n_max + 1) / params.b
+    rho_max = default_rho_max(params, n_max)
     return RadialGrid(1e-3 * rho_max, rho_max, n_points)
 
 
@@ -66,7 +71,7 @@ def quadrature_grid(params, n_max: int, n_points: int = 16384) -> RadialGrid:
     """Grid for Simpson inner products: rho_min small enough (1e-6 * rho_max)
     that the missed strip [0, rho_min] is far below the 1e-8 agreement target
     even for integrands growing like rho^2 at the origin."""
-    rho_max = 40.0 * (params.a + n_max + 1) / params.b
+    rho_max = default_rho_max(params, n_max)
     return RadialGrid(1e-6 * rho_max, rho_max, n_points)
 
 
@@ -90,6 +95,21 @@ def _doubled(grid: RadialGrid) -> RadialGrid:
     if _is_wall_grid(grid):
         return wall_grid(grid.rho_max, 2 * grid.n_points)
     return RadialGrid(grid.rho_min, grid.rho_max, 2 * grid.n_points)
+
+
+def _refined(solve, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """solve(grid) and solve(_doubled(grid)), as arrays. Raises GridTooCoarse
+    when the two differ in count or any value moves by more than
+    RICHARDSON_SHIFT."""
+    coarse = np.asarray(solve(grid))
+    fine = np.asarray(solve(_doubled(grid)))
+    if len(fine) != len(coarse):
+        raise GridTooCoarse(
+            f"refinement changed the eigenvalue count from {len(coarse)} to {len(fine)}")
+    shift = float(np.max(np.abs(fine - coarse), initial=0.0))
+    if shift > RICHARDSON_SHIFT:
+        raise GridTooCoarse(f"an eigenvalue moved by {shift:.3e} on refinement")
+    return coarse, fine
 
 
 @dataclass(frozen=True)
@@ -129,23 +149,23 @@ def fd_schrodinger_eigs(params: NRParams, n_level_count: int, grid: RadialGrid,
     """Lowest eigenvalues of the discretized scalar operator, ascending.
 
     The symmetric tridiagonal matrix is (-1/2) * second difference plus the
-    diagonal potential, with Dirichlet ends. When richardson is set, the
-    ground eigenvalue is re-solved at double resolution and a shift above
-    1e-4 raises GridTooCoarse. Disable it for deliberate convergence studies.
+    diagonal potential, with Dirichlet ends. When richardson is set, every
+    level is re-solved at half the spacing (_refined) and the Richardson value
+    (4 E_fine - E_coarse) / 3 is returned. That step assumes an error of order
+    h^2, which holds on a wall grid; a wall away from the origin adds an error
+    that refinement does not remove. Disable it for deliberate convergence
+    studies, which then get the raw solve.
     """
-    needed = 40.0 * (params.a + n_level_count + 1) / params.b
+    needed = default_rho_max(params, n_level_count)
     if grid.rho_max < needed:
         raise ValueError(
             f"rho_max = {grid.rho_max} does not cover the turning region; "
             f"need at least {needed}")
-    evs = _scalar_lowest(params, n_level_count, grid)
-    if richardson:
-        refined = _scalar_lowest(params, 1, _doubled(grid))
-        shift = abs(evs[0] - refined[0])
-        if shift > RICHARDSON_SHIFT:
-            raise GridTooCoarse(
-                f"ground eigenvalue moved by {shift:.3e} on refinement")
-    return [float(x) for x in evs]
+    solve = partial(_scalar_lowest, params, n_level_count)
+    if not richardson:
+        return [float(x) for x in solve(grid)]
+    coarse, fine = _refined(solve, grid)
+    return [float(x) for x in (4.0 * fine - coarse) / 3.0]
 
 
 def residual_scalar(f: np.ndarray, energy: float, params: NRParams,
@@ -223,8 +243,9 @@ def dirac_spectrum_scan(params: DiracParams, window: tuple[float, float],
     energy pair of the first-order problem a single time. Use a wall grid:
     the barrier-free channel is sensitive to the Dirichlet wall position.
 
-    The stability check re-solves at double resolution and raises
-    GridTooCoarse when any reported magnitude moves by more than 1e-4.
+    The stability check (_refined) re-solves at half the spacing and raises
+    GridTooCoarse when the count changes or any magnitude moves by more than
+    RICHARDSON_SHIFT; the magnitudes of the given grid are returned.
     """
     lo, hi = window
     if not 0.0 <= lo < hi:
@@ -232,19 +253,14 @@ def dirac_spectrum_scan(params: DiracParams, window: tuple[float, float],
     bound = 1.5 * (params.mbar + abs(dn(params, 3)))
     if hi > bound:
         raise ValueError(f"window top {hi} exceeds the desk-scale bound {bound}")
-    mags = _scan_once(params, grid, lo, hi)
-    if richardson:
-        refined = _scan_once(params, _doubled(grid), lo, hi)
-        if len(refined) != len(mags):
-            raise GridTooCoarse("refinement changed the eigenvalue count in window")
-        shift = max((abs(x - y) for x, y in zip(mags, refined)), default=0.0)
-        if shift > RICHARDSON_SHIFT:
-            raise GridTooCoarse(f"a magnitude moved by {shift:.3e} on refinement")
-    return mags
+    solve = partial(_scan_once, params, lo, hi)
+    if not richardson:
+        return solve(grid)
+    return [float(x) for x in _refined(solve, grid)[0]]
 
 
-def _scan_once(params: DiracParams, grid: RadialGrid,
-               lo: float, hi: float) -> list[float]:
+def _scan_once(params: DiracParams, lo: float, hi: float,
+               grid: RadialGrid) -> list[float]:
     found = []
     for cf in (params.a * (params.a - 1), params.a * (params.a + 1)):
         sq = _channel_eigs_in(params, cf, grid, lo * lo, hi * hi)

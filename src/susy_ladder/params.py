@@ -112,3 +112,10 @@ class PhysicalParams:
             d0=self.pz * self.ell / (self.hbar * self.lam),
             mbar=self.m * self.c / self.hbar,
         )
+
+
+def default_rho_max(params, n: int) -> float:
+    """Sampling window for levels up to n of either hierarchy: forty decay
+    lengths (a+n+1)/b of the slowest tail. A sampling choice, not an analytic
+    result, so the oracle may share it."""
+    return 40.0 * (params.a + n + 1) / params.b

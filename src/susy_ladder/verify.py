@@ -17,7 +17,7 @@ from . import nonrel as nr
 from . import oracle as orc
 from .errors import GridTooCoarse
 from .expalg import ExpoPoly
-from .params import DiracParams, NRParams, PhysicalParams
+from .params import DiracParams, NRParams, PhysicalParams, default_rho_max
 
 SEED = 20121028
 SCAN_POINTS = 16384  # grid of the Dirac finite-difference scan
@@ -154,7 +154,7 @@ def _gram_check(name: str, gram) -> CheckResult:
 
 
 def check_nr_fd(params: NRParams, n_points: int) -> CheckResult:
-    grid = orc.default_grid(params, 3, n_points)
+    grid = orc.wall_grid(default_rho_max(params, 3), n_points)
     try:
         fd = orc.fd_schrodinger_eigs(params, 3, grid)
     except GridTooCoarse as exc:
@@ -255,7 +255,7 @@ def check_dirac_scan(params: DiracParams) -> CheckResult:
     levels = [math.hypot(params.mbar, dc.dn(params, n)) for n in range(8)]
     lo = 0.95 * levels[0]
     hi = 0.5 * (levels[2] + levels[3])
-    grid = orc.wall_grid(40.0 * (params.a + 4) / params.b, SCAN_POINTS)
+    grid = orc.wall_grid(default_rho_max(params, 3), SCAN_POINTS)
     try:
         found = orc.dirac_spectrum_scan(params, (lo, hi), grid)
     except GridTooCoarse as exc:

@@ -10,7 +10,7 @@ from susy_ladder import dirac as dc
 from susy_ladder import nonrel as nr
 from susy_ladder import oracle as orc
 from susy_ladder.errors import GridTooCoarse, TailNotDecayed
-from susy_ladder.params import DiracParams, NRParams
+from susy_ladder.params import DiracParams, NRParams, default_rho_max
 
 FIG2 = NRParams(1.5, 0.5)
 FIG3 = DiracParams(a=1.0, b=2.0, d0=1.0, mbar=0.1)
@@ -35,6 +35,13 @@ class TestRadialGrid:
         g = orc.wall_grid(100.0, 8192)
         assert g.h == pytest.approx(g.rho_min, rel=1e-12)
 
+    def test_wall_grid_exempt_from_the_wall_offset_rule(self):
+        # rho_max/64 exceeds 1e-3 rho_max, but a wall grid's wall is at rho = 0
+        g = orc.wall_grid(100.0, 64)
+        assert g.rho_min == pytest.approx(g.h, rel=1e-12)
+        with pytest.raises(ValueError):
+            orc.RadialGrid(0.9, 100.0, 64)
+
 
 class TestScalarEigs:
     def test_fig2_first_levels(self):
@@ -55,6 +62,24 @@ class TestScalarEigs:
         grid = orc.RadialGrid(0.4, 440.0, 64)
         with pytest.raises(GridTooCoarse):
             orc.fd_schrodinger_eigs(FIG2, 1, grid)
+
+    def test_richardson_value_on_a_wall_grid(self):
+        # fig3's (a, b): every requested level is refined, and the Richardson
+        # value beats the raw solve on each
+        params = NRParams(1.0, 2.0)
+        grid = orc.wall_grid(default_rho_max(params, 3), 4096)
+        raw = orc.fd_schrodinger_eigs(params, 3, grid, richardson=False)
+        rich = orc.fd_schrodinger_eigs(params, 3, grid)
+        for n in range(3):
+            exact = nr.spectrum_radial(params, n)
+            assert abs(rich[n] - exact) <= 1e-8
+            assert abs(rich[n] - exact) < abs(raw[n] - exact)
+
+    def test_coverage_check_accepts_the_shared_window(self):
+        # a window spelled 40(a+4)/b ends one ulp short of 40(a+3+1)/b here
+        params = NRParams(0.17087189561177435, 0.09875652480916083)
+        grid = orc.wall_grid(default_rho_max(params, 3), 256)
+        assert len(orc.fd_schrodinger_eigs(params, 3, grid, richardson=False)) == 3
 
     def test_second_order_convergence(self):
         exact = nr.spectrum_radial(FIG2, 0)

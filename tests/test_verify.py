@@ -80,6 +80,26 @@ def test_cli_verify_reports_unconverged_oracle(argv, failed, capsys):
     assert detail.startswith("grid too coarse: ")
 
 
+def test_cli_verify_passes_at_fig3_parameters(capsys):
+    # the scalar check at fig3's (a, b) = (1, 2): a wall at 1e-3 rho_max left
+    # an error that refinement could not remove
+    assert main(["verify", "--a", "1", "--b", "2", "--d0", "1", "--mbar", "0.1"]) == 0
+    rows = [line.split(",", 2) for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 15
+    assert all(passed == "pass" for _, passed, _ in rows)
+
+
+@pytest.mark.parametrize("a, b", [
+    (1.2, 0.8),
+    (1.0293949701285081, 1.2876431645150828),
+    (1.2223999011091387, 2.269576139210064),
+], ids=["verify-example", "rng0-draw9", "rng0-draw22"])
+def test_nr_fd_check_passes_on_the_wall_grid(a, b):
+    # the two draws are random_nr(np.random.default_rng(0)) draws 9 and 22
+    result = vf.check_nr_fd(NRParams(a, b), 4096)
+    assert result.passed, result.detail
+
+
 def test_oracle_is_independent_of_solver_modules():
     # the cross-check code must never import the ladder construction
     import ast
