@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (DegenerateDenominator, DomainError, NegativeRadicand,
                      NoBoundStates, SingularXi)
-from .expalg import ExpoPoly, checked_norm2
+from .expalg import ExpoPoly, apply_operator, checked_norm2
 from .params import DiracParams, PhysicalParams
 
 S0 = np.eye(2, dtype=complex)
@@ -132,23 +132,7 @@ class MatrixOp:
     def apply(self, f: SpinorFn) -> SpinorFn:
         if f.size != self.size:
             raise ValueError(f"operator size {self.size} vs spinor size {f.size}")
-        derivs = [p.differentiate() for p in f.components]
-        out = []
-        for i in range(self.size):
-            parts = []
-            for j in range(self.size):
-                c = self.dcoef[i, j]
-                if c == 1:
-                    # Exact: a canonical coefficient is finite with no -0.0
-                    # part (expalg._accumulate), so times 1 it is unchanged.
-                    parts.append(derivs[j])
-                elif c != 0:
-                    parts.append(derivs[j].scale(c))
-                pot = self.potential[i][j]
-                if pot.terms:
-                    parts.append(f.components[j].mul_laurent(pot))
-            out.append(ExpoPoly.sum(f.a, f.b, parts))
-        return SpinorFn(tuple(out))
+        return SpinorFn(apply_operator(self.dcoef.tolist(), self.potential, f.components))
 
     def potential_at(self, rho: float) -> np.ndarray:
         return np.array([[p.eval(rho) for p in row] for row in self.potential])

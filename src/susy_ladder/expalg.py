@@ -40,6 +40,10 @@ class Term(NamedTuple):
     coeff: complex
 
 
+# Builds a Term from a 4-tuple without the generated __new__'s Python frame.
+_new_term = tuple.__new__
+
+
 def _power(t: Term, a: float) -> float:
     return t.mu * a + t.j
 
@@ -87,15 +91,10 @@ class ExpoPoly:
     @classmethod
     def sum(cls, a: float, b: float, parts) -> "ExpoPoly":
         """parts[0] + parts[1] + ..., bit for bit, with one sort at the end."""
-        parts = list(parts)
-        for part in parts:
-            _check_context(a, b, part)
-        # A list: one short-lived tuple per sum raised peak RSS over long runs.
-        return cls(a, b, [t for part in parts for t in part.terms])
+        return _sum(a, b, parts)
 
     def __add__(self, other: "ExpoPoly") -> "ExpoPoly":
-        _check_context(self.a, self.b, other)
-        return ExpoPoly(self.a, self.b, self.terms + other.terms)
+        return _sum(self.a, self.b, (self, other))
 
     def __sub__(self, other: "ExpoPoly") -> "ExpoPoly":
         return self + (-other)
@@ -104,15 +103,19 @@ class ExpoPoly:
         return self.scale(-1.0)
 
     def scale(self, c: complex) -> "ExpoPoly":
-        return ExpoPoly(self.a, self.b, tuple(
-            Term(mu, j, k, coeff * c) for mu, j, k, coeff in self.terms))
+        if not isinstance(c, (int, float)):
+            # A numpy complex scalar multiplies a Python complex bit for bit
+            # like its Python value, which keeps the products Python complex.
+            c = complex(c)
+        return _same_keys(self.a, self.b,
+                          [(mu, j, k, coeff * c) for mu, j, k, coeff in self.terms])
 
     def mul_power(self, s: int) -> "ExpoPoly":
         """Multiply by rho**s: shifts every integer offset j by s."""
         if not isinstance(s, int):
             raise ValueError("exponent offset must be an integer")
-        return ExpoPoly(self.a, self.b, tuple(
-            Term(mu, j + s, k, coeff) for mu, j, k, coeff in self.terms))
+        return _same_keys(self.a, self.b,
+                          [(mu, j + s, k, coeff) for mu, j, k, coeff in self.terms])
 
     def mul_laurent(self, other: "ExpoPoly") -> "ExpoPoly":
         """Multiply by a pure Laurent polynomial (mu = 0, no decay, all terms).
@@ -121,30 +124,15 @@ class ExpoPoly:
         would create powers 2a + j and summed decay rates outside the key set.
         """
         _check_context(self.a, self.b, other)
-        out = []
-        for q in other.terms:
-            if q.mu != 0 or q.k is not None:
-                raise ValueError("multiplier must be a pure Laurent polynomial "
-                                 "(mu = 0 and no exponential decay)")
-            for mu, j, k, coeff in self.terms:
-                out.append(Term(mu, j + q.j, k, coeff * q.coeff))
-        return ExpoPoly(self.a, self.b, tuple(out))
+        return _from_map(self.a, self.b, _laurent_map(self.terms, other.terms))
 
     def differentiate(self) -> "ExpoPoly":
         """d/d(rho). Term-wise product rule; the realized power becomes a coefficient."""
-        out = []
-        for t in self.terms:
-            p = _power(t, self.a)
-            if p != 0.0:
-                out.append(Term(t.mu, t.j - 1, t.k, t.coeff * p))
-            beta = _rate(t, self.a, self.b)
-            if beta != 0.0:
-                out.append(Term(t.mu, t.j, t.k, -t.coeff * beta))
-        return ExpoPoly(self.a, self.b, tuple(out))
+        return _from_map(self.a, self.b, _deriv_map(self.terms, self.a, self.b))
 
     def conjugate(self) -> "ExpoPoly":
-        return ExpoPoly(self.a, self.b, tuple(
-            Term(mu, j, k, coeff.conjugate()) for mu, j, k, coeff in self.terms))
+        return _same_keys(self.a, self.b, [(mu, j, k, coeff.conjugate())
+                                           for mu, j, k, coeff in self.terms])
 
     # -- evaluation and integration -----------------------------------------
 
@@ -162,10 +150,12 @@ class ExpoPoly:
         if np.any(rhos <= 0):
             raise DomainError("all sample points must be positive")
         total = np.zeros(rhos.shape, dtype=complex)
+        decay: dict[int | None, np.ndarray] = {}  # one exp(-beta*rho) per decay index
         with np.errstate(under="ignore"):
             for t in self.terms:
-                total += (t.coeff * rhos ** _power(t, self.a)
-                          * np.exp(-_rate(t, self.a, self.b) * rhos))
+                if t.k not in decay:
+                    decay[t.k] = np.exp(-_rate(t, self.a, self.b) * rhos)
+                total += t.coeff * rhos ** _power(t, self.a) * decay[t.k]
         return total
 
     def inner_product(self, other: "ExpoPoly") -> complex:
@@ -177,19 +167,20 @@ class ExpoPoly:
         """
         _check_context(self.a, self.b, other)
         a, b = self.a, self.b
+        right = [(_power(t, a), _rate(t, a, b), t.coeff) for t in other.terms]
         total = 0j
         for t1 in self.terms:
-            for t2 in other.terms:
-                s = _power(t1, a) + _power(t2, a)
-                gamma = _rate(t1, a, b) + _rate(t2, a, b)
+            p1, r1, c1 = _power(t1, a), _rate(t1, a, b), t1.coeff.conjugate()
+            for p2, r2, c2 in right:
+                s = p1 + p2
+                gamma = r1 + r2
                 if s <= -1.0:
                     raise DivergentIntegral(
                         f"product power {s} is not integrable at 0")
                 if gamma <= 0.0:
                     raise DivergentIntegral(
                         "product has no exponential decay at infinity")
-                total += (t1.coeff.conjugate() * t2.coeff
-                          * math.gamma(s + 1.0) / gamma ** (s + 1.0))
+                total += c1 * c2 * math.gamma(s + 1.0) / gamma ** (s + 1.0)
         return total
 
     def norm(self) -> float:
@@ -222,28 +213,128 @@ def checked_norm2(norm2: float) -> float:
     return norm2
 
 
+def apply_operator(dcoef, potential, components) -> tuple[ExpoPoly, ...]:
+    """Rows of (dcoef d/drho + potential) applied to the column of components.
+
+    dcoef is a square matrix of constants and potential a matrix of pure
+    Laurent polynomials, both as nested sequences. Row i equals ExpoPoly.sum
+    of the parts dcoef[i][j] * f_j' and f_j.mul_laurent(potential[i][j]), in
+    column order, bit for bit: each part is accumulated as its own map, as
+    differentiate and mul_laurent do, and the maps are added into one dict
+    per row and sorted once. A zero multiplier or potential contributes no
+    part, and a unit multiplier adds f_j' unscaled. Both that and the exact
+    zeros a part map keeps (where the canonical part would have dropped
+    them) change no bit, because every accumulated coefficient starts at 0j
+    and so has no -0.0 part.
+    """
+    a, b = components[0].a, components[0].b
+    derivs = [_deriv_map(f.terms, a, b) for f in components]
+    rows = []
+    for crow, prow in zip(dcoef, potential, strict=True):
+        acc: dict[tuple, complex] = {}
+        for c, pot, f, deriv in zip(crow, prow, components, derivs, strict=True):
+            if c == 1:
+                _add(acc, deriv)
+            elif c != 0:
+                for key, coeff in deriv.items():
+                    acc[key] = acc.get(key, 0j) + coeff * c
+            if pot.terms:
+                _check_context(a, b, pot)
+                _add(acc, _laurent_map(f.terms, pot.terms))
+        rows.append(_from_map(a, b, acc))
+    return tuple(rows)
+
+
+def _deriv_map(terms, a: float, b: float) -> dict[tuple, complex]:
+    """{(mu, j, k): coeff} of d/d(rho) of canonical terms, accumulated in term order."""
+    acc: dict[tuple, complex] = {}
+    for mu, j, k, coeff in terms:
+        p = mu * a + j
+        if p != 0.0:
+            key = (mu, j - 1, k)
+            acc[key] = acc.get(key, 0j) + coeff * p
+        beta = 0.0 if k is None else b / (a + k)
+        if beta != 0.0:
+            key = (mu, j, k)
+            acc[key] = acc.get(key, 0j) + -coeff * beta
+    return acc
+
+
+def _laurent_map(terms, laurent) -> dict[tuple, complex]:
+    """{(mu, j, k): coeff} of terms times the pure Laurent terms, accumulated
+    multiplier term by multiplier term."""
+    acc: dict[tuple, complex] = {}
+    for qmu, qj, qk, qcoeff in laurent:
+        if qmu != 0 or qk is not None:
+            raise ValueError("multiplier must be a pure Laurent polynomial "
+                             "(mu = 0 and no exponential decay)")
+        for mu, j, k, coeff in terms:
+            key = (mu, j + qj, k)
+            acc[key] = acc.get(key, 0j) + coeff * qcoeff
+    return acc
+
+
+def _sum(a: float, b: float, parts) -> ExpoPoly:
+    acc: dict[tuple, complex] = {}
+    for part in parts:
+        _check_context(a, b, part)
+        for mu, j, k, coeff in part.terms:
+            key = (mu, j, k)
+            acc[key] = acc.get(key, 0j) + coeff
+    return _from_map(a, b, acc)
+
+
+def _add(acc: dict[tuple, complex], part: dict[tuple, complex]) -> None:
+    for key, coeff in part.items():
+        acc[key] = acc.get(key, 0j) + coeff
+
+
 def _order(key: tuple) -> tuple:
     """Sort key of (mu, j, k): undecayed terms before decayed ones, then by k."""
     mu, j, k = key
     return (mu, j, k is not None, 0 if k is None else k)
 
 
-def _accumulate(acc: dict[tuple, complex], a: float, terms) -> None:
-    """Add each term's coefficient into acc under its (mu, j, k) key, in order.
+def _wrap(a: float, b: float, terms: tuple[Term, ...]) -> ExpoPoly:
+    """An ExpoPoly around terms already in canonical form, past the constructor."""
+    poly = object.__new__(ExpoPoly)
+    object.__setattr__(poly, "a", a)
+    object.__setattr__(poly, "b", b)
+    object.__setattr__(poly, "terms", terms)
+    return poly
+
+
+def _sorted_terms(acc: dict[tuple, complex]) -> tuple[Term, ...]:
+    """The nonzero entries of a {(mu, j, k): coeff} map as sorted terms."""
+    return tuple([_new_term(Term, (*key, acc[key]))
+                  for key in sorted(acc, key=_order) if acc[key] != 0j])
+
+
+def _from_map(a: float, b: float, acc: dict[tuple, complex]) -> ExpoPoly:
+    return _wrap(a, b, _sorted_terms(acc))
+
+
+def _same_keys(a: float, b: float, terms) -> ExpoPoly:
+    """Canonical poly from (mu, j, k, coeff) in canonical key order: no sort.
+
+    Each coefficient is stored as 0j + coeff, so no part is -0.0, and exact
+    zeros are dropped, as the constructor would.
+    """
+    return _wrap(a, b, tuple([_new_term(Term, (mu, j, k, c)) for mu, j, k, coeff in terms
+                              if (c := 0j + coeff) != 0j]))
+
+
+def _canonicalize(a: float, b: float, terms) -> tuple[Term, ...]:
+    """Merge outside terms by key and sort them, dropping only exact zeros.
 
     Every key starts at 0j, and 0.0 + -0.0 is 0.0, so no stored coefficient
     has a -0.0 part. Multiplying such a finite complex by 1 returns it bit
     for bit, which lets operator applications skip unit multipliers.
     """
+    acc: dict[tuple, complex] = {}
     for mu, j, k, coeff in terms:
         if k is not None and a + k <= 0:
             raise ValueError(f"decay index {k} gives a non-positive rate")
         key = (mu, j, k)
         acc[key] = acc.get(key, 0j) + complex(coeff)
-
-
-def _canonicalize(a: float, b: float, terms: tuple[Term, ...]) -> tuple[Term, ...]:
-    """Merge terms by key and sort them, dropping only exact zeros."""
-    acc: dict[tuple, complex] = {}
-    _accumulate(acc, a, terms)
-    return tuple([Term(*key, acc[key]) for key in sorted(acc, key=_order) if acc[key] != 0j])
+    return _sorted_terms(acc)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoBoundStates
-from .expalg import ExpoPoly
+from .expalg import ExpoPoly, apply_operator
 from .params import NRParams, PhysicalParams, default_rho_max
 
 SQRT2 = math.sqrt(2.0)
@@ -77,13 +77,9 @@ class ScalarLadder:
             raise ValueError(f"unknown direction {self.direction!r}")
 
     def apply(self, f: ExpoPoly) -> ExpoPoly:
-        deriv = f.differentiate()
-        if self.direction == "creation":
-            deriv = deriv.scale(-1.0)
-        # Annihilation adds f' as it is: scaling a canonical coefficient by +1
-        # returns it unchanged (expalg._accumulate), so this is exact.
-        return ExpoPoly.sum(f.a, f.b, (deriv, f.mul_laurent(self.superpotential))
-                            ).scale(1.0 / SQRT2)
+        sign = -1.0 if self.direction == "creation" else 1.0
+        (out,) = apply_operator(((sign,),), ((self.superpotential,),), (f,))
+        return out.scale(1.0 / SQRT2)
 
 
 def ladder(params: NRParams, n: int, direction: str) -> ScalarLadder:

@@ -152,15 +152,19 @@ def fd_schrodinger_eigs(params: NRParams, n_level_count: int, grid: RadialGrid,
     diagonal potential, with Dirichlet ends. When richardson is set, every
     level is re-solved at half the spacing (_refined) and the Richardson value
     (4 E_fine - E_coarse) / 3 is returned. That step assumes an error of order
-    h^2, which holds on a wall grid; a wall away from the origin adds an error
-    that refinement does not remove. Disable it for deliberate convergence
-    studies, which then get the raw solve.
+    h^2, which holds only on a wall_grid: a wall away from the origin adds an
+    error that refinement does not remove, so any other grid raises
+    ValueError. Disable it for deliberate convergence studies, which then get
+    the raw solve on any grid.
     """
     needed = default_rho_max(params, n_level_count)
     if grid.rho_max < needed:
         raise ValueError(
             f"rho_max = {grid.rho_max} does not cover the turning region; "
             f"need at least {needed}")
+    if richardson and not _is_wall_grid(grid):
+        raise ValueError("the Richardson step needs a wall_grid, whose wall is at "
+                         f"rho = 0; got rho_min = {grid.rho_min} with spacing {grid.h}")
     solve = partial(_scalar_lowest, params, n_level_count)
     if not richardson:
         return [float(x) for x in solve(grid)]

@@ -189,14 +189,16 @@ def check_dirac_intertwining(tol: float) -> CheckResult:
         p = random_dirac(rng)
         f2 = random_spinor(rng, p.a, p.b, 2)
         f4 = random_spinor(rng, p.a, p.b, 4)
+        h_lo, big_lo = dc.h_operator(p, 0), dc.big_hamiltonian(p, 0)
         for n in range(0, 4):
             bd = dc.b_dagger(p, n)
-            r2 = (dc.h_operator(p, n + 1).apply(bd.apply(f2))
-                  - bd.apply(dc.h_operator(p, n).apply(f2)))
+            h_hi, big_hi = dc.h_operator(p, n + 1), dc.big_hamiltonian(p, n + 1)
+            r2 = h_hi.apply(bd.apply(f2)) - bd.apply(h_lo.apply(f2))
             ad = dc.a_dagger(p, n, bd)
-            r4 = (dc.big_hamiltonian(p, n + 1).apply(ad.apply(f4))
-                  - ad.apply(dc.big_hamiltonian(p, n).apply(f4)))
+            r4 = big_hi.apply(ad.apply(f4)) - ad.apply(big_lo.apply(f4))
             worst = max(worst, r2.max_abs_coeff(), r4.max_abs_coeff())
+            # level n+1's operators are the next iteration's level-n ones
+            h_lo, big_lo = h_hi, big_hi
     return CheckResult("dirac-intertwining", worst <= tol,
                        f"max coefficient {worst:.3e} (tol {tol:.1e})")
 

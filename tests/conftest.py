@@ -1,11 +1,98 @@
 """Shared helpers for the test suite: reproducible random draws of algebra
 elements and parameter records. The draws are the verify battery's own."""
 
+import functools
+import math
+
 import numpy as np
 
+from susy_ladder.expalg import Term
 from susy_ladder.verify import (random_dirac, random_nr, random_phys,  # noqa: F401
                                 random_poly, random_spinor)
 
 
 def rng_for(tag: int):
     return np.random.default_rng(20121028 + tag)
+
+
+# -- per-part reference for operator applications -----------------------------
+#
+# The operator path in expalg accumulates each row in one dict. These helpers
+# are the algorithm it replaced, kept as the reference it must match bit for
+# bit: every part is its own canonical term tuple, built and merged term by
+# term, and a row is the chained + of its parts.
+
+
+def ref_canonical(terms):
+    acc = {}
+    for mu, j, k, coeff in terms:
+        acc[(mu, j, k)] = acc.get((mu, j, k), 0j) + complex(coeff)
+    order = sorted(acc, key=lambda key: (key[0], key[1], key[2] is not None,
+                                         0 if key[2] is None else key[2]))
+    return tuple(Term(*key, acc[key]) for key in order if acc[key] != 0j)
+
+
+def ref_differentiate(a, b, terms):
+    out = []
+    for t in terms:
+        p = t.mu * a + t.j
+        if p != 0.0:
+            out.append(Term(t.mu, t.j - 1, t.k, t.coeff * p))
+        beta = 0.0 if t.k is None else b / (a + t.k)
+        if beta != 0.0:
+            out.append(Term(t.mu, t.j, t.k, -t.coeff * beta))
+    return ref_canonical(out)
+
+
+def ref_scale(terms, c):
+    return ref_canonical([Term(mu, j, k, coeff * c) for mu, j, k, coeff in terms])
+
+
+def ref_mul_laurent(terms, laurent):
+    return ref_canonical([Term(mu, j + q.j, k, coeff * q.coeff)
+                          for q in laurent for mu, j, k, coeff in terms])
+
+
+def ref_add(x, y):
+    return ref_canonical(x + y)
+
+
+def ref_apply(a, b, dcoef, potential, columns):
+    """Rows of (dcoef d/drho + potential) applied to columns of term tuples.
+
+    dcoef is indexed as the operator stores it (numpy scalars for MatrixOp);
+    a unit multiplier adds f' as it is and a zero one adds nothing."""
+    derivs = [ref_differentiate(a, b, f) for f in columns]
+    rows = []
+    for i, prow in enumerate(potential):
+        parts = []
+        for j, pot in enumerate(prow):
+            c = dcoef[i][j]
+            if c == 1:
+                parts.append(derivs[j])
+            elif c != 0:
+                parts.append(ref_scale(derivs[j], c))
+            if pot.terms:
+                parts.append(ref_mul_laurent(columns[j], pot.terms))
+        rows.append(functools.reduce(ref_add, parts, ()))
+    return rows
+
+
+def ref_ladder(a, b, ladder, terms):
+    """(±d/drho + W_n)/sqrt(2): f' (negated for creation) plus f W_n, scaled."""
+    deriv = ref_differentiate(a, b, terms)
+    if ladder.direction == "creation":
+        deriv = ref_scale(deriv, -1.0)
+    row = ref_add(deriv, ref_mul_laurent(terms, ladder.superpotential.terms))
+    return ref_scale(row, 1.0 / math.sqrt(2.0))
+
+
+def ref_hamiltonian(a, b, potential, terms):
+    """-(1/2) f'' + V f."""
+    second = ref_differentiate(a, b, ref_differentiate(a, b, terms))
+    return ref_add(ref_scale(second, -0.5), ref_mul_laurent(terms, potential.terms))
+
+
+def bits(terms):
+    """Keys and the repr of both coefficient parts, so that -0.0 counts."""
+    return [(t.mu, t.j, t.k, repr(t.coeff.real), repr(t.coeff.imag)) for t in terms]

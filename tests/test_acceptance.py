@@ -13,7 +13,7 @@ from conftest import random_phys, rng_for
 from susy_ladder import dirac as dc
 from susy_ladder import nonrel as nr
 from susy_ladder import oracle as orc
-from susy_ladder.params import DiracParams, NRParams
+from susy_ladder.params import DiracParams, NRParams, default_rho_max
 
 FIG2 = NRParams(1.5, 0.5)
 FIG3 = DiracParams(a=1.0, b=2.0, d0=1.0, mbar=0.1)
@@ -30,7 +30,7 @@ def test_criterion_1_scalar_regime():
     analytic = [nr.spectrum_radial(FIG2, n) for n in range(3)]
     spectrum_ok = all(abs(x - y) <= 1e-12 for x, y in zip(analytic, expect))
 
-    grid = orc.default_grid(FIG2, 3, 4096)
+    grid = orc.wall_grid(default_rho_max(FIG2, 3), 4096)
     fd = orc.fd_schrodinger_eigs(FIG2, 3, grid)
     fd_err = max(abs(fd[n] - analytic[n]) for n in range(3))
     fd_ok = fd_err <= 1e-5

@@ -7,10 +7,14 @@ import operator
 
 import numpy as np
 import pytest
-from conftest import random_poly, rng_for
+from conftest import (bits, random_dirac, random_nr, random_poly, random_spinor,
+                      ref_apply, ref_canonical, ref_hamiltonian, ref_ladder, ref_scale,
+                      rng_for)
 
+from susy_ladder import dirac as dc
+from susy_ladder import nonrel as nr
 from susy_ladder.errors import ContextMismatch, DivergentIntegral, DomainError
-from susy_ladder.expalg import ExpoPoly
+from susy_ladder.expalg import ExpoPoly, Term, apply_operator
 
 
 def term(a, b, coeff, mu=0, j=0, k=None):
@@ -115,6 +119,97 @@ class TestSum:
         assert ExpoPoly.sum(1.0, 1.0, []) == ExpoPoly.zero(1.0, 1.0)
         with pytest.raises(ContextMismatch):
             ExpoPoly.sum(1.0, 1.0, [term(1.0, 1.0, 1.0), term(2.0, 1.0, 1.0)])
+
+
+class TestApplyOperator:
+    """Every operator row, accumulated in one dict, equals the per-part
+    algorithm (conftest.ref_apply) bit for bit, -0.0 included."""
+
+    @staticmethod
+    def inputs(rng, a, b, size):
+        """A random spinor, one that cancels to exact zero, and one with a
+        zero component and a nearly cancelled one."""
+        f = random_spinor(rng, a, b, size)
+        g = random_spinor(rng, a, b, size)
+        zero = f - f.scale(1.0)
+        _, g1, *rest = g.components
+        near = g1 - g1.scale(1.0 - 2.0 ** -52)
+        mixed = dc.SpinorFn((zero.components[0], near, *rest))
+        return [f, zero, mixed]
+
+    @pytest.mark.parametrize("tag", range(4))
+    def test_dirac_operators_match_the_per_part_reference(self, tag):
+        rng = rng_for(80 + tag)
+        for _ in range(6):
+            p = random_dirac(rng)
+            n = int(rng.integers(0, 6))
+            bd = dc.b_dagger(p, n)
+            ops = [dc.b_op(p, n), bd, dc.h_operator(p, n), dc.a_op(p, n),
+                   dc.a_dagger(p, n, bd), dc.big_hamiltonian(p, n)]
+            assert any(op.dcoef[0, 1] == -1j for op in ops)
+            for op in ops:
+                for f in self.inputs(rng, p.a, p.b, op.size):
+                    expect = ref_apply(p.a, p.b, op.dcoef, op.potential,
+                                       [c.terms for c in f.components])
+                    got = op.apply(f).components
+                    assert [bits(c.terms) for c in got] == [bits(t) for t in expect]
+
+    def test_random_operators_match_the_per_part_reference(self):
+        # Laurent potentials of up to four terms give a product key three or
+        # more contributions, where the accumulation order shows.
+        a, b = 1.3, 0.7
+        rng = rng_for(95)
+        consts = [1.0, 0.0, -1.0, -1j, 0.5 + 2.0j]
+        for _ in range(20):
+            size = int(rng.integers(1, 5))
+            dcoef = [[consts[int(rng.integers(0, len(consts)))] for _ in range(size)]
+                     for _ in range(size)]
+            potential = [[ExpoPoly.sum(a, b, [
+                term(a, b, complex(rng.standard_normal(), rng.standard_normal()),
+                     j=int(rng.integers(-2, 2))) for _ in range(int(rng.integers(0, 5)))])
+                for _ in range(size)] for _ in range(size)]
+            columns = [random_poly(rng, a, b, n_terms=6) for _ in range(size)]
+            got = apply_operator(dcoef, potential, columns)
+            expect = ref_apply(a, b, dcoef, potential, [f.terms for f in columns])
+            assert [bits(row.terms) for row in got] == [bits(t) for t in expect]
+
+    @pytest.mark.parametrize("tag", range(4))
+    def test_scalar_operators_match_the_per_part_reference(self, tag):
+        rng = rng_for(90 + tag)
+        for _ in range(10):
+            p = random_nr(rng)
+            n = int(rng.integers(1, 6))
+            f = random_poly(rng, p.a, p.b, n_terms=int(rng.integers(1, 7)))
+            for g in (f, f - f.scale(1.0), f + f.scale(-(1.0 - 2.0 ** -52))):
+                for direction in ("creation", "annihilation"):
+                    ladder = nr.ladder(p, n, direction)
+                    assert (bits(ladder.apply(g).terms)
+                            == bits(ref_ladder(p.a, p.b, ladder, g.terms)))
+                expect = ref_hamiltonian(p.a, p.b, nr.potential(p, n), g.terms)
+                assert bits(nr.apply_hamiltonian(p, n, g).terms) == bits(expect)
+
+
+class TestSameKeyOps:
+    """scale, conjugate and mul_power keep the key order and skip the sort;
+    they must still store 0j + c and drop exact zeros, as canonicalizing
+    the mapped terms does."""
+
+    def test_match_canonicalizing_the_mapped_terms(self):
+        a, b = 1.3, 0.7
+        rng = rng_for(75)
+        real = ExpoPoly.sum(a, b, [term(a, b, 2.0, mu=1, j=1, k=0), term(a, b, -0.5, j=-1),
+                                   term(a, b, complex(0.0, 3.0), mu=1, j=2, k=3)])
+        polys = [random_poly(rng, a, b, n_terms=5) for _ in range(10)] + [real]
+        scales = [-1.0, 0.5, 0.0, 1e-320, -1j, np.complex128(-1j), np.float64(0.3),
+                  complex(0.0, -0.0), 2.5 - 1.5j]
+        for p in polys:
+            assert bits(p.conjugate().terms) == bits(ref_canonical(
+                [Term(*t[:3], t.coeff.conjugate()) for t in p.terms]))
+            for c in scales:
+                assert bits(p.scale(c).terms) == bits(ref_scale(p.terms, c))
+            for s in (-3, 0, 2):
+                assert bits(p.mul_power(s).terms) == bits(ref_canonical(
+                    [Term(mu, j + s, k, coeff) for mu, j, k, coeff in p.terms]))
 
 
 class TestScaleAndPower:

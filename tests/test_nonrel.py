@@ -9,7 +9,7 @@ from conftest import random_nr, random_phys, random_poly, rng_for
 from susy_ladder import nonrel as nr
 from susy_ladder.errors import DomainError, NoBoundStates
 from susy_ladder.expalg import ExpoPoly
-from susy_ladder.params import NRParams, PhysicalParams
+from susy_ladder.params import NRParams, PhysicalParams, default_rho_max
 
 FIG2 = NRParams(1.5, 0.5)
 SETS = (FIG2, NRParams(1.0, 2.0), NRParams(0.4, 2.5))  # the figure regimes and an a < 0.5 set
@@ -225,7 +225,7 @@ class TestSpectra:
 
     def test_matches_fd_oracle(self):
         from susy_ladder import oracle as orc
-        grid = orc.default_grid(FIG2, 3, 4096)
+        grid = orc.wall_grid(default_rho_max(FIG2, 3), 4096)
         fd = orc.fd_schrodinger_eigs(FIG2, 3, grid)
         for n in range(3):
             assert abs(fd[n] - nr.spectrum_radial(FIG2, n)) <= 1e-5

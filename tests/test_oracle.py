@@ -45,7 +45,7 @@ class TestRadialGrid:
 
 class TestScalarEigs:
     def test_fig2_first_levels(self):
-        grid = orc.default_grid(FIG2, 3, 4096)
+        grid = orc.wall_grid(default_rho_max(FIG2, 3), 4096)
         fd = orc.fd_schrodinger_eigs(FIG2, 3, grid)
         assert fd[0] == pytest.approx(-0.02, abs=1e-5)
         assert fd[1] == pytest.approx(-0.0102041, abs=1e-5)
@@ -59,9 +59,18 @@ class TestScalarEigs:
 
     def test_grid_too_coarse(self):
         # 64 points over a 440-wide box cannot pin the ground level to 1e-4
-        grid = orc.RadialGrid(0.4, 440.0, 64)
+        grid = orc.wall_grid(440.0, 64)
         with pytest.raises(GridTooCoarse):
             orc.fd_schrodinger_eigs(FIG2, 1, grid)
+
+    def test_richardson_refuses_a_grid_off_the_origin(self):
+        # there the wall error does not shrink with h, and the Richardson
+        # value at level 0 is worse than the raw solve (1.4e-6 vs 4.3e-7)
+        grid = orc.default_grid(FIG2, 3, 4096)
+        with pytest.raises(ValueError, match="wall_grid"):
+            orc.fd_schrodinger_eigs(FIG2, 3, grid)
+        raw = orc.fd_schrodinger_eigs(FIG2, 3, grid, richardson=False)
+        assert abs(raw[0] - nr.spectrum_radial(FIG2, 0)) <= 1e-6
 
     def test_richardson_value_on_a_wall_grid(self):
         # fig3's (a, b): every requested level is refined, and the Richardson
