@@ -9,7 +9,8 @@ problem through the squared operator, whose two decoupled scalar channels
 
 avoid the spurious eigenbranches that naive first-order discretizations
 produce. Each doubled spinor channel is solved once, so reported
-multiplicities count +/- energy pairs once.
+multiplicities count +/- energy pairs once. The scalar operator is solved on
+a grid uniform in rho, the channels on one uniform in x = ln rho (LogGrid).
 """
 
 from __future__ import annotations
@@ -25,6 +26,18 @@ from .errors import GridTooCoarse, TailNotDecayed
 from .params import DiracParams, NRParams, default_rho_max
 
 RICHARDSON_SHIFT = 1e-4
+# Absolute tolerance on E^2 for the scan's bisection, far below RICHARDSON_SHIFT.
+# scipy's default (tol=0) is eps * ||T||_1, and a log grid's diagonal reaches
+# 2 / (h rho_min)^2, so that default is wider than any window the scan is
+# asked about: at fig3 on 2048 points it puts the ground magnitude 1.005
+# at 1.374.
+SCAN_BISECTION_TOL = 1e-12
+# rho_min / rho_max of a LogGrid. The inner Dirichlet end biases the
+# cf = a(a-1) channel by about (rho_min / rho_max)^(2a-1), which refinement
+# cannot see, while the step h grows only like ln(rho_max / rho_min). Over
+# 100 random_dirac draws at 2048 points, 1e-9, 1e-14, 1e-20 and 1e-30 pass
+# the scan check on 82, 91, 96 and 89.
+LOG_GRID_DEPTH = 1e-20
 
 
 @dataclass(frozen=True)
@@ -79,10 +92,9 @@ def wall_grid(rho_max: float, n_points: int) -> RadialGrid:
     """Grid whose implicit Dirichlet wall falls exactly on rho = 0.
 
     With rho_min equal to the spacing, the boundary row of the discretized
-    operator enforces u(0) = 0. This matters for eigensolves whose lowest
-    channel has no centrifugal barrier (cf = 0): there the eigenvalue shifts
-    linearly with the wall position, and a wall at 1e-4 * rho_max would move
-    levels by orders of magnitude more than the target accuracy.
+    operator enforces u(0) = 0. The scalar solve's Richardson step needs
+    this: a wall away from the origin adds an error that halving h does not
+    remove.
     """
     return RadialGrid(rho_max / n_points, rho_max, n_points)
 
@@ -91,13 +103,45 @@ def _is_wall_grid(grid: RadialGrid) -> bool:
     return abs(grid.rho_min - grid.h) <= 1e-9 * grid.h
 
 
-def _doubled(grid: RadialGrid) -> RadialGrid:
-    if _is_wall_grid(grid):
-        return wall_grid(grid.rho_max, 2 * grid.n_points)
-    return RadialGrid(grid.rho_min, grid.rho_max, 2 * grid.n_points)
+@dataclass(frozen=True)
+class LogGrid:
+    """Grid uniform in x = ln rho on [LOG_GRID_DEPTH * rho_max, rho_max], with
+    step h in x and Dirichlet ends one step beyond each end.
+
+    Points crowd geometrically toward the origin: every decade of rho gets
+    ln(10) / h of them, so the inner end can sit twenty decades in.
+    """
+
+    rho_max: float
+    n_points: int
+
+    def __post_init__(self):
+        if not self.rho_max > 0:
+            raise ValueError("need rho_max > 0")
+        if self.n_points < 64:
+            raise ValueError("need at least 64 grid points")
+
+    @property
+    def rho_min(self) -> float:
+        return LOG_GRID_DEPTH * self.rho_max
+
+    @property
+    def h(self) -> float:
+        return math.log(self.rho_max / self.rho_min) / (self.n_points - 1)
+
+    @property
+    def points(self) -> np.ndarray:
+        return np.geomspace(self.rho_min, self.rho_max, self.n_points)
 
 
-def _refined(solve, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
+def _doubled(grid: RadialGrid | LogGrid) -> RadialGrid | LogGrid:
+    # only wall grids and log grids are refined
+    if isinstance(grid, LogGrid):
+        return LogGrid(grid.rho_max, 2 * grid.n_points)
+    return wall_grid(grid.rho_max, 2 * grid.n_points)
+
+
+def _refined(solve, grid: RadialGrid | LogGrid) -> tuple[np.ndarray, np.ndarray]:
     """solve(grid) and solve(_doubled(grid)), as arrays. Raises GridTooCoarse
     when the two differ in count or any value moves by more than
     RICHARDSON_SHIFT."""
@@ -222,35 +266,40 @@ def residual_dirac(phi: np.ndarray, energy: float, params: DiracParams,
         grid=grid, operator="dirac", eigenvalue=energy)
 
 
-def _channel_tridiag(params: DiracParams, cf: float, grid: RadialGrid):
-    pts = grid.points
+def _channel_tridiag(params: DiracParams, cf: float, grid: LogGrid):
+    # u = rho^(1/2) v on x = ln rho gives -v'' + [1/4 + rho^2 V] v = E^2 rho^2 v;
+    # scaling by w = rho v makes it one symmetric tridiagonal problem in E^2
+    rho = grid.points
     h = grid.h
     const = (params.b / params.a) ** 2 + params.d0 ** 2 + params.mbar ** 2
-    v = cf / pts ** 2 - 2.0 * params.b / pts + const
-    return 2.0 / h ** 2 + v, np.full(grid.n_points - 1, -1.0 / h ** 2)
+    d = (2.0 / h ** 2 + cf + 0.25 - 2.0 * params.b * rho + const * rho ** 2) / rho ** 2
+    return d, -1.0 / (h ** 2 * rho[:-1] * rho[1:])
 
 
-def _channel_eigs_in(params: DiracParams, cf: float, grid: RadialGrid,
+def _channel_eigs_in(params: DiracParams, cf: float, grid: LogGrid,
                      lo: float, hi: float) -> np.ndarray:
     d, e = _channel_tridiag(params, cf, grid)
     return eigh_tridiagonal(d, e, eigvals_only=True, select="v",
-                            select_range=(lo, hi))
+                            select_range=(lo, hi), tol=SCAN_BISECTION_TOL)
 
 
 def dirac_spectrum_scan(params: DiracParams, window: tuple[float, float],
-                        grid: RadialGrid, richardson: bool = True) -> list[float]:
+                        grid: LogGrid, richardson: bool = True) -> list[float]:
     """Eigenvalue magnitudes of the matrix problem inside a window, from the
     squared operator's two scalar channels.
 
     Components 1/3 and 2/4 of the squared operator are identical pairs; each
     pair is solved once, so a magnitude's multiplicity here counts each +/-
-    energy pair of the first-order problem a single time. Use a wall grid:
-    the barrier-free channel is sensitive to the Dirichlet wall position.
+    energy pair of the first-order problem a single time. The channels are
+    discretized on a LogGrid, whose points resolve the rho^a behaviour at the
+    origin down to rho_min; any other grid raises TypeError.
 
-    The stability check (_refined) re-solves at half the spacing and raises
+    The stability check (_refined) re-solves at twice the points and raises
     GridTooCoarse when the count changes or any magnitude moves by more than
     RICHARDSON_SHIFT; the magnitudes of the given grid are returned.
     """
+    if not isinstance(grid, LogGrid):
+        raise TypeError(f"the scan runs on a LogGrid, got {type(grid).__name__}")
     lo, hi = window
     if not 0.0 <= lo < hi:
         raise ValueError("window must satisfy 0 <= lo < hi")
@@ -264,7 +313,7 @@ def dirac_spectrum_scan(params: DiracParams, window: tuple[float, float],
 
 
 def _scan_once(params: DiracParams, lo: float, hi: float,
-               grid: RadialGrid) -> list[float]:
+               grid: LogGrid) -> list[float]:
     found = []
     for cf in (params.a * (params.a - 1), params.a * (params.a + 1)):
         sq = _channel_eigs_in(params, cf, grid, lo * lo, hi * hi)

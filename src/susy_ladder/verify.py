@@ -20,7 +20,7 @@ from .expalg import ExpoPoly
 from .params import DiracParams, NRParams, PhysicalParams, default_rho_max
 
 SEED = 20121028
-SCAN_POINTS = 16384  # grid of the Dirac finite-difference scan
+SCAN_POINTS = 2048  # LogGrid points of the Dirac scan; refinement re-solves at twice that
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,7 @@ def check_dirac_scan(params: DiracParams) -> CheckResult:
     levels = [math.hypot(params.mbar, dc.dn(params, n)) for n in range(8)]
     lo = 0.95 * levels[0]
     hi = 0.5 * (levels[2] + levels[3])
-    grid = orc.wall_grid(default_rho_max(params, 3), SCAN_POINTS)
+    grid = orc.LogGrid(default_rho_max(params, 3), SCAN_POINTS)
     try:
         found = orc.dirac_spectrum_scan(params, (lo, hi), grid)
     except GridTooCoarse as exc:

@@ -60,7 +60,7 @@ def test_criterion_2_matrix_regime():
                         == dc.family_eigenvalue(FIG3, n + 1, "a")
                         for n in range(3))
 
-    grid = orc.wall_grid(40.0 * (FIG3.a + 4) / FIG3.b, 16384)
+    grid = orc.LogGrid(40.0 * (FIG3.a + 4) / FIG3.b, 2048)
     found = orc.dirac_spectrum_scan(FIG3, (0.9, 2.2), grid)
     # analytic ladder within the window: level 0 once, each higher level twice
     ladder = [math.hypot(FIG3.mbar, dc.dn(FIG3, n)) for n in range(8)]

@@ -178,8 +178,10 @@ class TestDiracResidual:
 
 
 class TestSpectrumScan:
+    RHO_MAX = 40.0 * (FIG3.a + 4) / FIG3.b
+
     def test_fig3_window(self):
-        grid = orc.wall_grid(40.0 * (FIG3.a + 4) / FIG3.b, 16384)
+        grid = orc.LogGrid(self.RHO_MAX, 2048)
         found = orc.dirac_spectrum_scan(FIG3, (0.9, 2.2), grid)
         levels = [math.hypot(FIG3.mbar, dc.dn(FIG3, n)) for n in range(6)]
         # analytic content of the window: level 0 once, levels 1..3 twice
@@ -190,22 +192,42 @@ class TestSpectrumScan:
             assert abs(got - want) <= 1e-3
 
     def test_empty_window(self):
-        grid = orc.wall_grid(40.0 * (FIG3.a + 4) / FIG3.b, 8192)
+        grid = orc.LogGrid(self.RHO_MAX, 1024)
         assert orc.dirac_spectrum_scan(FIG3, (0.0, 0.5), grid) == []
 
     def test_window_bound(self):
-        grid = orc.wall_grid(100.0, 8192)
+        grid = orc.LogGrid(100.0, 1024)
         with pytest.raises(ValueError):
             orc.dirac_spectrum_scan(FIG3, (0.9, 100.0), grid)
 
     def test_refinement_stability(self):
-        grid = orc.wall_grid(40.0 * (FIG3.a + 4) / FIG3.b, 16384)
-        first = orc.dirac_spectrum_scan(FIG3, (0.9, 2.2), grid)
+        first = orc.dirac_spectrum_scan(FIG3, (0.9, 2.2), orc.LogGrid(self.RHO_MAX, 2048))
         finer = orc.dirac_spectrum_scan(
-            FIG3, (0.9, 2.2), orc.wall_grid(40.0 * (FIG3.a + 4) / FIG3.b, 32768),
-            richardson=False)
+            FIG3, (0.9, 2.2), orc.LogGrid(self.RHO_MAX, 4096), richardson=False)
         assert len(first) == len(finer)
         assert max(abs(x - y) for x, y in zip(first, finer)) <= 1e-4
+
+    def test_refuses_a_grid_uniform_in_rho(self):
+        with pytest.raises(TypeError, match="LogGrid"):
+            orc.dirac_spectrum_scan(FIG3, (0.9, 2.2), orc.wall_grid(self.RHO_MAX, 2048))
+
+    def test_bisection_matches_a_dense_solve(self):
+        # the graded matrix of the documented substitution, solved densely:
+        # bisection at scipy's default tolerance (eps * ||T||_1, ~2.5e22 here)
+        # misses these by ~0.9
+        grid = orc.LogGrid(self.RHO_MAX, 256)
+        rho, h = grid.points, grid.h
+        const = (FIG3.b / FIG3.a) ** 2 + FIG3.d0 ** 2 + FIG3.mbar ** 2
+        lo, hi = 0.9, 2.2
+        expect = []
+        for cf in (FIG3.a * (FIG3.a - 1), FIG3.a * (FIG3.a + 1)):
+            diag = (2 / h ** 2 + cf + 0.25 - 2 * FIG3.b * rho + const * rho ** 2) / rho ** 2
+            off = -1 / (h ** 2 * rho[:-1] * rho[1:])
+            sq = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+            expect.extend(sq[(sq >= lo * lo) & (sq <= hi * hi)])
+        found = orc.dirac_spectrum_scan(FIG3, (lo, hi), grid, richardson=False)
+        assert len(found) == len(expect) > 0
+        assert np.max(np.abs(np.square(found) - np.sort(expect))) <= 1e-10
 
 
 class TestQuadrature:

@@ -4,6 +4,7 @@ import io
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import susy_ladder.oracle
@@ -64,13 +65,19 @@ def test_cli_verify_exit_codes(tmp_path):
     assert "FAIL" in Path(out).read_text()
 
 
-@pytest.mark.parametrize("argv, failed", [
-    (["--grid-points", "64"], "nr-fd-eigenvalues"),
-    (["--a", "1.2", "--b", "0.8", "--d0", "0.4", "--mbar", "0.2"], "dirac-fd-scan"),
+EXAMPLE_SET = ["--a", "1.2", "--b", "0.8", "--d0", "0.4", "--mbar", "0.2"]
+
+
+@pytest.mark.parametrize("argv, failed, scan_points", [
+    (["--grid-points", "64"], "nr-fd-eigenvalues", vf.SCAN_POINTS),
+    # 256 log-grid points move a magnitude by 6.6e-4 on refinement
+    (EXAMPLE_SET, "dirac-fd-scan", 256),
 ], ids=["coarse-nr-grid", "unstable-dirac-scan"])
-def test_cli_verify_reports_unconverged_oracle(argv, failed, capsys):
+def test_cli_verify_reports_unconverged_oracle(argv, failed, scan_points, capsys,
+                                               monkeypatch):
     # a refinement shift past the oracle's bound fails its own check;
     # the other checks still run and print
+    monkeypatch.setattr(vf, "SCAN_POINTS", scan_points)
     assert main(["verify", *argv]) == 3
     rows = [line.split(",", 2) for line in capsys.readouterr().out.splitlines()[1:]]
     assert len(rows) == 15
@@ -87,6 +94,25 @@ def test_cli_verify_passes_at_fig3_parameters(capsys):
     rows = [line.split(",", 2) for line in capsys.readouterr().out.splitlines()[1:]]
     assert len(rows) == 15
     assert all(passed == "pass" for _, passed, _ in rows)
+
+
+def test_cli_verify_passes_dirac_scan_at_the_example_set(capsys):
+    # a grid uniform in rho failed here even at 16384 points (a shift of 1.7e-4)
+    assert main(["verify", *EXAMPLE_SET]) == 0
+    rows = [line.split(",", 2) for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 15
+    assert all(passed == "pass" for _, passed, _ in rows)
+
+
+def test_dirac_scan_passes_on_seeded_draws_with_a_at_least_1():
+    # below a = 1 the inner Dirichlet end biases the cf = a(a-1) channel by
+    # about (rho_min / rho_max)^(2a-1); from a = 1 on that bias is below 1e-20
+    rng = np.random.default_rng(0)
+    draws = [p for p in (vf.random_dirac(rng) for _ in range(60)) if p.a >= 1.0][:20]
+    assert len(draws) == 20
+    for p in draws:
+        result = vf.check_dirac_scan(p)
+        assert result.passed, f"{p}: {result.detail}"
 
 
 @pytest.mark.parametrize("a, b", [
