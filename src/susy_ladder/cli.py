@@ -6,9 +6,10 @@ and a one-shot verification run. Floats are rendered in fixed 17-significant-
 digit scientific notation so identical configurations produce identical
 bytes on every platform.
 
-Exit codes: 0 success, 2 invalid configuration or parameters, 3 when verify
-finds a failed check (an oracle grid that does not converge on refinement
-fails its check; the other checks still run).
+Exit codes: 0 success, 2 invalid configuration or parameters (including
+more eigenfunction levels than MAX_LEVELS), 3 when verify finds a failed
+check (an oracle grid that does not converge on refinement fails its check;
+the other checks still run).
 """
 
 from __future__ import annotations
@@ -25,10 +26,19 @@ import numpy as np
 
 from . import dirac as dc
 from . import nonrel as nr
-from .errors import LadderError
+from .errors import LadderError, LevelCapExceeded
 from .params import DiracParams, NRParams, PhysicalParams, default_rho_max
 
 FIG_SAMPLES = 512
+
+# Most levels an eigenfunction table takes. The window default_rho_max puts
+# the top level's edge at x = 2 beta rho = 80, and the share of its norm
+# beyond the edge grows with the level: at a = 1.5 it is 4.5e-6 at level 12
+# and 4.6e-5 at level 13. It also grows with a (6.1e-4 at a = 4, level 12).
+MAX_LEVELS = 13
+_CAPPED_MODES = ("nr-eigenfunctions", "dirac-eigenfunctions")
+_CAP_REASON = (f"beyond level {MAX_LEVELS - 1} the sampling window cuts off more "
+               "than 5e-6 of the top level's norm at a = 1.5")
 
 # Canonical parameter sets reproduced by the figure subcommands.
 FIG2_NR = {"a": 1.5, "b": 0.5}
@@ -271,6 +281,9 @@ def run(cfg: RunConfig) -> int:
             raise ValueError(f"unknown mode {cfg.mode!r}")
         if cfg.levels < 1:
             raise ValueError("levels must be at least 1")
+        if cfg.mode in _CAPPED_MODES and cfg.levels > MAX_LEVELS:
+            raise LevelCapExceeded(
+                f"--levels {cfg.levels} is above the cap of {MAX_LEVELS}: {_CAP_REASON}")
         for fam in cfg.families:
             if fam not in dc.FAMILIES:
                 raise ValueError(f"unknown family {fam!r}")
@@ -338,8 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
         # No flag sets a default of its own: an absent flag leaves RunConfig's.
         p = sub.add_parser(mode, argument_default=argparse.SUPPRESS)
         for name in names:
+            capped = name == "levels" and mode in _CAPPED_MODES
             p.add_argument("--" + name.replace("_", "-"),
-                           type=_FLAG_TYPES.get(name, float))
+                           type=_FLAG_TYPES.get(name, float),
+                           help=(f"number of levels (default 3), at most {MAX_LEVELS}: "
+                                 f"{_CAP_REASON}, and more at larger a")
+                           if capped else None)
         p.add_argument("--format", dest="fmt", choices=("csv", "json"))
         p.add_argument("--out")
     return parser

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (DegenerateDenominator, DomainError, NegativeRadicand,
                      NoBoundStates, SingularXi)
-from .expalg import ExpoPoly, apply_operator, checked_norm2
+from .expalg import ExpoPoly, apply_operator, laguerre_norm2
 from .params import DiracParams, PhysicalParams
 
 S0 = np.eye(2, dtype=complex)
@@ -104,7 +104,17 @@ def spinor_inner(f: SpinorFn, g: SpinorFn) -> complex:
 
 
 def normalize_spinor(f: SpinorFn) -> SpinorFn:
-    return f.scale(1.0 / math.sqrt(checked_norm2(spinor_inner(f, f).real)))
+    """f scaled to unit norm, with the norm^2 summed over its nonzero
+    components by the Laguerre closed form (expalg.laguerre_norm2).
+
+    Every component of eigenfunction_chain(params, n, fam) is one: components
+    0 and 2 are c rho^a e^(-beta rho) L_N^(2a-1)(2 beta rho), components 1
+    and 3 are c' rho^(a+1) e^(-beta rho) L_(N-1)^(2a+1)(2 beta rho), with
+    N = n for families a/b and n+1 for c/d. Raises ValueError for any other
+    shape, PrecisionLoss when a component has left that form.
+    """
+    norm2 = sum(laguerre_norm2(p) for p in f.components if p.terms)
+    return f.scale(1.0 / math.sqrt(norm2))
 
 
 @dataclass(frozen=True)
@@ -334,22 +344,20 @@ def eigenvector(params: DiracParams, n: int, fam: str) -> tuple[SpinorFn, float]
     return SpinorFn(seed.components + lower.components), family_eigenvalue(params, n, fam)
 
 
-def _lower(params: DiracParams, n: int, half: SpinorFn) -> SpinorFn:
-    """Apply b_op at levels n-1, ..., 0 to a 2-component level-n function."""
-    for k in range(n - 1, -1, -1):
-        half = b_op(params, k).apply(half)
-    return half
-
-
 @functools.lru_cache(maxsize=64)
 def _lowered_kernel(params: DiracParams, n: int, kernel) -> SpinorFn:
-    """Upper half of the level-0 chain of both families seeded by kernel.
+    """The kernel spinor of level n lowered to level 0: the upper half of the
+    chain of both families it seeds, and, scaled by each family's ratio,
+    the lower half too.
 
     Cached per (params, n, kernel), so families a/b (and c/d) lower it once;
     a four-family sweep holds two entries per (params, n). The result is
     shared, and frozen like every SpinorFn.
     """
-    return _lower(params, n, kernel(params, n))
+    half = kernel(params, n)
+    for k in range(n - 1, -1, -1):
+        half = b_op(params, k).apply(half)
+    return half
 
 
 def eigenfunction_chain(params: DiracParams, n: int, fam: str) -> SpinorFn:
@@ -357,15 +365,18 @@ def eigenfunction_chain(params: DiracParams, n: int, fam: str) -> SpinorFn:
     through the chain; eigenvector of the base operator at the family's
     level-n eigenvalue.
 
-    a_op is block-diagonal, so each half of the eigenvector is lowered on its
-    own through b_op, bit for bit as through a_op.
+    a_op is block-diagonal and linear, and the eigenvector's lower half is
+    ratio times its upper half, the kernel spinor. So the chain is the
+    lowered kernel stacked on that ratio times it: one lowering per kernel,
+    shared by both families it seeds. The lower half agrees with lowering
+    ratio times the kernel through b_op to roundoff (within 8.6e-16 of the
+    largest coefficient through level 12 on three parameter sets), not bit
+    for bit.
     """
     _check_family(fam)
     ratio = _lower_ratio(params, n, fam)
-    kernel = _KERNELS[fam]
-    upper = _lowered_kernel(params, n, kernel)
-    lower = _lower(params, n, kernel(params, n).scale(ratio))
-    return SpinorFn(upper.components + lower.components)
+    upper = _lowered_kernel(params, n, _KERNELS[fam])
+    return SpinorFn(upper.components + upper.scale(ratio).components)
 
 
 def rotation_matrix(phys: PhysicalParams) -> np.ndarray:

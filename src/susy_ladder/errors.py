@@ -42,4 +42,9 @@ class TailNotDecayed(LadderError):
 
 
 class PrecisionLoss(LadderError):
-    """A closed-form quantity lost its meaning to float cancellation (e.g. norm^2 <= 0)."""
+    """A closed-form quantity lost its meaning to float roundoff: a Gamma-sum
+    norm^2 that is not positive, or chain coefficients off their Laguerre form."""
+
+
+class LevelCapExceeded(LadderError):
+    """More eigenfunction levels were requested than the sampling window holds."""

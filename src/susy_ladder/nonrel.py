@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoBoundStates
-from .expalg import ExpoPoly, apply_operator
+from .expalg import ExpoPoly, apply_operator, laguerre_norm2
 from .params import NRParams, PhysicalParams, default_rho_max
 
 SQRT2 = math.sqrt(2.0)
@@ -115,7 +115,12 @@ def eigenfunction(params: NRParams, n: int) -> ExpoPoly:
 
 
 def normalize(f: ExpoPoly) -> ExpoPoly:
-    return f.scale(1.0 / f.norm())
+    """f scaled to unit norm, with the norm taken from the Laguerre closed
+    form (expalg.laguerre_norm2): eigenfunction(params, n) is
+    c rho^(a+1) e^(-beta rho) L_n^(2a+1)(2 beta rho), beta = b/(a+n+1).
+    Raises ValueError for any other shape, PrecisionLoss when the chain's
+    coefficients have left that form."""
+    return f.scale(1.0 / math.sqrt(laguerre_norm2(f)))
 
 
 def spectrum_radial(params: NRParams, n: int) -> float:
@@ -143,9 +148,13 @@ def field_magnitude(phys: PhysicalParams, rho: float) -> float:
 
 def interior_zeros(f: ExpoPoly, rho_max: float) -> list[float]:
     """Sign changes of Re f over 4096 samples of (0, rho_max], each located
-    at the midpoint of its bracketing sample pair (to within rho_max/8192)."""
+    at the midpoint of its bracketing sample pair (to within rho_max/8192).
+    Samples where Re f is exactly zero are dropped first, so a zero that
+    lands on a sample is bracketed by its neighbours and counted once."""
     xs = np.linspace(rho_max / 4096, rho_max, 4096)
     vals = f.eval_array(xs).real
+    keep = vals != 0.0
+    xs, vals = xs[keep], vals[keep]
     i = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
     return [float(x) for x in 0.5 * (xs[i] + xs[i + 1])]
 

@@ -197,14 +197,32 @@ class TestConfigValidation:
         ["dirac-eigenfunctions", "--a", "1.5", "--b", "0.5", "--d0", "1", "--mbar", "0.1",
          "--levels", "18"],
     ], ids=["nr", "dirac"])
-    def test_norm_lost_to_cancellation_refused(self, argv, capsys):
-        # Level 17's Gamma-sum norm^2 cancels to a negative number here.
+    def test_levels_above_cap_refused(self, argv, capsys):
         code, text = capture(argv)
         assert code == 2
         assert text == ""
         err = capsys.readouterr().err
-        assert re.fullmatch(r"error: closed-form norm\^2 is -\S+, not finite and positive: "
-                            r"the Gamma sum has cancelled past float precision\n", err)
+        assert re.fullmatch(r"error: --levels 18 is above the cap of 13: beyond level 12 the "
+                            r"sampling window cuts off more than 5e-6 of the top level's "
+                            r"norm at a = 1\.5\n", err)
+
+    @pytest.mark.parametrize("mode", ["nr-eigenfunctions", "dirac-eigenfunctions"])
+    def test_levels_cap_stated_in_help(self, mode, capsys):
+        with pytest.raises(SystemExit):
+            main([mode, "--help"])
+        assert "--levels LEVELS number of levels (default 3), at most 13:" in \
+            " ".join(capsys.readouterr().out.split())
+
+    @pytest.mark.parametrize("mode,levels,code", [
+        ("nr-eigenfunctions", 13, 0), ("nr-eigenfunctions", 14, 2),
+        ("dirac-eigenfunctions", 13, 0), ("dirac-eigenfunctions", 14, 2),
+        ("nr-spectrum", 40, 0), ("dirac-spectrum", 40, 0),
+    ])
+    def test_levels_cap_binds_eigenfunction_tables_only(self, mode, levels, code):
+        params = ["--a", "1.5", "--b", "0.5"]
+        if mode.startswith("dirac"):
+            params += ["--d0", "1", "--mbar", "0.1"]
+        assert capture([mode, *params, "--levels", str(levels)])[0] == code
 
 
 class TestOutputFile:

@@ -277,7 +277,10 @@ class TestOperatorCache:
 
     def test_chains_bit_identical_to_uncached_chained_add(self):
         # The reference lowers whole 4-spinors through a 4x4 a_op built per
-        # level, with the per-part algorithm that sums by chaining +.
+        # level, with the per-part algorithm that sums by chaining +. The
+        # chain's upper half matches it bit for bit; its lower half is the
+        # upper half times the family's ratio, bit for bit, and matches the
+        # reference's lowered lower half to roundoff.
         nr_sets = [NRParams(1.5, 0.5), NRParams(FIG3.a, FIG3.b)]
         dirac_sets = [FIG3, DiracParams(1.5, 0.5, -0.4, 0.2), DiracParams(1.2, 0.8, 0.4, 0.0)]
         levels = range(13)
@@ -294,8 +297,19 @@ class TestOperatorCache:
                     for k in range(n - 1, -1, -1):
                         op = dc.a_op(q, k)
                         phi = ref_apply(q.a, q.b, op.dcoef, op.potential, phi)
-                    fast = dc.eigenfunction_chain(q, n, fam).components
-                    assert [bits(c.terms) for c in fast] == [bits(t) for t in phi]
+                    fast = dc.eigenfunction_chain(q, n, fam)
+                    upper = dc.SpinorFn(fast.components[:2])
+                    assert [bits(c.terms) for c in upper.components] == \
+                        [bits(t) for t in phi[:2]]
+                    scaled = upper.scale(dc._lower_ratio(q, n, fam))
+                    assert [bits(c.terms) for c in fast.components[2:]] == \
+                        [bits(c.terms) for c in scaled.components]
+                    lowered = [{t[:3]: t.coeff for t in c} for c in phi[2:]]
+                    scale = max(abs(x) for c in lowered for x in c.values())
+                    for c, ref in zip(fast.components[2:], lowered):
+                        new = {t[:3]: t.coeff for t in c.terms}
+                        assert max((abs(new.get(key, 0j) - ref.get(key, 0j))
+                                    for key in new | ref), default=0.0) <= 1e-13 * scale
 
     def test_paired_families_share_the_kernel_half(self):
         for q in (FIG3, DiracParams(1.5, 0.5, -0.4, 0.2), DiracParams(1.2, 0.8, 0.4, 0.0)):

@@ -1,0 +1,192 @@
+"""Tests of the closed-form Laguerre normalisation and of Horner sampling,
+against 40-digit references.
+
+Every reference forms the powers mu*a + j and the rates b/(a+k) in mpmath
+from the float inputs: the Gamma sum of a deep chain cancels over about ten
+orders of magnitude, so float-rounded powers would move it by more than the
+tolerances tested here.
+"""
+
+import mpmath as mp
+import numpy as np
+import pytest
+from conftest import random_dirac, random_nr, rng_for
+
+from susy_ladder import dirac as dc
+from susy_ladder import nonrel as nr
+from susy_ladder.errors import PrecisionLoss
+from susy_ladder.expalg import LAGUERRE_TOL, ExpoPoly, laguerre_norm2
+from susy_ladder.params import DiracParams, NRParams, default_rho_max
+
+FIG2 = NRParams(1.5, 0.5)
+FIG3 = DiracParams(1.0, 2.0, 1.0, 0.1)
+DPS = 40
+
+
+def chain_polys(n):
+    """The scalar fig2 chain and every nonzero component of the four fig3 chains."""
+    polys = [nr.eigenfunction(FIG2, n)]
+    for fam in dc.FAMILIES:
+        polys += [c for c in dc.eigenfunction_chain(FIG3, n, fam).components if c.terms]
+    return polys
+
+
+def gamma_sum(poly):
+    """<poly, poly> by the Gamma sum, in DPS digits."""
+    with mp.workdps(DPS):
+        a, b = mp.mpf(poly.a), mp.mpf(poly.b)
+        keys = [(t.mu * a + t.j, b / (a + t.k), mp.mpc(t.coeff)) for t in poly.terms]
+        total = mp.mpf(0)
+        for p1, r1, c1 in keys:
+            for p2, r2, c2 in keys:
+                s, g = p1 + p2 + 1, r1 + r2
+                total += (mp.conj(c1) * c2).real * mp.gamma(s) / g ** s
+        return total
+
+
+def samples(poly, rhos):
+    """poly at rhos, in DPS digits."""
+    with mp.workdps(DPS):
+        a, b = mp.mpf(poly.a), mp.mpf(poly.b)
+        keys = [(t.mu * a + t.j, 0 if t.k is None else b / (a + t.k), mp.mpc(t.coeff))
+                for t in poly.terms]
+        return np.array([complex(sum(c * mp.mpf(r) ** p * mp.exp(-g * mp.mpf(r))
+                                     for p, g, c in keys))
+                         for r in rhos])
+
+
+def term_sum(poly, rhos):
+    """poly at rhos as one float power and exp per term, summed in term order."""
+    total = np.zeros(rhos.shape, dtype=complex)
+    for mu, j, k, coeff in poly.terms:
+        rate = 0.0 if k is None else poly.b / (poly.a + k)
+        total += coeff * rhos ** (mu * poly.a + j) * np.exp(-rate * rhos)
+    return total
+
+
+def departure(poly):
+    """Largest |coef_i - closed form| over the largest |coef|, the closed form
+    run down from the top coefficient in DPS digits."""
+    with mp.workdps(DPS):
+        terms = poly.terms
+        mu, j0, k, _ = terms[0]
+        a, b = mp.mpf(poly.a), mp.mpf(poly.b)
+        alpha, m, two_beta = 2 * (mu * a + j0) - 1, len(terms) - 1, 2 * b / (a + k)
+        expect, worst = mp.mpc(terms[-1].coeff), mp.mpf(0)
+        for i in range(m - 1, -1, -1):
+            expect = -expect * (i + 1) * (alpha + i + 1) / ((m - i) * two_beta)
+            worst = max(worst, abs(mp.mpc(terms[i].coeff) - expect))
+        return float(worst) / poly.max_abs_coeff()
+
+
+class TestClosedFormNorm:
+    @pytest.mark.parametrize("n", [12, 16, 20])
+    def test_matches_a_40_digit_gamma_sum(self, n):
+        for poly in chain_polys(n):
+            ref = gamma_sum(poly)
+            assert abs(laguerre_norm2(poly) - ref) <= 1e-13 * ref
+
+    def test_levels_below_12_match_a_40_digit_gamma_sum(self):
+        # The float Gamma sum (ExpoPoly.norm) is already 1.1e-11 off at a
+        # level-5 Dirac component here; the closed form stays below 1.4e-14.
+        for n in range(12):
+            for poly in chain_polys(n):
+                ref = gamma_sum(poly)
+                assert abs(laguerre_norm2(poly) - ref) <= 3e-14 * ref
+
+    def test_normalised_chains_have_unit_norm(self):
+        for n in (12, 16):
+            f = nr.normalize(nr.eigenfunction(FIG2, n))
+            assert float(gamma_sum(f)) == pytest.approx(1.0, abs=1e-13)
+            for fam in dc.FAMILIES:
+                phi = dc.normalize_spinor(dc.eigenfunction_chain(FIG3, n, fam))
+                total = sum(gamma_sum(c) for c in phi.components if c.terms)
+                assert float(total) == pytest.approx(1.0, abs=1e-13)
+
+    def test_guard_tolerance_clears_the_measured_departure(self):
+        # Twenty drawn sets, levels 0..20: the chains depart from their
+        # closed forms by at most 3.6e-15 of the largest coefficient.
+        rng = rng_for(70)
+        worst = 0.0
+        for _ in range(20):
+            p, q = random_nr(rng), random_dirac(rng)
+            for n in range(0, 21, 4):
+                worst = max(worst, departure(nr.eigenfunction(p, n)))
+                for fam in dc.FAMILIES:
+                    for c in dc.eigenfunction_chain(q, n, fam).components:
+                        if c.terms:
+                            worst = max(worst, departure(c))
+        assert worst <= 1e-14 <= LAGUERRE_TOL / 10
+
+
+class TestNotALaguerreFunction:
+    a, b = FIG2.a, FIG2.b
+
+    def poly(self, *terms):
+        return ExpoPoly(self.a, self.b, tuple(terms))
+
+    @pytest.mark.parametrize("terms", [
+        (),
+        ((1, 1, None, 1.0),),                            # no decay
+        ((1, 1, 2, 1.0), (1, 2, 3, 1.0)),                # two decay indices
+        ((1, 1, 2, 1.0), (1, 3, 2, 1.0)),                # a gap in the powers
+        ((0, 1, 2, 1.0), (1, 1, 2, 1.0)),                # two values of mu
+        ((0, -2, 2, 1.0),),                              # p0 = -2, alpha <= -1
+        ((0, 0, 2, 1.0),),                               # p0 = 0, alpha = -1
+    ], ids=["zero", "no-decay", "two-rates", "gap", "two-mu", "negative-p0", "zero-p0"])
+    def test_wrong_shape_raises_value_error(self, terms):
+        with pytest.raises(ValueError):
+            laguerre_norm2(self.poly(*terms))
+
+    def test_departed_coefficients_raise_precision_loss(self):
+        f = nr.eigenfunction(FIG2, 6)
+        scale = f.max_abs_coeff()
+        for i in range(len(f.terms) - 1):
+            mu, j, k, coeff = f.terms[i]
+            bumped = f + self.poly((mu, j, k, 1e3 * LAGUERRE_TOL * scale))
+            with pytest.raises(PrecisionLoss, match="depart from the Laguerre form"):
+                laguerre_norm2(bumped)
+            with pytest.raises(PrecisionLoss):
+                nr.normalize(bumped)
+
+    def test_random_polys_raise(self):
+        rng = rng_for(71)
+        for _ in range(20):
+            terms = [(1, int(j), 3, complex(*rng.standard_normal(2))) for j in range(1, 5)]
+            with pytest.raises(PrecisionLoss):
+                laguerre_norm2(self.poly(*terms))
+
+    def test_normalize_spinor_refuses_a_non_chain(self):
+        gap = self.poly((1, 1, 2, 1.0), (1, 3, 2, 1.0))
+        phi = dc.SpinorFn((gap, ExpoPoly.zero(self.a, self.b)))
+        with pytest.raises(ValueError):
+            dc.normalize_spinor(phi)
+
+
+class TestHornerSampling:
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_no_worse_than_the_term_sum(self, n):
+        # fig2 at level 16, on all 512 table points: Horner 2.4e-9 of max|f|,
+        # the term sum 1.0e-8.
+        rho_max = default_rho_max(FIG2, n)
+        rhos = np.linspace(rho_max / 512, rho_max, 512)[::4]
+        for poly in chain_polys(n)[:5]:  # the scalar chain and family a
+            ref = samples(poly, rhos)
+            peak = np.max(np.abs(ref))
+            horner = np.max(np.abs(poly.eval_array(rhos) - ref)) / peak
+            summed = np.max(np.abs(term_sum(poly, rhos) - ref)) / peak
+            assert horner <= summed
+            assert horner <= 1e-8
+
+    def test_gaps_and_negative_powers(self):
+        # V0 of fig2 (powers -2 and -1, no decay) and terms in three (mu, k)
+        # groups, one with a gap of two in j.
+        rhos = np.geomspace(1e-3, 50.0, 64)
+        polys = [nr.potential(FIG2, 0),
+                 ExpoPoly(FIG2.a, FIG2.b, ((1, 1, 2, 1.5 - 2j), (1, 3, 2, 0.25),
+                                           (0, -1, None, 3.0), (0, 2, 4, -1j)))]
+        for poly in polys:
+            magnitude = sum(np.abs(term_sum(ExpoPoly(poly.a, poly.b, (t,)), rhos))
+                            for t in poly.terms)
+            assert np.all(np.abs(poly.eval_array(rhos) - samples(poly, rhos))
+                          <= 1e-15 * magnitude)

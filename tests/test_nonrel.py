@@ -3,6 +3,7 @@ ladder kernels, eigenfunction chains, spectra, and physical-unit maps."""
 
 import math
 
+import numpy as np
 import pytest
 from conftest import random_nr, random_phys, random_poly, rng_for
 
@@ -197,6 +198,19 @@ class TestEigenfunctions:
         for params in SETS:
             for n in range(0, 13):
                 assert len(nr.eigenfunction_nodes(params, n)) == n
+
+    def test_node_on_a_sample_counted_once(self):
+        # The fig2 level-1 node, rho = (a+1)(a+2)/b = 17.5, is sample 256 of
+        # the 4096 on (0, 280], and Re f is exactly zero there.
+        f = nr.eigenfunction(FIG2, 1)
+        xs = np.linspace(280.0 / 4096, 280.0, 4096)
+        assert f.eval_array(xs).real[255] == 0.0
+        assert nr.interior_zeros(f, 280.0) == [pytest.approx(17.5, rel=1e-15)]
+        # rho - 2 on (0, 8] vanishes exactly at sample 1024 and nowhere else.
+        g = ExpoPoly.sum(FIG2.a, FIG2.b, [ExpoPoly.term(FIG2.a, FIG2.b, -2.0),
+                                          ExpoPoly.term(FIG2.a, FIG2.b, 1.0, j=1)])
+        assert np.count_nonzero(g.eval_array(np.linspace(8.0 / 4096, 8.0, 4096)) == 0) == 1
+        assert nr.interior_zeros(g, 8.0) == [pytest.approx(2.0, rel=1e-15)]
 
     def test_orthogonality(self):
         fs = [nr.eigenfunction(FIG2, n) for n in range(6)]
