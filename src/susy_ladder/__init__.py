@@ -8,9 +8,9 @@ confirms every eigenvalue and eigenfunction numerically.
 """
 
 from .errors import (ContextMismatch, DegenerateDenominator, DivergentIntegral,
-                     DomainError, GridTooCoarse, LadderError, LevelCapExceeded,
-                     NegativeRadicand, NoBoundStates, PrecisionLoss, SingularXi,
-                     TailNotDecayed)
+                     DomainError, GridCapExceeded, GridTooCoarse, LadderError,
+                     LevelCapExceeded, NegativeRadicand, NoBoundStates,
+                     PrecisionLoss, SingularXi, TailNotDecayed)
 from .expalg import ExpoPoly
 from .params import DiracParams, NRParams, PhysicalParams
 
@@ -18,9 +18,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ContextMismatch", "DegenerateDenominator", "DivergentIntegral",
-    "DomainError", "GridTooCoarse", "LadderError", "LevelCapExceeded",
-    "NegativeRadicand", "NoBoundStates", "PrecisionLoss", "SingularXi",
-    "TailNotDecayed",
+    "DomainError", "GridCapExceeded", "GridTooCoarse", "LadderError",
+    "LevelCapExceeded", "NegativeRadicand", "NoBoundStates", "PrecisionLoss",
+    "SingularXi", "TailNotDecayed",
     "ExpoPoly",
     "DiracParams", "NRParams", "PhysicalParams",
     "__version__",

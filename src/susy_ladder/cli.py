@@ -7,7 +7,8 @@ digit scientific notation so identical configurations produce identical
 bytes on every platform.
 
 Exit codes: 0 success, 2 invalid configuration or parameters (including
-more eigenfunction levels than MAX_LEVELS), 3 when verify finds a failed
+more eigenfunction levels than MAX_LEVELS or more grid points than
+MAX_GRID_POINTS), 3 when verify finds a failed
 check (an oracle grid that does not converge on refinement fails its check;
 the other checks still run).
 """
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import dirac as dc
 from . import nonrel as nr
-from .errors import LadderError, LevelCapExceeded
+from .errors import GridCapExceeded, LadderError, LevelCapExceeded
 from .params import DiracParams, NRParams, PhysicalParams, default_rho_max
 
 FIG_SAMPLES = 512
@@ -39,6 +40,15 @@ MAX_LEVELS = 13
 _CAPPED_MODES = ("nr-eigenfunctions", "dirac-eigenfunctions")
 _CAP_REASON = (f"beyond level {MAX_LEVELS - 1} the sampling window cuts off more "
                "than 5e-6 of the top level's norm at a = 1.5")
+
+# Most LogGrid points the scalar check takes; its refinement re-solves at
+# 2N - 1. The solve costs about 6 us and 150 bytes per point (0.38 s and
+# 11 MB at 65536), and past 8192 points the graded matrix's roundoff outgrows
+# the step error: at fig2 the error is 3.7e-13 at 8192, 3.2e-11 at 65536 and
+# 2.6e-10 at 262144 points.
+MIN_GRID_POINTS = 64
+MAX_GRID_POINTS = 65536
+_GRID_CAP_REASON = "more points cost time linearly and, past 8192, lose accuracy to roundoff"
 
 # Canonical parameter sets reproduced by the figure subcommands.
 FIG2_NR = {"a": 1.5, "b": 0.5}
@@ -79,7 +89,7 @@ class RunConfig:
     ell: float | None = None
     levels: int = 3
     families: tuple[str, ...] = ("a", "b", "c", "d")
-    grid_points: int = 4096
+    grid_points: int = 1024
     rho_max: float | None = None
     fmt: str = "csv"
     out: str | None = None
@@ -284,6 +294,12 @@ def run(cfg: RunConfig) -> int:
         if cfg.mode in _CAPPED_MODES and cfg.levels > MAX_LEVELS:
             raise LevelCapExceeded(
                 f"--levels {cfg.levels} is above the cap of {MAX_LEVELS}: {_CAP_REASON}")
+        if cfg.grid_points > MAX_GRID_POINTS:
+            raise GridCapExceeded(f"--grid-points {cfg.grid_points} is above the cap of "
+                                  f"{MAX_GRID_POINTS}: {_GRID_CAP_REASON}")
+        if cfg.grid_points < MIN_GRID_POINTS:
+            raise ValueError(f"--grid-points must be at least {MIN_GRID_POINTS}, "
+                             f"got {cfg.grid_points}")
         for fam in cfg.families:
             if fam not in dc.FAMILIES:
                 raise ValueError(f"unknown family {fam!r}")
@@ -329,6 +345,17 @@ def _families(text: str) -> tuple[str, ...]:
 _FLAG_TYPES = {"levels": int, "grid_points": int, "families": _families}
 
 
+def _flag_help(mode: str, name: str) -> str | None:
+    if name == "levels" and mode in _CAPPED_MODES:
+        return (f"number of levels (default 3), at most {MAX_LEVELS}: "
+                f"{_CAP_REASON}, and more at larger a")
+    if name == "grid_points":
+        return (f"LogGrid points of the scalar finite-difference check (default 1024), "
+                f"at least {MIN_GRID_POINTS} and at most {MAX_GRID_POINTS}: "
+                f"{_GRID_CAP_REASON}")
+    return None
+
+
 class _ModeParser(argparse.ArgumentParser):
     """A mode's parser. It rejects arguments it does not take itself, so the
     error shows the mode's usage rather than the top-level one."""
@@ -351,12 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
         # No flag sets a default of its own: an absent flag leaves RunConfig's.
         p = sub.add_parser(mode, argument_default=argparse.SUPPRESS)
         for name in names:
-            capped = name == "levels" and mode in _CAPPED_MODES
             p.add_argument("--" + name.replace("_", "-"),
-                           type=_FLAG_TYPES.get(name, float),
-                           help=(f"number of levels (default 3), at most {MAX_LEVELS}: "
-                                 f"{_CAP_REASON}, and more at larger a")
-                           if capped else None)
+                           type=_FLAG_TYPES.get(name, float), help=_flag_help(mode, name))
         p.add_argument("--format", dest="fmt", choices=("csv", "json"))
         p.add_argument("--out")
     return parser

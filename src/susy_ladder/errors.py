@@ -48,3 +48,7 @@ class PrecisionLoss(LadderError):
 
 class LevelCapExceeded(LadderError):
     """More eigenfunction levels were requested than the sampling window holds."""
+
+
+class GridCapExceeded(LadderError):
+    """More finite-difference grid points were requested than the oracle takes."""

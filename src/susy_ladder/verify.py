@@ -20,7 +20,7 @@ from .expalg import ExpoPoly
 from .params import DiracParams, NRParams, PhysicalParams, default_rho_max
 
 SEED = 20121028
-SCAN_POINTS = 2048  # LogGrid points of the Dirac scan; refinement re-solves at twice that
+SCAN_POINTS = 2048  # LogGrid points of the Dirac scan; refinement re-solves at 2N - 1
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def _gram_check(name: str, gram) -> CheckResult:
 
 
 def check_nr_fd(params: NRParams, n_points: int) -> CheckResult:
-    grid = orc.wall_grid(default_rho_max(params, 3), n_points)
+    grid = orc.LogGrid(default_rho_max(params, 3), n_points)
     try:
         fd = orc.fd_schrodinger_eigs(params, 3, grid)
     except GridTooCoarse as exc:
@@ -288,7 +288,7 @@ def check_gamma_vs_quadrature(params: NRParams) -> CheckResult:
 
 
 def run_all(nr_params: NRParams, dirac_params: DiracParams,
-            tol: float = 1e-11, n_points: int = 4096) -> list[CheckResult]:
+            tol: float = 1e-11, n_points: int = 1024) -> list[CheckResult]:
     return [
         check_riccati(tol),
         check_nr_factorization(tol),

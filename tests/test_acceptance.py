@@ -24,13 +24,13 @@ def report(index: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_scalar_regime():
-    """Spectrum values, FD agreement at 4096 points, node counts; under 10 s."""
+    """Spectrum values, FD agreement at 1024 log-grid points, node counts; under 10 s."""
     start = time.monotonic()
     expect = [-0.02, -0.25 / 24.5, -0.25 / 40.5]
     analytic = [nr.spectrum_radial(FIG2, n) for n in range(3)]
     spectrum_ok = all(abs(x - y) <= 1e-12 for x, y in zip(analytic, expect))
 
-    grid = orc.wall_grid(default_rho_max(FIG2, 3), 4096)
+    grid = orc.LogGrid(default_rho_max(FIG2, 3), 1024)
     fd = orc.fd_schrodinger_eigs(FIG2, 3, grid)
     fd_err = max(abs(fd[n] - analytic[n]) for n in range(3))
     fd_ok = fd_err <= 1e-5
@@ -175,8 +175,8 @@ def test_criterion_6_oracle_convergence():
     ~16 (order h^4) on the first scalar eigenfunction."""
     exact = nr.spectrum_radial(FIG2, 0)
     eig_errs = [orc.fd_schrodinger_eigs(
-        FIG2, 1, orc.RadialGrid(0.05, 280.0, n), richardson=False)[0] - exact
-        for n in (1024, 2048)]
+        FIG2, 1, orc.LogGrid(280.0, n), richardson=False)[0] - exact
+        for n in (1024, 2047)]
     eig_ratio = eig_errs[0] / eig_errs[1]
 
     rels = []

@@ -225,6 +225,46 @@ class TestConfigValidation:
         assert capture([mode, *params, "--levels", str(levels)])[0] == code
 
 
+    @pytest.mark.parametrize("points", ["1000000000", "65537"])
+    def test_grid_points_above_cap_refused(self, points, capsys, monkeypatch):
+        # refused before any solve: a solve here would fail the test
+        import susy_ladder.oracle as orc
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a finite-difference solve ran")
+        monkeypatch.setattr(orc, "eigh_tridiagonal", no_solve)
+        code, text = capture(["verify", "--grid-points", points])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == (
+            f"error: --grid-points {points} is above the cap of 65536: more points "
+            "cost time linearly and, past 8192, lose accuracy to roundoff\n")
+
+    def test_grid_points_below_minimum_refused(self, capsys):
+        code, text = capture(["verify", "--grid-points", "63"])
+        assert code == 2
+        assert text == ""
+        assert "--grid-points must be at least 64, got 63" in capsys.readouterr().err
+
+    def test_grid_points_cap_accepted(self, monkeypatch):
+        from susy_ladder import verify as vf
+        seen = {}
+
+        def record(nr_params, dirac_params, tol, n_points):
+            seen["n_points"] = n_points
+            return []
+        monkeypatch.setattr(vf, "run_all", record)
+        assert capture(["verify", "--grid-points", "65536"])[0] == 0
+        assert seen == {"n_points": 65536}
+
+    def test_grid_points_stated_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert ("--grid-points GRID_POINTS LogGrid points of the scalar finite-difference "
+                "check (default 1024), at least 64 and at most 65536:") in \
+            " ".join(capsys.readouterr().out.split())
+
+
 class TestOutputFile:
     def test_out_writes_identical_content(self, tmp_path):
         target = tmp_path / "table.csv"

@@ -239,7 +239,7 @@ class TestSpectra:
 
     def test_matches_fd_oracle(self):
         from susy_ladder import oracle as orc
-        grid = orc.wall_grid(default_rho_max(FIG2, 3), 4096)
+        grid = orc.LogGrid(default_rho_max(FIG2, 3), 1024)
         fd = orc.fd_schrodinger_eigs(FIG2, 3, grid)
         for n in range(3):
             assert abs(fd[n] - nr.spectrum_radial(FIG2, n)) <= 1e-5

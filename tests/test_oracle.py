@@ -31,21 +31,28 @@ class TestRadialGrid:
         assert g.points[-1] == pytest.approx(10.0)
         assert np.allclose(np.diff(g.points), g.h)
 
-    def test_wall_grid_has_spacing_equal_to_rho_min(self):
-        g = orc.wall_grid(100.0, 8192)
-        assert g.h == pytest.approx(g.rho_min, rel=1e-12)
-
-    def test_wall_grid_exempt_from_the_wall_offset_rule(self):
-        # rho_max/64 exceeds 1e-3 rho_max, but a wall grid's wall is at rho = 0
-        g = orc.wall_grid(100.0, 64)
-        assert g.rho_min == pytest.approx(g.h, rel=1e-12)
+    def test_wall_offset_rule_has_no_exemption(self):
+        # rho_max/64 exceeds 1e-3 rho_max, even with rho_min equal to the spacing
+        with pytest.raises(ValueError):
+            orc.RadialGrid(100.0 / 64, 100.0, 64)
         with pytest.raises(ValueError):
             orc.RadialGrid(0.9, 100.0, 64)
 
 
+class TestLogGrid:
+    def test_refinement_halves_the_step(self):
+        # 2N - 1 points on the same window: h halves exactly, and every
+        # coarse point is a fine one
+        seen = []
+        orc._refined(lambda g: seen.append(g) or [0.0], orc.LogGrid(100.0, 1024))
+        coarse, fine = seen
+        assert fine.h == pytest.approx(coarse.h / 2, rel=1e-14)
+        assert np.allclose(fine.points[::2], coarse.points, rtol=1e-12)
+
+
 class TestScalarEigs:
     def test_fig2_first_levels(self):
-        grid = orc.wall_grid(default_rho_max(FIG2, 3), 4096)
+        grid = orc.LogGrid(default_rho_max(FIG2, 3), 1024)
         fd = orc.fd_schrodinger_eigs(FIG2, 3, grid)
         assert fd[0] == pytest.approx(-0.02, abs=1e-5)
         assert fd[1] == pytest.approx(-0.0102041, abs=1e-5)
@@ -53,30 +60,30 @@ class TestScalarEigs:
         assert fd == sorted(fd)
 
     def test_requires_covering_grid(self):
-        small = orc.RadialGrid(0.01, 50.0, 1024)
+        small = orc.LogGrid(50.0, 1024)
         with pytest.raises(ValueError):
             orc.fd_schrodinger_eigs(FIG2, 3, small)
 
     def test_grid_too_coarse(self):
-        # 64 points over a 440-wide box cannot pin the ground level to 1e-4
-        grid = orc.wall_grid(440.0, 64)
+        # 64 log-grid points over a 440-wide box move level 2 by 3.0e-4
+        grid = orc.LogGrid(440.0, 64)
         with pytest.raises(GridTooCoarse):
-            orc.fd_schrodinger_eigs(FIG2, 1, grid)
+            orc.fd_schrodinger_eigs(FIG2, 3, grid)
 
     def test_richardson_refuses_a_grid_off_the_origin(self):
-        # there the wall error does not shrink with h, and the Richardson
-        # value at level 0 is worse than the raw solve (1.4e-6 vs 4.3e-7)
+        # a grid uniform in rho leaves a wall at rho_min whose error does not
+        # shrink with h; the scalar solve runs on a LogGrid only
         grid = orc.default_grid(FIG2, 3, 4096)
-        with pytest.raises(ValueError, match="wall_grid"):
+        with pytest.raises(TypeError, match="LogGrid"):
             orc.fd_schrodinger_eigs(FIG2, 3, grid)
-        raw = orc.fd_schrodinger_eigs(FIG2, 3, grid, richardson=False)
-        assert abs(raw[0] - nr.spectrum_radial(FIG2, 0)) <= 1e-6
+        with pytest.raises(TypeError, match="LogGrid"):
+            orc.fd_schrodinger_eigs(FIG2, 3, grid, richardson=False)
 
-    def test_richardson_value_on_a_wall_grid(self):
+    def test_richardson_value_on_a_log_grid(self):
         # fig3's (a, b): every requested level is refined, and the Richardson
         # value beats the raw solve on each
         params = NRParams(1.0, 2.0)
-        grid = orc.wall_grid(default_rho_max(params, 3), 4096)
+        grid = orc.LogGrid(default_rho_max(params, 3), 1024)
         raw = orc.fd_schrodinger_eigs(params, 3, grid, richardson=False)
         rich = orc.fd_schrodinger_eigs(params, 3, grid)
         for n in range(3):
@@ -87,14 +94,15 @@ class TestScalarEigs:
     def test_coverage_check_accepts_the_shared_window(self):
         # a window spelled 40(a+4)/b ends one ulp short of 40(a+3+1)/b here
         params = NRParams(0.17087189561177435, 0.09875652480916083)
-        grid = orc.wall_grid(default_rho_max(params, 3), 256)
+        grid = orc.LogGrid(default_rho_max(params, 3), 256)
         assert len(orc.fd_schrodinger_eigs(params, 3, grid, richardson=False)) == 3
 
     def test_second_order_convergence(self):
+        # 1024, 2047 and 4093 points halve the step exactly
         exact = nr.spectrum_radial(FIG2, 0)
         errs = [orc.fd_schrodinger_eigs(
-            FIG2, 1, orc.RadialGrid(0.05, 280.0, n), richardson=False)[0] - exact
-            for n in (1024, 2048, 4096)]
+            FIG2, 1, orc.LogGrid(280.0, n), richardson=False)[0] - exact
+            for n in (1024, 2047, 4093)]
         r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
         assert 3.5 <= r1 <= 4.5
         assert 3.5 <= r2 <= 4.5
@@ -209,25 +217,42 @@ class TestSpectrumScan:
 
     def test_refuses_a_grid_uniform_in_rho(self):
         with pytest.raises(TypeError, match="LogGrid"):
-            orc.dirac_spectrum_scan(FIG3, (0.9, 2.2), orc.wall_grid(self.RHO_MAX, 2048))
+            orc.dirac_spectrum_scan(FIG3, (0.9, 2.2),
+                                    orc.RadialGrid(1e-3 * self.RHO_MAX, self.RHO_MAX, 2048))
+
+    @staticmethod
+    def dense_channel(cf, k, b, const, grid):
+        # the graded matrix of the documented substitution, with the ghost
+        # value v_-1 = exp(-k h) v_0 of the regular solution on the first row
+        rho, h = grid.points, grid.h
+        diag = (2 / h ** 2 + cf + 0.25 - 2 * b * rho + const * rho ** 2) / rho ** 2
+        diag[0] -= math.exp(-k * h) / (h * rho[0]) ** 2
+        off = -1 / (h ** 2 * rho[:-1] * rho[1:])
+        return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
     def test_bisection_matches_a_dense_solve(self):
-        # the graded matrix of the documented substitution, solved densely:
-        # bisection at scipy's default tolerance (eps * ||T||_1, ~2.5e22 here)
-        # misses these by ~0.9
+        # bisection at scipy's default tolerance (eps * ||T||_1, ~11 here)
+        # misses these by ~0.9; at a = 0.3 the cf = a(a-1) channel's k is negative
         grid = orc.LogGrid(self.RHO_MAX, 256)
-        rho, h = grid.points, grid.h
-        const = (FIG3.b / FIG3.a) ** 2 + FIG3.d0 ** 2 + FIG3.mbar ** 2
         lo, hi = 0.9, 2.2
-        expect = []
-        for cf in (FIG3.a * (FIG3.a - 1), FIG3.a * (FIG3.a + 1)):
-            diag = (2 / h ** 2 + cf + 0.25 - 2 * FIG3.b * rho + const * rho ** 2) / rho ** 2
-            off = -1 / (h ** 2 * rho[:-1] * rho[1:])
-            sq = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-            expect.extend(sq[(sq >= lo * lo) & (sq <= hi * hi)])
-        found = orc.dirac_spectrum_scan(FIG3, (lo, hi), grid, richardson=False)
-        assert len(found) == len(expect) > 0
-        assert np.max(np.abs(np.square(found) - np.sort(expect))) <= 1e-10
+        for a in (FIG3.a, 0.3):
+            params = DiracParams(a=a, b=FIG3.b, d0=FIG3.d0, mbar=FIG3.mbar)
+            const = (params.b / a) ** 2 + params.d0 ** 2 + params.mbar ** 2
+            expect = []
+            for cf, k in ((a * (a - 1), a - 0.5), (a * (a + 1), a + 0.5)):
+                sq = self.dense_channel(cf, k, params.b, const, grid)
+                expect.extend(sq[(sq >= lo * lo) & (sq <= hi * hi)])
+            found = orc.dirac_spectrum_scan(params, (lo, hi), grid, richardson=False)
+            assert len(found) == len(expect) > 0
+            assert np.max(np.abs(np.square(found) - np.sort(expect))) <= 1e-10
+
+    def test_scalar_bisection_matches_a_dense_solve(self):
+        # the scalar operator times 2 is the channel cf = a(a+1), C = 0; at
+        # scipy's default tolerance all three levels come out as -8.0e-4
+        grid = orc.LogGrid(default_rho_max(FIG2, 3), 256)
+        sq = self.dense_channel(FIG2.a * (FIG2.a + 1), FIG2.a + 0.5, FIG2.b, 0.0, grid)
+        found = orc.fd_schrodinger_eigs(FIG2, 3, grid, richardson=False)
+        assert np.max(np.abs(np.array(found) - sq[:3] / 2)) <= 1e-12
 
 
 class TestQuadrature:

@@ -105,8 +105,6 @@ def test_cli_verify_passes_dirac_scan_at_the_example_set(capsys):
 
 
 def test_dirac_scan_passes_on_seeded_draws_with_a_at_least_1():
-    # below a = 1 the inner Dirichlet end biases the cf = a(a-1) channel by
-    # about (rho_min / rho_max)^(2a-1); from a = 1 on that bias is below 1e-20
     rng = np.random.default_rng(0)
     draws = [p for p in (vf.random_dirac(rng) for _ in range(60)) if p.a >= 1.0][:20]
     assert len(draws) == 20
@@ -115,14 +113,49 @@ def test_dirac_scan_passes_on_seeded_draws_with_a_at_least_1():
         assert result.passed, f"{p}: {result.detail}"
 
 
+def _draws(draw, seed, count):
+    rng = np.random.default_rng(seed)
+    return [draw(rng) for _ in range(count)]
+
+
+def test_nr_fd_check_passes_every_seeded_draw():
+    # 19 of these 200 failed on a wall grid at 4096 points
+    for p in _draws(vf.random_nr, 0, 100) + _draws(vf.random_nr, 1, 100):
+        result = vf.check_nr_fd(p, 1024)
+        assert result.passed, f"{p}: {result.detail}"
+
+
+def test_dirac_scan_passes_every_seeded_draw():
+    # 4 of these 100 failed with a Dirichlet inner end at depth 1e-20
+    for p in _draws(vf.random_dirac, 0, 100):
+        result = vf.check_dirac_scan(p)
+        assert result.passed, f"{p}: {result.detail}"
+
+
+@pytest.mark.parametrize("draw", [18, 23, 30, 42])
+def test_dirac_scan_passes_near_a_half(draw):
+    # random_dirac(np.random.default_rng(0)) draws with a in [0.52, 0.62],
+    # where a Dirichlet inner end biased the cf = a(a-1) channel
+    p = _draws(vf.random_dirac, 0, draw + 1)[draw]
+    assert 0.5 < p.a < 0.62
+    result = vf.check_dirac_scan(p)
+    assert result.passed, result.detail
+
+
 @pytest.mark.parametrize("a, b", [
     (1.2, 0.8),
     (1.0293949701285081, 1.2876431645150828),
     (1.2223999011091387, 2.269576139210064),
-], ids=["verify-example", "rng0-draw9", "rng0-draw22"])
-def test_nr_fd_check_passes_on_the_wall_grid(a, b):
-    # the two draws are random_nr(np.random.default_rng(0)) draws 9 and 22
-    result = vf.check_nr_fd(NRParams(a, b), 4096)
+    (0.5764322215230082, 2.1485527100721353),
+    *[(a, b) for a in (0.05, 0.1, 0.2, 0.3) for b in (0.1, 1.0, 3.0)],
+], ids=["verify-example", "rng0-draw9", "rng0-draw22", "rng0-draw24",
+        *[f"small-a-{a}-{b}" for a in (0.05, 0.1, 0.2, 0.3) for b in (0.1, 1, 3)]])
+def test_nr_fd_check_passes_on_the_log_grid(a, b):
+    # the rng0 draws are random_nr(np.random.default_rng(0)) draws. On a wall
+    # grid at 4096 points, draw 24 and eight of the small-a sets moved by more
+    # than RICHARDSON_SHIFT on refinement (2.3e-4 to 6.3e-3): rho^(a+1) is
+    # steep at the origin for small a.
+    result = vf.check_nr_fd(NRParams(a, b), 1024)
     assert result.passed, result.detail
 
 
