@@ -276,11 +276,15 @@ def _render_json(cols, rows, meta: dict) -> str:
 
 
 def _meta(cfg: RunConfig) -> dict:
+    """The RunConfig fields the mode takes (its flags, --format and --out)
+    and the mode itself, in field order."""
+    taken = {"mode", "fmt", "out", *_MODE_FLAGS[cfg.mode]}
     meta = {}
     for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        key = "format" if f.name == "fmt" else f.name
-        meta[key] = list(value) if isinstance(value, tuple) else value
+        if f.name in taken:
+            value = getattr(cfg, f.name)
+            key = "format" if f.name == "fmt" else f.name
+            meta[key] = list(value) if isinstance(value, tuple) else value
     return meta
 
 

@@ -258,12 +258,9 @@ def _block_diag(op: MatrixOp, params: DiracParams) -> MatrixOp:
     return MatrixOp(dcoef, tuple(pot))
 
 
-def a_dagger(params: DiracParams, n: int, block: MatrixOp | None = None) -> MatrixOp:
-    """4x4 raising intertwiner: the 2x2 intertwiner on both diagonal blocks.
-
-    block is b_dagger(params, n) when the caller has already built it.
-    """
-    return _block_diag(b_dagger(params, n) if block is None else block, params)
+def a_dagger(params: DiracParams, n: int) -> MatrixOp:
+    """4x4 raising intertwiner: the 2x2 intertwiner on both diagonal blocks."""
+    return _block_diag(b_dagger(params, n), params)
 
 
 def a_op(params: DiracParams, n: int) -> MatrixOp:

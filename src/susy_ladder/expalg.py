@@ -64,8 +64,7 @@ class ExpoPoly:
     terms: tuple[Term, ...] = ()
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError("context requires a > 0 and b > 0")
+        _check_positive_context(self.a, self.b)
         object.__setattr__(self, "terms", _canonicalize(self.a, self.b, self.terms))
 
     # -- constructors -------------------------------------------------------
@@ -84,7 +83,11 @@ class ExpoPoly:
             raise ValueError("exponent offset must be an integer")
         if k is not None and not isinstance(k, int):
             raise ValueError("decay index must be an integer or None")
-        return cls(a, b, (Term(mu, j, k, coeff),))
+        # The constructor's checks and its 0j + coeff, without its merge and sort.
+        _check_positive_context(a, b)
+        _check_rate(a, k)
+        coeff = 0j + coeff
+        return _wrap(a, b, (_new_term(Term, (mu, j, k, coeff)),) if coeff != 0j else ())
 
     # -- ring-like operations -----------------------------------------------
 
@@ -215,6 +218,16 @@ class ExpoPoly:
 
     def max_abs_coeff(self) -> float:
         return max((abs(t.coeff) for t in self.terms), default=0.0)
+
+
+def _check_positive_context(a: float, b: float) -> None:
+    if not (a > 0 and b > 0):
+        raise ValueError("context requires a > 0 and b > 0")
+
+
+def _check_rate(a: float, k: int | None) -> None:
+    if k is not None and a + k <= 0:
+        raise ValueError(f"decay index {k} gives a non-positive rate")
 
 
 def _check_context(a: float, b: float, other: ExpoPoly) -> None:
@@ -379,9 +392,22 @@ def _wrap(a: float, b: float, terms: tuple[Term, ...]) -> ExpoPoly:
 
 
 def _sorted_terms(acc: dict[tuple, complex]) -> tuple[Term, ...]:
-    """The nonzero entries of a {(mu, j, k): coeff} map as sorted terms."""
-    return tuple([_new_term(Term, (*key, acc[key]))
-                  for key in sorted(acc, key=_order) if acc[key] != 0j])
+    """The nonzero entries of a {(mu, j, k): coeff} map as sorted terms.
+
+    Keys sort in their natural tuple order, with no Python key call. That
+    is _order's order wherever it is defined: keys are distinct, so two
+    that share (mu, j) differ in k, and two integer k compare as _order
+    compares them. Only a None k against an integer one is undefined, when
+    one (mu, j) holds both. Then (mu, j, None) and (mu, j, least k) are
+    adjacent in _order, and a comparison sort must compare every adjacent
+    pair of its result, so the natural sort raises TypeError and the keys
+    are sorted by _order instead.
+    """
+    try:
+        keys = sorted(acc)
+    except TypeError:
+        keys = sorted(acc, key=_order)
+    return tuple([_new_term(Term, (*key, acc[key])) for key in keys if acc[key] != 0j])
 
 
 def _from_map(a: float, b: float, acc: dict[tuple, complex]) -> ExpoPoly:
@@ -407,8 +433,7 @@ def _canonicalize(a: float, b: float, terms) -> tuple[Term, ...]:
     """
     acc: dict[tuple, complex] = {}
     for mu, j, k, coeff in terms:
-        if k is not None and a + k <= 0:
-            raise ValueError(f"decay index {k} gives a non-positive rate")
+        _check_rate(a, k)
         key = (mu, j, k)
         acc[key] = acc.get(key, 0j) + complex(coeff)
     return _sorted_terms(acc)

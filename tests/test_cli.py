@@ -16,6 +16,11 @@ import pytest
 from susy_ladder.cli import RunConfig, build_parser, config_from_args, main, run
 
 
+_PHYS = ["hbar", "m", "c", "e", "k", "pz", "ell"]
+_DIRAC = ["a", "b", "d0", "mbar"]
+_FIG3_ARGS = ["--a", "1", "--b", "2", "--d0", "1", "--mbar", "0.1"]
+
+
 def capture(argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -290,6 +295,27 @@ class TestOutputFile:
         assert doc["meta"]["mode"] == "nr-spectrum"
         assert doc["meta"]["levels"] == 2
         assert doc["meta"]["a"] == 1.5
+
+    @pytest.mark.parametrize("mode, args, keys", [
+        ("nr-spectrum", ["--a", "1.5", "--b", "0.5"],
+         ["a", "b", *_PHYS, "levels", "format", "out"]),
+        ("nr-eigenfunctions", ["--a", "1.5", "--b", "0.5", "--levels", "2"],
+         ["a", "b", *_PHYS, "levels", "rho_max", "format", "out"]),
+        ("dirac-spectrum", _FIG3_ARGS,
+         [*_DIRAC, *_PHYS, "levels", "families", "format", "out"]),
+        ("dirac-eigenfunctions", [*_FIG3_ARGS, "--levels", "2"],
+         [*_DIRAC, *_PHYS, "levels", "families", "rho_max", "format", "out"]),
+        ("fig2", [], ["a", "b", *_PHYS, "rho_max", "format", "out"]),
+        ("fig3", [], [*_DIRAC, *_PHYS, "rho_max", "format", "out"]),
+        ("verify", [], [*_DIRAC, *_PHYS, "grid_points", "format", "out", "tolerance"]),
+    ])
+    def test_json_meta_echoes_only_the_modes_fields(self, mode, args, keys, monkeypatch):
+        # verify's checks are stubbed: its meta does not depend on them
+        from susy_ladder import verify as vf
+        monkeypatch.setattr(vf, "run_all", lambda *args, **kwargs: [])
+        code, text = capture([mode, *args, "--format", "json"])
+        assert code == 0
+        assert list(json.loads(text)["meta"]) == ["mode", *keys]
 
     def test_json_escapes_control_characters(self, tmp_path):
         target = tmp_path / 'a\tb"c\\d\u00e9.json'

@@ -59,6 +59,50 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             term(1.0, 1.0, 1.0, mu=0, j=0, k=-1)
 
+    @pytest.mark.parametrize("a, b, k", [
+        (0.0, 1.0, None), (-1.0, 1.0, None), (1.0, 0.0, None), (1.0, -0.5, None),
+        (1.5, 0.5, -2), (2.0, 0.5, -2),
+    ], ids=["a=0", "a<0", "b=0", "b<0", "a+k<0", "a+k=0"])
+    def test_term_checks_the_context_and_the_rate(self, a, b, k):
+        with pytest.raises(ValueError):
+            ExpoPoly.term(a, b, 1.0, mu=1, j=0, k=k)
+        with pytest.raises(ValueError):
+            ExpoPoly(a, b, (Term(1, 0, k, 1.0 + 0j),))
+
+    def test_term_equals_the_constructor(self):
+        rng = rng_for(60)
+        coeffs = [complex(rng.standard_normal(), rng.standard_normal()) for _ in range(10)]
+        coeffs += [0.0, 0j, complex(-0.0, -0.0), complex(-0.0, 1.0), complex(2.0, -0.0), -3]
+        for coeff in coeffs:
+            for mu, j, k in [(0, 0, None), (1, 2, 0), (0, -1, None), (1, -3, 4)]:
+                made = term(1.3, 0.7, coeff, mu=mu, j=j, k=k)
+                assert made == ExpoPoly(1.3, 0.7, (Term(mu, j, k, coeff),))
+                assert bits(made.terms) == bits(ref_canonical([Term(mu, j, k, coeff)]))
+
+    @pytest.mark.parametrize("coeff", [0, 0.0, -0.0, 0j, complex(-0.0, -0.0)])
+    def test_term_drops_a_zero_coefficient(self, coeff):
+        assert term(1.3, 0.7, coeff, mu=1, j=1, k=0).terms == ()
+
+    def test_term_stores_no_negative_zero(self):
+        (t,) = term(1.3, 0.7, complex(-0.0, 1.0), mu=1, j=1, k=0).terms
+        assert (t.coeff.real.hex(), t.coeff.imag.hex()) == ("0x0.0p+0", "0x1.0000000000000p+0")
+
+    def test_undecayed_term_sorts_first_within_mu_and_j(self):
+        # keys (mu, j, None) and (mu, j, k) do not compare as plain tuples
+        a, b = 1.3, 0.7
+        p = ExpoPoly(a, b, (Term(0, 1, 2, 1.0 + 0j), Term(1, 0, 0, 4.0 + 0j),
+                            Term(0, 1, None, 2.0 + 0j), Term(0, 1, 0, 3.0 + 0j),
+                            Term(0, 0, 5, 5.0 + 0j)))
+        assert [t[:3] for t in p.terms] == [(0, 0, 5), (0, 1, None), (0, 1, 0),
+                                            (0, 1, 2), (1, 0, 0)]
+        # d/drho of rho^2 lands on (0, 1, None), that of rho e^(-b rho/(a+1))
+        # on (0, 0, 1) and (0, 1, 1)
+        f = term(a, b, 1.0, j=2) + term(a, b, 2.0, j=1, k=1)
+        (row,) = apply_operator([[1.0]], [[term(a, b, 0.5, j=-1)]], [f])
+        assert [t[:3] for t in row.terms] == [(0, 0, 1), (0, 1, None), (0, 1, 1)]
+        (expect,) = ref_apply(a, b, [[1.0]], [[term(a, b, 0.5, j=-1)]], [f.terms])
+        assert bits(row.terms) == bits(expect)
+
     def test_context_mismatch(self):
         with pytest.raises(ContextMismatch):
             term(1.0, 1.0, 1.0) + term(2.0, 1.0, 1.0)
@@ -145,7 +189,7 @@ class TestApplyOperator:
             n = int(rng.integers(0, 6))
             bd = dc.b_dagger(p, n)
             ops = [dc.b_op(p, n), bd, dc.h_operator(p, n), dc.a_op(p, n),
-                   dc.a_dagger(p, n, bd), dc.big_hamiltonian(p, n)]
+                   dc.a_dagger(p, n), dc.big_hamiltonian(p, n)]
             assert any(op.dcoef[0, 1] == -1j for op in ops)
             for op in ops:
                 for f in self.inputs(rng, p.a, p.b, op.size):
@@ -172,6 +216,16 @@ class TestApplyOperator:
             got = apply_operator(dcoef, potential, columns)
             expect = ref_apply(a, b, dcoef, potential, [f.terms for f in columns])
             assert [bits(row.terms) for row in got] == [bits(t) for t in expect]
+        # A single-term multiplier whose product 1j * -1 is -0.0 - 1j: stored
+        # as 0j + that on a fresh key, and added to the derivative's
+        # coefficient on a shared one.
+        assert repr((1j * complex(-1.0)).real) == "-0.0"
+        f = term(a, b, 1j, mu=1, j=1, k=0) + term(a, b, 1j, j=2)
+        for pot in (term(a, b, -1.0), term(a, b, -1.0, j=-1)):
+            for c in (0.0, 1.0, -1j):
+                got = apply_operator([[c]], [[pot]], [f])
+                expect = ref_apply(a, b, [[c]], [[pot]], [f.terms])
+                assert [bits(row.terms) for row in got] == [bits(t) for t in expect]
 
     @pytest.mark.parametrize("tag", range(4))
     def test_scalar_operators_match_the_per_part_reference(self, tag):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import susy_ladder.oracle
+from susy_ladder import dirac as dc
 from susy_ladder import verify as vf
 from susy_ladder.cli import main
 from susy_ladder.dirac import superpotential_matrix_residual
@@ -157,6 +158,54 @@ def test_nr_fd_check_passes_on_the_log_grid(a, b):
     # steep at the origin for small a.
     result = vf.check_nr_fd(NRParams(a, b), 1024)
     assert result.passed, result.detail
+
+
+# The four-component formulation of the two Dirac checks, kept as the
+# reference their half-by-half form must match bit for bit.
+
+
+def _kernel_residual_4(p, n):
+    bd = dc.b_dagger(p, n)
+    worst = max(bd.apply(dc.kernel_chi(p, n)).max_abs_coeff(),
+                bd.apply(dc.kernel_xi(p, n)).max_abs_coeff())
+    ad = dc.a_dagger(p, n)
+    for fam in dc.FAMILIES:
+        vec, _ = dc.eigenvector(p, n, fam)
+        worst = max(worst, ad.apply(vec).max_abs_coeff())
+    return worst
+
+
+def _intertwining_residual_4(p, f2, f4):
+    worst = 0.0
+    for n in range(0, 4):
+        bd = dc.b_dagger(p, n)
+        h_lo, big_lo = dc.h_operator(p, n), dc.big_hamiltonian(p, n)
+        h_hi, big_hi = dc.h_operator(p, n + 1), dc.big_hamiltonian(p, n + 1)
+        r2 = h_hi.apply(bd.apply(f2)) - bd.apply(h_lo.apply(f2))
+        ad = dc.a_dagger(p, n)
+        r4 = big_hi.apply(ad.apply(f4)) - ad.apply(big_lo.apply(f4))
+        worst = max(worst, r2.max_abs_coeff(), r4.max_abs_coeff())
+    return worst
+
+
+@pytest.mark.parametrize("seed, count", [(vf.SEED + 3, 8), (7, 20)],
+                         ids=["battery-draws", "seed7"])
+def test_kernel_residual_matches_the_four_component_form(seed, count):
+    for p in _draws(vf.random_dirac, seed, count):
+        for n in range(0, 5):
+            assert vf.kernel_residual(p, n) == _kernel_residual_4(p, n), (p, n)
+
+
+@pytest.mark.parametrize("seed, count", [(vf.SEED + 4, 5), (7, 20)],
+                         ids=["battery-draws", "seed7"])
+def test_intertwining_residual_matches_the_four_component_form(seed, count):
+    # draws in the battery's order: parameters, then a 2- and a 4-spinor
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        p = vf.random_dirac(rng)
+        f2 = vf.random_spinor(rng, p.a, p.b, 2)
+        f4 = vf.random_spinor(rng, p.a, p.b, 4)
+        assert vf.intertwining_residual(p, f2, f4) == _intertwining_residual_4(p, f2, f4), p
 
 
 def test_oracle_is_independent_of_solver_modules():
