@@ -304,9 +304,13 @@ def run(cfg: RunConfig) -> int:
         if cfg.grid_points < MIN_GRID_POINTS:
             raise ValueError(f"--grid-points must be at least {MIN_GRID_POINTS}, "
                              f"got {cfg.grid_points}")
-        for fam in cfg.families:
+        if not cfg.families:
+            raise ValueError("--families must name at least one family")
+        for i, fam in enumerate(cfg.families):
             if fam not in dc.FAMILIES:
                 raise ValueError(f"unknown family {fam!r}")
+            if fam in cfg.families[:i]:
+                raise ValueError(f"--families names family {fam!r} more than once")
         if cfg.rho_max is not None and not (math.isfinite(cfg.rho_max) and cfg.rho_max > 0):
             raise ValueError(f"--rho-max must be finite and positive, got {cfg.rho_max}")
         if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):

@@ -66,14 +66,6 @@ class SpinorFn:
     def size(self) -> int:
         return len(self.components)
 
-    @property
-    def a(self) -> float:
-        return self.components[0].a
-
-    @property
-    def b(self) -> float:
-        return self.components[0].b
-
     def __add__(self, other: "SpinorFn") -> "SpinorFn":
         return SpinorFn(tuple(p + q for p, q in
                               zip(self.components, other.components, strict=True)))

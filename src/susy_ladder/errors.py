@@ -42,8 +42,8 @@ class TailNotDecayed(LadderError):
 
 
 class PrecisionLoss(LadderError):
-    """A closed-form quantity lost its meaning to float roundoff: a Gamma-sum
-    norm^2 that is not positive, or chain coefficients off their Laguerre form."""
+    """Chain coefficients have left their Laguerre closed form to float
+    roundoff, so the closed-form norm no longer applies to them."""
 
 
 class LevelCapExceeded(LadderError):

@@ -11,12 +11,12 @@ keys and never by floating-point comparison of realized powers, the
 canonical form is exact even when a and b are irrational. Canonicalization
 drops only coefficients that are exactly zero, however small the rest are.
 
-The family is closed under addition, scaling, power shifts, multiplication
-by pure Laurent polynomials, and differentiation. Integrating a product of
-two members against d(rho) on (0, inf) leaves the family; it is evaluated in
-closed form through Gamma(s+1)/gamma**(s+1) and used only as a terminal
-operation (the summed rate beta1 + beta2 is realized as a float and never
-fed back into the algebra).
+The family is closed under addition, scaling, multiplication by pure
+Laurent polynomials (power shifts among them), and differentiation.
+Integrating a product of two members against d(rho) on (0, inf) leaves the
+family; it is evaluated in closed form through Gamma(s+1)/gamma**(s+1) and
+used only as a terminal operation (the summed rate beta1 + beta2 is
+realized as a float and never fed back into the algebra).
 """
 
 from __future__ import annotations
@@ -113,13 +113,6 @@ class ExpoPoly:
         return _same_keys(self.a, self.b,
                           [(mu, j, k, coeff * c) for mu, j, k, coeff in self.terms])
 
-    def mul_power(self, s: int) -> "ExpoPoly":
-        """Multiply by rho**s: shifts every integer offset j by s."""
-        if not isinstance(s, int):
-            raise ValueError("exponent offset must be an integer")
-        return _same_keys(self.a, self.b,
-                          [(mu, j + s, k, coeff) for mu, j, k, coeff in self.terms])
-
     def mul_laurent(self, other: "ExpoPoly") -> "ExpoPoly":
         """Multiply by a pure Laurent polynomial (mu = 0, no decay, all terms).
 
@@ -198,15 +191,6 @@ class ExpoPoly:
                 total += c1 * c2 * math.gamma(s + 1.0) / gamma ** (s + 1.0)
         return total
 
-    def norm(self) -> float:
-        """sqrt(<self, self>) by the Gamma sum of inner_product, for any member.
-
-        The sum alternates in sign for Laguerre chains and loses digits as
-        they grow (norm^2 3.9e-6 off at the fig2 level-12 chain); the output
-        path normalises chains by laguerre_norm2 instead.
-        """
-        return math.sqrt(checked_norm2(self.inner_product(self).real))
-
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self, tol: float = 1e-12) -> bool:
@@ -234,14 +218,6 @@ def _check_context(a: float, b: float, other: ExpoPoly) -> None:
     if (a, b) != (other.a, other.b):
         raise ContextMismatch(
             f"contexts differ: ({a}, {b}) vs ({other.a}, {other.b})")
-
-
-def checked_norm2(norm2: float) -> float:
-    """norm2 itself when finite and positive, else PrecisionLoss naming it."""
-    if not (0.0 < norm2 < math.inf):
-        raise PrecisionLoss(f"closed-form norm^2 is {norm2!r}, not finite and positive: "
-                            "the Gamma sum has cancelled past float precision")
-    return norm2
 
 
 # Largest departure of a chain coefficient from its Laguerre closed form, as a

@@ -24,12 +24,8 @@ from .params import NRParams, PhysicalParams, default_rho_max
 SQRT2 = math.sqrt(2.0)
 
 
-def _ctx(params: NRParams) -> tuple[float, float]:
-    return params.a, params.b
-
-
 def _laurent(params: NRParams, pairs: list[tuple[float, int]]) -> ExpoPoly:
-    a, b = _ctx(params)
+    a, b = params.a, params.b
     return ExpoPoly.sum(a, b, [ExpoPoly.term(a, b, coeff, mu=0, j=j) for coeff, j in pairs])
 
 

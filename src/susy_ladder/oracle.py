@@ -173,9 +173,6 @@ class ResidualReport:
     max_pointwise_residual: float
     l2_residual: float
     l2_norm: float
-    grid: RadialGrid
-    operator: str
-    eigenvalue: float
 
     @property
     def relative_l2(self) -> float:
@@ -229,8 +226,7 @@ def residual_scalar(f: np.ndarray, energy: float, params: NRParams,
     return ResidualReport(
         max_pointwise_residual=float(np.max(np.abs(r))),
         l2_residual=float(np.sqrt(h * np.sum(np.abs(r) ** 2))),
-        l2_norm=float(np.sqrt(h * np.sum(np.abs(f[inner]) ** 2))),
-        grid=grid, operator="schrodinger", eigenvalue=energy)
+        l2_norm=float(np.sqrt(h * np.sum(np.abs(f[inner]) ** 2))))
 
 
 # -- matrix problem ----------------------------------------------------------
@@ -261,8 +257,7 @@ def residual_dirac(phi: np.ndarray, energy: float, params: DiracParams,
     return ResidualReport(
         max_pointwise_residual=float(np.max(np.abs(r))),
         l2_residual=float(np.sqrt(h * np.sum(np.abs(r) ** 2))),
-        l2_norm=float(np.sqrt(h * np.sum(np.abs(phi[:, inner]) ** 2))),
-        grid=grid, operator="dirac", eigenvalue=energy)
+        l2_norm=float(np.sqrt(h * np.sum(np.abs(phi[:, inner]) ** 2))))
 
 
 def dirac_spectrum_scan(params: DiracParams, window: tuple[float, float],

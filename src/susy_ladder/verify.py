@@ -134,24 +134,15 @@ def check_nr_nodes(params: NRParams) -> CheckResult:
 
 
 def check_nr_orthogonality() -> CheckResult:
-    return _gram_check("nr-orthogonality", _nr_gram(NRParams(1.5, 0.5), 5))
-
-
-def _nr_gram(params: NRParams, count: int):
-    fs = [nr.eigenfunction(params, n) for n in range(count)]
-    return [[fs[i].inner_product(fs[j]).real for j in range(count)]
-            for i in range(count)]
-
-
-def _gram_check(name: str, gram) -> CheckResult:
-    count = len(gram)
+    fs = [nr.eigenfunction(NRParams(1.5, 0.5), n) for n in range(5)]
+    gram = [[f.inner_product(g).real for g in fs] for f in fs]
     worst = 0.0
-    for i in range(count):
-        for j in range(count):
+    for i in range(5):
+        for j in range(5):
             if i != j:
                 rel = abs(gram[i][j]) / math.sqrt(gram[i][i] * gram[j][j])
                 worst = max(worst, rel)
-    return CheckResult(name, worst <= 1e-9,
+    return CheckResult("nr-orthogonality", worst <= 1e-9,
                        f"max relative off-diagonal {worst:.3e} (tol 1e-09)")
 
 
@@ -305,13 +296,13 @@ def check_gamma_vs_quadrature(params: NRParams) -> CheckResult:
     pts = grid.points
     fs = [nr.eigenfunction(params, n) for n in range(3)]
     samples = [f.eval_array(pts) for f in fs]
+    exact = [[f.inner_product(g) for g in fs] for f in fs]
+    norms = [math.sqrt(exact[i][i].real) for i in range(3)]
     worst = 0.0
     for i in range(3):
         for j in range(3):
-            exact = fs[i].inner_product(fs[j])
             quad = orc.quad_inner(samples[i], samples[j], grid)
-            scale = fs[i].norm() * fs[j].norm()
-            worst = max(worst, abs(exact - quad) / scale)
+            worst = max(worst, abs(exact[i][j] - quad) / (norms[i] * norms[j]))
     return CheckResult("gamma-vs-quadrature", worst <= 1e-8,
                        f"max relative mismatch {worst:.3e} (tol 1e-08)")
 

@@ -226,7 +226,8 @@ def test_criterion_7_orthogonality_and_quadrature():
         for j in range(5):
             exact = nr_funcs[i].inner_product(nr_funcs[j])
             approx = orc.quad_inner(samples[i], samples[j], grid)
-            scale = nr_funcs[i].norm() * nr_funcs[j].norm()
+            scale = math.sqrt(nr_funcs[i].inner_product(nr_funcs[i]).real
+                              * nr_funcs[j].inner_product(nr_funcs[j]).real)
             worst_quad = max(worst_quad, abs(exact - approx) / scale)
 
     dgrid = orc.quadrature_grid(FIG3, 3, 32768)

@@ -154,6 +154,14 @@ class TestConfigValidation:
                            "--families", "a,x"])
         assert code == 2
 
+    @pytest.mark.parametrize("mode", ["dirac-spectrum", "dirac-eigenfunctions"])
+    @pytest.mark.parametrize("families", ["", ",", "a,c,a", "b,b"])
+    def test_empty_or_repeated_families_rejected(self, mode, families, capsys):
+        code, out = capture([mode, "--a", "1", "--b", "2", "--families", families])
+        assert code == 2
+        assert out == ""
+        assert "--families" in capsys.readouterr().err
+
     def test_bad_levels_rejected(self):
         code, _ = capture(["nr-spectrum", "--a", "1.5", "--b", "0.5",
                            "--levels", "0"])

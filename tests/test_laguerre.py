@@ -87,8 +87,9 @@ class TestClosedFormNorm:
             assert abs(laguerre_norm2(poly) - ref) <= 1e-13 * ref
 
     def test_levels_below_12_match_a_40_digit_gamma_sum(self):
-        # The float Gamma sum (ExpoPoly.norm) is already 1.1e-11 off at a
-        # level-5 Dirac component here; the closed form stays below 1.4e-14.
+        # The float Gamma sum (inner_product of a chain with itself) is
+        # already 1.1e-11 off at a level-5 Dirac component here; the closed
+        # form stays below 1.4e-14.
         for n in range(12):
             for poly in chain_polys(n):
                 ref = gamma_sum(poly)

@@ -114,7 +114,6 @@ class TestScalarResidual:
         f = nr.eigenfunction(FIG2, 0).eval_array(grid.points).real
         rep = orc.residual_scalar(f, nr.spectrum_radial(FIG2, 0), FIG2, grid)
         assert rep.relative_l2 <= 1e-8
-        assert rep.operator == "schrodinger"
 
     def test_all_low_levels_within_bound(self):
         for n in range(4):
@@ -265,7 +264,8 @@ class TestQuadrature:
                 exact = fs[i].inner_product(fs[j])
                 approx = orc.quad_inner(fs[i].eval_array(pts),
                                         fs[j].eval_array(pts), grid)
-                scale = fs[i].norm() * fs[j].norm()
+                scale = math.sqrt(fs[i].inner_product(fs[i]).real
+                                  * fs[j].inner_product(fs[j]).real)
                 assert abs(exact - approx) <= 1e-8 * scale
 
     def test_self_inner_real_nonnegative(self):

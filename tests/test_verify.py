@@ -143,6 +143,15 @@ def test_dirac_scan_passes_near_a_half(draw):
     assert result.passed, result.detail
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "RICHARDSON_SHIFT is an absolute bound applied to small magnitudes: a "
+    "ground magnitude near 0.21 turns the E^2 step error into a magnitude "
+    "shift 1/(2E) times larger, 1.147e-04 at a = 0.5 and 1.081e-04 at a = 0.52"))
+@pytest.mark.parametrize("a", [0.5, 0.52])
+def test_dirac_scan_passes_at_b_2_small_d0_and_mbar_near_a_half(a):
+    assert vf.check_dirac_scan(DiracParams(a, 2.0, 0.1, 0.2)).passed
+
+
 @pytest.mark.parametrize("a, b", [
     (1.2, 0.8),
     (1.0293949701285081, 1.2876431645150828),
