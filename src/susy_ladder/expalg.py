@@ -77,15 +77,9 @@ class ExpoPoly:
     def term(cls, a: float, b: float, coeff: complex, mu: int = 0, j: int = 0,
              k: int | None = None) -> "ExpoPoly":
         coeff = complex(coeff)
-        if mu not in (0, 1):
-            raise ValueError(f"exponent multiplier must be 0 or 1, got {mu}")
-        if not isinstance(j, int):
-            raise ValueError("exponent offset must be an integer")
-        if k is not None and not isinstance(k, int):
-            raise ValueError("decay index must be an integer or None")
         # The constructor's checks and its 0j + coeff, without its merge and sort.
         _check_positive_context(a, b)
-        _check_rate(a, k)
+        _check_key(a, mu, j, k)
         coeff = 0j + coeff
         return _wrap(a, b, (_new_term(Term, (mu, j, k, coeff)),) if coeff != 0j else ())
 
@@ -209,7 +203,13 @@ def _check_positive_context(a: float, b: float) -> None:
         raise ValueError("context requires a > 0 and b > 0")
 
 
-def _check_rate(a: float, k: int | None) -> None:
+def _check_key(a: float, mu: int, j: int, k: int | None) -> None:
+    if mu not in (0, 1):
+        raise ValueError(f"exponent multiplier must be 0 or 1, got {mu}")
+    if not isinstance(j, int):
+        raise ValueError("exponent offset must be an integer")
+    if k is not None and not isinstance(k, int):
+        raise ValueError("decay index must be an integer or None")
     if k is not None and a + k <= 0:
         raise ValueError(f"decay index {k} gives a non-positive rate")
 
@@ -409,7 +409,7 @@ def _canonicalize(a: float, b: float, terms) -> tuple[Term, ...]:
     """
     acc: dict[tuple, complex] = {}
     for mu, j, k, coeff in terms:
-        _check_rate(a, k)
+        _check_key(a, mu, j, k)
         key = (mu, j, k)
         acc[key] = acc.get(key, 0j) + complex(coeff)
     return _sorted_terms(acc)

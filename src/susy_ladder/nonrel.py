@@ -65,7 +65,6 @@ class ScalarLadder:
     """
 
     direction: str
-    n: int
     superpotential: ExpoPoly
 
     def __post_init__(self):
@@ -79,7 +78,7 @@ class ScalarLadder:
 
 
 def ladder(params: NRParams, n: int, direction: str) -> ScalarLadder:
-    return ScalarLadder(direction, n, superpotential(params, n))
+    return ScalarLadder(direction, superpotential(params, n))
 
 
 def apply_hamiltonian(params: NRParams, n: int, f: ExpoPoly) -> ExpoPoly:

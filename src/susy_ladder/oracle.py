@@ -76,7 +76,7 @@ class RadialGrid:
         return np.linspace(self.rho_min, self.rho_max, self.n_points)
 
 
-def default_grid(params, n_max: int, n_points: int = 8192) -> RadialGrid:
+def default_grid(params, n_max: int, n_points: int) -> RadialGrid:
     """Grid capturing both the rho -> 0 region and the slowest tail up to level n_max.
 
     rho_min sits at 1e-3 * rho_max: small enough for the centrifugal region,
@@ -168,9 +168,8 @@ def _channel_eigs(k: float, b: float, const: float, grid: LogGrid,
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Pointwise and L2 residual norms of a trial eigenpair on a grid."""
+    """L2 residual norms of a trial eigenpair on a grid."""
 
-    max_pointwise_residual: float
     l2_residual: float
     l2_norm: float
 
@@ -182,17 +181,16 @@ class ResidualReport:
 # -- scalar problem ----------------------------------------------------------
 
 
-def fd_schrodinger_eigs(params: NRParams, n_level_count: int, grid: LogGrid,
-                        richardson: bool = True) -> list[float]:
+def fd_schrodinger_eigs(params: NRParams, n_level_count: int,
+                        grid: LogGrid) -> list[float]:
     """Lowest eigenvalues of the discretized scalar operator, ascending.
 
     The scalar operator times 2 is the channel cf = a(a+1), C = 0, with
     E^2 = 2 epsilon; its lowest n_level_count values of E^2, halved, are the
-    levels. Any grid but a LogGrid raises TypeError. When richardson is set,
-    every level is re-solved at half the step (_refined) and the Richardson
-    value (4 E_fine - E_coarse) / 3 is returned: the imposed regular solution
-    leaves an error of order h^2 only. Disable it for deliberate convergence
-    studies, which then get the raw solve.
+    levels. Any grid but a LogGrid raises TypeError. Every level is re-solved
+    at half the step (_refined) and the Richardson value
+    (4 E_fine - E_coarse) / 3 is returned: the imposed regular solution
+    leaves an error of order h^2 only.
     """
     _require_log_grid(grid)
     needed = default_rho_max(params, n_level_count)
@@ -200,10 +198,7 @@ def fd_schrodinger_eigs(params: NRParams, n_level_count: int, grid: LogGrid,
         raise ValueError(
             f"rho_max = {grid.rho_max} does not cover the turning region; "
             f"need at least {needed}")
-    solve = partial(_scalar_once, params, n_level_count)
-    if not richardson:
-        return [float(x) for x in solve(grid)]
-    coarse, fine = _refined(solve, grid)
+    coarse, fine = _refined(partial(_scalar_once, params, n_level_count), grid)
     return [float(x) for x in (4.0 * fine - coarse) / 3.0]
 
 
@@ -224,7 +219,6 @@ def residual_scalar(f: np.ndarray, energy: float, params: NRParams,
     v = params.a * (params.a + 1) / (2.0 * pts[inner] ** 2) - params.b / pts[inner]
     r = -0.5 * d2 + (v - energy) * f[inner]
     return ResidualReport(
-        max_pointwise_residual=float(np.max(np.abs(r))),
         l2_residual=float(np.sqrt(h * np.sum(np.abs(r) ** 2))),
         l2_norm=float(np.sqrt(h * np.sum(np.abs(f[inner]) ** 2))))
 
@@ -255,13 +249,12 @@ def residual_dirac(phi: np.ndarray, energy: float, params: DiracParams,
                + params.mbar * (beta @ phi[:, inner]))
     r = applied - energy * phi[:, inner]
     return ResidualReport(
-        max_pointwise_residual=float(np.max(np.abs(r))),
         l2_residual=float(np.sqrt(h * np.sum(np.abs(r) ** 2))),
         l2_norm=float(np.sqrt(h * np.sum(np.abs(phi[:, inner]) ** 2))))
 
 
 def dirac_spectrum_scan(params: DiracParams, window: tuple[float, float],
-                        grid: LogGrid, richardson: bool = True) -> list[float]:
+                        grid: LogGrid) -> list[float]:
     """Eigenvalue magnitudes of the matrix problem inside a window, from the
     squared operator's two scalar channels.
 
@@ -272,8 +265,9 @@ def dirac_spectrum_scan(params: DiracParams, window: tuple[float, float],
     rho^(a+1) behaviour; any other grid raises TypeError.
 
     The stability check (_refined) re-solves at half the step and raises
-    GridTooCoarse when the count changes or any magnitude moves by more than
-    RICHARDSON_SHIFT; the magnitudes of the given grid are returned.
+    GridTooCoarse when the count changes or any E^2, the eigenvalue the
+    channels solve for, moves by more than RICHARDSON_SHIFT; the magnitudes
+    of the given grid are returned.
     """
     _require_log_grid(grid)
     lo, hi = window
@@ -282,21 +276,18 @@ def dirac_spectrum_scan(params: DiracParams, window: tuple[float, float],
     bound = 1.5 * (params.mbar + abs(dn(params, 3)))
     if hi > bound:
         raise ValueError(f"window top {hi} exceeds the desk-scale bound {bound}")
-    solve = partial(_scan_once, params, lo, hi)
-    if not richardson:
-        return solve(grid)
-    return [float(x) for x in _refined(solve, grid)[0]]
+    coarse, _ = _refined(partial(_scan_once, params, lo, hi), grid)
+    return [math.sqrt(x) for x in coarse]
 
 
 def _scan_once(params: DiracParams, lo: float, hi: float,
-               grid: LogGrid) -> list[float]:
+               grid: LogGrid) -> np.ndarray:
+    """The positive E^2 of both channels inside [lo^2, hi^2], ascending."""
     const = (params.b / params.a) ** 2 + params.d0 ** 2 + params.mbar ** 2
-    found = []
-    for k in (params.a - 0.5, params.a + 0.5):
-        sq = _channel_eigs(k, params.b, const, grid,
-                           select="v", select_range=(lo * lo, hi * hi))
-        found.extend(math.sqrt(x) for x in sq if x > 0)
-    return sorted(found)
+    sq = np.concatenate([_channel_eigs(k, params.b, const, grid, select="v",
+                                       select_range=(lo * lo, hi * hi))
+                         for k in (params.a - 0.5, params.a + 0.5)])
+    return np.sort(sq[sq > 0])
 
 
 def dn(params: DiracParams, n: int) -> float:

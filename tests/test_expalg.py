@@ -49,7 +49,12 @@ class TestCanonicalForm:
         lambda: term(1.0, 1.0, 1.0, mu=2),
         lambda: term(1.0, 1.0, 1.0, j=1.5),
         lambda: term(1.0, 1.0, 1.0, k=1.5),
-    ], ids=["mu=2", "j=1.5", "k=1.5"])
+        lambda: ExpoPoly(1.0, 1.0, (Term(2, 0, None, 1.0),)),
+        lambda: ExpoPoly(1.0, 1.0, (Term(0, 1.5, None, 1.0),)),
+        lambda: ExpoPoly(1.0, 1.0, (Term(0, 0, 1.5, 1.0),)),
+        lambda: ExpoPoly(1.0, 1.0, (Term(1, 0, 0, 1.0), Term(2, 0.5, None, 1.0))),
+    ], ids=["mu=2", "j=1.5", "k=1.5",
+            "ctor-mu=2", "ctor-j=1.5", "ctor-k=1.5", "ctor-second-term"])
     def test_bad_term_keys_rejected(self, build):
         with pytest.raises(ValueError):
             build()

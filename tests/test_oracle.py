@@ -76,15 +76,13 @@ class TestScalarEigs:
         grid = orc.default_grid(FIG2, 3, 4096)
         with pytest.raises(TypeError, match="LogGrid"):
             orc.fd_schrodinger_eigs(FIG2, 3, grid)
-        with pytest.raises(TypeError, match="LogGrid"):
-            orc.fd_schrodinger_eigs(FIG2, 3, grid, richardson=False)
 
     def test_richardson_value_on_a_log_grid(self):
         # fig3's (a, b): every requested level is refined, and the Richardson
         # value beats the raw solve on each
         params = NRParams(1.0, 2.0)
         grid = orc.LogGrid(default_rho_max(params, 3), 1024)
-        raw = orc.fd_schrodinger_eigs(params, 3, grid, richardson=False)
+        raw = orc._scalar_once(params, 3, grid)
         rich = orc.fd_schrodinger_eigs(params, 3, grid)
         for n in range(3):
             exact = nr.spectrum_radial(params, n)
@@ -95,13 +93,12 @@ class TestScalarEigs:
         # a window spelled 40(a+4)/b ends one ulp short of 40(a+3+1)/b here
         params = NRParams(0.17087189561177435, 0.09875652480916083)
         grid = orc.LogGrid(default_rho_max(params, 3), 256)
-        assert len(orc.fd_schrodinger_eigs(params, 3, grid, richardson=False)) == 3
+        assert len(orc.fd_schrodinger_eigs(params, 3, grid)) == 3
 
     def test_second_order_convergence(self):
         # 1024, 2047 and 4093 points halve the step exactly
         exact = nr.spectrum_radial(FIG2, 0)
-        errs = [orc.fd_schrodinger_eigs(
-            FIG2, 1, orc.LogGrid(280.0, n), richardson=False)[0] - exact
+        errs = [orc._scalar_once(FIG2, 1, orc.LogGrid(280.0, n))[0] - exact
             for n in (1024, 2047, 4093)]
         r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
         assert 3.5 <= r1 <= 4.5
@@ -132,7 +129,6 @@ class TestScalarResidual:
         grid = orc.default_grid(FIG2, 0, 4096)
         rep = orc.residual_scalar(np.zeros(grid.n_points), -0.02, FIG2, grid)
         assert rep.l2_residual == 0.0
-        assert rep.max_pointwise_residual == 0.0
 
     def test_fourth_order_stencil_convergence(self):
         # fixed left endpoint far from the fractional-power origin so the
@@ -209,8 +205,7 @@ class TestSpectrumScan:
 
     def test_refinement_stability(self):
         first = orc.dirac_spectrum_scan(FIG3, (0.9, 2.2), orc.LogGrid(self.RHO_MAX, 2048))
-        finer = orc.dirac_spectrum_scan(
-            FIG3, (0.9, 2.2), orc.LogGrid(self.RHO_MAX, 4096), richardson=False)
+        finer = np.sqrt(orc._scan_once(FIG3, 0.9, 2.2, orc.LogGrid(self.RHO_MAX, 4096)))
         assert len(first) == len(finer)
         assert max(abs(x - y) for x, y in zip(first, finer)) <= 1e-4
 
@@ -241,17 +236,17 @@ class TestSpectrumScan:
             for cf, k in ((a * (a - 1), a - 0.5), (a * (a + 1), a + 0.5)):
                 sq = self.dense_channel(cf, k, params.b, const, grid)
                 expect.extend(sq[(sq >= lo * lo) & (sq <= hi * hi)])
-            found = orc.dirac_spectrum_scan(params, (lo, hi), grid, richardson=False)
+            found = orc._scan_once(params, lo, hi, grid)
             assert len(found) == len(expect) > 0
-            assert np.max(np.abs(np.square(found) - np.sort(expect))) <= 1e-10
+            assert np.max(np.abs(found - np.sort(expect))) <= 1e-10
 
     def test_scalar_bisection_matches_a_dense_solve(self):
         # the scalar operator times 2 is the channel cf = a(a+1), C = 0; at
         # scipy's default tolerance all three levels come out as -8.0e-4
         grid = orc.LogGrid(default_rho_max(FIG2, 3), 256)
         sq = self.dense_channel(FIG2.a * (FIG2.a + 1), FIG2.a + 0.5, FIG2.b, 0.0, grid)
-        found = orc.fd_schrodinger_eigs(FIG2, 3, grid, richardson=False)
-        assert np.max(np.abs(np.array(found) - sq[:3] / 2)) <= 1e-12
+        found = orc._scalar_once(FIG2, 3, grid)
+        assert np.max(np.abs(found - sq[:3] / 2)) <= 1e-12
 
 
 class TestQuadrature:
