@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (DegenerateDenominator, DomainError, NegativeRadicand,
                      NoBoundStates, SingularXi)
-from .expalg import ExpoPoly, apply_operator, laguerre_norm2
+from .expalg import ExpoPoly, apply_operator, eval_rows, laguerre_norm2
 from .params import DiracParams, PhysicalParams
 
 S0 = np.eye(2, dtype=complex)
@@ -74,7 +74,7 @@ class SpinorFn:
         return self + other.scale(-1.0)
 
     def scale(self, c: complex) -> "SpinorFn":
-        return SpinorFn(tuple(p.scale(c) for p in self.components))
+        return _wrap_spinor(tuple(p.scale(c) for p in self.components))
 
     def is_zero(self, tol: float = 1e-12) -> bool:
         return all(p.is_zero(tol) for p in self.components)
@@ -86,7 +86,16 @@ class SpinorFn:
         return np.array([p.eval(rho) for p in self.components])
 
     def eval_array(self, rhos: np.ndarray) -> np.ndarray:
-        return np.stack([p.eval_array(rhos) for p in self.components])
+        """Samples at rhos, one row per component (see expalg.eval_rows)."""
+        return eval_rows(self.components, rhos)
+
+
+def _wrap_spinor(components: tuple[ExpoPoly, ...]) -> SpinorFn:
+    """A SpinorFn around 2 or 4 components of one (a, b) context, past the
+    constructor's checks; for results that hold by construction."""
+    f = object.__new__(SpinorFn)
+    object.__setattr__(f, "components", components)
+    return f
 
 
 def spinor_inner(f: SpinorFn, g: SpinorFn) -> complex:
@@ -121,11 +130,14 @@ class MatrixOp:
 
     dcoef: np.ndarray
     potential: tuple[tuple[ExpoPoly, ...], ...]
+    # dcoef as nested lists of Python complex, the form apply_operator reads.
+    _dcoef_rows: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Operators are cached and shared; a write through one holder would
         # change every chain built from it.
         self.dcoef.setflags(write=False)
+        object.__setattr__(self, "_dcoef_rows", self.dcoef.tolist())
 
     @property
     def size(self) -> int:
@@ -134,7 +146,9 @@ class MatrixOp:
     def apply(self, f: SpinorFn) -> SpinorFn:
         if f.size != self.size:
             raise ValueError(f"operator size {self.size} vs spinor size {f.size}")
-        return SpinorFn(apply_operator(self.dcoef.tolist(), self.potential, f.components))
+        # The rows share the context of f's components, which apply_operator
+        # checks against every potential entry it multiplies by.
+        return _wrap_spinor(apply_operator(self._dcoef_rows, self.potential, f.components))
 
     def potential_at(self, rho: float) -> np.ndarray:
         return np.array([[p.eval(rho) for p in row] for row in self.potential])
@@ -143,11 +157,23 @@ class MatrixOp:
 def _pot_matrix(params: DiracParams,
                 parts: list[tuple[ExpoPoly, np.ndarray]],
                 size: int) -> tuple[tuple[ExpoPoly, ...], ...]:
-    return tuple(
-        tuple(ExpoPoly.sum(params.a, params.b,
-                           [poly.scale(mat[i, j]) for poly, mat in parts if mat[i, j] != 0])
-              for j in range(size))
-        for i in range(size))
+    """Entry (i, j) is the sum of poly * mat[i, j] over the parts. A sum of
+    one canonical part is that part bit for bit, so it is taken as it is,
+    and every entry with no part is one shared zero."""
+    a, b = params.a, params.b
+    zero = ExpoPoly.zero(a, b)
+    tables = [(poly, mat.tolist()) for poly, mat in parts]
+    rows = []
+    for i in range(size):
+        row = []
+        for j in range(size):
+            scaled = [poly.scale(mat[i][j]) for poly, mat in tables if mat[i][j] != 0]
+            if len(scaled) > 1:
+                row.append(ExpoPoly.sum(a, b, scaled))
+            else:
+                row.append(scaled[0] if scaled else zero)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _const(params: DiracParams, value: complex) -> ExpoPoly:
@@ -365,7 +391,7 @@ def eigenfunction_chain(params: DiracParams, n: int, fam: str) -> SpinorFn:
     _check_family(fam)
     ratio = _lower_ratio(params, n, fam)
     upper = _lowered_kernel(params, n, _KERNELS[fam])
-    return SpinorFn(upper.components + upper.scale(ratio).components)
+    return _wrap_spinor(upper.components + upper.scale(ratio).components)
 
 
 def rotation_matrix(phys: PhysicalParams) -> np.ndarray:

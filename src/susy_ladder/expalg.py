@@ -71,7 +71,8 @@ class ExpoPoly:
 
     @classmethod
     def zero(cls, a: float, b: float) -> "ExpoPoly":
-        return cls(a, b, ())
+        _check_positive_context(a, b)
+        return _wrap(a, b, ())
 
     @classmethod
     def term(cls, a: float, b: float, coeff: complex, mu: int = 0, j: int = 0,
@@ -136,29 +137,8 @@ class ExpoPoly:
         return total
 
     def eval_array(self, rhos: np.ndarray) -> np.ndarray:
-        """Samples at rhos. Terms sharing (mu, k) form one polynomial in rho:
-        each such group takes one power rho**(mu*a + j_min), one
-        exp(-beta*rho), and Horner's rule over the integer steps of j."""
-        rhos = np.asarray(rhos, dtype=float)
-        if np.any(rhos <= 0):
-            raise DomainError("all sample points must be positive")
-        groups: dict[tuple, list[tuple[int, complex]]] = {}
-        for mu, j, k, coeff in self.terms:
-            groups.setdefault((mu, k), []).append((j, coeff))
-        total = np.zeros(rhos.shape, dtype=complex)
-        with np.errstate(under="ignore"):
-            for (mu, k), group in groups.items():
-                top, acc = group[-1]
-                acc = np.full(rhos.shape, acc)
-                for j, coeff in reversed(group[:-1]):
-                    acc *= rhos if top - j == 1 else rhos ** (top - j)
-                    acc += coeff
-                    top = j
-                acc *= rhos ** (mu * self.a + top)
-                if k is not None:
-                    acc *= np.exp(-(self.b / (self.a + k)) * rhos)
-                total += acc
-        return total
+        """Samples at rhos (see eval_rows)."""
+        return eval_rows((self,), rhos)[0, ...]
 
     def inner_product(self, other: "ExpoPoly") -> complex:
         """<self, other> = integral of conj(self)*other over (0, inf), in closed form.
@@ -276,6 +256,77 @@ def laguerre_norm2(poly: ExpoPoly) -> float:
                     - (2 * m + alpha + 2) * math.log(two_beta))
 
 
+def eval_rows(polys, rhos) -> np.ndarray:
+    """Samples of each poly at rhos, one row per poly: an array of shape
+    (len(polys),) + rhos.shape.
+
+    Terms of a poly sharing (mu, k) form one polynomial in rho: each such
+    group takes one power rho**(mu*a + j_min), one exp(-beta*rho), and
+    Horner's rule over the integer steps of j. Every row runs its own groups
+    in term order, so it equals sampling its poly alone, bit for bit. The
+    grid is checked once. What several groups share is made once and
+    released after its last use: each distinct power and decay array, and
+    the grid cast to complex for the Horner multiplies (numpy casts a float
+    operand on every complex multiply, so one pass alone keeps the float
+    grid and no complex copy of it).
+    """
+    rhos = np.asarray(rhos, dtype=float)
+    if (rhos <= 0).any():
+        raise DomainError("all sample points must be positive")
+    rows = []
+    horner = 0                    # groups of more than one term
+    left: dict[tuple, int] = {}   # factor key -> uses still to come
+    for poly in polys:
+        a, b = poly.a, poly.b
+        groups: dict[tuple, list[tuple[int, complex]]] = {}
+        for mu, j, k, coeff in poly.terms:
+            groups.setdefault((mu, k), []).append((j, coeff))
+        row = []
+        for (mu, k), group in groups.items():
+            keys = [("power", mu * a + group[0][0])]
+            if k is not None:
+                keys.append(("decay", b / (a + k)))
+            for key in keys:
+                left[key] = left.get(key, 0) + 1
+            horner += len(group) > 1
+            row.append((group, keys))
+        rows.append(row)
+    out = np.zeros((len(rows),) + rhos.shape, dtype=complex)
+    horner_rhos = rhos.astype(complex) if horner > 1 else rhos
+    factors: dict[tuple, np.ndarray] = {}
+    with np.errstate(under="ignore"):
+        for total, row in zip(out, rows):
+            for group, keys in row:
+                top, acc = group[-1]
+                acc = np.full(rhos.shape, acc)
+                if len(group) > 1:
+                    for j, coeff in reversed(group[:-1]):
+                        acc *= horner_rhos if top - j == 1 else rhos ** (top - j)
+                        acc += coeff
+                        top = j
+                    horner -= 1
+                    if not horner:
+                        horner_rhos = None
+                for key in keys:
+                    acc *= _take_factor(rhos, key, factors, left)
+                total += acc
+    return out
+
+
+def _take_factor(rhos, key, factors, left) -> np.ndarray:
+    """rhos**x for key ("power", x) or exp(-x*rhos) for ("decay", x), held in
+    factors only while left[key] counts further uses, so that no array
+    outlives its last multiply."""
+    factor = factors.pop(key, None)
+    if factor is None:
+        kind, x = key
+        factor = rhos ** x if kind == "power" else np.exp(-x * rhos)
+    left[key] -= 1
+    if left[key]:
+        factors[key] = factor
+    return factor
+
+
 def apply_operator(dcoef, potential, components) -> tuple[ExpoPoly, ...]:
     """Rows of (dcoef d/drho + potential) applied to the column of components.
 
@@ -285,10 +336,13 @@ def apply_operator(dcoef, potential, components) -> tuple[ExpoPoly, ...]:
     column order, bit for bit: each part is accumulated as its own map, as
     differentiate and mul_laurent do, and the maps are added into one dict
     per row and sorted once. A zero multiplier or potential contributes no
-    part, and a unit multiplier adds f_j' unscaled. Both that and the exact
-    zeros a part map keeps (where the canonical part would have dropped
-    them) change no bit, because every accumulated coefficient starts at 0j
-    and so has no -0.0 part.
+    part, and a unit multiplier adds f_j' unscaled. A one-term potential
+    adds its products straight into the row: they land on distinct keys, so
+    its part map would hold each as 0j + product. That, and the exact zeros
+    a part map keeps (where the canonical part would have dropped them),
+    change no bit, because every accumulated coefficient starts at 0j and so
+    has no -0.0 part. A potential of several terms keeps its own map, since
+    adding its products in place would reassociate their sums.
     """
     a, b = components[0].a, components[0].b
     derivs = [_deriv_map(f.terms, a, b) for f in components]
@@ -303,7 +357,10 @@ def apply_operator(dcoef, potential, components) -> tuple[ExpoPoly, ...]:
                     acc[key] = acc.get(key, 0j) + coeff * c
             if pot.terms:
                 _check_context(a, b, pot)
-                _add(acc, _laurent_map(f.terms, pot.terms))
+                if len(pot.terms) == 1:
+                    _laurent_map(f.terms, pot.terms, acc)
+                else:
+                    _add(acc, _laurent_map(f.terms, pot.terms))
         rows.append(_from_map(a, b, acc))
     return tuple(rows)
 
@@ -323,10 +380,11 @@ def _deriv_map(terms, a: float, b: float) -> dict[tuple, complex]:
     return acc
 
 
-def _laurent_map(terms, laurent) -> dict[tuple, complex]:
+def _laurent_map(terms, laurent, acc=None) -> dict[tuple, complex]:
     """{(mu, j, k): coeff} of terms times the pure Laurent terms, accumulated
-    multiplier term by multiplier term."""
-    acc: dict[tuple, complex] = {}
+    multiplier term by multiplier term into acc (a new map by default)."""
+    if acc is None:
+        acc = {}
     for qmu, qj, qk, qcoeff in laurent:
         if qmu != 0 or qk is not None:
             raise ValueError("multiplier must be a pure Laurent polynomial "

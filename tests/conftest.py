@@ -96,3 +96,37 @@ def ref_hamiltonian(a, b, potential, terms):
 def bits(terms):
     """Keys and the repr of both coefficient parts, so that -0.0 counts."""
     return [(t.mu, t.j, t.k, repr(t.coeff.real), repr(t.coeff.imag)) for t in terms]
+
+
+# -- per-poly reference for sampling --------------------------------------------
+#
+# expalg.eval_rows samples every row in one call, sharing the grid checks and
+# the power and decay arrays. This is the per-poly sampler it replaced, kept
+# as the reference it must match bit for bit: each poly checks the grid,
+# multiplies by the float grid in its Horner steps, and a spinor stacks its
+# components' samples.
+
+
+def ref_eval_array(f, rhos):
+    if hasattr(f, "components"):
+        return np.stack([ref_eval_array(p, rhos) for p in f.components])
+    rhos = np.asarray(rhos, dtype=float)
+    if np.any(rhos <= 0):
+        raise ValueError("all sample points must be positive")
+    groups = {}
+    for mu, j, k, coeff in f.terms:
+        groups.setdefault((mu, k), []).append((j, coeff))
+    total = np.zeros(rhos.shape, dtype=complex)
+    with np.errstate(under="ignore"):
+        for (mu, k), group in groups.items():
+            top, acc = group[-1]
+            acc = np.full(rhos.shape, acc)
+            for j, coeff in reversed(group[:-1]):
+                acc *= rhos if top - j == 1 else rhos ** (top - j)
+                acc += coeff
+                top = j
+            acc *= rhos ** (mu * f.a + top)
+            if k is not None:
+                acc *= np.exp(-(f.b / (f.a + k)) * rhos)
+            total += acc
+    return total

@@ -10,8 +10,8 @@ from conftest import (bits, random_dirac, random_phys, random_spinor, ref_apply,
 
 from susy_ladder import dirac as dc
 from susy_ladder import nonrel as nr
-from susy_ladder.errors import (DegenerateDenominator, DomainError,
-                                NoBoundStates)
+from susy_ladder.errors import (ContextMismatch, DegenerateDenominator,
+                                DomainError, NoBoundStates)
 from susy_ladder.params import DiracParams, NRParams, PhysicalParams
 
 FIG3 = DiracParams(a=1.0, b=2.0, d0=1.0, mbar=0.1)
@@ -319,6 +319,51 @@ class TestOperatorCache:
                     assert all(x is y for x, y in
                                zip(first.components[:2], second.components[:2]))
                     assert first.components[2:] != second.components[2:]
+
+
+class TestWrappedResults:
+    """apply, scale and eigenfunction_chain build their results past
+    SpinorFn's constructor checks: the inputs are still checked, and the
+    results still hold one (a, b) context and 2 or 4 components."""
+
+    Q = DiracParams(1.3, 0.9, -0.4, 0.6)
+
+    def test_apply_rejects_a_size_mismatch(self):
+        rng = rng_for(130)
+        q = self.Q
+        for op, size in ((dc.b_op(q, 1), 4), (dc.h_operator(q, 1), 4),
+                         (dc.a_op(q, 1), 2), (dc.big_hamiltonian(q, 1), 2)):
+            with pytest.raises(ValueError, match="operator size"):
+                op.apply(random_spinor(rng, q.a, q.b, size))
+
+    def test_apply_rejects_a_spinor_from_another_context(self):
+        rng = rng_for(131)
+        q = self.Q
+        for op in (dc.b_op(q, 1), dc.b_dagger(q, 1), dc.h_operator(q, 1),
+                   dc.a_op(q, 1), dc.a_dagger(q, 1), dc.big_hamiltonian(q, 1)):
+            with pytest.raises(ContextMismatch):
+                op.apply(random_spinor(rng, 1.5, 0.5, op.size))
+
+    def test_eval_array_rejects_a_non_positive_point(self):
+        f = dc.eigenfunction_chain(self.Q, 2, "a")
+        for rhos in ([1.0, 0.0], [-1.0, 2.0], [[0.5, 1.0], [2.0, -3.0]]):
+            with pytest.raises(DomainError):
+                f.eval_array(np.array(rhos))
+
+    def test_results_share_one_context_and_have_two_or_four_components(self):
+        rng = rng_for(132)
+        q = self.Q
+        f2, f4 = (random_spinor(rng, q.a, q.b, size) for size in (2, 4))
+        results = [(op.apply(f), op.size) for op, f in
+                   ((dc.b_op(q, 1), f2), (dc.b_dagger(q, 1), f2), (dc.h_operator(q, 1), f2),
+                    (dc.a_op(q, 1), f4), (dc.a_dagger(q, 1), f4),
+                    (dc.big_hamiltonian(q, 1), f4))]
+        results += [(f.scale(c), f.size) for f in (f2, f4) for c in (2.0, 0.5 - 1j, 0.0)]
+        results += [(dc.eigenfunction_chain(q, n, fam), 4)
+                     for n in (0, 3) for fam in dc.FAMILIES]
+        for out, size in results:
+            assert type(out) is dc.SpinorFn and out.size == size
+            assert {(c.a, c.b) for c in out.components} == {(q.a, q.b)}
 
 
 class TestRotation:

@@ -8,13 +8,15 @@ import operator
 import numpy as np
 import pytest
 from conftest import (bits, random_dirac, random_nr, random_poly, random_spinor,
-                      ref_apply, ref_canonical, ref_hamiltonian, ref_ladder, ref_scale,
-                      rng_for)
+                      ref_apply, ref_canonical, ref_eval_array, ref_hamiltonian,
+                      ref_ladder, ref_scale, rng_for)
 
 from susy_ladder import dirac as dc
 from susy_ladder import nonrel as nr
 from susy_ladder.errors import ContextMismatch, DivergentIntegral, DomainError
-from susy_ladder.expalg import ExpoPoly, Term, apply_operator
+from susy_ladder.expalg import ExpoPoly, Term, apply_operator, eval_rows
+from susy_ladder.oracle import quadrature_grid
+from susy_ladder.params import DiracParams, NRParams
 
 
 def term(a, b, coeff, mu=0, j=0, k=None):
@@ -72,6 +74,9 @@ class TestCanonicalForm:
             ExpoPoly.term(a, b, 1.0, mu=1, j=0, k=k)
         with pytest.raises(ValueError):
             ExpoPoly(a, b, (Term(1, 0, k, 1.0 + 0j),))
+        if k is None:
+            with pytest.raises(ValueError):
+                ExpoPoly.zero(a, b)
 
     def test_term_equals_the_constructor(self):
         rng = rng_for(60)
@@ -231,6 +236,20 @@ class TestApplyOperator:
                 expect = ref_apply(a, b, [[c]], [[pot]], [f.terms])
                 assert [bits(row.terms) for row in got] == [bits(t) for t in expect]
 
+    def test_one_and_several_term_multipliers_are_checked(self):
+        # One-term multipliers add into the row in place, longer ones through
+        # their own map; both reject a foreign context and a non-Laurent term.
+        a, b = 1.3, 0.7
+        f = random_poly(rng_for(96), a, b)
+        for pot in (term(a, b, 2.0, j=-1), term(a, b, 2.0, j=-1) + term(a, b, 0.5)):
+            foreign = ExpoPoly(1.5, 0.5, pot.terms)
+            with pytest.raises(ContextMismatch):
+                apply_operator([[0.0]], [[foreign]], [f])
+        for bad in (term(a, b, 1.0, mu=1), term(a, b, 1.0, k=1)):
+            for pot in (bad, bad + term(a, b, 0.5)):
+                with pytest.raises(ValueError, match="pure Laurent"):
+                    apply_operator([[1.0]], [[pot]], [f])
+
     @pytest.mark.parametrize("tag", range(4))
     def test_scalar_operators_match_the_per_part_reference(self, tag):
         rng = rng_for(90 + tag)
@@ -349,6 +368,89 @@ class TestEval:
         vec = p.eval_array(xs)
         for x, v in zip(xs, vec):
             assert v == pytest.approx(p.eval(float(x)), rel=1e-14)
+
+
+class TestSampler:
+    """ExpoPoly.eval_array and SpinorFn.eval_array sample all their rows in one
+    eval_rows call, with the grid cast and the power and decay arrays shared.
+    Each row equals the per-poly reference (conftest.ref_eval_array) byte for
+    byte, -0.0 and underflowed tails included."""
+
+    # The second grid reaches far enough for exp(-beta rho) to underflow.
+    GRIDS = (np.linspace(0.04, 40.0, 512), np.geomspace(1e-4, 3000.0, 512))
+
+    @staticmethod
+    def assert_same(f, rhos):
+        got, expect = f.eval_array(rhos), ref_eval_array(f, rhos)
+        assert (got.shape, got.dtype) == (expect.shape, expect.dtype)
+        assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("q", [DiracParams(1.0, 2.0, 1.0, 0.1),
+                                   DiracParams(1.3, 0.9, -0.4, 0.6),
+                                   DiracParams(1.2, 0.8, 0.4, 0.0)],
+                             ids=["fig3", "negative-d0", "mbar-0"])
+    def test_chains_to_the_level_cap(self, q):
+        p = NRParams(q.a, q.b)
+        for n in range(14):
+            chains = [nr.normalize(nr.eigenfunction(p, n))]
+            chains += [dc.normalize_spinor(dc.eigenfunction_chain(q, n, fam))
+                       for fam in dc.FAMILIES]
+            for f in chains:
+                for rhos in self.GRIDS:
+                    self.assert_same(f, rhos)
+
+    @staticmethod
+    def random_grouped_poly(rng, a, b):
+        """Three or four (mu, k) groups, each with offsets j drawn with gaps,
+        and real, purely imaginary or general complex coefficients."""
+        keys = [(0, None), (1, None), (0, 0), (1, 0), (0, 2), (1, 3)]
+        terms = []
+        for g in rng.choice(len(keys), size=int(rng.integers(3, 5)), replace=False):
+            mu, k = keys[g]
+            for j in sorted(rng.choice(np.arange(-1, 7), size=int(rng.integers(1, 6)),
+                                       replace=False)):
+                x, y = rng.standard_normal(2)
+                coeff = (complex(x, y), complex(0.0, y), complex(-abs(x), 0.0))[
+                    int(rng.integers(0, 3))]
+                terms.append(Term(mu, int(j), k, coeff))
+        return ExpoPoly(a, b, terms)
+
+    def test_random_polys_with_gaps_and_imaginary_coefficients(self):
+        rng = rng_for(120)
+        polys = [self.random_grouped_poly(rng, a, b)
+                 for a, b in [(1.3, 0.7)] * 20 + [(0.6, 1.9)] * 10]
+        assert any(t2.j - t1.j > 1 for f in polys for t1, t2 in zip(f.terms, f.terms[1:])
+                   if (t1.mu, t1.k) == (t2.mu, t2.k))
+        assert any(t.coeff.real == 0.0 and t.coeff.imag != 0.0 for f in polys for t in f.terms)
+        for rhos in self.GRIDS:
+            for f in polys:
+                self.assert_same(f, rhos)
+            # One call over rows of two contexts shares only equal factors.
+            rows = eval_rows(polys, rhos)
+            assert rows.tobytes() == np.stack([ref_eval_array(f, rhos) for f in polys]).tobytes()
+            spinor = dc.SpinorFn(tuple(polys[:4]))
+            self.assert_same(spinor, rhos)
+
+    def test_spinors_with_empty_components(self):
+        q = DiracParams(1.3, 0.9, -0.4, 0.6)
+        poly = random_poly(rng_for(121), q.a, q.b, n_terms=5)
+        zero = ExpoPoly.zero(q.a, q.b)
+        spinors = [dc.kernel_chi(q, 3), dc.SpinorFn((zero, poly)),
+                   dc.SpinorFn((poly, zero, zero, poly)), dc.SpinorFn((zero,) * 4)]
+        for f in spinors:
+            for rhos in self.GRIDS:
+                self.assert_same(f, rhos)
+        assert not dc.SpinorFn((zero, poly)).eval_array(self.GRIDS[0])[0].any()
+
+    def test_the_quadrature_grid(self):
+        p = NRParams(1.5, 0.5)
+        rhos = quadrature_grid(p, 3).points
+        assert rhos.size == 16384
+        for n in range(4):
+            self.assert_same(nr.eigenfunction(p, n), rhos)
+        q = DiracParams(1.5, 0.5, -0.4, 0.2)
+        for fam in dc.FAMILIES:
+            self.assert_same(dc.eigenfunction_chain(q, 3, fam), rhos)
 
 
 class TestInnerProduct:
