@@ -71,7 +71,8 @@ class SpinorFn:
                               zip(self.components, other.components, strict=True)))
 
     def __sub__(self, other: "SpinorFn") -> "SpinorFn":
-        return self + other.scale(-1.0)
+        return _wrap_spinor(tuple(p - q for p, q in
+                                  zip(self.components, other.components, strict=True)))
 
     def scale(self, c: complex) -> "SpinorFn":
         return _wrap_spinor(tuple(p.scale(c) for p in self.components))
@@ -80,7 +81,7 @@ class SpinorFn:
         return all(p.is_zero(tol) for p in self.components)
 
     def max_abs_coeff(self) -> float:
-        return max(p.max_abs_coeff() for p in self.components)
+        return max([p.max_abs_coeff() for p in self.components])
 
     def eval(self, rho: float) -> np.ndarray:
         return np.array([p.eval(rho) for p in self.components])

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +43,8 @@ class Term(NamedTuple):
 
 # Builds a Term from a 4-tuple without the generated __new__'s Python frame.
 _new_term = tuple.__new__
+# Sort key of a ((mu, j, k), coeff) map item: its key, taken in C.
+_first = itemgetter(0)
 
 
 def _power(t: Term, a: float) -> float:
@@ -52,7 +55,7 @@ def _rate(t: Term, a: float, b: float) -> float:
     return 0.0 if t.k is None else b / (a + t.k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpoPoly:
     """Canonical finite sum of exponential-polynomial terms in one (a, b) context.
 
@@ -95,18 +98,30 @@ class ExpoPoly:
         return _sum(self.a, self.b, (self, other))
 
     def __sub__(self, other: "ExpoPoly") -> "ExpoPoly":
-        return self + (-other)
+        """self + other.scale(-1.0), bit for bit, in one map: each coefficient
+        of other enters as the 0j + coeff * -1.0 that scale would store."""
+        a, b = self.a, self.b
+        _check_context(a, b, other)
+        acc = {(mu, j, k): 0j + coeff for mu, j, k, coeff in self.terms}
+        for mu, j, k, coeff in other.terms:
+            key = (mu, j, k)
+            acc[key] = acc.get(key, 0j) + (0j + coeff * -1.0)
+        return _from_map(a, b, acc)
 
     def __neg__(self) -> "ExpoPoly":
         return self.scale(-1.0)
 
     def scale(self, c: complex) -> "ExpoPoly":
+        """Every coefficient times c, stored as 0j + coeff * c (no -0.0 part),
+        with exact zeros dropped, as the constructor would; the keys keep
+        their canonical order."""
         if not isinstance(c, (int, float)):
             # A numpy complex scalar multiplies a Python complex bit for bit
             # like its Python value, which keeps the products Python complex.
             c = complex(c)
-        return _same_keys(self.a, self.b,
-                          [(mu, j, k, coeff * c) for mu, j, k, coeff in self.terms])
+        return _wrap(self.a, self.b, tuple([
+            _new_term(Term, (mu, j, k, v)) for mu, j, k, coeff in self.terms
+            if (v := 0j + coeff * c) != 0j]))
 
     def mul_laurent(self, other: "ExpoPoly") -> "ExpoPoly":
         """Multiply by a pure Laurent polynomial (mu = 0, no decay, all terms).
@@ -122,8 +137,9 @@ class ExpoPoly:
         return _from_map(self.a, self.b, _deriv_map(self.terms, self.a, self.b))
 
     def conjugate(self) -> "ExpoPoly":
-        return _same_keys(self.a, self.b, [(mu, j, k, coeff.conjugate())
-                                           for mu, j, k, coeff in self.terms])
+        return _wrap(self.a, self.b, tuple([
+            _new_term(Term, (mu, j, k, v)) for mu, j, k, coeff in self.terms
+            if (v := 0j + coeff.conjugate()) != 0j]))
 
     # -- evaluation and integration -----------------------------------------
 
@@ -175,7 +191,7 @@ class ExpoPoly:
         return all(abs(t.coeff) <= tol * scale for t in self.terms)
 
     def max_abs_coeff(self) -> float:
-        return max((abs(t.coeff) for t in self.terms), default=0.0)
+        return max([abs(t.coeff) for t in self.terms], default=0.0)
 
 
 def _check_positive_context(a: float, b: float) -> None:
@@ -231,9 +247,12 @@ def laguerre_norm2(poly: ExpoPoly) -> float:
     mu, j0, k, _ = terms[0]
     if k is None:
         raise ValueError("a Laguerre function needs an exponential decay")
-    if any((t.mu, t.j, t.k) != (mu, j0 + i, k) for i, t in enumerate(terms)):
-        raise ValueError("a Laguerre function has one mu, one decay index "
-                         "and consecutive powers")
+    j = j0
+    for tmu, tj, tk, _ in terms:
+        if tmu != mu or tj != j or tk != k:
+            raise ValueError("a Laguerre function has one mu, one decay index "
+                             "and consecutive powers")
+        j += 1
     a, b = poly.a, poly.b
     p0 = mu * a + j0
     if not p0 > 0:
@@ -242,11 +261,22 @@ def laguerre_norm2(poly: ExpoPoly) -> float:
     m = len(terms) - 1
     two_beta = 2.0 * b / (a + k)
     top = terms[-1].coeff
-    expect, worst = top, 0.0
+    # worst and scale take each new value only when it is larger, as max
+    # does. max_abs_coeff's max starts at the first coefficient, so scale
+    # does too, which keeps a NaN there (and only there) as its result.
+    expect, worst, scale = top, 0.0, abs(terms[0].coeff)
+    size = abs(top)
+    if size > scale:
+        scale = size
     for i in range(m - 1, -1, -1):
+        coeff = terms[i].coeff
         expect = -expect * ((i + 1) * (alpha + i + 1) / ((m - i) * two_beta))
-        worst = max(worst, abs(terms[i].coeff - expect))
-    scale = poly.max_abs_coeff()
+        gap = abs(coeff - expect)
+        if gap > worst:
+            worst = gap
+        size = abs(coeff)
+        if size > scale:
+            scale = size
     if worst > LAGUERRE_TOL * scale:
         raise PrecisionLoss(f"coefficients depart from the Laguerre form by "
                             f"{worst / scale:.3e} of the largest "
@@ -356,7 +386,8 @@ def apply_operator(dcoef, potential, components) -> tuple[ExpoPoly, ...]:
                 for key, coeff in deriv.items():
                     acc[key] = acc.get(key, 0j) + coeff * c
             if pot.terms:
-                _check_context(a, b, pot)
+                if pot.a != a or pot.b != b:
+                    _check_context(a, b, pot)
                 if len(pot.terms) == 1:
                     _laurent_map(f.terms, pot.terms, acc)
                 else:
@@ -410,52 +441,52 @@ def _add(acc: dict[tuple, complex], part: dict[tuple, complex]) -> None:
         acc[key] = acc.get(key, 0j) + coeff
 
 
-def _order(key: tuple) -> tuple:
-    """Sort key of (mu, j, k): undecayed terms before decayed ones, then by k."""
-    mu, j, k = key
+def _order(item: tuple) -> tuple:
+    """Sort key of a ((mu, j, k), coeff) map item: undecayed terms before
+    decayed ones, then by k."""
+    (mu, j, k), _ = item
     return (mu, j, k is not None, 0 if k is None else k)
+
+
+# The slot descriptors of ExpoPoly's fields: setting through them skips the
+# frozen class's __setattr__.
+_set_a = ExpoPoly.a.__set__
+_set_b = ExpoPoly.b.__set__
+_set_terms = ExpoPoly.terms.__set__
 
 
 def _wrap(a: float, b: float, terms: tuple[Term, ...]) -> ExpoPoly:
     """An ExpoPoly around terms already in canonical form, past the constructor."""
     poly = object.__new__(ExpoPoly)
-    object.__setattr__(poly, "a", a)
-    object.__setattr__(poly, "b", b)
-    object.__setattr__(poly, "terms", terms)
+    _set_a(poly, a)
+    _set_b(poly, b)
+    _set_terms(poly, terms)
     return poly
 
 
 def _sorted_terms(acc: dict[tuple, complex]) -> tuple[Term, ...]:
     """The nonzero entries of a {(mu, j, k): coeff} map as sorted terms.
 
-    Keys sort in their natural tuple order, with no Python key call. That
-    is _order's order wherever it is defined: keys are distinct, so two
-    that share (mu, j) differ in k, and two integer k compare as _order
+    Items sort by their keys' natural tuple order, through a C key and no
+    Python key call, and each coefficient is read once and never compared.
+    That is _order's order wherever it is defined: keys are distinct, so
+    two that share (mu, j) differ in k, and two integer k compare as _order
     compares them. Only a None k against an integer one is undefined, when
     one (mu, j) holds both. Then (mu, j, None) and (mu, j, least k) are
     adjacent in _order, and a comparison sort must compare every adjacent
-    pair of its result, so the natural sort raises TypeError and the keys
+    pair of its result, so the natural sort raises TypeError and the items
     are sorted by _order instead.
     """
     try:
-        keys = sorted(acc)
+        items = sorted(acc.items(), key=_first)
     except TypeError:
-        keys = sorted(acc, key=_order)
-    return tuple([_new_term(Term, (*key, acc[key])) for key in keys if acc[key] != 0j])
+        items = sorted(acc.items(), key=_order)
+    return tuple([_new_term(Term, (mu, j, k, coeff)) for (mu, j, k), coeff in items
+                  if coeff != 0j])
 
 
 def _from_map(a: float, b: float, acc: dict[tuple, complex]) -> ExpoPoly:
     return _wrap(a, b, _sorted_terms(acc))
-
-
-def _same_keys(a: float, b: float, terms) -> ExpoPoly:
-    """Canonical poly from (mu, j, k, coeff) in canonical key order: no sort.
-
-    Each coefficient is stored as 0j + coeff, so no part is -0.0, and exact
-    zeros are dropped, as the constructor would.
-    """
-    return _wrap(a, b, tuple([_new_term(Term, (mu, j, k, c)) for mu, j, k, coeff in terms
-                              if (c := 0j + coeff) != 0j]))
 
 
 def _canonicalize(a: float, b: float, terms) -> tuple[Term, ...]:

@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 
-from susy_ladder.expalg import Term
+from susy_ladder.errors import PrecisionLoss
+from susy_ladder.expalg import LAGUERRE_TOL, Term
 from susy_ladder.verify import (random_dirac, random_nr, random_phys,  # noqa: F401
                                 random_poly, random_spinor)
 
@@ -130,3 +131,43 @@ def ref_eval_array(f, rhos):
                 acc *= np.exp(-(f.b / (f.a + k)) * rhos)
             total += acc
     return total
+
+
+# -- reference for the Laguerre norm guard ---------------------------------------
+#
+# expalg.laguerre_norm2 checks the shape in one loop and takes the departure
+# and the largest |coeff| in plain comparisons. This is the version it
+# replaced, with max over generators, kept as the reference it must match:
+# the same value to the bit, or the same exception and message.
+
+
+def ref_laguerre_norm2(poly):
+    terms = poly.terms
+    if not terms:
+        raise ValueError("the zero function is not a Laguerre function")
+    mu, j0, k, _ = terms[0]
+    if k is None:
+        raise ValueError("a Laguerre function needs an exponential decay")
+    if any((t.mu, t.j, t.k) != (mu, j0 + i, k) for i, t in enumerate(terms)):
+        raise ValueError("a Laguerre function has one mu, one decay index "
+                         "and consecutive powers")
+    a, b = poly.a, poly.b
+    p0 = mu * a + j0
+    if not p0 > 0:
+        raise ValueError(f"lowest power {p0} gives alpha = 2 p0 - 1 <= -1")
+    alpha = 2.0 * p0 - 1.0
+    m = len(terms) - 1
+    two_beta = 2.0 * b / (a + k)
+    top = terms[-1].coeff
+    expect, worst = top, 0.0
+    for i in range(m - 1, -1, -1):
+        expect = -expect * ((i + 1) * (alpha + i + 1) / ((m - i) * two_beta))
+        worst = max(worst, abs(terms[i].coeff - expect))
+    scale = max((abs(t.coeff) for t in terms), default=0.0)
+    if worst > LAGUERRE_TOL * scale:
+        raise PrecisionLoss(f"coefficients depart from the Laguerre form by "
+                            f"{worst / scale:.3e} of the largest "
+                            f"(tolerance {LAGUERRE_TOL:.0e})")
+    return math.exp(2.0 * math.log(abs(top)) + math.lgamma(m + 1)
+                    + math.lgamma(m + alpha + 1) + math.log(2 * m + alpha + 1)
+                    - (2 * m + alpha + 2) * math.log(two_beta))

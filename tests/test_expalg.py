@@ -1,6 +1,7 @@
 """Tests of the exponential-polynomial algebra: canonical form, arithmetic,
 differentiation, evaluation, and the closed-form inner product."""
 
+import dataclasses
 import functools
 import math
 import operator
@@ -8,19 +9,24 @@ import operator
 import numpy as np
 import pytest
 from conftest import (bits, random_dirac, random_nr, random_poly, random_spinor,
-                      ref_apply, ref_canonical, ref_eval_array, ref_hamiltonian,
-                      ref_ladder, ref_scale, rng_for)
+                      ref_add, ref_apply, ref_canonical, ref_eval_array,
+                      ref_hamiltonian, ref_ladder, ref_scale, rng_for)
 
 from susy_ladder import dirac as dc
 from susy_ladder import nonrel as nr
 from susy_ladder.errors import ContextMismatch, DivergentIntegral, DomainError
-from susy_ladder.expalg import ExpoPoly, Term, apply_operator, eval_rows
+from susy_ladder.expalg import ExpoPoly, Term, _wrap, apply_operator, eval_rows
 from susy_ladder.oracle import quadrature_grid
 from susy_ladder.params import DiracParams, NRParams
 
 
 def term(a, b, coeff, mu=0, j=0, k=None):
     return ExpoPoly.term(a, b, coeff, mu=mu, j=j, k=k)
+
+
+def hex_bits(terms):
+    """Keys and the .hex() of both coefficient parts, so that -0.0 counts."""
+    return [(t.mu, t.j, t.k, t.coeff.real.hex(), t.coeff.imag.hex()) for t in terms]
 
 
 class TestCanonicalForm:
@@ -121,10 +127,6 @@ class TestSignedZero:
     """Operator applications skip multiplying by an exact 1; that is exact
     only because no canonical coefficient has a -0.0 part."""
 
-    @staticmethod
-    def bits(p):
-        return [(t.mu, t.j, t.k, t.coeff.real.hex(), t.coeff.imag.hex()) for t in p.terms]
-
     def test_no_negative_zero_and_unit_scale_is_exact(self):
         a, b = 1.3, 0.7
         rng = rng_for(71)
@@ -138,7 +140,7 @@ class TestSignedZero:
                 assert "-0x0.0p+0" not in (t.coeff.real.hex(), t.coeff.imag.hex())
             for one in (1, 1.0, complex(1, -0.0), np.complex128(complex(1, -0.0))):
                 assert p.scale(one).terms == p.terms
-                assert self.bits(p.scale(one)) == self.bits(p)
+                assert hex_bits(p.scale(one).terms) == hex_bits(p.terms)
 
 
 class TestSum:
@@ -172,6 +174,123 @@ class TestSum:
         assert ExpoPoly.sum(1.0, 1.0, []) == ExpoPoly.zero(1.0, 1.0)
         with pytest.raises(ContextMismatch):
             ExpoPoly.sum(1.0, 1.0, [term(1.0, 1.0, 1.0), term(2.0, 1.0, 1.0)])
+
+
+class TestSubtract:
+    """p - q accumulates p and -q in one map. It must equal p + q.scale(-1.0),
+    and the per-part reference, to the bit, -0.0 included."""
+
+    a, b = 1.3, 0.7
+
+    def check(self, p, q):
+        expect = hex_bits((p + q.scale(-1.0)).terms)
+        assert hex_bits((p - q).terms) == expect
+        assert hex_bits(ref_add(p.terms, ref_scale(q.terms, -1.0))) == expect
+
+    def test_verify_draws(self):
+        rng = rng_for(170)
+        for _ in range(40):
+            p = random_nr(rng)
+            polys = [random_poly(rng, p.a, p.b, n_terms=int(rng.integers(1, 7)))
+                     for _ in range(4)]
+            for f in polys:
+                for g in polys:
+                    self.check(f, g)
+
+    def test_real_imaginary_and_signed_zero_parts(self):
+        a, b = self.a, self.b
+        coeffs = [2.0, -0.5, 3j, -1.5j, complex(-0.0, 1.0), complex(1.0, -0.0),
+                  complex(-0.0, -0.0) - 2.5j, complex(2.0, 0.0), 1e-320, -1e-320j]
+        polys = [term(a, b, c, mu=1, j=j, k=0) for j, c in enumerate(coeffs)]
+        polys += [term(a, b, c, mu=1, j=1, k=0) for c in coeffs]
+        polys.append(ExpoPoly.sum(a, b, polys[:len(coeffs)]))
+        for f in polys:
+            for g in polys:
+                self.check(f, g)
+
+    def test_disjoint_overlapping_identical_and_self(self):
+        a, b = self.a, self.b
+        rng = rng_for(171)
+        p = random_poly(rng, a, b, n_terms=5)
+        keys = [t[:3] for t in p.terms]
+        disjoint = ExpoPoly(a, b, [(0, j, None, 1.5 - 1j) for j in range(3)])
+        overlap = ExpoPoly(a, b, [(*keys[0], 0.25j), (0, -1, None, 2.0)])
+        same = ExpoPoly(a, b, [(*key, complex(*rng.standard_normal(2))) for key in keys])
+        # p's real parts cancel exactly: only the imaginary parts are left
+        real = ExpoPoly(a, b, [(*t[:3], t.coeff.real) for t in p.terms])
+        for q in (disjoint, overlap, same, real, p, ExpoPoly.zero(a, b)):
+            self.check(p, q)
+            self.check(q, p)
+        assert (p - p).terms == ()
+        assert all(t.coeff.real == 0.0 for t in (p - real).terms)
+
+    def test_undecayed_and_decayed_keys_at_one_power(self):
+        # (0, 1, None) and (0, 1, k) do not compare as plain tuples, which
+        # sends the sort to its _order fallback
+        a, b = self.a, self.b
+        p = ExpoPoly(a, b, [(0, 1, None, 2.0 + 1j), (0, 1, 2, -1.0), (1, 0, 0, 0.5j)])
+        q = ExpoPoly(a, b, [(0, 1, 0, 3.0), (0, 1, None, 2.0 - 1j), (0, 0, 5, 1.0)])
+        for f, g in ((p, q), (q, p), (p, p), (p, ExpoPoly.zero(a, b))):
+            self.check(f, g)
+        assert [t[:3] for t in (p - q).terms] == [(0, 0, 5), (0, 1, None), (0, 1, 0),
+                                                  (0, 1, 2), (1, 0, 0)]
+
+    def test_context_mismatch(self):
+        with pytest.raises(ContextMismatch):
+            term(1.0, 1.0, 1.0) - term(2.0, 1.0, 1.0)
+        rng = rng_for(172)
+        f = random_spinor(rng, 1.0, 1.0, 2)
+        with pytest.raises(ContextMismatch):
+            f - random_spinor(rng, 2.0, 1.0, 2)
+        with pytest.raises(ValueError):
+            f - random_spinor(rng, 1.0, 1.0, 4)
+
+    def test_spinors(self):
+        rng = rng_for(173)
+        for _ in range(10):
+            q = random_dirac(rng)
+            for size in (2, 4):
+                f, g = (random_spinor(rng, q.a, q.b, size) for _ in range(2))
+                g = dc.SpinorFn(g.components[:1] + (ExpoPoly.zero(q.a, q.b),)
+                                + g.components[2:])
+                for x, y in ((f, g), (g, f), (f, f)):
+                    out = x - y
+                    assert type(out) is dc.SpinorFn and out.size == size
+                    assert {(c.a, c.b) for c in out.components} == {(q.a, q.b)}
+                    assert ([hex_bits(c.terms) for c in out.components]
+                            == [hex_bits(c.terms) for c in (x + y.scale(-1.0)).components])
+                assert (f - f).is_zero(0.0)
+
+
+class TestSlottedPoly:
+    """ExpoPoly is a frozen slotted dataclass; _wrap sets its slots directly."""
+
+    def test_no_instance_dict(self):
+        a, b = 1.3, 0.7
+        polys = [ExpoPoly(a, b, ((1, 0, 0, 1.0),)), ExpoPoly.zero(a, b), term(a, b, 2.0),
+                 random_poly(rng_for(174), a, b), _wrap(a, b, ())]
+        for p in polys:
+            assert not hasattr(p, "__dict__")
+        assert "__dict__" not in dir(ExpoPoly)
+
+    def test_wrapped_equals_constructed(self):
+        rng = rng_for(175)
+        for _ in range(10):
+            q = random_nr(rng)
+            p = random_poly(rng, q.a, q.b, n_terms=4)
+            zero = ExpoPoly.zero(q.a, q.b)
+            for wrapped in (_wrap(q.a, q.b, p.terms), p, p.scale(1.0), p - zero):
+                built = ExpoPoly(q.a, q.b, p.terms)
+                assert wrapped == built and hash(wrapped) == hash(built)
+        assert _wrap(1.3, 0.7, ()) == ExpoPoly(1.3, 0.7)
+        assert hash(_wrap(1.3, 0.7, ())) == hash(ExpoPoly(1.3, 0.7))
+
+    def test_fields_are_frozen(self):
+        for p in (ExpoPoly(1.3, 0.7, ((0, 1, None, 1.0),)), _wrap(1.3, 0.7, ())):
+            for name, value in (("a", 2.0), ("b", 2.0), ("terms", ())):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(p, name, value)
+            assert (p.a, p.b) == (1.3, 0.7)
 
 
 class TestApplyOperator:
@@ -242,9 +361,10 @@ class TestApplyOperator:
         a, b = 1.3, 0.7
         f = random_poly(rng_for(96), a, b)
         for pot in (term(a, b, 2.0, j=-1), term(a, b, 2.0, j=-1) + term(a, b, 0.5)):
-            foreign = ExpoPoly(1.5, 0.5, pot.terms)
-            with pytest.raises(ContextMismatch):
-                apply_operator([[0.0]], [[foreign]], [f])
+            for ctx in ((1.5, 0.5), (a, 0.5), (1.5, b)):
+                foreign = ExpoPoly(*ctx, pot.terms)
+                with pytest.raises(ContextMismatch):
+                    apply_operator([[0.0]], [[foreign]], [f])
         for bad in (term(a, b, 1.0, mu=1), term(a, b, 1.0, k=1)):
             for pot in (bad, bad + term(a, b, 0.5)):
                 with pytest.raises(ValueError, match="pure Laurent"):

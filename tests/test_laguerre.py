@@ -10,7 +10,7 @@ tolerances tested here.
 import mpmath as mp
 import numpy as np
 import pytest
-from conftest import random_dirac, random_nr, rng_for
+from conftest import random_dirac, random_nr, ref_laguerre_norm2, rng_for
 
 from susy_ladder import dirac as dc
 from susy_ladder import nonrel as nr
@@ -156,6 +156,38 @@ class TestNotALaguerreFunction:
             terms = [(1, int(j), 3, complex(*rng.standard_normal(2))) for j in range(1, 5)]
             with pytest.raises(PrecisionLoss):
                 laguerre_norm2(self.poly(*terms))
+
+    def test_matches_the_reference_guard(self):
+        # The same float, or the same exception and message, as the version
+        # with max over generators (conftest.ref_laguerre_norm2): on chains,
+        # bumped chains, random polys, every wrong shape, and coefficients
+        # that are NaN or infinite first, last or inside.
+        def outcome(norm2, poly):
+            try:
+                return norm2(poly).hex()
+            except (ValueError, PrecisionLoss) as err:
+                return type(err), str(err)
+
+        f = nr.eigenfunction(FIG2, 6)
+        bumped = [f + self.poly((*t[:3], s * 1e3 * LAGUERRE_TOL * f.max_abs_coeff()))
+                  for t in f.terms for s in (1.0, 1e-6)]
+        rng = rng_for(72)
+        polys = chain_polys(5) + chain_polys(13) + bumped
+        polys += [self.poly(*[(1, j, 3, complex(*rng.standard_normal(2)))
+                              for j in range(1, 5)]) for _ in range(10)]
+        polys += [self.poly(*terms) for terms in [
+            (), ((1, 1, None, 1.0),), ((1, 1, 2, 1.0), (1, 2, 3, 1.0)),
+            ((1, 1, 2, 1.0), (1, 3, 2, 1.0)), ((0, 1, 2, 1.0), (1, 1, 2, 1.0)),
+            ((0, -2, 2, 1.0),), ((0, 0, 2, 1.0),), ((1, 1, 2, 1.0), (1, 2, None, 1.0))]]
+        # A NaN first coefficient makes the largest |coeff| NaN, which lets
+        # a departure pass that a finite largest |coeff| refuses (bumped[4]).
+        for g in (f, bumped[4]):
+            for bad in (float("nan"), float("inf"), complex(1.0, float("nan"))):
+                for i in (0, 3, len(g.terms) - 1):
+                    polys.append(ExpoPoly(g.a, g.b, g.terms[:i] + (g.terms[i][:3] + (bad,),)
+                                          + g.terms[i + 1:]))
+        for poly in polys:
+            assert outcome(laguerre_norm2, poly) == outcome(ref_laguerre_norm2, poly)
 
     def test_normalize_spinor_refuses_a_non_chain(self):
         gap = self.poly((1, 1, 2, 1.0), (1, 3, 2, 1.0))
