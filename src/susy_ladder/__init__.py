@@ -10,7 +10,7 @@ confirms every eigenvalue and eigenfunction numerically.
 from .errors import (ContextMismatch, DegenerateDenominator, DivergentIntegral,
                      DomainError, GridCapExceeded, GridTooCoarse, LadderError,
                      LevelCapExceeded, NegativeRadicand, NoBoundStates,
-                     PrecisionLoss, SingularXi, TailNotDecayed)
+                     NonFiniteSample, PrecisionLoss, SingularXi, TailNotDecayed)
 from .expalg import ExpoPoly
 from .params import DiracParams, NRParams, PhysicalParams
 
@@ -19,7 +19,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ContextMismatch", "DegenerateDenominator", "DivergentIntegral",
     "DomainError", "GridCapExceeded", "GridTooCoarse", "LadderError",
-    "LevelCapExceeded", "NegativeRadicand", "NoBoundStates", "PrecisionLoss",
+    "LevelCapExceeded", "NegativeRadicand", "NoBoundStates", "NonFiniteSample",
+    "PrecisionLoss",
     "SingularXi", "TailNotDecayed",
     "ExpoPoly",
     "DiracParams", "NRParams", "PhysicalParams",

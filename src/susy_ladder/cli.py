@@ -6,11 +6,19 @@ and a one-shot verification run. Floats are rendered in fixed 17-significant-
 digit scientific notation so identical configurations produce identical
 bytes on every platform.
 
+Every mode but verify runs in pure Python and never imports numpy, which
+would otherwise be the largest cost of a cold run. The tables sample each
+eigenfunction from its Laguerre closed form (expalg.laguerre_samples), on
+FIG_SAMPLES points that equal np.linspace's bit for bit. The chains are
+still built and normalised, so one that has left its closed form still
+fails with PrecisionLoss. A sample that is not finite fails with
+NonFiniteSample, naming its column and rho.
+
 Exit codes: 0 success, 2 invalid configuration or parameters (including
-more eigenfunction levels than MAX_LEVELS or more grid points than
-MAX_GRID_POINTS), 3 when verify finds a failed
-check (an oracle grid that does not converge on refinement fails its check;
-the other checks still run).
+more eigenfunction levels than MAX_LEVELS, more grid points than
+MAX_GRID_POINTS, or a window whose samples are not finite), 3 when verify
+finds a failed check (an oracle grid that does not converge on refinement
+fails its check; the other checks still run).
 """
 
 from __future__ import annotations
@@ -23,11 +31,10 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import dirac as dc
 from . import nonrel as nr
-from .errors import GridCapExceeded, LadderError, LevelCapExceeded
+from .errors import GridCapExceeded, LadderError, LevelCapExceeded, NonFiniteSample
+from .expalg import laguerre_samples
 from .params import DiracParams, NRParams, PhysicalParams, default_rho_max
 
 FIG_SAMPLES = 512
@@ -146,13 +153,47 @@ def _dirac_params(cfg: RunConfig, default: dict | None = None) -> DiracParams:
     return DiracParams(default["a"], default["b"], default["d0"], default["mbar"])
 
 
-def _samples(rho_max: float) -> np.ndarray:
-    return np.linspace(rho_max / FIG_SAMPLES, rho_max, FIG_SAMPLES)
+def _samples(rho_max: float) -> list[float]:
+    """FIG_SAMPLES points from rho_max/FIG_SAMPLES to rho_max, each the float
+    np.linspace returns: i * step + start, and rho_max itself last."""
+    start, div = rho_max / FIG_SAMPLES, FIG_SAMPLES - 1
+    delta = rho_max - start
+    step = delta / div
+    if step == 0.0:
+        # np.linspace's order for a step that underflows to zero
+        return [i / div * delta + start for i in range(div)] + [rho_max]
+    return [i * step + start for i in range(div)] + [rho_max]
 
 
-def _density(params: DiracParams, n: int, fam: str, xs: np.ndarray) -> np.ndarray:
+def _finite(name: str, xs: list[float], values: list[float]) -> list[float]:
+    """values, when every one is finite; otherwise NonFiniteSample naming the
+    column and the first rho where it is not. A sample that underflows to 0
+    is finite and correct."""
+    if not all(map(math.isfinite, values)):
+        rho = next(x for x, v in zip(xs, values) if not math.isfinite(v))
+        raise NonFiniteSample(
+            f"column {name} is not finite at rho = {_fmt_float(rho)}: the window "
+            "reaches past what a float can hold")
+    return values
+
+
+def _real_or_inf(poly, rho: float) -> float:
+    """Re poly(rho), or inf where a power overflows."""
+    try:
+        return poly.eval(rho).real
+    except OverflowError:
+        return math.inf
+
+
+def _density(params: DiracParams, n: int, fam: str, xs: list[float]) -> list[float]:
+    """The sum of |c|^2 f^2 over the chain's components (see
+    expalg.laguerre_samples)."""
     chain = dc.normalize_spinor(dc.eigenfunction_chain(params, n, fam))
-    return np.sum(np.abs(chain.eval_array(xs)) ** 2, axis=0)
+    density = [0.0] * len(xs)
+    for amp, f in laguerre_samples(chain.components, xs):
+        weight = abs(amp) ** 2
+        density = [d + weight * v * v for d, v in zip(density, f)]
+    return density
 
 
 # -- table builders ----------------------------------------------------------
@@ -173,8 +214,9 @@ def _table_nr_eigenfunctions(cfg: RunConfig, params: NRParams | None = None):
                else cfg.rho_max)
     xs = _samples(rho_max)
     table = {"rho": xs}
-    for n in range(cfg.levels):
-        table[f"G{n}"] = nr.normalize(nr.eigenfunction(params, n)).eval_array(xs).real
+    chains = [nr.normalize(nr.eigenfunction(params, n)) for n in range(cfg.levels)]
+    for n, (amp, f) in enumerate(laguerre_samples(chains, xs)):
+        table[f"G{n}"] = _finite(f"G{n}", xs, [amp.real * v for v in f])
     return table
 
 
@@ -194,7 +236,8 @@ def _table_dirac_eigenfunctions(cfg: RunConfig, params: DiracParams | None = Non
     table = {"rho": xs}
     for fam in cfg.families:
         for n in range(cfg.levels):
-            table[f"density_{fam}{n}"] = _density(params, n, fam, xs)
+            name = f"density_{fam}{n}"
+            table[name] = _finite(name, xs, _density(params, n, fam, xs))
     return table
 
 
@@ -203,7 +246,8 @@ def _table_fig2(cfg: RunConfig):
     params = _nr_params(cfg, default=FIG2_NR)
     funcs = _table_nr_eigenfunctions(replace(cfg, levels=3), params)
     xs = funcs["rho"]
-    table = {"rho": xs, "V0": nr.potential(params, 0).eval_array(xs).real} | funcs
+    v0 = nr.potential(params, 0)
+    table = {"rho": xs, "V0": _finite("V0", xs, [_real_or_inf(v0, x) for x in xs])} | funcs
     for n in range(3):
         table[f"E{n}"] = [nr.spectrum_radial(params, n)] * FIG_SAMPLES
     return table
@@ -239,10 +283,10 @@ def _table_verify(cfg: RunConfig):
 def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt_float(float(value))
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return _fmt_float(value)
     return str(value)
 
 

@@ -20,26 +20,45 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import (DegenerateDenominator, DomainError, NegativeRadicand,
                      NoBoundStates, SingularXi)
 from .expalg import ExpoPoly, apply_operator, eval_rows, laguerre_norm2
 from .params import DiracParams, PhysicalParams
 
-S0 = np.eye(2, dtype=complex)
-S1 = np.array([[0, 1], [1, 0]], dtype=complex)
-S2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-S3 = np.array([[1, 0], [0, -1]], dtype=complex)
+if TYPE_CHECKING:
+    import numpy as np
 
-_ZERO2 = np.zeros((2, 2), dtype=complex)
-ALPHA1 = np.block([[_ZERO2, S1], [S1, _ZERO2]])
-ALPHA2 = np.block([[_ZERO2, S2], [S2, _ZERO2]])
-ALPHA3 = np.block([[_ZERO2, S3], [S3, _ZERO2]])
-BETA = np.block([[S0, _ZERO2], [_ZERO2, -S0]])
-SIGMA1 = np.block([[S1, _ZERO2], [_ZERO2, S1]])
+# A constant matrix: nested tuples of Python complex, rows first.
+Matrix = tuple[tuple[complex, ...], ...]
+
+
+def _entrywise(fn, *mats: Matrix) -> Matrix:
+    """fn applied to the entries of equal-shaped matrices, position by position."""
+    return tuple(tuple(fn(*xs) for xs in zip(*rows)) for rows in zip(*mats))
+
+
+def _blocks(grid) -> Matrix:
+    """The matrix of a 2x2 grid of equal-sized square blocks, as np.block."""
+    return tuple(left[i] + right[i] for left, right in grid for i in range(len(left)))
+
+
+# Each entry, -0.0 parts included, is that of the complex numpy array the
+# matrix was built as before, so operators built from them apply bit for bit
+# as they did.
+S0: Matrix = ((1 + 0j, 0j), (0j, 1 + 0j))
+S1: Matrix = ((0j, 1 + 0j), (1 + 0j, 0j))
+S2: Matrix = ((0j, -1j), (1j, 0j))
+S3: Matrix = ((1 + 0j, 0j), (0j, -1 + 0j))
+
+_ZERO2: Matrix = ((0j, 0j), (0j, 0j))
+ALPHA1 = _blocks(((_ZERO2, S1), (S1, _ZERO2)))
+ALPHA2 = _blocks(((_ZERO2, S2), (S2, _ZERO2)))
+ALPHA3 = _blocks(((_ZERO2, S3), (S3, _ZERO2)))
+BETA = _blocks(((S0, _ZERO2), (_ZERO2, _entrywise(lambda x: -x, S0))))
+SIGMA1 = _blocks(((S1, _ZERO2), (_ZERO2, S1)))
 
 FAMILIES = ("a", "b", "c", "d")
 
@@ -84,6 +103,8 @@ class SpinorFn:
         return max([p.max_abs_coeff() for p in self.components])
 
     def eval(self, rho: float) -> np.ndarray:
+        import numpy as np
+
         return np.array([p.eval(rho) for p in self.components])
 
     def eval_array(self, rhos: np.ndarray) -> np.ndarray:
@@ -123,52 +144,46 @@ def normalize_spinor(f: SpinorFn) -> SpinorFn:
 class MatrixOp:
     """First-order operator  dcoef * d/drho + potential(rho).
 
-    dcoef is a constant complex matrix; the potential is a matrix of pure
+    dcoef is a constant complex matrix as nested tuples, the form
+    apply_operator reads, so an operator shared through a cache cannot be
+    changed through one of its holders. The potential is a matrix of pure
     Laurent polynomials, so application keeps spinors inside the algebra.
     Compositions are realized by applying operators in sequence rather than
     materializing second-order forms.
     """
 
-    dcoef: np.ndarray
+    dcoef: Matrix
     potential: tuple[tuple[ExpoPoly, ...], ...]
-    # dcoef as nested lists of Python complex, the form apply_operator reads.
-    _dcoef_rows: list = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # Operators are cached and shared; a write through one holder would
-        # change every chain built from it.
-        self.dcoef.setflags(write=False)
-        object.__setattr__(self, "_dcoef_rows", self.dcoef.tolist())
 
     @property
     def size(self) -> int:
-        return self.dcoef.shape[0]
+        return len(self.dcoef)
 
     def apply(self, f: SpinorFn) -> SpinorFn:
         if f.size != self.size:
             raise ValueError(f"operator size {self.size} vs spinor size {f.size}")
         # The rows share the context of f's components, which apply_operator
         # checks against every potential entry it multiplies by.
-        return _wrap_spinor(apply_operator(self._dcoef_rows, self.potential, f.components))
+        return _wrap_spinor(apply_operator(self.dcoef, self.potential, f.components))
 
     def potential_at(self, rho: float) -> np.ndarray:
+        import numpy as np
+
         return np.array([[p.eval(rho) for p in row] for row in self.potential])
 
 
-def _pot_matrix(params: DiracParams,
-                parts: list[tuple[ExpoPoly, np.ndarray]],
+def _pot_matrix(params: DiracParams, parts: list[tuple[ExpoPoly, Matrix]],
                 size: int) -> tuple[tuple[ExpoPoly, ...], ...]:
-    """Entry (i, j) is the sum of poly * mat[i, j] over the parts. A sum of
+    """Entry (i, j) is the sum of poly * mat[i][j] over the parts. A sum of
     one canonical part is that part bit for bit, so it is taken as it is,
     and every entry with no part is one shared zero."""
     a, b = params.a, params.b
     zero = ExpoPoly.zero(a, b)
-    tables = [(poly, mat.tolist()) for poly, mat in parts]
     rows = []
     for i in range(size):
         row = []
         for j in range(size):
-            scaled = [poly.scale(mat[i][j]) for poly, mat in tables if mat[i][j] != 0]
+            scaled = [poly.scale(mat[i][j]) for poly, mat in parts if mat[i][j] != 0]
             if len(scaled) > 1:
                 row.append(ExpoPoly.sum(a, b, scaled))
             else:
@@ -207,7 +222,7 @@ def h_operator(params: DiracParams, n: int) -> MatrixOp:
         (_w_coef(params, n), S2),
         (_const(params, dn(params, n)), S3),
     ], 2)
-    return MatrixOp(-1j * S1, pot)
+    return MatrixOp(_entrywise(lambda x: -1j * x, S1), pot)
 
 
 def big_hamiltonian(params: DiracParams, n: int) -> MatrixOp:
@@ -217,7 +232,7 @@ def big_hamiltonian(params: DiracParams, n: int) -> MatrixOp:
         (_const(params, dn(params, n)), ALPHA3),
         (_const(params, params.mbar), BETA),
     ], 4)
-    return MatrixOp(-1j * ALPHA1, pot)
+    return MatrixOp(_entrywise(lambda x: -1j * x, ALPHA1), pot)
 
 
 def b_dagger(params: DiracParams, n: int) -> MatrixOp:
@@ -235,10 +250,10 @@ def b_dagger(params: DiracParams, n: int) -> MatrixOp:
     q = (dn(params, n + 1) - dn(params, n)) / 2.0
     pot = _pot_matrix(params, [
         (p_poly, S0),
-        (_const(params, -q), 1j * S1 - S2),
-        (r_poly, -S3),
+        (_const(params, -q), _entrywise(lambda x, y: 1j * x - y, S1, S2)),
+        (r_poly, _entrywise(lambda x: -x, S3)),
     ], 2)
-    return MatrixOp(-S0.copy(), pot)
+    return MatrixOp(_entrywise(lambda x: -x, S0), pot)
 
 
 def _adjoint(op: MatrixOp) -> MatrixOp:
@@ -247,7 +262,9 @@ def _adjoint(op: MatrixOp) -> MatrixOp:
     size = op.size
     pot = tuple(tuple(op.potential[j][i].conjugate() for j in range(size))
                 for i in range(size))
-    return MatrixOp(-op.dcoef.conj().T, pot)
+    dcoef = tuple(tuple(-op.dcoef[j][i].conjugate() for j in range(size))
+                  for i in range(size))
+    return MatrixOp(dcoef, pot)
 
 
 @functools.lru_cache(maxsize=64)
@@ -264,7 +281,7 @@ def b_op(params: DiracParams, n: int) -> MatrixOp:
 
 def _block_diag(op: MatrixOp, params: DiracParams) -> MatrixOp:
     zero = ExpoPoly.zero(params.a, params.b)
-    dcoef = np.block([[op.dcoef, _ZERO2], [_ZERO2, op.dcoef]])
+    dcoef = _blocks(((op.dcoef, _ZERO2), (_ZERO2, op.dcoef)))
     pot = []
     for i in range(4):
         row = []
@@ -402,9 +419,11 @@ def rotation_matrix(phys: PhysicalParams) -> np.ndarray:
     concentrates the 1/rho dependence of the radial operator on a single
     matrix. For ell = 0 this reduces to theta = -sign(k) pi/2.
     """
+    import numpy as np
+
     theta = math.atan2(-phys.k, phys.ell)
     return (math.cos(theta / 2.0) * np.eye(4, dtype=complex)
-            - 1j * math.sin(theta / 2.0) * SIGMA1)
+            - 1j * math.sin(theta / 2.0) * np.array(SIGMA1))
 
 
 def superpotential_matrix_residual(params: DiracParams, n: int, rho_samples) -> float:
@@ -416,6 +435,8 @@ def superpotential_matrix_residual(params: DiracParams, n: int, rho_samples) -> 
     residual vanishes wherever Xi is invertible. Near-singular samples raise
     SingularXi.
     """
+    import numpy as np
+
     cols = [eigenvector(params, n, fam)[0] for fam in FAMILIES]
     dcols = [SpinorFn(tuple(p.differentiate() for p in col.components))
              for col in cols]
@@ -460,6 +481,8 @@ def assemble_full_spinor(phys: PhysicalParams, fam: str, n: int,
     to unit integral of its squared modulus, so the z and phi phases drop out
     of the probability density.
     """
+    import numpy as np
+
     if rho <= 0:
         raise DomainError(f"rho must be positive, got {rho}")
     _check_family(fam)

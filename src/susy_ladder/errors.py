@@ -52,3 +52,8 @@ class LevelCapExceeded(LadderError):
 
 class GridCapExceeded(LadderError):
     """More finite-difference grid points were requested than the oracle takes."""
+
+
+class NonFiniteSample(LadderError):
+    """A table column holds a sample that is not finite: its window reaches
+    past what a float can hold."""

@@ -17,6 +17,12 @@ Integrating a product of two members against d(rho) on (0, inf) leaves the
 family; it is evaluated in closed form through Gamma(s+1)/gamma**(s+1) and
 used only as a terminal operation (the summed rate beta1 + beta2 is
 realized as a float and never fed back into the algebra).
+
+The ladder chains are Laguerre functions c rho^p0 e^(-beta rho)
+L_M^(alpha)(2 beta rho). For them, laguerre_norm2 and laguerre_samples take
+the norm and the samples from that closed form, in pure Python, after
+checking that the coefficients still follow it. eval_rows samples any member
+by Horner's rule with numpy, which is imported only there.
 """
 
 from __future__ import annotations
@@ -24,11 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ContextMismatch, DivergentIntegral, DomainError, PrecisionLoss
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Term(NamedTuple):
@@ -225,21 +232,95 @@ LAGUERRE_TOL = 1e-13
 def laguerre_norm2(poly: ExpoPoly) -> float:
     """<poly, poly> of a Laguerre function, in O(T) and without cancellation.
 
-    poly must be c rho^p0 e^(-beta rho) L_M^(alpha)(2 beta rho) with
-    alpha = 2 p0 - 1: M+1 terms with one mu, one decay index and consecutive
-    offsets j, and p0 > 0. Its rho^(p0+i) coefficients then obey
-
-        coef_i = -coef_(i+1) (i+1)(alpha+i+1) / ((M-i) 2 beta),
-
-    and the norm^2 follows from the top coefficient t alone (the Laguerre
-    orthogonality integral with one more power of x, by the three-term
-    recurrence of x L_M):
+    poly must have the shape _laguerre_shape checks. Its norm^2 then follows
+    from the top coefficient t alone (the Laguerre orthogonality integral
+    with one more power of x, by the three-term recurrence of x L_M):
 
         |t|^2 M! Gamma(M+alpha+1) (2M+alpha+1) / (2 beta)^(2M+alpha+2),
 
-    taken in log-Gamma form. Raises ValueError when poly does not have that
-    shape, and PrecisionLoss when a coefficient departs from the recurrence,
-    run down from t, by more than LAGUERRE_TOL times the largest coefficient.
+    taken in log-Gamma form.
+    """
+    _, alpha, m, two_beta, top = _laguerre_shape(poly)
+    return math.exp(2.0 * math.log(abs(top)) + math.lgamma(m + 1)
+                    + math.lgamma(m + alpha + 1) + math.log(2 * m + alpha + 1)
+                    - (2 * m + alpha + 2) * math.log(two_beta))
+
+
+def laguerre_samples(polys, rhos) -> list[tuple[complex, list[float]]]:
+    """Samples of Laguerre functions at rhos, as one (c, f) pair per poly:
+    the poly is c f, with the real samples
+
+        f = rho^p0 e^(-beta rho) L_M^(alpha)(2 beta rho),  alpha = 2 p0 - 1.
+
+    Each poly must have the shape _laguerre_shape checks, which raises
+    exactly where laguerre_norm2 does; a poly with no terms samples as
+    (0j, zeros). The amplitude follows from the top coefficient t, since
+    L_M^(alpha)(x) has top coefficient (-1)^M / M!:
+
+        c = t M! (-1)^M / (2 beta)^M.
+
+    L_M^(alpha) runs through the three-term recurrence (DLMF 18.9.13) in
+    real arithmetic, so deep chains sample to roundoff where summing their
+    terms cancels. Polys of one shape (p0, M, beta) share one list f: one
+    power, one decay and one recurrence pass. A power that overflows
+    samples as inf, which leaves a non-finite sample for the caller to
+    refuse; one that underflows samples as 0.
+    """
+    if not all(x > 0 for x in rhos):
+        raise DomainError("all sample points must be positive")
+    shared: dict[tuple, list[float]] = {}
+    out = []
+    for poly in polys:
+        if not poly.terms:
+            out.append((0j, [0.0] * len(rhos)))
+            continue
+        p0, alpha, m, two_beta, top = _laguerre_shape(poly)
+        # c as a running product, which overflows only where c itself does
+        amp = top
+        for i in range(1, m + 1):
+            amp *= -i / two_beta
+        key = (p0, m, two_beta)
+        if key not in shared:
+            shared[key] = _laguerre_function(p0, alpha, m, two_beta, rhos)
+        out.append((amp, shared[key]))
+    return out
+
+
+def _laguerre_function(p0: float, alpha: float, m: int, two_beta: float,
+                       rhos) -> list[float]:
+    """rho^p0 e^(-beta rho) L_m^(alpha)(2 beta rho) at rhos, with
+    (n+1) L_(n+1) = (2n+alpha+1-x) L_n - (n+alpha) L_(n-1) from L_0 = 1."""
+    xs = [two_beta * rho for rho in rhos]
+    lag = [1.0] * len(xs)
+    if m:
+        prev, lag = lag, [1.0 + alpha - x for x in xs]
+        for n in range(1, m):
+            c1, c2, d = 2 * n + 1 + alpha, n + alpha, n + 1
+            prev, lag = lag, [((c1 - x) * ln - c2 * lp) / d
+                              for x, ln, lp in zip(xs, lag, prev)]
+    beta = 0.5 * two_beta
+    return [_pow_or_inf(rho, p0) * math.exp(-beta * rho) * ln for rho, ln in zip(rhos, lag)]
+
+
+def _pow_or_inf(x: float, p: float) -> float:
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
+
+
+def _laguerre_shape(poly: ExpoPoly) -> tuple[float, float, int, float, complex]:
+    """(p0, alpha, M, 2 beta, t) of poly = c rho^p0 e^(-beta rho)
+    L_M^(alpha)(2 beta rho), alpha = 2 p0 - 1, with t its top coefficient.
+
+    poly must have M+1 terms with one mu, one decay index and consecutive
+    offsets j, and p0 > 0. Its rho^(p0+i) coefficients then obey
+
+        coef_i = -coef_(i+1) (i+1)(alpha+i+1) / ((M-i) 2 beta).
+
+    Raises ValueError when poly does not have that shape, and PrecisionLoss
+    when a coefficient departs from the recurrence, run down from t, by more
+    than LAGUERRE_TOL times the largest coefficient.
     """
     terms = poly.terms
     if not terms:
@@ -281,9 +362,7 @@ def laguerre_norm2(poly: ExpoPoly) -> float:
         raise PrecisionLoss(f"coefficients depart from the Laguerre form by "
                             f"{worst / scale:.3e} of the largest "
                             f"(tolerance {LAGUERRE_TOL:.0e})")
-    return math.exp(2.0 * math.log(abs(top)) + math.lgamma(m + 1)
-                    + math.lgamma(m + alpha + 1) + math.log(2 * m + alpha + 1)
-                    - (2 * m + alpha + 2) * math.log(two_beta))
+    return p0, alpha, m, two_beta, top
 
 
 def eval_rows(polys, rhos) -> np.ndarray:
@@ -300,6 +379,8 @@ def eval_rows(polys, rhos) -> np.ndarray:
     operand on every complex multiply, so one pass alone keeps the float
     grid and no complex copy of it).
     """
+    import numpy as np
+
     rhos = np.asarray(rhos, dtype=float)
     if (rhos <= 0).any():
         raise DomainError("all sample points must be positive")
@@ -349,6 +430,8 @@ def _take_factor(rhos, key, factors, left) -> np.ndarray:
     outlives its last multiply."""
     factor = factors.pop(key, None)
     if factor is None:
+        import numpy as np
+
         kind, x = key
         factor = rhos ** x if kind == "power" else np.exp(-x * rhos)
     left[key] -= 1

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, NoBoundStates
 from .expalg import ExpoPoly, apply_operator, laguerre_norm2
 from .params import NRParams, PhysicalParams, default_rho_max
@@ -146,6 +144,8 @@ def interior_zeros(f: ExpoPoly, rho_max: float) -> list[float]:
     at the midpoint of its bracketing sample pair (to within rho_max/8192).
     Samples where Re f is exactly zero are dropped first, so a zero that
     lands on a sample is bracketed by its neighbours and counted once."""
+    import numpy as np
+
     xs = np.linspace(rho_max / 4096, rho_max, 4096)
     vals = f.eval_array(xs).real
     keep = vals != 0.0

@@ -61,7 +61,7 @@ def ref_add(x, y):
 def ref_apply(a, b, dcoef, potential, columns):
     """Rows of (dcoef d/drho + potential) applied to columns of term tuples.
 
-    dcoef is indexed as the operator stores it (numpy scalars for MatrixOp);
+    dcoef is indexed as the operator stores it (Python complex for MatrixOp);
     a unit multiplier adds f' as it is and a zero one adds nothing."""
     derivs = [ref_differentiate(a, b, f) for f in columns]
     rows = []
@@ -171,3 +171,51 @@ def ref_laguerre_norm2(poly):
     return math.exp(2.0 * math.log(abs(top)) + math.lgamma(m + 1)
                     + math.lgamma(m + alpha + 1) + math.log(2 * m + alpha + 1)
                     - (2 * m + alpha + 2) * math.log(two_beta))
+
+
+# -- numpy reference for the constant matrices -----------------------------------
+#
+# dirac keeps its Pauli, alpha, beta and Sigma matrices, and every operator's
+# dcoef, as nested tuples of Python complex. These are the complex numpy
+# arrays they replaced, built as before, kept as the reference they must
+# equal to the bit, -0.0 parts included.
+
+
+def ref_matrices():
+    s0 = np.eye(2, dtype=complex)
+    s1 = np.array([[0, 1], [1, 0]], dtype=complex)
+    s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    s3 = np.array([[1, 0], [0, -1]], dtype=complex)
+    z = np.zeros((2, 2), dtype=complex)
+    return {"S0": s0, "S1": s1, "S2": s2, "S3": s3,
+            "ALPHA1": np.block([[z, s1], [s1, z]]),
+            "ALPHA2": np.block([[z, s2], [s2, z]]),
+            "ALPHA3": np.block([[z, s3], [s3, z]]),
+            "BETA": np.block([[s0, z], [z, -s0]]),
+            "SIGMA1": np.block([[s1, z], [z, s1]])}
+
+
+def ref_dcoefs():
+    """{operator name: its dcoef array}, as each operator built it."""
+    m = ref_matrices()
+    z = np.zeros((2, 2), dtype=complex)
+    b_dagger = -m["S0"].copy()
+    b_op = -b_dagger.conj().T
+    return {"h_operator": -1j * m["S1"], "big_hamiltonian": -1j * m["ALPHA1"],
+            "b_dagger": b_dagger, "b_op": b_op,
+            "a_dagger": np.block([[b_dagger, z], [z, b_dagger]]),
+            "a_op": np.block([[b_op, z], [z, b_op]])}
+
+
+def ref_multipliers():
+    """{operator name: the matrices its potential parts are scaled by}."""
+    m = ref_matrices()
+    return {"h_operator": [m["S2"], m["S3"]],
+            "big_hamiltonian": [m["ALPHA2"], m["ALPHA3"], m["BETA"]],
+            "b_dagger": [m["S0"], 1j * m["S1"] - m["S2"], -m["S3"]]}
+
+
+def hex_matrix(mat):
+    """Each entry's real and imaginary parts in float.hex, so that -0.0 counts."""
+    rows = mat.tolist() if isinstance(mat, np.ndarray) else mat
+    return [[(complex(v).real.hex(), complex(v).imag.hex()) for v in row] for row in rows]

@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from susy_ladder.cli import RunConfig, build_parser, config_from_args, main, run
+from susy_ladder.cli import (FIG_SAMPLES, RunConfig, _fmt_float, _samples, build_parser,
+                             config_from_args, main, run)
+from susy_ladder.params import DiracParams, NRParams, default_rho_max
 
 
 _PHYS = ["hbar", "m", "c", "e", "k", "pz", "ell"]
@@ -204,6 +206,46 @@ class TestConfigValidation:
         assert code == 2
         assert text == ""
         assert f"{flag} must be finite and positive" in capsys.readouterr().err
+
+    # At rho_max = 1e300 every sample's decay underflows. Where its power
+    # overflows too (rho^2.5 in G0; rho^2 in the second component of
+    # density_a1, while density_a0's rho^1 holds), the sample is refused.
+    # At 1e-300 the eigenfunctions underflow to 0, which is right, and V0's
+    # 1/rho^2 overflows.
+    @pytest.mark.parametrize("argv,column", [
+        (["nr-eigenfunctions", "--a", "1.5", "--b", "0.5", "--levels", "3"], "G0"),
+        (["dirac-eigenfunctions", *_FIG3_ARGS], "density_a1"),
+        (["fig2"], "G0"),
+        (["fig3"], "density_a1"),
+    ], ids=["nr-eigenfunctions", "dirac-eigenfunctions", "fig2", "fig3"])
+    def test_non_finite_samples_refused_at_rho_max_1e300(self, argv, column, capsys):
+        code, text = capture([*argv, "--rho-max", "1e300"])
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err == (f"error: column {column} is not finite at rho = "
+                       f"{_fmt_float(1e300 / 512)}: the window reaches past what "
+                       "a float can hold\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["nr-eigenfunctions", "--a", "1.5", "--b", "0.5", "--levels", "3"],
+        ["dirac-eigenfunctions", *_FIG3_ARGS],
+        ["fig2"],
+        ["fig3"],
+    ], ids=["nr-eigenfunctions", "dirac-eigenfunctions", "fig2", "fig3"])
+    def test_underflow_is_kept_at_rho_max_1e_300(self, argv, capsys):
+        code, text = capture([*argv, "--rho-max", "1e-300"])
+        err = capsys.readouterr().err
+        if argv == ["fig2"]:
+            assert (code, text) == (2, "")
+            assert err.startswith(f"error: column V0 is not finite at rho = "
+                                  f"{_fmt_float(1e-300 / 512)}:")
+            return
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in text.strip().splitlines()]
+        values = [float(x) for row in rows[1:] for x in row]
+        assert len(rows) == 513 and all(math.isfinite(v) for v in values)
+        assert all(float(row[1]) == 0.0 for row in rows[1:])
 
     @pytest.mark.parametrize("argv", [
         ["nr-eigenfunctions", "--a", "1.5", "--b", "0.5", "--levels", "18"],
@@ -404,3 +446,63 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+def _run_script(script):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_non_verify_modes_load_no_numpy():
+    # The import alone, then each of the six non-verify modes in CSV and in
+    # JSON: each exits 0, and numpy is still not loaded at the end.
+    modes = [["nr-spectrum", "--a", "1.5", "--b", "0.5"],
+             ["nr-eigenfunctions", "--a", "1.5", "--b", "0.5", "--levels", "10"],
+             ["dirac-spectrum", *_FIG3_ARGS],
+             ["dirac-eigenfunctions", *_FIG3_ARGS, "--levels", "4"],
+             ["fig2"], ["fig3"]]
+    runs = [[*argv, "--format", fmt] for argv in modes for fmt in ("csv", "json")]
+    script = ("import contextlib, io, sys\n"
+              "from susy_ladder.cli import main\n"
+              "assert 'numpy' not in sys.modules, 'import loaded numpy'\n"
+              f"for argv in {runs!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert main(argv) == 0, argv\n"
+              "    assert 'numpy' not in sys.modules, argv\n")
+    out = _run_script(script)
+    assert out.returncode == 0, out.stderr
+
+
+def test_verify_still_loads_numpy_and_scipy():
+    script = ("import contextlib, io, sys\n"
+              "from susy_ladder.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert main(['verify']) == 0\n"
+              "assert 'numpy' in sys.modules and 'scipy.linalg' in sys.modules\n")
+    out = _run_script(script)
+    assert out.returncode == 0, out.stderr
+
+
+def _hex(values):
+    return [float(x).hex() for x in values]
+
+
+def test_samples_equal_numpy_linspace_bit_for_bit():
+    # The default window of every table mode at the CI parameter sets, at
+    # every level an eigenfunction table takes, and explicit --rho-max
+    # values, among them one whose step underflows to 0.
+    import numpy as np
+
+    sets = [(1.5, 0.5), (1.0, 2.0), (1.2, 0.8), (0.5764322215230082, 2.1485527100721353),
+            (0.5, 2.0), (2.3, 0.45), (1.3, 0.9)]
+    windows = [1e-3, 7.3, 1e6, 1e-300, 1e300, 1e-322]
+    for a, b in sets:
+        for n in range(13):
+            windows += [default_rho_max(NRParams(a, b), n),
+                        default_rho_max(DiracParams(a, b, 0.0, 0.0), n)]
+    for rho_max in windows:
+        expect = np.linspace(rho_max / FIG_SAMPLES, rho_max, FIG_SAMPLES)
+        assert _hex(_samples(rho_max)) == _hex(expect), rho_max

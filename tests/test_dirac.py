@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import (bits, random_dirac, random_phys, random_spinor, ref_apply,
-                      ref_ladder, rng_for)
+from conftest import (bits, hex_matrix, random_dirac, random_phys, random_spinor,
+                      ref_apply, ref_dcoefs, ref_ladder, ref_matrices,
+                      ref_multipliers, rng_for)
 
 from susy_ladder import dirac as dc
 from susy_ladder import nonrel as nr
@@ -15,6 +16,9 @@ from susy_ladder.errors import (ContextMismatch, DegenerateDenominator,
 from susy_ladder.params import DiracParams, NRParams, PhysicalParams
 
 FIG3 = DiracParams(a=1.0, b=2.0, d0=1.0, mbar=0.1)
+# dirac's constant matrices as arrays, for matrix arithmetic in the tests.
+S1, S2, S3 = (np.array(m) for m in (dc.S1, dc.S2, dc.S3))
+ALPHA2, ALPHA3, BETA, SIGMA1 = (np.array(m) for m in (dc.ALPHA2, dc.ALPHA3, dc.BETA, dc.SIGMA1))
 
 
 class TestLevelConstants:
@@ -41,14 +45,14 @@ class TestLevelConstants:
 class TestOperators:
     def test_h0_printed_coefficients(self):
         op = dc.h_operator(FIG3, 0)
-        assert np.allclose(op.dcoef, -1j * dc.S1)
+        assert np.allclose(op.dcoef, -1j * S1)
         # potential at rho=1: (a/1 - b/a) s2 + d0 s3 = -s2 + s3
-        assert np.allclose(op.potential_at(1.0), -dc.S2 + dc.S3)
+        assert np.allclose(op.potential_at(1.0), -S2 + S3)
 
     def test_h1_potential_sample(self):
         # (2/1 - 2/2) s2 + d1 s3 = s2 + 2 s3 at rho=1
         op = dc.h_operator(FIG3, 1)
-        assert np.allclose(op.potential_at(1.0), dc.S2 + 2.0 * dc.S3)
+        assert np.allclose(op.potential_at(1.0), S2 + 2.0 * S3)
 
     def test_h_formally_self_adjoint_by_quadrature(self):
         from susy_ladder.oracle import quad_inner, quadrature_grid
@@ -266,8 +270,9 @@ class TestOperatorCache:
     def test_b_op_is_shared_and_read_only(self):
         op = dc.b_op(FIG3, 2)
         assert dc.b_op(FIG3, 2) is op
-        with pytest.raises(ValueError):
-            op.dcoef[0, 0] = 1.0
+        assert type(op.dcoef) is tuple and all(type(row) is tuple for row in op.dcoef)
+        with pytest.raises(TypeError):
+            op.dcoef[0][0] = 1.0
 
     def test_apply_coefficients_are_python_complex(self):
         f = random_spinor(rng_for(60), FIG3.a, FIG3.b, 4)
@@ -319,6 +324,40 @@ class TestOperatorCache:
                     assert all(x is y for x, y in
                                zip(first.components[:2], second.components[:2]))
                     assert first.components[2:] != second.components[2:]
+
+
+class TestConstantMatrices:
+    """The matrices are nested tuples of Python complex, equal to the numpy
+    arrays they replaced (conftest.ref_matrices) to the bit."""
+
+    def test_module_matrices_match_numpy(self):
+        for name, ref in ref_matrices().items():
+            mat = getattr(dc, name)
+            assert type(mat) is tuple and all(type(v) is complex for row in mat for v in row)
+            assert hex_matrix(mat) == hex_matrix(ref), name
+
+    @pytest.mark.parametrize("params", [FIG3, DiracParams(1.3, 0.9, -0.4, 0.6)])
+    def test_every_operators_dcoef_matches_numpy(self, params):
+        for name, ref in ref_dcoefs().items():
+            for n in (0, 3):
+                op = getattr(dc, name)(params, n)
+                assert type(op.dcoef) is tuple
+                assert hex_matrix(op.dcoef) == hex_matrix(ref), (name, n)
+
+    def test_potential_multipliers_match_numpy(self, monkeypatch):
+        seen = []
+        build = dc._pot_matrix
+
+        def record(params, parts, size):
+            seen.append([mat for _, mat in parts])
+            return build(params, parts, size)
+
+        monkeypatch.setattr(dc, "_pot_matrix", record)
+        for name, refs in ref_multipliers().items():
+            seen.clear()
+            getattr(dc, name)(FIG3, 1)
+            (mats,) = seen
+            assert [hex_matrix(m) for m in mats] == [hex_matrix(r) for r in refs], name
 
 
 class TestWrappedResults:
@@ -383,7 +422,7 @@ class TestRotation:
         u = dc.rotation_matrix(phys)
         # theta = -pi/2: cos(theta/2) = cos(pi/4), sin part +i sin(pi/4) Sigma1
         expect = (math.cos(math.pi / 4) * np.eye(4)
-                  + 1j * math.sin(math.pi / 4) * dc.SIGMA1)
+                  + 1j * math.sin(math.pi / 4) * SIGMA1)
         assert np.allclose(u, expect, atol=1e-15)
 
     def test_conjugation_concentrates_rho_dependence(self):
@@ -393,13 +432,13 @@ class TestRotation:
             lam, hb = phys.lam, phys.hbar
             u = dc.rotation_matrix(phys)
             for rho in (0.5, 1.0, 3.0):
-                raw = ((phys.ell / (hb * rho)) * dc.ALPHA2
-                       - (phys.k / (hb * rho) - phys.pz / hb) * dc.ALPHA3
-                       + (phys.m * phys.c / hb) * dc.BETA)
+                raw = ((phys.ell / (hb * rho)) * ALPHA2
+                       - (phys.k / (hb * rho) - phys.pz / hb) * ALPHA3
+                       + (phys.m * phys.c / hb) * BETA)
                 rotated = u.conj().T @ raw @ u
-                expect = ((lam / (hb * rho) - phys.pz * phys.k / (hb * lam)) * dc.ALPHA2
-                          + (phys.pz * phys.ell / (hb * lam)) * dc.ALPHA3
-                          + (phys.m * phys.c / hb) * dc.BETA)
+                expect = ((lam / (hb * rho) - phys.pz * phys.k / (hb * lam)) * ALPHA2
+                          + (phys.pz * phys.ell / (hb * lam)) * ALPHA3
+                          + (phys.m * phys.c / hb) * BETA)
                 assert np.linalg.norm(rotated - expect) <= 1e-12 * np.linalg.norm(expect)
 
 

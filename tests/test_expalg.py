@@ -318,7 +318,7 @@ class TestApplyOperator:
             bd = dc.b_dagger(p, n)
             ops = [dc.b_op(p, n), bd, dc.h_operator(p, n), dc.a_op(p, n),
                    dc.a_dagger(p, n), dc.big_hamiltonian(p, n)]
-            assert any(op.dcoef[0, 1] == -1j for op in ops)
+            assert any(op.dcoef[0][1] == -1j for op in ops)
             for op in ops:
                 for f in self.inputs(rng, p.a, p.b, op.size):
                     expect = ref_apply(p.a, p.b, op.dcoef, op.potential,

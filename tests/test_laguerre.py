@@ -1,11 +1,13 @@
-"""Tests of the closed-form Laguerre normalisation and of Horner sampling,
-against 40-digit references.
+"""Tests of the closed-form Laguerre normalisation, of sampling the closed
+form and of Horner sampling, against 40-digit references.
 
 Every reference forms the powers mu*a + j and the rates b/(a+k) in mpmath
 from the float inputs: the Gamma sum of a deep chain cancels over about ten
 orders of magnitude, so float-rounded powers would move it by more than the
 tolerances tested here.
 """
+
+import functools
 
 import mpmath as mp
 import numpy as np
@@ -14,8 +16,9 @@ from conftest import random_dirac, random_nr, ref_laguerre_norm2, rng_for
 
 from susy_ladder import dirac as dc
 from susy_ladder import nonrel as nr
-from susy_ladder.errors import PrecisionLoss
-from susy_ladder.expalg import LAGUERRE_TOL, ExpoPoly, laguerre_norm2
+from susy_ladder.cli import _samples
+from susy_ladder.errors import DomainError, PrecisionLoss
+from susy_ladder.expalg import LAGUERRE_TOL, ExpoPoly, laguerre_norm2, laguerre_samples
 from susy_ladder.params import DiracParams, NRParams, default_rho_max
 
 FIG2 = NRParams(1.5, 0.5)
@@ -157,17 +160,9 @@ class TestNotALaguerreFunction:
             with pytest.raises(PrecisionLoss):
                 laguerre_norm2(self.poly(*terms))
 
-    def test_matches_the_reference_guard(self):
-        # The same float, or the same exception and message, as the version
-        # with max over generators (conftest.ref_laguerre_norm2): on chains,
-        # bumped chains, random polys, every wrong shape, and coefficients
-        # that are NaN or infinite first, last or inside.
-        def outcome(norm2, poly):
-            try:
-                return norm2(poly).hex()
-            except (ValueError, PrecisionLoss) as err:
-                return type(err), str(err)
-
+    def guard_polys(self):
+        """Chains, bumped chains, random polys, every wrong shape, and
+        coefficients that are NaN or infinite first, last or inside."""
         f = nr.eigenfunction(FIG2, 6)
         bumped = [f + self.poly((*t[:3], s * 1e3 * LAGUERRE_TOL * f.max_abs_coeff()))
                   for t in f.terms for s in (1.0, 1e-6)]
@@ -186,8 +181,38 @@ class TestNotALaguerreFunction:
                 for i in (0, 3, len(g.terms) - 1):
                     polys.append(ExpoPoly(g.a, g.b, g.terms[:i] + (g.terms[i][:3] + (bad,),)
                                           + g.terms[i + 1:]))
-        for poly in polys:
+        return polys
+
+    def test_matches_the_reference_guard(self):
+        # The same float, or the same exception and message, as the version
+        # with max over generators (conftest.ref_laguerre_norm2).
+        def outcome(norm2, poly):
+            try:
+                return norm2(poly).hex()
+            except (ValueError, PrecisionLoss) as err:
+                return type(err), str(err)
+
+        for poly in self.guard_polys():
             assert outcome(laguerre_norm2, poly) == outcome(ref_laguerre_norm2, poly)
+
+    def test_sampler_raises_where_the_norm_does(self):
+        # The same exception and message as laguerre_norm2 on every nonzero
+        # poly, and samples wherever it returns a norm.
+        def outcome(fn, poly):
+            try:
+                fn(poly)
+            except (ValueError, PrecisionLoss) as err:
+                return type(err), str(err)
+            return None
+
+        xs = [0.5, 1.0, 7.0]
+        tested = 0
+        for poly in self.guard_polys():
+            if poly.terms:
+                tested += 1
+                assert (outcome(lambda p: laguerre_samples((p,), xs), poly)
+                        == outcome(laguerre_norm2, poly))
+        assert tested > 40
 
     def test_normalize_spinor_refuses_a_non_chain(self):
         gap = self.poly((1, 1, 2, 1.0), (1, 3, 2, 1.0))
@@ -223,3 +248,100 @@ class TestHornerSampling:
                             for t in poly.terms)
             assert np.all(np.abs(poly.eval_array(rhos) - samples(poly, rhos))
                           <= 1e-15 * magnitude)
+
+
+def closed_form(poly, rhos):
+    """c rho^p0 e^(-beta rho) L_M^(2 p0 - 1)(2 beta rho) at rhos in DPS
+    digits, with c = t M! (-1)^M / (2 beta)^M from the top coefficient t."""
+    mu, j0, k, _ = poly.terms[0]
+    m = len(poly.terms) - 1
+    with mp.workdps(DPS):
+        beta = mp.mpf(poly.b) / (mp.mpf(poly.a) + k)
+        c = mp.mpc(poly.terms[-1].coeff) * mp.factorial(m) * (-1) ** m / (2 * beta) ** m
+        return np.array([complex(c * g) for g in
+                         laguerre_shape(poly.a, poly.b, mu, j0, k, m, tuple(rhos))])
+
+
+@functools.lru_cache(maxsize=None)
+def laguerre_shape(a, b, mu, j0, k, m, rhos):
+    """rho^p0 e^(-beta rho) L_m^(2 p0 - 1)(2 beta rho) at rhos in DPS
+    digits, L_m by its three-term recurrence; once per shape."""
+    with mp.workdps(DPS):
+        a, b = mp.mpf(a), mp.mpf(b)
+        p0, beta = mu * a + j0, b / (a + k)
+        alpha = 2 * p0 - 1
+        out = []
+        for r in rhos:
+            r = mp.mpf(r)
+            x, prev, lag = 2 * beta * r, mp.mpf(0), mp.mpf(1)
+            for n in range(m):
+                prev, lag = lag, ((2 * n + 1 + alpha - x) * lag - (n + alpha) * prev) / (n + 1)
+            out.append(r ** p0 * mp.exp(-beta * r) * lag)
+        return out
+
+
+def unit_eigenfunction(params, n, rhos):
+    """|G_n| at rhos in DPS digits: the scalar level-n eigenfunction with
+    unit norm, from its closed form alone."""
+    with mp.workdps(DPS):
+        a, b = mp.mpf(params.a), mp.mpf(params.b)
+        alpha, beta = 2 * a + 1, b / (a + n + 1)
+        norm2 = (mp.gamma(n + alpha + 1) * (2 * n + alpha + 1)
+                 / (mp.factorial(n) * (2 * beta) ** (alpha + 2)))
+        return np.array([float(abs(mp.mpf(r) ** (a + 1) * mp.exp(-beta * mp.mpf(r))
+                                   * mp.laguerre(n, alpha, 2 * beta * mp.mpf(r))))
+                         / float(mp.sqrt(norm2)) for r in rhos])
+
+
+class TestLaguerreSampling:
+    """expalg.laguerre_samples against 40 digits, on the table windows."""
+
+    SETS = [DiracParams(1.5, 0.5, 1.0, 0.1), FIG3, DiracParams(1.3, 0.9, -0.4, 0.6),
+            DiracParams(4.0, 0.5, 1.0, 0.1)]
+    IDS = ["fig2", "fig3", "a1.3-b0.9", "a4-b0.5"]
+
+    @pytest.mark.parametrize("params", SETS, ids=IDS)
+    def test_levels_0_to_13_within_1e_13_of_max_f(self, params):
+        # Every level a table prints, on every 8th row of the window of a
+        # 13-level table: the scalar chain and all four Dirac families.
+        xs = _samples(default_rho_max(params, 12))[::8]
+        scalar = NRParams(params.a, params.b)
+        for n in range(14):
+            polys = [nr.normalize(nr.eigenfunction(scalar, n))]
+            for fam in dc.FAMILIES:
+                polys += dc.normalize_spinor(dc.eigenfunction_chain(params, n, fam)).components
+            polys = [p for p in polys if p.terms]
+            for poly, (amp, f) in zip(polys, laguerre_samples(polys, xs)):
+                ref = closed_form(poly, xs)
+                got = amp * np.array(f)
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), n
+            # the scalar column against the unit eigenfunction itself
+            amp, f = laguerre_samples(polys[:1], xs)[0]
+            ref = unit_eigenfunction(scalar, n, xs)
+            assert np.max(np.abs(np.abs(amp.real * np.array(f)) - ref)) <= 1e-13 * np.max(ref)
+
+    def test_shapes_share_one_pass_and_empty_components_sample_as_zeros(self):
+        xs = [0.5, 1.0, 7.0]
+        for fam in dc.FAMILIES:
+            chain = dc.eigenfunction_chain(FIG3, 0, fam)
+            rows = laguerre_samples(chain.components, xs)
+            assert rows[0][1] is rows[2][1]
+            for (amp, f), comp in zip(rows, chain.components):
+                if not comp.terms:
+                    assert amp == 0j and f == [0.0, 0.0, 0.0]
+        rows = laguerre_samples(dc.eigenfunction_chain(FIG3, 2, "c").components, xs)
+        assert rows[0][1] is rows[2][1] and rows[1][1] is rows[3][1]
+        assert rows[0][1] is not rows[1][1]
+
+    def test_overflow_samples_as_non_finite_and_underflow_as_zero(self):
+        f = nr.normalize(nr.eigenfunction(FIG2, 3))
+        (_, big), = laguerre_samples((f,), [1e300, 1e305])
+        assert not any(np.isfinite(big))
+        (_, tiny), = laguerre_samples((f,), [1e-300, 1e-200])
+        assert tiny == [0.0, 0.0]
+
+    def test_non_positive_points_refused(self):
+        f = nr.eigenfunction(FIG2, 3)
+        for xs in ([0.0, 1.0], [1.0, -2.0]):
+            with pytest.raises(DomainError):
+                laguerre_samples((f,), xs)
