@@ -7,12 +7,22 @@ digit scientific notation so identical configurations produce identical
 bytes on every platform.
 
 Every mode but verify runs in pure Python and never imports numpy, which
-would otherwise be the largest cost of a cold run. The tables sample each
+would otherwise be the largest cost of a cold run. Each mode imports only
+the hierarchy it tables, when its builder runs: nonrel for nr-spectrum,
+nr-eigenfunctions and fig2, dirac for dirac-spectrum, dirac-eigenfunctions
+and fig3, and verify (with the oracle, numpy and scipy) for verify alone.
+The package's records are plain slotted classes (record.Record), which
+import nothing more and generate no code. The tables sample each
 eigenfunction from its Laguerre closed form (expalg.laguerre_samples), on
 FIG_SAMPLES points that equal np.linspace's bit for bit. The chains are
 still built and normalised, so one that has left its closed form still
 fails with PrecisionLoss. A sample that is not finite fails with
 NonFiniteSample, naming its column and rho.
+
+The renderer formats each column once: a column of floats is handed as it
+is to one %.16e, any other column as its cells' text, quoted as csv.writer
+or json.dumps would quote it. One %-template per table then builds every
+row in C, so a table costs about one float format per cell.
 
 Exit codes: 0 success, 2 invalid configuration or parameters (including
 more eigenfunction levels than MAX_LEVELS, more grid points than
@@ -24,18 +34,15 @@ fails its check; the other checks still run).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from itertools import chain
 from pathlib import Path
 
-from . import dirac as dc
-from . import nonrel as nr
 from .errors import GridCapExceeded, LadderError, LevelCapExceeded, NonFiniteSample
 from .expalg import laguerre_samples
-from .params import DiracParams, NRParams, PhysicalParams, default_rho_max
+from .params import FAMILIES, DiracParams, NRParams, PhysicalParams, default_rho_max
+from .record import Record, set_field
 
 FIG_SAMPLES = 512
 
@@ -80,27 +87,37 @@ _MODE_FLAGS = {
 MODES = tuple(_MODE_FLAGS)
 
 
-@dataclass
-class RunConfig:
-    mode: str
-    a: float | None = None
-    b: float | None = None
-    d0: float | None = None
-    mbar: float | None = None
-    hbar: float | None = None
-    m: float | None = None
-    c: float | None = None
-    e: float | None = None
-    k: float | None = None
-    pz: float | None = None
-    ell: float | None = None
-    levels: int = 3
-    families: tuple[str, ...] = ("a", "b", "c", "d")
-    grid_points: int = 1024
-    rho_max: float | None = None
-    fmt: str = "csv"
-    out: str | None = None
-    tolerance: float = 1e-11
+# Every RunConfig setting but the mode, in field order, with its default.
+# The parameters (a to ell) and rho_max are floats, None when not given.
+_SETTINGS = {
+    "a": None, "b": None, "d0": None, "mbar": None,
+    "hbar": None, "m": None, "c": None, "e": None, "k": None, "pz": None, "ell": None,
+    "levels": 3,
+    "families": FAMILIES,
+    "grid_points": 1024,
+    "rho_max": None,
+    "fmt": "csv",
+    "out": None,
+    "tolerance": 1e-11,
+}
+
+
+class RunConfig(Record):
+    """A mode and its settings (see _SETTINGS), given by keyword."""
+
+    __slots__ = ("mode", *_SETTINGS)
+
+    def __init__(self, mode: str, **settings):
+        unknown = settings.keys() - _SETTINGS.keys()
+        if unknown:
+            raise TypeError(f"RunConfig got unknown settings {sorted(unknown)}")
+        set_field(self, "mode", mode)
+        for name, default in _SETTINGS.items():
+            set_field(self, name, settings.get(name, default))
+
+    def replace(self, **changes) -> RunConfig:
+        """A copy with the given settings changed."""
+        return RunConfig(**dict(zip(self._fields, self._values(self)), **changes))
 
     def style(self) -> str:
         dim = any(getattr(self, name) is not None for name in _DIMENSIONLESS)
@@ -188,9 +205,11 @@ def _real_or_inf(poly, rho: float) -> float:
 def _density(params: DiracParams, n: int, fam: str, xs: list[float]) -> list[float]:
     """The sum of |c|^2 f^2 over the chain's components (see
     expalg.laguerre_samples)."""
-    chain = dc.normalize_spinor(dc.eigenfunction_chain(params, n, fam))
+    from . import dirac as dc
+
+    spinor = dc.normalize_spinor(dc.eigenfunction_chain(params, n, fam))
     density = [0.0] * len(xs)
-    for amp, f in laguerre_samples(chain.components, xs):
+    for amp, f in laguerre_samples(spinor.components, xs):
         weight = abs(amp) ** 2
         density = [d + weight * v * v for d, v in zip(density, f)]
     return density
@@ -198,16 +217,21 @@ def _density(params: DiracParams, n: int, fam: str, xs: list[float]) -> list[flo
 
 # -- table builders ----------------------------------------------------------
 #
-# Each builder returns its table as {column name: column values}.
+# Each builder returns its table as {column name: column values}, and
+# imports the hierarchy it uses when it runs.
 
 
 def _table_nr_spectrum(cfg: RunConfig):
+    from . import nonrel as nr
+
     params = _nr_params(cfg)
     return {"n": list(range(cfg.levels)),
             "energy": [nr.spectrum_radial(params, n) for n in range(cfg.levels)]}
 
 
 def _table_nr_eigenfunctions(cfg: RunConfig, params: NRParams | None = None):
+    from . import nonrel as nr
+
     if params is None:
         params = _nr_params(cfg)
     rho_max = (default_rho_max(params, cfg.levels - 1) if cfg.rho_max is None
@@ -221,6 +245,8 @@ def _table_nr_eigenfunctions(cfg: RunConfig, params: NRParams | None = None):
 
 
 def _table_dirac_spectrum(cfg: RunConfig):
+    from . import dirac as dc
+
     params = _dirac_params(cfg)
     keys = [(fam, n) for fam in cfg.families for n in range(cfg.levels)]
     return {"family": [fam for fam, _ in keys], "n": [n for _, n in keys],
@@ -243,8 +269,10 @@ def _table_dirac_eigenfunctions(cfg: RunConfig, params: DiracParams | None = Non
 
 def _table_fig2(cfg: RunConfig):
     """Three scalar eigenfunctions with the potential and the energies."""
+    from . import nonrel as nr
+
     params = _nr_params(cfg, default=FIG2_NR)
-    funcs = _table_nr_eigenfunctions(replace(cfg, levels=3), params)
+    funcs = _table_nr_eigenfunctions(cfg.replace(levels=3), params)
     xs = funcs["rho"]
     v0 = nr.potential(params, 0)
     table = {"rho": xs, "V0": _finite("V0", xs, [_real_or_inf(v0, x) for x in xs])} | funcs
@@ -255,8 +283,10 @@ def _table_fig2(cfg: RunConfig):
 
 def _table_fig3(cfg: RunConfig):
     """Densities of families a and c at three levels, with the energies."""
+    from . import dirac as dc
+
     params = _dirac_params(cfg, default=FIG3_DIRAC)
-    fig = replace(cfg, levels=3, families=("a", "c"))
+    fig = cfg.replace(levels=3, families=("a", "c"))
     table = _table_dirac_eigenfunctions(fig, params)
     for fam in fig.families:
         for n in range(fig.levels):
@@ -290,46 +320,61 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _render_csv(cols, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(cols)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-    return buf.getvalue()
+def _csv_text(value) -> str:
+    """A CSV cell, quoted where csv.writer quotes it (QUOTE_MINIMAL for the
+    "," delimiter and the "\n" line terminator)."""
+    text = _cell(value)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _json_value(value) -> str:
-    if isinstance(value, dict):
-        return "{" + ",".join(f"{_json_value(k)}:{_json_value(v)}"
-                              for k, v in value.items()) + "}"
+def _json_text(value) -> str:
+    """A JSON scalar or list: numbers in the CSV cells' fixed format, which
+    json.dumps lacks, and strings and None as json.dumps writes them."""
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_json_value(v) for v in value) + "]"
+        return "[" + ",".join(map(_json_text, value)) + "]"
     if value is None or isinstance(value, str):
         # Imported here so that a CSV run never loads json.
         import json
         return json.dumps(value, ensure_ascii=False)
-    # Numbers keep the CSV cells' fixed 17-digit format, which json.dumps lacks.
     return _cell(value)
 
 
-def _render_json(cols, rows, meta: dict) -> str:
-    doc = {"meta": meta, "data": {"columns": list(cols),
-                                  "rows": [list(r) for r in rows]}}
-    return _json_value(doc) + "\n"
+def _rows(table: dict, text, head: str, tail: str, sep: str) -> str:
+    """The table's rows, each head + its cells joined by "," + tail, joined
+    by sep; text renders a cell of a column that is not all floats."""
+    specs, columns = [], []
+    for values in table.values():
+        if set(map(type, values)) == {float}:
+            specs.append("%.16e")
+            columns.append(values)
+        else:
+            specs.append("%s")
+            columns.append(list(map(text, values)))
+    cells = tuple(chain.from_iterable(zip(*columns)))
+    row = head + ",".join(specs) + tail
+    return sep.join([row] * (len(cells) // len(specs))) % cells
+
+
+def _render_csv(table: dict) -> str:
+    header = ",".join(map(_csv_text, table)) + "\n"
+    return header + _rows(table, _csv_text, "", "\n", "")
+
+
+def _render_json(table: dict, meta: dict) -> str:
+    head = ('{"meta":{' + ",".join(f"{_json_text(k)}:{_json_text(v)}"
+                                   for k, v in meta.items())
+            + '},"data":{"columns":' + _json_text(list(table)) + ',"rows":[')
+    return head + _rows(table, _json_text, "[", "]", ",") + "]}}\n"
 
 
 def _meta(cfg: RunConfig) -> dict:
     """The RunConfig fields the mode takes (its flags, --format and --out)
     and the mode itself, in field order."""
     taken = {"mode", "fmt", "out", *_MODE_FLAGS[cfg.mode]}
-    meta = {}
-    for f in fields(cfg):
-        if f.name in taken:
-            value = getattr(cfg, f.name)
-            key = "format" if f.name == "fmt" else f.name
-            meta[key] = list(value) if isinstance(value, tuple) else value
-    return meta
+    return {"format" if name == "fmt" else name: value
+            for name, value in zip(cfg._fields, cfg._values(cfg)) if name in taken}
 
 
 def run(cfg: RunConfig) -> int:
@@ -351,7 +396,7 @@ def run(cfg: RunConfig) -> int:
         if not cfg.families:
             raise ValueError("--families must name at least one family")
         for i, fam in enumerate(cfg.families):
-            if fam not in dc.FAMILIES:
+            if fam not in FAMILIES:
                 raise ValueError(f"unknown family {fam!r}")
             if fam in cfg.families[:i]:
                 raise ValueError(f"--families names family {fam!r} more than once")
@@ -376,9 +421,7 @@ def run(cfg: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    cols, rows = list(table), list(zip(*table.values()))
-    text = (_render_csv(cols, rows) if cfg.fmt == "csv"
-            else _render_json(cols, rows, _meta(cfg)))
+    text = _render_csv(table) if cfg.fmt == "csv" else _render_json(table, _meta(cfg))
     if cfg.out:
         try:
             Path(cfg.out).write_text(text)

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import (DegenerateDenominator, DomainError, NegativeRadicand,
                      NoBoundStates, SingularXi)
 from .expalg import ExpoPoly, apply_operator, eval_rows, laguerre_norm2
-from .params import DiracParams, PhysicalParams
+from .params import FAMILIES, DiracParams, PhysicalParams
+from .record import Record, set_field
 
 if TYPE_CHECKING:
     import numpy as np
@@ -60,26 +60,24 @@ ALPHA3 = _blocks(((_ZERO2, S3), (S3, _ZERO2)))
 BETA = _blocks(((S0, _ZERO2), (_ZERO2, _entrywise(lambda x: -x, S0))))
 SIGMA1 = _blocks(((S1, _ZERO2), (_ZERO2, S1)))
 
-FAMILIES = ("a", "b", "c", "d")
-
 
 def _check_family(fam: str) -> None:
     if fam not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {fam!r}")
 
 
-@dataclass(frozen=True)
-class SpinorFn:
+class SpinorFn(Record):
     """A 2- or 4-component function with exponential-polynomial entries."""
 
-    components: tuple[ExpoPoly, ...]
+    __slots__ = ("components",)
 
-    def __post_init__(self):
-        if len(self.components) not in (2, 4):
+    def __init__(self, components: tuple[ExpoPoly, ...]):
+        if len(components) not in (2, 4):
             raise ValueError("spinor functions have 2 or 4 components")
-        ctx = {(c.a, c.b) for c in self.components}
+        ctx = {(c.a, c.b) for c in components}
         if len(ctx) != 1:
             raise ValueError("all components must share one (a, b) context")
+        set_field(self, "components", components)
 
     @property
     def size(self) -> int:
@@ -116,7 +114,7 @@ def _wrap_spinor(components: tuple[ExpoPoly, ...]) -> SpinorFn:
     """A SpinorFn around 2 or 4 components of one (a, b) context, past the
     constructor's checks; for results that hold by construction."""
     f = object.__new__(SpinorFn)
-    object.__setattr__(f, "components", components)
+    set_field(f, "components", components)
     return f
 
 
@@ -140,8 +138,7 @@ def normalize_spinor(f: SpinorFn) -> SpinorFn:
     return f.scale(1.0 / math.sqrt(norm2))
 
 
-@dataclass(frozen=True)
-class MatrixOp:
+class MatrixOp(Record):
     """First-order operator  dcoef * d/drho + potential(rho).
 
     dcoef is a constant complex matrix as nested tuples, the form
@@ -152,8 +149,11 @@ class MatrixOp:
     materializing second-order forms.
     """
 
-    dcoef: Matrix
-    potential: tuple[tuple[ExpoPoly, ...], ...]
+    __slots__ = ("dcoef", "potential")
+
+    def __init__(self, dcoef: Matrix, potential: tuple[tuple[ExpoPoly, ...], ...]):
+        set_field(self, "dcoef", dcoef)
+        set_field(self, "potential", potential)
 
     @property
     def size(self) -> int:

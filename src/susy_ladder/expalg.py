@@ -18,6 +18,10 @@ family; it is evaluated in closed form through Gamma(s+1)/gamma**(s+1) and
 used only as a terminal operation (the summed rate beta1 + beta2 is
 realized as a float and never fed back into the algebra).
 
+ExpoPoly is a frozen, slotted record (record.Record): it keeps no instance
+dict, compares and hashes by (a, b, terms), and _wrap fills its slots
+directly for results already in canonical form.
+
 The ladder chains are Laguerre functions c rho^p0 e^(-beta rho)
 L_M^(alpha)(2 beta rho). For them, laguerre_norm2 and laguerre_samples take
 the norm and the samples from that closed form, in pure Python, after
@@ -28,11 +32,11 @@ by Horner's rule with numpy, which is imported only there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ContextMismatch, DivergentIntegral, DomainError, PrecisionLoss
+from .record import Record, set_field
 
 if TYPE_CHECKING:
     import numpy as np
@@ -62,20 +66,19 @@ def _rate(t: Term, a: float, b: float) -> float:
     return 0.0 if t.k is None else b / (a + t.k)
 
 
-@dataclass(frozen=True, slots=True)
-class ExpoPoly:
+class ExpoPoly(Record):
     """Canonical finite sum of exponential-polynomial terms in one (a, b) context.
 
     The constructor takes any sequence of terms and stores their canonical tuple.
     """
 
-    a: float
-    b: float
-    terms: tuple[Term, ...] = ()
+    __slots__ = ("a", "b", "terms")
 
-    def __post_init__(self):
-        _check_positive_context(self.a, self.b)
-        object.__setattr__(self, "terms", _canonicalize(self.a, self.b, self.terms))
+    def __init__(self, a: float, b: float, terms=()):
+        _check_positive_context(a, b)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "terms", _canonicalize(a, b, terms))
 
     # -- constructors -------------------------------------------------------
 
@@ -532,7 +535,7 @@ def _order(item: tuple) -> tuple:
 
 
 # The slot descriptors of ExpoPoly's fields: setting through them skips the
-# frozen class's __setattr__.
+# record's frozen __setattr__.
 _set_a = ExpoPoly.a.__set__
 _set_b = ExpoPoly.b.__set__
 _set_terms = ExpoPoly.terms.__set__

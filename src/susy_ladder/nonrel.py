@@ -13,11 +13,11 @@ no differential equation is integrated numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, NoBoundStates
 from .expalg import ExpoPoly, apply_operator, laguerre_norm2
 from .params import NRParams, PhysicalParams, default_rho_max
+from .record import Record, set_field
 
 SQRT2 = math.sqrt(2.0)
 
@@ -53,8 +53,7 @@ def ground_state(params: NRParams, n: int) -> ExpoPoly:
     return ExpoPoly.term(params.a, params.b, 1.0, mu=1, j=n + 1, k=n + 1)
 
 
-@dataclass(frozen=True)
-class ScalarLadder:
+class ScalarLadder(Record):
     """First-order ladder operator (±d/drho + W_n)/sqrt(2).
 
     direction "creation" applies (-d/drho + W_n)/sqrt(2), mapping level n-1
@@ -62,12 +61,13 @@ class ScalarLadder:
     and walks back down.
     """
 
-    direction: str
-    superpotential: ExpoPoly
+    __slots__ = ("direction", "superpotential")
 
-    def __post_init__(self):
-        if self.direction not in ("creation", "annihilation"):
-            raise ValueError(f"unknown direction {self.direction!r}")
+    def __init__(self, direction: str, superpotential: ExpoPoly):
+        if direction not in ("creation", "annihilation"):
+            raise ValueError(f"unknown direction {direction!r}")
+        set_field(self, "direction", direction)
+        set_field(self, "superpotential", superpotential)
 
     def apply(self, f: ExpoPoly) -> ExpoPoly:
         sign = -1.0 if self.direction == "creation" else 1.0

@@ -21,7 +21,6 @@ multiplicities count +/- energy pairs once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -29,6 +28,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import GridTooCoarse, TailNotDecayed
 from .params import DiracParams, NRParams, default_rho_max
+from .record import Record, set_field
 
 RICHARDSON_SHIFT = 1e-4
 # Absolute tolerance on E^2 for the bisection, far below RICHARDSON_SHIFT.
@@ -46,8 +46,7 @@ BISECTION_TOL = 1e-12
 LOG_GRID_DEPTH = 1e-9
 
 
-@dataclass(frozen=True)
-class RadialGrid:
+class RadialGrid(Record):
     """Uniform grid on [rho_min, rho_max] for the residual stencils and
     Simpson quadrature.
 
@@ -55,17 +54,18 @@ class RadialGrid:
     origin region the grid leaves out.
     """
 
-    rho_min: float
-    rho_max: float
-    n_points: int
+    __slots__ = ("rho_min", "rho_max", "n_points")
 
-    def __post_init__(self):
-        if not 0 < self.rho_min < self.rho_max:
+    def __init__(self, rho_min: float, rho_max: float, n_points: int):
+        if not 0 < rho_min < rho_max:
             raise ValueError("need 0 < rho_min < rho_max")
-        if self.rho_min > 1e-3 * self.rho_max:
+        if rho_min > 1e-3 * rho_max:
             raise ValueError("rho_min must not exceed 1e-3 * rho_max")
-        if self.n_points < 64:
+        if n_points < 64:
             raise ValueError("need at least 64 grid points")
+        set_field(self, "rho_min", rho_min)
+        set_field(self, "rho_max", rho_max)
+        set_field(self, "n_points", n_points)
 
     @property
     def h(self) -> float:
@@ -95,8 +95,7 @@ def quadrature_grid(params, n_max: int, n_points: int = 16384) -> RadialGrid:
     return RadialGrid(1e-6 * rho_max, rho_max, n_points)
 
 
-@dataclass(frozen=True)
-class LogGrid:
+class LogGrid(Record):
     """Grid uniform in x = ln rho on [LOG_GRID_DEPTH * rho_max, rho_max], with
     step h in x, the regular solution imposed at the inner end and a
     Dirichlet end one step beyond the outer one.
@@ -105,14 +104,15 @@ class LogGrid:
     ln(10) / h of them.
     """
 
-    rho_max: float
-    n_points: int
+    __slots__ = ("rho_max", "n_points")
 
-    def __post_init__(self):
-        if not self.rho_max > 0:
+    def __init__(self, rho_max: float, n_points: int):
+        if not rho_max > 0:
             raise ValueError("need rho_max > 0")
-        if self.n_points < 64:
+        if n_points < 64:
             raise ValueError("need at least 64 grid points")
+        set_field(self, "rho_max", rho_max)
+        set_field(self, "n_points", n_points)
 
     @property
     def rho_min(self) -> float:
@@ -166,12 +166,14 @@ def _channel_eigs(k: float, b: float, const: float, grid: LogGrid,
     return eigh_tridiagonal(d, e, eigvals_only=True, tol=BISECTION_TOL, **select)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(Record):
     """L2 residual norms of a trial eigenpair on a grid."""
 
-    l2_residual: float
-    l2_norm: float
+    __slots__ = ("l2_residual", "l2_norm")
+
+    def __init__(self, l2_residual: float, l2_norm: float):
+        set_field(self, "l2_residual", l2_residual)
+        set_field(self, "l2_norm", l2_norm)
 
     @property
     def relative_l2(self) -> float:

@@ -1,81 +1,89 @@
 """Parameter records for the two hierarchies and their physical-unit source.
 
-These are plain immutable records with the derived-parameter maps. They carry
-no construction machinery, so the finite-difference oracle can depend on them
-without touching the symbolic ladder code.
+These are plain immutable records (record.Record) with the derived-parameter
+maps. They carry no construction machinery, so the finite-difference oracle
+can depend on them without touching the symbolic ladder code.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NoBoundStates
+from .record import Record, set_field
+
+# The four eigenvector families of the matrix hierarchy (see dirac). They
+# live here so that the CLI can check --families without importing dirac.
+FAMILIES = ("a", "b", "c", "d")
 
 
-def _require_finite(record) -> None:
-    for name, value in vars(record).items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+def _require_finite(record: Record, values: tuple) -> None:
+    """ValueError naming the first of record's fields, given in order as
+    values, that is not finite."""
+    if not all(map(math.isfinite, values)):
+        name, value = next((name, value) for name, value in zip(record._fields, values)
+                           if not math.isfinite(value))
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
-class NRParams:
+class NRParams(Record):
     """Dimensionless parameters of the scalar radial problem.
 
     a parameterizes the centrifugal strength a(a+1), b the attractive 1/rho
     coefficient. Bound states require both positive.
     """
 
-    a: float
-    b: float
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        _require_finite(self)
-        if not self.a > 0:
-            raise ValueError(f"a must be positive, got {self.a}")
-        if not self.b > 0:
-            raise ValueError(f"b must be positive, got {self.b}")
+    def __init__(self, a: float, b: float):
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        _require_finite(self, (a, b))
+        if not a > 0:
+            raise ValueError(f"a must be positive, got {a}")
+        if not b > 0:
+            raise ValueError(f"b must be positive, got {b}")
 
 
-@dataclass(frozen=True)
-class DiracParams:
+class DiracParams(Record):
     """Dimensionless parameters of the matrix radial problem.
 
     a is the 1/rho matrix coefficient, b the off-centrifugal strength, d0 the
     level-zero constant of the sigma_3 channel and mbar the reduced mass mc/hbar.
     """
 
-    a: float
-    b: float
-    d0: float
-    mbar: float
+    __slots__ = ("a", "b", "d0", "mbar")
 
-    def __post_init__(self):
-        _require_finite(self)
-        if not self.a > 0:
-            raise ValueError(f"a must be positive, got {self.a}")
-        if not self.b > 0:
-            raise ValueError(f"b must be positive, got {self.b}")
-        if self.mbar < 0:
-            raise ValueError(f"mbar must be nonnegative, got {self.mbar}")
+    def __init__(self, a: float, b: float, d0: float, mbar: float):
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "d0", d0)
+        set_field(self, "mbar", mbar)
+        _require_finite(self, (a, b, d0, mbar))
+        if not a > 0:
+            raise ValueError(f"a must be positive, got {a}")
+        if not b > 0:
+            raise ValueError(f"b must be positive, got {b}")
+        if mbar < 0:
+            raise ValueError(f"mbar must be nonnegative, got {mbar}")
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+class PhysicalParams(Record):
     """Laboratory-unit inputs: hbar, mass, light speed, charge, field constant
     k, longitudinal momentum p_z, and the angular-momentum eigenvalue ell."""
 
-    hbar: float
-    m: float
-    c: float
-    e: float
-    k: float
-    pz: float
-    ell: float
+    __slots__ = ("hbar", "m", "c", "e", "k", "pz", "ell")
 
-    def __post_init__(self):
-        _require_finite(self)
+    def __init__(self, hbar: float, m: float, c: float, e: float, k: float,
+                 pz: float, ell: float):
+        set_field(self, "hbar", hbar)
+        set_field(self, "m", m)
+        set_field(self, "c", c)
+        set_field(self, "e", e)
+        set_field(self, "k", k)
+        set_field(self, "pz", pz)
+        set_field(self, "ell", ell)
+        _require_finite(self, (hbar, m, c, e, k, pz, ell))
         for name in ("hbar", "m", "c", "e"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")

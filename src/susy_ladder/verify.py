@@ -8,7 +8,6 @@ are reproducible byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,16 +17,19 @@ from . import oracle as orc
 from .errors import GridTooCoarse
 from .expalg import ExpoPoly
 from .params import DiracParams, NRParams, PhysicalParams, default_rho_max
+from .record import Record, set_field
 
 SEED = 20121028
 SCAN_POINTS = 2048  # LogGrid points of the Dirac scan; refinement re-solves at 2N - 1
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        set_field(self, "name", name)
+        set_field(self, "passed", passed)
+        set_field(self, "detail", detail)
 
 
 def random_poly(rng, a: float, b: float, n_terms: int = 3) -> ExpoPoly:
@@ -133,8 +135,8 @@ def check_nr_nodes(params: NRParams) -> CheckResult:
     return CheckResult("nr-node-counts", ok, f"interior zeros {counts} expected [0, 1, 2, 3]")
 
 
-def check_nr_orthogonality() -> CheckResult:
-    fs = [nr.eigenfunction(NRParams(1.5, 0.5), n) for n in range(5)]
+def check_nr_orthogonality(params: NRParams) -> CheckResult:
+    fs = [nr.eigenfunction(params, n) for n in range(5)]
     gram = [[f.inner_product(g).real for g in fs] for f in fs]
     worst = 0.0
     for i in range(5):
@@ -315,7 +317,7 @@ def run_all(nr_params: NRParams, dirac_params: DiracParams,
         check_nr_intertwining(tol),
         check_nr_eigen(nr_params, tol),
         check_nr_nodes(nr_params),
-        check_nr_orthogonality(),
+        check_nr_orthogonality(nr_params),
         check_nr_fd(nr_params, n_points),
         check_dirac_kernels(tol),
         check_dirac_intertwining(tol),

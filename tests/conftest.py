@@ -1,15 +1,23 @@
 """Shared helpers for the test suite: reproducible random draws of algebra
 elements and parameter records. The draws are the verify battery's own."""
 
+import csv
 import functools
+import io
+import json
 import math
 
 import numpy as np
 
+from susy_ladder import dirac as dc
+from susy_ladder import nonrel as nr
+from susy_ladder import oracle as orc
+from susy_ladder.cli import RunConfig
 from susy_ladder.errors import PrecisionLoss
-from susy_ladder.expalg import LAGUERRE_TOL, Term
-from susy_ladder.verify import (random_dirac, random_nr, random_phys,  # noqa: F401
-                                random_poly, random_spinor)
+from susy_ladder.expalg import LAGUERRE_TOL, ExpoPoly, Term, _wrap
+from susy_ladder.params import DiracParams, NRParams, PhysicalParams
+from susy_ladder.verify import (CheckResult, random_dirac, random_nr,  # noqa: F401
+                                random_phys, random_poly, random_spinor)
 
 
 def rng_for(tag: int):
@@ -219,3 +227,68 @@ def hex_matrix(mat):
     """Each entry's real and imaginary parts in float.hex, so that -0.0 counts."""
     rows = mat.tolist() if isinstance(mat, np.ndarray) else mat
     return [[(complex(v).real.hex(), complex(v).imag.hex()) for v in row] for row in rows]
+
+
+# -- one record of every record type ----------------------------------------------
+
+
+def record_samples():
+    """One record of each record type in the package, with both ExpoPoly and
+    SpinorFn also as built past their constructors."""
+    fig2, fig3 = NRParams(1.5, 0.5), DiracParams(1.0, 2.0, 1.0, 0.1)
+    poly = ExpoPoly(1.3, 0.7, ((1, 0, 0, 1.0 - 2j), (0, -1, None, 0.5)))
+    chain = dc.eigenfunction_chain(fig3, 2, "c")
+    return [fig2, fig3,
+            PhysicalParams(hbar=1.0, m=1.0, c=1.0, e=1.0, k=2.0, pz=1.0, ell=1.5),
+            poly, _wrap(1.3, 0.7, poly.terms), ExpoPoly.zero(1.3, 0.7),
+            nr.ladder(fig2, 2, "creation"),
+            chain, dc.SpinorFn(chain.components[:2]),
+            dc.b_dagger(fig3, 1),
+            RunConfig(mode="fig3", a=1.0, families=("a", "c"), out="t.csv"),
+            CheckResult("nr-orthogonality", True, "max relative off-diagonal 1e-13, tol 1e-09"),
+            orc.RadialGrid(0.01, 10.0, 128), orc.LogGrid(100.0, 1024),
+            orc.ResidualReport(l2_residual=1e-9, l2_norm=0.5)]
+
+
+# -- reference renderer -------------------------------------------------------------
+#
+# The CLI formats each column once and builds every row with one %-template.
+# This is the renderer it replaced, kept as the reference it must match byte
+# for byte: every cell through _cell, rows through csv.writer, and JSON
+# through _json_value.
+
+
+def ref_cell(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return f"{value:.16e}"
+    return str(value)
+
+
+def ref_render_csv(table):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(table))
+    for row in zip(*table.values()):
+        writer.writerow([ref_cell(v) for v in row])
+    return buf.getvalue()
+
+
+def ref_json_value(value):
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{ref_json_value(k)}:{ref_json_value(v)}"
+                              for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(ref_json_value(v) for v in value) + "]"
+    if value is None or isinstance(value, str):
+        return json.dumps(value, ensure_ascii=False)
+    return ref_cell(value)
+
+
+def ref_render_json(table, meta):
+    doc = {"meta": meta, "data": {"columns": list(table),
+                                  "rows": [list(r) for r in zip(*table.values())]}}
+    return ref_json_value(doc) + "\n"

@@ -12,7 +12,9 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from conftest import ref_render_csv, ref_render_json
 
+from susy_ladder import cli
 from susy_ladder.cli import (FIG_SAMPLES, RunConfig, _fmt_float, _samples, build_parser,
                              config_from_args, main, run)
 from susy_ladder.params import DiracParams, NRParams, default_rho_max
@@ -506,3 +508,46 @@ def test_samples_equal_numpy_linspace_bit_for_bit():
     for rho_max in windows:
         expect = np.linspace(rho_max / FIG_SAMPLES, rho_max, FIG_SAMPLES)
         assert _hex(_samples(rho_max)) == _hex(expect), rho_max
+
+
+# The parameter sets the CI runs verify at: the defaults, then (a, b, d0, mbar).
+CI_SETS = [None, (1.0, 2.0, 1.0, 0.1), (1.2, 0.8, 0.4, 0.2),
+           (0.5764322215230082, 2.1485527100721353, 1.0, 0.1), (0.5, 2.0, 0.1, 0.2),
+           (2.3, 0.45, -0.7, 1.1), (1.3, 0.9, -0.4, 0.6)]
+
+
+def _mode_argv(mode, params):
+    """argv of mode at a CI set; the spectrum and eigenfunction modes take
+    fig2's or fig3's parameters for the defaults."""
+    scalar = mode.startswith("nr-") or mode == "fig2"
+    if params is None:
+        if mode in ("fig2", "fig3", "verify"):
+            return [mode]
+        params = (1.5, 0.5) if scalar else (1.0, 2.0, 1.0, 0.1)
+    names = ("a", "b") if scalar else ("a", "b", "d0", "mbar")
+    return [mode, *(arg for name, x in zip(names, params) for arg in (f"--{name}", repr(x)))]
+
+
+@pytest.mark.parametrize("params", CI_SETS, ids=lambda p: "defaults" if p is None else str(p))
+def test_renderer_matches_the_reference_in_every_mode(params):
+    for mode in cli.MODES:
+        cfg = config_from_args(build_parser().parse_args(_mode_argv(mode, params)))
+        if mode == "verify":
+            table = cli._table_verify(cfg)[0]
+        else:
+            table = getattr(cli, "_table_" + mode.replace("-", "_"))(cfg)
+        meta = cli._meta(cfg)
+        assert cli._render_csv(table) == ref_render_csv(table), mode
+        assert cli._render_json(table, meta) == ref_render_json(table, meta), mode
+
+
+def test_renderer_matches_the_reference_on_edge_cells():
+    table = {"a,b": ["a,b", 'say "hi"', "two\nlines", "plain", "", "%s %d"],
+             "int": [0, -1, 10 ** 20, True, False, 7],
+             "float": [-0.0, 5e-324, 1e300, -1e-300, math.inf, math.nan],
+             "mixed": [1, 2.5, "x,y", None, -0.0, 5e-324],
+             'q"': [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}
+    meta = {"mode": "x", "families": ("a", "c"), "a": None, "levels": 3,
+            "tolerance": 1e-11, "out": 'a\tb"c\\d\u00e9,e'}
+    assert cli._render_csv(table) == ref_render_csv(table)
+    assert cli._render_json(table, meta) == ref_render_json(table, meta)

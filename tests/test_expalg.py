@@ -1,7 +1,6 @@
 """Tests of the exponential-polynomial algebra: canonical form, arithmetic,
 differentiation, evaluation, and the closed-form inner product."""
 
-import dataclasses
 import functools
 import math
 import operator
@@ -9,7 +8,7 @@ import operator
 import numpy as np
 import pytest
 from conftest import (bits, random_dirac, random_nr, random_poly, random_spinor,
-                      ref_add, ref_apply, ref_canonical, ref_eval_array,
+                      record_samples, ref_add, ref_apply, ref_canonical, ref_eval_array,
                       ref_hamiltonian, ref_ladder, ref_scale, rng_for)
 
 from susy_ladder import dirac as dc
@@ -263,7 +262,7 @@ class TestSubtract:
 
 
 class TestSlottedPoly:
-    """ExpoPoly is a frozen slotted dataclass; _wrap sets its slots directly."""
+    """ExpoPoly is a frozen slotted record; _wrap sets its slots directly."""
 
     def test_no_instance_dict(self):
         a, b = 1.3, 0.7
@@ -288,9 +287,18 @@ class TestSlottedPoly:
     def test_fields_are_frozen(self):
         for p in (ExpoPoly(1.3, 0.7, ((0, 1, None, 1.0),)), _wrap(1.3, 0.7, ())):
             for name, value in (("a", 2.0), ("b", 2.0), ("terms", ())):
-                with pytest.raises(dataclasses.FrozenInstanceError):
+                with pytest.raises(AttributeError, match=f"'{name}'"):
                     setattr(p, name, value)
             assert (p.a, p.b) == (1.3, 0.7)
+        # and so is every other record type
+        for record in record_samples():
+            before = repr(record)
+            for name in record._fields:
+                with pytest.raises(AttributeError, match=f"'{name}'"):
+                    setattr(record, name, None)
+                with pytest.raises(AttributeError, match=f"'{name}'"):
+                    delattr(record, name)
+            assert repr(record) == before
 
 
 class TestApplyOperator:

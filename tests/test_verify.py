@@ -49,6 +49,25 @@ def test_nr_eigen_check_fails_a_chain_that_lost_a_term(monkeypatch):
     assert result.detail.endswith(", levels [7] lack n+1 terms")
 
 
+def test_nr_orthogonality_checks_the_set_it_is_given(monkeypatch):
+    # Every scalar chain the battery builds is at its scalar set; the
+    # orthogonality row once checked fig2 whatever the set.
+    seen = set()
+    full = vf.nr.eigenfunction
+
+    def spy(params, n):
+        seen.add(params)
+        return full(params, n)
+
+    p = NRParams(2.3, 0.45)
+    monkeypatch.setattr(vf.nr, "eigenfunction", spy)
+    results = vf.run_all(p, DiracParams(2.3, 0.45, -0.7, 1.1))
+    assert seen == {p}
+    (row,) = [r for r in results if r.name == "nr-orthogonality"]
+    assert row == vf.check_nr_orthogonality(p) and row.passed
+    assert row.detail != vf.check_nr_orthogonality(NRParams(1.5, 0.5)).detail
+
+
 def test_cli_verify_exit_codes(tmp_path):
     out = tmp_path / "verify.csv"
     buf = io.StringIO()
