@@ -483,7 +483,7 @@ def assemble_full_spinor(phys: PhysicalParams, fam: str, n: int,
     """
     import numpy as np
 
-    if rho <= 0:
+    if not rho > 0:
         raise DomainError(f"rho must be positive, got {rho}")
     _check_family(fam)
     dp = phys.to_dirac()

@@ -10,7 +10,9 @@ class ContextMismatch(LadderError):
 
 
 class DomainError(LadderError):
-    """A function was evaluated outside its domain (rho <= 0)."""
+    """A function was evaluated outside its domain: at a point that is not
+    positive (rho <= 0 or NaN), or over a window (0, rho_max] whose end is
+    not finite and positive."""
 
 
 class DivergentIntegral(LadderError):

@@ -154,7 +154,7 @@ class ExpoPoly(Record):
     # -- evaluation and integration -----------------------------------------
 
     def eval(self, rho: float) -> complex:
-        if rho <= 0:
+        if not rho > 0:
             raise DomainError(f"rho must be positive, got {rho}")
         total = 0j
         for t in self.terms:
@@ -372,75 +372,49 @@ def eval_rows(polys, rhos) -> np.ndarray:
     """Samples of each poly at rhos, one row per poly: an array of shape
     (len(polys),) + rhos.shape.
 
-    Terms of a poly sharing (mu, k) form one polynomial in rho: each such
-    group takes one power rho**(mu*a + j_min), one exp(-beta*rho), and
-    Horner's rule over the integer steps of j. Every row runs its own groups
-    in term order, so it equals sampling its poly alone, bit for bit. The
-    grid is checked once. What several groups share is made once and
-    released after its last use: each distinct power and decay array, and
-    the grid cast to complex for the Horner multiplies (numpy casts a float
-    operand on every complex multiply, so one pass alone keeps the float
-    grid and no complex copy of it).
+    The terms of a poly that share (mu, k) are one polynomial in rho, taken
+    by Horner's rule over the steps of j and times rho**(mu*a + j_min) and
+    exp(-beta*rho). Each row runs its groups in term order, so it equals
+    sampling its poly alone, bit for bit. Each distinct power and decay array
+    is made once per call, keyed by its float exponent or rate. The grid is
+    cast to complex at the second multi-term group, since numpy casts a
+    float operand on every complex multiply. Calls are small: 1 row at 4096
+    points (interior_zeros) or 16384 (the quadrature check), or the 4 rows
+    of SpinorFn.eval_array, whose components 0/2 and 1/3 share factors.
     """
     import numpy as np
 
     rhos = np.asarray(rhos, dtype=float)
-    if (rhos <= 0).any():
+    if not (rhos > 0).all():
         raise DomainError("all sample points must be positive")
-    rows = []
-    horner = 0                    # groups of more than one term
-    left: dict[tuple, int] = {}   # factor key -> uses still to come
-    for poly in polys:
-        a, b = poly.a, poly.b
-        groups: dict[tuple, list[tuple[int, complex]]] = {}
-        for mu, j, k, coeff in poly.terms:
-            groups.setdefault((mu, k), []).append((j, coeff))
-        row = []
-        for (mu, k), group in groups.items():
-            keys = [("power", mu * a + group[0][0])]
-            if k is not None:
-                keys.append(("decay", b / (a + k)))
-            for key in keys:
-                left[key] = left.get(key, 0) + 1
-            horner += len(group) > 1
-            row.append((group, keys))
-        rows.append(row)
-    out = np.zeros((len(rows),) + rhos.shape, dtype=complex)
-    horner_rhos = rhos.astype(complex) if horner > 1 else rhos
+    out = np.zeros((len(polys),) + rhos.shape, dtype=complex)
     factors: dict[tuple, np.ndarray] = {}
+    steps, passes = rhos, 0
     with np.errstate(under="ignore"):
-        for total, row in zip(out, rows):
-            for group, keys in row:
+        for total, poly in zip(out, polys):
+            groups: dict[tuple, list[tuple[int, complex]]] = {}
+            for mu, j, k, coeff in poly.terms:
+                groups.setdefault((mu, k), []).append((j, coeff))
+            for (mu, k), group in groups.items():
                 top, acc = group[-1]
                 acc = np.full(rhos.shape, acc)
                 if len(group) > 1:
+                    passes += 1
+                    if passes == 2:
+                        steps = rhos.astype(complex)
                     for j, coeff in reversed(group[:-1]):
-                        acc *= horner_rhos if top - j == 1 else rhos ** (top - j)
+                        acc *= steps if top - j == 1 else rhos ** (top - j)
                         acc += coeff
                         top = j
-                    horner -= 1
-                    if not horner:
-                        horner_rhos = None
-                for key in keys:
-                    acc *= _take_factor(rhos, key, factors, left)
+                keys = [("power", mu * poly.a + top)]
+                if k is not None:
+                    keys.append(("decay", poly.b / (poly.a + k)))
+                for kind, x in keys:
+                    if (kind, x) not in factors:
+                        factors[kind, x] = rhos ** x if kind == "power" else np.exp(-x * rhos)
+                    acc *= factors[kind, x]
                 total += acc
     return out
-
-
-def _take_factor(rhos, key, factors, left) -> np.ndarray:
-    """rhos**x for key ("power", x) or exp(-x*rhos) for ("decay", x), held in
-    factors only while left[key] counts further uses, so that no array
-    outlives its last multiply."""
-    factor = factors.pop(key, None)
-    if factor is None:
-        import numpy as np
-
-        kind, x = key
-        factor = rhos ** x if kind == "power" else np.exp(-x * rhos)
-    left[key] -= 1
-    if left[key]:
-        factors[key] = factor
-    return factor
 
 
 def apply_operator(dcoef, potential, components) -> tuple[ExpoPoly, ...]:

@@ -134,7 +134,7 @@ def spectrum_physical(phys: PhysicalParams, n: int) -> float:
 
 def field_magnitude(phys: PhysicalParams, rho: float) -> float:
     """|B| = c k / (e rho^2): azimuthal field of the A = (ck/(e rho)) e_z potential."""
-    if rho <= 0:
+    if not rho > 0:
         raise DomainError(f"rho must be positive, got {rho}")
     return phys.c * phys.k / (phys.e * rho ** 2)
 
@@ -143,7 +143,10 @@ def interior_zeros(f: ExpoPoly, rho_max: float) -> list[float]:
     """Sign changes of Re f over 4096 samples of (0, rho_max], each located
     at the midpoint of its bracketing sample pair (to within rho_max/8192).
     Samples where Re f is exactly zero are dropped first, so a zero that
-    lands on a sample is bracketed by its neighbours and counted once."""
+    lands on a sample is bracketed by its neighbours and counted once.
+    Raises DomainError unless rho_max is finite and positive."""
+    if not (math.isfinite(rho_max) and rho_max > 0):
+        raise DomainError(f"rho_max must be finite and positive, got {rho_max}")
     import numpy as np
 
     xs = np.linspace(rho_max / 4096, rho_max, 4096)

@@ -385,7 +385,7 @@ class TestWrappedResults:
 
     def test_eval_array_rejects_a_non_positive_point(self):
         f = dc.eigenfunction_chain(self.Q, 2, "a")
-        for rhos in ([1.0, 0.0], [-1.0, 2.0], [[0.5, 1.0], [2.0, -3.0]]):
+        for rhos in ([1.0, 0.0], [-1.0, 2.0], [[0.5, 1.0], [2.0, -3.0]], [1.0, math.nan]):
             with pytest.raises(DomainError):
                 f.eval_array(np.array(rhos))
 
@@ -538,8 +538,9 @@ class TestFullSpinor:
                 np.sum(np.abs(base) ** 2), rel=1e-12)
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
-            dc.assemble_full_spinor(self.PH, "a", 0, 0.0, 0.0, 0.0)
+        for rho in (0.0, math.nan):
+            with pytest.raises(DomainError):
+                dc.assemble_full_spinor(self.PH, "a", 0, rho, 0.0, 0.0)
 
     def test_hump_structure(self):
         # normalized chain densities show n+1 humps for family a, and the

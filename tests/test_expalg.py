@@ -484,10 +484,12 @@ class TestEval:
 
     def test_domain_error(self):
         p = term(1.5, 0.5, 1.0, mu=1)
-        with pytest.raises(DomainError):
-            p.eval(0.0)
-        with pytest.raises(DomainError):
-            p.eval_array(np.array([1.0, -1.0]))
+        for rho in (0.0, math.nan):
+            with pytest.raises(DomainError):
+                p.eval(rho)
+        for rhos in ([1.0, -1.0], [1.0, math.nan]):
+            with pytest.raises(DomainError):
+                p.eval_array(np.array(rhos))
 
     def test_eval_array_matches_scalar(self):
         rng = rng_for(12)
@@ -558,6 +560,20 @@ class TestSampler:
             assert rows.tobytes() == np.stack([ref_eval_array(f, rhos) for f in polys]).tobytes()
             spinor = dc.SpinorFn(tuple(polys[:4]))
             self.assert_same(spinor, rhos)
+        # Factors are keyed by kind and value: rho^1.5 is mu=1, j=0 at a=1.5
+        # and mu=1, j=1 at a=0.5, and b/(a+k) is 0.9/1.5 at k=0 and at k=1.
+        # r's power rho^0.6 has the value of that decay rate.
+        p, q, r = (ExpoPoly(1.5, 0.9, [Term(1, 0, 0, 0.5 - 1j), Term(1, 2, 0, 2.0)]),
+                   ExpoPoly(0.5, 0.9, [Term(1, 1, 1, -1.5), Term(1, 3, 1, 0.25j)]),
+                   ExpoPoly(0.6, 0.9, [Term(1, 0, None, 1.0 + 1j)]))
+        assert (1 * p.a + 0, p.b / (p.a + 0)) == (1 * q.a + 1, q.b / (q.a + 1))
+        assert 1 * r.a + 0 == p.b / (p.a + 0)
+        rhos = self.GRIDS[1]
+        rows = eval_rows([p, q, r, p], rhos)
+        assert rows.tobytes() == np.stack([ref_eval_array(f, rhos)
+                                           for f in (p, q, r, p)]).tobytes()
+        # One row at 4096 points, the shape interior_zeros samples.
+        self.assert_same(polys[0], np.linspace(280.0 / 4096, 280.0, 4096))
 
     def test_spinors_with_empty_components(self):
         q = DiracParams(1.3, 0.9, -0.4, 0.6)

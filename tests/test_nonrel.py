@@ -212,6 +212,14 @@ class TestEigenfunctions:
         assert np.count_nonzero(g.eval_array(np.linspace(8.0 / 4096, 8.0, 4096)) == 0) == 1
         assert nr.interior_zeros(g, 8.0) == [pytest.approx(2.0, rel=1e-15)]
 
+    def test_interior_zeros_rejects_a_window_that_is_not_finite_and_positive(self):
+        # A NaN or infinite end gives NaN samples, which have no sign change
+        # and would read as no nodes.
+        f = nr.eigenfunction(FIG2, 3)
+        for rho_max in (math.nan, math.inf, -1.0):
+            with pytest.raises(DomainError, match="rho_max"):
+                nr.interior_zeros(f, rho_max)
+
     def test_orthogonality(self):
         fs = [nr.eigenfunction(FIG2, n) for n in range(6)]
         norms = [math.sqrt(f.inner_product(f).real) for f in fs]
@@ -289,5 +297,6 @@ class TestFieldMagnitude:
                 nr.field_magnitude(phys, rho) / 4.0, rel=1e-12)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            nr.field_magnitude(self.PH, 0.0)
+        for rho in (0.0, math.nan):
+            with pytest.raises(DomainError):
+                nr.field_magnitude(self.PH, rho)
