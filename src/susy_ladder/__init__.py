@@ -8,9 +8,9 @@ confirms every eigenvalue and eigenfunction numerically.
 """
 
 from .errors import (ContextMismatch, DegenerateDenominator, DivergentIntegral,
-                     DomainError, GridCapExceeded, GridTooCoarse, LadderError,
-                     LevelCapExceeded, NegativeRadicand, NoBoundStates,
-                     NonFiniteSample, PrecisionLoss, SingularXi, TailNotDecayed)
+                     DomainError, GridTooCoarse, LadderError, LevelCapExceeded,
+                     NegativeRadicand, NoBoundStates, NonFiniteSample, PrecisionLoss,
+                     SingularXi, TailNotDecayed)
 from .expalg import ExpoPoly
 from .params import DiracParams, NRParams, PhysicalParams
 
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ContextMismatch", "DegenerateDenominator", "DivergentIntegral",
-    "DomainError", "GridCapExceeded", "GridTooCoarse", "LadderError",
+    "DomainError", "GridTooCoarse", "LadderError",
     "LevelCapExceeded", "NegativeRadicand", "NoBoundStates", "NonFiniteSample",
     "PrecisionLoss",
     "SingularXi", "TailNotDecayed",

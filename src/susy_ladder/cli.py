@@ -25,10 +25,9 @@ or json.dumps would quote it. One %-template per table then builds every
 row in C, so a table costs about one float format per cell.
 
 Exit codes: 0 success, 2 invalid configuration or parameters (including
-more eigenfunction levels than MAX_LEVELS, more grid points than
-MAX_GRID_POINTS, or a window whose samples are not finite), 3 when verify
-finds a failed check (an oracle grid that does not converge on refinement
-fails its check; the other checks still run).
+more eigenfunction levels than MAX_LEVELS or a window whose samples are not
+finite), 3 when verify finds a failed check (an oracle grid that does not
+converge on refinement fails its check; the other checks still run).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import sys
 from itertools import chain
 from pathlib import Path
 
-from .errors import GridCapExceeded, LadderError, LevelCapExceeded, NonFiniteSample
+from .errors import LadderError, LevelCapExceeded, NonFiniteSample
 from .expalg import laguerre_samples
 from .params import FAMILIES, DiracParams, NRParams, PhysicalParams, default_rho_max
 from .record import Record, set_field
@@ -54,22 +53,17 @@ MAX_LEVELS = 13
 _CAPPED_MODES = ("nr-eigenfunctions", "dirac-eigenfunctions")
 _CAP_REASON = (f"beyond level {MAX_LEVELS - 1} the sampling window cuts off more "
                "than 5e-6 of the top level's norm at a = 1.5")
+_LEVELS_HELP = (f"number of levels (default 3), at most {MAX_LEVELS}: {_CAP_REASON}, "
+                "and more at larger a")
 
-# Most LogGrid points the scalar check takes; its refinement re-solves at
-# 2N - 1. The solve costs about 6 us and 150 bytes per point (0.38 s and
-# 11 MB at 65536), and past 8192 points the graded matrix's roundoff outgrows
-# the step error: at fig2 the error is 3.7e-13 at 8192, 3.2e-11 at 65536 and
-# 2.6e-10 at 262144 points.
-MIN_GRID_POINTS = 64
-MAX_GRID_POINTS = 65536
-_GRID_CAP_REASON = "more points cost time linearly and, past 8192, lose accuracy to roundoff"
+# Canonical parameter sets reproduced by the figure subcommands, and the
+# sets fig2, fig3 and verify take when no parameters are given.
+FIG2_NR = NRParams(1.5, 0.5)
+FIG3_DIRAC = DiracParams(1.0, 2.0, 1.0, 0.1)
+_FIGURE_MODES = ("fig2", "fig3", "verify")
 
-# Canonical parameter sets reproduced by the figure subcommands.
-FIG2_NR = {"a": 1.5, "b": 0.5}
-FIG3_DIRAC = {"a": 1.0, "b": 2.0, "d0": 1.0, "mbar": 0.1}
-
-_DIMENSIONLESS = ("a", "b", "d0", "mbar")
-_PHYSICAL = ("hbar", "m", "c", "e", "k", "pz", "ell")
+_DIMENSIONLESS = DiracParams._fields
+_PHYSICAL = PhysicalParams._fields
 
 # The RunConfig fields each mode reads from its own flag; every mode also
 # takes --format and --out.
@@ -82,7 +76,7 @@ _MODE_FLAGS = {
     "dirac-eigenfunctions": (*_DIRAC_FLAGS, "levels", "families", "rho_max"),
     "fig2": (*_NR_FLAGS, "rho_max"),
     "fig3": (*_DIRAC_FLAGS, "rho_max"),
-    "verify": (*_DIRAC_FLAGS, "grid_points", "tolerance"),
+    "verify": _DIRAC_FLAGS,
 }
 MODES = tuple(_MODE_FLAGS)
 
@@ -90,15 +84,12 @@ MODES = tuple(_MODE_FLAGS)
 # Every RunConfig setting but the mode, in field order, with its default.
 # The parameters (a to ell) and rho_max are floats, None when not given.
 _SETTINGS = {
-    "a": None, "b": None, "d0": None, "mbar": None,
-    "hbar": None, "m": None, "c": None, "e": None, "k": None, "pz": None, "ell": None,
+    **dict.fromkeys(_DIMENSIONLESS + _PHYSICAL),
     "levels": 3,
     "families": FAMILIES,
-    "grid_points": 1024,
     "rho_max": None,
     "fmt": "csv",
     "out": None,
-    "tolerance": 1e-11,
 }
 
 
@@ -119,55 +110,36 @@ class RunConfig(Record):
         """A copy with the given settings changed."""
         return RunConfig(**dict(zip(self._fields, self._values(self)), **changes))
 
-    def style(self) -> str:
-        dim = any(getattr(self, name) is not None for name in _DIMENSIONLESS)
-        phys = any(getattr(self, name) is not None for name in _PHYSICAL)
-        if dim and phys:
-            raise ValueError("supply dimensionless or physical parameters, not both")
-        if phys:
-            return "physical"
-        if dim:
-            return "dimensionless"
-        return "default"
-
 
 def _fmt_float(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _physical(cfg: RunConfig) -> PhysicalParams:
-    missing = [name for name in _PHYSICAL if getattr(cfg, name) is None]
-    if missing:
-        raise ValueError(f"physical style needs all of {_PHYSICAL}; missing {missing}")
-    return PhysicalParams(hbar=cfg.hbar, m=cfg.m, c=cfg.c, e=cfg.e,
-                          k=cfg.k, pz=cfg.pz, ell=cfg.ell)
-
-
-def _nr_params(cfg: RunConfig, default: dict | None = None) -> NRParams:
-    style = cfg.style()
-    if style == "physical":
-        return _physical(cfg).to_nr()
-    if style == "dimensionless":
-        if cfg.a is None or cfg.b is None:
+def _params(cfg: RunConfig, scalar: bool) -> NRParams | DiracParams:
+    """cfg's scalar (NRParams) or matrix (DiracParams) parameters, given in
+    one style: the whole physical set, or --a and --b with --d0 and --mbar (0
+    when not given). With none given, fig2, fig3 and verify take the figure
+    sets, and the other modes fail."""
+    dim = [getattr(cfg, name) for name in _DIMENSIONLESS]
+    phys = [getattr(cfg, name) for name in _PHYSICAL]
+    if any(x is not None for x in phys):
+        if any(x is not None for x in dim):
+            raise ValueError("supply dimensionless or physical parameters, not both")
+        missing = [name for name, x in zip(_PHYSICAL, phys) if x is None]
+        if missing:
+            raise ValueError(f"physical style needs all of {_PHYSICAL}; missing {missing}")
+        given = PhysicalParams(*phys)
+        return given.to_nr() if scalar else given.to_dirac()
+    a, b, d0, mbar = dim
+    if any(x is not None for x in dim):
+        if a is None or b is None:
             raise ValueError("dimensionless style needs --a and --b")
-        return NRParams(cfg.a, cfg.b)
-    if default is None:
-        raise ValueError("this mode requires parameters (--a --b or physical set)")
-    return NRParams(default["a"], default["b"])
-
-
-def _dirac_params(cfg: RunConfig, default: dict | None = None) -> DiracParams:
-    style = cfg.style()
-    if style == "physical":
-        return _physical(cfg).to_dirac()
-    if style == "dimensionless":
-        if cfg.a is None or cfg.b is None:
-            raise ValueError("dimensionless style needs --a and --b")
-        return DiracParams(cfg.a, cfg.b, cfg.d0 or 0.0, cfg.mbar or 0.0)
-    if default is None:
-        raise ValueError("this mode requires parameters (--a --b [--d0 --mbar] "
-                         "or the physical set)")
-    return DiracParams(default["a"], default["b"], default["d0"], default["mbar"])
+        return NRParams(a, b) if scalar else DiracParams(a, b, d0 or 0.0, mbar or 0.0)
+    if cfg.mode in _FIGURE_MODES:
+        return FIG2_NR if scalar else FIG3_DIRAC
+    flags = ("--a --b or physical set" if scalar
+             else "--a --b [--d0 --mbar] or the physical set")
+    raise ValueError(f"this mode requires parameters ({flags})")
 
 
 def _samples(rho_max: float) -> list[float]:
@@ -224,16 +196,15 @@ def _density(params: DiracParams, n: int, fam: str, xs: list[float]) -> list[flo
 def _table_nr_spectrum(cfg: RunConfig):
     from . import nonrel as nr
 
-    params = _nr_params(cfg)
+    params = _params(cfg, scalar=True)
     return {"n": list(range(cfg.levels)),
             "energy": [nr.spectrum_radial(params, n) for n in range(cfg.levels)]}
 
 
-def _table_nr_eigenfunctions(cfg: RunConfig, params: NRParams | None = None):
+def _table_nr_eigenfunctions(cfg: RunConfig):
     from . import nonrel as nr
 
-    if params is None:
-        params = _nr_params(cfg)
+    params = _params(cfg, scalar=True)
     rho_max = (default_rho_max(params, cfg.levels - 1) if cfg.rho_max is None
                else cfg.rho_max)
     xs = _samples(rho_max)
@@ -247,15 +218,14 @@ def _table_nr_eigenfunctions(cfg: RunConfig, params: NRParams | None = None):
 def _table_dirac_spectrum(cfg: RunConfig):
     from . import dirac as dc
 
-    params = _dirac_params(cfg)
+    params = _params(cfg, scalar=False)
     keys = [(fam, n) for fam in cfg.families for n in range(cfg.levels)]
     return {"family": [fam for fam, _ in keys], "n": [n for _, n in keys],
             "energy": [dc.family_eigenvalue(params, n, fam) for fam, n in keys]}
 
 
-def _table_dirac_eigenfunctions(cfg: RunConfig, params: DiracParams | None = None):
-    if params is None:
-        params = _dirac_params(cfg)
+def _table_dirac_eigenfunctions(cfg: RunConfig):
+    params = _params(cfg, scalar=False)
     rho_max = (default_rho_max(params, cfg.levels - 1) if cfg.rho_max is None
                else cfg.rho_max)
     xs = _samples(rho_max)
@@ -271,8 +241,8 @@ def _table_fig2(cfg: RunConfig):
     """Three scalar eigenfunctions with the potential and the energies."""
     from . import nonrel as nr
 
-    params = _nr_params(cfg, default=FIG2_NR)
-    funcs = _table_nr_eigenfunctions(cfg.replace(levels=3), params)
+    params = _params(cfg, scalar=True)
+    funcs = _table_nr_eigenfunctions(cfg.replace(levels=3))
     xs = funcs["rho"]
     v0 = nr.potential(params, 0)
     table = {"rho": xs, "V0": _finite("V0", xs, [_real_or_inf(v0, x) for x in xs])} | funcs
@@ -285,9 +255,9 @@ def _table_fig3(cfg: RunConfig):
     """Densities of families a and c at three levels, with the energies."""
     from . import dirac as dc
 
-    params = _dirac_params(cfg, default=FIG3_DIRAC)
+    params = _params(cfg, scalar=False)
     fig = cfg.replace(levels=3, families=("a", "c"))
-    table = _table_dirac_eigenfunctions(fig, params)
+    table = _table_dirac_eigenfunctions(fig)
     for fam in fig.families:
         for n in range(fig.levels):
             table[f"E_{fam}{n}"] = [dc.family_eigenvalue(params, n, fam)] * FIG_SAMPLES
@@ -299,8 +269,7 @@ def _table_verify(cfg: RunConfig):
     # scipy.linalg, which no other mode needs and which dominate cold start.
     from . import verify as vf
 
-    results = vf.run_all(_nr_params(cfg, FIG2_NR), _dirac_params(cfg, FIG3_DIRAC),
-                         tol=cfg.tolerance, n_points=cfg.grid_points)
+    results = vf.run_all(_params(cfg, scalar=True), _params(cfg, scalar=False))
     table = {"check": [r.name for r in results],
              "passed": ["pass" if r.passed else "FAIL" for r in results],
              "detail": [r.detail for r in results]}
@@ -387,12 +356,6 @@ def run(cfg: RunConfig) -> int:
         if cfg.mode in _CAPPED_MODES and cfg.levels > MAX_LEVELS:
             raise LevelCapExceeded(
                 f"--levels {cfg.levels} is above the cap of {MAX_LEVELS}: {_CAP_REASON}")
-        if cfg.grid_points > MAX_GRID_POINTS:
-            raise GridCapExceeded(f"--grid-points {cfg.grid_points} is above the cap of "
-                                  f"{MAX_GRID_POINTS}: {_GRID_CAP_REASON}")
-        if cfg.grid_points < MIN_GRID_POINTS:
-            raise ValueError(f"--grid-points must be at least {MIN_GRID_POINTS}, "
-                             f"got {cfg.grid_points}")
         if not cfg.families:
             raise ValueError("--families must name at least one family")
         for i, fam in enumerate(cfg.families):
@@ -402,8 +365,6 @@ def run(cfg: RunConfig) -> int:
                 raise ValueError(f"--families names family {fam!r} more than once")
         if cfg.rho_max is not None and not (math.isfinite(cfg.rho_max) and cfg.rho_max > 0):
             raise ValueError(f"--rho-max must be finite and positive, got {cfg.rho_max}")
-        if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
-            raise ValueError(f"--tolerance must be finite and positive, got {cfg.tolerance}")
         verify_ok = True
         if cfg.mode == "verify":
             table, verify_ok = _table_verify(cfg)
@@ -437,18 +398,7 @@ def _families(text: str) -> tuple[str, ...]:
     return tuple(s for s in text.split(",") if s)
 
 
-_FLAG_TYPES = {"levels": int, "grid_points": int, "families": _families}
-
-
-def _flag_help(mode: str, name: str) -> str | None:
-    if name == "levels" and mode in _CAPPED_MODES:
-        return (f"number of levels (default 3), at most {MAX_LEVELS}: "
-                f"{_CAP_REASON}, and more at larger a")
-    if name == "grid_points":
-        return (f"LogGrid points of the scalar finite-difference check (default 1024), "
-                f"at least {MIN_GRID_POINTS} and at most {MAX_GRID_POINTS}: "
-                f"{_GRID_CAP_REASON}")
-    return None
+_FLAG_TYPES = {"levels": int, "families": _families}
 
 
 class _ModeParser(argparse.ArgumentParser):
@@ -473,8 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
         # No flag sets a default of its own: an absent flag leaves RunConfig's.
         p = sub.add_parser(mode, argument_default=argparse.SUPPRESS)
         for name in names:
-            p.add_argument("--" + name.replace("_", "-"),
-                           type=_FLAG_TYPES.get(name, float), help=_flag_help(mode, name))
+            capped = name == "levels" and mode in _CAPPED_MODES
+            p.add_argument("--" + name.replace("_", "-"), type=_FLAG_TYPES.get(name, float),
+                           help=_LEVELS_HELP if capped else None)
         p.add_argument("--format", dest="fmt", choices=("csv", "json"))
         p.add_argument("--out")
     return parser
@@ -487,11 +438,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        return run(cfg)
-    except (LadderError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return run(config_from_args(args))
     except BrokenPipeError:
         return 0
 

@@ -483,8 +483,8 @@ def assemble_full_spinor(phys: PhysicalParams, fam: str, n: int,
     """
     import numpy as np
 
-    if not rho > 0:
-        raise DomainError(f"rho must be positive, got {rho}")
+    if not 0 < rho < math.inf:
+        raise DomainError(f"rho must be finite and positive, got {rho}")
     _check_family(fam)
     dp = phys.to_dirac()
     chain = eigenfunction_chain(dp, n, fam)

@@ -11,8 +11,8 @@ class ContextMismatch(LadderError):
 
 class DomainError(LadderError):
     """A function was evaluated outside its domain: at a point that is not
-    positive (rho <= 0 or NaN), or over a window (0, rho_max] whose end is
-    not finite and positive."""
+    finite and positive (rho <= 0, inf or NaN), or over a window (0, rho_max]
+    whose end is not finite and positive."""
 
 
 class DivergentIntegral(LadderError):
@@ -50,10 +50,6 @@ class PrecisionLoss(LadderError):
 
 class LevelCapExceeded(LadderError):
     """More eigenfunction levels were requested than the sampling window holds."""
-
-
-class GridCapExceeded(LadderError):
-    """More finite-difference grid points were requested than the oracle takes."""
 
 
 class NonFiniteSample(LadderError):

@@ -154,8 +154,8 @@ class ExpoPoly(Record):
     # -- evaluation and integration -----------------------------------------
 
     def eval(self, rho: float) -> complex:
-        if not rho > 0:
-            raise DomainError(f"rho must be positive, got {rho}")
+        if not 0 < rho < math.inf:
+            raise DomainError(f"rho must be finite and positive, got {rho}")
         total = 0j
         for t in self.terms:
             total += (t.coeff * rho ** _power(t, self.a)
@@ -269,8 +269,8 @@ def laguerre_samples(polys, rhos) -> list[tuple[complex, list[float]]]:
     samples as inf, which leaves a non-finite sample for the caller to
     refuse; one that underflows samples as 0.
     """
-    if not all(x > 0 for x in rhos):
-        raise DomainError("all sample points must be positive")
+    if not all(0 < x < math.inf for x in rhos):
+        raise DomainError("all sample points must be finite and positive")
     shared: dict[tuple, list[float]] = {}
     out = []
     for poly in polys:
@@ -385,8 +385,8 @@ def eval_rows(polys, rhos) -> np.ndarray:
     import numpy as np
 
     rhos = np.asarray(rhos, dtype=float)
-    if not (rhos > 0).all():
-        raise DomainError("all sample points must be positive")
+    if not ((0 < rhos) & (rhos < np.inf)).all():
+        raise DomainError("all sample points must be finite and positive")
     out = np.zeros((len(polys),) + rhos.shape, dtype=complex)
     factors: dict[tuple, np.ndarray] = {}
     steps, passes = rhos, 0

@@ -134,8 +134,8 @@ def spectrum_physical(phys: PhysicalParams, n: int) -> float:
 
 def field_magnitude(phys: PhysicalParams, rho: float) -> float:
     """|B| = c k / (e rho^2): azimuthal field of the A = (ck/(e rho)) e_z potential."""
-    if not rho > 0:
-        raise DomainError(f"rho must be positive, got {rho}")
+    if not 0 < rho < math.inf:
+        raise DomainError(f"rho must be finite and positive, got {rho}")
     return phys.c * phys.k / (phys.e * rho ** 2)
 
 

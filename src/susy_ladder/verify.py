@@ -20,6 +20,16 @@ from .params import DiracParams, NRParams, PhysicalParams, default_rho_max
 from .record import Record, set_field
 
 SEED = 20121028
+# Bound of the seven symbolic rows, whose residuals vanish in exact
+# arithmetic: the largest coefficient left (relative to the chain's largest
+# in the two eigen-equation rows).
+SYMBOLIC_TOL = 1e-11
+# LogGrid points of the scalar check; its refinement re-solves at 2N - 1.
+# The solve costs about 6 us and 150 bytes per point (0.38 s and 11 MB at
+# 65536), and past 8192 points the graded matrix's roundoff outgrows the
+# step error: at fig2 the error is 3.7e-13 at 8192, 3.2e-11 at 65536 and
+# 2.6e-10 at 262144 points.
+NR_POINTS = 1024
 SCAN_POINTS = 2048  # LogGrid points of the Dirac scan; refinement re-solves at 2N - 1
 
 
@@ -66,18 +76,18 @@ def random_phys(rng) -> PhysicalParams:
         ell=float(rng.uniform(-2.0, 2.0)))
 
 
-def check_riccati(tol: float) -> CheckResult:
+def check_riccati() -> CheckResult:
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for _ in range(8):
         p = random_nr(rng)
         for n in range(1, 5):
             worst = max(worst, nr.riccati_residual(p, n).max_abs_coeff())
-    return CheckResult("nr-riccati-residual", worst <= tol,
-                       f"max coefficient {worst:.3e} (tol {tol:.1e})")
+    return CheckResult("nr-riccati-residual", worst <= SYMBOLIC_TOL,
+                       f"max coefficient {worst:.3e} (tol {SYMBOLIC_TOL:.1e})")
 
 
-def check_nr_factorization(tol: float) -> CheckResult:
+def check_nr_factorization() -> CheckResult:
     rng = np.random.default_rng(SEED + 1)
     worst = 0.0
     for _ in range(6):
@@ -94,11 +104,11 @@ def check_nr_factorization(tol: float) -> CheckResult:
             worst = max(worst, r1.max_abs_coeff(), r2.max_abs_coeff())
             # level n's H_n f is the next iteration's H_(n-1) f
             h_lo = h_hi
-    return CheckResult("nr-factorization", worst <= tol,
-                       f"max coefficient {worst:.3e} (tol {tol:.1e})")
+    return CheckResult("nr-factorization", worst <= SYMBOLIC_TOL,
+                       f"max coefficient {worst:.3e} (tol {SYMBOLIC_TOL:.1e})")
 
 
-def check_nr_intertwining(tol: float) -> CheckResult:
+def check_nr_intertwining() -> CheckResult:
     rng = np.random.default_rng(SEED + 2)
     worst = 0.0
     for _ in range(6):
@@ -109,11 +119,11 @@ def check_nr_intertwining(tol: float) -> CheckResult:
             r = (nr.apply_hamiltonian(p, n + 1, up.apply(f))
                  - up.apply(nr.apply_hamiltonian(p, n, f)))
             worst = max(worst, r.max_abs_coeff())
-    return CheckResult("nr-intertwining", worst <= tol,
-                       f"max coefficient {worst:.3e} (tol {tol:.1e})")
+    return CheckResult("nr-intertwining", worst <= SYMBOLIC_TOL,
+                       f"max coefficient {worst:.3e} (tol {SYMBOLIC_TOL:.1e})")
 
 
-def check_nr_eigen(params: NRParams, tol: float) -> CheckResult:
+def check_nr_eigen(params: NRParams) -> CheckResult:
     """Levels 0..10: each chain solves its eigen-equation and keeps all n+1 terms."""
     worst = 0.0
     short = []
@@ -126,7 +136,7 @@ def check_nr_eigen(params: NRParams, tol: float) -> CheckResult:
     detail = f"levels 0..10, max relative coefficient {worst:.3e}"
     if short:
         detail += f", levels {short} lack n+1 terms"
-    return CheckResult("nr-eigen-equations", worst <= tol and not short, detail)
+    return CheckResult("nr-eigen-equations", worst <= SYMBOLIC_TOL and not short, detail)
 
 
 def check_nr_nodes(params: NRParams) -> CheckResult:
@@ -148,8 +158,8 @@ def check_nr_orthogonality(params: NRParams) -> CheckResult:
                        f"max relative off-diagonal {worst:.3e} (tol 1e-09)")
 
 
-def check_nr_fd(params: NRParams, n_points: int) -> CheckResult:
-    grid = orc.LogGrid(default_rho_max(params, 3), n_points)
+def check_nr_fd(params: NRParams) -> CheckResult:
+    grid = orc.LogGrid(default_rho_max(params, 3), NR_POINTS)
     try:
         fd = orc.fd_schrodinger_eigs(params, 3, grid)
     except GridTooCoarse as exc:
@@ -178,15 +188,15 @@ def kernel_residual(p: DiracParams, n: int) -> float:
     return max(bd.apply(half).max_abs_coeff() for half in halves)
 
 
-def check_dirac_kernels(tol: float) -> CheckResult:
+def check_dirac_kernels() -> CheckResult:
     rng = np.random.default_rng(SEED + 3)
     worst = 0.0
     for _ in range(8):
         p = random_dirac(rng)
         for n in range(0, 5):
             worst = max(worst, kernel_residual(p, n))
-    return CheckResult("dirac-kernel-annihilation", worst <= tol,
-                       f"max coefficient {worst:.3e} (tol {tol:.1e})")
+    return CheckResult("dirac-kernel-annihilation", worst <= SYMBOLIC_TOL,
+                       f"max coefficient {worst:.3e} (tol {SYMBOLIC_TOL:.1e})")
 
 
 def _apply_halves(op: dc.MatrixOp, f: dc.SpinorFn) -> dc.SpinorFn:
@@ -213,7 +223,7 @@ def intertwining_residual(p: DiracParams, f2: dc.SpinorFn, f4: dc.SpinorFn) -> f
     return worst
 
 
-def check_dirac_intertwining(tol: float) -> CheckResult:
+def check_dirac_intertwining() -> CheckResult:
     rng = np.random.default_rng(SEED + 4)
     worst = 0.0
     for _ in range(5):
@@ -221,11 +231,11 @@ def check_dirac_intertwining(tol: float) -> CheckResult:
         f2 = random_spinor(rng, p.a, p.b, 2)
         f4 = random_spinor(rng, p.a, p.b, 4)
         worst = max(worst, intertwining_residual(p, f2, f4))
-    return CheckResult("dirac-intertwining", worst <= tol,
-                       f"max coefficient {worst:.3e} (tol {tol:.1e})")
+    return CheckResult("dirac-intertwining", worst <= SYMBOLIC_TOL,
+                       f"max coefficient {worst:.3e} (tol {SYMBOLIC_TOL:.1e})")
 
 
-def check_dirac_eigen(params: DiracParams, tol: float) -> CheckResult:
+def check_dirac_eigen(params: DiracParams) -> CheckResult:
     h0 = dc.big_hamiltonian(params, 0)
     worst = 0.0
     for n in range(0, 4):
@@ -235,7 +245,7 @@ def check_dirac_eigen(params: DiracParams, tol: float) -> CheckResult:
             r = h0.apply(chain) - chain.scale(value)
             scale = max(1.0, chain.max_abs_coeff())
             worst = max(worst, r.max_abs_coeff() / scale)
-    return CheckResult("dirac-eigen-equations", worst <= tol,
+    return CheckResult("dirac-eigen-equations", worst <= SYMBOLIC_TOL,
                        f"four families, levels 0..3, max relative coefficient {worst:.3e}")
 
 
@@ -309,19 +319,18 @@ def check_gamma_vs_quadrature(params: NRParams) -> CheckResult:
                        f"max relative mismatch {worst:.3e} (tol 1e-08)")
 
 
-def run_all(nr_params: NRParams, dirac_params: DiracParams,
-            tol: float = 1e-11, n_points: int = 1024) -> list[CheckResult]:
+def run_all(nr_params: NRParams, dirac_params: DiracParams) -> list[CheckResult]:
     return [
-        check_riccati(tol),
-        check_nr_factorization(tol),
-        check_nr_intertwining(tol),
-        check_nr_eigen(nr_params, tol),
+        check_riccati(),
+        check_nr_factorization(),
+        check_nr_intertwining(),
+        check_nr_eigen(nr_params),
         check_nr_nodes(nr_params),
         check_nr_orthogonality(nr_params),
-        check_nr_fd(nr_params, n_points),
-        check_dirac_kernels(tol),
-        check_dirac_intertwining(tol),
-        check_dirac_eigen(dirac_params, tol),
+        check_nr_fd(nr_params),
+        check_dirac_kernels(),
+        check_dirac_intertwining(),
+        check_dirac_eigen(dirac_params),
         check_degeneracy(dirac_params),
         check_spectrum_identity(),
         check_xi_superpotential(dirac_params),

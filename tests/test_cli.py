@@ -142,16 +142,45 @@ class TestDeterminism:
         assert text.splitlines()[1] == "0,-2.0000000000000000e-02"
 
 
-class TestConfigValidation:
-    def test_mixed_styles_rejected(self):
-        code, _ = capture(["nr-spectrum", "--a", "1.5", "--b", "0.5",
-                           "--hbar", "1", "--m", "1", "--c", "1", "--e", "1",
-                           "--k", "1", "--pz", "1", "--ell", "0"])
-        assert code == 2
+_SCALAR_MISSING = "error: this mode requires parameters (--a --b or physical set)\n"
+_DIRAC_MISSING = ("error: this mode requires parameters (--a --b [--d0 --mbar] or the "
+                  "physical set)\n")
 
-    def test_missing_parameters_rejected(self):
-        code, _ = capture(["nr-spectrum"])
-        assert code == 2
+
+class TestConfigValidation:
+    # The parameter errors, each stated whole, in every mode that can meet it.
+    def test_mixed_styles_rejected(self, capsys):
+        for mode in cli.MODES:
+            code, text = capture([mode, "--a", "1.5", "--b", "0.5",
+                                  "--hbar", "1", "--m", "1", "--c", "1", "--e", "1",
+                                  "--k", "1", "--pz", "1", "--ell", "0"])
+            assert (code, text) == (2, ""), mode
+            assert capsys.readouterr().err == (
+                "error: supply dimensionless or physical parameters, not both\n"), mode
+
+    def test_missing_parameters_rejected(self, capsys):
+        # every mode but fig2, fig3 and verify, which take the figure sets
+        for mode in [m for m in cli.MODES if m not in ("fig2", "fig3", "verify")]:
+            code, text = capture([mode])
+            assert (code, text) == (2, ""), mode
+            err = _SCALAR_MISSING if mode.startswith("nr-") else _DIRAC_MISSING
+            assert capsys.readouterr().err == err, mode
+
+    def test_a_without_b_rejected(self, capsys):
+        for mode in cli.MODES:
+            code, text = capture([mode, "--a", "1.5"])
+            assert (code, text) == (2, ""), mode
+            assert capsys.readouterr().err == (
+                "error: dimensionless style needs --a and --b\n"), mode
+
+    def test_figure_modes_and_verify_fall_back_to_the_figure_sets(self, monkeypatch):
+        from susy_ladder import verify as vf
+        seen = []
+        monkeypatch.setattr(vf, "run_all", lambda *args, **kwargs: seen.append(args) or [])
+        assert capture(["fig2"]) == capture(["fig2", "--a", "1.5", "--b", "0.5"])
+        assert capture(["fig3"]) == capture(["fig3", *_FIG3_ARGS])
+        assert capture(["verify"])[0] == 0
+        assert seen == [(NRParams(1.5, 0.5), DiracParams(1.0, 2.0, 1.0, 0.1))]
 
     def test_bad_family_rejected(self):
         code, _ = capture(["dirac-spectrum", "--a", "1", "--b", "2",
@@ -176,9 +205,13 @@ class TestConfigValidation:
                            "--e", "1", "--k", "-1", "--pz", "1", "--ell", "0"])
         assert code == 2
 
-    def test_incomplete_physical_set_rejected(self):
-        code, _ = capture(["nr-spectrum", "--hbar", "1", "--m", "1"])
-        assert code == 2
+    def test_incomplete_physical_set_rejected(self, capsys):
+        for mode in cli.MODES:
+            code, text = capture([mode, "--hbar", "1", "--m", "1"])
+            assert (code, text) == (2, ""), mode
+            assert capsys.readouterr().err == (
+                "error: physical style needs all of ('hbar', 'm', 'c', 'e', 'k', 'pz', "
+                "'ell'); missing ['c', 'e', 'k', 'pz', 'ell']\n"), mode
 
     @pytest.mark.parametrize("field,argv", [
         ("a", ["nr-spectrum", "--a", "inf", "--b", "1"]),
@@ -199,9 +232,6 @@ class TestConfigValidation:
         ("--rho-max", ["fig3", "--rho-max", "-5"]),
         ("--rho-max", ["dirac-eigenfunctions", "--a", "1", "--b", "2", "--d0", "1",
                        "--rho-max", "inf"]),
-        ("--tolerance", ["verify", "--tolerance", "-1"]),
-        ("--tolerance", ["verify", "--tolerance", "0"]),
-        ("--tolerance", ["verify", "--tolerance", "nan"]),
     ])
     def test_bad_rho_max_or_tolerance_rejected(self, flag, argv, capsys):
         code, text = capture(argv)
@@ -282,46 +312,6 @@ class TestConfigValidation:
         assert capture([mode, *params, "--levels", str(levels)])[0] == code
 
 
-    @pytest.mark.parametrize("points", ["1000000000", "65537"])
-    def test_grid_points_above_cap_refused(self, points, capsys, monkeypatch):
-        # refused before any solve: a solve here would fail the test
-        import susy_ladder.oracle as orc
-
-        def no_solve(*args, **kwargs):
-            raise AssertionError("a finite-difference solve ran")
-        monkeypatch.setattr(orc, "eigh_tridiagonal", no_solve)
-        code, text = capture(["verify", "--grid-points", points])
-        assert code == 2
-        assert text == ""
-        assert capsys.readouterr().err == (
-            f"error: --grid-points {points} is above the cap of 65536: more points "
-            "cost time linearly and, past 8192, lose accuracy to roundoff\n")
-
-    def test_grid_points_below_minimum_refused(self, capsys):
-        code, text = capture(["verify", "--grid-points", "63"])
-        assert code == 2
-        assert text == ""
-        assert "--grid-points must be at least 64, got 63" in capsys.readouterr().err
-
-    def test_grid_points_cap_accepted(self, monkeypatch):
-        from susy_ladder import verify as vf
-        seen = {}
-
-        def record(nr_params, dirac_params, tol, n_points):
-            seen["n_points"] = n_points
-            return []
-        monkeypatch.setattr(vf, "run_all", record)
-        assert capture(["verify", "--grid-points", "65536"])[0] == 0
-        assert seen == {"n_points": 65536}
-
-    def test_grid_points_stated_in_help(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["verify", "--help"])
-        assert ("--grid-points GRID_POINTS LogGrid points of the scalar finite-difference "
-                "check (default 1024), at least 64 and at most 65536:") in \
-            " ".join(capsys.readouterr().out.split())
-
-
 class TestOutputFile:
     def test_out_writes_identical_content(self, tmp_path):
         target = tmp_path / "table.csv"
@@ -359,7 +349,7 @@ class TestOutputFile:
          [*_DIRAC, *_PHYS, "levels", "families", "rho_max", "format", "out"]),
         ("fig2", [], ["a", "b", *_PHYS, "rho_max", "format", "out"]),
         ("fig3", [], [*_DIRAC, *_PHYS, "rho_max", "format", "out"]),
-        ("verify", [], [*_DIRAC, *_PHYS, "grid_points", "format", "out", "tolerance"]),
+        ("verify", [], [*_DIRAC, *_PHYS, "format", "out"]),
     ])
     def test_json_meta_echoes_only_the_modes_fields(self, mode, args, keys, monkeypatch):
         # verify's checks are stubbed: its meta does not depend on them
@@ -387,7 +377,7 @@ MODE_FLAGS = {
     "dirac-eigenfunctions": _DIRAC_FLAGS | {"--levels", "--families", "--rho-max"},
     "fig2": _NR_FLAGS | {"--rho-max"},
     "fig3": _DIRAC_FLAGS | {"--rho-max"},
-    "verify": _DIRAC_FLAGS | {"--grid-points", "--tolerance"},
+    "verify": _DIRAC_FLAGS,
 }
 ALL_FLAGS = set().union(*MODE_FLAGS.values())
 
@@ -395,7 +385,7 @@ ALL_FLAGS = set().union(*MODE_FLAGS.values())
 class TestParser:
     @pytest.mark.parametrize("mode", list(MODE_FLAGS))
     def test_mode_takes_only_its_own_flags(self, mode, capsys):
-        assert len(ALL_FLAGS) == 18
+        assert len(ALL_FLAGS) == 16
         parser = build_parser()
         assert config_from_args(parser.parse_args([mode])) == RunConfig(mode=mode)
         for flag in sorted(MODE_FLAGS[mode]):
@@ -420,19 +410,20 @@ class TestParser:
         assert set(re.findall(r"--[a-z][a-z0-9-]*", err.split("error:")[0])) == MODE_FLAGS["fig2"]
         assert "susy-ladder fig2: error: unrecognized arguments: --levels 9" in err
 
+    def test_verify_grid_and_bound_take_no_flag(self, capsys):
+        # verify's oracle grids and bounds are constants of the verify module
+        for argv in (["--grid-points", "64"], ["--tolerance", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", *argv])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+
     def test_config_from_args_families(self):
         args = build_parser().parse_args(["dirac-spectrum", "--a", "1", "--b", "2",
                                           "--families", "a,c"])
         cfg = config_from_args(args)
         assert cfg.families == ("a", "c")
         assert cfg.mode == "dirac-spectrum"
-
-    def test_run_config_style_detection(self):
-        assert RunConfig(mode="fig2").style() == "default"
-        assert RunConfig(mode="fig2", a=1.0).style() == "dimensionless"
-        assert RunConfig(mode="fig2", hbar=1.0).style() == "physical"
-        with pytest.raises(ValueError):
-            RunConfig(mode="fig2", a=1.0, hbar=1.0).style()
 
 
 def test_cli_import_loads_no_scipy():

@@ -385,7 +385,8 @@ class TestWrappedResults:
 
     def test_eval_array_rejects_a_non_positive_point(self):
         f = dc.eigenfunction_chain(self.Q, 2, "a")
-        for rhos in ([1.0, 0.0], [-1.0, 2.0], [[0.5, 1.0], [2.0, -3.0]], [1.0, math.nan]):
+        for rhos in ([1.0, 0.0], [-1.0, 2.0], [[0.5, 1.0], [2.0, -3.0]], [1.0, math.nan],
+                     [1.0, math.inf]):
             with pytest.raises(DomainError):
                 f.eval_array(np.array(rhos))
 
@@ -538,7 +539,7 @@ class TestFullSpinor:
                 np.sum(np.abs(base) ** 2), rel=1e-12)
 
     def test_domain_error(self):
-        for rho in (0.0, math.nan):
+        for rho in (0.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 dc.assemble_full_spinor(self.PH, "a", 0, rho, 0.0, 0.0)
 

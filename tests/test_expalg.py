@@ -484,10 +484,10 @@ class TestEval:
 
     def test_domain_error(self):
         p = term(1.5, 0.5, 1.0, mu=1)
-        for rho in (0.0, math.nan):
+        for rho in (0.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 p.eval(rho)
-        for rhos in ([1.0, -1.0], [1.0, math.nan]):
+        for rhos in ([1.0, -1.0], [1.0, math.nan], [1.0, math.inf]):
             with pytest.raises(DomainError):
                 p.eval_array(np.array(rhos))
 

@@ -8,6 +8,7 @@ tolerances tested here.
 """
 
 import functools
+import math
 
 import mpmath as mp
 import numpy as np
@@ -342,6 +343,6 @@ class TestLaguerreSampling:
 
     def test_non_positive_points_refused(self):
         f = nr.eigenfunction(FIG2, 3)
-        for xs in ([0.0, 1.0], [1.0, -2.0]):
+        for xs in ([0.0, 1.0], [1.0, -2.0], [1.0, math.inf]):
             with pytest.raises(DomainError):
                 laguerre_samples((f,), xs)

@@ -297,6 +297,6 @@ class TestFieldMagnitude:
                 nr.field_magnitude(phys, rho) / 4.0, rel=1e-12)
 
     def test_domain(self):
-        for rho in (0.0, math.nan):
+        for rho in (0.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 nr.field_magnitude(self.PH, rho)

@@ -65,7 +65,7 @@ def test_reprs_name_every_field():
     assert repr(RunConfig(mode="fig2")) == (
         "RunConfig(mode='fig2', a=None, b=None, d0=None, mbar=None, hbar=None, m=None, "
         "c=None, e=None, k=None, pz=None, ell=None, levels=3, families=('a', 'b', 'c', 'd'), "
-        "grid_points=1024, rho_max=None, fmt='csv', out=None, tolerance=1e-11)")
+        "rho_max=None, fmt='csv', out=None)")
 
 
 def test_no_instance_dict():
@@ -76,8 +76,7 @@ def test_no_instance_dict():
 
 def test_run_config_replace_and_fields():
     assert RunConfig._fields == ("mode", "a", "b", "d0", "mbar", "hbar", "m", "c", "e", "k",
-                                 "pz", "ell", "levels", "families", "grid_points", "rho_max",
-                                 "fmt", "out", "tolerance")
+                                 "pz", "ell", "levels", "families", "rho_max", "fmt", "out")
     cfg = RunConfig(mode="fig3", a=1.0)
     new = cfg.replace(levels=5, families=("a",))
     assert (new.mode, new.a, new.levels, new.families) == ("fig3", 1.0, 5, ("a",))

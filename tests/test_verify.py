@@ -43,7 +43,7 @@ def test_nr_eigen_check_fails_a_chain_that_lost_a_term(monkeypatch):
         return ExpoPoly(f.a, f.b, tuple(t for t in f.terms if t is not smallest))
 
     monkeypatch.setattr(vf.nr, "eigenfunction", lossy)
-    result = vf.check_nr_eigen(NRParams(1.5, 0.5), 1e-11)
+    result = vf.check_nr_eigen(NRParams(1.5, 0.5))
     assert not result.passed
     assert result.detail.startswith("levels 0..10, max relative coefficient ")
     assert result.detail.endswith(", levels [7] lack n+1 terms")
@@ -68,7 +68,7 @@ def test_nr_orthogonality_checks_the_set_it_is_given(monkeypatch):
     assert row.detail != vf.check_nr_orthogonality(NRParams(1.5, 0.5)).detail
 
 
-def test_cli_verify_exit_codes(tmp_path):
+def test_cli_verify_exit_codes(tmp_path, monkeypatch):
     out = tmp_path / "verify.csv"
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -78,9 +78,10 @@ def test_cli_verify_exit_codes(tmp_path):
     assert text.splitlines()[0] == "check,passed,detail"
     assert "FAIL" not in text
 
-    # an impossible symbolic tolerance must be reported and flip the exit code
+    # an impossible symbolic bound must be reported and flip the exit code
+    monkeypatch.setattr(vf, "SYMBOLIC_TOL", 1e-30)
     with redirect_stdout(io.StringIO()):
-        code = main(["verify", "--tolerance", "1e-30", "--out", str(out)])
+        code = main(["verify", "--out", str(out)])
     assert code == 3
     assert "FAIL" in Path(out).read_text()
 
@@ -88,17 +89,17 @@ def test_cli_verify_exit_codes(tmp_path):
 EXAMPLE_SET = ["--a", "1.2", "--b", "0.8", "--d0", "0.4", "--mbar", "0.2"]
 
 
-@pytest.mark.parametrize("argv, failed, scan_points", [
-    (["--grid-points", "64"], "nr-fd-eigenvalues", vf.SCAN_POINTS),
+@pytest.mark.parametrize("argv, failed, grid, points", [
+    ([], "nr-fd-eigenvalues", "NR_POINTS", 64),
     # 128 log-grid points move an E^2 by 5.161e-04 on refinement, five times
     # the bound (256 points move it by 1.262e-04, too near the bound to pin)
-    (EXAMPLE_SET, "dirac-fd-scan", 128),
+    (EXAMPLE_SET, "dirac-fd-scan", "SCAN_POINTS", 128),
 ], ids=["coarse-nr-grid", "unstable-dirac-scan"])
-def test_cli_verify_reports_unconverged_oracle(argv, failed, scan_points, capsys,
+def test_cli_verify_reports_unconverged_oracle(argv, failed, grid, points, capsys,
                                                monkeypatch):
     # a refinement shift past the oracle's bound fails its own check;
     # the other checks still run and print
-    monkeypatch.setattr(vf, "SCAN_POINTS", scan_points)
+    monkeypatch.setattr(vf, grid, points)
     assert main(["verify", *argv]) == 3
     rows = [line.split(",", 2) for line in capsys.readouterr().out.splitlines()[1:]]
     assert len(rows) == 15
@@ -142,7 +143,7 @@ def _draws(draw, seed, count):
 def test_nr_fd_check_passes_every_seeded_draw():
     # 19 of these 200 failed on a wall grid at 4096 points
     for p in _draws(vf.random_nr, 0, 100) + _draws(vf.random_nr, 1, 100):
-        result = vf.check_nr_fd(p, 1024)
+        result = vf.check_nr_fd(p)
         assert result.passed, f"{p}: {result.detail}"
 
 
@@ -184,7 +185,7 @@ def test_nr_fd_check_passes_on_the_log_grid(a, b):
     # grid at 4096 points, draw 24 and eight of the small-a sets moved by more
     # than RICHARDSON_SHIFT on refinement (2.3e-4 to 6.3e-3): rho^(a+1) is
     # steep at the origin for small a.
-    result = vf.check_nr_fd(NRParams(a, b), 1024)
+    result = vf.check_nr_fd(NRParams(a, b))
     assert result.passed, result.detail
 
 
