@@ -25,9 +25,10 @@ or json.dumps would quote it. One %-template per table then builds every
 row in C, so a table costs about one float format per cell.
 
 Exit codes: 0 success, 2 invalid configuration or parameters (including
-more eigenfunction levels than MAX_LEVELS or a window whose samples are not
-finite), 3 when verify finds a failed check (an oracle grid that does not
-converge on refinement fails its check; the other checks still run).
+more eigenfunction levels than MAX_LEVELS, a window whose samples are not
+finite, or parameters whose arithmetic leaves the float range), 3 when
+verify finds a failed check (an oracle grid that does not converge on
+refinement fails its check; the other checks still run).
 """
 
 from __future__ import annotations
@@ -154,6 +155,13 @@ def _samples(rho_max: float) -> list[float]:
     return [i * step + start for i in range(div)] + [rho_max]
 
 
+def _eigen_rows(cfg: RunConfig, scalar: bool) -> tuple[NRParams | DiracParams, list[float]]:
+    """cfg's parameters (see _params) and its eigenfunction table's rho
+    column: _samples up to --rho-max, by default the window of its top level."""
+    params = _params(cfg, scalar)
+    return params, _samples(cfg.rho_max or default_rho_max(params, cfg.levels - 1))
+
+
 def _finite(name: str, xs: list[float], values: list[float]) -> list[float]:
     """values, when every one is finite; otherwise NonFiniteSample naming the
     column and the first rho where it is not. A sample that underflows to 0
@@ -204,10 +212,7 @@ def _table_nr_spectrum(cfg: RunConfig):
 def _table_nr_eigenfunctions(cfg: RunConfig):
     from . import nonrel as nr
 
-    params = _params(cfg, scalar=True)
-    rho_max = (default_rho_max(params, cfg.levels - 1) if cfg.rho_max is None
-               else cfg.rho_max)
-    xs = _samples(rho_max)
+    params, xs = _eigen_rows(cfg, scalar=True)
     table = {"rho": xs}
     chains = [nr.normalize(nr.eigenfunction(params, n)) for n in range(cfg.levels)]
     for n, (amp, f) in enumerate(laguerre_samples(chains, xs)):
@@ -225,10 +230,7 @@ def _table_dirac_spectrum(cfg: RunConfig):
 
 
 def _table_dirac_eigenfunctions(cfg: RunConfig):
-    params = _params(cfg, scalar=False)
-    rho_max = (default_rho_max(params, cfg.levels - 1) if cfg.rho_max is None
-               else cfg.rho_max)
-    xs = _samples(rho_max)
+    params, xs = _eigen_rows(cfg, scalar=False)
     table = {"rho": xs}
     for fam in cfg.families:
         for n in range(cfg.levels):
@@ -380,6 +382,10 @@ def run(cfg: RunConfig) -> int:
             table = builder(cfg)
     except (LadderError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"error: the parameters take the arithmetic out of float range "
+              f"({type(exc).__name__}: {exc})", file=sys.stderr)
         return 2
 
     text = _render_csv(table) if cfg.fmt == "csv" else _render_json(table, _meta(cfg))

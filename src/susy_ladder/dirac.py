@@ -22,8 +22,7 @@ import functools
 import math
 from typing import TYPE_CHECKING
 
-from .errors import (DegenerateDenominator, DomainError, NegativeRadicand,
-                     NoBoundStates, SingularXi)
+from .errors import DegenerateDenominator, DomainError, NegativeRadicand, SingularXi
 from .expalg import ExpoPoly, apply_operator, eval_rows, laguerre_norm2
 from .params import FAMILIES, DiracParams, PhysicalParams
 from .record import Record, set_field
@@ -331,12 +330,17 @@ def kernel_xi(params: DiracParams, n: int) -> SpinorFn:
     return SpinorFn((comp0, comp1))
 
 
-def family_eigenvalue(params: DiracParams, n: int, fam: str) -> float:
-    """Level-n eigenvalue of the family: +/- sqrt(mbar^2 + d^2) with d = d_n
-    for families a/b and d = d_{n+1} for families c/d."""
+def _family_level(params: DiracParams, n: int, fam: str) -> tuple[float, float]:
+    """(d, sqrt(mbar^2 + d^2)) of the family's level n: d = d_n for families
+    a/b and d_{n+1} for c/d. Raises ValueError for an unknown family."""
     _check_family(fam)
     d = dn(params, n) if fam in ("a", "b") else dn(params, n + 1)
-    s = math.hypot(params.mbar, d)
+    return d, math.hypot(params.mbar, d)
+
+
+def family_eigenvalue(params: DiracParams, n: int, fam: str) -> float:
+    """Level-n eigenvalue of the family: +sqrt(mbar^2 + d^2) for a/c, - for b/d."""
+    _, s = _family_level(params, n, fam)
     return s if fam in ("a", "c") else -s
 
 
@@ -346,8 +350,7 @@ _KERNELS = {"a": kernel_chi, "b": kernel_chi, "c": kernel_xi, "d": kernel_xi}
 def _lower_ratio(params: DiracParams, n: int, fam: str) -> float:
     """The family's level-n eigenvector has the kernel spinor as its upper
     block and this ratio times it as its lower block."""
-    d = dn(params, n) if fam in ("a", "b") else dn(params, n + 1)
-    s = math.hypot(params.mbar, d)
+    d, s = _family_level(params, n, fam)
     if fam in ("a", "c"):
         if s + params.mbar == 0.0:
             raise DegenerateDenominator(f"family {fam}, level {n}: mbar = 0 and d = 0 "
@@ -370,7 +373,6 @@ def eigenvector(params: DiracParams, n: int, fam: str) -> tuple[SpinorFn, float]
     Families b and d divide by sqrt(mbar^2 + d^2) - mbar, which vanishes with
     d; that case raises DegenerateDenominator instead of guessing a limit.
     """
-    _check_family(fam)
     ratio = _lower_ratio(params, n, fam)
     seed = _KERNELS[fam](params, n)
     lower = seed.scale(ratio)
@@ -406,7 +408,6 @@ def eigenfunction_chain(params: DiracParams, n: int, fam: str) -> SpinorFn:
     largest coefficient through level 12 on three parameter sets), not bit
     for bit.
     """
-    _check_family(fam)
     ratio = _lower_ratio(params, n, fam)
     upper = _lowered_kernel(params, n, _KERNELS[fam])
     return _wrap_spinor(upper.components + upper.scale(ratio).components)
@@ -460,8 +461,7 @@ def spectrum_dirac(phys: PhysicalParams, n: int, sign: int) -> float:
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if phys.pz * phys.k <= 0:
-        raise NoBoundStates("p_z*k <= 0 carries no bound states")
+    phys._require_bound()
     radicand = (1.0 + phys.pz ** 2 / (phys.m * phys.c) ** 2
                 - phys.pz ** 2 * phys.k ** 2
                 / (phys.hbar ** 2 * (phys.m * phys.c) ** 2

@@ -345,22 +345,11 @@ def _laguerre_shape(poly: ExpoPoly) -> tuple[float, float, int, float, complex]:
     m = len(terms) - 1
     two_beta = 2.0 * b / (a + k)
     top = terms[-1].coeff
-    # worst and scale take each new value only when it is larger, as max
-    # does. max_abs_coeff's max starts at the first coefficient, so scale
-    # does too, which keeps a NaN there (and only there) as its result.
-    expect, worst, scale = top, 0.0, abs(terms[0].coeff)
-    size = abs(top)
-    if size > scale:
-        scale = size
+    expect, worst = top, 0.0
     for i in range(m - 1, -1, -1):
-        coeff = terms[i].coeff
         expect = -expect * ((i + 1) * (alpha + i + 1) / ((m - i) * two_beta))
-        gap = abs(coeff - expect)
-        if gap > worst:
-            worst = gap
-        size = abs(coeff)
-        if size > scale:
-            scale = size
+        worst = max(worst, abs(terms[i].coeff - expect))
+    scale = poly.max_abs_coeff()
     if worst > LAGUERRE_TOL * scale:
         raise PrecisionLoss(f"coefficients depart from the Laguerre form by "
                             f"{worst / scale:.3e} of the largest "

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, NoBoundStates
+from .errors import DomainError
 from .expalg import ExpoPoly, apply_operator, laguerre_norm2
 from .params import NRParams, PhysicalParams, default_rho_max
 from .record import Record, set_field
@@ -126,8 +126,7 @@ def spectrum_physical(phys: PhysicalParams, n: int) -> float:
 
         E_n = p_z^2/(2m) [1 - k^2 / (hbar^2 (lam/hbar + n + 1/2)^2)].
     """
-    if phys.pz * phys.k <= 0:
-        raise NoBoundStates("p_z*k <= 0 carries no bound states")
+    phys._require_bound()
     denom = (phys.lam / phys.hbar + n + 0.5) ** 2
     return phys.pz ** 2 / (2.0 * phys.m) * (1.0 - phys.k ** 2 / (phys.hbar ** 2 * denom))
 

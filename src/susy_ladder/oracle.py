@@ -180,6 +180,11 @@ class ResidualReport(Record):
         return self.l2_residual / self.l2_norm
 
 
+def _l2_report(r: np.ndarray, f: np.ndarray, h: float) -> ResidualReport:
+    """The L2 norms of the residual r and the trial samples f, at step h."""
+    return ResidualReport(*(float(np.sqrt(h * np.sum(np.abs(x) ** 2))) for x in (r, f)))
+
+
 # -- scalar problem ----------------------------------------------------------
 
 
@@ -220,9 +225,7 @@ def residual_scalar(f: np.ndarray, energy: float, params: NRParams,
     d2 = (-f[:-4] + 16 * f[1:-3] - 30 * f[2:-2] + 16 * f[3:-1] - f[4:]) / (12 * h * h)
     v = params.a * (params.a + 1) / (2.0 * pts[inner] ** 2) - params.b / pts[inner]
     r = -0.5 * d2 + (v - energy) * f[inner]
-    return ResidualReport(
-        l2_residual=float(np.sqrt(h * np.sum(np.abs(r) ** 2))),
-        l2_norm=float(np.sqrt(h * np.sum(np.abs(f[inner]) ** 2))))
+    return _l2_report(r, f[inner], h)
 
 
 # -- matrix problem ----------------------------------------------------------
@@ -250,9 +253,7 @@ def residual_dirac(phi: np.ndarray, energy: float, params: DiracParams,
                + params.d0 * (alpha3 @ phi[:, inner])
                + params.mbar * (beta @ phi[:, inner]))
     r = applied - energy * phi[:, inner]
-    return ResidualReport(
-        l2_residual=float(np.sqrt(h * np.sum(np.abs(r) ** 2))),
-        l2_norm=float(np.sqrt(h * np.sum(np.abs(phi[:, inner]) ** 2))))
+    return _l2_report(r, phi[:, inner], h)
 
 
 def dirac_spectrum_scan(params: DiracParams, window: tuple[float, float],

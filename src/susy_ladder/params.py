@@ -17,13 +17,18 @@ from .record import Record, set_field
 FAMILIES = ("a", "b", "c", "d")
 
 
-def _require_finite(record: Record, values: tuple) -> None:
-    """ValueError naming the first of record's fields, given in order as
-    values, that is not finite."""
-    if not all(map(math.isfinite, values)):
-        name, value = next((name, value) for name, value in zip(record._fields, values)
-                           if not math.isfinite(value))
-        raise ValueError(f"{name} must be finite, got {value}")
+def _require_finite(record: Record) -> None:
+    """ValueError naming the first of record's fields that is not finite."""
+    for name, value in zip(record._fields, record._values(record)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _require_positive(record: Record, names: tuple[str, ...]) -> None:
+    """ValueError naming the first of the named fields that is not positive."""
+    for name in names:
+        if not getattr(record, name) > 0:
+            raise ValueError(f"{name} must be positive, got {getattr(record, name)}")
 
 
 class NRParams(Record):
@@ -38,11 +43,8 @@ class NRParams(Record):
     def __init__(self, a: float, b: float):
         set_field(self, "a", a)
         set_field(self, "b", b)
-        _require_finite(self, (a, b))
-        if not a > 0:
-            raise ValueError(f"a must be positive, got {a}")
-        if not b > 0:
-            raise ValueError(f"b must be positive, got {b}")
+        _require_finite(self)
+        _require_positive(self, ("a", "b"))
 
 
 class DiracParams(Record):
@@ -59,11 +61,8 @@ class DiracParams(Record):
         set_field(self, "b", b)
         set_field(self, "d0", d0)
         set_field(self, "mbar", mbar)
-        _require_finite(self, (a, b, d0, mbar))
-        if not a > 0:
-            raise ValueError(f"a must be positive, got {a}")
-        if not b > 0:
-            raise ValueError(f"b must be positive, got {b}")
+        _require_finite(self)
+        _require_positive(self, ("a", "b"))
         if mbar < 0:
             raise ValueError(f"mbar must be nonnegative, got {mbar}")
 
@@ -83,10 +82,8 @@ class PhysicalParams(Record):
         set_field(self, "k", k)
         set_field(self, "pz", pz)
         set_field(self, "ell", ell)
-        _require_finite(self, (hbar, m, c, e, k, pz, ell))
-        for name in ("hbar", "m", "c", "e"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        _require_finite(self)
+        _require_positive(self, ("hbar", "m", "c", "e"))
         if self.lam == 0.0:
             raise ValueError("k and ell cannot both vanish")
 

@@ -22,10 +22,7 @@ set_field = object.__setattr__
 
 
 class Record:
-    # _hash holds the hash once it is taken: lru_cache hashes parameter
-    # records on every lookup, and a field tuple built in Python each time
-    # would cost more than a __hash__ generated for the class's fields.
-    __slots__ = ("_hash",)
+    __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
@@ -40,25 +37,19 @@ class Record:
                 return (one(record),)
         cls._values = staticmethod(get)
 
-        # A closure per class reads get without an attribute lookup.
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return self is other or get(self) == get(other)
-            return NotImplemented
-        cls.__eq__ = __eq__
-
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self is other or self._values(self) == self._values(other)
+        return NotImplemented
+
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            set_field(self, "_hash", hash(self._values(self)))
-            return self._hash
+        return hash(self._values(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}"

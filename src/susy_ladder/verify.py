@@ -266,7 +266,7 @@ def check_spectrum_identity() -> CheckResult:
         for n in range(0, 6):
             for sign in (1, -1):
                 closed = dc.spectrum_dirac(phys, n, sign)
-                via_dn = sign * phys.c * phys.hbar * math.hypot(p.mbar, dc.dn(p, n))
+                via_dn = sign * phys.c * phys.hbar * dc.family_eigenvalue(p, n, "a")
                 worst = max(worst, abs(closed - via_dn) / abs(closed))
         pn = phys.to_nr()
         for n in range(0, 6):
@@ -286,7 +286,7 @@ def check_xi_superpotential(params: DiracParams) -> CheckResult:
 
 
 def check_dirac_scan(params: DiracParams) -> CheckResult:
-    levels = [math.hypot(params.mbar, dc.dn(params, n)) for n in range(8)]
+    levels = [dc.family_eigenvalue(params, n, "a") for n in range(8)]
     lo = 0.95 * levels[0]
     hi = 0.5 * (levels[2] + levels[3])
     grid = orc.LogGrid(default_rho_max(params, 3), SCAN_POINTS)

@@ -205,6 +205,13 @@ class TestConfigValidation:
                            "--e", "1", "--k", "-1", "--pz", "1", "--ell", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("field", ["hbar", "e"])
+    def test_non_positive_physical_parameter_rejected_with_its_value(self, field, capsys):
+        argv = [x for name in _PHYS for x in ("--" + name, "-1" if name == field else "1")]
+        for mode in ("nr-spectrum", "dirac-spectrum"):
+            assert capture([mode, *argv]) == (2, ""), mode
+            assert capsys.readouterr().err == f"error: {field} must be positive, got -1.0\n"
+
     def test_incomplete_physical_set_rejected(self, capsys):
         for mode in cli.MODES:
             code, text = capture([mode, "--hbar", "1", "--m", "1"])
@@ -310,6 +317,29 @@ class TestConfigValidation:
         if mode.startswith("dirac"):
             params += ["--d0", "1", "--mbar", "0.1"]
         assert capture([mode, *params, "--levels", str(levels)])[0] == code
+
+
+# Finite, positive parameters whose arithmetic leaves the float range: the
+# closed-form norm overflows (a = 50 at b = 1) or underflows to 0 (b = 1e100),
+# b**2 overflows, or a**2 underflows in dirac.dn.
+_OUT_OF_RANGE = [
+    ["nr-eigenfunctions", "--a", "50", "--b", "1"],
+    ["dirac-eigenfunctions", "--a", "50", "--b", "1", "--d0", "0.5", "--mbar", "0.5"],
+    ["fig2", "--a", "100", "--b", "1"],
+    ["nr-eigenfunctions", "--a", "1", "--b", "1e100", "--levels", "13"],
+    ["nr-spectrum", "--a", "1", "--b", "1e200"],
+    ["dirac-spectrum", "--a", "1e-300", "--b", "1", "--d0", "0", "--mbar", "0"],
+    ["fig3", "--a", "1e-200", "--b", "1", "--d0", "1", "--mbar", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", _OUT_OF_RANGE, ids=[" ".join(a) for a in _OUT_OF_RANGE])
+def test_out_of_range_arithmetic_exits_2_with_one_error_line(argv):
+    out = _run_script(f"import sys; from susy_ladder.cli import main; sys.exit(main({argv!r}))")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert "Traceback" not in out.stderr
+    assert re.fullmatch(r"error: the parameters take the arithmetic out of float range "
+                        r"\((OverflowError|ZeroDivisionError): [^\n]*\)\n", out.stderr)
 
 
 class TestOutputFile:

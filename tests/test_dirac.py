@@ -493,6 +493,15 @@ class TestPhysicalSpectrum:
             dc.spectrum_dirac(PhysicalParams(hbar=1, m=1, c=1, e=1, k=1, pz=1, ell=0),
                               0, 2)
 
+    def test_no_bound_states_message_names_the_product(self):
+        # Both spectra and both parameter maps refuse through PhysicalParams._require_bound.
+        phys = PhysicalParams(hbar=1, m=1, c=1, e=1, k=-1, pz=1, ell=0)
+        for call in (lambda: dc.spectrum_dirac(phys, 0, 1),
+                     lambda: nr.spectrum_physical(phys, 0), phys.to_dirac, phys.to_nr):
+            with pytest.raises(NoBoundStates) as info:
+                call()
+            assert str(info.value) == "p_z*k = -1 <= 0 carries no bound states"
+
     def test_nonrelativistic_limit(self):
         # as c grows, the mass-subtracted energy approaches the scalar form
         # evaluated at the matrix problem's index (lam/hbar + n); the measured
