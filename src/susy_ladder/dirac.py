@@ -23,7 +23,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .errors import DegenerateDenominator, DomainError, NegativeRadicand, SingularXi
-from .expalg import ExpoPoly, apply_operator, eval_rows, laguerre_norm2
+from .expalg import ExpoPoly, apply_operator, eval_rows, laguerre_norm2, lower_chain
 from .params import FAMILIES, DiracParams, PhysicalParams
 from .record import Record, set_field
 
@@ -385,14 +385,17 @@ def _lowered_kernel(params: DiracParams, n: int, kernel) -> SpinorFn:
     chain of both families it seeds, and, scaled by each family's ratio,
     the lower half too.
 
+    The kernel goes through b_op(params, n-1), ..., b_op(params, 0) in one
+    expalg.lower_chain pass over coefficient lists, bit for bit the same as
+    applying each operator in turn with MatrixOp.apply.
+
     Cached per (params, n, kernel), so families a/b (and c/d) lower it once;
     a four-family sweep holds two entries per (params, n). The result is
     shared, and frozen like every SpinorFn.
     """
-    half = kernel(params, n)
-    for k in range(n - 1, -1, -1):
-        half = b_op(params, k).apply(half)
-    return half
+    ops = [b_op(params, k) for k in range(n - 1, -1, -1)]
+    return _wrap_spinor(lower_chain([(op.dcoef, op.potential, None) for op in ops],
+                                    kernel(params, n).components))
 
 
 def eigenfunction_chain(params: DiracParams, n: int, fam: str) -> SpinorFn:

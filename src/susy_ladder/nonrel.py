@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .expalg import ExpoPoly, apply_operator, laguerre_norm2
+from .expalg import ExpoPoly, apply_operator, laguerre_norm2, lower_chain
 from .params import NRParams, PhysicalParams, default_rho_max
 from .record import Record, set_field
 
@@ -98,12 +98,15 @@ def eigenfunction(params: NRParams, n: int) -> ExpoPoly:
     """Level-n eigenfunction of the base problem, unnormalized.
 
     Built by lowering the level-n ground state through the whole chain:
-    annihilation operators n, n-1, ..., 1 applied in that order. The result
-    has exactly n+1 terms rho^(a+1+j) exp(-b rho/(a+n+1)), j = 0..n.
+    annihilation operators n, n-1, ..., 1 applied in that order, each
+    (d/drho + W_k)/sqrt(2) as ScalarLadder.apply takes it, in one
+    expalg.lower_chain pass (bit for bit the same as applying the ladders
+    one by one). The result has exactly n+1 terms
+    rho^(a+1+j) exp(-b rho/(a+n+1)), j = 0..n.
     """
-    f = ground_state(params, n)
-    for k in range(n, 0, -1):
-        f = ladder(params, k, "annihilation").apply(f)
+    scale = 1.0 / SQRT2
+    steps = [(((1.0,),), ((superpotential(params, k),),), scale) for k in range(n, 0, -1)]
+    (f,) = lower_chain(steps, (ground_state(params, n),))
     return f
 
 

@@ -14,7 +14,8 @@ from conftest import (bits, random_dirac, random_nr, random_poly, random_spinor,
 from susy_ladder import dirac as dc
 from susy_ladder import nonrel as nr
 from susy_ladder.errors import ContextMismatch, DivergentIntegral, DomainError
-from susy_ladder.expalg import ExpoPoly, Term, _wrap, apply_operator, eval_rows
+from susy_ladder.expalg import (ExpoPoly, Term, _wrap, apply_operator, eval_rows,
+                                lower_chain)
 from susy_ladder.oracle import quadrature_grid
 from susy_ladder.params import DiracParams, NRParams
 
@@ -392,6 +393,153 @@ class TestApplyOperator:
                             == bits(ref_ladder(p.a, p.b, ladder, g.terms)))
                 expect = ref_hamiltonian(p.a, p.b, nr.potential(p, n), g.terms)
                 assert bits(nr.apply_hamiltonian(p, n, g).terms) == bits(expect)
+
+
+class TestLowerChain:
+    """lower_chain pushes a column through a whole chain over coefficient
+    lists; it equals applying the steps one at a time (MatrixOp.apply,
+    ScalarLadder.apply, and the per-part reference) bit for bit."""
+
+    # fig2, fig3, three drawn Dirac sets, and the ends of the range of a
+    SETS = [(1.5, 0.5, 1.0, 0.1), (1.0, 2.0, 1.0, 0.1), (1.3, 0.9, -0.4, 0.6),
+            (0.55, 2.0, 0.1, 0.2), (4.0, 0.5, 0.3, 1.0), (0.01, 1.0, 0.3, 0.5),
+            (8.0, 1.0, -0.7, 0.2)]
+    LEVELS = range(41)
+
+    @staticmethod
+    def one_by_one(steps, components):
+        for dcoef, potential, scale in steps:
+            components = apply_operator(dcoef, potential, components)
+            if scale is not None:
+                components = tuple(f.scale(scale) for f in components)
+        return components
+
+    @staticmethod
+    def ref_one_by_one(a, b, steps, components):
+        columns = [f.terms for f in components]
+        for dcoef, potential, scale in steps:
+            columns = ref_apply(a, b, dcoef, potential, columns)
+            if scale is not None:
+                columns = [ref_scale(t, scale) for t in columns]
+        return columns
+
+    @pytest.mark.parametrize("a, b, d0, mbar", SETS)
+    def test_scalar_chains_to_level_40(self, a, b, d0, mbar):
+        p = NRParams(a, b)
+        for n in self.LEVELS:
+            ground = nr.ground_state(p, n)
+            got = hex_bits(nr.eigenfunction(p, n).terms)
+            f = ground
+            for k in range(n, 0, -1):
+                f = nr.ladder(p, k, "annihilation").apply(f)
+            assert got == hex_bits(f.terms)
+            ref = ground.terms
+            for k in range(n, 0, -1):
+                ref = ref_ladder(a, b, nr.ladder(p, k, "annihilation"), ref)
+            assert got == hex_bits(ref)
+
+    @pytest.mark.parametrize("a, b, d0, mbar", SETS)
+    def test_dirac_kernels_to_level_40(self, a, b, d0, mbar):
+        # chi's lower component is zero; xi's components start one power apart.
+        q = DiracParams(a, b, d0, mbar)
+        for n in self.LEVELS:
+            ops = [dc.b_op(q, k) for k in range(n - 1, -1, -1)]
+            for kernel in (dc.kernel_chi, dc.kernel_xi):
+                seed = kernel(q, n)
+                got = [hex_bits(c.terms) for c in dc._lowered_kernel(q, n, kernel).components]
+                half = seed
+                for op in ops:
+                    half = op.apply(half)
+                assert got == [hex_bits(c.terms) for c in half.components]
+                steps = [(op.dcoef, op.potential, None) for op in ops]
+                ref = self.ref_one_by_one(a, b, steps, seed.components)
+                assert got == [hex_bits(t) for t in ref]
+
+    def test_random_steps_with_gaps_scales_and_long_multipliers(self):
+        # Components of one group with gaps and zero ones, multipliers of
+        # zero, one and others, Laurent potentials of up to four terms, and
+        # scales after some steps.
+        a, b = 1.3, 0.7
+        rng = rng_for(97)
+        consts = [1.0, 0.0, -1.0, -1j, 0.5 + 2.0j]
+        scales = [None, 1.0 / math.sqrt(2.0), -0.5j, 3.0]
+        for _ in range(20):
+            size = int(rng.integers(1, 5))
+            mu, k = int(rng.integers(0, 2)), [None, 0, 2][int(rng.integers(0, 3))]
+            components = [ExpoPoly.sum(a, b, [
+                term(a, b, complex(rng.standard_normal(), rng.standard_normal()),
+                     mu=mu, j=int(rng.integers(-2, 6)), k=k)
+                for _ in range(int(rng.integers(0, 5)))]) for _ in range(size)]
+            steps = []
+            for _ in range(int(rng.integers(0, 6))):
+                dcoef = [[consts[int(rng.integers(0, len(consts)))] for _ in range(size)]
+                         for _ in range(size)]
+                potential = [[ExpoPoly.sum(a, b, [
+                    term(a, b, complex(rng.standard_normal(), rng.standard_normal()),
+                         j=int(rng.integers(-2, 2))) for _ in range(int(rng.integers(0, 5)))])
+                    for _ in range(size)] for _ in range(size)]
+                steps.append((dcoef, potential, scales[int(rng.integers(0, len(scales)))]))
+            got = [hex_bits(f.terms) for f in lower_chain(steps, components)]
+            assert got == [hex_bits(f.terms) for f in self.one_by_one(steps, components)]
+            assert got == [hex_bits(t) for t in self.ref_one_by_one(a, b, steps, components)]
+
+    def test_a_coefficient_that_cancels_partway_down(self):
+        # (1 - 1/rho) rho^2 (1 + rho) leaves rho^2's coefficient exactly 0;
+        # the list keeps it as 0j through the scalar ladder steps after it.
+        p = NRParams(1.5, 0.5)
+        a, b = p.a, p.b
+        f = term(a, b, 1.0, mu=1, j=2, k=3) + term(a, b, 1.0, mu=1, j=3, k=3)
+        first = (((0.0,),), ((term(a, b, -1.0, j=-1) + term(a, b, 1.0),),), None)
+        (cut,) = lower_chain([first], (f,))
+        assert [t.j for t in cut.terms] == [1, 3]
+        steps = [first] + [(((1.0,),), ((nr.superpotential(p, k),),), 1.0 / math.sqrt(2.0))
+                           for k in (3, 2, 1)]
+        (got,) = lower_chain(steps, (f,))
+        (expect,) = self.one_by_one(steps, (f,))
+        assert hex_bits(got.terms) == hex_bits(expect.terms)
+        assert hex_bits(got.terms) == hex_bits(self.ref_one_by_one(a, b, steps, (f,))[0])
+
+    def test_dirac_steps_with_scales(self):
+        # Scaled by -0.5j, xi's components are real and imaginary, so the
+        # last scale, -0.5, makes -0.0 parts, which 0j + product drops.
+        q = DiracParams(1.3, 0.9, -0.4, 0.6)
+        steps = [(dc.b_op(q, k).dcoef, dc.b_op(q, k).potential, scale)
+                 for k, scale in zip((4, 3, 2, 1, 0), (-0.5j, None, 2.0, None, -0.5))]
+        seed = dc.kernel_xi(q, 5).components
+        got = [hex_bits(c.terms) for c in lower_chain(steps, seed)]
+        assert got == [hex_bits(c.terms) for c in self.one_by_one(steps, seed)]
+        assert got == [hex_bits(t) for t in self.ref_one_by_one(q.a, q.b, steps, seed)]
+
+    def test_refusals(self):
+        a, b = 1.3, 0.7
+        f = term(a, b, 1.0, mu=1, j=2, k=0)
+        step = (((1.0,),), ((term(a, b, 2.0, j=-1),),), None)
+        for other in (term(a, b, 1.0, mu=1, j=2, k=1), term(a, b, 1.0, mu=0, j=2, k=0)):
+            with pytest.raises(ValueError, match="one \\(mu, k\\) group"):
+                lower_chain([step], (f + other,))
+            with pytest.raises(ValueError, match="one \\(mu, k\\) group"):
+                lower_chain([], (f, other))
+        for bad in (term(a, b, 1.0, mu=1), term(a, b, 1.0, k=1)):
+            for pot in (bad, bad + term(a, b, 0.5)):
+                with pytest.raises(ValueError, match="pure Laurent"):
+                    lower_chain([(((1.0,),), ((pot,),), None)], (f,))
+                with pytest.raises(ValueError, match="pure Laurent"):
+                    lower_chain([(((1.0,),), ((pot,),), None)], (ExpoPoly.zero(a, b),))
+        foreign = ExpoPoly(1.5, b, (term(a, b, 2.0, j=-1).terms))
+        with pytest.raises(ContextMismatch):
+            lower_chain([(((0.0,),), ((foreign,),), None)], (f,))
+
+    def test_chains_apply_no_operator_step_by_step(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a chain applied an operator one step at a time")
+
+        monkeypatch.setattr(nr.ScalarLadder, "apply", refuse)
+        monkeypatch.setattr(dc.MatrixOp, "apply", refuse)
+        dc._lowered_kernel.cache_clear()
+        for n in (0, 1, 5, 12):
+            nr.eigenfunction(NRParams(1.5, 0.5), n)
+            for fam in dc.FAMILIES:
+                dc.eigenfunction_chain(DiracParams(1.3, 0.9, -0.4, 0.6), n, fam)
 
 
 class TestSameKeyOps:
