@@ -28,7 +28,8 @@ Exit codes: 0 success, 2 invalid configuration or parameters (including
 more eigenfunction levels than MAX_LEVELS, a window whose samples are not
 finite, or parameters whose arithmetic leaves the float range), 3 when
 verify finds a failed check (an oracle grid that does not converge on
-refinement fails its check; the other checks still run).
+refinement, or a family undefined at d0 = 0, fails its check; the other
+checks still run).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 from .errors import LadderError, LevelCapExceeded, NonFiniteSample
@@ -182,19 +183,6 @@ def _real_or_inf(poly, rho: float) -> float:
         return math.inf
 
 
-def _density(params: DiracParams, n: int, fam: str, xs: list[float]) -> list[float]:
-    """The sum of |c|^2 f^2 over the chain's components (see
-    expalg.laguerre_samples)."""
-    from . import dirac as dc
-
-    spinor = dc.normalize_spinor(dc.eigenfunction_chain(params, n, fam))
-    density = [0.0] * len(xs)
-    for amp, f in laguerre_samples(spinor.components, xs):
-        weight = abs(amp) ** 2
-        density = [d + weight * v * v for d, v in zip(density, f)]
-    return density
-
-
 # -- table builders ----------------------------------------------------------
 #
 # Each builder returns its table as {column name: column values}, and
@@ -230,12 +218,22 @@ def _table_dirac_spectrum(cfg: RunConfig):
 
 
 def _table_dirac_eigenfunctions(cfg: RunConfig):
+    """Densities, the sum of |c|^2 f^2 over each normalised chain's components,
+    all sampled in one laguerre_samples call, which shares each shape's f."""
+    from . import dirac as dc
+
     params, xs = _eigen_rows(cfg, scalar=False)
+    keys = [(fam, n) for fam in cfg.families for n in range(cfg.levels)]
+    spinors = [dc.normalize_spinor(dc.eigenfunction_chain(params, n, fam)) for fam, n in keys]
+    samples = iter(laguerre_samples([p for s in spinors for p in s.components], xs))
     table = {"rho": xs}
-    for fam in cfg.families:
-        for n in range(cfg.levels):
-            name = f"density_{fam}{n}"
-            table[name] = _finite(name, xs, _density(params, n, fam, xs))
+    for (fam, n), spinor in zip(keys, spinors):
+        name = f"density_{fam}{n}"
+        density = [0.0] * len(xs)
+        for amp, f in islice(samples, len(spinor.components)):
+            weight = abs(amp) ** 2
+            density = [d + weight * v * v for d, v in zip(density, f)]
+        table[name] = _finite(name, xs, density)
     return table
 
 

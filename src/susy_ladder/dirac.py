@@ -280,17 +280,9 @@ def b_op(params: DiracParams, n: int) -> MatrixOp:
 
 def _block_diag(op: MatrixOp, params: DiracParams) -> MatrixOp:
     zero = ExpoPoly.zero(params.a, params.b)
-    dcoef = _blocks(((op.dcoef, _ZERO2), (_ZERO2, op.dcoef)))
-    pot = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            if i // 2 == j // 2:
-                row.append(op.potential[i % 2][j % 2])
-            else:
-                row.append(zero)
-        pot.append(tuple(row))
-    return MatrixOp(dcoef, tuple(pot))
+    off = ((zero, zero), (zero, zero))
+    return MatrixOp(_blocks(((op.dcoef, _ZERO2), (_ZERO2, op.dcoef))),
+                    _blocks(((op.potential, off), (off, op.potential))))
 
 
 def a_dagger(params: DiracParams, n: int) -> MatrixOp:

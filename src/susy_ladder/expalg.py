@@ -319,7 +319,7 @@ def _laguerre_shape(poly: ExpoPoly) -> tuple[float, float, int, float, complex]:
     L_M^(alpha)(2 beta rho), alpha = 2 p0 - 1, with t its top coefficient.
 
     poly must have M+1 terms with one mu, one decay index and consecutive
-    offsets j, and p0 > 0. Its rho^(p0+i) coefficients then obey
+    offsets j, and alpha > -1. Its rho^(p0+i) coefficients then obey
 
         coef_i = -coef_(i+1) (i+1)(alpha+i+1) / ((M-i) 2 beta).
 
@@ -341,9 +341,10 @@ def _laguerre_shape(poly: ExpoPoly) -> tuple[float, float, int, float, complex]:
         j += 1
     a, b = poly.a, poly.b
     p0 = mu * a + j0
-    if not p0 > 0:
-        raise ValueError(f"lowest power {p0} gives alpha = 2 p0 - 1 <= -1")
     alpha = 2.0 * p0 - 1.0
+    if not alpha > -1.0:
+        raise ValueError(f"lowest power p0 = {p0} gives alpha = 2 p0 - 1 = {alpha}, "
+                         "not above -1")
     m = len(terms) - 1
     two_beta = 2.0 * b / (a + k)
     top = terms[-1].coeff
@@ -420,20 +421,19 @@ def apply_operator(dcoef, potential, components) -> tuple[ExpoPoly, ...]:
     column order, bit for bit: each part is accumulated as its own map, as
     differentiate and mul_laurent do, and the maps are added into one dict
     per row and sorted once. A zero multiplier or potential contributes no
-    part, and a unit multiplier adds f_j' unscaled. A one-term potential
-    adds its products straight into the row: they land on distinct keys, so
-    its part map would hold each as 0j + product. That, and the exact zeros
-    a part map keeps (where the canonical part would have dropped them),
+    part, and a unit multiplier adds f_j' unscaled, which also keeps an
+    infinite coefficient from turning into NaN through x * (1+0j). The exact
+    zeros a part map keeps, where the canonical part would have dropped them,
     change no bit, because every accumulated coefficient starts at 0j and so
-    has no -0.0 part. A potential of several terms keeps its own map, since
-    adding its products in place would reassociate their sums.
+    has no -0.0 part.
 
-    Each key of a row is a sum over the parts, in column order, derivative
-    before potential; within a part it gets at most one product per term of
-    a potential, in that potential's term order, and a derivative key sums
-    at most two products. The float result of a key depends on that order
-    alone, not on the order in which the keys are visited, so lower_chain
-    can take the same sums over coefficient lists, bit for bit.
+    So each key of a row is a sum over the parts, in column order,
+    derivative before potential; a derivative key sums at most two products,
+    -c_j beta before c_(j+1) p_(j+1), and a potential's own map sums one
+    product per potential term, in that potential's term order, before the
+    row adds it. The float result of a key depends on that order alone,
+    not on the order in which the keys are visited. This is the contract
+    lower_chain mirrors over coefficient lists, bit for bit.
     """
     a, b = components[0].a, components[0].b
     derivs = [_deriv_map(f.terms, a, b) for f in components]
@@ -449,10 +449,7 @@ def apply_operator(dcoef, potential, components) -> tuple[ExpoPoly, ...]:
             if pot.terms:
                 if pot.a != a or pot.b != b:
                     _check_context(a, b, pot)
-                if len(pot.terms) == 1:
-                    _laurent_map(f.terms, pot.terms, acc)
-                else:
-                    _add(acc, _laurent_map(f.terms, pot.terms))
+                _add(acc, _laurent_map(f.terms, pot.terms))
         rows.append(_from_map(a, b, acc))
     return tuple(rows)
 
@@ -473,10 +470,12 @@ def lower_chain(steps, components) -> tuple[ExpoPoly, ...]:
     step widens the range by the spread of its shifts of j (d/drho's -1
     and 0, and each potential term's j), so its rows come out aligned for
     the next step. Every key of a row takes the sums apply_operator takes,
-    in the same order (see there). A list also holds explicit 0j entries:
-    where the map had no key, and where it dropped an exact zero. Every
-    stored coefficient starts from 0j and so has no -0.0 part, and a 0j
-    entry times a finite constant is zero: adding either changes no bit.
+    in the same order (see there), but a one-term potential's products go
+    into the row as they are, not as its map's 0j + product. A list also
+    holds explicit 0j entries: where the map had no key, and where it
+    dropped an exact zero. Every stored coefficient starts from 0j and so
+    has no -0.0 part, and a 0j entry times a finite constant is zero:
+    adding either, or a -0.0 part that 0j + clears, changes no bit.
 
     Raises ValueError when the components hold a second (mu, k) group or
     a potential is not a pure Laurent polynomial.
@@ -599,11 +598,10 @@ def _deriv_map(terms, a: float, b: float) -> dict[tuple, complex]:
     return acc
 
 
-def _laurent_map(terms, laurent, acc=None) -> dict[tuple, complex]:
+def _laurent_map(terms, laurent) -> dict[tuple, complex]:
     """{(mu, j, k): coeff} of terms times the pure Laurent terms, accumulated
-    multiplier term by multiplier term into acc (a new map by default)."""
-    if acc is None:
-        acc = {}
+    multiplier term by multiplier term."""
+    acc: dict[tuple, complex] = {}
     for qmu, qj, qk, qcoeff in laurent:
         if qmu != 0 or qk is not None:
             raise ValueError("multiplier must be a pure Laurent polynomial "

@@ -14,7 +14,7 @@ import numpy as np
 from . import dirac as dc
 from . import nonrel as nr
 from . import oracle as orc
-from .errors import GridTooCoarse
+from .errors import DegenerateDenominator, GridTooCoarse
 from .expalg import ExpoPoly
 from .params import DiracParams, NRParams, PhysicalParams, default_rho_max
 from .record import Record, set_field
@@ -240,7 +240,10 @@ def check_dirac_eigen(params: DiracParams) -> CheckResult:
     worst = 0.0
     for n in range(0, 4):
         for fam in dc.FAMILIES:
-            chain = dc.eigenfunction_chain(params, n, fam)
+            try:
+                chain = dc.eigenfunction_chain(params, n, fam)
+            except DegenerateDenominator as exc:
+                return CheckResult("dirac-eigen-equations", False, str(exc))
             value = dc.family_eigenvalue(params, n, fam)
             r = h0.apply(chain) - chain.scale(value)
             scale = max(1.0, chain.max_abs_coeff())
@@ -279,8 +282,11 @@ def check_spectrum_identity() -> CheckResult:
 
 
 def check_xi_superpotential(params: DiracParams) -> CheckResult:
-    worst = max(dc.superpotential_matrix_residual(params, n, [0.5, 1.0, 2.0, 5.0])
-                for n in (0, 1))
+    try:
+        worst = max(dc.superpotential_matrix_residual(params, n, [0.5, 1.0, 2.0, 5.0])
+                    for n in (0, 1))
+    except DegenerateDenominator as exc:
+        return CheckResult("xi-superpotential-identity", False, str(exc))
     return CheckResult("xi-superpotential-identity", worst <= 1e-8,
                        f"max Frobenius residual {worst:.3e} (tol 1e-08)")
 

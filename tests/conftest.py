@@ -14,7 +14,7 @@ from susy_ladder import nonrel as nr
 from susy_ladder import oracle as orc
 from susy_ladder.cli import RunConfig
 from susy_ladder.errors import PrecisionLoss
-from susy_ladder.expalg import LAGUERRE_TOL, ExpoPoly, Term, _wrap
+from susy_ladder.expalg import LAGUERRE_TOL, ExpoPoly, Term, _wrap, laguerre_samples
 from susy_ladder.params import DiracParams, NRParams, PhysicalParams
 from susy_ladder.verify import (CheckResult, random_dirac, random_nr,  # noqa: F401
                                 random_phys, random_poly, random_spinor)
@@ -141,6 +141,28 @@ def ref_eval_array(f, rhos):
     return total
 
 
+# -- per-column reference for the Dirac eigenfunction table ----------------------
+#
+# The CLI samples every density column of a Dirac eigenfunction table in one
+# expalg.laguerre_samples call. This is the per-column sampler it replaced,
+# kept as the reference it must match bit for bit: each column's normalised
+# spinor is sampled in a call of its own.
+
+
+def ref_dirac_densities(params, xs, families, levels):
+    """{column name: density samples}, one laguerre_samples call per column."""
+    table = {}
+    for fam in families:
+        for n in range(levels):
+            spinor = dc.normalize_spinor(dc.eigenfunction_chain(params, n, fam))
+            density = [0.0] * len(xs)
+            for amp, f in laguerre_samples(spinor.components, xs):
+                weight = abs(amp) ** 2
+                density = [d + weight * v * v for d, v in zip(density, f)]
+            table[f"density_{fam}{n}"] = density
+    return table
+
+
 # -- reference for the Laguerre norm guard ---------------------------------------
 #
 # expalg.laguerre_norm2 checks the shape in one loop and takes the departure
@@ -161,9 +183,10 @@ def ref_laguerre_norm2(poly):
                          "and consecutive powers")
     a, b = poly.a, poly.b
     p0 = mu * a + j0
-    if not p0 > 0:
-        raise ValueError(f"lowest power {p0} gives alpha = 2 p0 - 1 <= -1")
     alpha = 2.0 * p0 - 1.0
+    if not alpha > -1.0:
+        raise ValueError(f"lowest power p0 = {p0} gives alpha = 2 p0 - 1 = {alpha}, "
+                         "not above -1")
     m = len(terms) - 1
     two_beta = 2.0 * b / (a + k)
     top = terms[-1].coeff

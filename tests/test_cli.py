@@ -12,9 +12,10 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
-from conftest import ref_render_csv, ref_render_json
+from conftest import ref_dirac_densities, ref_render_csv, ref_render_json
 
-from susy_ladder import cli
+from susy_ladder import cli, expalg
+from susy_ladder import dirac as dc
 from susy_ladder.cli import (FIG_SAMPLES, RunConfig, _fmt_float, _samples, build_parser,
                              config_from_args, main, run)
 from susy_ladder.params import DiracParams, NRParams, default_rho_max
@@ -342,6 +343,32 @@ def test_out_of_range_arithmetic_exits_2_with_one_error_line(argv):
                         r"\((OverflowError|ZeroDivisionError): [^\n]*\)\n", out.stderr)
 
 
+# a = 1e-20 is positive, but alpha = 2a - 1 of the chains' lowest power
+# rounds to -1, where the closed-form norm has no lgamma.
+_ALPHA_AT_MINUS_1 = [
+    ["fig3", "--a", "1e-20", "--b", "1", "--d0", "0.5", "--mbar", "1"],
+    ["dirac-eigenfunctions", "--a", "1e-20", "--b", "1", "--d0", "0.5", "--mbar", "1",
+     "--levels", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", _ALPHA_AT_MINUS_1, ids=[a[0] for a in _ALPHA_AT_MINUS_1])
+def test_alpha_that_rounds_to_minus_1_exits_2_naming_alpha(argv, capsys):
+    assert capture(argv) == (2, "")
+    assert capsys.readouterr().err == ("error: lowest power p0 = 1e-20 gives "
+                                       "alpha = 2 p0 - 1 = -1.0, not above -1\n")
+
+
+def test_undefined_family_refused_before_any_column_is_sampled(capsys):
+    # Every chain is built before the table samples: family a's undefined
+    # level-0 ratio (d0 = mbar = 0) is reported, not c0's non-finite sample.
+    argv = ["dirac-eigenfunctions", "--a", "1", "--b", "1", "--families", "c,a",
+            "--rho-max", "1e300"]
+    assert capture(argv) == (2, "")
+    assert capsys.readouterr().err == ("error: family a, level 0: mbar = 0 and d = 0 "
+                                       "leave the ratio undefined\n")
+
+
 class TestOutputFile:
     def test_out_writes_identical_content(self, tmp_path):
         target = tmp_path / "table.csv"
@@ -560,6 +587,56 @@ def test_renderer_matches_the_reference_in_every_mode(params):
         meta = cli._meta(cfg)
         assert cli._render_csv(table) == ref_render_csv(table), mode
         assert cli._render_json(table, meta) == ref_render_json(table, meta), mode
+
+
+# Dirac tables at three CI sets: the default families, reordered subsets,
+# the level cap, JSON, and fig3, which builds its densities the same way.
+_DIRAC_TABLES = [_mode_argv(mode, params) + extra
+                 for params in [(1.0, 2.0, 1.0, 0.1), (1.3, 0.9, -0.4, 0.6),
+                                (0.5764322215230082, 2.1485527100721353, 1.0, 0.1)]
+                 for mode, extra in [("dirac-eigenfunctions", ["--levels", "13"]),
+                                     ("dirac-eigenfunctions", ["--families", "d,b"]),
+                                     ("dirac-eigenfunctions", ["--families", "c,a,d",
+                                                               "--levels", "6"]),
+                                     ("dirac-eigenfunctions", ["--format", "json"]),
+                                     ("fig3", [])]]
+
+
+@pytest.mark.parametrize("argv", _DIRAC_TABLES, ids=[" ".join(a) for a in _DIRAC_TABLES])
+def test_dirac_table_matches_the_per_column_reference(argv):
+    cfg = config_from_args(build_parser().parse_args(argv))
+    fig3 = cfg.mode == "fig3"
+    table = (cli._table_fig3 if fig3 else cli._table_dirac_eigenfunctions)(cfg)
+    params, xs = cli._eigen_rows(cfg, scalar=False)
+    expect = {"rho": xs} | ref_dirac_densities(params, xs, ("a", "c") if fig3 else cfg.families,
+                                               3 if fig3 else cfg.levels)
+    expect |= {name: column for name, column in table.items() if name.startswith("E_")}
+    assert {name: _hex(column) for name, column in table.items()} == \
+        {name: _hex(column) for name, column in expect.items()}
+    text = cli._render_csv(expect) if cfg.fmt == "csv" else cli._render_json(expect, cli._meta(cfg))
+    assert capture(argv) == (0, text)
+
+
+def test_dirac_table_runs_one_recurrence_per_shape(monkeypatch):
+    # Families a/b (and c/d) share their components' shapes (p0, M, beta), and
+    # c/d at level n share them with a/b at level n+1: 13 levels of all four
+    # families need 27 recurrences, where sampling each column alone ran 102.
+    calls = []
+    sample = expalg._laguerre_function
+
+    def counted(p0, alpha, m, two_beta, rhos):
+        calls.append((p0, m, two_beta))
+        return sample(p0, alpha, m, two_beta, rhos)
+
+    monkeypatch.setattr(expalg, "_laguerre_function", counted)
+    assert capture(["dirac-eigenfunctions", "--a", "1.3", "--b", "0.9", "--d0", "-0.4",
+                    "--mbar", "0.6", "--levels", "13"])[0] == 0
+    params = DiracParams(1.3, 0.9, -0.4, 0.6)
+    shapes = {(p0, m, two_beta)
+              for fam in "abcd" for n in range(13)
+              for c in dc.eigenfunction_chain(params, n, fam).components if c.terms
+              for p0, _, m, two_beta, _ in [expalg._laguerre_shape(c)]}
+    assert sorted(calls) == sorted(shapes) and len(calls) == 27
 
 
 def test_renderer_matches_the_reference_on_edge_cells():

@@ -334,6 +334,34 @@ class TestApplyOperator:
                                        [c.terms for c in f.components])
                     got = op.apply(f).components
                     assert [bits(c.terms) for c in got] == [bits(t) for t in expect]
+        # Random operators: multipliers 0, 1, 1+0j and others, potentials of
+        # no, one and several terms, on columns of several (mu, k) groups.
+        a, b = p.a, p.b
+        consts = [0.0, 1.0, 1 + 0j, -1.0, -1j, 0.5 + 2.0j]
+        for _ in range(10):
+            size = int(rng.integers(1, 5))
+            dcoef = [[consts[int(rng.integers(0, len(consts)))] for _ in range(size)]
+                     for _ in range(size)]
+            dcoef[0][0] = 1 + 0j
+            potential = [[ExpoPoly.sum(a, b, [
+                term(a, b, complex(*rng.standard_normal(2)), j=int(rng.integers(-2, 2)))
+                for _ in range(int(rng.integers(0, 4)))]) for _ in range(size)]
+                for _ in range(size)]
+            columns = [random_poly(rng, a, b, n_terms=5)
+                       + term(a, b, complex(*rng.standard_normal(2)), j=int(rng.integers(-1, 3)))
+                       for _ in range(size)]
+            assert len({(mu, k) for f in columns for mu, _, k, _ in f.terms}) > 1
+            got = apply_operator(dcoef, potential, columns)
+            expect = ref_apply(a, b, dcoef, potential, [f.terms for f in columns])
+            assert [bits(row.terms) for row in got] == [bits(t) for t in expect]
+        # A unit multiplier adds f' as it is. Here f' has the coefficient
+        # 1e308 * (a + 3) = inf + 0j, which times 1 + 0j has a NaN imaginary part.
+        f = term(a, b, 1e308, mu=1, j=3, k=0)
+        (row,) = apply_operator([[1 + 0j]], [[ExpoPoly.zero(a, b)]], [f])
+        (expect,) = ref_apply(a, b, [[1 + 0j]], [[ExpoPoly.zero(a, b)]], [f.terms])
+        assert bits(row.terms) == bits(expect)
+        assert any(math.isinf(t.coeff.real) for t in row.terms)
+        assert not any(math.isnan(t.coeff.imag) for t in row.terms)
 
     def test_random_operators_match_the_per_part_reference(self):
         # Laurent potentials of up to four terms give a product key three or
@@ -365,8 +393,8 @@ class TestApplyOperator:
                 assert [bits(row.terms) for row in got] == [bits(t) for t in expect]
 
     def test_one_and_several_term_multipliers_are_checked(self):
-        # One-term multipliers add into the row in place, longer ones through
-        # their own map; both reject a foreign context and a non-Laurent term.
+        # One-term and longer multipliers both reject a foreign context and a
+        # non-Laurent term.
         a, b = 1.3, 0.7
         f = random_poly(rng_for(96), a, b)
         for pot in (term(a, b, 2.0, j=-1), term(a, b, 2.0, j=-1) + term(a, b, 0.5)):

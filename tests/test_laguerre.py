@@ -175,6 +175,8 @@ class TestNotALaguerreFunction:
             (), ((1, 1, None, 1.0),), ((1, 1, 2, 1.0), (1, 2, 3, 1.0)),
             ((1, 1, 2, 1.0), (1, 3, 2, 1.0)), ((0, 1, 2, 1.0), (1, 1, 2, 1.0)),
             ((0, -2, 2, 1.0),), ((0, 0, 2, 1.0),), ((1, 1, 2, 1.0), (1, 2, None, 1.0))]]
+        # p0 = a = 1e-20 is positive, but alpha = 2 p0 - 1 rounds to -1
+        polys.append(ExpoPoly(1e-20, 1.0, ((1, 0, 0, 1.0),)))
         # A NaN first coefficient makes the largest |coeff| NaN, which lets
         # a departure pass that a finite largest |coeff| refuses (bumped[4]).
         for g in (f, bumped[4]):

@@ -109,6 +109,25 @@ def test_cli_verify_reports_unconverged_oracle(argv, failed, grid, points, capsy
     assert detail.startswith("grid too coarse: ")
 
 
+@pytest.mark.parametrize("argv, undefined", [
+    (["--mbar", "0.3"], "family b, level 0: needs a nonzero d"),
+    ([], "family a, level 0: mbar = 0 and d = 0"),
+], ids=["mbar-0.3", "mbar-0"])
+def test_cli_verify_reports_undefined_families_at_d0_0(argv, undefined, capsys):
+    # At d0 = 0 a level-0 ratio is 0/0; the two rows that build the family
+    # eigenvectors fail with it, and the other rows still run and print.
+    assert main(["verify", "--a", "1.5", "--b", "0.5", *argv]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 16
+    rows = {name: (passed, detail) for name, passed, detail in
+            (line.split(",", 2) for line in lines[1:])}
+    for name in ("dirac-eigen-equations", "xi-superpotential-identity"):
+        passed, detail = rows.pop(name)
+        assert passed == "FAIL" and detail.startswith(f'"{undefined}')
+    if argv:
+        assert all(passed == "pass" for passed, _ in rows.values())
+
+
 def test_cli_verify_passes_at_fig3_parameters(capsys):
     # the scalar check at fig3's (a, b) = (1, 2): a wall at 1e-3 rho_max left
     # an error that refinement could not remove
