@@ -16,8 +16,8 @@ import nothing more and generate no code. The tables sample each
 eigenfunction from its Laguerre closed form (expalg.laguerre_samples), on
 FIG_SAMPLES points that equal np.linspace's bit for bit. The chains are
 still built and normalised, so one that has left its closed form still
-fails with PrecisionLoss. A sample that is not finite fails with
-NonFiniteSample, naming its column and rho.
+fails with PrecisionLoss, naming its column. A sample that is not finite
+fails with NonFiniteSample, naming its column and rho.
 
 The renderer formats each column once: a column of floats is handed as it
 is to one %.16e, any other column as its cells' text, quoted as csv.writer
@@ -40,7 +40,7 @@ import sys
 from itertools import chain, islice
 from pathlib import Path
 
-from .errors import LadderError, LevelCapExceeded, NonFiniteSample
+from .errors import LadderError, LevelCapExceeded, NonFiniteSample, PrecisionLoss
 from .expalg import laguerre_samples
 from .params import FAMILIES, DiracParams, NRParams, PhysicalParams, default_rho_max
 from .record import Record, set_field
@@ -175,6 +175,14 @@ def _finite(name: str, xs: list[float], values: list[float]) -> list[float]:
     return values
 
 
+def _normalized(name: str, normalize, chain):
+    """normalize(chain); a PrecisionLoss is raised again naming the column."""
+    try:
+        return normalize(chain)
+    except PrecisionLoss as exc:
+        raise PrecisionLoss(f"column {name}: {exc}") from exc
+
+
 def _real_or_inf(poly, rho: float) -> float:
     """Re poly(rho), or inf where a power overflows."""
     try:
@@ -202,7 +210,8 @@ def _table_nr_eigenfunctions(cfg: RunConfig):
 
     params, xs = _eigen_rows(cfg, scalar=True)
     table = {"rho": xs}
-    chains = [nr.normalize(nr.eigenfunction(params, n)) for n in range(cfg.levels)]
+    chains = [_normalized(f"G{n}", nr.normalize, nr.eigenfunction(params, n))
+              for n in range(cfg.levels)]
     for n, (amp, f) in enumerate(laguerre_samples(chains, xs)):
         table[f"G{n}"] = _finite(f"G{n}", xs, [amp.real * v for v in f])
     return table
@@ -224,7 +233,8 @@ def _table_dirac_eigenfunctions(cfg: RunConfig):
 
     params, xs = _eigen_rows(cfg, scalar=False)
     keys = [(fam, n) for fam in cfg.families for n in range(cfg.levels)]
-    spinors = [dc.normalize_spinor(dc.eigenfunction_chain(params, n, fam)) for fam, n in keys]
+    spinors = [_normalized(f"density_{fam}{n}", dc.normalize_spinor,
+                           dc.eigenfunction_chain(params, n, fam)) for fam, n in keys]
     samples = iter(laguerre_samples([p for s in spinors for p in s.components], xs))
     table = {"rho": xs}
     for (fam, n), spinor in zip(keys, spinors):

@@ -20,7 +20,12 @@ realized as a float and never fed back into the algebra).
 
 ExpoPoly is a frozen, slotted record (record.Record): it keeps no instance
 dict, compares and hashes by (a, b, terms), and _wrap fills its slots
-directly for results already in canonical form.
+directly for results already in canonical form. Its terms are plain
+(mu, j, k, coeff) tuples, read by unpacking or by index. CPython's garbage
+collector untracks an exact tuple of atoms once it has seen it, but never a
+tuple subclass, so a stored NamedTuple would keep every live term on the
+collector's lists and lengthen each full collection. Term names the fields
+for outside input; the constructor accepts it and stores plain tuples.
 
 The ladder chains are Laguerre functions c rho^p0 e^(-beta rho)
 L_M^(alpha)(2 beta rho). For them, laguerre_norm2 and laguerre_samples take
@@ -44,7 +49,11 @@ if TYPE_CHECKING:
 
 class Term(NamedTuple):
     """coeff * rho**(mu*a + j) * exp(-beta*rho); k=None means beta = 0,
-    otherwise beta = b/(a + k)."""
+    otherwise beta = b/(a + k).
+
+    Names the fields of a term handed to ExpoPoly. A stored term is a plain
+    (mu, j, k, coeff) tuple equal to its Term, since the collector untracks
+    only exact tuples (see the module docstring)."""
 
     mu: int
     j: int
@@ -52,20 +61,19 @@ class Term(NamedTuple):
     coeff: complex
 
 
-# Builds a Term from a 4-tuple without the generated __new__'s Python frame.
-_new_term = tuple.__new__
 # Sort key of a ((mu, j, k), coeff) map item: its key, taken in C.
 _first = itemgetter(0)
-# The coefficient of a Term, taken in C.
+# The coefficient of a stored term, taken in C.
 _coeff = itemgetter(3)
 
 
-def _power(t: Term, a: float) -> float:
-    return t.mu * a + t.j
+def _power(t: tuple, a: float) -> float:
+    return t[0] * a + t[1]
 
 
-def _rate(t: Term, a: float, b: float) -> float:
-    return 0.0 if t.k is None else b / (a + t.k)
+def _rate(t: tuple, a: float, b: float) -> float:
+    k = t[2]
+    return 0.0 if k is None else b / (a + k)
 
 
 class ExpoPoly(Record):
@@ -97,7 +105,7 @@ class ExpoPoly(Record):
         _check_positive_context(a, b)
         _check_key(a, mu, j, k)
         coeff = 0j + coeff
-        return _wrap(a, b, (_new_term(Term, (mu, j, k, coeff)),) if coeff != 0j else ())
+        return _wrap(a, b, ((mu, j, k, coeff),) if coeff != 0j else ())
 
     # -- ring-like operations -----------------------------------------------
 
@@ -132,7 +140,7 @@ class ExpoPoly(Record):
             # like its Python value, which keeps the products Python complex.
             c = complex(c)
         return _wrap(self.a, self.b, tuple([
-            _new_term(Term, (mu, j, k, v)) for mu, j, k, coeff in self.terms
+            (mu, j, k, v) for mu, j, k, coeff in self.terms
             if (v := 0j + coeff * c) != 0j]))
 
     def mul_laurent(self, other: "ExpoPoly") -> "ExpoPoly":
@@ -150,7 +158,7 @@ class ExpoPoly(Record):
 
     def conjugate(self) -> "ExpoPoly":
         return _wrap(self.a, self.b, tuple([
-            _new_term(Term, (mu, j, k, v)) for mu, j, k, coeff in self.terms
+            (mu, j, k, v) for mu, j, k, coeff in self.terms
             if (v := 0j + coeff.conjugate()) != 0j]))
 
     # -- evaluation and integration -----------------------------------------
@@ -160,7 +168,7 @@ class ExpoPoly(Record):
             raise DomainError(f"rho must be finite and positive, got {rho}")
         total = 0j
         for t in self.terms:
-            total += (t.coeff * rho ** _power(t, self.a)
+            total += (t[3] * rho ** _power(t, self.a)
                       * math.exp(-_rate(t, self.a, self.b) * rho))
         return total
 
@@ -177,10 +185,10 @@ class ExpoPoly(Record):
         """
         _check_context(self.a, self.b, other)
         a, b = self.a, self.b
-        right = [(_power(t, a), _rate(t, a, b), t.coeff) for t in other.terms]
+        right = [(_power(t, a), _rate(t, a, b), t[3]) for t in other.terms]
         total = 0j
         for t1 in self.terms:
-            p1, r1, c1 = _power(t1, a), _rate(t1, a, b), t1.coeff.conjugate()
+            p1, r1, c1 = _power(t1, a), _rate(t1, a, b), t1[3].conjugate()
             for p2, r2, c2 in right:
                 s = p1 + p2
                 gamma = r1 + r2
@@ -200,7 +208,7 @@ class ExpoPoly(Record):
         if not self.terms:
             return True
         scale = max(1.0, self.max_abs_coeff())
-        return all(abs(t.coeff) <= tol * scale for t in self.terms)
+        return all(abs(coeff) <= tol * scale for _, _, _, coeff in self.terms)
 
     def max_abs_coeff(self) -> float:
         return max(map(abs, map(_coeff, self.terms)), default=0.0)
@@ -347,11 +355,11 @@ def _laguerre_shape(poly: ExpoPoly) -> tuple[float, float, int, float, complex]:
                          "not above -1")
     m = len(terms) - 1
     two_beta = 2.0 * b / (a + k)
-    top = terms[-1].coeff
+    top = terms[-1][3]
     expect, worst = top, 0.0
     for i in range(m - 1, -1, -1):
         expect = -expect * ((i + 1) * (alpha + i + 1) / ((m - i) * two_beta))
-        d = abs(terms[i].coeff - expect)
+        d = abs(terms[i][3] - expect)
         # d > worst skips a NaN departure exactly as max(worst, d) does
         if d > worst:
             worst = d
@@ -489,8 +497,8 @@ def lower_chain(steps, components) -> tuple[ExpoPoly, ...]:
             elif (mu, k) != group:
                 raise ValueError("a chain's components must share one (mu, k) group")
     used = [f.terms for f in components if f.terms]
-    lo = min([terms[0].j for terms in used], default=0)
-    size = max([terms[-1].j for terms in used], default=lo - 1) - lo + 1
+    lo = min([terms[0][1] for terms in used], default=0)
+    size = max([terms[-1][1] for terms in used], default=lo - 1) - lo + 1
     cols = []
     for f in components:
         col = [0j] * size
@@ -549,7 +557,7 @@ def lower_chain(steps, components) -> tuple[ExpoPoly, ...]:
                 row = [0j + x * scale for x in row]
             rows.append(row)
         cols = rows
-    return tuple(_wrap(a, b, tuple([_new_term(Term, (mu, j, k, coeff))
+    return tuple(_wrap(a, b, tuple([(mu, j, k, coeff)
                                     for j, coeff in enumerate(col, lo) if coeff != 0j]))
                  for col in cols)
 
@@ -641,7 +649,7 @@ _set_b = ExpoPoly.b.__set__
 _set_terms = ExpoPoly.terms.__set__
 
 
-def _wrap(a: float, b: float, terms: tuple[Term, ...]) -> ExpoPoly:
+def _wrap(a: float, b: float, terms: tuple[tuple, ...]) -> ExpoPoly:
     """An ExpoPoly around terms already in canonical form, past the constructor."""
     poly = object.__new__(ExpoPoly)
     _set_a(poly, a)
@@ -650,7 +658,7 @@ def _wrap(a: float, b: float, terms: tuple[Term, ...]) -> ExpoPoly:
     return poly
 
 
-def _sorted_terms(acc: dict[tuple, complex]) -> tuple[Term, ...]:
+def _sorted_terms(acc: dict[tuple, complex]) -> tuple[tuple, ...]:
     """The nonzero entries of a {(mu, j, k): coeff} map as sorted terms.
 
     Items sort by their keys' natural tuple order, through a C key and no
@@ -667,7 +675,7 @@ def _sorted_terms(acc: dict[tuple, complex]) -> tuple[Term, ...]:
         items = sorted(acc.items(), key=_first)
     except TypeError:
         items = sorted(acc.items(), key=_order)
-    return tuple([_new_term(Term, (mu, j, k, coeff)) for (mu, j, k), coeff in items
+    return tuple([(mu, j, k, coeff) for (mu, j, k), coeff in items
                   if coeff != 0j])
 
 
@@ -675,7 +683,7 @@ def _from_map(a: float, b: float, acc: dict[tuple, complex]) -> ExpoPoly:
     return _wrap(a, b, _sorted_terms(acc))
 
 
-def _canonicalize(a: float, b: float, terms) -> tuple[Term, ...]:
+def _canonicalize(a: float, b: float, terms) -> tuple[tuple, ...]:
     """Merge outside terms by key and sort them, dropping only exact zeros.
 
     Every key starts at 0j, and 0.0 + -0.0 is 0.0, so no stored coefficient

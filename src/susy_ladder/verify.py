@@ -300,13 +300,19 @@ def check_dirac_scan(params: DiracParams) -> CheckResult:
         found = orc.dirac_spectrum_scan(params, (lo, hi), grid)
     except GridTooCoarse as exc:
         return CheckResult("dirac-fd-scan", False, f"grid too coarse: {exc}")
-    expect = sorted([levels[0], levels[1], levels[1], levels[2], levels[2]])
+    # Levels 0, 1 and 2 come once, twice and twice. The scan keeps only
+    # E^2 > 0, so a level at the window's lower edge (the zero mode at
+    # d0 = mbar = 0) cannot be found and is left out of the check.
+    checked = [(level, count) for level, count in zip(levels, (1, 2, 2)) if level > lo]
+    expect = sorted([level for level, count in checked for _ in range(count)])
     ok = len(found) == len(expect) and all(
         abs(x - y) <= 1e-3 for x, y in zip(found, expect))
+    multiplicities = ",".join(str(count) for _, count in checked)
+    below = "" if len(checked) == 3 else ", the zero mode lies below the scan"
     return CheckResult(
         "dirac-fd-scan", ok,
         f"window ({lo:.4f}, {hi:.4f}): found {len(found)} magnitudes, "
-        f"multiplicities 1,2,2 expected")
+        f"multiplicities {multiplicities} expected{below}")
 
 
 def check_gamma_vs_quadrature(params: NRParams) -> CheckResult:

@@ -43,13 +43,13 @@ def ref_canonical(terms):
 
 def ref_differentiate(a, b, terms):
     out = []
-    for t in terms:
-        p = t.mu * a + t.j
+    for mu, j, k, coeff in terms:
+        p = mu * a + j
         if p != 0.0:
-            out.append(Term(t.mu, t.j - 1, t.k, t.coeff * p))
-        beta = 0.0 if t.k is None else b / (a + t.k)
+            out.append(Term(mu, j - 1, k, coeff * p))
+        beta = 0.0 if k is None else b / (a + k)
         if beta != 0.0:
-            out.append(Term(t.mu, t.j, t.k, -t.coeff * beta))
+            out.append(Term(mu, j, k, -coeff * beta))
     return ref_canonical(out)
 
 
@@ -58,8 +58,8 @@ def ref_scale(terms, c):
 
 
 def ref_mul_laurent(terms, laurent):
-    return ref_canonical([Term(mu, j + q.j, k, coeff * q.coeff)
-                          for q in laurent for mu, j, k, coeff in terms])
+    return ref_canonical([Term(mu, j + qj, k, coeff * qcoeff)
+                          for _, qj, _, qcoeff in laurent for mu, j, k, coeff in terms])
 
 
 def ref_add(x, y):
@@ -104,7 +104,7 @@ def ref_hamiltonian(a, b, potential, terms):
 
 def bits(terms):
     """Keys and the repr of both coefficient parts, so that -0.0 counts."""
-    return [(t.mu, t.j, t.k, repr(t.coeff.real), repr(t.coeff.imag)) for t in terms]
+    return [(mu, j, k, repr(coeff.real), repr(coeff.imag)) for mu, j, k, coeff in terms]
 
 
 # -- per-poly reference for sampling --------------------------------------------
@@ -178,7 +178,7 @@ def ref_laguerre_norm2(poly):
     mu, j0, k, _ = terms[0]
     if k is None:
         raise ValueError("a Laguerre function needs an exponential decay")
-    if any((t.mu, t.j, t.k) != (mu, j0 + i, k) for i, t in enumerate(terms)):
+    if any((tmu, tj, tk) != (mu, j0 + i, k) for i, (tmu, tj, tk, _) in enumerate(terms)):
         raise ValueError("a Laguerre function has one mu, one decay index "
                          "and consecutive powers")
     a, b = poly.a, poly.b
@@ -189,12 +189,13 @@ def ref_laguerre_norm2(poly):
                          "not above -1")
     m = len(terms) - 1
     two_beta = 2.0 * b / (a + k)
-    top = terms[-1].coeff
+    *_, top = terms[-1]
     expect, worst = top, 0.0
     for i in range(m - 1, -1, -1):
         expect = -expect * ((i + 1) * (alpha + i + 1) / ((m - i) * two_beta))
-        worst = max(worst, abs(terms[i].coeff - expect))
-    scale = max((abs(t.coeff) for t in terms), default=0.0)
+        *_, coeff = terms[i]
+        worst = max(worst, abs(coeff - expect))
+    scale = max((abs(coeff) for *_, coeff in terms), default=0.0)
     if worst > LAGUERRE_TOL * scale:
         raise PrecisionLoss(f"coefficients depart from the Laguerre form by "
                             f"{worst / scale:.3e} of the largest "

@@ -287,6 +287,15 @@ class TestConfigValidation:
         assert len(rows) == 513 and all(math.isfinite(v) for v in values)
         assert all(float(row[1]) == 0.0 for row in rows[1:])
 
+    def test_a_chain_off_its_laguerre_form_names_its_column(self, capsys):
+        # At a = 1e-6 the family c level 1 chain leaves its Laguerre closed
+        # form, and the refusal names the column it would have filled.
+        code, text = capture(["dirac-eigenfunctions", "--a", "1e-6", "--b", "1", "--d0", "1",
+                              "--mbar", "1", "--levels", "13"])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err.startswith(
+            "error: column density_c1: coefficients depart from the Laguerre form by ")
+
     @pytest.mark.parametrize("argv", [
         ["nr-eigenfunctions", "--a", "1.5", "--b", "0.5", "--levels", "18"],
         ["dirac-eigenfunctions", "--a", "1.5", "--b", "0.5", "--d0", "1", "--mbar", "0.1",

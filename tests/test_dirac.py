@@ -278,7 +278,7 @@ class TestOperatorCache:
         f = random_spinor(rng_for(60), FIG3.a, FIG3.b, 4)
         for op in (dc.a_op(FIG3, 1), dc.a_dagger(FIG3, 1), dc.big_hamiltonian(FIG3, 0)):
             out = op.apply(f)
-            assert all(type(t.coeff) is complex for p in out.components for t in p.terms)
+            assert all(type(coeff) is complex for p in out.components for *_, coeff in p.terms)
 
     def test_chains_bit_identical_to_uncached_chained_add(self):
         # The reference lowers whole 4-spinors through a 4x4 a_op built per
@@ -309,10 +309,10 @@ class TestOperatorCache:
                     scaled = upper.scale(dc._lower_ratio(q, n, fam))
                     assert [bits(c.terms) for c in fast.components[2:]] == \
                         [bits(c.terms) for c in scaled.components]
-                    lowered = [{t[:3]: t.coeff for t in c} for c in phi[2:]]
+                    lowered = [{(mu, j, k): coeff for mu, j, k, coeff in c} for c in phi[2:]]
                     scale = max(abs(x) for c in lowered for x in c.values())
                     for c, ref in zip(fast.components[2:], lowered):
-                        new = {t[:3]: t.coeff for t in c.terms}
+                        new = {(mu, j, k): coeff for mu, j, k, coeff in c.terms}
                         assert max((abs(new.get(key, 0j) - ref.get(key, 0j))
                                     for key in new | ref), default=0.0) <= 1e-13 * scale
 

@@ -39,7 +39,7 @@ def gamma_sum(poly):
     """<poly, poly> by the Gamma sum, in DPS digits."""
     with mp.workdps(DPS):
         a, b = mp.mpf(poly.a), mp.mpf(poly.b)
-        keys = [(t.mu * a + t.j, b / (a + t.k), mp.mpc(t.coeff)) for t in poly.terms]
+        keys = [(mu * a + j, b / (a + k), mp.mpc(coeff)) for mu, j, k, coeff in poly.terms]
         total = mp.mpf(0)
         for p1, r1, c1 in keys:
             for p2, r2, c2 in keys:
@@ -52,8 +52,8 @@ def samples(poly, rhos):
     """poly at rhos, in DPS digits."""
     with mp.workdps(DPS):
         a, b = mp.mpf(poly.a), mp.mpf(poly.b)
-        keys = [(t.mu * a + t.j, 0 if t.k is None else b / (a + t.k), mp.mpc(t.coeff))
-                for t in poly.terms]
+        keys = [(mu * a + j, 0 if k is None else b / (a + k), mp.mpc(coeff))
+                for mu, j, k, coeff in poly.terms]
         return np.array([complex(sum(c * mp.mpf(r) ** p * mp.exp(-g * mp.mpf(r))
                                      for p, g, c in keys))
                          for r in rhos])
@@ -76,10 +76,12 @@ def departure(poly):
         mu, j0, k, _ = terms[0]
         a, b = mp.mpf(poly.a), mp.mpf(poly.b)
         alpha, m, two_beta = 2 * (mu * a + j0) - 1, len(terms) - 1, 2 * b / (a + k)
-        expect, worst = mp.mpc(terms[-1].coeff), mp.mpf(0)
+        *_, top = terms[-1]
+        expect, worst = mp.mpc(top), mp.mpf(0)
         for i in range(m - 1, -1, -1):
             expect = -expect * (i + 1) * (alpha + i + 1) / ((m - i) * two_beta)
-            worst = max(worst, abs(mp.mpc(terms[i].coeff) - expect))
+            *_, coeff = terms[i]
+            worst = max(worst, abs(mp.mpc(coeff) - expect))
         return float(worst) / poly.max_abs_coeff()
 
 
@@ -257,10 +259,11 @@ def closed_form(poly, rhos):
     """c rho^p0 e^(-beta rho) L_M^(2 p0 - 1)(2 beta rho) at rhos in DPS
     digits, with c = t M! (-1)^M / (2 beta)^M from the top coefficient t."""
     mu, j0, k, _ = poly.terms[0]
+    *_, top = poly.terms[-1]
     m = len(poly.terms) - 1
     with mp.workdps(DPS):
         beta = mp.mpf(poly.b) / (mp.mpf(poly.a) + k)
-        c = mp.mpc(poly.terms[-1].coeff) * mp.factorial(m) * (-1) ** m / (2 * beta) ** m
+        c = mp.mpc(top) * mp.factorial(m) * (-1) ** m / (2 * beta) ** m
         return np.array([complex(c * g) for g in
                          laguerre_shape(poly.a, poly.b, mu, j0, k, m, tuple(rhos))])
 

@@ -17,7 +17,7 @@ SETS = (FIG2, NRParams(1.0, 2.0), NRParams(0.4, 2.5))  # the figure regimes and 
 
 
 def coeffs(poly):
-    return {(t.mu, t.j, t.k): t.coeff for t in poly.terms}
+    return {(mu, j, k): coeff for mu, j, k, coeff in poly.terms}
 
 
 class TestSuperpotential:
@@ -179,7 +179,7 @@ class TestEigenfunctions:
         for params in SETS:
             for n in range(0, 13):
                 f = nr.eigenfunction(params, n)
-                keys = {(t.mu, t.j, t.k) for t in f.terms}
+                keys = {(mu, j, k) for mu, j, k, _ in f.terms}
                 assert keys == {(1, 1 + j, n + 1) for j in range(n + 1)}
 
     def test_eigen_equation_exact(self):

@@ -58,7 +58,7 @@ def test_reprs_name_every_field():
     assert repr(CheckResult("x", False, "d, e")) == "CheckResult(name='x', passed=False, detail='d, e')"
     assert repr(LogGrid(100.0, 1024)) == "LogGrid(rho_max=100.0, n_points=1024)"
     assert (repr(ExpoPoly(1.3, 0.7, ((0, -1, None, 0.5),)))
-            == "ExpoPoly(a=1.3, b=0.7, terms=(Term(mu=0, j=-1, k=None, coeff=(0.5+0j)),))")
+            == "ExpoPoly(a=1.3, b=0.7, terms=((0, -1, None, (0.5+0j)),))")
     assert (repr(SpinorFn((zero, zero)))
             == "SpinorFn(components=(ExpoPoly(a=1.0, b=2.0, terms=()), "
                "ExpoPoly(a=1.0, b=2.0, terms=())))")

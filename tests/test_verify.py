@@ -39,7 +39,7 @@ def test_nr_eigen_check_fails_a_chain_that_lost_a_term(monkeypatch):
         f = full(params, n)
         if n != 7:
             return f
-        smallest = min(f.terms, key=lambda t: abs(t.coeff))
+        smallest = min(f.terms, key=lambda t: abs(t[3]))
         return ExpoPoly(f.a, f.b, tuple(t for t in f.terms if t is not smallest))
 
     monkeypatch.setattr(vf.nr, "eigenfunction", lossy)
@@ -126,6 +126,25 @@ def test_cli_verify_reports_undefined_families_at_d0_0(argv, undefined, capsys):
         assert passed == "FAIL" and detail.startswith(f'"{undefined}')
     if argv:
         assert all(passed == "pass" for passed, _ in rows.values())
+
+
+def test_cli_verify_scans_above_the_zero_mode_at_d0_and_mbar_0(capsys):
+    # At d0 = mbar = 0 the level-0 magnitude is 0, the window's lower edge,
+    # where the scan (it keeps only E^2 > 0) cannot report it: the row checks
+    # levels 1 and 2 and says so. Only the two undefined-family rows fail.
+    assert main(["verify", "--a", "1.5", "--b", "0.5"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 16
+    rows = {name: (passed, detail) for name, passed, detail in
+            (line.split(",", 2) for line in lines[1:])}
+    assert rows["dirac-fd-scan"] == (
+        "pass", '"window (0.0000, 0.3077): found 4 magnitudes, multiplicities 2,2 '
+                'expected, the zero mode lies below the scan"')
+    failed = {name for name, (passed, _) in rows.items() if passed != "pass"}
+    assert failed == {"dirac-eigen-equations", "xi-superpotential-identity"}
+    # a positive ground magnitude is scanned and checked with the others
+    detail = vf.check_dirac_scan(DiracParams(1.5, 0.5, 0.0, 0.3)).detail
+    assert detail.endswith("found 5 magnitudes, multiplicities 1,2,2 expected")
 
 
 def test_cli_verify_passes_at_fig3_parameters(capsys):
