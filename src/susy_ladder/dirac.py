@@ -53,11 +53,18 @@ S2: Matrix = ((0j, -1j), (1j, 0j))
 S3: Matrix = ((1 + 0j, 0j), (0j, -1 + 0j))
 
 _ZERO2: Matrix = ((0j, 0j), (0j, 0j))
+_MINUS_S0 = _entrywise(lambda x: -x, S0)
 ALPHA1 = _blocks(((_ZERO2, S1), (S1, _ZERO2)))
 ALPHA2 = _blocks(((_ZERO2, S2), (S2, _ZERO2)))
 ALPHA3 = _blocks(((_ZERO2, S3), (S3, _ZERO2)))
-BETA = _blocks(((S0, _ZERO2), (_ZERO2, _entrywise(lambda x: -x, S0))))
+BETA = _blocks(((S0, _ZERO2), (_ZERO2, _MINUS_S0)))
 SIGMA1 = _blocks(((S1, _ZERO2), (_ZERO2, S1)))
+
+# The other constant matrices the operators take, built once at import.
+_MINUS_I_S1 = _entrywise(lambda x: -1j * x, S1)
+_MINUS_I_ALPHA1 = _entrywise(lambda x: -1j * x, ALPHA1)
+_I_S1_MINUS_S2 = _entrywise(lambda x, y: 1j * x - y, S1, S2)
+_MINUS_S3 = _entrywise(lambda x: -x, S3)
 
 
 def _check_family(fam: str) -> None:
@@ -173,32 +180,45 @@ class MatrixOp(Record):
 
 def _pot_matrix(params: DiracParams, parts: list[tuple[ExpoPoly, Matrix]],
                 size: int) -> tuple[tuple[ExpoPoly, ...], ...]:
-    """Entry (i, j) is the sum of poly * mat[i][j] over the parts. A sum of
-    one canonical part is that part bit for bit, so it is taken as it is,
-    and every entry with no part is one shared zero."""
-    a, b = params.a, params.b
-    zero = ExpoPoly.zero(a, b)
+    """Entry (i, j) is the sum of poly * mat[i][j] over the parts whose
+    multiplier there is nonzero, in part order; an entry with no such part
+    is one shared zero.
+
+    Each (part, multiplier) pair is scaled once per call, and the entries
+    that use it share the result: scale depends on its inputs alone, so the
+    shared poly has the bits a scale per entry would give. An entry of one
+    part is that scaled part, which is what a sum of one canonical part
+    returns, bit for bit. An entry of several parts is their chained +, bit
+    for bit the ExpoPoly.sum of them.
+    """
+    zero = ExpoPoly.zero(params.a, params.b)
+    scaled: dict[tuple[int, complex], ExpoPoly] = {}
     rows = []
     for i in range(size):
         row = []
         for j in range(size):
-            scaled = [poly.scale(mat[i][j]) for poly, mat in parts if mat[i][j] != 0]
-            if len(scaled) > 1:
-                row.append(ExpoPoly.sum(a, b, scaled))
-            else:
-                row.append(scaled[0] if scaled else zero)
+            entry = None
+            for index, (poly, mat) in enumerate(parts):
+                c = mat[i][j]
+                if c != 0:
+                    part = scaled.get((index, c))
+                    if part is None:
+                        part = scaled[index, c] = poly.scale(c)
+                    entry = part if entry is None else entry + part
+            row.append(zero if entry is None else entry)
         rows.append(tuple(row))
     return tuple(rows)
 
 
 def _const(params: DiracParams, value: complex) -> ExpoPoly:
-    return ExpoPoly.term(params.a, params.b, value)
+    return ExpoPoly.ordered(params.a, params.b, ((0, 0, None, value),))
 
 
 def _w_coef(params: DiracParams, n: int) -> ExpoPoly:
+    """w_n = (a+n)/rho - b/(a+n), the scalar superpotential at a + n."""
     an = params.a + n
-    return (ExpoPoly.term(params.a, params.b, an, mu=0, j=-1)
-            + _const(params, -params.b / an))
+    return ExpoPoly.ordered(params.a, params.b,
+                            ((0, -1, None, an), (0, 0, None, -params.b / an)))
 
 
 def dn(params: DiracParams, n: int) -> float:
@@ -221,7 +241,7 @@ def h_operator(params: DiracParams, n: int) -> MatrixOp:
         (_w_coef(params, n), S2),
         (_const(params, dn(params, n)), S3),
     ], 2)
-    return MatrixOp(_entrywise(lambda x: -1j * x, S1), pot)
+    return MatrixOp(_MINUS_I_S1, pot)
 
 
 def big_hamiltonian(params: DiracParams, n: int) -> MatrixOp:
@@ -231,7 +251,7 @@ def big_hamiltonian(params: DiracParams, n: int) -> MatrixOp:
         (_const(params, dn(params, n)), ALPHA3),
         (_const(params, params.mbar), BETA),
     ], 4)
-    return MatrixOp(_entrywise(lambda x: -1j * x, ALPHA1), pot)
+    return MatrixOp(_MINUS_I_ALPHA1, pot)
 
 
 def b_dagger(params: DiracParams, n: int) -> MatrixOp:
@@ -243,16 +263,16 @@ def b_dagger(params: DiracParams, n: int) -> MatrixOp:
     a, b = params.a, params.b
     an = a + n
     bb = b / (an * (an + 1))
-    p_poly = (ExpoPoly.term(a, b, 1.0, mu=0, j=-1) + _const(params, -bb)
-              ).scale((2 * an + 1) / 2.0)
-    r_poly = (ExpoPoly.term(a, b, 1.0, mu=0, j=-1) + _const(params, bb)).scale(0.5)
+    p_poly = ExpoPoly.ordered(a, b, ((0, -1, None, 1.0), (0, 0, None, -bb))
+                              ).scale((2 * an + 1) / 2.0)
+    r_poly = ExpoPoly.ordered(a, b, ((0, -1, None, 1.0), (0, 0, None, bb))).scale(0.5)
     q = (dn(params, n + 1) - dn(params, n)) / 2.0
     pot = _pot_matrix(params, [
         (p_poly, S0),
-        (_const(params, -q), _entrywise(lambda x, y: 1j * x - y, S1, S2)),
-        (r_poly, _entrywise(lambda x: -x, S3)),
+        (_const(params, -q), _I_S1_MINUS_S2),
+        (r_poly, _MINUS_S3),
     ], 2)
-    return MatrixOp(_entrywise(lambda x: -x, S0), pot)
+    return MatrixOp(_MINUS_S0, pot)
 
 
 def _adjoint(op: MatrixOp) -> MatrixOp:
@@ -315,9 +335,8 @@ def kernel_xi(params: DiracParams, n: int) -> SpinorFn:
     a, b = params.a, params.b
     an = a + n
     c = an ** 2 * (an + 1) ** 2 * (dn(params, n + 1) - dn(params, n)) / b ** 2
-    comp0 = (ExpoPoly.term(a, b, 1j * c, mu=1, j=n, k=n + 1)
-             + ExpoPoly.term(a, b, -1j * c * b / (an * (an + 1)),
-                             mu=1, j=n + 1, k=n + 1))
+    comp0 = ExpoPoly.ordered(a, b, ((1, n, n + 1, 1j * c),
+                                    (1, n + 1, n + 1, -1j * c * b / (an * (an + 1)))))
     comp1 = ExpoPoly.term(a, b, 1.0, mu=1, j=n + 1, k=n + 1)
     return SpinorFn((comp0, comp1))
 
@@ -355,6 +374,19 @@ def _lower_ratio(params: DiracParams, n: int, fam: str) -> float:
     # s - mbar rewritten as d^2/(s + mbar) for numerical stability
     ratio = (s + params.mbar) / d
     return -ratio if fam == "b" else ratio
+
+
+def eigenvector_halves(params: DiracParams, n: int) -> list[SpinorFn]:
+    """The six distinct 2-component halves of level n's four family
+    eigenvectors: chi, xi, then the lower half of each family in FAMILIES
+    order. Each kernel spinor is built once; a lower half is its family's
+    kernel scaled by the family's ratio, the same scale eigenvector takes,
+    so every half has the bits of the matching half of eigenvector.
+    Raises DegenerateDenominator where eigenvector does.
+    """
+    kernels = {kernel: kernel(params, n) for kernel in (kernel_chi, kernel_xi)}
+    return [*kernels.values(),
+            *(kernels[_KERNELS[fam]].scale(_lower_ratio(params, n, fam)) for fam in FAMILIES)]
 
 
 def eigenvector(params: DiracParams, n: int, fam: str) -> tuple[SpinorFn, float]:

@@ -107,6 +107,34 @@ class ExpoPoly(Record):
         coeff = 0j + coeff
         return _wrap(a, b, ((mu, j, k, coeff),) if coeff != 0j else ())
 
+    @classmethod
+    def ordered(cls, a: float, b: float, terms) -> "ExpoPoly":
+        """The poly of (mu, j, k, coeff) terms whose keys come in canonical
+        order, each once, built without the constructor's merge and sort.
+
+        The constructor's checks hold: a positive context, and a valid key
+        for every term. A key out of canonical order, or repeated, raises
+        ValueError. Each coefficient is stored as 0j + complex(coeff) and
+        exact zeros are dropped. That is bit for bit what ExpoPoly.sum stores
+        for the matching ExpoPoly.term parts: term stores the same value, and
+        the sum adds it to a 0j start, which changes no bit of a value with
+        no -0.0 part. So a closed form built here keeps the bits it had when
+        built term by term.
+        """
+        _check_positive_context(a, b)
+        out = []
+        last = None
+        for mu, j, k, coeff in terms:
+            _check_key(a, mu, j, k)
+            rank = _order((mu, j, k))
+            if last is not None and not rank > last:
+                raise ValueError(f"key {(mu, j, k)} is out of canonical order or repeated")
+            last = rank
+            coeff = 0j + complex(coeff)
+            if coeff != 0j:
+                out.append((mu, j, k, coeff))
+        return _wrap(a, b, tuple(out))
+
     # -- ring-like operations -----------------------------------------------
 
     @classmethod
@@ -635,10 +663,10 @@ def _add(acc: dict[tuple, complex], part: dict[tuple, complex]) -> None:
         acc[key] = acc.get(key, 0j) + coeff
 
 
-def _order(item: tuple) -> tuple:
-    """Sort key of a ((mu, j, k), coeff) map item: undecayed terms before
+def _order(key: tuple) -> tuple:
+    """Canonical sort key of a (mu, j, k) key: undecayed terms before
     decayed ones, then by k."""
-    (mu, j, k), _ = item
+    mu, j, k = key
     return (mu, j, k is not None, 0 if k is None else k)
 
 
@@ -674,7 +702,7 @@ def _sorted_terms(acc: dict[tuple, complex]) -> tuple[tuple, ...]:
     try:
         items = sorted(acc.items(), key=_first)
     except TypeError:
-        items = sorted(acc.items(), key=_order)
+        items = sorted(acc.items(), key=lambda item: _order(item[0]))
     return tuple([(mu, j, k, coeff) for (mu, j, k), coeff in items
                   if coeff != 0j])
 

@@ -23,8 +23,8 @@ SQRT2 = math.sqrt(2.0)
 
 
 def _laurent(params: NRParams, pairs: list[tuple[float, int]]) -> ExpoPoly:
-    a, b = params.a, params.b
-    return ExpoPoly.sum(a, b, [ExpoPoly.term(a, b, coeff, mu=0, j=j) for coeff, j in pairs])
+    """The Laurent polynomial of (coeff, j) pairs, given in increasing j."""
+    return ExpoPoly.ordered(params.a, params.b, [(0, j, None, coeff) for coeff, j in pairs])
 
 
 def superpotential(params: NRParams, n: int) -> ExpoPoly:

@@ -14,7 +14,7 @@ import numpy as np
 from . import dirac as dc
 from . import nonrel as nr
 from . import oracle as orc
-from .errors import DegenerateDenominator, GridTooCoarse
+from .errors import DegenerateDenominator, GridTooCoarse, SingularXi
 from .expalg import ExpoPoly
 from .params import DiracParams, NRParams, PhysicalParams, default_rho_max
 from .record import Record, set_field
@@ -176,16 +176,11 @@ def kernel_residual(p: DiracParams, n: int) -> float:
     a_dagger is b_dagger on each diagonal block, and applying it equals
     applying b_dagger to each 2-component half, bit for bit. A family
     eigenvector's upper half is its kernel spinor, chi or xi, so b_dagger is
-    applied to chi, to xi and to the four eigenvectors' lower halves: 6
-    halves instead of 2 + 4 x 2, and the same largest coefficient, bit for
-    bit.
+    applied to the 6 distinct halves of dirac.eigenvector_halves instead of
+    2 + 4 x 2, with the same largest coefficient, bit for bit.
     """
     bd = dc.b_dagger(p, n)
-    halves = [dc.kernel_chi(p, n), dc.kernel_xi(p, n)]
-    for fam in dc.FAMILIES:
-        vec, _ = dc.eigenvector(p, n, fam)
-        halves.append(dc.SpinorFn(vec.components[2:]))
-    return max(bd.apply(half).max_abs_coeff() for half in halves)
+    return max(bd.apply(half).max_abs_coeff() for half in dc.eigenvector_halves(p, n))
 
 
 def check_dirac_kernels() -> CheckResult:
@@ -285,7 +280,7 @@ def check_xi_superpotential(params: DiracParams) -> CheckResult:
     try:
         worst = max(dc.superpotential_matrix_residual(params, n, [0.5, 1.0, 2.0, 5.0])
                     for n in (0, 1))
-    except DegenerateDenominator as exc:
+    except (DegenerateDenominator, SingularXi) as exc:
         return CheckResult("xi-superpotential-identity", False, str(exc))
     return CheckResult("xi-superpotential-identity", worst <= 1e-8,
                        f"max Frobenius residual {worst:.3e} (tol 1e-08)")

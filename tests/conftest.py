@@ -316,3 +316,124 @@ def ref_render_json(table, meta):
     doc = {"meta": meta, "data": {"columns": list(table),
                                   "rows": [list(r) for r in zip(*table.values())]}}
     return ref_json_value(doc) + "\n"
+
+
+# -- generic-path reference for the closed forms -----------------------------------
+#
+# nonrel and dirac build their superpotentials, potentials, operators and
+# kernel spinors straight in canonical term order (ExpoPoly.ordered), scale
+# each (part, multiplier) pair of an operator's potential once, and keep
+# their constant matrices as module constants. These are the compositions
+# they replaced, kept as the reference they must match bit for bit: every
+# poly merged from ExpoPoly.term parts by + or ExpoPoly.sum, every potential
+# entry scaled and summed on its own, and every constant matrix rebuilt by
+# _entrywise on each call.
+
+
+def ref_laurent(params, pairs):
+    a, b = params.a, params.b
+    return ExpoPoly.sum(a, b, [ExpoPoly.term(a, b, coeff, mu=0, j=j) for coeff, j in pairs])
+
+
+def ref_superpotential(params, n):
+    an = params.a + n
+    return ref_laurent(params, [(an, -1), (-params.b / an, 0)])
+
+
+def ref_potential(params, n):
+    an = params.a + n
+    return ref_laurent(params, [(an * (an + 1) / 2.0, -2), (-params.b, -1)])
+
+
+def ref_const(params, value):
+    return ExpoPoly.term(params.a, params.b, value)
+
+
+def ref_w_coef(params, n):
+    an = params.a + n
+    return ExpoPoly.term(params.a, params.b, an, mu=0, j=-1) + ref_const(params, -params.b / an)
+
+
+def ref_pot_matrix(params, parts, size):
+    a, b = params.a, params.b
+    zero = ExpoPoly.zero(a, b)
+    rows = []
+    for i in range(size):
+        row = []
+        for j in range(size):
+            scaled = [poly.scale(mat[i][j]) for poly, mat in parts if mat[i][j] != 0]
+            if len(scaled) > 1:
+                row.append(ExpoPoly.sum(a, b, scaled))
+            else:
+                row.append(scaled[0] if scaled else zero)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def ref_h_operator(params, n):
+    pot = ref_pot_matrix(params, [(ref_w_coef(params, n), dc.S2),
+                                  (ref_const(params, dc.dn(params, n)), dc.S3)], 2)
+    return dc.MatrixOp(dc._entrywise(lambda x: -1j * x, dc.S1), pot)
+
+
+def ref_big_hamiltonian(params, n):
+    pot = ref_pot_matrix(params, [(ref_w_coef(params, n), dc.ALPHA2),
+                                  (ref_const(params, dc.dn(params, n)), dc.ALPHA3),
+                                  (ref_const(params, params.mbar), dc.BETA)], 4)
+    return dc.MatrixOp(dc._entrywise(lambda x: -1j * x, dc.ALPHA1), pot)
+
+
+def ref_b_dagger(params, n):
+    a, b = params.a, params.b
+    an = a + n
+    bb = b / (an * (an + 1))
+    p_poly = (ExpoPoly.term(a, b, 1.0, mu=0, j=-1) + ref_const(params, -bb)
+              ).scale((2 * an + 1) / 2.0)
+    r_poly = (ExpoPoly.term(a, b, 1.0, mu=0, j=-1) + ref_const(params, bb)).scale(0.5)
+    q = (dc.dn(params, n + 1) - dc.dn(params, n)) / 2.0
+    pot = ref_pot_matrix(params, [
+        (p_poly, dc.S0),
+        (ref_const(params, -q), dc._entrywise(lambda x, y: 1j * x - y, dc.S1, dc.S2)),
+        (r_poly, dc._entrywise(lambda x: -x, dc.S3)),
+    ], 2)
+    return dc.MatrixOp(dc._entrywise(lambda x: -x, dc.S0), pot)
+
+
+def ref_b_op(params, n):
+    return dc._adjoint(ref_b_dagger(params, n))
+
+
+def ref_kernel_chi(params, n):
+    a, b = params.a, params.b
+    return dc.SpinorFn((ExpoPoly.term(a, b, 1.0, mu=1, j=n, k=n), ExpoPoly.zero(a, b)))
+
+
+def ref_kernel_xi(params, n):
+    a, b = params.a, params.b
+    an = a + n
+    c = an ** 2 * (an + 1) ** 2 * (dc.dn(params, n + 1) - dc.dn(params, n)) / b ** 2
+    comp0 = (ExpoPoly.term(a, b, 1j * c, mu=1, j=n, k=n + 1)
+             + ExpoPoly.term(a, b, -1j * c * b / (an * (an + 1)), mu=1, j=n + 1, k=n + 1))
+    comp1 = ExpoPoly.term(a, b, 1.0, mu=1, j=n + 1, k=n + 1)
+    return dc.SpinorFn((comp0, comp1))
+
+
+def ref_kernel_residual(p, n):
+    """verify.kernel_residual as built from four eigenvector calls: b_dagger
+    on chi, xi and each family eigenvector's lower half."""
+    bd = dc.b_dagger(p, n)
+    halves = [dc.kernel_chi(p, n), dc.kernel_xi(p, n)]
+    for fam in dc.FAMILIES:
+        vec, _ = dc.eigenvector(p, n, fam)
+        halves.append(dc.SpinorFn(vec.components[2:]))
+    return max(bd.apply(half).max_abs_coeff() for half in halves)
+
+
+def hex_poly(poly):
+    """Keys and float.hex of both coefficient parts of every term."""
+    return [(mu, j, k, coeff.real.hex(), coeff.imag.hex()) for mu, j, k, coeff in poly.terms]
+
+
+def hex_operator(op):
+    return ([[(c.real.hex(), c.imag.hex()) for c in row] for row in op.dcoef],
+            [[hex_poly(p) for p in row] for row in op.potential])

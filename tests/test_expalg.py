@@ -918,3 +918,61 @@ class TestIsZero:
             assert mu in (0, 1)
             assert isinstance(j, int)
             assert k is None or isinstance(k, int)
+
+
+class TestOrdered:
+    """ExpoPoly.ordered builds terms given in canonical key order without a
+    merge or a sort, with the constructor's checks."""
+
+    KEYS = [(0, -2, None), (0, -1, None), (0, 0, None), (0, 0, 1), (0, 0, 3),
+            (0, 1, 0), (1, -1, None), (1, 0, None), (1, 0, 2), (1, 3, 1)]
+    COEFFS = [1.5, complex(-0.0, 2.0), 0.0, complex(-0.0, -0.0), complex(3.0, -0.0), -0.0,
+              2, complex(0.0, -0.0), complex(float("inf"), 1.0), complex(float("nan"), 0.0)]
+
+    def test_matches_the_sum_of_terms_bit_for_bit(self):
+        a, b = 1.3, 0.7
+        terms = [(*key, coeff) for key, coeff in zip(self.KEYS, self.COEFFS)]
+        built = ExpoPoly.ordered(a, b, terms)
+        ref = ExpoPoly.sum(a, b, [ExpoPoly.term(a, b, c, mu=mu, j=j, k=k)
+                                  for mu, j, k, c in terms])
+        assert repr(bits(built.terms)) == repr(bits(ref.terms))
+        assert [t[:3] for t in built.terms] == [t[:3] for t in ref.terms]
+        assert len(built.terms) == 6
+        assert all(type(t) is tuple and type(t[3]) is complex for t in built.terms)
+        from_terms = ExpoPoly.ordered(a, b, [Term(*t) for t in terms])
+        assert repr(bits(from_terms.terms)) == repr(bits(built.terms))
+        assert ExpoPoly.ordered(a, b, ()).terms == ()
+
+    @pytest.mark.parametrize("terms", [
+        [(0, 0, None, 1.0), (0, -1, None, 1.0)],
+        [(0, 0, 1, 1.0), (0, 0, None, 1.0)],
+        [(1, 0, None, 1.0), (0, 5, None, 1.0)],
+        [(0, 0, 2, 1.0), (0, 0, 1, 0.0)],
+    ], ids=["j", "decayed-before-undecayed", "mu", "k-with-zero-coeff"])
+    def test_refuses_keys_out_of_order(self, terms):
+        with pytest.raises(ValueError, match="out of canonical order or repeated"):
+            ExpoPoly.ordered(1.5, 0.5, terms)
+
+    @pytest.mark.parametrize("terms", [
+        [(0, -1, None, 1.0), (0, -1, None, 2.0)],
+        [(1, 2, 3, 1.0), (1, 2, 3, 0.0)],
+    ], ids=["undecayed", "decayed-with-zero-coeff"])
+    def test_refuses_a_repeated_key(self, terms):
+        with pytest.raises(ValueError, match="out of canonical order or repeated"):
+            ExpoPoly.ordered(1.5, 0.5, terms)
+
+    @pytest.mark.parametrize("key, message", [
+        ((2, 0, None), "exponent multiplier"),
+        ((0, 1.0, None), "exponent offset"),
+        ((1, 0, 1.0), "decay index must be"),
+        ((1, 0, -2), "non-positive rate"),
+    ])
+    def test_refuses_a_bad_key(self, key, message):
+        with pytest.raises(ValueError, match=message):
+            ExpoPoly.ordered(1.5, 0.5, [(0, -3, None, 1.0), (*key, 1.0)])
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, -2.0),
+                                      (float("nan"), 1.0)])
+    def test_refuses_a_non_positive_context(self, a, b):
+        with pytest.raises(ValueError, match="context requires"):
+            ExpoPoly.ordered(a, b, ())

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import ref_kernel_residual
 
 import susy_ladder.oracle
 from susy_ladder import dirac as dc
@@ -294,3 +295,46 @@ def test_oracle_is_independent_of_solver_modules():
 def test_matrix_residual_degenerate_families():
     with pytest.raises(DegenerateDenominator):
         superpotential_matrix_residual(DiracParams(1.0, 2.0, 0.0, 0.5), 0, [1.0])
+
+
+# check_dirac_kernels' 40 (p, n) draws, then the Dirac sets the CI runs verify at
+_KERNEL_DRAWS = [(p, n) for p in _draws(vf.random_dirac, vf.SEED + 3, 8) for n in range(5)]
+_KERNEL_CI = [(DiracParams(*s), n) for s in [(1.0, 2.0, 1.0, 0.1), (1.2, 0.8, 0.4, 0.2),
+                                             (0.5764322215230082, 2.1485527100721353, 1.0, 0.1),
+                                             (0.5, 2.0, 0.1, 0.2), (2.3, 0.45, -0.7, 1.1),
+                                             (1.3, 0.9, -0.4, 0.6)] for n in range(5)]
+
+
+@pytest.mark.parametrize("cases", [_KERNEL_DRAWS, _KERNEL_CI], ids=["battery-draws", "ci-sets"])
+def test_kernel_residual_matches_the_eigenvector_form(cases):
+    assert len(cases) in (40, 30)
+    for p, n in cases:
+        assert vf.kernel_residual(p, n).hex() == ref_kernel_residual(p, n).hex(), (p, n)
+
+
+def test_kernel_residual_refuses_an_undefined_family_as_the_eigenvector_form_does():
+    p = DiracParams(1.5, 0.5, 0.0, 0.3)
+    with pytest.raises(DegenerateDenominator) as new:
+        vf.kernel_residual(p, 0)
+    with pytest.raises(DegenerateDenominator) as ref:
+        ref_kernel_residual(p, 0)
+    assert str(new.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("a", [0.05, 0.1, 1e-3])
+def test_xi_row_reports_a_singular_eigenvector_matrix(a):
+    # At small a the level-0 chi columns decay like e^(-b rho/a), so Xi is
+    # singular at the row's samples: the row fails and names the point
+    result = vf.check_xi_superpotential(DiracParams(a, 0.9, -0.4, 0.6))
+    assert result.name == "xi-superpotential-identity" and not result.passed
+    assert result.detail.startswith("eigenvector matrix is singular at rho = ")
+
+
+def test_cli_verify_prints_every_row_at_small_a(capsys):
+    assert main(["verify", "--a", "0.05", "--b", "0.9", "--d0", "-0.4", "--mbar", "0.6"]) == 3
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert err == "" and len(lines) == 16
+    assert [line.split(",", 1)[0] for line in lines[1:]] == [
+        r.name for r in vf.run_all(NRParams(1.5, 0.5), DiracParams(1.0, 2.0, 1.0, 0.1))]
+    assert "xi-superpotential-identity,FAIL,eigenvector matrix is singular at rho = " in out
