@@ -10,7 +10,7 @@ confirms every eigenvalue and eigenfunction numerically.
 from .errors import (ContextMismatch, DegenerateDenominator, DivergentIntegral,
                      DomainError, GridTooCoarse, LadderError, LevelCapExceeded,
                      NegativeRadicand, NoBoundStates, NonFiniteSample, PrecisionLoss,
-                     SingularXi, TailNotDecayed)
+                     TailNotDecayed)
 from .expalg import ExpoPoly
 from .params import DiracParams, NRParams, PhysicalParams
 
@@ -20,8 +20,7 @@ __all__ = [
     "ContextMismatch", "DegenerateDenominator", "DivergentIntegral",
     "DomainError", "GridTooCoarse", "LadderError",
     "LevelCapExceeded", "NegativeRadicand", "NoBoundStates", "NonFiniteSample",
-    "PrecisionLoss",
-    "SingularXi", "TailNotDecayed",
+    "PrecisionLoss", "TailNotDecayed",
     "ExpoPoly",
     "DiracParams", "NRParams", "PhysicalParams",
     "__version__",

@@ -22,7 +22,7 @@ import functools
 import math
 from typing import TYPE_CHECKING
 
-from .errors import DegenerateDenominator, DomainError, NegativeRadicand, SingularXi
+from .errors import DegenerateDenominator, DomainError, NegativeRadicand
 from .expalg import ExpoPoly, apply_operator, eval_rows, laguerre_norm2, lower_chain
 from .params import FAMILIES, DiracParams, PhysicalParams
 from .record import Record, set_field
@@ -171,11 +171,6 @@ class MatrixOp(Record):
         # The rows share the context of f's components, which apply_operator
         # checks against every potential entry it multiplies by.
         return _wrap_spinor(apply_operator(self.dcoef, self.potential, f.components))
-
-    def potential_at(self, rho: float) -> np.ndarray:
-        import numpy as np
-
-        return np.array([[p.eval(rho) for p in row] for row in self.potential])
 
 
 def _pot_matrix(params: DiracParams, parts: list[tuple[ExpoPoly, Matrix]],
@@ -452,32 +447,6 @@ def rotation_matrix(phys: PhysicalParams) -> np.ndarray:
     theta = math.atan2(-phys.k, phys.ell)
     return (math.cos(theta / 2.0) * np.eye(4, dtype=complex)
             - 1j * math.sin(theta / 2.0) * np.array(SIGMA1))
-
-
-def superpotential_matrix_residual(params: DiracParams, n: int, rho_samples) -> float:
-    """Max Frobenius mismatch between the raising intertwiner's potential part
-    W(rho) and Xi'(rho) Xi(rho)^(-1), where Xi has the four level-n family
-    eigenvectors as columns.
-
-    Annihilation of every column by (-d/drho + W) forces W Xi = Xi', so the
-    residual vanishes wherever Xi is invertible. Near-singular samples raise
-    SingularXi.
-    """
-    import numpy as np
-
-    cols = [eigenvector(params, n, fam)[0] for fam in FAMILIES]
-    dcols = [SpinorFn(tuple(p.differentiate() for p in col.components))
-             for col in cols]
-    wop = a_dagger(params, n)
-    worst = 0.0
-    for rho in rho_samples:
-        xi = np.stack([col.eval(rho) for col in cols], axis=1)
-        dxi = np.stack([col.eval(rho) for col in dcols], axis=1)
-        if np.linalg.cond(xi) > 1e12:
-            raise SingularXi(f"eigenvector matrix is singular at rho = {rho}")
-        resid = wop.potential_at(rho) - dxi @ np.linalg.inv(xi)
-        worst = max(worst, float(np.linalg.norm(resid)))
-    return worst
 
 
 def spectrum_dirac(phys: PhysicalParams, n: int, sign: int) -> float:

@@ -27,10 +27,6 @@ class DegenerateDenominator(LadderError):
     """Eigenvector component ratio is 0/0; the printed closed form does not apply."""
 
 
-class SingularXi(LadderError):
-    """The eigenvector matrix is singular at a sample radius."""
-
-
 class NegativeRadicand(LadderError):
     """Relativistic energy radicand is negative; parameters are outside the physical regime."""
 

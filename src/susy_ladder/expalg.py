@@ -355,7 +355,7 @@ def _laguerre_shape(poly: ExpoPoly) -> tuple[float, float, int, float, complex]:
     L_M^(alpha)(2 beta rho), alpha = 2 p0 - 1, with t its top coefficient.
 
     poly must have M+1 terms with one mu, one decay index and consecutive
-    offsets j, and alpha > -1. Its rho^(p0+i) coefficients then obey
+    offsets j, alpha > -1 and 2 beta > 0. Its rho^(p0+i) coefficients then obey
 
         coef_i = -coef_(i+1) (i+1)(alpha+i+1) / ((M-i) 2 beta).
 
@@ -383,6 +383,8 @@ def _laguerre_shape(poly: ExpoPoly) -> tuple[float, float, int, float, complex]:
                          "not above -1")
     m = len(terms) - 1
     two_beta = 2.0 * b / (a + k)
+    if not two_beta > 0.0:
+        raise ValueError(f"decay rate 2 beta = 2 b/(a+k) = {two_beta} is not above 0")
     top = terms[-1][3]
     expect, worst = top, 0.0
     for i in range(m - 1, -1, -1):

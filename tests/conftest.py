@@ -253,6 +253,41 @@ def hex_matrix(mat):
     return [[(complex(v).real.hex(), complex(v).imag.hex()) for v in row] for row in rows]
 
 
+# -- sampled reference for the matrix superpotential identity --------------------
+#
+# verify's xi-superpotential-identity row checks W Xi = Xi' in the algebra,
+# column by column: a_dagger = -d/drho + W annihilates every column of Xi
+# (verify.kernel_residual). This is the pointwise form it replaced,
+# W(rho) = Xi'(rho) Xi(rho)^(-1) through a numpy inverse, kept so that the
+# paper's identity stays checked apart from apply_operator: W is sampled
+# entry by entry with ExpoPoly.eval.
+
+
+def potential_at(op, rho):
+    """The operator's potential matrix at rho, each entry by ExpoPoly.eval."""
+    return np.array([[p.eval(rho) for p in row] for row in op.potential])
+
+
+def ref_superpotential_matrix_residual(params, n, rho_samples):
+    """Max Frobenius mismatch between a_dagger(params, n)'s potential W(rho)
+    and Xi'(rho) Xi(rho)^(-1), with the four level-n family eigenvectors as
+    the columns of Xi. inf where Xi's condition number passes 1e12, since
+    the inverse then checks nothing. Raises DegenerateDenominator where
+    dirac.eigenvector does."""
+    cols = [dc.eigenvector(params, n, fam)[0] for fam in dc.FAMILIES]
+    dcols = [dc.SpinorFn(tuple(p.differentiate() for p in col.components)) for col in cols]
+    wop = dc.a_dagger(params, n)
+    worst = 0.0
+    for rho in rho_samples:
+        xi = np.stack([col.eval(rho) for col in cols], axis=1)
+        if np.linalg.cond(xi) > 1e12:
+            return math.inf
+        dxi = np.stack([col.eval(rho) for col in dcols], axis=1)
+        resid = potential_at(wop, rho) - dxi @ np.linalg.inv(xi)
+        worst = max(worst, float(np.linalg.norm(resid)))
+    return worst
+
+
 # -- one record of every record type ----------------------------------------------
 
 

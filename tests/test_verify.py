@@ -6,13 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import ref_kernel_residual
+from conftest import ref_kernel_residual, ref_superpotential_matrix_residual
 
 import susy_ladder.oracle
 from susy_ladder import dirac as dc
 from susy_ladder import verify as vf
 from susy_ladder.cli import main
-from susy_ladder.dirac import superpotential_matrix_residual
 from susy_ladder.errors import DegenerateDenominator
 from susy_ladder.expalg import ExpoPoly
 from susy_ladder.params import DiracParams, NRParams
@@ -294,7 +293,7 @@ def test_oracle_is_independent_of_solver_modules():
 
 def test_matrix_residual_degenerate_families():
     with pytest.raises(DegenerateDenominator):
-        superpotential_matrix_residual(DiracParams(1.0, 2.0, 0.0, 0.5), 0, [1.0])
+        ref_superpotential_matrix_residual(DiracParams(1.0, 2.0, 0.0, 0.5), 0, [1.0])
 
 
 # check_dirac_kernels' 40 (p, n) draws, then the Dirac sets the CI runs verify at
@@ -321,13 +320,14 @@ def test_kernel_residual_refuses_an_undefined_family_as_the_eigenvector_form_doe
     assert str(new.value) == str(ref.value)
 
 
-@pytest.mark.parametrize("a", [0.05, 0.1, 1e-3])
-def test_xi_row_reports_a_singular_eigenvector_matrix(a):
+@pytest.mark.parametrize("a", [1e-3, 1e-2, 0.05, 0.1, 0.3])
+def test_xi_row_passes_at_small_a(a):
     # At small a the level-0 chi columns decay like e^(-b rho/a), so Xi is
-    # singular at the row's samples: the row fails and names the point
+    # singular at any fixed radii; the row checks W Xi = Xi' in the algebra,
+    # where nothing is inverted.
     result = vf.check_xi_superpotential(DiracParams(a, 0.9, -0.4, 0.6))
-    assert result.name == "xi-superpotential-identity" and not result.passed
-    assert result.detail.startswith("eigenvector matrix is singular at rho = ")
+    assert result.name == "xi-superpotential-identity"
+    assert result.passed, result.detail
 
 
 def test_cli_verify_prints_every_row_at_small_a(capsys):
@@ -337,4 +337,43 @@ def test_cli_verify_prints_every_row_at_small_a(capsys):
     assert err == "" and len(lines) == 16
     assert [line.split(",", 1)[0] for line in lines[1:]] == [
         r.name for r in vf.run_all(NRParams(1.5, 0.5), DiracParams(1.0, 2.0, 1.0, 0.1))]
-    assert "xi-superpotential-identity,FAIL,eigenvector matrix is singular at rho = " in out
+    assert "\nxi-superpotential-identity,pass,max coefficient " in out
+
+
+# a from 1e-3 to 40 and b from 0.01 to 100, four (d0, mbar) pairs each
+_XI_GRID = [DiracParams(a, b, d0, mbar)
+            for a in (1e-3, 0.05, 0.5, 1.3, 5.0, 40.0) for b in (0.01, 0.9, 100.0)
+            for d0, mbar in ((-0.4, 0.6), (1.0, 0.0), (3.0, 2.0), (0.1, 0.6))]
+
+
+def test_xi_row_passes_wherever_the_sampled_identity_does():
+    # The sampled form, at the radii and bound the row had, fails where Xi is
+    # singular (small a or large b) and at a = 1e-3, b = 100, where the row
+    # fails too; the row must pass at every set where the sampled form does.
+    sampled_passes = 0
+    for p in _XI_GRID:
+        sampled = max(ref_superpotential_matrix_residual(p, n, [0.5, 1.0, 2.0, 5.0])
+                      for n in (0, 1))
+        if sampled <= 1e-8:
+            sampled_passes += 1
+            result = vf.check_xi_superpotential(p)
+            assert result.passed, (p, result.detail)
+    assert len(_XI_GRID) == 72 and sampled_passes == 44
+
+
+@pytest.mark.parametrize("argv", ["--a 7 --b 1 --d0 1 --mbar 1",
+                                  "--a 6.9 --b 0.5 --d0 0.3 --mbar 0.2",
+                                  "--a 8 --b 2 --d0 -0.4 --mbar 0.6"], ids=["7", "6.9", "8"])
+def test_cli_verify_reports_an_undecayed_quadrature_tail_as_its_row(argv, capsys):
+    # From a of about 7 the quadrature window leaves the integrand above 1e-16
+    # of its peak at rho_max: that row fails with the message, the others print.
+    assert main(["verify", *argv.split()]) == 3
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert err == "" and len(lines) == 16
+    rows = {name: (passed, detail) for name, passed, detail in
+            (line.split(",", 2) for line in lines[1:])}
+    passed, detail = rows.pop("gamma-vs-quadrature")
+    assert passed == "FAIL" and detail.startswith("integrand at rho_max is ")
+    assert detail.endswith(" of its peak")
+    assert all(passed == "pass" for passed, _ in rows.values())
