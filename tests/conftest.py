@@ -7,6 +7,7 @@ import io
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 
 from susy_ladder import dirac as dc
@@ -239,14 +240,6 @@ def ref_dcoefs():
             "a_op": np.block([[b_op, z], [z, b_op]])}
 
 
-def ref_multipliers():
-    """{operator name: the matrices its potential parts are scaled by}."""
-    m = ref_matrices()
-    return {"h_operator": [m["S2"], m["S3"]],
-            "big_hamiltonian": [m["ALPHA2"], m["ALPHA3"], m["BETA"]],
-            "b_dagger": [m["S0"], 1j * m["S1"] - m["S2"], -m["S3"]]}
-
-
 def hex_matrix(mat):
     """Each entry's real and imaginary parts in float.hex, so that -0.0 counts."""
     rows = mat.tolist() if isinstance(mat, np.ndarray) else mat
@@ -286,6 +279,65 @@ def ref_superpotential_matrix_residual(params, n, rho_samples):
         resid = potential_at(wop, rho) - dxi @ np.linalg.inv(xi)
         worst = max(worst, float(np.linalg.norm(resid)))
     return worst
+
+
+# -- 40-digit reference for the Dirac chains -----------------------------------------
+#
+# dirac.eigenfunction_chain lowers a kernel spinor through b_op(n-1), ...,
+# b_op(0) in floats. This is the same lowering in mpmath, from the float
+# inputs, kept apart from the package's closed forms: d_n from its square
+# root, d_(k+1) - d_k as the plain difference of two roots (which at this
+# precision costs nothing a float could hold), and
+# b_op(k) = d/drho + [[w_k, 0], [i (d_(k+1) - d_k), w_(k+1)]].
+
+
+def ref_exact_chain(params, n, fam, dps=40):
+    """The four components of eigenfunction_chain(params, n, fam), each as
+    {(mu, j, k): mpc}, lowered in dps digits."""
+    with mp.workdps(dps):
+        a, b, d0, mbar = (mp.mpf(x) for x in (params.a, params.b, params.d0, params.mbar))
+        sign = -1 if params.d0 < 0 else 1
+
+        def d(m):
+            return sign * mp.sqrt(d0 ** 2 + m * (2 * a + m) * b ** 2 / (a ** 2 * (a + m) ** 2))
+
+        def add(acc, key, value):
+            acc[key] = acc.get(key, 0) + value
+
+        an = a + n
+        if fam in ("a", "b"):
+            upper = [{(1, n, n): mp.mpc(1)}, {}]
+        else:
+            c = an ** 2 * (an + 1) ** 2 * (d(n + 1) - d(n)) / b ** 2
+            upper = [{(1, n, n + 1): 1j * c, (1, n + 1, n + 1): -1j * c * b / (an * (an + 1))},
+                     {(1, n + 1, n + 1): mp.mpc(1)}]
+        for k in range(n - 1, -1, -1):
+            rows = []
+            for i, f in enumerate(upper):
+                # f' + w_(k+i) f, with w_m = (a+m)/rho - b/(a+m)
+                acc, am = {}, a + k + i
+                for (mu, j, kk), coeff in f.items():
+                    add(acc, (mu, j - 1, kk), coeff * (mu * a + j + am))
+                    add(acc, (mu, j, kk), -coeff * (b / (a + kk) + b / am))
+                rows.append(acc)
+            for key, coeff in upper[0].items():
+                add(rows[1], key, 1j * (d(k + 1) - d(k)) * coeff)
+            upper = rows
+        level = d(n) if fam in ("a", "b") else d(n + 1)
+        s = mp.sqrt(mbar ** 2 + level ** 2)
+        ratio = {"a": level / (s + mbar), "b": -(s + mbar) / level,
+                 "c": -level / (s + mbar), "d": (s + mbar) / level}[fam]
+        return upper + [{key: ratio * coeff for key, coeff in f.items()} for f in upper]
+
+
+def exact_departure(poly, exact):
+    """Largest |coefficient - exact coefficient| of a float poly, over the
+    largest |exact coefficient|; 0.0 when both are zero."""
+    got = {(mu, j, k): coeff for mu, j, k, coeff in poly.terms}
+    if not got and not exact:
+        return 0.0
+    worst = max(abs(mp.mpc(got.get(key, 0)) - exact.get(key, 0)) for key in got.keys() | exact)
+    return float(worst / max(abs(coeff) for coeff in exact.values()))
 
 
 # -- one record of every record type ----------------------------------------------
@@ -356,12 +408,13 @@ def ref_render_json(table, meta):
 # -- generic-path reference for the closed forms -----------------------------------
 #
 # nonrel and dirac build their superpotentials, potentials, operators and
-# kernel spinors straight in canonical term order (ExpoPoly.ordered), scale
-# each (part, multiplier) pair of an operator's potential once, and keep
-# their constant matrices as module constants. These are the compositions
-# they replaced, kept as the reference they must match bit for bit: every
-# poly merged from ExpoPoly.term parts by + or ExpoPoly.sum, every potential
-# entry scaled and summed on its own, and every constant matrix rebuilt by
+# kernel spinors straight in canonical term order (ExpoPoly.ordered), write
+# each operator's potential entry by entry, sharing each scaled poly, and
+# keep their constant matrices as module constants. These are the
+# compositions they replaced, kept as the reference they must match bit for
+# bit: every poly merged from ExpoPoly.term parts by + or ExpoPoly.sum, h_n's
+# and H_n's potential entries each scaled and summed on its own from the
+# Pauli and alpha/beta multipliers, and every constant matrix rebuilt by
 # _entrywise on each call.
 
 
@@ -418,19 +471,17 @@ def ref_big_hamiltonian(params, n):
     return dc.MatrixOp(dc._entrywise(lambda x: -1j * x, dc.ALPHA1), pot)
 
 
+def ref_xi_coef(params, n):
+    an = params.a + n
+    return (2 * an + 1) / (dc.dn(params, n + 1) + dc.dn(params, n))
+
+
 def ref_b_dagger(params, n):
     a, b = params.a, params.b
     an = a + n
-    bb = b / (an * (an + 1))
-    p_poly = (ExpoPoly.term(a, b, 1.0, mu=0, j=-1) + ref_const(params, -bb)
-              ).scale((2 * an + 1) / 2.0)
-    r_poly = (ExpoPoly.term(a, b, 1.0, mu=0, j=-1) + ref_const(params, bb)).scale(0.5)
-    q = (dc.dn(params, n + 1) - dc.dn(params, n)) / 2.0
-    pot = ref_pot_matrix(params, [
-        (p_poly, dc.S0),
-        (ref_const(params, -q), dc._entrywise(lambda x, y: 1j * x - y, dc.S1, dc.S2)),
-        (r_poly, dc._entrywise(lambda x: -x, dc.S3)),
-    ], 2)
+    delta = (b / (an * (an + 1))) ** 2 * ref_xi_coef(params, n)
+    pot = ((ref_w_coef(params, n), ref_const(params, -1j * delta)),
+           (ExpoPoly.zero(a, b), ref_w_coef(params, n + 1)))
     return dc.MatrixOp(dc._entrywise(lambda x: -x, dc.S0), pot)
 
 
@@ -446,7 +497,7 @@ def ref_kernel_chi(params, n):
 def ref_kernel_xi(params, n):
     a, b = params.a, params.b
     an = a + n
-    c = an ** 2 * (an + 1) ** 2 * (dc.dn(params, n + 1) - dc.dn(params, n)) / b ** 2
+    c = ref_xi_coef(params, n)
     comp0 = (ExpoPoly.term(a, b, 1j * c, mu=1, j=n, k=n + 1)
              + ExpoPoly.term(a, b, -1j * c * b / (an * (an + 1)), mu=1, j=n + 1, k=n + 1))
     comp1 = ExpoPoly.term(a, b, 1.0, mu=1, j=n + 1, k=n + 1)

@@ -287,14 +287,32 @@ class TestConfigValidation:
         assert len(rows) == 513 and all(math.isfinite(v) for v in values)
         assert all(float(row[1]) == 0.0 for row in rows[1:])
 
-    def test_a_chain_off_its_laguerre_form_names_its_column(self, capsys):
-        # At a = 1e-6 the family c level 1 chain leaves its Laguerre closed
-        # form, and the refusal names the column it would have filled.
-        code, text = capture(["dirac-eigenfunctions", "--a", "1e-6", "--b", "1", "--d0", "1",
-                              "--mbar", "1", "--levels", "13"])
+    def test_a_chain_off_its_laguerre_form_names_its_column(self, monkeypatch, capsys):
+        # The family c level 1 chain, moved off its Laguerre closed form: the
+        # refusal names the column it would have filled.
+        chain = dc.eigenfunction_chain
+
+        def departed(params, n, fam):
+            f = chain(params, n, fam)
+            if (n, fam) != (1, "c"):
+                return f
+            mu, j, k, _ = f.components[1].terms[0]
+            bump = expalg.ExpoPoly(params.a, params.b, ((mu, j, k, 1e-9 * f.max_abs_coeff()),))
+            return dc.SpinorFn((f.components[0], f.components[1] + bump) + f.components[2:])
+
+        monkeypatch.setattr(dc, "eigenfunction_chain", departed)
+        code, text = capture(["dirac-eigenfunctions", *_FIG3_ARGS, "--levels", "3"])
         assert (code, text) == (2, "")
         assert capsys.readouterr().err.startswith(
             "error: column density_c1: coefficients depart from the Laguerre form by ")
+
+    @pytest.mark.parametrize("a", ["1e-4", "1e-6", "1e-8", "1e-12"])
+    def test_small_a_tables_keep_their_laguerre_form(self, a):
+        # Every chain of a 13-level table stays on its closed form at small a,
+        # where the level constants d_n (n >= 1) grow like b/a.
+        code, text = capture(["dirac-eigenfunctions", "--a", a, "--b", "1", "--d0", "1",
+                              "--mbar", "1", "--levels", "13"])
+        assert code == 0 and len(text.splitlines()) == 513
 
     @pytest.mark.parametrize("argv", [
         ["nr-eigenfunctions", "--a", "1.5", "--b", "0.5", "--levels", "18"],
@@ -350,6 +368,28 @@ def test_out_of_range_arithmetic_exits_2_with_one_error_line(argv):
     assert "Traceback" not in out.stderr
     assert re.fullmatch(r"error: the parameters take the arithmetic out of float range "
                         r"\((OverflowError|ZeroDivisionError): [^\n]*\)\n", out.stderr)
+
+
+# d0 = 0 with b^2 underflowing: every d_n is 0, so d_(n+1) + d_n, which the
+# intertwiner and the xi kernel divide by, is 0 too. The tables overflow in
+# the level-0 norm and verify divides by zero in its scalar rows before
+# either division is reached; each exits 2 with one error line.
+_D0_ZERO_B_UNDERFLOW = [
+    (["fig3"], "OverflowError: math range error"),
+    (["dirac-eigenfunctions", "--families", "a,c", "--levels", "2"],
+     "OverflowError: math range error"),
+    (["verify"], "ZeroDivisionError: complex division by zero"),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv, reason", _D0_ZERO_B_UNDERFLOW,
+                         ids=[a[0] for a, _ in _D0_ZERO_B_UNDERFLOW])
+def test_d0_zero_with_b_squared_underflowing_exits_2(argv, reason, capsys):
+    argv = [*argv, "--a", "1", "--b", "1e-200", "--d0", "0", "--mbar", "1"]
+    assert capture(argv) == (2, "")
+    assert capsys.readouterr().err == ("error: the parameters take the arithmetic out of "
+                                       f"float range ({reason})\n")
 
 
 # a = 1e-20 is positive, but alpha = 2a - 1 of the chains' lowest power

@@ -45,15 +45,16 @@ def test_every_closed_form_matches_the_generic_path(params):
 
 def test_closed_forms_build_without_the_generic_path(monkeypatch):
     # W_n, V_n and the operators are built with neither ExpoPoly.term nor
-    # ExpoPoly.sum: in canonical order, and summed only where an entry of
-    # b_dagger's potential takes two parts.
+    # ExpoPoly.sum nor +: in canonical order, and no potential entry sums
+    # two parts.
     def refuse(*args, **kwargs):
-        raise AssertionError("built through ExpoPoly.term or ExpoPoly.sum")
+        raise AssertionError("built through ExpoPoly.term, ExpoPoly.sum or +")
 
     p, q = DiracParams(1.3, 0.9, -0.4, 0.6), NRParams(1.5, 0.5)
     dc.b_op.cache_clear()
     monkeypatch.setattr(ExpoPoly, "term", refuse)
     monkeypatch.setattr(ExpoPoly, "sum", refuse)
+    monkeypatch.setattr(ExpoPoly, "__add__", refuse)
     for n in range(4):
         nr.superpotential(q, n + 1)
         nr.potential(q, n)
@@ -63,8 +64,8 @@ def test_closed_forms_build_without_the_generic_path(monkeypatch):
 
 
 def test_potential_entries_share_each_scaled_part():
-    # big_hamiltonian's potential takes 6 distinct scaled parts for its 12
-    # nonzero entries: each (part, multiplier) pair is scaled once
+    # big_hamiltonian's 12 nonzero potential entries are 6 distinct polys:
+    # +/- mbar and h_n's d_n, -d_n, -i w_n and i w_n, each built once
     op = dc.big_hamiltonian(DiracParams(1.3, 0.9, -0.4, 0.6), 2)
     entries = [pot for row in op.potential for pot in row if pot.terms]
     assert len(entries) == 12 and len({id(pot) for pot in entries}) == 6

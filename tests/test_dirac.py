@@ -5,9 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import (bits, hex_matrix, potential_at, random_dirac, random_phys,
-                      random_spinor, ref_apply, ref_dcoefs, ref_ladder, ref_matrices,
-                      ref_multipliers, ref_superpotential_matrix_residual, rng_for)
+from conftest import (bits, exact_departure, hex_matrix, potential_at, random_dirac,
+                      random_phys, random_spinor, ref_apply, ref_dcoefs, ref_exact_chain,
+                      ref_ladder, ref_matrices, ref_superpotential_matrix_residual, rng_for)
 
 from susy_ladder import dirac as dc
 from susy_ladder import nonrel as nr
@@ -246,6 +246,35 @@ class TestChains:
                 scale = max(1.0, chain.max_abs_coeff())
                 assert r.max_abs_coeff() <= 1e-11 * scale
 
+    @pytest.mark.parametrize("params, n", [(FIG3, 12), (FIG3, 16), (FIG3, 20),
+                                           (DiracParams(1e-3, 0.9, -0.4, 0.6), 5)],
+                             ids=["fig3-12", "fig3-16", "fig3-20", "a=1e-3-5"])
+    def test_chains_match_a_40_digit_lowering(self, params, n):
+        # Every component of all four families lies within 1e-14 of its
+        # largest coefficient (at most 5.7e-16 measured). Taking
+        # d_(n+1) - d_n as a difference of two roots would put families c/d
+        # 3.5e-13 off at fig3 and 3.6e-10 off at a = 1e-3.
+        for fam in dc.FAMILIES:
+            chain = dc.eigenfunction_chain(params, n, fam)
+            for i, exact in enumerate(ref_exact_chain(params, n, fam)):
+                assert exact_departure(chain.components[i], exact) <= 1e-14, (fam, i)
+
+    @pytest.mark.parametrize("values", [
+        (1e-3, 0.9, -0.4, 0.6), (1e-2, 0.9, -0.4, 0.6), (1.3, 0.9, -0.4, 0.6),
+        (2.3, 0.45, -0.7, 1.1), (1.0, 2.0, 1.0, 0.1), (1e-3, 100.0, 1.0, 1.0)], ids=str)
+    def test_thirteen_levels_solve_the_base_equation(self, values):
+        # max |H_0 psi - E psi| / (|E| max |psi|) over the normalised chains
+        # of a 13-level table, coefficient by coefficient: at most 1.5e-15
+        # measured on these sets, small a included.
+        p = DiracParams(*values)
+        h0 = dc.big_hamiltonian(p, 0)
+        for n in range(13):
+            for fam in dc.FAMILIES:
+                psi = dc.normalize_spinor(dc.eigenfunction_chain(p, n, fam))
+                value = dc.family_eigenvalue(p, n, fam)
+                r = h0.apply(psi) - psi.scale(value)
+                assert r.max_abs_coeff() <= 1e-13 * abs(value) * psi.max_abs_coeff(), (n, fam)
+
     def test_chain_norms_positive_finite(self):
         for fam in dc.FAMILIES:
             for n in range(0, 4):
@@ -343,21 +372,6 @@ class TestConstantMatrices:
                 op = getattr(dc, name)(params, n)
                 assert type(op.dcoef) is tuple
                 assert hex_matrix(op.dcoef) == hex_matrix(ref), (name, n)
-
-    def test_potential_multipliers_match_numpy(self, monkeypatch):
-        seen = []
-        build = dc._pot_matrix
-
-        def record(params, parts, size):
-            seen.append([mat for _, mat in parts])
-            return build(params, parts, size)
-
-        monkeypatch.setattr(dc, "_pot_matrix", record)
-        for name, refs in ref_multipliers().items():
-            seen.clear()
-            getattr(dc, name)(FIG3, 1)
-            (mats,) = seen
-            assert [hex_matrix(m) for m in mats] == [hex_matrix(r) for r in refs], name
 
 
 class TestWrappedResults:
