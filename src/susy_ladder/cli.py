@@ -416,10 +416,29 @@ _FLAG_TYPES = {"levels": int, "families": _families}
 
 
 class _ModeParser(argparse.ArgumentParser):
-    """A mode's parser. It rejects arguments it does not take itself, so the
-    error shows the mode's usage rather than the top-level one."""
+    """A mode's parser. It adds its mode's flags when it first parses, so a
+    run builds only its own mode's flags: each add_argument builds a help
+    formatter, which reads the terminal size. It rejects arguments it does
+    not take itself, so the error shows the mode's usage rather than the
+    top-level one."""
+
+    def __init__(self, *args, mode: str, **kwargs):
+        # No flag sets a default of its own: an absent flag leaves RunConfig's.
+        super().__init__(*args, argument_default=argparse.SUPPRESS, **kwargs)
+        self.mode, self.flags_added = mode, False
+
+    def _add_flags(self) -> None:
+        for name in _MODE_FLAGS[self.mode]:
+            capped = name == "levels" and self.mode in _CAPPED_MODES
+            self.add_argument("--" + name.replace("_", "-"), type=_FLAG_TYPES.get(name, float),
+                              help=_LEVELS_HELP if capped else None)
+        self.add_argument("--format", dest="fmt", choices=("csv", "json"))
+        self.add_argument("--out")
+        self.flags_added = True
 
     def parse_known_args(self, args=None, namespace=None):
+        if not self.flags_added:
+            self._add_flags()
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error("unrecognized arguments: " + " ".join(extras))
@@ -433,15 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "1/rho magnetic field, with finite-difference verification.")
     sub = parser.add_subparsers(dest="mode", required=True, metavar="mode",
                                 parser_class=_ModeParser)
-    for mode, names in _MODE_FLAGS.items():
-        # No flag sets a default of its own: an absent flag leaves RunConfig's.
-        p = sub.add_parser(mode, argument_default=argparse.SUPPRESS)
-        for name in names:
-            capped = name == "levels" and mode in _CAPPED_MODES
-            p.add_argument("--" + name.replace("_", "-"), type=_FLAG_TYPES.get(name, float),
-                           help=_LEVELS_HELP if capped else None)
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"))
-        p.add_argument("--out")
+    for mode in _MODE_FLAGS:
+        sub.add_parser(mode, mode=mode)
     return parser
 
 

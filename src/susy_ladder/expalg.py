@@ -408,12 +408,16 @@ def eval_rows(polys, rhos) -> np.ndarray:
     The terms of a poly that share (mu, k) are one polynomial in rho, taken
     by Horner's rule over the steps of j and times rho**(mu*a + j_min) and
     exp(-beta*rho). Each row runs its groups in term order, so it equals
-    sampling its poly alone, bit for bit. Each distinct power and decay array
-    is made once per call, keyed by its float exponent or rate. The grid is
-    cast to complex at the second multi-term group, since numpy casts a
-    float operand on every complex multiply. Calls are small: 1 row at 4096
-    points (interior_zeros) or 16384 (the quadrature check), or the 4 rows
-    of SpinorFn.eval_array, whose components 0/2 and 1/3 share factors.
+    sampling its poly alone, bit for bit. Numpy casts a float operand on
+    every complex multiply, so the grid is cast to complex once per call, and
+    each distinct power and decay array is made once per call, keyed by its
+    float exponent or rate, and cast when it is made; only a Horner step over
+    a gap in j, which no chain has, multiplies by a float power. A multi-term
+    group starts from its first Horner step, rho**gap times the top
+    coefficient, rather than from a constant array: complex multiplication
+    commutes bit for bit. Calls are small: 1 row at 4096 points
+    (interior_zeros) or 16384 (the quadrature check), or the 4 rows of
+    SpinorFn.eval_array, whose components 0/2 and 1/3 share factors.
     """
     import numpy as np
 
@@ -422,7 +426,7 @@ def eval_rows(polys, rhos) -> np.ndarray:
         raise DomainError("all sample points must be finite and positive")
     out = np.zeros((len(polys),) + rhos.shape, dtype=complex)
     factors: dict[tuple, np.ndarray] = {}
-    steps, passes = rhos, 0
+    steps = rhos.astype(complex)
     with np.errstate(under="ignore"):
         for total, poly in zip(out, polys):
             groups: dict[tuple, list[tuple[int, complex]]] = {}
@@ -430,21 +434,23 @@ def eval_rows(polys, rhos) -> np.ndarray:
                 groups.setdefault((mu, k), []).append((j, coeff))
             for (mu, k), group in groups.items():
                 top, acc = group[-1]
-                acc = np.full(rhos.shape, acc)
-                if len(group) > 1:
-                    passes += 1
-                    if passes == 2:
-                        steps = rhos.astype(complex)
-                    for j, coeff in reversed(group[:-1]):
-                        acc *= steps if top - j == 1 else rhos ** (top - j)
-                        acc += coeff
-                        top = j
+                if len(group) == 1:
+                    acc = np.full(rhos.shape, acc)
+                for i, (j, coeff) in enumerate(reversed(group[:-1])):
+                    step = steps if top - j == 1 else rhos ** (top - j)
+                    if i:
+                        acc *= step
+                    else:
+                        acc = step * acc
+                    acc += coeff
+                    top = j
                 keys = [("power", mu * poly.a + top)]
                 if k is not None:
                     keys.append(("decay", poly.b / (poly.a + k)))
                 for kind, x in keys:
                     if (kind, x) not in factors:
-                        factors[kind, x] = rhos ** x if kind == "power" else np.exp(-x * rhos)
+                        factor = rhos ** x if kind == "power" else np.exp(-x * rhos)
+                        factors[kind, x] = factor.astype(complex)
                     acc *= factors[kind, x]
                 total += acc
     return out

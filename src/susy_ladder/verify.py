@@ -123,6 +123,14 @@ def check_nr_intertwining() -> CheckResult:
                        f"max coefficient {worst:.3e} (tol {SYMBOLIC_TOL:.1e})")
 
 
+def eigen_residual(residual, chain, value: float) -> float:
+    """The largest coefficient of residual = H chain - value chain, relative
+    to max(1, |value|) max(1, the chain's largest coefficient): each term of
+    value chain is as large as |value| times the chain's, so an eigenvalue
+    far from 1 does not shift the roundoff the bound takes."""
+    return residual.max_abs_coeff() / (max(1.0, abs(value)) * max(1.0, chain.max_abs_coeff()))
+
+
 def check_nr_eigen(params: NRParams) -> CheckResult:
     """Levels 0..10: each chain solves its eigen-equation and keeps all n+1 terms."""
     worst = 0.0
@@ -131,8 +139,9 @@ def check_nr_eigen(params: NRParams) -> CheckResult:
         f = nr.eigenfunction(params, n)
         if len(f.terms) != n + 1:
             short.append(n)
-        r = nr.apply_hamiltonian(params, 0, f) - f.scale(nr.spectrum_radial(params, n))
-        worst = max(worst, r.max_abs_coeff() / max(1.0, f.max_abs_coeff()))
+        energy = nr.spectrum_radial(params, n)
+        r = nr.apply_hamiltonian(params, 0, f) - f.scale(energy)
+        worst = max(worst, eigen_residual(r, f, energy))
     detail = f"levels 0..10, max relative coefficient {worst:.3e}"
     if short:
         detail += f", levels {short} lack n+1 terms"
@@ -241,8 +250,7 @@ def check_dirac_eigen(params: DiracParams) -> CheckResult:
                 return CheckResult("dirac-eigen-equations", False, str(exc))
             value = dc.family_eigenvalue(params, n, fam)
             r = h0.apply(chain) - chain.scale(value)
-            scale = max(1.0, chain.max_abs_coeff())
-            worst = max(worst, r.max_abs_coeff() / scale)
+            worst = max(worst, eigen_residual(r, chain, value))
     return CheckResult("dirac-eigen-equations", worst <= SYMBOLIC_TOL,
                        f"four families, levels 0..3, max relative coefficient {worst:.3e}")
 

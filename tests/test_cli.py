@@ -1,6 +1,7 @@
 """CLI tests: table content, byte determinism, the physical/dimensionless
 round trip, output files, and exit codes."""
 
+import argparse
 import io
 import json
 import math
@@ -521,6 +522,18 @@ class TestParser:
         assert exc.value.code == 0
         listed = set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out))
         assert listed - {"--help"} == MODE_FLAGS[mode]
+
+    @pytest.mark.parametrize("mode", list(MODE_FLAGS))
+    def test_parsing_a_mode_adds_only_its_own_flags(self, mode):
+        # A mode's parser adds its flags when it first parses, so a run
+        # builds no other mode's flags.
+        parser = build_parser()
+        subparsers = next(action for action in parser._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        parser.parse_args([mode])
+        for name, sub in subparsers.choices.items():
+            flags = {s for action in sub._actions for s in action.option_strings}
+            assert flags == ({"-h", "--help"} | (MODE_FLAGS[mode] if name == mode else set()))
 
     def test_unknown_flag_reported_with_the_modes_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -804,6 +804,25 @@ class TestSampler:
         # One row at 4096 points, the shape interior_zeros samples.
         self.assert_same(polys[0], np.linspace(280.0 / 4096, 280.0, 4096))
 
+    def test_horner_pass_that_overflows(self):
+        # Coefficients near 1e300 overflow partway through the second
+        # group's Horner pass on the wide grid (1e300 * 3000^3), in row 0 and
+        # after it, so inf and NaN parts (inf * 0 from the +0j of a cast
+        # float) meet the power and decay factors. Each row keeps the
+        # reference's bits, NaN signs included.
+        a, b = 1.3, 0.7
+        groups = [(0, None, [2e300, -3e299j, complex(1e300, -5e299)]),
+                  (1, 0, [complex(-1e300, 1e300), 7e299, complex(0.0, -2e300), 1e300])]
+        poly = ExpoPoly(a, b, [Term(mu, j, k, c) for mu, k, coeffs in groups
+                               for j, c in enumerate(coeffs)])
+        rhos = self.GRIDS[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = poly.eval_array(rhos)
+            assert np.isinf(got).any() and np.isnan(got).any() and np.isfinite(got).any()
+            self.assert_same(poly, rhos)
+            self.assert_same(dc.SpinorFn((poly, poly.scale(-1j), poly, poly.conjugate())),
+                             rhos)
+
     def test_spinors_with_empty_components(self):
         q = DiracParams(1.3, 0.9, -0.4, 0.6)
         poly = random_poly(rng_for(121), q.a, q.b, n_terms=5)

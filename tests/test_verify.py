@@ -68,6 +68,20 @@ def test_nr_orthogonality_checks_the_set_it_is_given(monkeypatch):
     assert row.detail != vf.check_nr_orthogonality(NRParams(1.5, 0.5)).detail
 
 
+def test_eigen_rows_pass_at_large_eigenvalues():
+    # At a = 1e-3, b = 100 the Dirac magnitudes are near b/a = 1e5 from
+    # level 1, and the scalar energies reach about -5e3, so H psi - E psi
+    # keeps roundoff of order eps |E|. Both rows measure it against
+    # max(1, |E|) and pass; divided by max|psi| alone, the Dirac row read
+    # 9.937e-11 against 1e-11.
+    q = DiracParams(1e-3, 100.0, 1.0, 1.0)
+    for row in (vf.check_nr_eigen(NRParams(q.a, q.b)), vf.check_dirac_eigen(q)):
+        assert row.passed, f"{row.name}: {row.detail}"
+        assert float(row.detail.rsplit(" ", 1)[1]) <= 1e-14, row.detail
+    assert vf.eigen_residual(ExpoPoly.term(q.a, q.b, 3e-11, mu=1, j=0, k=0),
+                             ExpoPoly.term(q.a, q.b, 2.0, mu=1, j=0, k=0), -1e5) == 1.5e-16
+
+
 def test_cli_verify_exit_codes(tmp_path, monkeypatch):
     out = tmp_path / "verify.csv"
     buf = io.StringIO()
