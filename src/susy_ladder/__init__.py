@@ -7,18 +7,16 @@ functions; the oracle module discretizes the same operators from scratch and
 confirms every eigenvalue and eigenfunction numerically.
 """
 
-from .errors import (ContextMismatch, DegenerateDenominator, DivergentIntegral,
-                     DomainError, GridTooCoarse, LadderError, LevelCapExceeded,
-                     NegativeRadicand, NoBoundStates, NonFiniteSample, PrecisionLoss,
-                     TailNotDecayed)
+from .errors import (ContextMismatch, DivergentIntegral, DomainError, GridTooCoarse,
+                     LadderError, LevelCapExceeded, NegativeRadicand, NoBoundStates,
+                     NonFiniteSample, PrecisionLoss, TailNotDecayed)
 from .expalg import ExpoPoly
 from .params import DiracParams, NRParams, PhysicalParams
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContextMismatch", "DegenerateDenominator", "DivergentIntegral",
-    "DomainError", "GridTooCoarse", "LadderError",
+    "ContextMismatch", "DivergentIntegral", "DomainError", "GridTooCoarse", "LadderError",
     "LevelCapExceeded", "NegativeRadicand", "NoBoundStates", "NonFiniteSample",
     "PrecisionLoss", "TailNotDecayed",
     "ExpoPoly",

@@ -24,7 +24,7 @@ import functools
 import math
 from typing import TYPE_CHECKING
 
-from .errors import DegenerateDenominator, DomainError, NegativeRadicand
+from .errors import DomainError, NegativeRadicand
 from .expalg import ExpoPoly, apply_operator, eval_rows, laguerre_norm2, lower_chain
 from .params import FAMILIES, DiracParams, PhysicalParams
 from .record import Record, set_field
@@ -326,56 +326,61 @@ def family_eigenvalue(params: DiracParams, n: int, fam: str) -> float:
 _KERNELS = {"a": kernel_chi, "b": kernel_chi, "c": kernel_xi, "d": kernel_xi}
 
 
-def _lower_ratio(params: DiracParams, n: int, fam: str) -> float:
-    """The family's level-n eigenvector has the kernel spinor as its upper
-    block and this ratio times it as its lower block."""
+def _weights(params: DiracParams, n: int, fam: str) -> tuple[float, float]:
+    """(upper, lower) weights of the family's kernel spinor K in its level-n
+    eigenvector (upper K, lower K).
+
+    h_n K = d K for chi and -d K for xi, so the lower weight is d/(s + mbar)
+    for family a, -(s + mbar)/d for b (s - mbar rewritten as d^2/(s + mbar)
+    for numerical stability), and the negatives for c and d, with upper
+    weight 1. d = 0 happens only at level 0 of families a/b with d0 = 0,
+    where h_0 chi = 0: (chi, 0) has E = +mbar and (0, chi) has E = -mbar.
+    """
     d, s = _family_level(params, n, fam)
-    if fam in ("a", "c"):
-        if s + params.mbar == 0.0:
-            raise DegenerateDenominator(f"family {fam}, level {n}: mbar = 0 and d = 0 "
-                                        "leave the ratio undefined")
-        ratio = d / (s + params.mbar)
-        return -ratio if fam == "c" else ratio
     if d == 0.0:
-        raise DegenerateDenominator(
-            f"family {fam}, level {n}: needs a nonzero d (level constant); got d = 0")
-    # s - mbar rewritten as d^2/(s + mbar) for numerical stability
+        return (1.0, 0.0) if fam in ("a", "c") else (0.0, 1.0)
+    if fam in ("a", "c"):
+        ratio = d / (s + params.mbar)
+        return 1.0, -ratio if fam == "c" else ratio
     ratio = (s + params.mbar) / d
-    return -ratio if fam == "b" else ratio
+    return 1.0, -ratio if fam == "b" else ratio
+
+
+def _weighted(kernel: SpinorFn, weight: float) -> SpinorFn:
+    """weight times kernel: kernel itself at weight 1, so a shared kernel stays shared."""
+    return kernel if weight == 1.0 else kernel.scale(weight)
+
+
+def _stacked(kernel: SpinorFn, weights: tuple[float, float]) -> SpinorFn:
+    return _wrap_spinor(tuple(p for w in weights for p in _weighted(kernel, w).components))
 
 
 def eigenvector_halves(params: DiracParams, n: int) -> list[SpinorFn]:
     """The six distinct 2-component halves of level n's four family
     eigenvectors: chi, xi, then the lower half of each family in FAMILIES
-    order. Each kernel spinor is built once; a lower half is its family's
-    kernel scaled by the family's ratio, the same scale eigenvector takes,
-    so every half has the bits of the matching half of eigenvector.
-    Raises DegenerateDenominator where eigenvector does.
+    order. Each kernel spinor is built once; every other half of eigenvector
+    is its kernel or zero. A half is its kernel weighted as eigenvector
+    weights it, so it has the bits of the matching half of eigenvector.
     """
     kernels = {kernel: kernel(params, n) for kernel in (kernel_chi, kernel_xi)}
     return [*kernels.values(),
-            *(kernels[_KERNELS[fam]].scale(_lower_ratio(params, n, fam)) for fam in FAMILIES)]
+            *(_weighted(kernels[_KERNELS[fam]], _weights(params, n, fam)[1])
+              for fam in FAMILIES)]
 
 
 def eigenvector(params: DiracParams, n: int, fam: str) -> tuple[SpinorFn, float]:
     """Level-n eigenvector annihilated by the raising intertwiner, with its
-    eigenvalue. Families a/b stack the chi kernel, c/d the xi kernel; the
-    lower block carries the closed-form component ratio.
-
-    Families b and d divide by sqrt(mbar^2 + d^2) - mbar, which vanishes with
-    d; that case raises DegenerateDenominator instead of guessing a limit.
+    eigenvalue. Families a/b stack the chi kernel, c/d the xi kernel, each
+    half weighted by _weights.
     """
-    ratio = _lower_ratio(params, n, fam)
-    seed = _KERNELS[fam](params, n)
-    lower = seed.scale(ratio)
-    return SpinorFn(seed.components + lower.components), family_eigenvalue(params, n, fam)
+    weights = _weights(params, n, fam)
+    return _stacked(_KERNELS[fam](params, n), weights), family_eigenvalue(params, n, fam)
 
 
 @functools.lru_cache(maxsize=64)
 def _lowered_kernel(params: DiracParams, n: int, kernel) -> SpinorFn:
-    """The kernel spinor of level n lowered to level 0: the upper half of the
-    chain of both families it seeds, and, scaled by each family's ratio,
-    the lower half too.
+    """The kernel spinor of level n lowered to level 0: each half of the
+    chain of both families it seeds, weighted by the family's _weights.
 
     The kernel goes through b_op(params, n-1), ..., b_op(params, 0) in one
     expalg.lower_chain pass over coefficient lists, bit for bit the same as
@@ -395,17 +400,15 @@ def eigenfunction_chain(params: DiracParams, n: int, fam: str) -> SpinorFn:
     through the chain; eigenvector of the base operator at the family's
     level-n eigenvalue.
 
-    a_op is block-diagonal and linear, and the eigenvector's lower half is
-    ratio times its upper half, the kernel spinor. So the chain is the
-    lowered kernel stacked on that ratio times it: one lowering per kernel,
-    shared by both families it seeds. The lower half agrees with lowering
-    ratio times the kernel through b_op to roundoff (within 5.1e-16 of the
-    largest coefficient through level 12 on three parameter sets), not bit
-    for bit.
+    a_op is block-diagonal and linear, and each half of the eigenvector is
+    a weight times the kernel spinor. So the chain is the lowered kernel
+    stacked with the same weights: one lowering per kernel, shared by both
+    families it seeds. A half weighted by neither 0 nor 1 agrees with
+    lowering the weighted kernel through b_op to roundoff (within 5.1e-16
+    of the largest coefficient through level 12 on three parameter sets),
+    not bit for bit.
     """
-    ratio = _lower_ratio(params, n, fam)
-    upper = _lowered_kernel(params, n, _KERNELS[fam])
-    return _wrap_spinor(upper.components + upper.scale(ratio).components)
+    return _stacked(_lowered_kernel(params, n, _KERNELS[fam]), _weights(params, n, fam))
 
 
 def rotation_matrix(phys: PhysicalParams) -> np.ndarray:

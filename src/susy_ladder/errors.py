@@ -23,10 +23,6 @@ class NoBoundStates(LadderError):
     """Bound-state quantities requested in a regime with no bound spectrum (p_z * k <= 0)."""
 
 
-class DegenerateDenominator(LadderError):
-    """Eigenvector component ratio is 0/0; the printed closed form does not apply."""
-
-
 class NegativeRadicand(LadderError):
     """Relativistic energy radicand is negative; parameters are outside the physical regime."""
 

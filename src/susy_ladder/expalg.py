@@ -416,7 +416,7 @@ def eval_rows(polys, rhos) -> np.ndarray:
     group starts from its first Horner step, rho**gap times the top
     coefficient, rather than from a constant array: complex multiplication
     commutes bit for bit. Calls are small: 1 row at 4096 points
-    (interior_zeros) or 16384 (the quadrature check), or the 4 rows of
+    (interior_zeros), 3 at 16384 (the quadrature check), or the 4 rows of
     SpinorFn.eval_array, whose components 0/2 and 1/3 share factors.
     """
     import numpy as np

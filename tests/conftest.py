@@ -265,8 +265,7 @@ def ref_superpotential_matrix_residual(params, n, rho_samples):
     """Max Frobenius mismatch between a_dagger(params, n)'s potential W(rho)
     and Xi'(rho) Xi(rho)^(-1), with the four level-n family eigenvectors as
     the columns of Xi. inf where Xi's condition number passes 1e12, since
-    the inverse then checks nothing. Raises DegenerateDenominator where
-    dirac.eigenvector does."""
+    the inverse then checks nothing."""
     cols = [dc.eigenvector(params, n, fam)[0] for fam in dc.FAMILIES]
     dcols = [dc.SpinorFn(tuple(p.differentiate() for p in col.components)) for col in cols]
     wop = dc.a_dagger(params, n)

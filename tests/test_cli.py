@@ -424,14 +424,20 @@ def test_decay_rate_that_rounds_to_0_exits_2_naming_the_rate(argv, capsys):
                                        "is not above 0\n")
 
 
-def test_undefined_family_refused_before_any_column_is_sampled(capsys):
-    # Every chain is built before the table samples: family a's undefined
-    # level-0 ratio (d0 = mbar = 0) is reported, not c0's non-finite sample.
-    argv = ["dirac-eigenfunctions", "--a", "1", "--b", "1", "--families", "c,a",
-            "--rho-max", "1e300"]
-    assert capture(argv) == (2, "")
-    assert capsys.readouterr().err == ("error: family a, level 0: mbar = 0 and d = 0 "
-                                       "leave the ratio undefined\n")
+@pytest.mark.parametrize("argv", [
+    ["--a", "1", "--b", "1", "--levels", "13"],
+    ["--hbar", "1", "--m", "1", "--c", "1", "--e", "1", "--k", "1", "--pz", "1", "--ell", "0"],
+], ids=["defaults", "ell-0"])
+def test_dirac_eigenfunctions_table_every_family_at_d0_0(argv, capsys):
+    # d0 = 0 at the dimensionless defaults and at ell = 0. Level 0 of family
+    # a is (chi, 0) and of family b (0, chi), so their densities agree.
+    code, out = capture(["dirac-eigenfunctions", *argv])
+    assert code == 0
+    header, *lines = out.splitlines()
+    columns = dict(zip(header.split(","), zip(*(line.split(",") for line in lines))))
+    assert all(math.isfinite(float(x)) for col in columns.values() for x in col)
+    assert columns["density_a0"] == columns["density_b0"]
+    assert capsys.readouterr().err == ""
 
 
 class TestOutputFile:

@@ -11,8 +11,8 @@ from conftest import (bits, exact_departure, hex_matrix, potential_at, random_di
 
 from susy_ladder import dirac as dc
 from susy_ladder import nonrel as nr
-from susy_ladder.errors import (ContextMismatch, DegenerateDenominator,
-                                DomainError, NoBoundStates)
+from susy_ladder import verify as vf
+from susy_ladder.errors import ContextMismatch, DomainError, NoBoundStates
 from susy_ladder.params import DiracParams, NRParams, PhysicalParams
 
 FIG3 = DiracParams(a=1.0, b=2.0, d0=1.0, mbar=0.1)
@@ -219,14 +219,22 @@ class TestEigenvectors:
         for i in range(2):
             assert (vec_a.components[i + 2] - chi.components[i]).is_zero(1e-13)
 
-    def test_degenerate_denominator(self):
-        p = DiracParams(a=1.0, b=2.0, d0=0.0, mbar=0.5)
-        with pytest.raises(DegenerateDenominator, match="family b, level 0"):
-            dc.eigenvector(p, 0, "b")
-        # families a/c stay regular, and b at level 1 has d_1 != 0
-        dc.eigenvector(p, 0, "a")
-        dc.eigenvector(p, 0, "c")
-        dc.eigenvector(p, 1, "b")
+    @pytest.mark.parametrize("mbar", [0.5, 0.0])
+    def test_d_zero_puts_the_kernel_in_one_half(self, mbar):
+        # At d0 = 0, h_0 chi = 0: family a is (chi, 0) at E = +mbar and family
+        # b is (0, chi) at E = -mbar, also where both are 0 (mbar = 0).
+        p = DiracParams(a=1.0, b=2.0, d0=0.0, mbar=mbar)
+        chi = dc.kernel_chi(p, 0)
+        zero = dc.SpinorFn(tuple(c.scale(0.0) for c in chi.components))
+        h0 = dc.big_hamiltonian(p, 0)
+        for fam, value, halves in (("a", mbar, (chi, zero)), ("b", -mbar, (zero, chi))):
+            vec, val = dc.eigenvector(p, 0, fam)
+            assert val == value
+            assert vec.components == halves[0].components + halves[1].components
+            assert (h0.apply(vec) - vec.scale(val)).is_zero(1e-13)
+        # families c/d, and b at level 1, have d_1 != 0 and keep the kernel on top
+        for fam, n in (("c", 0), ("d", 0), ("b", 1)):
+            assert dc._weights(p, n, fam)[0] == 1.0
 
 
 class TestChains:
@@ -235,6 +243,21 @@ class TestChains:
         chain = dc.eigenfunction_chain(FIG3, 0, "a")
         for i in range(4):
             assert (vec.components[i] - chain.components[i]).is_zero(1e-13)
+
+    @pytest.mark.parametrize("params", [DiracParams(1.5, 0.5, 0.0, 0.0),
+                                        DiracParams(1.5, 0.5, 0.0, 0.3),
+                                        DiracParams(1e-3, 0.9, 0.0, 0.6)],
+                             ids=["mbar-0", "mbar-0.3", "small-a"])
+    def test_chains_at_d0_0_are_base_eigenvectors(self, params):
+        # Level 0 of families a/b has d = 0 there; every family's chain still
+        # solves H_0 psi = E psi to level 12.
+        h0 = dc.big_hamiltonian(params, 0)
+        for fam in dc.FAMILIES:
+            for n in range(0, 13):
+                chain = dc.eigenfunction_chain(params, n, fam)
+                value = dc.family_eigenvalue(params, n, fam)
+                r = h0.apply(chain) - chain.scale(value)
+                assert vf.eigen_residual(r, chain, value) <= vf.SYMBOLIC_TOL, (fam, n)
 
     def test_chains_are_base_eigenvectors(self):
         h0 = dc.big_hamiltonian(FIG3, 0)
@@ -313,8 +336,8 @@ class TestOperatorCache:
         # The reference lowers whole 4-spinors through a 4x4 a_op built per
         # level, with the per-part algorithm that sums by chaining +. The
         # chain's upper half matches it bit for bit; its lower half is the
-        # upper half times the family's ratio, bit for bit, and matches the
-        # reference's lowered lower half to roundoff.
+        # upper half times the family's lower weight, bit for bit, and matches
+        # the reference's lowered lower half to roundoff.
         nr_sets = [NRParams(1.5, 0.5), NRParams(FIG3.a, FIG3.b)]
         dirac_sets = [FIG3, DiracParams(1.5, 0.5, -0.4, 0.2), DiracParams(1.2, 0.8, 0.4, 0.0)]
         levels = range(13)
@@ -335,7 +358,9 @@ class TestOperatorCache:
                     upper = dc.SpinorFn(fast.components[:2])
                     assert [bits(c.terms) for c in upper.components] == \
                         [bits(t) for t in phi[:2]]
-                    scaled = upper.scale(dc._lower_ratio(q, n, fam))
+                    weights = dc._weights(q, n, fam)
+                    assert weights[0] == 1.0
+                    scaled = upper.scale(weights[1])
                     assert [bits(c.terms) for c in fast.components[2:]] == \
                         [bits(c.terms) for c in scaled.components]
                     lowered = [{(mu, j, k): coeff for mu, j, k, coeff in c} for c in phi[2:]]

@@ -12,7 +12,6 @@ import susy_ladder.oracle
 from susy_ladder import dirac as dc
 from susy_ladder import verify as vf
 from susy_ladder.cli import main
-from susy_ladder.errors import DegenerateDenominator
 from susy_ladder.expalg import ExpoPoly
 from susy_ladder.params import DiracParams, NRParams
 
@@ -123,30 +122,21 @@ def test_cli_verify_reports_unconverged_oracle(argv, failed, grid, points, capsy
     assert detail.startswith("grid too coarse: ")
 
 
-@pytest.mark.parametrize("argv, undefined", [
-    (["--mbar", "0.3"], "family b, level 0: needs a nonzero d"),
-    ([], "family a, level 0: mbar = 0 and d = 0"),
-], ids=["mbar-0.3", "mbar-0"])
-def test_cli_verify_reports_undefined_families_at_d0_0(argv, undefined, capsys):
-    # At d0 = 0 a level-0 ratio is 0/0; the two rows that build the family
-    # eigenvectors fail with it, and the other rows still run and print.
-    assert main(["verify", "--a", "1.5", "--b", "0.5", *argv]) == 3
+def test_cli_verify_passes_at_d0_0(capsys):
+    # At d0 = 0 level 0 of families a/b has d = 0, where family a is (chi, 0)
+    # and family b is (0, chi); the rows that build the family eigenvectors
+    # pass with the others (at mbar = 0 too, in the test below).
+    assert main(["verify", "--a", "1.5", "--b", "0.5", "--mbar", "0.3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 16
-    rows = {name: (passed, detail) for name, passed, detail in
-            (line.split(",", 2) for line in lines[1:])}
-    for name in ("dirac-eigen-equations", "xi-superpotential-identity"):
-        passed, detail = rows.pop(name)
-        assert passed == "FAIL" and detail.startswith(f'"{undefined}')
-    if argv:
-        assert all(passed == "pass" for passed, _ in rows.values())
+    assert all(line.split(",", 2)[1] == "pass" for line in lines[1:])
 
 
 def test_cli_verify_scans_above_the_zero_mode_at_d0_and_mbar_0(capsys):
     # At d0 = mbar = 0 the level-0 magnitude is 0, the window's lower edge,
     # where the scan (it keeps only E^2 > 0) cannot report it: the row checks
-    # levels 1 and 2 and says so. Only the two undefined-family rows fail.
-    assert main(["verify", "--a", "1.5", "--b", "0.5"]) == 3
+    # levels 1 and 2 and says so, and every row passes.
+    assert main(["verify", "--a", "1.5", "--b", "0.5"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 16
     rows = {name: (passed, detail) for name, passed, detail in
@@ -154,8 +144,7 @@ def test_cli_verify_scans_above_the_zero_mode_at_d0_and_mbar_0(capsys):
     assert rows["dirac-fd-scan"] == (
         "pass", '"window (0.0000, 0.3077): found 4 magnitudes, multiplicities 2,2 '
                 'expected, the zero mode lies below the scan"')
-    failed = {name for name, (passed, _) in rows.items() if passed != "pass"}
-    assert failed == {"dirac-eigen-equations", "xi-superpotential-identity"}
+    assert all(passed == "pass" for passed, _ in rows.values())
     # a positive ground magnitude is scanned and checked with the others
     detail = vf.check_dirac_scan(DiracParams(1.5, 0.5, 0.0, 0.3)).detail
     assert detail.endswith("found 5 magnitudes, multiplicities 1,2,2 expected")
@@ -305,9 +294,12 @@ def test_oracle_is_independent_of_solver_modules():
         assert not (names & banned), f"oracle imports {names & banned}"
 
 
-def test_matrix_residual_degenerate_families():
-    with pytest.raises(DegenerateDenominator):
-        ref_superpotential_matrix_residual(DiracParams(1.0, 2.0, 0.0, 0.5), 0, [1.0])
+def test_matrix_residual_holds_at_d0_0():
+    # Xi's columns at level 0 include (chi, 0) and (0, chi) there, and
+    # W(rho) = Xi'(rho) Xi(rho)^(-1) still holds at fixed radii.
+    for mbar in (0.5, 0.0):
+        p = DiracParams(1.0, 2.0, 0.0, mbar)
+        assert ref_superpotential_matrix_residual(p, 0, [0.5, 1.0, 2.0]) <= 1e-9
 
 
 # check_dirac_kernels' 40 (p, n) draws, then the Dirac sets the CI runs verify at
@@ -316,22 +308,16 @@ _KERNEL_CI = [(DiracParams(*s), n) for s in [(1.0, 2.0, 1.0, 0.1), (1.2, 0.8, 0.
                                              (0.5764322215230082, 2.1485527100721353, 1.0, 0.1),
                                              (0.5, 2.0, 0.1, 0.2), (2.3, 0.45, -0.7, 1.1),
                                              (1.3, 0.9, -0.4, 0.6)] for n in range(5)]
+# d0 = 0, where level 0 of families a/b has d = 0
+_KERNEL_D0_0 = [(DiracParams(1.5, 0.5, 0.0, mbar), n) for mbar in (0.3, 0.0) for n in range(5)]
 
 
-@pytest.mark.parametrize("cases", [_KERNEL_DRAWS, _KERNEL_CI], ids=["battery-draws", "ci-sets"])
+@pytest.mark.parametrize("cases", [_KERNEL_DRAWS, _KERNEL_CI, _KERNEL_D0_0],
+                         ids=["battery-draws", "ci-sets", "d0-0"])
 def test_kernel_residual_matches_the_eigenvector_form(cases):
-    assert len(cases) in (40, 30)
+    assert len(cases) in (40, 30, 10)
     for p, n in cases:
         assert vf.kernel_residual(p, n).hex() == ref_kernel_residual(p, n).hex(), (p, n)
-
-
-def test_kernel_residual_refuses_an_undefined_family_as_the_eigenvector_form_does():
-    p = DiracParams(1.5, 0.5, 0.0, 0.3)
-    with pytest.raises(DegenerateDenominator) as new:
-        vf.kernel_residual(p, 0)
-    with pytest.raises(DegenerateDenominator) as ref:
-        ref_kernel_residual(p, 0)
-    assert str(new.value) == str(ref.value)
 
 
 @pytest.mark.parametrize("a", [1e-3, 1e-2, 0.05, 0.1, 0.3])
