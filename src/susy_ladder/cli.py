@@ -20,10 +20,9 @@ fails with PrecisionLoss, naming its column. A sample that is not finite
 fails with NonFiniteSample, naming its column and rho.
 
 The renderer formats each column once: a column of floats is handed as it
-is to one %.16e, one float repeated goes into the template as its text,
-and any other column as its cells' text, quoted as csv.writer or
-json.dumps would quote it. One %-template per table then builds every row
-in C, so a table costs about one float format per cell.
+is to one %.16e, any other column as its cells' text, quoted as csv.writer
+or json.dumps would quote it. One %-template per table then builds every
+row in C, so a table costs about one float format per cell.
 
 Exit codes: 0 success, 2 invalid configuration or parameters (including
 more eigenfunction levels than MAX_LEVELS, a window whose samples are not
@@ -237,12 +236,13 @@ def _table_dirac_eigenfunctions(cfg: RunConfig):
                            dc.eigenfunction_chain(params, n, fam)) for fam, n in keys]
     samples = iter(laguerre_samples([p for s in spinors for p in s.components], xs))
     table = {"rho": xs}
-    for fam, n in keys:
+    for (fam, n), spinor in zip(keys, spinors):
         name = f"density_{fam}{n}"
-        (w0, f0), (w1, f1), (w2, f2), (w3, f3) = [(abs(amp) ** 2, f)
-                                                  for amp, f in islice(samples, 4)]
-        table[name] = _finite(name, xs, [0.0 + w0 * p * p + w1 * q * q + w2 * r * r
-                                         + w3 * t * t for p, q, r, t in zip(f0, f1, f2, f3)])
+        density = [0.0] * len(xs)
+        for amp, f in islice(samples, len(spinor.components)):
+            weight = abs(amp) ** 2
+            density = [d + weight * v * v for d, v in zip(density, f)]
+        table[name] = _finite(name, xs, density)
     return table
 
 
@@ -321,15 +321,10 @@ def _json_text(value) -> str:
 
 def _rows(table: dict, text, head: str, tail: str, sep: str) -> str:
     """The table's rows, each head + its cells joined by "," + tail, joined
-    by sep; text renders a cell of a column that is not all floats. A column
-    that repeats one float object is formatted once, into the row template
-    (by identity, not equality: 0.0 == -0.0 prints two ways)."""
+    by sep; text renders a cell of a column that is not all floats."""
     specs, columns = [], []
     for values in table.values():
-        first = values[0] if values else None
-        if type(first) is float and all(v is first for v in values):
-            specs.append("%.16e" % first)
-        elif set(map(type, values)) == {float}:
+        if set(map(type, values)) == {float}:
             specs.append("%.16e")
             columns.append(values)
         else:
@@ -337,7 +332,7 @@ def _rows(table: dict, text, head: str, tail: str, sep: str) -> str:
             columns.append(list(map(text, values)))
     cells = tuple(chain.from_iterable(zip(*columns)))
     row = head + ",".join(specs) + tail
-    return sep.join([row] * len(values)) % cells
+    return sep.join([row] * (len(cells) // len(specs))) % cells
 
 
 def _render_csv(table: dict) -> str:
