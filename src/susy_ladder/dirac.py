@@ -318,9 +318,10 @@ def _family_level(params: DiracParams, n: int, fam: str) -> tuple[float, float]:
 
 
 def family_eigenvalue(params: DiracParams, n: int, fam: str) -> float:
-    """Level-n eigenvalue of the family: +sqrt(mbar^2 + d^2) for a/c, - for b/d."""
+    """Level-n eigenvalue of the family: +sqrt(mbar^2 + d^2) for a/c, - for b/d.
+    b/d take 0.0 - s, so the zero mode at d0 = mbar = 0 prints as +0.0."""
     _, s = _family_level(params, n, fam)
-    return s if fam in ("a", "c") else -s
+    return s if fam in ("a", "c") else 0.0 - s
 
 
 _KERNELS = {"a": kernel_chi, "b": kernel_chi, "c": kernel_xi, "d": kernel_xi}

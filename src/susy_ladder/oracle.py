@@ -1,21 +1,26 @@
 """Finite-difference cross-checks, independent of the ladder construction.
 
 This module consumes only parameter records and sampled function values. Both
-eigenvalue problems are one radial channel,
+eigenvalue problems are solved through the bare Coulomb channel
 
-    -u'' + [cf/rho^2 - 2b/rho + C] u = E^2 u,
+    -u'' + [(k^2 - 1/4)/rho^2 - 2b/rho] u = eps u,   eps = -b^2/(k + 1/2 + m)^2,
 
-solved on a grid uniform in x = ln rho (LogGrid) with the regular solution
-imposed at the inner end. The scalar problem is the case cf = a(a+1), C = 0,
-E^2 = 2 epsilon. The matrix problem is probed through the squared operator,
-whose two decoupled channels
+on a grid uniform in x = ln rho (LogGrid) with the regular solution
+rho^(k + 1/2) imposed at the inner end. The scalar problem is k = a + 1/2,
+eps = 2 epsilon. The matrix problem is probed through the squared operator,
+whose two decoupled channels, k = a - 1/2 (components 1 and 3) and
+k = a + 1/2 (components 2 and 4), are these shifted by
+C = b^2/a^2 + d0^2 + mbar^2: E^2 = C + eps, with C kept out of the matrix.
+This avoids the spurious eigenbranches that naive first-order
+discretizations produce. Each doubled spinor channel is solved once, so
+reported multiplicities count +/- energy pairs once.
 
-    cf = a(a-1)  (components 1 and 3),   cf = a(a+1)  (components 2 and 4),
-    C = b^2/a^2 + d0^2 + mbar^2,
-
-avoid the spurious eigenbranches that naive first-order discretizations
-produce. Each doubled spinor channel is solved once, so reported
-multiplicities count +/- energy pairs once.
+Channel k = a - 1/2 is solved only where k >= 0. For a < 1/2 both rho^a and
+rho^(1-a) are square-integrable at the origin (Weyl's limit-circle case;
+G. Teschl, Mathematical Methods in Quantum Mechanics, AMS GSM 157), and the
+ghost row does not pin the wanted rho^a: at a = 0.1 the channel's lowest
+eps is off by 16% while refinement moves it by 2%. Level 0 lies in that
+channel alone, so below a = 1/2 the scan does not see it.
 """
 
 from __future__ import annotations
@@ -31,11 +36,11 @@ from .params import DiracParams, NRParams, default_rho_max
 from .record import Record, set_field
 
 RICHARDSON_SHIFT = 1e-4
-# Absolute tolerance on E^2 for the bisection, far below RICHARDSON_SHIFT.
-# scipy's default (tol=0) is eps * ||T||_1, and a log grid's diagonal reaches
-# 2 / (h rho_min)^2, so that default is wider than any window a solve is
-# asked about: at fig3 on 2048 points it puts the ground magnitude 1.005
-# at 1.348.
+# Absolute tolerance on eps for the bisection, far below RICHARDSON_SHIFT.
+# scipy's default (tol=0) is machine epsilon times ||T||_1, and a log grid's
+# diagonal reaches 2 / (h rho_min)^2, so that default is wider than any
+# window a solve is asked about: at fig3 on 2048 points it puts level 0's
+# eps = -4.000 of the k = 1/2 channel at -3.193.
 BISECTION_TOL = 1e-12
 # rho_min / rho_max of a LogGrid. With the regular solution imposed at the
 # inner end, a shallow grid loses what the leading power rho^k misses inside
@@ -127,10 +132,11 @@ class LogGrid(Record):
         return np.geomspace(self.rho_min, self.rho_max, self.n_points)
 
 
-def _refined(solve, grid: LogGrid) -> tuple[np.ndarray, np.ndarray]:
-    """solve(grid) and solve on the same window at half the step (2N - 1
-    points), as arrays. Raises GridTooCoarse when the two differ in count or
-    any value moves by more than RICHARDSON_SHIFT."""
+def _refined(solve, grid: LogGrid) -> list[float]:
+    """The Richardson values (4 fine - coarse) / 3 of solve(grid) and solve
+    on the same window at half the step (2N - 1 points): the imposed regular
+    solution leaves an error of order h^2 only. Raises GridTooCoarse when the
+    two differ in count or any value moves by more than RICHARDSON_SHIFT."""
     coarse = np.asarray(solve(grid))
     fine = np.asarray(solve(LogGrid(grid.rho_max, 2 * grid.n_points - 1)))
     if len(fine) != len(coarse):
@@ -139,7 +145,7 @@ def _refined(solve, grid: LogGrid) -> tuple[np.ndarray, np.ndarray]:
     shift = float(np.max(np.abs(fine - coarse), initial=0.0))
     if shift > RICHARDSON_SHIFT:
         raise GridTooCoarse(f"an eigenvalue moved by {shift:.3e} on refinement")
-    return coarse, fine
+    return [float(x) for x in (4.0 * fine - coarse) / 3.0]
 
 
 def _require_log_grid(grid) -> None:
@@ -147,22 +153,21 @@ def _require_log_grid(grid) -> None:
         raise TypeError(f"the oracle solves run on a LogGrid, got {type(grid).__name__}")
 
 
-def _channel_tridiag(k: float, b: float, const: float, grid: LogGrid):
-    # The channel with cf = k^2 - 1/4, whose regular solution is u ~ rho^(k + 1/2).
-    # u = rho^(1/2) v on x = ln rho gives -v'' + [k^2 - 2b rho + const rho^2] v
-    # = E^2 rho^2 v; scaling by w = rho v makes it one symmetric tridiagonal
-    # problem in E^2. The first row takes the ghost value v_-1 = e^(-kh) v_0
+def _channel_tridiag(k: float, b: float, grid: LogGrid):
+    # The channel whose regular solution is u ~ rho^(k + 1/2).
+    # u = rho^(1/2) v on x = ln rho gives -v'' + [k^2 - 2b rho] v
+    # = eps rho^2 v; scaling by w = rho v makes it one symmetric tridiagonal
+    # problem in eps. The first row takes the ghost value v_-1 = e^(-kh) v_0
     # of the regular solution v ~ e^(kx); the last row is Dirichlet.
     rho = grid.points
     h = grid.h
-    d = (2.0 / h ** 2 + k * k - 2.0 * b * rho + const * rho ** 2) / rho ** 2
+    d = (2.0 / h ** 2 + k * k - 2.0 * b * rho) / rho ** 2
     d[0] -= math.exp(-k * h) / (h * rho[0]) ** 2
     return d, -1.0 / (h ** 2 * rho[:-1] * rho[1:])
 
 
-def _channel_eigs(k: float, b: float, const: float, grid: LogGrid,
-                  **select) -> np.ndarray:
-    d, e = _channel_tridiag(k, b, const, grid)
+def _channel_eigs(k: float, b: float, grid: LogGrid, **select) -> np.ndarray:
+    d, e = _channel_tridiag(k, b, grid)
     return eigh_tridiagonal(d, e, eigvals_only=True, tol=BISECTION_TOL, **select)
 
 
@@ -192,12 +197,10 @@ def fd_schrodinger_eigs(params: NRParams, n_level_count: int,
                         grid: LogGrid) -> list[float]:
     """Lowest eigenvalues of the discretized scalar operator, ascending.
 
-    The scalar operator times 2 is the channel cf = a(a+1), C = 0, with
-    E^2 = 2 epsilon; its lowest n_level_count values of E^2, halved, are the
+    The scalar operator times 2 is the channel k = a + 1/2 with
+    eps = 2 epsilon; its lowest n_level_count values of eps, halved, are the
     levels. Any grid but a LogGrid raises TypeError. Every level is re-solved
-    at half the step (_refined) and the Richardson value
-    (4 E_fine - E_coarse) / 3 is returned: the imposed regular solution
-    leaves an error of order h^2 only.
+    at half the step and its Richardson value returned (_refined).
     """
     _require_log_grid(grid)
     needed = default_rho_max(params, n_level_count)
@@ -205,12 +208,11 @@ def fd_schrodinger_eigs(params: NRParams, n_level_count: int,
         raise ValueError(
             f"rho_max = {grid.rho_max} does not cover the turning region; "
             f"need at least {needed}")
-    coarse, fine = _refined(partial(_scalar_once, params, n_level_count), grid)
-    return [float(x) for x in (4.0 * fine - coarse) / 3.0]
+    return _refined(partial(_scalar_once, params, n_level_count), grid)
 
 
 def _scalar_once(params: NRParams, count: int, grid: LogGrid) -> np.ndarray:
-    return 0.5 * _channel_eigs(params.a + 0.5, params.b, 0.0, grid,
+    return 0.5 * _channel_eigs(params.a + 0.5, params.b, grid,
                                select="i", select_range=(0, count - 1))
 
 
@@ -258,47 +260,22 @@ def residual_dirac(phi: np.ndarray, energy: float, params: DiracParams,
 
 def dirac_spectrum_scan(params: DiracParams, window: tuple[float, float],
                         grid: LogGrid) -> list[float]:
-    """Eigenvalue magnitudes of the matrix problem inside a window, from the
-    squared operator's two scalar channels.
+    """The Richardson eps = E^2 - C of the squared operator's channels
+    inside a window given in eps, ascending (see the module docstring).
 
-    Components 1/3 and 2/4 of the squared operator are identical pairs; each
-    pair is solved once, so a magnitude's multiplicity here counts each +/-
-    energy pair of the first-order problem a single time. The channels are
-    discretized on a LogGrid, whose inner end imposes the regular rho^a and
-    rho^(a+1) behaviour; any other grid raises TypeError.
-
-    The stability check (_refined) re-solves at half the step and raises
-    GridTooCoarse when the count changes or any E^2, the eigenvalue the
-    channels solve for, moves by more than RICHARDSON_SHIFT; the magnitudes
-    of the given grid are returned.
+    Level n >= 1 lies in both channels and level 0 in k = a - 1/2 alone,
+    which is solved only where k >= 0. Each channel is refined on its own,
+    so a near-degenerate pair is never matched across channels. Any grid but
+    a LogGrid raises TypeError, and a refinement shift past RICHARDSON_SHIFT
+    raises GridTooCoarse (_refined).
     """
     _require_log_grid(grid)
     lo, hi = window
-    if not 0.0 <= lo < hi:
-        raise ValueError("window must satisfy 0 <= lo < hi")
-    bound = 1.5 * (params.mbar + abs(dn(params, 3)))
-    if hi > bound:
-        raise ValueError(f"window top {hi} exceeds the desk-scale bound {bound}")
-    coarse, _ = _refined(partial(_scan_once, params, lo, hi), grid)
-    return [math.sqrt(x) for x in coarse]
-
-
-def _scan_once(params: DiracParams, lo: float, hi: float,
-               grid: LogGrid) -> np.ndarray:
-    """The positive E^2 of both channels inside [lo^2, hi^2], ascending."""
-    const = (params.b / params.a) ** 2 + params.d0 ** 2 + params.mbar ** 2
-    sq = np.concatenate([_channel_eigs(k, params.b, const, grid, select="v",
-                                       select_range=(lo * lo, hi * hi))
-                         for k in (params.a - 0.5, params.a + 0.5)])
-    return np.sort(sq[sq > 0])
-
-
-def dn(params: DiracParams, n: int) -> float:
-    # Same closed form as the solver module, restated here so the oracle
-    # depends only on the parameter record.
-    dsq = (params.d0 ** 2 + n * (2 * params.a + n) * params.b ** 2
-           / (params.a ** 2 * (params.a + n) ** 2))
-    return (-1.0 if params.d0 < 0 else 1.0) * math.sqrt(dsq)
+    if not lo < hi:
+        raise ValueError("window must satisfy lo < hi")
+    return sorted(x for k in (params.a - 0.5, params.a + 0.5) if k >= 0
+                  for x in _refined(partial(_channel_eigs, k, params.b, select="v",
+                                            select_range=(lo, hi)), grid))
 
 
 # -- quadrature --------------------------------------------------------------

@@ -291,27 +291,32 @@ def check_xi_superpotential(params: DiracParams) -> CheckResult:
 
 
 def check_dirac_scan(params: DiracParams) -> CheckResult:
-    levels = [dc.family_eigenvalue(params, n, "a") for n in range(8)]
-    lo = 0.95 * levels[0]
-    hi = 0.5 * (levels[2] + levels[3])
+    """The scan's eps = E^2 - C against family_eigenvalue, as magnitudes
+    sqrt(C + eps): levels 0, 1 and 2 come once, twice and twice, and below
+    a = 1/2, where the scan skips channel k = a - 1/2, 0, 1 and 1 times."""
+    a, b = params.a, params.b
+    const = (b / a) ** 2 + params.d0 ** 2 + params.mbar ** 2
+    eps = [-(b / (a + n)) ** 2 for n in range(4)]
+    lo, hi = 1.05 * eps[0], 0.5 * (eps[2] + eps[3])
     grid = orc.LogGrid(default_rho_max(params, 3), SCAN_POINTS)
     try:
         found = orc.dirac_spectrum_scan(params, (lo, hi), grid)
     except GridTooCoarse as exc:
         return CheckResult("dirac-fd-scan", False, f"grid too coarse: {exc}")
-    # Levels 0, 1 and 2 come once, twice and twice. The scan keeps only
-    # E^2 > 0, so a level at the window's lower edge (the zero mode at
-    # d0 = mbar = 0) cannot be found and is left out of the check.
-    checked = [(level, count) for level, count in zip(levels, (1, 2, 2)) if level > lo]
-    expect = sorted([level for level, count in checked for _ in range(count)])
-    ok = len(found) == len(expect) and all(
-        abs(x - y) <= 1e-3 for x, y in zip(found, expect))
-    multiplicities = ",".join(str(count) for _, count in checked)
-    below = "" if len(checked) == 3 else ", the zero mode lies below the scan"
-    return CheckResult(
-        "dirac-fd-scan", ok,
-        f"window ({lo:.4f}, {hi:.4f}): found {len(found)} magnitudes, "
-        f"multiplicities {multiplicities} expected{below}")
+    counts = (1, 2, 2) if a >= 0.5 else (0, 1, 1)
+    expect = [dc.family_eigenvalue(params, n, "a")
+              for n, count in enumerate(counts) for _ in range(count)]
+    detail = (f"window ({lo:.4f}, {hi:.4f}) in E^2 - C, levels 0..2 with "
+              f"multiplicities {','.join(map(str, counts))}: ")
+    if len(found) != len(expect):
+        return CheckResult("dirac-fd-scan", False,
+                           detail + f"found {len(found)} values, expected {len(expect)}")
+    # |C + eps|, so that a zero mode found just below E^2 = 0 reads its distance
+    worst = max(abs(math.sqrt(abs(const + x)) - y) for x, y in zip(found, expect))
+    detail += f"max |fd - analytic| {worst:.3e} (tol 1e-03)"
+    if a < 0.5:
+        detail += ", level 0 is left to the algebraic rows (a < 1/2)"
+    return CheckResult("dirac-fd-scan", worst <= 1e-3, detail)
 
 
 def check_gamma_vs_quadrature(params: NRParams) -> CheckResult:

@@ -61,7 +61,10 @@ def test_criterion_2_matrix_regime():
                         for n in range(3))
 
     grid = orc.LogGrid(40.0 * (FIG3.a + 4) / FIG3.b, 2048)
-    found = orc.dirac_spectrum_scan(FIG3, (0.9, 2.2), grid)
+    # the scan takes and returns eps = E^2 - C; magnitudes are sqrt(C + eps)
+    const = (FIG3.b / FIG3.a) ** 2 + FIG3.d0 ** 2 + FIG3.mbar ** 2
+    found = [math.sqrt(const + x) for x in
+             orc.dirac_spectrum_scan(FIG3, (0.9 ** 2 - const, 2.2 ** 2 - const), grid)]
     # analytic ladder within the window: level 0 once, each higher level twice
     ladder = [math.hypot(FIG3.mbar, dc.dn(FIG3, n)) for n in range(8)]
     in_window = [(x, 1 if n == 0 else 2) for n, x in enumerate(ladder)

@@ -62,6 +62,14 @@ class TestSpectrumTables:
         table = {(fam, int(n)): float(e) for fam, n, e in rows}
         assert table[("b", 0)] == -table[("a", 0)]
 
+    def test_zero_mode_prints_as_plus_zero_in_every_family(self):
+        # at d0 = mbar = 0 level 0 of families a and b is E = 0; family b
+        # once printed it as -0.0
+        code, text = capture(["dirac-spectrum", "--a", "1", "--b", "1", "--levels", "1"])
+        assert code == 0
+        lines = text.splitlines()
+        assert lines[1:3] == ["a,0,0.0000000000000000e+00", "b,0,0.0000000000000000e+00"]
+
 
 class TestFigureTables:
     def test_fig2_columns_and_energies(self):

@@ -182,71 +182,83 @@ class TestDiracResidual:
 
 class TestSpectrumScan:
     RHO_MAX = 40.0 * (FIG3.a + 4) / FIG3.b
+    CONST = (FIG3.b / FIG3.a) ** 2 + FIG3.d0 ** 2 + FIG3.mbar ** 2
+    # eps = E^2 - C from the magnitudes 0.9 and 2.2: levels 0..3 of fig3
+    WINDOW = (0.9 ** 2 - CONST, 2.2 ** 2 - CONST)
 
     def test_fig3_window(self):
         grid = orc.LogGrid(self.RHO_MAX, 2048)
-        found = orc.dirac_spectrum_scan(FIG3, (0.9, 2.2), grid)
-        levels = [math.hypot(FIG3.mbar, dc.dn(FIG3, n)) for n in range(6)]
-        # analytic content of the window: level 0 once, levels 1..3 twice
-        expect = sorted([levels[0], levels[1], levels[1], levels[2], levels[2],
-                         levels[3], levels[3]])
+        found = orc.dirac_spectrum_scan(FIG3, self.WINDOW, grid)
+        # analytic content of the window: level 0 once, levels 1..3 twice,
+        # each at the Coulomb level eps = -b^2/(a+n)^2
+        expect = [n for n in range(4) for _ in range(1 if n == 0 else 2)]
         assert len(found) == len(expect)
-        for got, want in zip(found, expect):
-            assert abs(got - want) <= 1e-3
+        for got, n in zip(found, expect):
+            assert abs(got + (FIG3.b / (FIG3.a + n)) ** 2) <= 1e-8
+            assert abs(math.sqrt(self.CONST + got)
+                       - math.hypot(FIG3.mbar, dc.dn(FIG3, n))) <= 1e-3
 
     def test_empty_window(self):
+        # between level 0 (eps = -4) and level 1 (eps = -1)
         grid = orc.LogGrid(self.RHO_MAX, 1024)
-        assert orc.dirac_spectrum_scan(FIG3, (0.0, 0.5), grid) == []
-
-    def test_window_bound(self):
-        grid = orc.LogGrid(100.0, 1024)
-        with pytest.raises(ValueError):
-            orc.dirac_spectrum_scan(FIG3, (0.9, 100.0), grid)
+        assert orc.dirac_spectrum_scan(FIG3, (-3.9, -1.1), grid) == []
 
     def test_refinement_stability(self):
-        first = orc.dirac_spectrum_scan(FIG3, (0.9, 2.2), orc.LogGrid(self.RHO_MAX, 2048))
-        finer = np.sqrt(orc._scan_once(FIG3, 0.9, 2.2, orc.LogGrid(self.RHO_MAX, 4096)))
+        first = orc.dirac_spectrum_scan(FIG3, self.WINDOW, orc.LogGrid(self.RHO_MAX, 2048))
+        fine_grid = orc.LogGrid(self.RHO_MAX, 4096)
+        finer = sorted(x for k in (FIG3.a - 0.5, FIG3.a + 0.5) for x in orc._channel_eigs(
+            k, FIG3.b, fine_grid, select="v", select_range=self.WINDOW))
         assert len(first) == len(finer)
         assert max(abs(x - y) for x, y in zip(first, finer)) <= 1e-4
 
     def test_refuses_a_grid_uniform_in_rho(self):
         with pytest.raises(TypeError, match="LogGrid"):
-            orc.dirac_spectrum_scan(FIG3, (0.9, 2.2),
+            orc.dirac_spectrum_scan(FIG3, self.WINDOW,
                                     orc.RadialGrid(1e-3 * self.RHO_MAX, self.RHO_MAX, 2048))
 
+    @pytest.mark.parametrize("a", [0.3, 0.49])
+    def test_small_a_solves_the_k_a_plus_half_channel_alone(self, a):
+        # k = a - 1/2 < 0 is a limit-circle channel whose ghost row does not
+        # pin rho^a; level 0 lives there alone, so the window holds levels 1
+        # and 2 once each
+        params = DiracParams(a=a, b=0.9, d0=-0.4, mbar=0.6)
+        grid = orc.LogGrid(default_rho_max(params, 3), 2048)
+        eps = [-(params.b / (a + n)) ** 2 for n in range(4)]
+        found = orc.dirac_spectrum_scan(params, (1.05 * eps[0], 0.5 * (eps[2] + eps[3])), grid)
+        assert len(found) == 2
+        assert max(abs(x - y) for x, y in zip(found, eps[1:3])) <= 1e-8
+
     @staticmethod
-    def dense_channel(cf, k, b, const, grid):
+    def dense_channel(cf, k, b, grid):
         # the graded matrix of the documented substitution, with the ghost
         # value v_-1 = exp(-k h) v_0 of the regular solution on the first row
         rho, h = grid.points, grid.h
-        diag = (2 / h ** 2 + cf + 0.25 - 2 * b * rho + const * rho ** 2) / rho ** 2
+        diag = (2 / h ** 2 + cf + 0.25 - 2 * b * rho) / rho ** 2
         diag[0] -= math.exp(-k * h) / (h * rho[0]) ** 2
         off = -1 / (h ** 2 * rho[:-1] * rho[1:])
         return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
     def test_bisection_matches_a_dense_solve(self):
-        # bisection at scipy's default tolerance (eps * ||T||_1, ~11 here)
-        # misses these by ~0.9; at a = 0.3 the cf = a(a-1) channel's k is negative
+        # bisection at scipy's default tolerance (machine epsilon times
+        # ||T||_1) returns -2.725 for every one of these; at a = 0.3 the
+        # cf = a(a-1) channel's k is negative
         grid = orc.LogGrid(self.RHO_MAX, 256)
-        lo, hi = 0.9, 2.2
+        lo, hi = -10.0, -0.3
         for a in (FIG3.a, 0.3):
-            params = DiracParams(a=a, b=FIG3.b, d0=FIG3.d0, mbar=FIG3.mbar)
-            const = (params.b / a) ** 2 + params.d0 ** 2 + params.mbar ** 2
-            expect = []
             for cf, k in ((a * (a - 1), a - 0.5), (a * (a + 1), a + 0.5)):
-                sq = self.dense_channel(cf, k, params.b, const, grid)
-                expect.extend(sq[(sq >= lo * lo) & (sq <= hi * hi)])
-            found = orc._scan_once(params, lo, hi, grid)
-            assert len(found) == len(expect) > 0
-            assert np.max(np.abs(found - np.sort(expect))) <= 1e-10
+                eps = self.dense_channel(cf, k, FIG3.b, grid)
+                expect = eps[(eps >= lo) & (eps <= hi)]
+                found = orc._channel_eigs(k, FIG3.b, grid, select="v", select_range=(lo, hi))
+                assert len(found) == len(expect) > 0
+                assert np.max(np.abs(found - expect)) <= 1e-10
 
     def test_scalar_bisection_matches_a_dense_solve(self):
-        # the scalar operator times 2 is the channel cf = a(a+1), C = 0; at
-        # scipy's default tolerance all three levels come out as -8.0e-4
+        # the scalar operator times 2 is the channel cf = a(a+1); at scipy's
+        # default tolerance all three levels come out as -8.0e-4
         grid = orc.LogGrid(default_rho_max(FIG2, 3), 256)
-        sq = self.dense_channel(FIG2.a * (FIG2.a + 1), FIG2.a + 0.5, FIG2.b, 0.0, grid)
+        eps = self.dense_channel(FIG2.a * (FIG2.a + 1), FIG2.a + 0.5, FIG2.b, grid)
         found = orc._scalar_once(FIG2, 3, grid)
-        assert np.max(np.abs(found - sq[:3] / 2)) <= 1e-12
+        assert np.max(np.abs(found - eps[:3] / 2)) <= 1e-12
 
 
 class TestQuadrature:

@@ -104,7 +104,7 @@ EXAMPLE_SET = ["--a", "1.2", "--b", "0.8", "--d0", "0.4", "--mbar", "0.2"]
 
 @pytest.mark.parametrize("argv, failed, grid, points", [
     ([], "nr-fd-eigenvalues", "NR_POINTS", 64),
-    # 128 log-grid points move an E^2 by 5.161e-04 on refinement, five times
+    # 128 log-grid points move an eps by 5.161e-04 on refinement, five times
     # the bound (256 points move it by 1.262e-04, too near the bound to pin)
     (EXAMPLE_SET, "dirac-fd-scan", "SCAN_POINTS", 128),
 ], ids=["coarse-nr-grid", "unstable-dirac-scan"])
@@ -132,22 +132,24 @@ def test_cli_verify_passes_at_d0_0(capsys):
     assert all(line.split(",", 2)[1] == "pass" for line in lines[1:])
 
 
-def test_cli_verify_scans_above_the_zero_mode_at_d0_and_mbar_0(capsys):
-    # At d0 = mbar = 0 the level-0 magnitude is 0, the window's lower edge,
-    # where the scan (it keeps only E^2 > 0) cannot report it: the row checks
-    # levels 1 and 2 and says so, and every row passes.
+def test_cli_verify_checks_the_zero_mode_at_d0_and_mbar_0(capsys):
+    # At d0 = mbar = 0 the level-0 magnitude is 0, so C + eps = 0 there: the
+    # scan finds it in channel k = a - 1/2 and the row checks levels 0..2,
+    # and every row passes.
     assert main(["verify", "--a", "1.5", "--b", "0.5"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 16
     rows = {name: (passed, detail) for name, passed, detail in
             (line.split(",", 2) for line in lines[1:])}
-    assert rows["dirac-fd-scan"] == (
-        "pass", '"window (0.0000, 0.3077): found 4 magnitudes, multiplicities 2,2 '
-                'expected, the zero mode lies below the scan"')
+    passed, detail = rows["dirac-fd-scan"]
+    assert passed == "pass"
+    assert detail.startswith('"window (-0.1167, -0.0164) in E^2 - C, levels 0..2 with '
+                             'multiplicities 1,2,2: max |fd - analytic| ')
+    assert float(detail.split()[-3]) <= 1e-5
     assert all(passed == "pass" for passed, _ in rows.values())
     # a positive ground magnitude is scanned and checked with the others
     detail = vf.check_dirac_scan(DiracParams(1.5, 0.5, 0.0, 0.3)).detail
-    assert detail.endswith("found 5 magnitudes, multiplicities 1,2,2 expected")
+    assert "levels 0..2 with multiplicities 1,2,2: " in detail
 
 
 def test_cli_verify_passes_at_fig3_parameters(capsys):
@@ -330,14 +332,48 @@ def test_xi_row_passes_at_small_a(a):
     assert result.passed, result.detail
 
 
-def test_cli_verify_prints_every_row_at_small_a(capsys):
-    assert main(["verify", "--a", "0.05", "--b", "0.9", "--d0", "-0.4", "--mbar", "0.6"]) == 3
+@pytest.mark.parametrize("a", ["1e-3", "0.05"])
+def test_cli_verify_passes_every_row_at_small_a(a, capsys):
+    # Below a = 1/2 the scan checks levels 1 and 2 in channel k = a + 1/2
+    # and says that level 0 is left to the algebraic rows.
+    assert main(["verify", "--a", a, "--b", "0.9", "--d0", "-0.4", "--mbar", "0.6"]) == 0
     out, err = capsys.readouterr()
     lines = out.splitlines()
     assert err == "" and len(lines) == 16
     assert [line.split(",", 1)[0] for line in lines[1:]] == [
         r.name for r in vf.run_all(NRParams(1.5, 0.5), DiracParams(1.0, 2.0, 1.0, 0.1))]
+    assert all(line.split(",", 2)[1] == "pass" for line in lines[1:])
     assert "\nxi-superpotential-identity,pass,max coefficient " in out
+    assert "multiplicities 0,1,1: " in out
+    assert 'level 0 is left to the algebraic rows (a < 1/2)"\n' in out
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.01, 0.05, 0.1, 0.3, 0.4, 0.49, 0.5, 1.3, 4.0, 8.0])
+def test_dirac_scan_passes_from_a_1e_3_to_8(a):
+    # Solved for E^2 with C on the diagonal, the row failed from a = 0.3
+    # down: a shift of 12 on E^2 at a = 0.05 and of 89 at 1e-3.
+    result = vf.check_dirac_scan(DiracParams(a, 0.9, -0.4, 0.6))
+    assert result.passed, result.detail
+    assert float(result.detail.split("max |fd - analytic| ")[1].split()[0]) <= 1e-5
+
+
+@pytest.mark.parametrize("params, level", [
+    (DiracParams(0.05, 0.9, -0.4, 0.6), 1),
+    (DiracParams(1.3, 0.9, -0.4, 0.6), 1),
+    (DiracParams(1.5, 0.5, 0.0, 0.0), 0),
+], ids=["a-0.05-level-1", "a-1.3-level-1", "zero-mode-level-0"])
+def test_dirac_scan_fails_a_level_off_by_2e_3(params, level, monkeypatch):
+    # the row's 1e-3 bound catches a closed form that is wrong at one level
+    exact = vf.dc.family_eigenvalue
+
+    def off(p, n, fam):
+        return exact(p, n, fam) + (2e-3 if n == level else 0.0)
+
+    assert vf.check_dirac_scan(params).passed
+    monkeypatch.setattr(vf.dc, "family_eigenvalue", off)
+    result = vf.check_dirac_scan(params)
+    assert not result.passed
+    assert float(result.detail.split("max |fd - analytic| ")[1].split()[0]) >= 1.9e-3
 
 
 # a from 1e-3 to 40 and b from 0.01 to 100, four (d0, mbar) pairs each
