@@ -24,7 +24,8 @@ SEED = 20121028
 # arithmetic: the largest coefficient left (relative to the chain's largest
 # in the two eigen-equation rows).
 SYMBOLIC_TOL = 1e-11
-# LogGrid points of the scalar check; its refinement re-solves at 2N - 1.
+# LogGrid points of the scalar check, whose refinement re-solves at 2N - 1,
+# and of the quadrature check.
 # The solve costs about 6 us and 150 bytes per point (0.38 s and 11 MB at
 # 65536), and past 8192 points the graded matrix's roundoff outgrows the
 # step error: at fig2 the error is 3.7e-13 at 8192, 3.2e-11 at 65536 and
@@ -168,12 +169,17 @@ def check_nr_orthogonality(params: NRParams) -> CheckResult:
 
 
 def check_nr_fd(params: NRParams) -> CheckResult:
+    """Levels 0..2 against the oracle, in a window set as check_dirac_scan's."""
+    eps = [nr.spectrum_radial(params, n) for n in range(4)]
+    window = (1.05 * eps[0], 0.5 * (eps[2] + eps[3]))
     grid = orc.LogGrid(default_rho_max(params, 3), NR_POINTS)
     try:
-        fd = orc.fd_schrodinger_eigs(params, 3, grid)
+        fd = orc.fd_schrodinger_eigs(params, window, grid)
     except GridTooCoarse as exc:
         return CheckResult("nr-fd-eigenvalues", False, f"grid too coarse: {exc}")
-    worst = max(abs(fd[n] - nr.spectrum_radial(params, n)) for n in range(3))
+    if len(fd) != 3:
+        return CheckResult("nr-fd-eigenvalues", False, f"found {len(fd)} values, expected 3")
+    worst = max(abs(x - y) for x, y in zip(fd, eps))
     return CheckResult("nr-fd-eigenvalues", worst <= 1e-5,
                        f"max |fd - analytic| {worst:.3e} (tol 1e-05)")
 
@@ -320,7 +326,7 @@ def check_dirac_scan(params: DiracParams) -> CheckResult:
 
 
 def check_gamma_vs_quadrature(params: NRParams) -> CheckResult:
-    grid = orc.quadrature_grid(params, 3)
+    grid = orc.LogGrid(default_rho_max(params, 3), NR_POINTS)
     fs = [nr.eigenfunction(params, n) for n in range(3)]
     samples = eval_rows(fs, grid.points)
     exact = [[f.inner_product(g) for g in fs] for f in fs]

@@ -13,7 +13,7 @@ from susy_ladder import dirac as dc
 from susy_ladder import nonrel as nr
 from susy_ladder import verify as vf
 from susy_ladder.errors import ContextMismatch, DomainError, NoBoundStates
-from susy_ladder.params import DiracParams, NRParams, PhysicalParams
+from susy_ladder.params import DiracParams, NRParams, PhysicalParams, default_rho_max
 
 FIG3 = DiracParams(a=1.0, b=2.0, d0=1.0, mbar=0.1)
 # dirac's constant matrices as arrays, for matrix arithmetic in the tests.
@@ -55,9 +55,9 @@ class TestOperators:
         assert np.allclose(potential_at(op, 1.0), S2 + 2.0 * S3)
 
     def test_h_formally_self_adjoint_by_quadrature(self):
-        from susy_ladder.oracle import quad_inner, quadrature_grid
+        from susy_ladder.oracle import LogGrid, quad_inner
         rng = rng_for(31)
-        grid = quadrature_grid(FIG3, 4, 16384)
+        grid = LogGrid(default_rho_max(FIG3, 4), 2048)
         pts = grid.points
         h0 = dc.h_operator(FIG3, 0)
         for _ in range(3):
@@ -94,9 +94,9 @@ class TestOperators:
         assert s3_coef == pytest.approx(-0.5 * (1.0 + 2.0 / 2.0), rel=1e-14)
 
     def test_adjoint_pair_by_quadrature(self):
-        from susy_ladder.oracle import quad_inner, quadrature_grid
+        from susy_ladder.oracle import LogGrid, quad_inner
         rng = rng_for(32)
-        grid = quadrature_grid(FIG3, 4, 16384)
+        grid = LogGrid(default_rho_max(FIG3, 4), 2048)
         pts = grid.points
         ad, aop = dc.a_dagger(FIG3, 0), dc.a_op(FIG3, 0)
         f = random_spinor(rng, FIG3.a, FIG3.b, 4)

@@ -17,8 +17,9 @@ from susy_ladder import nonrel as nr
 from susy_ladder.errors import ContextMismatch, DivergentIntegral, DomainError
 from susy_ladder.expalg import (ExpoPoly, Term, _wrap, apply_operator, eval_rows,
                                 lower_chain)
-from susy_ladder.oracle import quadrature_grid
-from susy_ladder.params import DiracParams, NRParams
+from susy_ladder.oracle import LogGrid
+from susy_ladder.params import DiracParams, NRParams, default_rho_max
+from susy_ladder.verify import NR_POINTS
 
 
 def term(a, b, coeff, mu=0, j=0, k=None):
@@ -835,9 +836,10 @@ class TestSampler:
         assert not dc.SpinorFn((zero, poly)).eval_array(self.GRIDS[0])[0].any()
 
     def test_the_quadrature_grid(self):
+        # the grid of verify's quadrature row
         p = NRParams(1.5, 0.5)
-        rhos = quadrature_grid(p, 3).points
-        assert rhos.size == 16384
+        rhos = LogGrid(default_rho_max(p, 3), NR_POINTS).points
+        assert rhos.size == 1024
         for n in range(4):
             self.assert_same(nr.eigenfunction(p, n), rhos)
         q = DiracParams(1.5, 0.5, -0.4, 0.2)
@@ -903,12 +905,10 @@ class TestInnerProduct:
             scale = math.sqrt(p.inner_product(p).real * q.inner_product(q).real)
             assert abs(exact - complex(re, im)) <= 1e-8 * scale
 
-    def test_matches_simpson_on_eigenfunction_pairs(self):
-        from susy_ladder import nonrel as nr
-        from susy_ladder.oracle import quad_inner, quadrature_grid
-        from susy_ladder.params import NRParams
+    def test_matches_quadrature_on_eigenfunction_pairs(self):
+        from susy_ladder.oracle import quad_inner
         params = NRParams(1.5, 0.5)
-        grid = quadrature_grid(params, 3)
+        grid = LogGrid(default_rho_max(params, 3), NR_POINTS)
         xs = grid.points
         fs = [nr.eigenfunction(params, n) for n in range(3)]
         samples = [f.eval_array(xs) for f in fs]

@@ -1,5 +1,6 @@
 """Tests of the finite-difference oracle: eigenvalue solves, residual
-stencils, the squared-operator spectrum scan, and Simpson quadrature."""
+stencils, the squared-operator spectrum scan, and trapezoid quadrature in
+ln rho."""
 
 import math
 
@@ -14,6 +15,16 @@ from susy_ladder.params import DiracParams, NRParams, default_rho_max
 
 FIG2 = NRParams(1.5, 0.5)
 FIG3 = DiracParams(a=1.0, b=2.0, d0=1.0, mbar=0.1)
+# epsilon window holding levels 0, 1 and 2 of FIG2 (-0.02, -0.0102, -0.0062)
+FIG2_WINDOW = (-0.021, -0.005)
+
+
+def raw_scalar(params, window, grid):
+    """One unrefined scalar solve: the channel k = a + 1/2's eps = 2 epsilon
+    inside the doubled window, halved."""
+    lo, hi = window
+    return 0.5 * orc._channel_eigs(params.a + 0.5, params.b, grid, select="v",
+                                   select_range=(2 * lo, 2 * hi))
 
 
 class TestRadialGrid:
@@ -53,53 +64,62 @@ class TestLogGrid:
 class TestScalarEigs:
     def test_fig2_first_levels(self):
         grid = orc.LogGrid(default_rho_max(FIG2, 3), 1024)
-        fd = orc.fd_schrodinger_eigs(FIG2, 3, grid)
+        fd = orc.fd_schrodinger_eigs(FIG2, FIG2_WINDOW, grid)
+        assert len(fd) == 3
         assert fd[0] == pytest.approx(-0.02, abs=1e-5)
         assert fd[1] == pytest.approx(-0.0102041, abs=1e-5)
         assert fd[2] == pytest.approx(-0.00617284, abs=1e-5)
         assert fd == sorted(fd)
 
-    def test_requires_covering_grid(self):
+    def test_a_short_grid_drops_a_level_from_the_count(self):
+        # the Dirichlet end at rho = 50 pushes level 2 out of the window
         small = orc.LogGrid(50.0, 1024)
-        with pytest.raises(ValueError):
-            orc.fd_schrodinger_eigs(FIG2, 3, small)
+        assert len(orc.fd_schrodinger_eigs(FIG2, FIG2_WINDOW, small)) == 2
+
+    def test_window_must_be_ordered(self):
+        with pytest.raises(ValueError, match="lo < hi"):
+            orc.fd_schrodinger_eigs(FIG2, FIG2_WINDOW[::-1], orc.LogGrid(440.0, 1024))
 
     def test_grid_too_coarse(self):
         # 64 log-grid points over a 440-wide box move level 2 by 3.0e-4
         grid = orc.LogGrid(440.0, 64)
-        with pytest.raises(GridTooCoarse):
-            orc.fd_schrodinger_eigs(FIG2, 3, grid)
+        with pytest.raises(GridTooCoarse, match="2.985e-04"):
+            orc.fd_schrodinger_eigs(FIG2, FIG2_WINDOW, grid)
 
     def test_richardson_refuses_a_grid_off_the_origin(self):
         # a grid uniform in rho leaves a wall at rho_min whose error does not
         # shrink with h; the scalar solve runs on a LogGrid only
         grid = orc.default_grid(FIG2, 3, 4096)
         with pytest.raises(TypeError, match="LogGrid"):
-            orc.fd_schrodinger_eigs(FIG2, 3, grid)
+            orc.fd_schrodinger_eigs(FIG2, FIG2_WINDOW, grid)
 
     def test_richardson_value_on_a_log_grid(self):
         # fig3's (a, b): every requested level is refined, and the Richardson
         # value beats the raw solve on each
         params = NRParams(1.0, 2.0)
         grid = orc.LogGrid(default_rho_max(params, 3), 1024)
-        raw = orc._scalar_once(params, 3, grid)
-        rich = orc.fd_schrodinger_eigs(params, 3, grid)
+        window = (-0.6, -0.1)  # levels -1/2, -2/9 and -1/8
+        raw = raw_scalar(params, window, grid)
+        rich = orc.fd_schrodinger_eigs(params, window, grid)
+        assert len(raw) == len(rich) == 3
         for n in range(3):
             exact = nr.spectrum_radial(params, n)
             assert abs(rich[n] - exact) <= 1e-8
             assert abs(rich[n] - exact) < abs(raw[n] - exact)
 
-    def test_coverage_check_accepts_the_shared_window(self):
-        # a window spelled 40(a+4)/b ends one ulp short of 40(a+3+1)/b here
+    def test_the_shared_window_holds_three_levels(self):
+        # default_rho_max(params, 3) at 256 points, with verify's window rule
         params = NRParams(0.17087189561177435, 0.09875652480916083)
         grid = orc.LogGrid(default_rho_max(params, 3), 256)
-        assert len(orc.fd_schrodinger_eigs(params, 3, grid)) == 3
+        eps = [nr.spectrum_radial(params, n) for n in range(4)]
+        window = (1.05 * eps[0], 0.5 * (eps[2] + eps[3]))
+        assert len(orc.fd_schrodinger_eigs(params, window, grid)) == 3
 
     def test_second_order_convergence(self):
         # 1024, 2047 and 4093 points halve the step exactly
         exact = nr.spectrum_radial(FIG2, 0)
-        errs = [orc._scalar_once(FIG2, 1, orc.LogGrid(280.0, n))[0] - exact
-            for n in (1024, 2047, 4093)]
+        errs = [raw_scalar(FIG2, (-0.021, -0.019), orc.LogGrid(280.0, n))[0] - exact
+                for n in (1024, 2047, 4093)]
         r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
         assert 3.5 <= r1 <= 4.5
         assert 3.5 <= r2 <= 4.5
@@ -257,13 +277,16 @@ class TestSpectrumScan:
         # default tolerance all three levels come out as -8.0e-4
         grid = orc.LogGrid(default_rho_max(FIG2, 3), 256)
         eps = self.dense_channel(FIG2.a * (FIG2.a + 1), FIG2.a + 0.5, FIG2.b, grid)
-        found = orc._scalar_once(FIG2, 3, grid)
-        assert np.max(np.abs(found - eps[:3] / 2)) <= 1e-12
+        lo, hi = FIG2_WINDOW
+        expect = eps[(eps >= 2 * lo) & (eps <= 2 * hi)] / 2
+        found = raw_scalar(FIG2, FIG2_WINDOW, grid)
+        assert len(found) == len(expect) == 3
+        assert np.max(np.abs(found - expect)) <= 1e-12
 
 
 class TestQuadrature:
     def test_matches_gamma_inner_products(self):
-        grid = orc.quadrature_grid(FIG2, 3)
+        grid = orc.LogGrid(default_rho_max(FIG2, 3), 1024)
         pts = grid.points
         fs = [nr.eigenfunction(FIG2, n) for n in range(4)]
         for i in range(4):
@@ -276,40 +299,32 @@ class TestQuadrature:
                 assert abs(exact - approx) <= 1e-8 * scale
 
     def test_self_inner_real_nonnegative(self):
-        grid = orc.quadrature_grid(FIG2, 1, 4096)
+        grid = orc.LogGrid(default_rho_max(FIG2, 1), 1024)
         f = nr.eigenfunction(FIG2, 1).eval_array(grid.points)
         val = orc.quad_inner(f, f, grid)
         assert abs(val.imag) <= 1e-15 * abs(val)
         assert val.real > 0
 
     def test_tail_guard(self):
-        grid = orc.RadialGrid(1e-4 * 8.0, 8.0, 1024)  # far too short for the tail
+        grid = orc.LogGrid(8.0, 1024)  # far too short for the tail
         f = nr.eigenfunction(FIG2, 0).eval_array(grid.points)
         with pytest.raises(TailNotDecayed):
             orc.quad_inner(f, f, grid)
 
-    def test_simpson_beats_trapezoid(self):
-        # orders h^4 vs h^2 on exp(-rho), compared with the segment-exact
-        # integral so the missing [0, rho_min] strip cancels out
-        errs_s, errs_t = [], []
-        for n in (513, 1025):
-            grid = orc.RadialGrid(1e-5 * 60.0, 60.0, n)
-            exact = math.exp(-grid.rho_min) - math.exp(-grid.rho_max)
-            half = np.exp(-grid.points / 2.0)
-            simpson_val = orc.quad_inner(half, half, grid).real
-            trapz_val = float(np.trapezoid(half * half, dx=grid.h))
-            errs_s.append(abs(simpson_val - exact))
-            errs_t.append(abs(trapz_val - exact))
-        assert 12.0 < errs_s[0] / errs_s[1] < 20.0  # ~16 for h^4
-        assert 3.0 < errs_t[0] / errs_t[1] < 5.0    # ~4 for h^2
+    def test_refuses_a_grid_uniform_in_rho(self):
+        grid = orc.default_grid(FIG2, 3, 1024)
+        f = nr.eigenfunction(FIG2, 0).eval_array(grid.points)
+        with pytest.raises(TypeError, match="LogGrid"):
+            orc.quad_inner(f, f, grid)
 
-    @pytest.mark.parametrize("n_points", [64, 65, 4096, 4097, 16384, 32768])
-    def test_simpson_bit_identical_to_scipy(self, n_points):
-        from scipy.integrate import simpson
-        rng = np.random.default_rng(n_points)
-        grid = orc.RadialGrid(1e-3 * 50.0, 50.0, n_points)
-        f, g = (rng.standard_normal((2, n_points))
-                + 1j * rng.standard_normal((2, n_points)))
-        f[-1] = g[-1] = 1e-9  # the tail guard wants a decayed integrand
-        expected = complex(simpson(np.conjugate(f) * g, dx=grid.h))
-        assert orc.quad_inner(f, g, grid) == expected
+    def test_trapezoid_in_ln_rho_converges_exponentially(self):
+        # int_0^60 rho^2 e^(-rho): 1.5 times the points takes the error from
+        # 6.6e-10 to roundoff, where an h^4 rule would gain a factor of 5
+        exact = 2.0 - math.exp(-60.0) * (60.0 ** 2 + 2 * 60.0 + 2)
+        errs = []
+        for n in (64, 96):
+            grid = orc.LogGrid(60.0, n)
+            half = grid.points * np.exp(-grid.points / 2.0)
+            errs.append(abs(orc.quad_inner(half, half, grid).real - exact))
+        assert errs[0] <= 1e-8
+        assert errs[1] <= 1e-4 * errs[0]

@@ -413,3 +413,46 @@ def test_cli_verify_reports_an_undecayed_quadrature_tail_as_its_row(argv, capsys
     assert passed == "FAIL" and detail.startswith("integrand at rho_max is ")
     assert detail.endswith(" of its peak")
     assert all(passed == "pass" for passed, _ in rows.values())
+
+
+def _mismatch(result):
+    return float(result.detail.split()[3])
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.05, 0.1, 0.2])
+def test_quadrature_row_reads_roundoff_at_small_a(a):
+    # rho^(a+1) is steepest at the origin at small a, where an h^4 rule on a
+    # uniform grid comes within 17% of the row's 1e-8 bound
+    result = vf.check_gamma_vs_quadrature(NRParams(a, 0.9))
+    assert result.passed and _mismatch(result) <= 1e-12, result.detail
+
+
+def test_quadrature_row_reads_roundoff_on_every_seeded_draw():
+    for p in _draws(vf.random_nr, 0, 100) + _draws(vf.random_nr, 1, 100):
+        result = vf.check_gamma_vs_quadrature(p)
+        assert result.passed and _mismatch(result) <= 1e-12, f"{p}: {result.detail}"
+
+
+@pytest.mark.parametrize("params", [NRParams(1.5, 0.5), NRParams(0.1, 0.9)],
+                         ids=["fig2", "a-0.1"])
+def test_quadrature_row_fails_closed_forms_off_by_1e_7(params, monkeypatch):
+    exact = ExpoPoly.inner_product
+    monkeypatch.setattr(ExpoPoly, "inner_product",
+                        lambda f, g: exact(f, g) * (1 + 1e-7))
+    result = vf.check_gamma_vs_quadrature(params)
+    assert not result.passed and _mismatch(result) > 1e-8, result.detail
+
+
+def test_nr_fd_row_refuses_the_unconverged_solve_at_large_b():
+    # b = 100 at a = 1e-3: the shift is taken on epsilon, not on 2 epsilon
+    result = vf.check_nr_fd(NRParams(1e-3, 100.0))
+    assert not result.passed
+    assert result.detail == "grid too coarse: an eigenvalue moved by 8.001e-02 on refinement"
+
+
+def test_nr_fd_row_counts_the_levels_a_short_grid_holds(monkeypatch):
+    # a Dirichlet end at rho = 50 pushes fig2's level 2 out of the window
+    monkeypatch.setattr(vf, "default_rho_max", lambda params, n_max: 50.0)
+    result = vf.check_nr_fd(NRParams(1.5, 0.5))
+    assert not result.passed
+    assert result.detail == "found 2 values, expected 3"
