@@ -25,7 +25,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, NegativeRadicand
-from .expalg import ExpoPoly, apply_operator, eval_rows, laguerre_norm2, lower_chain
+from .expalg import ExpoPoly, _wrap, apply_operator, eval_rows, laguerre_norm2
 from .params import FAMILIES, DiracParams, PhysicalParams
 from .record import Record, set_field
 
@@ -378,22 +378,78 @@ def eigenvector(params: DiracParams, n: int, fam: str) -> tuple[SpinorFn, float]
     return _stacked(_KERNELS[fam](params, n), weights), family_eigenvalue(params, n, fam)
 
 
+def _laurent_coeffs(entry: ExpoPoly) -> tuple[complex, complex]:
+    """(coefficient of 1/rho, constant) of a potential entry of b_op, 0j for
+    a term the entry does not hold."""
+    coeffs = {j: coeff for _, j, _, coeff in entry.terms}
+    return coeffs.get(-1, 0j), coeffs.get(0, 0j)
+
+
 @functools.lru_cache(maxsize=64)
 def _lowered_kernel(params: DiracParams, n: int, kernel) -> SpinorFn:
     """The kernel spinor of level n lowered to level 0: each half of the
     chain of both families it seeds, weighted by the family's _weights.
 
-    The kernel goes through b_op(params, n-1), ..., b_op(params, 0) in one
-    expalg.lower_chain pass over coefficient lists, bit for bit the same as
-    applying each operator in turn with MatrixOp.apply.
+    The kernel goes through b_op(params, n-1), ..., b_op(params, 0), each
+    d/drho + [[w_k, 0], [i delta_k, w_(k+1)]] as its potential entries
+    hold it. Both components keep the kernel's one power offset mu a and
+    decay rate beta, so they are carried as lists of coefficients c_j and
+    e_j over one range of j, and each step takes every new coefficient of
+    a component in one pass:
+
+        c'_j = 0j - c_j beta + c_(j+1) p_(j+1) + (0j + c_(j+1) w1 + c_j w0),
+        e'_j = 0j - e_j beta + e_(j+1) p_(j+1) + c_j i delta + (0j + e_(j+1) v1 + e_j v0),
+
+    with p_j = mu a + j and (w1, w0), (v1, v0) the 1/rho and constant
+    coefficients of the two diagonal entries. That is the grouping
+    MatrixOp.apply sums each key in (see expalg.apply_operator), so the
+    chain equals applying each operator in turn, bit for bit. (MatrixOp.apply
+    adds the lower row's i delta part before its derivative part; neither
+    has a -0.0 part, so their order changes no bit.) A term an entry
+    drops as an exact zero, or a zero decay rate, reads a column of 0j
+    instead of the chain's: it adds a finite 0j, which changes no bit of a
+    sum that starts from 0j, where a product of the chain's column with zero
+    would turn an infinite coefficient into NaN.
 
     Cached per (params, n, kernel), so families a/b (and c/d) lower it once;
     a four-family sweep holds two entries per (params, n). The result is
     shared, and frozen like every SpinorFn.
     """
-    ops = [b_op(params, k) for k in range(n - 1, -1, -1)]
-    return _wrap_spinor(lower_chain([(op.dcoef, op.potential, None) for op in ops],
-                                    kernel(params, n).components))
+    a, b = params.a, params.b
+    seed = kernel(params, n).components
+    used = [f.terms for f in seed if f.terms]
+    mu, _, rate, _ = used[0][0]
+    lo = min(terms[0][1] for terms in used)
+    top = max(terms[-1][1] for terms in used)
+    cols = []
+    for f in seed:
+        col = [0j] * (top - lo + 1)
+        for _, j, _, coeff in f.terms:
+            col[j - lo] = coeff
+        cols.append(col)
+    upper, lower = cols
+    mua = mu * a
+    beta = b / (a + rate)
+    for k in range(n - 1, -1, -1):
+        # the upper right entry is zero: b_dagger's lower left one, conjugated
+        (w, _), (idelta, v) = b_op(params, k).potential
+        w1, w0 = _laurent_coeffs(w)
+        v1, v0 = _laurent_coeffs(v)
+        _, delta = _laurent_coeffs(idelta)
+        lo -= 1
+        # entry j of xs is c_j and of ys c_(j+1), for j from lo up
+        xs, ys = [0j, *upper], [*upper, 0j]
+        xl, yl = [0j, *lower], [*lower, 0j]
+        zeros = [0j] * len(xs)
+        js = range(lo + 1, lo + 1 + len(xs))
+        upper = [0j + -x * beta + y * (mua + j) + (0j + y * w1 + z * w0)
+                 for x, y, z, j in zip(xs if beta else zeros, ys, xs if w0 else zeros, js)]
+        lower = [0j + -x * beta + y * (mua + j) + u * delta + (0j + y * v1 + z * v0)
+                 for x, y, u, z, j in zip(xl if beta else zeros, yl, xs if delta else zeros,
+                                          xl if v0 else zeros, js)]
+    return _wrap_spinor(tuple(
+        _wrap(a, b, tuple([(mu, j, rate, c) for j, c in enumerate(col, lo) if c != 0j]))
+        for col in (upper, lower)))
 
 
 def eigenfunction_chain(params: DiracParams, n: int, fam: str) -> SpinorFn:

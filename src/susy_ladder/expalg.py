@@ -476,8 +476,9 @@ def apply_operator(dcoef, potential, components) -> tuple[ExpoPoly, ...]:
     -c_j beta before c_(j+1) p_(j+1), and a potential's own map sums one
     product per potential term, in that potential's term order, before the
     row adds it. The float result of a key depends on that order alone,
-    not on the order in which the keys are visited. This is the contract
-    lower_chain mirrors over coefficient lists, bit for bit.
+    not on the order in which the keys are visited. nonrel.eigenfunction
+    and dirac._lowered_kernel take the same sums over coefficient lists,
+    bit for bit.
     """
     a, b = components[0].a, components[0].b
     derivs = [_deriv_map(f.terms, a, b) for f in components]
@@ -496,135 +497,6 @@ def apply_operator(dcoef, potential, components) -> tuple[ExpoPoly, ...]:
                 _add(acc, _laurent_map(f.terms, pot.terms))
         rows.append(_from_map(a, b, acc))
     return tuple(rows)
-
-
-def lower_chain(steps, components) -> tuple[ExpoPoly, ...]:
-    """The column of components pushed through first-order steps in turn.
-
-    Each step is (dcoef, potential, scale): an operator as apply_operator
-    reads it, and a constant the rows are scaled by afterwards, or None.
-    The result equals applying the steps one by one with apply_operator
-    and ExpoPoly.scale, bit for bit, with the same rules for unit and zero
-    multipliers and the same context and Laurent checks.
-
-    All terms of all components must share one (mu, k) group, which the
-    steps keep: a pure Laurent potential shifts j and d/drho keeps (mu, k).
-    So the column is carried as lists of coefficients over one shared range
-    of j, and the sorted, zero-free terms are built once, at the end. A
-    step widens the range by the spread of its shifts of j (d/drho's -1
-    and 0, and each potential term's j), so its rows come out aligned for
-    the next step. Every key of a row takes the sums apply_operator takes,
-    in the same order (see there), but a one-term potential's products go
-    into the row as they are, not as its map's 0j + product. A list also
-    holds explicit 0j entries: where the map had no key, and where it
-    dropped an exact zero. Every stored coefficient starts from 0j and so
-    has no -0.0 part, and a 0j entry times a finite constant is zero:
-    adding either, or a -0.0 part that 0j + clears, changes no bit.
-
-    Raises ValueError when the components hold a second (mu, k) group or
-    a potential is not a pure Laurent polynomial.
-    """
-    a, b = components[0].a, components[0].b
-    group = None
-    for f in components:
-        for mu, _, k, _ in f.terms:
-            if group is None:
-                group = (mu, k)
-            elif (mu, k) != group:
-                raise ValueError("a chain's components must share one (mu, k) group")
-    used = [f.terms for f in components if f.terms]
-    lo = min([terms[0][1] for terms in used], default=0)
-    size = max([terms[-1][1] for terms in used], default=lo - 1) - lo + 1
-    cols = []
-    for f in components:
-        col = [0j] * size
-        for _, j, _, coeff in f.terms:
-            col[j - lo] = coeff
-        cols.append(col)
-    mu, k = group or (0, None)
-    mua = mu * a
-    beta = 0.0 if k is None else b / (a + k)
-    for dcoef, potential, scale in steps:
-        shifts = _step_shifts(a, b, potential)
-        low, high = min(shifts), max(shifts)
-        lo += low
-        size += high - low
-        # Each column padded so that the slice from high - e, size long, is
-        # that column shifted by e: its entry r is the coefficient of j = lo + r - e.
-        pad = [0j] * (high - low)
-        padded = [pad + col + pad for col in cols]
-        derivs = [None] * len(cols)
-        # A row starts as its first part when that part's sums already start
-        # from 0j, and otherwise from zeros, as the row map starts each key.
-        zeros = [0j] * size
-        rows = []
-        for crow, prow in zip(dcoef, potential, strict=True):
-            row = None
-            for i, (c, pot, col) in enumerate(zip(crow, prow, padded, strict=True)):
-                if c != 0:
-                    deriv = derivs[i]
-                    if deriv is None:
-                        deriv = derivs[i] = _deriv_list(col[high:high + size],
-                                                        col[high + 1:high + 1 + size],
-                                                        lo, mua, beta)
-                    if c != 1:
-                        row = [x + y * c for x, y in zip(row or zeros, deriv)]
-                    elif row is None:
-                        row = deriv
-                    else:
-                        row = [x + y for x, y in zip(row, deriv)]
-                terms = pot.terms
-                if len(terms) == 1:
-                    _, qj, _, qcoeff = terms[0]
-                    row = [x + y * qcoeff for x, y in zip(row or zeros, col[high - qj:])]
-                elif len(terms) == 2:
-                    # the potential's own map sums its products before the row adds them
-                    (_, qj, _, q1), (_, qk, _, q2) = terms
-                    row = [x + (0j + y * q1 + z * q2)
-                           for x, y, z in zip(row or zeros, col[high - qj:], col[high - qk:])]
-                elif terms:
-                    part = zeros
-                    for _, qj, _, qcoeff in terms:
-                        part = [x + y * qcoeff for x, y in zip(part, col[high - qj:])]
-                    row = [x + y for x, y in zip(row or zeros, part)]
-            if row is None:
-                row = zeros
-            if scale is not None:
-                row = [0j + x * scale for x in row]
-            rows.append(row)
-        cols = rows
-    return tuple(_wrap(a, b, tuple([(mu, j, k, coeff)
-                                    for j, coeff in enumerate(col, lo) if coeff != 0j]))
-                 for col in cols)
-
-
-def _step_shifts(a: float, b: float, potential) -> set[int]:
-    """The shifts of j in one step of lower_chain: d/drho's -1 and 0 and the
-    j of every potential term, after apply_operator's context and Laurent
-    checks on every nonzero entry."""
-    shifts = {-1, 0}
-    for prow in potential:
-        for pot in prow:
-            if not pot.terms:
-                continue
-            if pot.a != a or pot.b != b:
-                _check_context(a, b, pot)
-            for qmu, qj, qk, _ in pot.terms:
-                if qmu != 0 or qk is not None:
-                    raise ValueError("multiplier must be a pure Laurent polynomial "
-                                     "(mu = 0 and no exponential decay)")
-                shifts.add(qj)
-    return shifts
-
-
-def _deriv_list(col: list, above: list, lo: int, mua: float, beta: float) -> list:
-    """d/d(rho) of one column over the row range from j = lo, as _deriv_map
-    sums it: key j takes 0j - c_j beta, then c_(j+1) p_(j+1). col holds c_j
-    and above c_(j+1) at each entry."""
-    if beta == 0.0:
-        return [0j + y * (mua + j) for y, j in zip(above, range(lo + 1, lo + 1 + len(col)))]
-    return [0j + -x * beta + y * (mua + j)
-            for x, y, j in zip(col, above, range(lo + 1, lo + 1 + len(col)))]
 
 
 def _deriv_map(terms, a: float, b: float) -> dict[tuple, complex]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .expalg import ExpoPoly, apply_operator, laguerre_norm2, lower_chain
+from .expalg import ExpoPoly, _wrap, apply_operator, laguerre_norm2
 from .params import NRParams, PhysicalParams, default_rho_max
 from .record import Record, set_field
 
@@ -27,12 +27,18 @@ def _laurent(params: NRParams, pairs: list[tuple[float, int]]) -> ExpoPoly:
     return ExpoPoly.ordered(params.a, params.b, [(0, j, None, coeff) for coeff, j in pairs])
 
 
+def _w_coeffs(params: NRParams, n: int) -> tuple[float, float]:
+    """The 1/rho and constant coefficients of W_n, (a+n, -b/(a+n))."""
+    an = params.a + n
+    return an, -params.b / an
+
+
 def superpotential(params: NRParams, n: int) -> ExpoPoly:
     """W_n = (a+n)/rho - b/(a+n), the log-derivative of level n's ground state."""
     if n < 1:
         raise ValueError("superpotential index starts at 1")
-    an = params.a + n
-    return _laurent(params, [(an, -1), (-params.b / an, 0)])
+    inv, const = _w_coeffs(params, n)
+    return _laurent(params, [(inv, -1), (const, 0)])
 
 
 def factorization_energy(params: NRParams, n: int) -> float:
@@ -99,15 +105,37 @@ def eigenfunction(params: NRParams, n: int) -> ExpoPoly:
 
     Built by lowering the level-n ground state through the whole chain:
     annihilation operators n, n-1, ..., 1 applied in that order, each
-    (d/drho + W_k)/sqrt(2) as ScalarLadder.apply takes it, in one
-    expalg.lower_chain pass (bit for bit the same as applying the ladders
-    one by one). The result has exactly n+1 terms
-    rho^(a+1+j) exp(-b rho/(a+n+1)), j = 0..n.
+    (d/drho + W_k)/sqrt(2). The result has exactly n+1 terms
+    rho^(a+1+j) exp(-b rho/(a+n+1)), j = 0..n, so the chain is carried as
+    the list of their coefficients c_j, and each step takes every new
+    coefficient in one pass:
+
+        c'_j = 0j + (0j - c_j beta + c_(j+1) (a+j+1)
+                     + (0j + c_(j+1) (a+k) - c_j b/(a+k))) / sqrt(2).
+
+    That is the grouping ScalarLadder.apply sums each key in (see
+    expalg.apply_operator), so the chain equals applying the ladders one by
+    one, bit for bit. W_k's coefficients are those superpotential stores.
+    A term that superpotential drops as an exact zero, or a zero decay rate,
+    reads a column of 0j instead of the chain's: it then adds a finite 0j,
+    which changes no bit of a sum that starts from 0j, where a product of
+    the chain's column with zero would turn an infinite coefficient into NaN.
     """
+    ((mu, top, rate, coeff),) = ground_state(params, n).terms
+    a, b = params.a, params.b
+    beta = b / (a + rate)
     scale = 1.0 / SQRT2
-    steps = [(((1.0,),), ((superpotential(params, k),),), scale) for k in range(n, 0, -1)]
-    (f,) = lower_chain(steps, (ground_state(params, n),))
-    return f
+    coeffs = [coeff]
+    for k in range(n, 0, -1):
+        inv, const = (0j + c for c in _w_coeffs(params, k))
+        # entry j of xs is c_j and of ys c_(j+1), for j from k to top
+        xs, ys = [0j, *coeffs], [*coeffs, 0j]
+        zeros = [0j] * len(xs)
+        coeffs = [0j + (0j + -x * beta + y * (mu * a + j) + (0j + y * inv + z * const)) * scale
+                  for x, y, z, j in zip(xs if beta else zeros, ys,
+                                        xs if const else zeros, range(k + 1, top + 2))]
+    return _wrap(a, b, tuple([(mu, j, rate, c)
+                              for j, c in enumerate(coeffs, top - len(coeffs) + 1) if c != 0j]))
 
 
 def normalize(f: ExpoPoly) -> ExpoPoly:
@@ -146,6 +174,9 @@ def interior_zeros(f: ExpoPoly, rho_max: float) -> list[float]:
     at the midpoint of its bracketing sample pair (to within rho_max/8192).
     Samples where Re f is exactly zero are dropped first, so a zero that
     lands on a sample is bracketed by its neighbours and counted once.
+    Neighbours are compared by their signs, never by their product, which
+    would underflow to 0 below about 1e-162 and overflow above about 1e154;
+    a NaN sample brackets no zero.
     Raises DomainError unless rho_max is finite and positive."""
     if not (math.isfinite(rho_max) and rho_max > 0):
         raise DomainError(f"rho_max must be finite and positive, got {rho_max}")
@@ -155,7 +186,8 @@ def interior_zeros(f: ExpoPoly, rho_max: float) -> list[float]:
     vals = f.eval_array(xs).real
     keep = vals != 0.0
     xs, vals = xs[keep], vals[keep]
-    i = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
+    signs = np.sign(vals)
+    i = np.nonzero(signs[:-1] == -signs[1:])[0]
     return [float(x) for x in 0.5 * (xs[i] + xs[i + 1])]
 
 

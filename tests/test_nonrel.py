@@ -212,6 +212,21 @@ class TestEigenfunctions:
         assert np.count_nonzero(g.eval_array(np.linspace(8.0 / 4096, 8.0, 4096)) == 0) == 1
         assert nr.interior_zeros(g, 8.0) == [pytest.approx(2.0, rel=1e-15)]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_node_counts_hold_at_any_scale(self, scale):
+        # The product of two neighbouring samples underflows to 0 at 1e-170,
+        # which hides every node, and overflows at 1e170 with a
+        # RuntimeWarning; their signs do neither. Scaling moves a sample
+        # that was exactly zero, so a node may move by one sample spacing.
+        for n in (1, 2, 3):
+            f = nr.eigenfunction(FIG2, n)
+            rho_max = default_rho_max(FIG2, n)
+            zeros = nr.interior_zeros(f, rho_max)
+            assert len(zeros) == n
+            assert (nr.interior_zeros(f.scale(scale), rho_max)
+                    == pytest.approx(zeros, abs=rho_max / 4096))
+
     def test_interior_zeros_rejects_a_window_that_is_not_finite_and_positive(self):
         # A NaN or infinite end gives NaN samples, which have no sign change
         # and would read as no nodes.
