@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 from .errors import DomainError, NegativeRadicand
 from .expalg import ExpoPoly, _wrap, apply_operator, eval_rows, laguerre_norm2
-from .params import FAMILIES, DiracParams, PhysicalParams
+from .params import FAMILIES, DiracParams, PhysicalParams, w_coeffs
 from .record import Record, set_field
 
 if TYPE_CHECKING:
@@ -148,8 +148,8 @@ class MatrixOp(Record):
     """First-order operator  dcoef * d/drho + potential(rho).
 
     dcoef is a constant complex matrix as nested tuples, the form
-    apply_operator reads, so an operator shared through a cache cannot be
-    changed through one of its holders. The potential is a matrix of pure
+    apply_operator reads, so an operator is read-only, as are the module
+    constants it may share. The potential is a matrix of pure
     Laurent polynomials, so application keeps spinors inside the algebra.
     Compositions are realized by applying operators in sequence rather than
     materializing second-order forms.
@@ -179,9 +179,8 @@ def _const(params: DiracParams, value: complex) -> ExpoPoly:
 
 def _w_coef(params: DiracParams, n: int) -> ExpoPoly:
     """w_n = (a+n)/rho - b/(a+n), the scalar superpotential at a + n."""
-    an = params.a + n
-    return ExpoPoly.ordered(params.a, params.b,
-                            ((0, -1, None, an), (0, 0, None, -params.b / an)))
+    inv, const = w_coeffs(params, n)
+    return ExpoPoly.ordered(params.a, params.b, ((0, -1, None, inv), (0, 0, None, const)))
 
 
 def dn(params: DiracParams, n: int) -> float:
@@ -206,6 +205,12 @@ def _xi_coef(params: DiracParams, n: int) -> float:
     """
     an = params.a + n
     return (2 * an + 1) / (dn(params, n + 1) + dn(params, n))
+
+
+def _delta(params: DiracParams, n: int) -> float:
+    """d_(n+1) - d_n, as (b/((a+n)(a+n+1)))^2 times _xi_coef."""
+    an = params.a + n
+    return (params.b / (an * (an + 1))) ** 2 * _xi_coef(params, n)
 
 
 def h_operator(params: DiracParams, n: int) -> MatrixOp:
@@ -233,12 +238,9 @@ def b_dagger(params: DiracParams, n: int) -> MatrixOp:
         -s0 d/drho + [[w_n, -i (d_{n+1} - d_n)], [0, w_{n+1}]],
 
     with w_k = (a+k)/rho - b/(a+k) the scalar superpotential at a + k: the
-    shape invariance of the hierarchy. d_{n+1} - d_n is
-    (b/((a+n)(a+n+1)))^2 times _xi_coef.
+    shape invariance of the hierarchy. d_{n+1} - d_n is _delta.
     """
-    an = params.a + n
-    delta = (params.b / (an * (an + 1))) ** 2 * _xi_coef(params, n)
-    return MatrixOp(_MINUS_S0, ((_w_coef(params, n), _const(params, -1j * delta)),
+    return MatrixOp(_MINUS_S0, ((_w_coef(params, n), _const(params, -1j * _delta(params, n))),
                                 (ExpoPoly.zero(params.a, params.b), _w_coef(params, n + 1))))
 
 
@@ -253,14 +255,14 @@ def _adjoint(op: MatrixOp) -> MatrixOp:
     return MatrixOp(dcoef, pot)
 
 
-@functools.lru_cache(maxsize=64)
 def b_op(params: DiracParams, n: int) -> MatrixOp:
     """Formal adjoint of b_dagger; lowers each 2-component half of a level
-    n+1 eigenvector to level n.
+    n+1 eigenvector to level n:
 
-    Cached per (params, n): every chain through level n+1 applies this same
-    operator, and a chain sweep to level 12 needs 12. The returned operator
-    is shared, so it is read-only.
+        d/drho + [[w_n, 0], [i (d_(n+1) - d_n), w_(n+1)]].
+
+    No chain builds it: _lowered_kernel takes its entries from w_coeffs
+    and _delta.
     """
     return _adjoint(b_dagger(params, n))
 
@@ -378,38 +380,33 @@ def eigenvector(params: DiracParams, n: int, fam: str) -> tuple[SpinorFn, float]
     return _stacked(_KERNELS[fam](params, n), weights), family_eigenvalue(params, n, fam)
 
 
-def _laurent_coeffs(entry: ExpoPoly) -> tuple[complex, complex]:
-    """(coefficient of 1/rho, constant) of a potential entry of b_op, 0j for
-    a term the entry does not hold."""
-    coeffs = {j: coeff for _, j, _, coeff in entry.terms}
-    return coeffs.get(-1, 0j), coeffs.get(0, 0j)
-
-
 @functools.lru_cache(maxsize=64)
 def _lowered_kernel(params: DiracParams, n: int, kernel) -> SpinorFn:
     """The kernel spinor of level n lowered to level 0: each half of the
     chain of both families it seeds, weighted by the family's _weights.
 
     The kernel goes through b_op(params, n-1), ..., b_op(params, 0), each
-    d/drho + [[w_k, 0], [i delta_k, w_(k+1)]] as its potential entries
-    hold it. Both components keep the kernel's one power offset mu a and
-    decay rate beta, so they are carried as lists of coefficients c_j and
-    e_j over one range of j, and each step takes every new coefficient of
-    a component in one pass:
+    d/drho + [[w_k, 0], [i delta_k, w_(k+1)]], and no operator is built:
+    each step reads its five numbers from w_coeffs and _delta, the helpers
+    b_dagger is built from. Both components keep the kernel's one power
+    offset mu a and decay rate beta, so they are carried as lists of
+    coefficients c_j and e_j over one range of j, and each step takes every
+    new coefficient of a component in one pass:
 
         c'_j = 0j - c_j beta + c_(j+1) p_(j+1) + (0j + c_(j+1) w1 + c_j w0),
         e'_j = 0j - e_j beta + e_(j+1) p_(j+1) + c_j i delta + (0j + e_(j+1) v1 + e_j v0),
 
     with p_j = mu a + j and (w1, w0), (v1, v0) the 1/rho and constant
-    coefficients of the two diagonal entries. That is the grouping
+    coefficients of w_k and w_(k+1). That is the grouping
     MatrixOp.apply sums each key in (see expalg.apply_operator), so the
     chain equals applying each operator in turn, bit for bit. (MatrixOp.apply
     adds the lower row's i delta part before its derivative part; neither
-    has a -0.0 part, so their order changes no bit.) A term an entry
-    drops as an exact zero, or a zero decay rate, reads a column of 0j
-    instead of the chain's: it adds a finite 0j, which changes no bit of a
-    sum that starts from 0j, where a product of the chain's column with zero
-    would turn an infinite coefficient into NaN.
+    has a -0.0 part, so their order changes no bit.) A coefficient that
+    underflows to zero (w_k's constant, delta_k), which b_op's entry drops,
+    or a zero decay rate, reads a column of 0j instead of the chain's: it
+    adds a finite 0j, which changes no bit of a sum that starts from 0j,
+    where a product of the chain's column with zero would turn an infinite
+    coefficient into NaN.
 
     Cached per (params, n, kernel), so families a/b (and c/d) lower it once;
     a four-family sweep holds two entries per (params, n). The result is
@@ -431,11 +428,9 @@ def _lowered_kernel(params: DiracParams, n: int, kernel) -> SpinorFn:
     mua = mu * a
     beta = b / (a + rate)
     for k in range(n - 1, -1, -1):
-        # the upper right entry is zero: b_dagger's lower left one, conjugated
-        (w, _), (idelta, v) = b_op(params, k).potential
-        w1, w0 = _laurent_coeffs(w)
-        v1, v0 = _laurent_coeffs(v)
-        _, delta = _laurent_coeffs(idelta)
+        w1, w0 = (0j + c for c in w_coeffs(params, k))
+        v1, v0 = (0j + c for c in w_coeffs(params, k + 1))
+        idelta = complex(0.0, _delta(params, k))
         lo -= 1
         # entry j of xs is c_j and of ys c_(j+1), for j from lo up
         xs, ys = [0j, *upper], [*upper, 0j]
@@ -444,8 +439,8 @@ def _lowered_kernel(params: DiracParams, n: int, kernel) -> SpinorFn:
         js = range(lo + 1, lo + 1 + len(xs))
         upper = [0j + -x * beta + y * (mua + j) + (0j + y * w1 + z * w0)
                  for x, y, z, j in zip(xs if beta else zeros, ys, xs if w0 else zeros, js)]
-        lower = [0j + -x * beta + y * (mua + j) + u * delta + (0j + y * v1 + z * v0)
-                 for x, y, u, z, j in zip(xl if beta else zeros, yl, xs if delta else zeros,
+        lower = [0j + -x * beta + y * (mua + j) + u * idelta + (0j + y * v1 + z * v0)
+                 for x, y, u, z, j in zip(xl if beta else zeros, yl, xs if idelta else zeros,
                                           xl if v0 else zeros, js)]
     return _wrap_spinor(tuple(
         _wrap(a, b, tuple([(mu, j, rate, c) for j, c in enumerate(col, lo) if c != 0j]))

@@ -94,18 +94,12 @@ class ExpoPoly(Record):
 
     @classmethod
     def zero(cls, a: float, b: float) -> "ExpoPoly":
-        _check_positive_context(a, b)
-        return _wrap(a, b, ())
+        return cls.ordered(a, b, ())
 
     @classmethod
     def term(cls, a: float, b: float, coeff: complex, mu: int = 0, j: int = 0,
              k: int | None = None) -> "ExpoPoly":
-        coeff = complex(coeff)
-        # The constructor's checks and its 0j + coeff, without its merge and sort.
-        _check_positive_context(a, b)
-        _check_key(a, mu, j, k)
-        coeff = 0j + coeff
-        return _wrap(a, b, ((mu, j, k, coeff),) if coeff != 0j else ())
+        return cls.ordered(a, b, ((mu, j, k, coeff),))
 
     @classmethod
     def ordered(cls, a: float, b: float, terms) -> "ExpoPoly":
@@ -478,7 +472,9 @@ def apply_operator(dcoef, potential, components) -> tuple[ExpoPoly, ...]:
     row adds it. The float result of a key depends on that order alone,
     not on the order in which the keys are visited. nonrel.eigenfunction
     and dirac._lowered_kernel take the same sums over coefficient lists,
-    bit for bit.
+    bit for bit, with each potential's coefficients read from the helpers
+    it is built from (params.w_coeffs, dirac._delta), so they build no
+    operator and call no apply_operator.
     """
     a, b = components[0].a, components[0].b
     derivs = [_deriv_map(f.terms, a, b) for f in components]

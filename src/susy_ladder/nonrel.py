@@ -16,7 +16,7 @@ import math
 
 from .errors import DomainError
 from .expalg import ExpoPoly, _wrap, apply_operator, laguerre_norm2
-from .params import NRParams, PhysicalParams, default_rho_max
+from .params import NRParams, PhysicalParams, default_rho_max, w_coeffs
 from .record import Record, set_field
 
 SQRT2 = math.sqrt(2.0)
@@ -27,17 +27,11 @@ def _laurent(params: NRParams, pairs: list[tuple[float, int]]) -> ExpoPoly:
     return ExpoPoly.ordered(params.a, params.b, [(0, j, None, coeff) for coeff, j in pairs])
 
 
-def _w_coeffs(params: NRParams, n: int) -> tuple[float, float]:
-    """The 1/rho and constant coefficients of W_n, (a+n, -b/(a+n))."""
-    an = params.a + n
-    return an, -params.b / an
-
-
 def superpotential(params: NRParams, n: int) -> ExpoPoly:
     """W_n = (a+n)/rho - b/(a+n), the log-derivative of level n's ground state."""
     if n < 1:
         raise ValueError("superpotential index starts at 1")
-    inv, const = _w_coeffs(params, n)
+    inv, const = w_coeffs(params, n)
     return _laurent(params, [(inv, -1), (const, 0)])
 
 
@@ -127,7 +121,7 @@ def eigenfunction(params: NRParams, n: int) -> ExpoPoly:
     scale = 1.0 / SQRT2
     coeffs = [coeff]
     for k in range(n, 0, -1):
-        inv, const = (0j + c for c in _w_coeffs(params, k))
+        inv, const = (0j + c for c in w_coeffs(params, k))
         # entry j of xs is c_j and of ys c_(j+1), for j from k to top
         xs, ys = [0j, *coeffs], [*coeffs, 0j]
         zeros = [0j] * len(xs)

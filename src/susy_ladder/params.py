@@ -119,6 +119,13 @@ class PhysicalParams(Record):
         )
 
 
+def w_coeffs(params, n: int) -> tuple[float, float]:
+    """The 1/rho and constant coefficients (a+n, -b/(a+n)) of
+    W_n = (a+n)/rho - b/(a+n), the superpotential both hierarchies share."""
+    an = params.a + n
+    return an, -params.b / an
+
+
 def default_rho_max(params, n: int) -> float:
     """Sampling window for levels up to n of either hierarchy: forty decay
     lengths (a+n+1)/b of the slowest tail. A sampling choice, not an analytic

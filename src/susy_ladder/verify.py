@@ -312,7 +312,7 @@ def check_dirac_scan(params: DiracParams) -> CheckResult:
     counts = (1, 2, 2) if a >= 0.5 else (0, 1, 1)
     expect = [dc.family_eigenvalue(params, n, "a")
               for n, count in enumerate(counts) for _ in range(count)]
-    detail = (f"window ({lo:.4f}, {hi:.4f}) in E^2 - C, levels 0..2 with "
+    detail = (f"window ({lo:.3e}, {hi:.3e}) in E^2 - C, levels 0..2 with "
               f"multiplicities {','.join(map(str, counts))}: ")
     if len(found) != len(expect):
         return CheckResult("dirac-fd-scan", False,

@@ -524,8 +524,13 @@ class TestChainRecurrences:
         def refuse(*args):
             raise AssertionError("a chain applied an operator one step at a time")
 
+        def refuse_build(*args):
+            raise AssertionError("a chain built a lowering operator")
+
         monkeypatch.setattr(nr.ScalarLadder, "apply", refuse)
         monkeypatch.setattr(dc.MatrixOp, "apply", refuse)
+        monkeypatch.setattr(dc, "b_op", refuse_build)
+        monkeypatch.setattr(dc, "b_dagger", refuse_build)
         dc._lowered_kernel.cache_clear()
         for n in (0, 1, 5, 12):
             nr.eigenfunction(NRParams(1.5, 0.5), n)

@@ -143,13 +143,19 @@ def test_cli_verify_checks_the_zero_mode_at_d0_and_mbar_0(capsys):
             (line.split(",", 2) for line in lines[1:])}
     passed, detail = rows["dirac-fd-scan"]
     assert passed == "pass"
-    assert detail.startswith('"window (-0.1167, -0.0164) in E^2 - C, levels 0..2 with '
+    assert detail.startswith('"window (-1.167e-01, -1.638e-02) in E^2 - C, levels 0..2 with '
                              'multiplicities 1,2,2: max |fd - analytic| ')
     assert float(detail.split()[-3]) <= 1e-5
     assert all(passed == "pass" for passed, _ in rows.values())
     # a positive ground magnitude is scanned and checked with the others
     detail = vf.check_dirac_scan(DiracParams(1.5, 0.5, 0.0, 0.3)).detail
     assert "levels 0..2 with multiplicities 1,2,2: " in detail
+
+
+def test_dirac_scan_window_shows_both_ends_at_a_50():
+    # Four decimals would print both ends, -4.200e-4 and -3.629e-4, as -0.0004.
+    detail = vf.check_dirac_scan(DiracParams(50.0, 1.0, 0.0, 0.0)).detail
+    assert detail.startswith("window (-4.200e-04, -3.629e-04) in E^2 - C, ")
 
 
 def test_cli_verify_passes_at_fig3_parameters(capsys):
