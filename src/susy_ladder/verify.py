@@ -43,6 +43,20 @@ class CheckResult(Record):
         set_field(self, "detail", detail)
 
 
+def worst_of(readings: list[float]) -> float:
+    """The largest of a row's readings, or NaN if any reading is NaN, so a
+    reading that overflowed fails its row instead of dropping out of it."""
+    return float(np.max(readings))
+
+
+def bounded_row(name: str, label: str, readings: list[float], tol: float, tol_format: str = ".0e",
+                note: str = "") -> CheckResult:
+    """The row that passes when its worst reading is at most tol (never when NaN)."""
+    worst = worst_of(readings)
+    return CheckResult(name, worst <= tol,
+                       f"{label} {worst:.3e} (tol {tol:{tol_format}}){note}")
+
+
 def random_poly(rng, a: float, b: float, n_terms: int = 3) -> ExpoPoly:
     return ExpoPoly.sum(a, b, [
         ExpoPoly.term(a, b, complex(rng.standard_normal(), rng.standard_normal()),
@@ -79,18 +93,14 @@ def random_phys(rng) -> PhysicalParams:
 
 def check_riccati() -> CheckResult:
     rng = np.random.default_rng(SEED)
-    worst = 0.0
-    for _ in range(8):
-        p = random_nr(rng)
-        for n in range(1, 5):
-            worst = max(worst, nr.riccati_residual(p, n).max_abs_coeff())
-    return CheckResult("nr-riccati-residual", worst <= SYMBOLIC_TOL,
-                       f"max coefficient {worst:.3e} (tol {SYMBOLIC_TOL:.1e})")
+    readings = [nr.riccati_residual(p, n).max_abs_coeff()
+                for p in (random_nr(rng) for _ in range(8)) for n in range(1, 5)]
+    return bounded_row("nr-riccati-residual", "max coefficient", readings, SYMBOLIC_TOL, ".1e")
 
 
 def check_nr_factorization() -> CheckResult:
     rng = np.random.default_rng(SEED + 1)
-    worst = 0.0
+    readings = []
     for _ in range(6):
         p = random_nr(rng)
         f = random_poly(rng, p.a, p.b)
@@ -102,16 +112,15 @@ def check_nr_factorization() -> CheckResult:
             h_hi = nr.apply_hamiltonian(p, n, f)
             r1 = h_lo - down.apply(up.apply(f)) - f.scale(eps)
             r2 = h_hi - up.apply(down.apply(f)) - f.scale(eps)
-            worst = max(worst, r1.max_abs_coeff(), r2.max_abs_coeff())
+            readings += [r1.max_abs_coeff(), r2.max_abs_coeff()]
             # level n's H_n f is the next iteration's H_(n-1) f
             h_lo = h_hi
-    return CheckResult("nr-factorization", worst <= SYMBOLIC_TOL,
-                       f"max coefficient {worst:.3e} (tol {SYMBOLIC_TOL:.1e})")
+    return bounded_row("nr-factorization", "max coefficient", readings, SYMBOLIC_TOL, ".1e")
 
 
 def check_nr_intertwining() -> CheckResult:
     rng = np.random.default_rng(SEED + 2)
-    worst = 0.0
+    readings = []
     for _ in range(6):
         p = random_nr(rng)
         f = random_poly(rng, p.a, p.b)
@@ -119,9 +128,8 @@ def check_nr_intertwining() -> CheckResult:
             up = nr.ladder(p, n + 1, "creation")
             r = (nr.apply_hamiltonian(p, n + 1, up.apply(f))
                  - up.apply(nr.apply_hamiltonian(p, n, f)))
-            worst = max(worst, r.max_abs_coeff())
-    return CheckResult("nr-intertwining", worst <= SYMBOLIC_TOL,
-                       f"max coefficient {worst:.3e} (tol {SYMBOLIC_TOL:.1e})")
+            readings.append(r.max_abs_coeff())
+    return bounded_row("nr-intertwining", "max coefficient", readings, SYMBOLIC_TOL, ".1e")
 
 
 def eigen_residual(residual, chain, value: float) -> float:
@@ -134,7 +142,7 @@ def eigen_residual(residual, chain, value: float) -> float:
 
 def check_nr_eigen(params: NRParams) -> CheckResult:
     """Levels 0..10: each chain solves its eigen-equation and keeps all n+1 terms."""
-    worst = 0.0
+    readings = []
     short = []
     for n in range(0, 11):
         f = nr.eigenfunction(params, n)
@@ -142,7 +150,8 @@ def check_nr_eigen(params: NRParams) -> CheckResult:
             short.append(n)
         energy = nr.spectrum_radial(params, n)
         r = nr.apply_hamiltonian(params, 0, f) - f.scale(energy)
-        worst = max(worst, eigen_residual(r, f, energy))
+        readings.append(eigen_residual(r, f, energy))
+    worst = worst_of(readings)
     detail = f"levels 0..10, max relative coefficient {worst:.3e}"
     if short:
         detail += f", levels {short} lack n+1 terms"
@@ -158,14 +167,11 @@ def check_nr_nodes(params: NRParams) -> CheckResult:
 def check_nr_orthogonality(params: NRParams) -> CheckResult:
     fs = [nr.eigenfunction(params, n) for n in range(5)]
     gram = [[f.inner_product(g).real for g in fs] for f in fs]
-    worst = 0.0
-    for i in range(5):
-        for j in range(5):
-            if i != j:
-                rel = abs(gram[i][j]) / math.sqrt(gram[i][i] * gram[j][j])
-                worst = max(worst, rel)
-    return CheckResult("nr-orthogonality", worst <= 1e-9,
-                       f"max relative off-diagonal {worst:.3e} (tol 1e-09)")
+    # each norm on its own: the product of two diagonal entries overflows
+    norms = [math.sqrt(gram[i][i]) for i in range(5)]
+    readings = [abs(gram[i][j]) / (norms[i] * norms[j])
+                for i in range(5) for j in range(5) if i != j]
+    return bounded_row("nr-orthogonality", "max relative off-diagonal", readings, 1e-9)
 
 
 def check_nr_fd(params: NRParams) -> CheckResult:
@@ -179,9 +185,8 @@ def check_nr_fd(params: NRParams) -> CheckResult:
         return CheckResult("nr-fd-eigenvalues", False, f"grid too coarse: {exc}")
     if len(fd) != 3:
         return CheckResult("nr-fd-eigenvalues", False, f"found {len(fd)} values, expected 3")
-    worst = max(abs(x - y) for x, y in zip(fd, eps))
-    return CheckResult("nr-fd-eigenvalues", worst <= 1e-5,
-                       f"max |fd - analytic| {worst:.3e} (tol 1e-05)")
+    return bounded_row("nr-fd-eigenvalues", "max |fd - analytic|",
+                       [abs(x - y) for x, y in zip(fd, eps)], 1e-5)
 
 
 def kernel_residual(p: DiracParams, n: int) -> float:
@@ -195,18 +200,15 @@ def kernel_residual(p: DiracParams, n: int) -> float:
     instead of 2 + 4 x 2, with the same largest coefficient, bit for bit.
     """
     bd = dc.b_dagger(p, n)
-    return max(bd.apply(half).max_abs_coeff() for half in dc.eigenvector_halves(p, n))
+    return worst_of([bd.apply(half).max_abs_coeff() for half in dc.eigenvector_halves(p, n)])
 
 
 def check_dirac_kernels() -> CheckResult:
     rng = np.random.default_rng(SEED + 3)
-    worst = 0.0
-    for _ in range(8):
-        p = random_dirac(rng)
-        for n in range(0, 5):
-            worst = max(worst, kernel_residual(p, n))
-    return CheckResult("dirac-kernel-annihilation", worst <= SYMBOLIC_TOL,
-                       f"max coefficient {worst:.3e} (tol {SYMBOLIC_TOL:.1e})")
+    readings = [kernel_residual(p, n)
+                for p in (random_dirac(rng) for _ in range(8)) for n in range(0, 5)]
+    return bounded_row("dirac-kernel-annihilation", "max coefficient", readings,
+                       SYMBOLIC_TOL, ".1e")
 
 
 def _apply_halves(op: dc.MatrixOp, f: dc.SpinorFn) -> dc.SpinorFn:
@@ -220,40 +222,40 @@ def intertwining_residual(p: DiracParams, f2: dc.SpinorFn, f4: dc.SpinorFn) -> f
     """Largest coefficient of h_(n+1) b_dagger f2 - b_dagger h_n f2 and of
     H_(n+1) a_dagger f4 - a_dagger H_n f4 over levels n = 0..3, with a_dagger
     applied as b_dagger on each half of f4 and of H_n f4 (see _apply_halves)."""
-    worst = 0.0
+    readings = []
     h_lo, big_lo = dc.h_operator(p, 0), dc.big_hamiltonian(p, 0)
     for n in range(0, 4):
         bd = dc.b_dagger(p, n)
         h_hi, big_hi = dc.h_operator(p, n + 1), dc.big_hamiltonian(p, n + 1)
         r2 = h_hi.apply(bd.apply(f2)) - bd.apply(h_lo.apply(f2))
         r4 = big_hi.apply(_apply_halves(bd, f4)) - _apply_halves(bd, big_lo.apply(f4))
-        worst = max(worst, r2.max_abs_coeff(), r4.max_abs_coeff())
+        readings += [r2.max_abs_coeff(), r4.max_abs_coeff()]
         # level n+1's operators are the next iteration's level-n ones
         h_lo, big_lo = h_hi, big_hi
-    return worst
+    return worst_of(readings)
 
 
 def check_dirac_intertwining() -> CheckResult:
     rng = np.random.default_rng(SEED + 4)
-    worst = 0.0
+    readings = []
     for _ in range(5):
         p = random_dirac(rng)
         f2 = random_spinor(rng, p.a, p.b, 2)
         f4 = random_spinor(rng, p.a, p.b, 4)
-        worst = max(worst, intertwining_residual(p, f2, f4))
-    return CheckResult("dirac-intertwining", worst <= SYMBOLIC_TOL,
-                       f"max coefficient {worst:.3e} (tol {SYMBOLIC_TOL:.1e})")
+        readings.append(intertwining_residual(p, f2, f4))
+    return bounded_row("dirac-intertwining", "max coefficient", readings, SYMBOLIC_TOL, ".1e")
 
 
 def check_dirac_eigen(params: DiracParams) -> CheckResult:
     h0 = dc.big_hamiltonian(params, 0)
-    worst = 0.0
+    readings = []
     for n in range(0, 4):
         for fam in dc.FAMILIES:
             chain = dc.eigenfunction_chain(params, n, fam)
             value = dc.family_eigenvalue(params, n, fam)
             r = h0.apply(chain) - chain.scale(value)
-            worst = max(worst, eigen_residual(r, chain, value))
+            readings.append(eigen_residual(r, chain, value))
+    worst = worst_of(readings)
     return CheckResult("dirac-eigen-equations", worst <= SYMBOLIC_TOL,
                        f"four families, levels 0..3, max relative coefficient {worst:.3e}")
 
@@ -268,7 +270,7 @@ def check_degeneracy(params: DiracParams) -> CheckResult:
 
 def check_spectrum_identity() -> CheckResult:
     rng = np.random.default_rng(SEED + 5)
-    worst = 0.0
+    readings = []
     for _ in range(50):
         phys = random_phys(rng)
         p = phys.to_dirac()
@@ -276,24 +278,22 @@ def check_spectrum_identity() -> CheckResult:
             for sign in (1, -1):
                 closed = dc.spectrum_dirac(phys, n, sign)
                 via_dn = sign * phys.c * phys.hbar * dc.family_eigenvalue(p, n, "a")
-                worst = max(worst, abs(closed - via_dn) / abs(closed))
+                readings.append(abs(closed - via_dn) / abs(closed))
         pn = phys.to_nr()
         for n in range(0, 6):
             direct = nr.spectrum_physical(phys, n)
             via_d = (phys.hbar ** 2 / phys.m) * nr.spectrum_radial(pn, n) \
                 + phys.pz ** 2 / (2 * phys.m)
-            worst = max(worst, abs(direct - via_d) / abs(direct))
-    return CheckResult("spectrum-identities", worst <= 1e-12,
-                       f"max relative mismatch {worst:.3e} (tol 1e-12)")
+            readings.append(abs(direct - via_d) / abs(direct))
+    return bounded_row("spectrum-identities", "max relative mismatch", readings, 1e-12)
 
 
 def check_xi_superpotential(params: DiracParams) -> CheckResult:
     """W Xi = Xi' at levels 0 and 1, with Xi the four family eigenvectors as
     columns: each column is annihilated by a_dagger = -d/drho + W, which
     kernel_residual checks in the algebra."""
-    worst = max(kernel_residual(params, n) for n in (0, 1))
-    return CheckResult("xi-superpotential-identity", worst <= SYMBOLIC_TOL,
-                       f"max coefficient {worst:.3e} (tol {SYMBOLIC_TOL:.1e})")
+    return bounded_row("xi-superpotential-identity", "max coefficient",
+                       [kernel_residual(params, n) for n in (0, 1)], SYMBOLIC_TOL, ".1e")
 
 
 def check_dirac_scan(params: DiracParams) -> CheckResult:
@@ -318,11 +318,10 @@ def check_dirac_scan(params: DiracParams) -> CheckResult:
         return CheckResult("dirac-fd-scan", False,
                            detail + f"found {len(found)} values, expected {len(expect)}")
     # |C + eps|, so that a zero mode found just below E^2 = 0 reads its distance
-    worst = max(abs(math.sqrt(abs(const + x)) - y) for x, y in zip(found, expect))
-    detail += f"max |fd - analytic| {worst:.3e} (tol 1e-03)"
-    if a < 0.5:
-        detail += ", level 0 is left to the algebraic rows (a < 1/2)"
-    return CheckResult("dirac-fd-scan", worst <= 1e-3, detail)
+    readings = [abs(math.sqrt(abs(const + x)) - y) for x, y in zip(found, expect)]
+    note = ", level 0 is left to the algebraic rows (a < 1/2)" if a < 0.5 else ""
+    return bounded_row("dirac-fd-scan", detail + "max |fd - analytic|", readings, 1e-3,
+                       note=note)
 
 
 def check_gamma_vs_quadrature(params: NRParams) -> CheckResult:
@@ -331,16 +330,15 @@ def check_gamma_vs_quadrature(params: NRParams) -> CheckResult:
     samples = eval_rows(fs, grid.points)
     exact = [[f.inner_product(g) for g in fs] for f in fs]
     norms = [math.sqrt(exact[i][i].real) for i in range(3)]
-    worst = 0.0
+    readings = []
     for i in range(3):
         for j in range(3):
             try:
                 quad = orc.quad_inner(samples[i], samples[j], grid)
             except TailNotDecayed as exc:
                 return CheckResult("gamma-vs-quadrature", False, str(exc))
-            worst = max(worst, abs(exact[i][j] - quad) / (norms[i] * norms[j]))
-    return CheckResult("gamma-vs-quadrature", worst <= 1e-8,
-                       f"max relative mismatch {worst:.3e} (tol 1e-08)")
+            readings.append(abs(exact[i][j] - quad) / (norms[i] * norms[j]))
+    return bounded_row("gamma-vs-quadrature", "max relative mismatch", readings, 1e-8)
 
 
 def run_all(nr_params: NRParams, dirac_params: DiracParams) -> list[CheckResult]:

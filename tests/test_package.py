@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import susy_ladder
-from susy_ladder import errors
+from susy_ladder import errors, verify
+from susy_ladder.params import DiracParams, NRParams
 
 
 def test_all_names_every_ladder_error():
@@ -37,6 +38,18 @@ def test_every_traced_name_resolves():
         assert callable(getattr(owner, attr)), (mod_name, cls, attr)
     # patched to count oracle.grid_points
     assert callable(importlib.import_module("susy_ladder.oracle").eigh_tridiagonal)
+
+
+def test_verify_rows_are_the_benchmarks_checks():
+    # bench/workloads.py fails every verify-battery op whose row names differ
+    # from bench/checks.py's VERIFY_CHECKS, so a renamed or added row would
+    # turn that workload's pass ratio to 0. Parsed, as above.
+    checks = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
+    (expected,) = [ast.literal_eval(node.value) for node in ast.parse(checks.read_text()).body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["VERIFY_CHECKS"]]
+    rows = verify.run_all(NRParams(1.5, 0.5), DiracParams(1.0, 2.0, 1.0, 0.1))
+    assert tuple(r.name for r in rows) == expected
 
 
 _FIG3 = ["--a", "1", "--b", "2", "--d0", "1", "--mbar", "0.1"]

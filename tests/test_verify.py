@@ -1,6 +1,8 @@
 """Tests of the verification battery and its CLI wiring."""
 
 import io
+import itertools
+import math
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -447,6 +449,59 @@ def test_quadrature_row_fails_closed_forms_off_by_1e_7(params, monkeypatch):
                         lambda f, g: exact(f, g) * (1 + 1e-7))
     result = vf.check_gamma_vs_quadrature(params)
     assert not result.passed and _mismatch(result) > 1e-8, result.detail
+
+
+def _nan_on_call(fn, call, poison):
+    """fn with its result at the given call (counted from 1) passed through poison."""
+    calls = itertools.count(1)
+
+    def wrapped(*args):
+        out = fn(*args)
+        return poison(out) if next(calls) == call else out
+    return wrapped
+
+
+# (row, owner of the reading, its name, the call to poison, poison): one
+# reading of each kind turns NaN, and never the first, since Python's max
+# keeps a NaN only when it comes first.
+@pytest.mark.parametrize("row, owner, attr, call, poison", [
+    (vf.check_dirac_kernels, vf, "kernel_residual", 3, lambda r: math.nan),
+    (lambda: vf.check_nr_eigen(NRParams(1.5, 0.5)), vf, "eigen_residual", 3,
+     lambda r: math.nan),
+    (lambda: vf.check_nr_fd(NRParams(1.5, 0.5)), vf.orc, "fd_schrodinger_eigs", 1,
+     lambda v: [v[0], math.nan, *v[2:]]),
+    (lambda: vf.check_dirac_scan(DiracParams(1.0, 2.0, 1.0, 0.1)), vf.orc,
+     "dirac_spectrum_scan", 1, lambda v: [*v[:2], math.nan, *v[3:]]),
+    (lambda: vf.check_gamma_vs_quadrature(NRParams(1.5, 0.5)), vf.orc, "quad_inner", 5,
+     lambda q: complex(math.nan, 0.0)),
+], ids=["symbolic-residual", "eigen-residual", "fd-values", "scan-values", "quad-inner"])
+def test_a_nan_reading_fails_its_row(row, owner, attr, call, poison, monkeypatch):
+    assert row().passed
+    monkeypatch.setattr(owner, attr, _nan_on_call(getattr(owner, attr), call, poison))
+    result = row()
+    assert not result.passed and " nan" in result.detail, result.detail
+
+
+# numpy warns of the overflow until the sampled rows sample in log space
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_verify_fails_the_rows_that_overflow_at_a_60(capsys):
+    # The unnormalised chains overflow at a = 60, b = 1, so the Gram entries
+    # and the quadrature products are inf and NaN; both rows read NaN and FAIL.
+    assert main(["verify", "--a", "60", "--b", "1"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 16
+    rows = {name: (passed, detail) for name, passed, detail in
+            (line.split(",", 2) for line in lines[1:])}
+    assert rows["nr-orthogonality"] == ("FAIL", "max relative off-diagonal nan (tol 1e-09)")
+    assert rows["gamma-vs-quadrature"] == ("FAIL", "max relative mismatch nan (tol 1e-08)")
+
+
+def test_cli_verify_reads_orthogonality_at_a_30(capsys):
+    # The product of two diagonal Gram entries overflows at a = 30, b = 1;
+    # it once read the relative off-diagonal as 0.000e+00 and passed.
+    assert main(["verify", "--a", "30", "--b", "1"]) == 3
+    assert ("\nnr-orthogonality,FAIL,max relative off-diagonal 1.362e-09 (tol 1e-09)\n"
+            in capsys.readouterr().out)
 
 
 def test_nr_fd_row_refuses_the_unconverged_solve_at_large_b():
