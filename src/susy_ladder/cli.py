@@ -36,7 +36,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 from .errors import LadderError, LevelCapExceeded, NonFiniteSample, PrecisionLoss
@@ -236,12 +236,13 @@ def _table_dirac_eigenfunctions(cfg: RunConfig):
                            dc.eigenfunction_chain(params, n, fam)) for fam, n in keys]
     samples = iter(laguerre_samples([p for s in spinors for p in s.components], xs))
     table = {"rho": xs}
-    for (fam, n), spinor in zip(keys, spinors):
+    # Every chain stacks two 2-component halves, so each density sums four
+    # components, left to right from 0.0.
+    for (fam, n), quad in zip(keys, zip(samples, samples, samples, samples)):
         name = f"density_{fam}{n}"
-        density = [0.0] * len(xs)
-        for amp, f in islice(samples, len(spinor.components)):
-            weight = abs(amp) ** 2
-            density = [d + weight * v * v for d, v in zip(density, f)]
+        (w0, v0), (w1, v1), (w2, v2), (w3, v3) = [(abs(amp) ** 2, f) for amp, f in quad]
+        density = [0.0 + w0 * f0 * f0 + w1 * f1 * f1 + w2 * f2 * f2 + w3 * f3 * f3
+                   for f0, f1, f2, f3 in zip(v0, v1, v2, v3)]
         table[name] = _finite(name, xs, density)
     return table
 

@@ -406,46 +406,57 @@ def eval_rows(polys, rhos) -> np.ndarray:
     every complex multiply, so the grid is cast to complex once per call, and
     each distinct power and decay array is made once per call, keyed by its
     float exponent or rate, and cast when it is made; only a Horner step over
-    a gap in j, which no chain has, multiplies by a float power. A multi-term
-    group starts from its first Horner step, rho**gap times the top
-    coefficient, rather than from a constant array: complex multiplication
-    commutes bit for bit. Calls are small: 1 row at 4096 points
-    (interior_zeros), 3 at 1024 (the quadrature check), or the 4 rows of
-    SpinorFn.eval_array, whose components 0/2 and 1/3 share factors.
+    a gap in j, which no chain has, multiplies by a float power. Each group's
+    steps pop from it, top down. The first step multiplies the top
+    coefficient, a Python complex, by rho**gap, which makes the group's array
+    without a constant array first: complex multiplication commutes bit for
+    bit. A one-term group starts from a constant array.
+
+    Calls are small: 1 row at 4096 points (interior_zeros), 3 at 1024 (the
+    quadrature check), or the 4 rows of SpinorFn.eval_array at 512 points
+    in the benchmark, whose components 0/2 and 1/3 share factors. Such calls
+    pay little beyond the arithmetic: the grid is checked by its min and max,
+    and each row's terms are grouped in one pass. An empty grid passes the
+    check and samples as shape (len(polys), 0).
     """
     import numpy as np
 
     rhos = np.asarray(rhos, dtype=float)
-    if not ((0 < rhos) & (rhos < np.inf)).all():
+    # NaN propagates through both reductions, so it fails the check too.
+    if rhos.size and not (rhos.min() > 0 and rhos.max() < np.inf):
         raise DomainError("all sample points must be finite and positive")
     out = np.zeros((len(polys),) + rhos.shape, dtype=complex)
-    factors: dict[tuple, np.ndarray] = {}
+    powers: dict[float, np.ndarray] = {}
+    decays: dict[float, np.ndarray] = {}
     steps = rhos.astype(complex)
     with np.errstate(under="ignore"):
         for total, poly in zip(out, polys):
-            groups: dict[tuple, list[tuple[int, complex]]] = {}
-            for mu, j, k, coeff in poly.terms:
-                groups.setdefault((mu, k), []).append((j, coeff))
+            groups: dict[tuple, list[tuple]] = {}
+            for term in poly.terms:
+                key = term[0], term[2]
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = [term]
+                else:
+                    group.append(term)
             for (mu, k), group in groups.items():
-                top, acc = group[-1]
-                if len(group) == 1:
+                _, top, _, acc = group.pop()
+                if not group:
                     acc = np.full(rhos.shape, acc)
-                for i, (j, coeff) in enumerate(reversed(group[:-1])):
-                    step = steps if top - j == 1 else rhos ** (top - j)
-                    if i:
-                        acc *= step
-                    else:
-                        acc = step * acc
+                while group:
+                    _, j, _, coeff = group.pop()
+                    acc *= steps if top - j == 1 else rhos ** (top - j)
                     acc += coeff
                     top = j
-                keys = [("power", mu * poly.a + top)]
+                x = mu * poly.a + top
+                if x not in powers:
+                    powers[x] = (rhos ** x).astype(complex)
+                acc *= powers[x]
                 if k is not None:
-                    keys.append(("decay", poly.b / (poly.a + k)))
-                for kind, x in keys:
-                    if (kind, x) not in factors:
-                        factor = rhos ** x if kind == "power" else np.exp(-x * rhos)
-                        factors[kind, x] = factor.astype(complex)
-                    acc *= factors[kind, x]
+                    x = poly.b / (poly.a + k)
+                    if x not in decays:
+                        decays[x] = np.exp(-x * rhos).astype(complex)
+                    acc *= decays[x]
                 total += acc
     return out
 

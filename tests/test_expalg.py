@@ -721,6 +721,25 @@ class TestSampler:
         # One row at 4096 points, the shape interior_zeros samples.
         self.assert_same(polys[0], np.linspace(280.0 / 4096, 280.0, 4096))
 
+    # Polys and spinors sample through the same grid check.
+    SAMPLED = (nr.normalize(nr.eigenfunction(NRParams(1.5, 0.5), 2)),
+               dc.normalize_spinor(dc.eigenfunction_chain(DiracParams(1.0, 2.0, 1.0, 0.1), 2, "c")))
+
+    @pytest.mark.parametrize("rhos", [[1.0, -math.inf], [-math.inf, 1.0], [math.nan, 1.0],
+                                      [math.nan, math.nan], [[0.5, math.nan], [1.0, 2.0]]],
+                             ids=["-inf-last", "-inf-first", "nan-first", "all-nan", "nan-2d"])
+    def test_grid_check_refuses_every_non_finite_point(self, rhos):
+        for f in self.SAMPLED:
+            with pytest.raises(DomainError, match="^all sample points must be finite and positive$"):
+                f.eval_array(np.array(rhos))
+
+    def test_an_empty_grid_samples_as_no_columns(self):
+        poly, spinor = self.SAMPLED
+        for rhos in ([], np.empty(0)):
+            assert poly.eval_array(rhos).shape == (0,)
+            assert spinor.eval_array(rhos).shape == (4, 0)
+            assert eval_rows([poly, poly, poly], rhos).shape == (3, 0)
+
     def test_horner_pass_that_overflows(self):
         # Coefficients near 1e300 overflow partway through the second
         # group's Horner pass on the wide grid (1e300 * 3000^3), in row 0 and
