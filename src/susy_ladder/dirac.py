@@ -24,7 +24,7 @@ import functools
 import math
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, NegativeRadicand
+from .errors import NegativeRadicand
 from .expalg import ExpoPoly, _wrap, apply_operator, eval_rows, laguerre_norm2
 from .params import FAMILIES, DiracParams, PhysicalParams, w_coeffs
 from .record import Record, set_field
@@ -51,16 +51,10 @@ def _blocks(grid) -> Matrix:
 # as they did.
 S0: Matrix = ((1 + 0j, 0j), (0j, 1 + 0j))
 S1: Matrix = ((0j, 1 + 0j), (1 + 0j, 0j))
-S2: Matrix = ((0j, -1j), (1j, 0j))
-S3: Matrix = ((1 + 0j, 0j), (0j, -1 + 0j))
 
 _ZERO2: Matrix = ((0j, 0j), (0j, 0j))
 _MINUS_S0 = _entrywise(lambda x: -x, S0)
 ALPHA1 = _blocks(((_ZERO2, S1), (S1, _ZERO2)))
-ALPHA2 = _blocks(((_ZERO2, S2), (S2, _ZERO2)))
-ALPHA3 = _blocks(((_ZERO2, S3), (S3, _ZERO2)))
-BETA = _blocks(((S0, _ZERO2), (_ZERO2, _MINUS_S0)))
-SIGMA1 = _blocks(((S1, _ZERO2), (_ZERO2, S1)))
 
 # The other constant matrices the operators take, built once at import.
 _MINUS_I_S1 = _entrywise(lambda x: -1j * x, S1)
@@ -105,11 +99,6 @@ class SpinorFn(Record):
 
     def max_abs_coeff(self) -> float:
         return max([p.max_abs_coeff() for p in self.components])
-
-    def eval(self, rho: float) -> np.ndarray:
-        import numpy as np
-
-        return np.array([p.eval(rho) for p in self.components])
 
     def eval_array(self, rhos: np.ndarray) -> np.ndarray:
         """Samples at rhos, one row per component (see expalg.eval_rows)."""
@@ -463,20 +452,6 @@ def eigenfunction_chain(params: DiracParams, n: int, fam: str) -> SpinorFn:
     return _stacked(_lowered_kernel(params, n, _KERNELS[fam]), _weights(params, n, fam))
 
 
-def rotation_matrix(phys: PhysicalParams) -> np.ndarray:
-    """Constant spin rotation exp(-i theta Sigma_1 / 2) with tan(theta) = -k/ell.
-
-    The branch is fixed by cos(theta) = ell/lam, sin(theta) = -k/lam, which
-    concentrates the 1/rho dependence of the radial operator on a single
-    matrix. For ell = 0 this reduces to theta = -sign(k) pi/2.
-    """
-    import numpy as np
-
-    theta = math.atan2(-phys.k, phys.ell)
-    return (math.cos(theta / 2.0) * np.eye(4, dtype=complex)
-            - 1j * math.sin(theta / 2.0) * np.array(SIGMA1))
-
-
 def spectrum_dirac(phys: PhysicalParams, n: int, sign: int) -> float:
     """Bound energy of the full relativistic problem:
 
@@ -493,27 +468,3 @@ def spectrum_dirac(phys: PhysicalParams, n: int, sign: int) -> float:
     if radicand < 0:
         raise NegativeRadicand(f"radicand {radicand} < 0")
     return sign * phys.m * phys.c ** 2 * math.sqrt(radicand)
-
-
-def assemble_full_spinor(phys: PhysicalParams, fam: str, n: int,
-                         rho: float, phi: float, z: float) -> np.ndarray:
-    """Four-component eigenspinor of the original problem at a space point.
-
-    Combines the longitudinal plane wave, the angular phases that make the
-    result a total-angular-momentum eigenvector, the constant spin rotation,
-    and the radial-measure factor rho^(-1/2). The radial chain is normalized
-    to unit integral of its squared modulus, so the z and phi phases drop out
-    of the probability density.
-    """
-    import numpy as np
-
-    if not 0 < rho < math.inf:
-        raise DomainError(f"rho must be finite and positive, got {rho}")
-    _check_family(fam)
-    dp = phys.to_dirac()
-    chain = eigenfunction_chain(dp, n, fam)
-    values = normalize_spinor(chain).eval(rho) / math.sqrt(rho)
-    rotated = rotation_matrix(phys) @ values
-    s3 = np.array([1.0, -1.0, 1.0, -1.0])
-    angular = np.exp(1j * (phys.ell / phys.hbar - 0.5 * s3) * phi)
-    return np.exp(1j * phys.pz * z / phys.hbar) * angular * rotated

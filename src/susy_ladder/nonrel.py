@@ -156,13 +156,6 @@ def spectrum_physical(phys: PhysicalParams, n: int) -> float:
     return phys.pz ** 2 / (2.0 * phys.m) * (1.0 - phys.k ** 2 / (phys.hbar ** 2 * denom))
 
 
-def field_magnitude(phys: PhysicalParams, rho: float) -> float:
-    """|B| = c k / (e rho^2): azimuthal field of the A = (ck/(e rho)) e_z potential."""
-    if not 0 < rho < math.inf:
-        raise DomainError(f"rho must be finite and positive, got {rho}")
-    return phys.c * phys.k / (phys.e * rho ** 2)
-
-
 def interior_zeros(f: ExpoPoly, rho_max: float) -> list[float]:
     """Sign changes of Re f over 4096 samples of (0, rho_max], each located
     at the midpoint of its bracketing sample pair (to within rho_max/8192).

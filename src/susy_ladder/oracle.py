@@ -216,20 +216,6 @@ def fd_schrodinger_eigs(params: NRParams, window: tuple[float, float],
     return _window_eigs(params.a + 0.5, params.b, window, grid, 0.5)
 
 
-def residual_scalar(f: np.ndarray, energy: float, params: NRParams,
-                    grid: RadialGrid) -> ResidualReport:
-    """Residual of (-1/2) f'' + V0 f - E f using the five-point second
-    derivative (fourth order), restricted to the stencil-valid interior."""
-    f = np.asarray(f)
-    h = grid.h
-    pts = grid.points
-    inner = slice(2, grid.n_points - 2)
-    d2 = (-f[:-4] + 16 * f[1:-3] - 30 * f[2:-2] + 16 * f[3:-1] - f[4:]) / (12 * h * h)
-    v = params.a * (params.a + 1) / (2.0 * pts[inner] ** 2) - params.b / pts[inner]
-    r = -0.5 * d2 + (v - energy) * f[inner]
-    return _l2_report(r, f[inner], h)
-
-
 # -- matrix problem ----------------------------------------------------------
 
 

