@@ -12,12 +12,11 @@ the hierarchy it tables, when its builder runs: nonrel for nr-spectrum,
 nr-eigenfunctions and fig2, dirac for dirac-spectrum, dirac-eigenfunctions
 and fig3, and verify (with the oracle, numpy and scipy) for verify alone.
 The package's records are plain slotted classes (record.Record), which
-import nothing more and generate no code. The tables sample each
-eigenfunction from its Laguerre closed form (expalg.laguerre_samples), on
-FIG_SAMPLES points that equal np.linspace's bit for bit. The chains are
-still built and normalised, so one that has left its closed form still
-fails with PrecisionLoss, naming its column. A sample that is not finite
-fails with NonFiniteSample, naming its column and rho.
+import nothing more and generate no code. The tables sample each unit-norm
+eigenfunction from its Laguerre closed form (expalg.laguerre_columns), on
+FIG_SAMPLES points that equal np.linspace's bit for bit. A chain that has
+left that form fails with PrecisionLoss, and a sample that is not finite
+with NonFiniteSample, each naming its column.
 
 The renderer formats each column once: a column of floats is handed as it
 is to one %.16e, any other column as its cells' text, quoted as csv.writer
@@ -39,8 +38,8 @@ import sys
 from itertools import chain
 from pathlib import Path
 
-from .errors import LadderError, LevelCapExceeded, NonFiniteSample, PrecisionLoss
-from .expalg import laguerre_samples
+from .errors import LadderError, LevelCapExceeded, NonFiniteSample
+from .expalg import laguerre_columns
 from .params import FAMILIES, DiracParams, NRParams, PhysicalParams, default_rho_max
 from .record import Record, set_field
 
@@ -174,14 +173,6 @@ def _finite(name: str, xs: list[float], values: list[float]) -> list[float]:
     return values
 
 
-def _normalized(name: str, normalize, chain):
-    """normalize(chain); a PrecisionLoss is raised again naming the column."""
-    try:
-        return normalize(chain)
-    except PrecisionLoss as exc:
-        raise PrecisionLoss(f"column {name}: {exc}") from exc
-
-
 def _real_or_inf(poly, rho: float) -> float:
     """Re poly(rho), or inf where a power overflows."""
     try:
@@ -209,10 +200,9 @@ def _table_nr_eigenfunctions(cfg: RunConfig):
 
     params, xs = _eigen_rows(cfg, scalar=True)
     table = {"rho": xs}
-    chains = [_normalized(f"G{n}", nr.normalize, nr.eigenfunction(params, n))
-              for n in range(cfg.levels)]
-    for n, (amp, f) in enumerate(laguerre_samples(chains, xs)):
-        table[f"G{n}"] = _finite(f"G{n}", xs, [amp.real * v for v in f])
+    chains = {f"G{n}": (nr.eigenfunction(params, n),) for n in range(cfg.levels)}
+    for name, ((amp, f),) in laguerre_columns(chains, xs).items():
+        table[name] = _finite(name, xs, [amp.real * v for v in f])
     return table
 
 
@@ -226,20 +216,17 @@ def _table_dirac_spectrum(cfg: RunConfig):
 
 
 def _table_dirac_eigenfunctions(cfg: RunConfig):
-    """Densities, the sum of |c|^2 f^2 over each normalised chain's components,
-    all sampled in one laguerre_samples call, which shares each shape's f."""
+    """Densities, the sum of |c|^2 f^2 over each unit-norm chain's components,
+    all sampled in one laguerre_columns call, which shares each shape's f."""
     from . import dirac as dc
 
     params, xs = _eigen_rows(cfg, scalar=False)
-    keys = [(fam, n) for fam in cfg.families for n in range(cfg.levels)]
-    spinors = [_normalized(f"density_{fam}{n}", dc.normalize_spinor,
-                           dc.eigenfunction_chain(params, n, fam)) for fam, n in keys]
-    samples = iter(laguerre_samples([p for s in spinors for p in s.components], xs))
+    chains = {f"density_{fam}{n}": dc.eigenfunction_chain(params, n, fam).components
+              for fam in cfg.families for n in range(cfg.levels)}
     table = {"rho": xs}
     # Every chain stacks two 2-component halves, so each density sums four
     # components, left to right from 0.0.
-    for (fam, n), quad in zip(keys, zip(samples, samples, samples, samples)):
-        name = f"density_{fam}{n}"
+    for name, quad in laguerre_columns(chains, xs).items():
         (w0, v0), (w1, v1), (w2, v2), (w3, v3) = [(abs(amp) ** 2, f) for amp, f in quad]
         density = [0.0 + w0 * f0 * f0 + w1 * f1 * f1 + w2 * f2 * f2 + w3 * f3 * f3
                    for f0, f1, f2, f3 in zip(v0, v1, v2, v3)]

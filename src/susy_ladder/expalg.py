@@ -28,10 +28,11 @@ collector's lists and lengthen each full collection. Term names the fields
 for outside input; the constructor accepts it and stores plain tuples.
 
 The ladder chains are Laguerre functions c rho^p0 e^(-beta rho)
-L_M^(alpha)(2 beta rho). For them, laguerre_norm2 and laguerre_samples take
-the norm and the samples from that closed form, in pure Python, after
-checking that the coefficients still follow it. eval_rows samples any member
-by Horner's rule with numpy, which is imported only there.
+L_M^(alpha)(2 beta rho). For them, laguerre_norm2 takes the norm, and
+laguerre_columns the unit-norm samples, from that closed form in log form,
+in pure Python, after checking that the coefficients still follow it.
+eval_rows samples any member by Horner's rule with numpy, which is imported
+only there.
 """
 
 from __future__ import annotations
@@ -264,67 +265,81 @@ def _check_context(a: float, b: float, other: ExpoPoly) -> None:
 LAGUERRE_TOL = 1e-13
 
 
+def _log_norm2(alpha: float, m: int, log_top: float) -> float:
+    """log(|t|^2 M! Gamma(M+alpha+1) (2M+alpha+1)), with log_top = log|t|."""
+    return (2.0 * log_top + math.lgamma(m + 1)
+            + math.lgamma(m + alpha + 1) + math.log(2 * m + alpha + 1))
+
+
 def laguerre_norm2(poly: ExpoPoly) -> float:
-    """<poly, poly> of a Laguerre function, in O(T) and without cancellation.
-
-    poly must have the shape _laguerre_shape checks. Its norm^2 then follows
-    from the top coefficient t alone (the Laguerre orthogonality integral
-    with one more power of x, by the three-term recurrence of x L_M):
-
-        |t|^2 M! Gamma(M+alpha+1) (2M+alpha+1) / (2 beta)^(2M+alpha+2),
-
-    taken in log-Gamma form.
-    """
+    """<poly, poly> of a poly of the shape _laguerre_shape checks, in O(T)
+    and without cancellation, from its top coefficient t alone (the Laguerre
+    orthogonality integral with one more power of x, by the three-term
+    recurrence of x L_M): exp(_log_norm2) / (2 beta)^(2M+alpha+2)."""
     _, alpha, m, two_beta, top = _laguerre_shape(poly)
-    return math.exp(2.0 * math.log(abs(top)) + math.lgamma(m + 1)
-                    + math.lgamma(m + alpha + 1) + math.log(2 * m + alpha + 1)
+    return math.exp(_log_norm2(alpha, m, math.log(abs(top)))
                     - (2 * m + alpha + 2) * math.log(two_beta))
 
 
-def laguerre_samples(polys, rhos) -> list[tuple[complex, list[float]]]:
-    """Samples of Laguerre functions at rhos, as one (c, f) pair per poly:
-    the poly is c f, with the real samples
-
-        f = rho^p0 e^(-beta rho) L_M^(alpha)(2 beta rho),  alpha = 2 p0 - 1.
-
-    Each poly must have the shape _laguerre_shape checks, which raises
-    exactly where laguerre_norm2 does; a poly with no terms samples as
-    (0j, zeros). The amplitude follows from the top coefficient t, since
-    L_M^(alpha)(x) has top coefficient (-1)^M / M!:
-
-        c = t M! (-1)^M / (2 beta)^M.
-
-    L_M^(alpha) runs through the three-term recurrence (DLMF 18.9.13) in
-    real arithmetic, so deep chains sample to roundoff where summing their
-    terms cancels. Polys of one shape (p0, M, beta) share one list f: one
-    power, one decay and one recurrence pass. A power that overflows
-    samples as inf, which leaves a non-finite sample for the caller to
-    refuse; one that underflows samples as 0.
-    """
+def laguerre_columns(groups: dict, rhos) -> dict[str, list[tuple[complex, list[float]]]]:
+    """Samples at rhos of each group of Laguerre functions (one chain, or a
+    spinor's components, under a column name) scaled to unit norm: a pair
+    (c, f) per poly, c from _unit_amplitudes and f from _laguerre_function,
+    one list per shape (p0, M, beta), or (0j, zeros) for a poly with no
+    terms. No step leaves the float range where the column does not. Each
+    nonzero poly's shape is read once, by _laguerre_shape, before the points
+    are checked; a PrecisionLoss names its column."""
+    columns = {}
+    for name, polys in groups.items():
+        try:
+            shapes = [_laguerre_shape(p) if p.terms else None for p in polys]
+        except PrecisionLoss as exc:
+            raise PrecisionLoss(f"column {name}: {exc}") from exc
+        if not any(shapes):
+            raise ValueError("the zero function is not a Laguerre function")
+        columns[name] = shapes, _unit_amplitudes(shapes)
     if not all(0 < x < math.inf for x in rhos):
         raise DomainError("all sample points must be finite and positive")
-    shared: dict[tuple, list[float]] = {}
-    out = []
-    for poly in polys:
-        if not poly.terms:
-            out.append((0j, [0.0] * len(rhos)))
-            continue
-        p0, alpha, m, two_beta, top = _laguerre_shape(poly)
-        # c as a running product, which overflows only where c itself does
-        amp = top
-        for i in range(1, m + 1):
-            amp *= -i / two_beta
-        key = (p0, m, two_beta)
+    top_rho = max(rhos, default=1.0)
+    logs = [math.log(x / top_rho) for x in rhos]
+    shared = {None: [0.0] * len(rhos)}
+    for key in (s and s[:4] for shapes, _ in columns.values() for s in shapes):
         if key not in shared:
-            shared[key] = _laguerre_function(p0, alpha, m, two_beta, rhos)
-        out.append((amp, shared[key]))
-    return out
+            shared[key] = _laguerre_function(*key, rhos, logs, top_rho)
+    return {name: [(amp, shared[s and s[:4]]) for s, amp in zip(*column)]
+            for name, column in columns.items()}
 
 
-def _laguerre_function(p0: float, alpha: float, m: int, two_beta: float,
-                       rhos) -> list[float]:
-    """rho^p0 e^(-beta rho) L_m^(alpha)(2 beta rho) at rhos, with
-    (n+1) L_(n+1) = (2n+alpha+1-x) L_n - (n+alpha) L_(n-1) from L_0 = 1."""
+def _unit_amplitudes(shapes: list) -> list[complex]:
+    """c = t M! (-1)^M (2 beta)^(-M) (rho*/e)^p0 / N for each _laguerre_shape
+    (p0, alpha, M, 2 beta, t) of a group (0j for None), L_M^(alpha) having
+    top coefficient (-1)^M / M!; N^2 is the group's summed laguerre_norm2.
+    In log form, by log-sum-exp, with no log that cancels: |t| enters as
+    |t|/|t_1|, t_1 the first poly's, and (M + p0) log(2 beta) as its
+    departure from the first poly's, 0 within a chain."""
+    p0, _, m, two_beta, top = next(filter(None, shapes))
+    scale, k, log_ref = abs(top), m + p0, math.log(two_beta)
+    logs_c, norms = [], []
+    for p0, alpha, m, two_beta, top in filter(None, shapes):
+        log_ratio = math.log(abs(top) / scale)
+        log_2b = math.log(two_beta)
+        dev = (m + p0 - k) * log_2b + k * (log_2b - log_ref)
+        logs_c.append(log_ratio + math.lgamma(m + 1) + p0 * (math.log(2.0 * p0) - 1.0) - dev)
+        norms.append(_log_norm2(alpha, m, log_ratio) - 2.0 * dev - log_2b)
+    peak = max(norms)
+    half = 0.5 * (peak + math.log(sum(math.exp(x - peak) for x in norms)))
+    logs_c = iter(logs_c)
+    return [s[4] / abs(s[4]) * (-1) ** s[2] * math.exp(next(logs_c) - half) if s else 0j
+            for s in shapes]
+
+
+def _laguerre_function(p0: float, alpha: float, m: int, two_beta: float, rhos,
+                       logs, top_rho) -> list[float]:
+    """(rho/rho*)^p0 e^(p0 - beta rho) L_m^(alpha)(2 beta rho) at rhos,
+    rho* = p0/beta, in one exp from logs = log(rho/top_rho): small near the
+    largest point, where a column of large p0 peaks, so p0 times its
+    rounding is small too. L_m runs in real arithmetic through
+    (n+1) L_(n+1) = (2n+alpha+1-x) L_n - (n+alpha) L_(n-1) (DLMF 18.9.13)."""
     xs = [two_beta * rho for rho in rhos]
     lag = [1.0] * len(xs)
     if m:
@@ -334,14 +349,9 @@ def _laguerre_function(p0: float, alpha: float, m: int, two_beta: float,
             prev, lag = lag, [((c1 - x) * ln - c2 * lp) / d
                               for x, ln, lp in zip(xs, lag, prev)]
     beta = 0.5 * two_beta
-    return [_pow_or_inf(rho, p0) * math.exp(-beta * rho) * ln for rho, ln in zip(rhos, lag)]
-
-
-def _pow_or_inf(x: float, p: float) -> float:
-    try:
-        return x ** p
-    except OverflowError:
-        return math.inf
+    log_rho_star = math.log(2.0 * p0 / two_beta / top_rho)
+    return [math.exp(p0 * (lr - log_rho_star) + (p0 - beta * rho)) * ln
+            for rho, lr, ln in zip(rhos, logs, lag)]
 
 
 def _laguerre_shape(poly: ExpoPoly) -> tuple[float, float, int, float, complex]:

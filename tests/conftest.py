@@ -15,7 +15,7 @@ from susy_ladder import nonrel as nr
 from susy_ladder import oracle as orc
 from susy_ladder.cli import RunConfig
 from susy_ladder.errors import PrecisionLoss
-from susy_ladder.expalg import LAGUERRE_TOL, ExpoPoly, Term, _wrap, laguerre_samples
+from susy_ladder.expalg import LAGUERRE_TOL, ExpoPoly, Term, _wrap, laguerre_columns
 from susy_ladder.params import DiracParams, NRParams, PhysicalParams
 from susy_ladder.verify import (CheckResult, random_dirac, random_nr,  # noqa: F401
                                 random_phys, random_poly, random_spinor)
@@ -145,22 +145,23 @@ def ref_eval_array(f, rhos):
 # -- per-column reference for the Dirac eigenfunction table ----------------------
 #
 # The CLI samples every density column of a Dirac eigenfunction table in one
-# expalg.laguerre_samples call. This is the per-column sampler it replaced,
-# kept as the reference it must match bit for bit: each column's normalised
-# spinor is sampled in a call of its own.
+# expalg.laguerre_columns call. This is the per-column sampler it replaced,
+# kept as the reference it must match bit for bit: each column's spinor is
+# sampled in a call of its own.
 
 
 def ref_dirac_densities(params, xs, families, levels):
-    """{column name: density samples}, one laguerre_samples call per column."""
+    """{column name: density samples}, one laguerre_columns call per column."""
     table = {}
     for fam in families:
         for n in range(levels):
-            spinor = dc.normalize_spinor(dc.eigenfunction_chain(params, n, fam))
+            name = f"density_{fam}{n}"
+            chain = dc.eigenfunction_chain(params, n, fam)
             density = [0.0] * len(xs)
-            for amp, f in laguerre_samples(spinor.components, xs):
+            for amp, f in laguerre_columns({name: chain.components}, xs)[name]:
                 weight = abs(amp) ** 2
                 density = [d + weight * v * v for d, v in zip(density, f)]
-            table[f"density_{fam}{n}"] = density
+            table[name] = density
     return table
 
 

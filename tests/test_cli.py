@@ -17,6 +17,7 @@ from conftest import ref_dirac_densities, ref_render_csv, ref_render_json
 
 from susy_ladder import cli, expalg
 from susy_ladder import dirac as dc
+from susy_ladder import nonrel as nr
 from susy_ladder.cli import (FIG_SAMPLES, RunConfig, _fmt_float, _samples, build_parser,
                              config_from_args, main, run)
 from susy_ladder.params import DiracParams, NRParams, default_rho_max
@@ -256,16 +257,16 @@ class TestConfigValidation:
         assert text == ""
         assert f"{flag} must be finite and positive" in capsys.readouterr().err
 
-    # At rho_max = 1e300 every sample's decay underflows. Where its power
-    # overflows too (rho^2.5 in G0; rho^2 in the second component of
-    # density_a1, while density_a0's rho^1 holds), the sample is refused.
-    # At 1e-300 the eigenfunctions underflow to 0, which is right, and V0's
-    # 1/rho^2 overflows.
+    # At rho_max = 1e300 every sample's power and decay meet in one exp,
+    # which underflows, so levels 0 and 1 sample as exactly 0. At level 2,
+    # L_2(2 beta rho) overflows as well, and 0 * inf is refused (G2; the first
+    # component of density_a2). At 1e-300 the eigenfunctions underflow to 0,
+    # which is right, and V0's 1/rho^2 overflows.
     @pytest.mark.parametrize("argv,column", [
-        (["nr-eigenfunctions", "--a", "1.5", "--b", "0.5", "--levels", "3"], "G0"),
-        (["dirac-eigenfunctions", *_FIG3_ARGS], "density_a1"),
-        (["fig2"], "G0"),
-        (["fig3"], "density_a1"),
+        (["nr-eigenfunctions", "--a", "1.5", "--b", "0.5", "--levels", "3"], "G2"),
+        (["dirac-eigenfunctions", *_FIG3_ARGS], "density_a2"),
+        (["fig2"], "G2"),
+        (["fig3"], "density_a2"),
     ], ids=["nr-eigenfunctions", "dirac-eigenfunctions", "fig2", "fig3"])
     def test_non_finite_samples_refused_at_rho_max_1e300(self, argv, column, capsys):
         code, text = capture([*argv, "--rho-max", "1e300"])
@@ -356,14 +357,9 @@ class TestConfigValidation:
         assert capture([mode, *params, "--levels", str(levels)])[0] == code
 
 
-# Finite, positive parameters whose arithmetic leaves the float range: the
-# closed-form norm overflows (a = 50 at b = 1) or underflows to 0 (b = 1e100),
-# b**2 overflows, or a**2 underflows in dirac.dn.
+# Finite, positive parameters whose arithmetic leaves the float range: b**2
+# overflows, or a**2 underflows in dirac.dn.
 _OUT_OF_RANGE = [
-    ["nr-eigenfunctions", "--a", "50", "--b", "1"],
-    ["dirac-eigenfunctions", "--a", "50", "--b", "1", "--d0", "0.5", "--mbar", "0.5"],
-    ["fig2", "--a", "100", "--b", "1"],
-    ["nr-eigenfunctions", "--a", "1", "--b", "1e100", "--levels", "13"],
     ["nr-spectrum", "--a", "1", "--b", "1e200"],
     ["dirac-spectrum", "--a", "1e-300", "--b", "1", "--d0", "0", "--mbar", "0"],
     ["fig3", "--a", "1e-200", "--b", "1", "--d0", "1", "--mbar", "1"],
@@ -379,14 +375,64 @@ def test_out_of_range_arithmetic_exits_2_with_one_error_line(argv):
                         r"\((OverflowError|ZeroDivisionError): [^\n]*\)\n", out.stderr)
 
 
+# A chain whose coefficients themselves leave the float range: at b = 1e100
+# the level-4 chain's coefficients overflow, so its column is refused as not
+# finite, naming it and the first rho.
+def test_a_chain_past_the_float_range_is_refused_as_non_finite(capsys):
+    argv = ["nr-eigenfunctions", "--a", "1", "--b", "1e100", "--levels", "13"]
+    assert capture(argv) == (2, "")
+    rho = default_rho_max(NRParams(1.0, 1e100), 12) / FIG_SAMPLES
+    assert capsys.readouterr().err == (f"error: column G4 is not finite at rho = "
+                                       f"{_fmt_float(rho)}: the window reaches past what "
+                                       "a float can hold\n")
+
+
+def _sign_changes(column):
+    signs = [v > 0 for v in column if v != 0.0]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+# Item 15's grid at a = 100, b from 1e-12 to 1e12, for both tables, and the
+# large-a sets that used to overflow. The default window, forty decay
+# lengths of the top level, ends at 2 beta rho = 80, short of the nodes of
+# L_n^(2a+1) near 2 beta rho = 2a; so the scalar nodes are counted on a
+# window of 20600/b, which holds level 0's peak and its tail.
+_GRID_B = ["1e-12", "1e-6", "1e-3", "0.1", "1", "10", "1e3", "1e6", "1e12"]
+_WIDE_A = ([["nr-eigenfunctions", "--a", "100", "--b", b] for b in _GRID_B]
+           + [["dirac-eigenfunctions", "--a", "100", "--b", b, "--d0", "0.3", "--mbar", "0.5"]
+              for b in _GRID_B]
+           + [["nr-eigenfunctions", "--a", "50", "--b", "1"],
+              ["dirac-eigenfunctions", "--a", "50", "--b", "1", "--d0", "0.5", "--mbar", "0.5"],
+              ["fig2", "--a", "100", "--b", "1"]])
+
+
+@pytest.mark.parametrize("argv", _WIDE_A, ids=[" ".join(a) for a in _WIDE_A])
+def test_large_a_tables_exit_0_with_finite_columns(argv, capsys):
+    b = float(argv[argv.index("--b") + 1])
+    for window in ([], ["--rho-max", repr(20600 / b)]):
+        code, text = capture([*argv, *window])
+        assert (code, capsys.readouterr().err) == (0, "")
+        header, *lines = text.splitlines()
+        rows = [map(float, line.split(",")) for line in lines]
+        columns = dict(zip(header.split(","), zip(*rows)))
+        assert len(lines) == FIG_SAMPLES
+        assert all(math.isfinite(x) for column in columns.values() for x in column)
+        assert all(min(column) >= 0.0 for name, column in columns.items()
+                   if name.startswith("density_"))
+        if window:
+            for name, column in columns.items():
+                if name[0] == "G":
+                    assert _sign_changes(column) == int(name[1:]), name
+
+
 # d0 = 0 with b^2 underflowing: every d_n is 0, so d_(n+1) + d_n, which the
-# intertwiner and the xi kernel divide by, is 0 too. The tables overflow in
-# the level-0 norm and verify divides by zero in its scalar rows before
+# intertwiner and the xi kernel divide by, is 0 too. The tables reach the
+# xi kernel's division, and verify divides by zero in its scalar rows before
 # either division is reached; each exits 2 with one error line.
 _D0_ZERO_B_UNDERFLOW = [
-    (["fig3"], "OverflowError: math range error"),
+    (["fig3"], "ZeroDivisionError: float division by zero"),
     (["dirac-eigenfunctions", "--families", "a,c", "--levels", "2"],
-     "OverflowError: math range error"),
+     "ZeroDivisionError: float division by zero"),
     (["verify"], "ZeroDivisionError: complex division by zero"),
 ]
 
@@ -715,9 +761,9 @@ def test_dirac_table_runs_one_recurrence_per_shape(monkeypatch):
     calls = []
     sample = expalg._laguerre_function
 
-    def counted(p0, alpha, m, two_beta, rhos):
+    def counted(p0, alpha, m, two_beta, *rows):
         calls.append((p0, m, two_beta))
-        return sample(p0, alpha, m, two_beta, rhos)
+        return sample(p0, alpha, m, two_beta, *rows)
 
     monkeypatch.setattr(expalg, "_laguerre_function", counted)
     assert capture(["dirac-eigenfunctions", "--a", "1.3", "--b", "0.9", "--d0", "-0.4",
@@ -728,6 +774,27 @@ def test_dirac_table_runs_one_recurrence_per_shape(monkeypatch):
               for c in dc.eigenfunction_chain(params, n, fam).components if c.terms
               for p0, _, m, two_beta, _ in [expalg._laguerre_shape(c)]}
     assert sorted(calls) == sorted(shapes) and len(calls) == 27
+
+
+def test_tables_read_each_chain_component_shape_once(monkeypatch):
+    # One _laguerre_shape call per nonzero component of every column's
+    # chain, so each column's departure check runs once.
+    calls = []
+    shape = expalg._laguerre_shape
+
+    def counted(poly):
+        calls.append(poly)
+        return shape(poly)
+
+    monkeypatch.setattr(expalg, "_laguerre_shape", counted)
+    params = DiracParams(1.3, 0.9, -0.4, 0.6)
+    assert capture(["dirac-eigenfunctions", "--a", "1.3", "--b", "0.9", "--d0", "-0.4",
+                    "--mbar", "0.6", "--levels", "5"])[0] == 0
+    assert calls == [c for fam in "abcd" for n in range(5)
+                     for c in dc.eigenfunction_chain(params, n, fam).components if c.terms]
+    calls.clear()
+    assert capture(["nr-eigenfunctions", "--a", "1.3", "--b", "0.9", "--levels", "5"])[0] == 0
+    assert calls == [nr.eigenfunction(NRParams(1.3, 0.9), n) for n in range(5)]
 
 
 def test_renderer_matches_the_reference_on_edge_cells():

@@ -19,7 +19,7 @@ from susy_ladder import dirac as dc
 from susy_ladder import nonrel as nr
 from susy_ladder.cli import _samples
 from susy_ladder.errors import DomainError, PrecisionLoss
-from susy_ladder.expalg import LAGUERRE_TOL, ExpoPoly, laguerre_norm2, laguerre_samples
+from susy_ladder.expalg import LAGUERRE_TOL, ExpoPoly, laguerre_columns, laguerre_norm2
 from susy_ladder.params import DiracParams, NRParams, default_rho_max
 
 FIG2 = NRParams(1.5, 0.5)
@@ -214,7 +214,8 @@ class TestNotALaguerreFunction:
 
     def test_sampler_raises_where_the_norm_does(self):
         # The same exception and message as laguerre_norm2 on every nonzero
-        # poly, and samples wherever it returns a norm.
+        # poly, a PrecisionLoss naming its column, and samples wherever it
+        # returns a norm.
         def outcome(fn, poly):
             try:
                 fn(poly)
@@ -222,19 +223,24 @@ class TestNotALaguerreFunction:
                 return type(err), str(err)
             return None
 
+        def named(result):
+            if result is not None and result[0] is PrecisionLoss:
+                return PrecisionLoss, "column G3: " + result[1]
+            return result
+
         xs = [0.5, 1.0, 7.0]
         tested = 0
         for poly in self.guard_polys():
             if poly.terms:
                 tested += 1
-                assert (outcome(lambda p: laguerre_samples((p,), xs), poly)
-                        == outcome(laguerre_norm2, poly))
+                assert (outcome(lambda p: laguerre_columns({"G3": (p,)}, xs), poly)
+                        == named(outcome(laguerre_norm2, poly)))
         assert tested > 40
 
     def test_a_rate_that_rounds_to_0_is_refused_naming_the_rate(self):
         # a and b are positive, but 2 b/(a+k) underflows, so the norm has no log
         f = ExpoPoly(1e300, 1e-300, ((1, 0, 0, 1.0),))
-        for fn in (laguerre_norm2, lambda p: laguerre_samples((p,), [1.0])):
+        for fn in (laguerre_norm2, lambda p: laguerre_columns({"G0": (p,)}, [1.0])):
             with pytest.raises(ValueError, match=r"^decay rate 2 beta = 2 b/\(a\+k\) = 0\.0 "
                                                  r"is not above 0$"):
                 fn(f)
@@ -275,17 +281,32 @@ class TestHornerSampling:
                           <= 1e-15 * magnitude)
 
 
-def closed_form(poly, rhos):
-    """c rho^p0 e^(-beta rho) L_M^(2 p0 - 1)(2 beta rho) at rhos in DPS
-    digits, with c = t M! (-1)^M / (2 beta)^M from the top coefficient t."""
-    mu, j0, k, _ = poly.terms[0]
-    *_, top = poly.terms[-1]
-    m = len(poly.terms) - 1
+def unit_closed_form(polys, rhos):
+    """Each poly over the group's norm N at rhos, in DPS digits: the closed
+    form c rho^p0 e^(-beta rho) L_M^(2 p0 - 1)(2 beta rho), with
+    c = t M! (-1)^M / (2 beta)^M from the top coefficient t, and N^2 the sum
+    of the closed-form norms^2; zeros for a poly with no terms."""
+    rhos = tuple(rhos)
     with mp.workdps(DPS):
-        beta = mp.mpf(poly.b) / (mp.mpf(poly.a) + k)
-        c = mp.mpc(top) * mp.factorial(m) * (-1) ** m / (2 * beta) ** m
-        return np.array([complex(c * g) for g in
-                         laguerre_shape(poly.a, poly.b, mu, j0, k, m, tuple(rhos))])
+        forms, norm2 = [], mp.mpf(0)
+        for poly in polys:
+            if not poly.terms:
+                forms.append(None)
+                continue
+            mu, j0, k, _ = poly.terms[0]
+            *_, top = poly.terms[-1]
+            m = len(poly.terms) - 1
+            a, b = mp.mpf(poly.a), mp.mpf(poly.b)
+            beta, alpha = b / (a + k), 2 * (mu * a + j0) - 1
+            t = mp.mpc(top)
+            norm2 += (abs(t) ** 2 * mp.factorial(m) * mp.gamma(m + alpha + 1)
+                      * (2 * m + alpha + 1) / (2 * beta) ** (2 * m + alpha + 2))
+            forms.append((t * mp.factorial(m) * (-1) ** m / (2 * beta) ** m,
+                          laguerre_shape(poly.a, poly.b, mu, j0, k, m, rhos)))
+        norm = mp.sqrt(norm2)
+        return [np.zeros(len(rhos), dtype=complex) if form is None
+                else np.array([complex(form[0] * g / norm) for g in form[1]])
+                for form in forms]
 
 
 @functools.lru_cache(maxsize=None)
@@ -320,57 +341,90 @@ def unit_eigenfunction(params, n, rhos):
 
 
 class TestLaguerreSampling:
-    """expalg.laguerre_samples against 40 digits, on the table windows."""
+    """expalg.laguerre_columns against 40 digits, on the table windows."""
 
     SETS = [DiracParams(1.5, 0.5, 1.0, 0.1), FIG3, DiracParams(1.3, 0.9, -0.4, 0.6),
             DiracParams(4.0, 0.5, 1.0, 0.1)]
     IDS = ["fig2", "fig3", "a1.3-b0.9", "a4-b0.5"]
+    # Sets whose unit-norm chains the float norm, rho^p0 or the amplitude
+    # t M! / (2 beta)^M took out of the float range before the samples were
+    # formed in log form.
+    WIDE = [DiracParams(45.0, 1.0, 0.3, 0.5), DiracParams(100.0, 1.0, 0.3, 0.5),
+            DiracParams(20.0, 1e-6, 0.3, 0.5), DiracParams(20.0, 1e12, 0.3, 0.5)]
+    WIDE_IDS = ["a45-b1", "a100-b1", "a20-b1e-6", "a20-b1e12"]
+
+    @staticmethod
+    def worst(params, levels, xs):
+        """Largest |c f - exact| over max|exact|, over every nonzero component
+        of the scalar chain and the four Dirac families at levels 0..levels-1,
+        all sampled in one laguerre_columns call."""
+        scalar = NRParams(params.a, params.b)
+        groups = {}
+        for n in range(levels):
+            groups[f"G{n}"] = (nr.eigenfunction(scalar, n),)
+            for fam in dc.FAMILIES:
+                groups[f"density_{fam}{n}"] = dc.eigenfunction_chain(params, n, fam).components
+        worst = 0.0
+        for name, column in laguerre_columns(groups, xs).items():
+            for (amp, f), ref in zip(column, unit_closed_form(groups[name], xs)):
+                if groups[name] and np.any(ref):
+                    peak = np.max(np.abs(ref))
+                    worst = max(worst, np.max(np.abs(amp * np.array(f) - ref)) / peak)
+        return worst
 
     @pytest.mark.parametrize("params", SETS, ids=IDS)
     def test_levels_0_to_13_within_1e_13_of_max_f(self, params):
         # Every level a table prints, on every 8th row of the window of a
         # 13-level table: the scalar chain and all four Dirac families.
         xs = _samples(default_rho_max(params, 12))[::8]
+        assert self.worst(params, 14, xs) <= 1e-13
+        # the scalar columns against the unit eigenfunctions themselves
         scalar = NRParams(params.a, params.b)
-        for n in range(14):
-            polys = [nr.normalize(nr.eigenfunction(scalar, n))]
-            for fam in dc.FAMILIES:
-                polys += dc.normalize_spinor(dc.eigenfunction_chain(params, n, fam)).components
-            polys = [p for p in polys if p.terms]
-            for poly, (amp, f) in zip(polys, laguerre_samples(polys, xs)):
-                ref = closed_form(poly, xs)
-                got = amp * np.array(f)
-                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), n
-            # the scalar column against the unit eigenfunction itself
-            amp, f = laguerre_samples(polys[:1], xs)[0]
+        columns = laguerre_columns({n: (nr.eigenfunction(scalar, n),) for n in range(14)}, xs)
+        for n, ((amp, f),) in columns.items():
             ref = unit_eigenfunction(scalar, n, xs)
             assert np.max(np.abs(np.abs(amp.real * np.array(f)) - ref)) <= 1e-13 * np.max(ref)
+
+    @pytest.mark.parametrize("params", WIDE, ids=WIDE_IDS)
+    def test_large_a_and_extreme_b_within_a_few_p0_eps(self, params):
+        # Levels 0..2 on every 4th row of a 3-level table's window. Log form
+        # costs about p0 eps, the conditioning of rho^p0 e^(-beta rho) and of
+        # the lgamma terms of c, with p0 = a + 1 the largest power. Measured
+        # worst: 5.8 p0 eps at a = 45, 4.2 at a = 100, 5.2 at b = 1e-6 and
+        # 4.2 at b = 1e12; 3.4 to 4.4 at the four sets above, on these rows.
+        xs = _samples(default_rho_max(params, 2))[::4]
+        p0 = params.a + 1
+        assert self.worst(params, 3, xs) <= 8 * p0 * np.finfo(float).eps
 
     def test_shapes_share_one_pass_and_empty_components_sample_as_zeros(self):
         xs = [0.5, 1.0, 7.0]
         for fam in dc.FAMILIES:
             chain = dc.eigenfunction_chain(FIG3, 0, fam)
-            rows = laguerre_samples(chain.components, xs)
+            rows = laguerre_columns({"d": chain.components}, xs)["d"]
             assert rows[0][1] is rows[2][1]
             for (amp, f), comp in zip(rows, chain.components):
                 if not comp.terms:
                     assert amp == 0j and f == [0.0, 0.0, 0.0]
-        rows = laguerre_samples(dc.eigenfunction_chain(FIG3, 2, "c").components, xs)
+        rows = laguerre_columns({"d": dc.eigenfunction_chain(FIG3, 2, "c").components}, xs)["d"]
         assert rows[0][1] is rows[2][1] and rows[1][1] is rows[3][1]
         assert rows[0][1] is not rows[1][1]
 
     def test_overflow_samples_as_non_finite_and_underflow_as_zero(self):
-        f = nr.normalize(nr.eigenfunction(FIG2, 3))
-        (_, big), = laguerre_samples((f,), [1e300, 1e305])
-        assert not any(np.isfinite(big))
-        (_, tiny), = laguerre_samples((f,), [1e-300, 1e-200])
-        assert tiny == [0.0, 0.0]
+        # Far past the peak every decay underflows, so level 0 samples as
+        # exactly 0. At level 3, L_3(x) overflows there too, and 0 * inf is
+        # not finite, which leaves a sample for the table to refuse.
+        chains = {n: (nr.eigenfunction(FIG2, n),) for n in (0, 3)}
+        far = laguerre_columns(chains, [1e300, 1e305])
+        assert far[0][0][1] == [0.0, 0.0]
+        assert not any(np.isfinite(far[3][0][1]))
+        near = laguerre_columns(chains, [1e-300, 1e-200])
+        assert near[0][0][1] == near[3][0][1] == [0.0, 0.0]
 
     def test_non_positive_points_refused(self):
         f = nr.eigenfunction(FIG2, 3)
         for xs in ([0.0, 1.0], [1.0, -2.0], [1.0, math.inf]):
             with pytest.raises(DomainError):
-                laguerre_samples((f,), xs)
+                laguerre_columns({"G3": (f,)}, xs)
 
 
 class TestLengthScale:
