@@ -339,7 +339,8 @@ def _laguerre_function(p0: float, alpha: float, m: int, two_beta: float, rhos,
     rho* = p0/beta, in one exp from logs = log(rho/top_rho): small near the
     largest point, where a column of large p0 peaks, so p0 times its
     rounding is small too. L_m runs in real arithmetic through
-    (n+1) L_(n+1) = (2n+alpha+1-x) L_n - (n+alpha) L_(n-1) (DLMF 18.9.13)."""
+    (n+1) L_(n+1) = (2n+alpha+1-x) L_n - (n+alpha) L_(n-1) (DLMF 18.9.13).
+    Where the exp is 0 the sample is 0, also where L_m is not finite."""
     xs = [two_beta * rho for rho in rhos]
     lag = [1.0] * len(xs)
     if m:
@@ -350,8 +351,10 @@ def _laguerre_function(p0: float, alpha: float, m: int, two_beta: float, rhos,
                               for x, ln, lp in zip(xs, lag, prev)]
     beta = 0.5 * two_beta
     log_rho_star = math.log(2.0 * p0 / two_beta / top_rho)
-    return [math.exp(p0 * (lr - log_rho_star) + (p0 - beta * rho)) * ln
-            for rho, lr, ln in zip(rhos, logs, lag)]
+    exps = [math.exp(p0 * (lr - log_rho_star) + (p0 - beta * rho)) for rho, lr in zip(rhos, logs)]
+    if math.isfinite(sum(lag)):
+        return [e * ln for e, ln in zip(exps, lag)]
+    return [e * ln if e or math.isfinite(ln) else 0.0 for e, ln in zip(exps, lag)]
 
 
 def _laguerre_shape(poly: ExpoPoly) -> tuple[float, float, int, float, complex]:

@@ -142,8 +142,7 @@ def eigen_residual(residual, chain, value: float) -> float:
 
 def check_nr_eigen(params: NRParams) -> CheckResult:
     """Levels 0..10: each chain solves its eigen-equation and keeps all n+1 terms."""
-    readings = []
-    short = []
+    readings, short = [], []
     for n in range(0, 11):
         f = nr.eigenfunction(params, n)
         if len(f.terms) != n + 1:
@@ -174,19 +173,31 @@ def check_nr_orthogonality(params: NRParams) -> CheckResult:
     return bounded_row("nr-orthogonality", "max relative off-diagonal", readings, 1e-9)
 
 
-def check_nr_fd(params: NRParams) -> CheckResult:
-    """Levels 0..2 against the oracle, in a window set as check_dirac_scan's."""
-    eps = [nr.spectrum_radial(params, n) for n in range(4)]
-    window = (1.05 * eps[0], 0.5 * (eps[2] + eps[3]))
-    grid = orc.LogGrid(default_rho_max(params, 3), NR_POINTS)
+def oracle_row(name: str, solve, params, eps: list[float], counts: tuple[int, int, int],
+               points: int, tol: float) -> CheckResult:
+    """The values solve finds from 1.05 eps[0] to halfway between eps[2] and
+    eps[3] on a LogGrid of points to default_rho_max(params, 3), each eps[n]
+    counts[n] times; another count or a shift past RICHARDSON_SHIFT fails."""
+    lo, hi = 1.05 * eps[0], 0.5 * (eps[2] + eps[3])
     try:
-        fd = orc.fd_schrodinger_eigs(params, window, grid)
+        found = solve(params, (lo, hi), orc.LogGrid(default_rho_max(params, 3), points))
     except GridTooCoarse as exc:
-        return CheckResult("nr-fd-eigenvalues", False, f"grid too coarse: {exc}")
-    if len(fd) != 3:
-        return CheckResult("nr-fd-eigenvalues", False, f"found {len(fd)} values, expected 3")
-    return bounded_row("nr-fd-eigenvalues", "max |fd - analytic|",
-                       [abs(x - y) for x, y in zip(fd, eps)], 1e-5)
+        return CheckResult(name, False, f"grid too coarse: {exc}")
+    expect = [x for x, count in zip(eps, counts) for _ in range(count)]
+    detail = "window (%.3e, %.3e), levels 0..2 with multiplicities %d,%d,%d: " % (lo, hi, *counts)
+    if len(found) != len(expect):
+        return CheckResult(name, False,
+                           f"{detail}found {len(found)} values, expected {len(expect)}")
+    note = ", level 0 is left to the algebraic rows (a < 1/2)" if not counts[0] else ""
+    return bounded_row(name, detail + "max |fd - analytic|",
+                       [abs(x - y) for x, y in zip(found, expect)], tol, note=note)
+
+
+def check_nr_fd(params: NRParams) -> CheckResult:
+    """The oracle's scalar levels epsilon against spectrum_radial (oracle_row)."""
+    return oracle_row("nr-fd-eigenvalues", orc.fd_schrodinger_eigs, params,
+                      [nr.spectrum_radial(params, n) for n in range(4)], (1, 1, 1),
+                      NR_POINTS, 1e-5)
 
 
 def kernel_residual(p: DiracParams, n: int) -> float:
@@ -297,31 +308,12 @@ def check_xi_superpotential(params: DiracParams) -> CheckResult:
 
 
 def check_dirac_scan(params: DiracParams) -> CheckResult:
-    """The scan's eps = E^2 - C against family_eigenvalue, as magnitudes
-    sqrt(C + eps): levels 0, 1 and 2 come once, twice and twice, and below
+    """The scan's eps = E^2 - C against the Coulomb levels -b^2/(a+n)^2
+    (oracle_row): levels 0, 1 and 2 come once, twice and twice, and below
     a = 1/2, where the scan skips channel k = a - 1/2, 0, 1 and 1 times."""
-    a, b = params.a, params.b
-    const = (b / a) ** 2 + params.d0 ** 2 + params.mbar ** 2
-    eps = [-(b / (a + n)) ** 2 for n in range(4)]
-    lo, hi = 1.05 * eps[0], 0.5 * (eps[2] + eps[3])
-    grid = orc.LogGrid(default_rho_max(params, 3), SCAN_POINTS)
-    try:
-        found = orc.dirac_spectrum_scan(params, (lo, hi), grid)
-    except GridTooCoarse as exc:
-        return CheckResult("dirac-fd-scan", False, f"grid too coarse: {exc}")
-    counts = (1, 2, 2) if a >= 0.5 else (0, 1, 1)
-    expect = [dc.family_eigenvalue(params, n, "a")
-              for n, count in enumerate(counts) for _ in range(count)]
-    detail = (f"window ({lo:.3e}, {hi:.3e}) in E^2 - C, levels 0..2 with "
-              f"multiplicities {','.join(map(str, counts))}: ")
-    if len(found) != len(expect):
-        return CheckResult("dirac-fd-scan", False,
-                           detail + f"found {len(found)} values, expected {len(expect)}")
-    # |C + eps|, so that a zero mode found just below E^2 = 0 reads its distance
-    readings = [abs(math.sqrt(abs(const + x)) - y) for x, y in zip(found, expect)]
-    note = ", level 0 is left to the algebraic rows (a < 1/2)" if a < 0.5 else ""
-    return bounded_row("dirac-fd-scan", detail + "max |fd - analytic|", readings, 1e-3,
-                       note=note)
+    return oracle_row("dirac-fd-scan", orc.dirac_spectrum_scan, params,
+                      [-(params.b / (params.a + n)) ** 2 for n in range(4)],
+                      (1, 2, 2) if params.a >= 0.5 else (0, 1, 1), SCAN_POINTS, 1e-3)
 
 
 def check_gamma_vs_quadrature(params: NRParams) -> CheckResult:
@@ -330,18 +322,22 @@ def check_gamma_vs_quadrature(params: NRParams) -> CheckResult:
     samples = eval_rows(fs, grid.points)
     exact = [[f.inner_product(g) for g in fs] for f in fs]
     norms = [math.sqrt(exact[i][i].real) for i in range(3)]
-    readings = []
-    for i in range(3):
-        for j in range(3):
-            try:
-                quad = orc.quad_inner(samples[i], samples[j], grid)
-            except TailNotDecayed as exc:
-                return CheckResult("gamma-vs-quadrature", False, str(exc))
-            readings.append(abs(exact[i][j] - quad) / (norms[i] * norms[j]))
+    try:
+        readings = [abs(exact[i][j] - orc.quad_inner(samples[i], samples[j], grid))
+                    / (norms[i] * norms[j]) for i in range(3) for j in range(3)]
+    except TailNotDecayed as exc:
+        return CheckResult("gamma-vs-quadrature", False, str(exc))
     return bounded_row("gamma-vs-quadrature", "max relative mismatch", readings, 1e-8)
 
 
 def run_all(nr_params: NRParams, dirac_params: DiracParams) -> list[CheckResult]:
+    """Every row at the b = 1 twins (a, 1) and (a, 1, d0/b, mbar/b), so each
+    bound reads in units of b (b^2 for energies; TestLengthScale)."""
+    q = dirac_params
+    twin = (q.a, 1.0, q.d0 / q.b, q.mbar / q.b)
+    if not all(map(math.isfinite, twin)):
+        raise ValueError(f"verify's b = 1 twin (a, 1, d0/b, mbar/b) = {twin} is not finite")
+    nr_params, dirac_params = NRParams(nr_params.a, 1.0), DiracParams(*twin)
     return [
         check_riccati(),
         check_nr_factorization(),

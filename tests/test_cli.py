@@ -258,10 +258,11 @@ class TestConfigValidation:
         assert f"{flag} must be finite and positive" in capsys.readouterr().err
 
     # At rho_max = 1e300 every sample's power and decay meet in one exp,
-    # which underflows, so levels 0 and 1 sample as exactly 0. At level 2,
-    # L_2(2 beta rho) overflows as well, and 0 * inf is refused (G2; the first
-    # component of density_a2). At 1e-300 the eigenfunctions underflow to 0,
-    # which is right, and V0's 1/rho^2 overflows.
+    # which underflows, so every level samples as exactly 0. From level 2,
+    # L_2(2 beta rho) overflows as well; 0 * inf = nan was once refused there
+    # (G2; the first component of density_a2), and the sample is 0 too. At
+    # 1e-300 the eigenfunctions underflow to 0, which is right, and V0's
+    # 1/rho^2 overflows.
     @pytest.mark.parametrize("argv,column", [
         (["nr-eigenfunctions", "--a", "1.5", "--b", "0.5", "--levels", "3"], "G2"),
         (["dirac-eigenfunctions", *_FIG3_ARGS], "density_a2"),
@@ -270,12 +271,12 @@ class TestConfigValidation:
     ], ids=["nr-eigenfunctions", "dirac-eigenfunctions", "fig2", "fig3"])
     def test_non_finite_samples_refused_at_rho_max_1e300(self, argv, column, capsys):
         code, text = capture([*argv, "--rho-max", "1e300"])
-        assert code == 2
-        assert text == ""
-        err = capsys.readouterr().err
-        assert err == (f"error: column {column} is not finite at rho = "
-                       f"{_fmt_float(1e300 / 512)}: the window reaches past what "
-                       "a float can hold\n")
+        assert (code, capsys.readouterr().err) == (0, "")
+        rows = [line.split(",") for line in text.strip().splitlines()]
+        assert len(rows) == 513 and rows[1][0] == _fmt_float(1e300 / 512)
+        samples = [i for i, name in enumerate(rows[0]) if name.startswith(("G", "density"))]
+        assert column in [rows[0][i] for i in samples]
+        assert all(float(row[i]) == 0.0 for row in rows[1:] for i in samples)
 
     @pytest.mark.parametrize("argv", [
         ["nr-eigenfunctions", "--a", "1.5", "--b", "0.5", "--levels", "3"],
@@ -427,13 +428,11 @@ def test_large_a_tables_exit_0_with_finite_columns(argv, capsys):
 
 # d0 = 0 with b^2 underflowing: every d_n is 0, so d_(n+1) + d_n, which the
 # intertwiner and the xi kernel divide by, is 0 too. The tables reach the
-# xi kernel's division, and verify divides by zero in its scalar rows before
-# either division is reached; each exits 2 with one error line.
+# xi kernel's division and exit 2 with one error line.
 _D0_ZERO_B_UNDERFLOW = [
     (["fig3"], "ZeroDivisionError: float division by zero"),
     (["dirac-eigenfunctions", "--families", "a,c", "--levels", "2"],
      "ZeroDivisionError: float division by zero"),
-    (["verify"], "ZeroDivisionError: complex division by zero"),
 ]
 
 
@@ -445,6 +444,35 @@ def test_d0_zero_with_b_squared_underflowing_exits_2(argv, reason, capsys):
     assert capture(argv) == (2, "")
     assert capsys.readouterr().err == ("error: the parameters take the arithmetic out of "
                                        f"float range ({reason})\n")
+
+
+def test_verify_at_d0_zero_with_b_squared_underflowing_runs_the_twin(capsys):
+    # verify runs at the b = 1 twin (1, 1, 0, 1e200), where nothing divides
+    # by zero: every row prints and the exit is 3. The eigen rows' scale
+    # max(1, |E|) ~ mbar = 1e200 leaves their readings near 1e-216, so they
+    # read nothing there, and xi-superpotential-identity's absolute residual
+    # fails at about 2e183.
+    code, text = capture(["verify", "--a", "1", "--b", "1e-200", "--d0", "0", "--mbar", "1"])
+    assert (code, capsys.readouterr().err) == (3, "")
+    rows = {name: (passed, detail) for name, passed, detail in
+            (line.split(",", 2) for line in text.splitlines()[1:])}
+    assert len(rows) == 15
+    assert [name for name, (passed, _) in rows.items() if passed == "FAIL"] == [
+        "xi-superpotential-identity"]
+    assert rows["xi-superpotential-identity"][1] == "max coefficient 2.125e+183 (tol 1.0e-11)"
+    assert rows["dirac-eigen-equations"][1].endswith(" 5.173e-216\"")
+
+
+@pytest.mark.parametrize("argv, ratio", [
+    (["--d0", "1", "--mbar", "1"], "(1.0, 1.0, inf, inf)"),
+    (["--d0", "0", "--mbar", "1"], "(1.0, 1.0, 0.0, inf)"),
+], ids=["d0", "mbar"])
+def test_verify_refuses_a_twin_a_float_cannot_hold(argv, ratio, capsys):
+    # b = 1e-310 puts d0/b or mbar/b past the float range: one error line
+    # naming the twin, exit 2
+    assert capture(["verify", "--a", "1", "--b", "1e-310", *argv]) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: verify's b = 1 twin (a, 1, d0/b, mbar/b) = {ratio} is not finite\n")
 
 
 # a = 1e-20 is positive, but alpha = 2a - 1 of the chains' lowest power

@@ -16,6 +16,7 @@ import pytest
 from conftest import random_dirac, random_nr, ref_exact_chain, ref_laguerre_norm2, rng_for
 
 from susy_ladder import dirac as dc
+from susy_ladder import expalg
 from susy_ladder import nonrel as nr
 from susy_ladder.cli import _samples
 from susy_ladder.errors import DomainError, PrecisionLoss
@@ -411,14 +412,20 @@ class TestLaguerreSampling:
 
     def test_overflow_samples_as_non_finite_and_underflow_as_zero(self):
         # Far past the peak every decay underflows, so level 0 samples as
-        # exactly 0. At level 3, L_3(x) overflows there too, and 0 * inf is
-        # not finite, which leaves a sample for the table to refuse.
-        chains = {n: (nr.eigenfunction(FIG2, n),) for n in (0, 3)}
+        # exactly 0. At level 3, L_3(x) overflows there too; the sample is
+        # 0 as well, not 0 * inf = nan, and level 1 keeps its -0.0.
+        chains = {n: (nr.eigenfunction(FIG2, n),) for n in (0, 1, 3)}
         far = laguerre_columns(chains, [1e300, 1e305])
-        assert far[0][0][1] == [0.0, 0.0]
-        assert not any(np.isfinite(far[3][0][1]))
+        assert far[0][0][1] == far[3][0][1] == [0.0, 0.0]
+        assert [math.copysign(1.0, x) for x in far[1][0][1] + far[3][0][1]] == [-1, -1, 1, 1]
         near = laguerre_columns(chains, [1e-300, 1e-200])
         assert near[0][0][1] == near[3][0][1] == [0.0, 0.0]
+        # Where the exp is not 0 an L_m past the float range stays non-finite:
+        # L_1000^(2) at x = 1500, where the exp is about 1e-321.
+        rhos = [1000.0, 1500.0]
+        logs = [math.log(x / 1500.0) for x in rhos]
+        near_peak, past = expalg._laguerre_function(1.5, 2.0, 1000, 1.0, rhos, logs, 1500.0)
+        assert math.isfinite(near_peak) and not math.isfinite(past)
 
     def test_non_positive_points_refused(self):
         f = nr.eigenfunction(FIG2, 3)
@@ -432,8 +439,9 @@ class TestLengthScale:
     (a, 1, d0/b, mbar/b). Scalar energies scale by b^2 and Dirac energies by
     b, and a normalised chain f is sqrt(b) g(b rho) for its twin's chain g,
     so the coefficient of rho^(mu a + j) is sqrt(b) b^(mu a + j) times the
-    twin's. Measured over these draws, levels 0..12: energies within 3.2e-16
-    relative, coefficients within 2.1e-14 of the chain's largest."""
+    twin's. Measured over these draws (b from 1.1e-6 to 6.2e5), levels 0..12:
+    energies within 3.1e-16 relative, coefficients within 4.6e-14 of the
+    chain's largest. verify.run_all rests on this: it runs every row at the twin."""
 
     DRAWS = 24
     TOL = 1e-13
@@ -442,7 +450,7 @@ class TestLengthScale:
     def draws():
         rng = rng_for(370)
         for i in range(TestLengthScale.DRAWS):
-            a, b = float(rng.uniform(0.05, 4.0)), float(10 ** rng.uniform(-2.0, 2.0))
+            a, b = float(rng.uniform(0.05, 4.0)), float(10 ** rng.uniform(-6.0, 6.0))
             d0 = 0.0 if i % 6 == 0 else float(rng.uniform(-1.5, 1.5))
             mbar = 0.0 if i % 8 == 1 else float(rng.uniform(0.0, 1.5))
             yield b, (NRParams(a, b), NRParams(a, 1.0)), (DiracParams(a, b, d0, mbar),

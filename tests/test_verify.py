@@ -51,8 +51,8 @@ def test_nr_eigen_check_fails_a_chain_that_lost_a_term(monkeypatch):
 
 
 def test_nr_orthogonality_checks_the_set_it_is_given(monkeypatch):
-    # Every scalar chain the battery builds is at its scalar set; the
-    # orthogonality row once checked fig2 whatever the set.
+    # Every scalar chain the battery builds is at its scalar set's b = 1
+    # twin; the orthogonality row once checked fig2 whatever the set.
     seen = set()
     full = vf.nr.eigenfunction
 
@@ -60,13 +60,13 @@ def test_nr_orthogonality_checks_the_set_it_is_given(monkeypatch):
         seen.add(params)
         return full(params, n)
 
-    p = NRParams(2.3, 0.45)
+    twin = NRParams(2.3, 1.0)
     monkeypatch.setattr(vf.nr, "eigenfunction", spy)
-    results = vf.run_all(p, DiracParams(2.3, 0.45, -0.7, 1.1))
-    assert seen == {p}
+    results = vf.run_all(NRParams(2.3, 0.45), DiracParams(2.3, 0.45, -0.7, 1.1))
+    assert seen == {twin}
     (row,) = [r for r in results if r.name == "nr-orthogonality"]
-    assert row == vf.check_nr_orthogonality(p) and row.passed
-    assert row.detail != vf.check_nr_orthogonality(NRParams(1.5, 0.5)).detail
+    assert row == vf.check_nr_orthogonality(twin) and row.passed
+    assert row.detail != vf.check_nr_orthogonality(NRParams(1.5, 1.0)).detail
 
 
 def test_eigen_rows_pass_at_large_eigenvalues():
@@ -136,8 +136,9 @@ def test_cli_verify_passes_at_d0_0(capsys):
 
 def test_cli_verify_checks_the_zero_mode_at_d0_and_mbar_0(capsys):
     # At d0 = mbar = 0 the level-0 magnitude is 0, so C + eps = 0 there: the
-    # scan finds it in channel k = a - 1/2 and the row checks levels 0..2,
-    # and every row passes.
+    # scan finds it in channel k = a - 1/2 and the row checks levels 0..2 at
+    # the twin (1.5, 1, 0, 0), and every row passes. On magnitudes the zero
+    # mode read an eps error of 6e-6 as 2.4e-3 at a = 0.5.
     assert main(["verify", "--a", "1.5", "--b", "0.5"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 16
@@ -145,9 +146,9 @@ def test_cli_verify_checks_the_zero_mode_at_d0_and_mbar_0(capsys):
             (line.split(",", 2) for line in lines[1:])}
     passed, detail = rows["dirac-fd-scan"]
     assert passed == "pass"
-    assert detail.startswith('"window (-1.167e-01, -1.638e-02) in E^2 - C, levels 0..2 with '
+    assert detail.startswith('"window (-4.667e-01, -6.551e-02), levels 0..2 with '
                              'multiplicities 1,2,2: max |fd - analytic| ')
-    assert float(detail.split()[-3]) <= 1e-5
+    assert float(detail.split()[-3]) <= 1e-9
     assert all(passed == "pass" for passed, _ in rows.values())
     # a positive ground magnitude is scanned and checked with the others
     detail = vf.check_dirac_scan(DiracParams(1.5, 0.5, 0.0, 0.3)).detail
@@ -157,7 +158,8 @@ def test_cli_verify_checks_the_zero_mode_at_d0_and_mbar_0(capsys):
 def test_dirac_scan_window_shows_both_ends_at_a_50():
     # Four decimals would print both ends, -4.200e-4 and -3.629e-4, as -0.0004.
     detail = vf.check_dirac_scan(DiracParams(50.0, 1.0, 0.0, 0.0)).detail
-    assert detail.startswith("window (-4.200e-04, -3.629e-04) in E^2 - C, ")
+    assert detail == ("window (-4.200e-04, -3.629e-04), levels 0..2 with multiplicities "
+                      "1,2,2: found 0 values, expected 5")
 
 
 def test_cli_verify_passes_at_fig3_parameters(capsys):
@@ -365,23 +367,42 @@ def test_dirac_scan_passes_from_a_1e_3_to_8(a):
     assert float(result.detail.split("max |fd - analytic| ")[1].split()[0]) <= 1e-5
 
 
+def _rows(params):
+    """run_all's rows by name, at params and its scalar (a, b)."""
+    return {r.name: r for r in vf.run_all(NRParams(params.a, params.b), params)}
+
+
 @pytest.mark.parametrize("params, level", [
     (DiracParams(0.05, 0.9, -0.4, 0.6), 1),
     (DiracParams(1.3, 0.9, -0.4, 0.6), 1),
     (DiracParams(1.5, 0.5, 0.0, 0.0), 0),
 ], ids=["a-0.05-level-1", "a-1.3-level-1", "zero-mode-level-0"])
 def test_dirac_scan_fails_a_level_off_by_2e_3(params, level, monkeypatch):
-    # the row's 1e-3 bound catches a closed form that is wrong at one level
+    # Through run_all, at the b = 1 twin: the scan's 1e-3 bound (in b^2)
+    # catches an oracle eps off by 2e-3 b^2 at one level, and the algebraic
+    # rows catch a closed form off by 2e-3 at one level.
+    assert all(r.passed for r in _rows(params).values())
+    scan = vf.orc.dirac_spectrum_scan
+
+    def off_scan(p, window, grid):
+        eps = -(p.b / (p.a + level)) ** 2
+        return [x + 2e-3 * p.b ** 2 if abs(x - eps) < 1e-6 * p.b ** 2 else x
+                for x in scan(p, window, grid)]
+
+    monkeypatch.setattr(vf.orc, "dirac_spectrum_scan", off_scan)
+    result = _rows(params)["dirac-fd-scan"]
+    assert not result.passed
+    assert float(result.detail.split("max |fd - analytic| ")[1].split()[0]) >= 1.9e-3
+    monkeypatch.setattr(vf.orc, "dirac_spectrum_scan", scan)
     exact = vf.dc.family_eigenvalue
 
     def off(p, n, fam):
         return exact(p, n, fam) + (2e-3 if n == level else 0.0)
 
-    assert vf.check_dirac_scan(params).passed
     monkeypatch.setattr(vf.dc, "family_eigenvalue", off)
-    result = vf.check_dirac_scan(params)
-    assert not result.passed
-    assert float(result.detail.split("max |fd - analytic| ")[1].split()[0]) >= 1.9e-3
+    rows = _rows(params)
+    assert [name for name, r in rows.items() if not r.passed] == [
+        "dirac-eigen-equations", "dirac-degeneracy-ladder", "spectrum-identities"]
 
 
 # a from 1e-3 to 40 and b from 0.01 to 100, four (d0, mbar) pairs each
@@ -505,15 +526,67 @@ def test_cli_verify_reads_orthogonality_at_a_30(capsys):
 
 
 def test_nr_fd_row_refuses_the_unconverged_solve_at_large_b():
-    # b = 100 at a = 1e-3: the shift is taken on epsilon, not on 2 epsilon
+    # Called directly, a row's bounds are absolute: at b = 100, a = 1e-3 the
+    # shift is 8.001e-2 on epsilon (not on 2 epsilon), far past the bound.
+    # run_all hands the row the b = 1 twin, where it passes
+    # (test_a_set_scaled_by_100_passes_every_row_its_original_passes).
     result = vf.check_nr_fd(NRParams(1e-3, 100.0))
     assert not result.passed
     assert result.detail == "grid too coarse: an eigenvalue moved by 8.001e-02 on refinement"
 
 
 def test_nr_fd_row_counts_the_levels_a_short_grid_holds(monkeypatch):
-    # a Dirichlet end at rho = 50 pushes fig2's level 2 out of the window
-    monkeypatch.setattr(vf, "default_rho_max", lambda params, n_max: 50.0)
-    result = vf.check_nr_fd(NRParams(1.5, 0.5))
+    # At fig2's twin (1.5, 1), which run_all hands the row, a Dirichlet end
+    # at rho = 32 pushes level 2 out of the window. The end at rho = 50 that
+    # fig2 had, 25 at the twin, moves a level by 2.2e-4 on refinement, past
+    # RICHARDSON_SHIFT in b^2 units.
+    monkeypatch.setattr(vf, "default_rho_max", lambda params, n_max: 32.0)
+    result = vf.check_nr_fd(NRParams(1.5, 1.0))
     assert not result.passed
-    assert result.detail == "found 2 values, expected 3"
+    assert result.detail == ("window (-8.400e-02, -2.061e-02), levels 0..2 with "
+                             "multiplicities 1,1,1: found 2 values, expected 3")
+
+
+# The CI set (1.3, 0.9, -0.4, 0.6) scaled to b = 0.009, 0.9 and 100
+_SCALED_CI = [DiracParams(1.3, b, -0.4 * b / 0.9, 0.6 * b / 0.9) for b in (0.009, 0.9, 100.0)]
+
+
+@pytest.mark.parametrize("params", _SCALED_CI, ids=["b-0.009", "b-0.9", "b-100"])
+def test_nr_fd_row_fails_a_level_off_by_1e_3_relative_at_every_b(params, monkeypatch):
+    # spectrum_radial 0.1% too large at level 1 leaves the window and its
+    # count as they are. In absolute units the row passed it at b = 0.009
+    # (3.719e-9) and failed unmutated at b = 100 (grid too coarse); at the
+    # twin it reads 4.591e-5 against 1e-5 at every b.
+    assert all(r.passed for r in _rows(params).values())
+    exact = vf.nr.spectrum_radial
+    monkeypatch.setattr(vf.nr, "spectrum_radial",
+                        lambda p, n: exact(p, n) * (1.001 if n == 1 else 1.0))
+    result = _rows(params)["nr-fd-eigenvalues"]
+    assert not result.passed
+    assert " max |fd - analytic| 4.591e-05 (tol 1e-05)" in result.detail
+
+
+def test_dirac_scan_fails_doubled_eps_at_a_1e_3(monkeypatch):
+    # Compared as magnitudes sqrt(C + eps) with C ~ (b/a)^2, the doubled eps
+    # passed here at 4.491e-4; compared as eps it reads 9.980e-1.
+    params = DiracParams(1e-3, 0.9, -0.4, 0.6)
+    assert all(r.passed for r in _rows(params).values())
+    scan = vf.orc.dirac_spectrum_scan
+    monkeypatch.setattr(vf.orc, "dirac_spectrum_scan",
+                        lambda p, window, grid: [2.0 * x for x in scan(p, window, grid)])
+    result = _rows(params)["dirac-fd-scan"]
+    assert not result.passed
+    assert float(result.detail.split("max |fd - analytic| ")[1].split()[0]) > 0.9
+
+
+@pytest.mark.parametrize("small, large", [
+    (DiracParams(1.3, 0.9, -0.4, 0.6), DiracParams(1.3, 90.0, -40.0, 60.0)),
+    (DiracParams(1e-3, 1.0, 0.01, 0.01), DiracParams(1e-3, 100.0, 1.0, 1.0)),
+], ids=["1.3-x100", "1e-3-x100"])
+def test_a_set_scaled_by_100_passes_every_row_its_original_passes(small, large):
+    # In absolute units both large sets failed both oracle rows on a coarse
+    # grid, and (1e-3, 100, 1, 1) failed xi-superpotential-identity at 2.910e-11.
+    rows = _rows(large)
+    assert [n for n, r in _rows(small).items() if r.passed] == [
+        n for n, r in rows.items() if r.passed]
+    assert all(r.passed for r in rows.values())
