@@ -163,13 +163,13 @@ class MatrixOp(Record):
 
 
 def _const(params: DiracParams, value: complex) -> ExpoPoly:
-    return ExpoPoly.ordered(params.a, params.b, ((0, 0, None, value),))
+    return ExpoPoly.ordered(params.a, params.b, ((0, None, value),))
 
 
 def _w_coef(params: DiracParams, n: int) -> ExpoPoly:
     """w_n = (a+n)/rho - b/(a+n), the scalar superpotential at a + n."""
     inv, const = w_coeffs(params, n)
-    return ExpoPoly.ordered(params.a, params.b, ((0, -1, None, inv), (0, 0, None, const)))
+    return ExpoPoly.ordered(params.a, params.b, ((-1, None, inv), (0, None, const)))
 
 
 def dn(params: DiracParams, n: int) -> float:
@@ -280,7 +280,7 @@ def a_op(params: DiracParams, n: int) -> MatrixOp:
 def kernel_chi(params: DiracParams, n: int) -> SpinorFn:
     """First kernel spinor of the level-n intertwiner: (1, 0) rho^(a+n) e^(-b rho/(a+n))."""
     a, b = params.a, params.b
-    return SpinorFn((ExpoPoly.term(a, b, 1.0, mu=1, j=n, k=n), ExpoPoly.zero(a, b)))
+    return SpinorFn((ExpoPoly.term(a, b, 1.0, j=n, k=n), ExpoPoly.zero(a, b)))
 
 
 def kernel_xi(params: DiracParams, n: int) -> SpinorFn:
@@ -294,9 +294,9 @@ def kernel_xi(params: DiracParams, n: int) -> SpinorFn:
     a, b = params.a, params.b
     an = a + n
     c = _xi_coef(params, n)
-    comp0 = ExpoPoly.ordered(a, b, ((1, n, n + 1, 1j * c),
-                                    (1, n + 1, n + 1, -1j * c * b / (an * (an + 1)))))
-    comp1 = ExpoPoly.term(a, b, 1.0, mu=1, j=n + 1, k=n + 1)
+    comp0 = ExpoPoly.ordered(a, b, ((n, n + 1, 1j * c),
+                                    (n + 1, n + 1, -1j * c * b / (an * (an + 1)))))
+    comp1 = ExpoPoly.term(a, b, 1.0, j=n + 1, k=n + 1)
     return SpinorFn((comp0, comp1))
 
 
@@ -377,15 +377,15 @@ def _lowered_kernel(params: DiracParams, n: int, kernel) -> SpinorFn:
     The kernel goes through b_op(params, n-1), ..., b_op(params, 0), each
     d/drho + [[w_k, 0], [i delta_k, w_(k+1)]], and no operator is built:
     each step reads its five numbers from w_coeffs and _delta, the helpers
-    b_dagger is built from. Both components keep the kernel's one power
-    offset mu a and decay rate beta, so they are carried as lists of
-    coefficients c_j and e_j over one range of j, and each step takes every
-    new coefficient of a component in one pass:
+    b_dagger is built from. Both components keep the kernel's decayed
+    terms rho^(a+j) at its one decay rate beta, so they are carried as
+    lists of coefficients c_j and e_j over one range of j, and each step
+    takes every new coefficient of a component in one pass:
 
         c'_j = 0j - c_j beta + c_(j+1) p_(j+1) + (0j + c_(j+1) w1 + c_j w0),
         e'_j = 0j - e_j beta + e_(j+1) p_(j+1) + c_j i delta + (0j + e_(j+1) v1 + e_j v0),
 
-    with p_j = mu a + j and (w1, w0), (v1, v0) the 1/rho and constant
+    with p_j = a + j and (w1, w0), (v1, v0) the 1/rho and constant
     coefficients of w_k and w_(k+1). That is the grouping
     MatrixOp.apply sums each key in (see expalg.apply_operator), so the
     chain equals applying each operator in turn, bit for bit. (MatrixOp.apply
@@ -404,17 +404,16 @@ def _lowered_kernel(params: DiracParams, n: int, kernel) -> SpinorFn:
     a, b = params.a, params.b
     seed = kernel(params, n).components
     used = [f.terms for f in seed if f.terms]
-    mu, _, rate, _ = used[0][0]
-    lo = min(terms[0][1] for terms in used)
-    top = max(terms[-1][1] for terms in used)
+    _, rate, _ = used[0][0]
+    lo = min(terms[0][0] for terms in used)
+    top = max(terms[-1][0] for terms in used)
     cols = []
     for f in seed:
         col = [0j] * (top - lo + 1)
-        for _, j, _, coeff in f.terms:
+        for j, _, coeff in f.terms:
             col[j - lo] = coeff
         cols.append(col)
     upper, lower = cols
-    mua = mu * a
     beta = b / (a + rate)
     for k in range(n - 1, -1, -1):
         w1, w0 = (0j + c for c in w_coeffs(params, k))
@@ -426,13 +425,13 @@ def _lowered_kernel(params: DiracParams, n: int, kernel) -> SpinorFn:
         xl, yl = [0j, *lower], [*lower, 0j]
         zeros = [0j] * len(xs)
         js = range(lo + 1, lo + 1 + len(xs))
-        upper = [0j + -x * beta + y * (mua + j) + (0j + y * w1 + z * w0)
+        upper = [0j + -x * beta + y * (a + j) + (0j + y * w1 + z * w0)
                  for x, y, z, j in zip(xs if beta else zeros, ys, xs if w0 else zeros, js)]
-        lower = [0j + -x * beta + y * (mua + j) + u * idelta + (0j + y * v1 + z * v0)
+        lower = [0j + -x * beta + y * (a + j) + u * idelta + (0j + y * v1 + z * v0)
                  for x, y, u, z, j in zip(xl if beta else zeros, yl, xs if idelta else zeros,
                                           xl if v0 else zeros, js)]
     return _wrap_spinor(tuple(
-        _wrap(a, b, tuple([(mu, j, rate, c) for j, c in enumerate(col, lo) if c != 0j]))
+        _wrap(a, b, tuple([(j, rate, c) for j, c in enumerate(col, lo) if c != 0j]))
         for col in (upper, lower)))
 
 

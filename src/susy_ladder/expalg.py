@@ -1,15 +1,17 @@
 """Exact algebra of exponential-polynomial functions on the half line rho > 0.
 
-Every value is a finite sum of terms
+Every value is a finite sum of terms keyed by an integer j and a decay
+index k, None or an integer:
 
-    c * rho**(mu*a + j) * exp(-beta*rho),    beta = 0  or  beta = b/(a + k),
+    c * rho**j                               (k = None: a Laurent term),
+    c * rho**(a + j) * exp(-b*rho/(a + k))   (integer k: a decayed term),
 
-with a complex coefficient c, integer keys mu in {0, 1} and j for the power,
-and an integer index k selecting the decay rate. The positive reals (a, b)
-form a shared numeric context. Because terms are merged by their integer
-keys and never by floating-point comparison of realized powers, the
-canonical form is exact even when a and b are irrational. Canonicalization
-drops only coefficients that are exactly zero, however small the rest are.
+with a complex coefficient c and positive reals (a, b), a shared numeric
+context. Chains and kernel spinors are sums of decayed terms, potentials
+and superpotentials Laurent polynomials. Terms merge by their integer keys,
+never by floating-point comparison of realized powers, so the canonical
+form is exact even when a and b are irrational. Canonicalization drops
+only coefficients that are exactly zero, however small the rest are.
 
 The family is closed under addition, scaling, multiplication by pure
 Laurent polynomials (power shifts among them), and differentiation.
@@ -21,7 +23,7 @@ realized as a float and never fed back into the algebra).
 ExpoPoly is a frozen, slotted record (record.Record): it keeps no instance
 dict, compares and hashes by (a, b, terms), and _wrap fills its slots
 directly for results already in canonical form. Its terms are plain
-(mu, j, k, coeff) tuples, read by unpacking or by index. CPython's garbage
+(j, k, coeff) tuples, read by unpacking or by index. CPython's garbage
 collector untracks an exact tuple of atoms once it has seen it, but never a
 tuple subclass, so a stored NamedTuple would keep every live term on the
 collector's lists and lengthen each full collection. Term names the fields
@@ -49,31 +51,30 @@ if TYPE_CHECKING:
 
 
 class Term(NamedTuple):
-    """coeff * rho**(mu*a + j) * exp(-beta*rho); k=None means beta = 0,
-    otherwise beta = b/(a + k).
+    """coeff * rho**j when k is None, otherwise
+    coeff * rho**(a + j) * exp(-b*rho/(a + k)).
 
     Names the fields of a term handed to ExpoPoly. A stored term is a plain
-    (mu, j, k, coeff) tuple equal to its Term, since the collector untracks
+    (j, k, coeff) tuple equal to its Term, since the collector untracks
     only exact tuples (see the module docstring)."""
 
-    mu: int
     j: int
     k: int | None
     coeff: complex
 
 
-# Sort key of a ((mu, j, k), coeff) map item: its key, taken in C.
+# Sort key of a ((j, k), coeff) map item: its key, taken in C.
 _first = itemgetter(0)
 # The coefficient of a stored term, taken in C.
-_coeff = itemgetter(3)
+_coeff = itemgetter(2)
 
 
 def _power(t: tuple, a: float) -> float:
-    return t[0] * a + t[1]
+    return t[0] if t[1] is None else a + t[0]
 
 
 def _rate(t: tuple, a: float, b: float) -> float:
-    k = t[2]
+    k = t[1]
     return 0.0 if k is None else b / (a + k)
 
 
@@ -98,13 +99,13 @@ class ExpoPoly(Record):
         return cls.ordered(a, b, ())
 
     @classmethod
-    def term(cls, a: float, b: float, coeff: complex, mu: int = 0, j: int = 0,
+    def term(cls, a: float, b: float, coeff: complex, j: int = 0,
              k: int | None = None) -> "ExpoPoly":
-        return cls.ordered(a, b, ((mu, j, k, coeff),))
+        return cls.ordered(a, b, ((j, k, coeff),))
 
     @classmethod
     def ordered(cls, a: float, b: float, terms) -> "ExpoPoly":
-        """The poly of (mu, j, k, coeff) terms whose keys come in canonical
+        """The poly of (j, k, coeff) terms whose keys come in canonical
         order, each once, built without the constructor's merge and sort.
 
         The constructor's checks hold: a positive context, and a valid key
@@ -119,15 +120,15 @@ class ExpoPoly(Record):
         _check_positive_context(a, b)
         out = []
         last = None
-        for mu, j, k, coeff in terms:
-            _check_key(a, mu, j, k)
-            rank = _order((mu, j, k))
+        for j, k, coeff in terms:
+            _check_key(a, j, k)
+            rank = _order((j, k))
             if last is not None and not rank > last:
-                raise ValueError(f"key {(mu, j, k)} is out of canonical order or repeated")
+                raise ValueError(f"key {(j, k)} is out of canonical order or repeated")
             last = rank
             coeff = 0j + complex(coeff)
             if coeff != 0j:
-                out.append((mu, j, k, coeff))
+                out.append((j, k, coeff))
         return _wrap(a, b, tuple(out))
 
     # -- ring-like operations -----------------------------------------------
@@ -145,9 +146,9 @@ class ExpoPoly(Record):
         of other enters as the 0j + coeff * -1.0 that scale would store."""
         a, b = self.a, self.b
         _check_context(a, b, other)
-        acc = {(mu, j, k): 0j + coeff for mu, j, k, coeff in self.terms}
-        for mu, j, k, coeff in other.terms:
-            key = (mu, j, k)
+        acc = {(j, k): 0j + coeff for j, k, coeff in self.terms}
+        for j, k, coeff in other.terms:
+            key = (j, k)
             acc[key] = acc.get(key, 0j) + (0j + coeff * -1.0)
         return _from_map(a, b, acc)
 
@@ -163,11 +164,11 @@ class ExpoPoly(Record):
             # like its Python value, which keeps the products Python complex.
             c = complex(c)
         return _wrap(self.a, self.b, tuple([
-            (mu, j, k, v) for mu, j, k, coeff in self.terms
+            (j, k, v) for j, k, coeff in self.terms
             if (v := 0j + coeff * c) != 0j]))
 
     def mul_laurent(self, other: "ExpoPoly") -> "ExpoPoly":
-        """Multiply by a pure Laurent polynomial (mu = 0, no decay, all terms).
+        """Multiply by a pure Laurent polynomial (k = None in every term).
 
         The restriction keeps the product inside the algebra; general products
         would create powers 2a + j and summed decay rates outside the key set.
@@ -181,7 +182,7 @@ class ExpoPoly(Record):
 
     def conjugate(self) -> "ExpoPoly":
         return _wrap(self.a, self.b, tuple([
-            (mu, j, k, v) for mu, j, k, coeff in self.terms
+            (j, k, v) for j, k, coeff in self.terms
             if (v := 0j + coeff.conjugate()) != 0j]))
 
     # -- evaluation and integration -----------------------------------------
@@ -191,7 +192,7 @@ class ExpoPoly(Record):
             raise DomainError(f"rho must be finite and positive, got {rho}")
         total = 0j
         for t in self.terms:
-            total += (t[3] * rho ** _power(t, self.a)
+            total += (t[2] * rho ** _power(t, self.a)
                       * math.exp(-_rate(t, self.a, self.b) * rho))
         return total
 
@@ -208,10 +209,10 @@ class ExpoPoly(Record):
         """
         _check_context(self.a, self.b, other)
         a, b = self.a, self.b
-        right = [(_power(t, a), _rate(t, a, b), t[3]) for t in other.terms]
+        right = [(_power(t, a), _rate(t, a, b), t[2]) for t in other.terms]
         total = 0j
         for t1 in self.terms:
-            p1, r1, c1 = _power(t1, a), _rate(t1, a, b), t1[3].conjugate()
+            p1, r1, c1 = _power(t1, a), _rate(t1, a, b), t1[2].conjugate()
             for p2, r2, c2 in right:
                 s = p1 + p2
                 gamma = r1 + r2
@@ -231,7 +232,7 @@ class ExpoPoly(Record):
         if not self.terms:
             return True
         scale = max(1.0, self.max_abs_coeff())
-        return all(abs(coeff) <= tol * scale for _, _, _, coeff in self.terms)
+        return all(abs(coeff) <= tol * scale for _, _, coeff in self.terms)
 
     def max_abs_coeff(self) -> float:
         return max(map(abs, map(_coeff, self.terms)), default=0.0)
@@ -242,9 +243,7 @@ def _check_positive_context(a: float, b: float) -> None:
         raise ValueError("context requires a > 0 and b > 0")
 
 
-def _check_key(a: float, mu: int, j: int, k: int | None) -> None:
-    if mu not in (0, 1):
-        raise ValueError(f"exponent multiplier must be 0 or 1, got {mu}")
+def _check_key(a: float, j: int, k: int | None) -> None:
     if not isinstance(j, int):
         raise ValueError("exponent offset must be an integer")
     if k is not None and not isinstance(k, int):
@@ -361,7 +360,7 @@ def _laguerre_shape(poly: ExpoPoly) -> tuple[float, float, int, float, complex]:
     """(p0, alpha, M, 2 beta, t) of poly = c rho^p0 e^(-beta rho)
     L_M^(alpha)(2 beta rho), alpha = 2 p0 - 1, with t its top coefficient.
 
-    poly must have M+1 terms with one mu, one decay index and consecutive
+    poly must have M+1 decayed terms with one decay index and consecutive
     offsets j, alpha > -1 and 2 beta > 0. Its rho^(p0+i) coefficients then obey
 
         coef_i = -coef_(i+1) (i+1)(alpha+i+1) / ((M-i) 2 beta).
@@ -373,17 +372,17 @@ def _laguerre_shape(poly: ExpoPoly) -> tuple[float, float, int, float, complex]:
     terms = poly.terms
     if not terms:
         raise ValueError("the zero function is not a Laguerre function")
-    mu, j0, k, _ = terms[0]
+    j0, k, _ = terms[0]
     if k is None:
         raise ValueError("a Laguerre function needs an exponential decay")
     j = j0
-    for tmu, tj, tk, _ in terms:
-        if tmu != mu or tj != j or tk != k:
-            raise ValueError("a Laguerre function has one mu, one decay index "
+    for tj, tk, _ in terms:
+        if tj != j or tk != k:
+            raise ValueError("a Laguerre function has one decay index "
                              "and consecutive powers")
         j += 1
     a, b = poly.a, poly.b
-    p0 = mu * a + j0
+    p0 = a + j0
     alpha = 2.0 * p0 - 1.0
     if not alpha > -1.0:
         raise ValueError(f"lowest power p0 = {p0} gives alpha = 2 p0 - 1 = {alpha}, "
@@ -392,11 +391,11 @@ def _laguerre_shape(poly: ExpoPoly) -> tuple[float, float, int, float, complex]:
     two_beta = 2.0 * b / (a + k)
     if not two_beta > 0.0:
         raise ValueError(f"decay rate 2 beta = 2 b/(a+k) = {two_beta} is not above 0")
-    top = terms[-1][3]
+    top = terms[-1][2]
     expect, worst = top, 0.0
     for i in range(m - 1, -1, -1):
         expect = -expect * ((i + 1) * (alpha + i + 1) / ((m - i) * two_beta))
-        d = abs(terms[i][3] - expect)
+        d = abs(terms[i][2] - expect)
         # d > worst skips a NaN departure exactly as max(worst, d) does
         if d > worst:
             worst = d
@@ -412,18 +411,18 @@ def eval_rows(polys, rhos) -> np.ndarray:
     """Samples of each poly at rhos, one row per poly: an array of shape
     (len(polys),) + rhos.shape.
 
-    The terms of a poly that share (mu, k) are one polynomial in rho, taken
-    by Horner's rule over the steps of j and times rho**(mu*a + j_min) and
-    exp(-beta*rho). Each row runs its groups in term order, so it equals
-    sampling its poly alone, bit for bit. Numpy casts a float operand on
-    every complex multiply, so the grid is cast to complex once per call, and
-    each distinct power and decay array is made once per call, keyed by its
-    float exponent or rate, and cast when it is made; only a Horner step over
-    a gap in j, which no chain has, multiplies by a float power. Each group's
-    steps pop from it, top down. The first step multiplies the top
-    coefficient, a Python complex, by rho**gap, which makes the group's array
-    without a constant array first: complex multiplication commutes bit for
-    bit. A one-term group starts from a constant array.
+    The terms of a poly that share k are one polynomial in rho, taken by
+    Horner's rule over the steps of j and times exp(-beta*rho) and rho to
+    the group's lowest power. Each row runs its groups in term order, so it
+    equals sampling its poly alone, bit for bit. Numpy casts a float operand
+    on every complex multiply, so the grid is cast to complex once per call,
+    and each distinct power and decay array is made once per call, keyed by
+    its float exponent or rate, and cast when it is made; only a Horner step
+    over a gap in j, which no chain has, multiplies by a float power. Each
+    group's steps pop from it, top down. The first step multiplies the top
+    coefficient, a Python complex, by rho**gap, which makes the group's
+    array without a constant array first: complex multiplication commutes
+    bit for bit. A one-term group starts from a constant array.
 
     Calls are small: 1 row at 4096 points (interior_zeros), 3 at 1024 (the
     quadrature check), or the 4 rows of SpinorFn.eval_array at 512 points
@@ -444,24 +443,24 @@ def eval_rows(polys, rhos) -> np.ndarray:
     steps = rhos.astype(complex)
     with np.errstate(under="ignore"):
         for total, poly in zip(out, polys):
-            groups: dict[tuple, list[tuple]] = {}
+            groups: dict[int | None, list[tuple]] = {}
             for term in poly.terms:
-                key = term[0], term[2]
-                group = groups.get(key)
+                k = term[1]
+                group = groups.get(k)
                 if group is None:
-                    groups[key] = [term]
+                    groups[k] = [term]
                 else:
                     group.append(term)
-            for (mu, k), group in groups.items():
-                _, top, _, acc = group.pop()
+            for k, group in groups.items():
+                top, _, acc = group.pop()
                 if not group:
                     acc = np.full(rhos.shape, acc)
                 while group:
-                    _, j, _, coeff = group.pop()
+                    j, _, coeff = group.pop()
                     acc *= steps if top - j == 1 else rhos ** (top - j)
                     acc += coeff
                     top = j
-                x = mu * poly.a + top
+                x = top if k is None else poly.a + top
                 if x not in powers:
                     powers[x] = (rhos ** x).astype(complex)
                 acc *= powers[x]
@@ -520,30 +519,30 @@ def apply_operator(dcoef, potential, components) -> tuple[ExpoPoly, ...]:
 
 
 def _deriv_map(terms, a: float, b: float) -> dict[tuple, complex]:
-    """{(mu, j, k): coeff} of d/d(rho) of canonical terms, accumulated in term order."""
+    """{(j, k): coeff} of d/d(rho) of canonical terms, accumulated in term order."""
     acc: dict[tuple, complex] = {}
-    for mu, j, k, coeff in terms:
-        p = mu * a + j
+    for j, k, coeff in terms:
+        p = j if k is None else a + j
         if p != 0.0:
-            key = (mu, j - 1, k)
+            key = (j - 1, k)
             acc[key] = acc.get(key, 0j) + coeff * p
         beta = 0.0 if k is None else b / (a + k)
         if beta != 0.0:
-            key = (mu, j, k)
+            key = (j, k)
             acc[key] = acc.get(key, 0j) + -coeff * beta
     return acc
 
 
 def _laurent_map(terms, laurent) -> dict[tuple, complex]:
-    """{(mu, j, k): coeff} of terms times the pure Laurent terms, accumulated
+    """{(j, k): coeff} of terms times the pure Laurent terms, accumulated
     multiplier term by multiplier term."""
     acc: dict[tuple, complex] = {}
-    for qmu, qj, qk, qcoeff in laurent:
-        if qmu != 0 or qk is not None:
+    for qj, qk, qcoeff in laurent:
+        if qk is not None:
             raise ValueError("multiplier must be a pure Laurent polynomial "
-                             "(mu = 0 and no exponential decay)")
-        for mu, j, k, coeff in terms:
-            key = (mu, j + qj, k)
+                             "(no exponential decay)")
+        for j, k, coeff in terms:
+            key = (j + qj, k)
             acc[key] = acc.get(key, 0j) + coeff * qcoeff
     return acc
 
@@ -552,8 +551,8 @@ def _sum(a: float, b: float, parts) -> ExpoPoly:
     acc: dict[tuple, complex] = {}
     for part in parts:
         _check_context(a, b, part)
-        for mu, j, k, coeff in part.terms:
-            key = (mu, j, k)
+        for j, k, coeff in part.terms:
+            key = (j, k)
             acc[key] = acc.get(key, 0j) + coeff
     return _from_map(a, b, acc)
 
@@ -564,10 +563,10 @@ def _add(acc: dict[tuple, complex], part: dict[tuple, complex]) -> None:
 
 
 def _order(key: tuple) -> tuple:
-    """Canonical sort key of a (mu, j, k) key: undecayed terms before
+    """Canonical sort key of a (j, k) key: by j, the Laurent term before
     decayed ones, then by k."""
-    mu, j, k = key
-    return (mu, j, k is not None, 0 if k is None else k)
+    j, k = key
+    return (j, k is not None, 0 if k is None else k)
 
 
 # The slot descriptors of ExpoPoly's fields: setting through them skips the
@@ -587,24 +586,23 @@ def _wrap(a: float, b: float, terms: tuple[tuple, ...]) -> ExpoPoly:
 
 
 def _sorted_terms(acc: dict[tuple, complex]) -> tuple[tuple, ...]:
-    """The nonzero entries of a {(mu, j, k): coeff} map as sorted terms.
+    """The nonzero entries of a {(j, k): coeff} map as sorted terms.
 
     Items sort by their keys' natural tuple order, through a C key and no
     Python key call, and each coefficient is read once and never compared.
     That is _order's order wherever it is defined: keys are distinct, so
-    two that share (mu, j) differ in k, and two integer k compare as _order
+    two that share j differ in k, and two integer k compare as _order
     compares them. Only a None k against an integer one is undefined, when
-    one (mu, j) holds both. Then (mu, j, None) and (mu, j, least k) are
-    adjacent in _order, and a comparison sort must compare every adjacent
-    pair of its result, so the natural sort raises TypeError and the items
-    are sorted by _order instead.
+    one j holds both kinds. Then (j, None) and (j, least k) are adjacent in
+    _order, and a comparison sort must compare every adjacent pair of its
+    result, so the natural sort raises TypeError and the items are sorted
+    by _order instead.
     """
     try:
         items = sorted(acc.items(), key=_first)
     except TypeError:
         items = sorted(acc.items(), key=lambda item: _order(item[0]))
-    return tuple([(mu, j, k, coeff) for (mu, j, k), coeff in items
-                  if coeff != 0j])
+    return tuple([(j, k, coeff) for (j, k), coeff in items if coeff != 0j])
 
 
 def _from_map(a: float, b: float, acc: dict[tuple, complex]) -> ExpoPoly:
@@ -619,8 +617,8 @@ def _canonicalize(a: float, b: float, terms) -> tuple[tuple, ...]:
     for bit, which lets operator applications skip unit multipliers.
     """
     acc: dict[tuple, complex] = {}
-    for mu, j, k, coeff in terms:
-        _check_key(a, mu, j, k)
-        key = (mu, j, k)
+    for j, k, coeff in terms:
+        _check_key(a, j, k)
+        key = (j, k)
         acc[key] = acc.get(key, 0j) + complex(coeff)
     return _sorted_terms(acc)

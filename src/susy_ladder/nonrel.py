@@ -24,7 +24,7 @@ SQRT2 = math.sqrt(2.0)
 
 def _laurent(params: NRParams, pairs: list[tuple[float, int]]) -> ExpoPoly:
     """The Laurent polynomial of (coeff, j) pairs, given in increasing j."""
-    return ExpoPoly.ordered(params.a, params.b, [(0, j, None, coeff) for coeff, j in pairs])
+    return ExpoPoly.ordered(params.a, params.b, [(j, None, coeff) for coeff, j in pairs])
 
 
 def superpotential(params: NRParams, n: int) -> ExpoPoly:
@@ -50,7 +50,7 @@ def potential(params: NRParams, n: int) -> ExpoPoly:
 
 def ground_state(params: NRParams, n: int) -> ExpoPoly:
     """Unnormalized ground state of level n: rho^(a+n+1) exp(-b rho/(a+n+1))."""
-    return ExpoPoly.term(params.a, params.b, 1.0, mu=1, j=n + 1, k=n + 1)
+    return ExpoPoly.term(params.a, params.b, 1.0, j=n + 1, k=n + 1)
 
 
 class ScalarLadder(Record):
@@ -115,7 +115,7 @@ def eigenfunction(params: NRParams, n: int) -> ExpoPoly:
     which changes no bit of a sum that starts from 0j, where a product of
     the chain's column with zero would turn an infinite coefficient into NaN.
     """
-    ((mu, top, rate, coeff),) = ground_state(params, n).terms
+    ((top, rate, coeff),) = ground_state(params, n).terms
     a, b = params.a, params.b
     beta = b / (a + rate)
     scale = 1.0 / SQRT2
@@ -125,10 +125,10 @@ def eigenfunction(params: NRParams, n: int) -> ExpoPoly:
         # entry j of xs is c_j and of ys c_(j+1), for j from k to top
         xs, ys = [0j, *coeffs], [*coeffs, 0j]
         zeros = [0j] * len(xs)
-        coeffs = [0j + (0j + -x * beta + y * (mu * a + j) + (0j + y * inv + z * const)) * scale
+        coeffs = [0j + (0j + -x * beta + y * (a + j) + (0j + y * inv + z * const)) * scale
                   for x, y, z, j in zip(xs if beta else zeros, ys,
                                         xs if const else zeros, range(k + 1, top + 2))]
-    return _wrap(a, b, tuple([(mu, j, rate, c)
+    return _wrap(a, b, tuple([(j, rate, c)
                               for j, c in enumerate(coeffs, top - len(coeffs) + 1) if c != 0j]))
 
 

@@ -60,7 +60,7 @@ def bounded_row(name: str, label: str, readings: list[float], tol: float, tol_fo
 def random_poly(rng, a: float, b: float, n_terms: int = 3) -> ExpoPoly:
     return ExpoPoly.sum(a, b, [
         ExpoPoly.term(a, b, complex(rng.standard_normal(), rng.standard_normal()),
-                      mu=1, j=int(rng.integers(0, 4)), k=int(rng.integers(0, 4)))
+                      j=int(rng.integers(0, 4)), k=int(rng.integers(0, 4)))
         for _ in range(n_terms)])
 
 

@@ -35,32 +35,32 @@ def rng_for(tag: int):
 
 def ref_canonical(terms):
     acc = {}
-    for mu, j, k, coeff in terms:
-        acc[(mu, j, k)] = acc.get((mu, j, k), 0j) + complex(coeff)
-    order = sorted(acc, key=lambda key: (key[0], key[1], key[2] is not None,
-                                         0 if key[2] is None else key[2]))
+    for j, k, coeff in terms:
+        acc[(j, k)] = acc.get((j, k), 0j) + complex(coeff)
+    order = sorted(acc, key=lambda key: (key[0], key[1] is not None,
+                                         0 if key[1] is None else key[1]))
     return tuple(Term(*key, acc[key]) for key in order if acc[key] != 0j)
 
 
 def ref_differentiate(a, b, terms):
     out = []
-    for mu, j, k, coeff in terms:
-        p = mu * a + j
+    for j, k, coeff in terms:
+        p = j if k is None else a + j
         if p != 0.0:
-            out.append(Term(mu, j - 1, k, coeff * p))
+            out.append(Term(j - 1, k, coeff * p))
         beta = 0.0 if k is None else b / (a + k)
         if beta != 0.0:
-            out.append(Term(mu, j, k, -coeff * beta))
+            out.append(Term(j, k, -coeff * beta))
     return ref_canonical(out)
 
 
 def ref_scale(terms, c):
-    return ref_canonical([Term(mu, j, k, coeff * c) for mu, j, k, coeff in terms])
+    return ref_canonical([Term(j, k, coeff * c) for j, k, coeff in terms])
 
 
 def ref_mul_laurent(terms, laurent):
-    return ref_canonical([Term(mu, j + qj, k, coeff * qcoeff)
-                          for _, qj, _, qcoeff in laurent for mu, j, k, coeff in terms])
+    return ref_canonical([Term(j + qj, k, coeff * qcoeff)
+                          for qj, _, qcoeff in laurent for j, k, coeff in terms])
 
 
 def ref_add(x, y):
@@ -105,7 +105,7 @@ def ref_hamiltonian(a, b, potential, terms):
 
 def bits(terms):
     """Keys and the repr of both coefficient parts, so that -0.0 counts."""
-    return [(mu, j, k, repr(coeff.real), repr(coeff.imag)) for mu, j, k, coeff in terms]
+    return [(j, k, repr(coeff.real), repr(coeff.imag)) for j, k, coeff in terms]
 
 
 # -- per-poly reference for sampling --------------------------------------------
@@ -124,18 +124,18 @@ def ref_eval_array(f, rhos):
     if np.any(rhos <= 0):
         raise ValueError("all sample points must be positive")
     groups = {}
-    for mu, j, k, coeff in f.terms:
-        groups.setdefault((mu, k), []).append((j, coeff))
+    for j, k, coeff in f.terms:
+        groups.setdefault(k, []).append((j, coeff))
     total = np.zeros(rhos.shape, dtype=complex)
     with np.errstate(under="ignore"):
-        for (mu, k), group in groups.items():
+        for k, group in groups.items():
             top, acc = group[-1]
             acc = np.full(rhos.shape, acc)
             for j, coeff in reversed(group[:-1]):
                 acc *= rhos if top - j == 1 else rhos ** (top - j)
                 acc += coeff
                 top = j
-            acc *= rhos ** (mu * f.a + top)
+            acc *= rhos ** (top if k is None else f.a + top)
             if k is not None:
                 acc *= np.exp(-(f.b / (f.a + k)) * rhos)
             total += acc
@@ -177,14 +177,14 @@ def ref_laguerre_norm2(poly):
     terms = poly.terms
     if not terms:
         raise ValueError("the zero function is not a Laguerre function")
-    mu, j0, k, _ = terms[0]
+    j0, k, _ = terms[0]
     if k is None:
         raise ValueError("a Laguerre function needs an exponential decay")
-    if any((tmu, tj, tk) != (mu, j0 + i, k) for i, (tmu, tj, tk, _) in enumerate(terms)):
-        raise ValueError("a Laguerre function has one mu, one decay index "
+    if any((tj, tk) != (j0 + i, k) for i, (tj, tk, _) in enumerate(terms)):
+        raise ValueError("a Laguerre function has one decay index "
                          "and consecutive powers")
     a, b = poly.a, poly.b
-    p0 = mu * a + j0
+    p0 = a + j0
     alpha = 2.0 * p0 - 1.0
     if not alpha > -1.0:
         raise ValueError(f"lowest power p0 = {p0} gives alpha = 2 p0 - 1 = {alpha}, "
@@ -315,7 +315,7 @@ def residual_scalar(f, energy, params, grid):
 
 def ref_exact_chain(params, n, fam, dps=40):
     """The four components of eigenfunction_chain(params, n, fam), each as
-    {(mu, j, k): mpc}, lowered in dps digits."""
+    {(j, k): mpc}, lowered in dps digits."""
     with mp.workdps(dps):
         a, b, d0, mbar = (mp.mpf(x) for x in (params.a, params.b, params.d0, params.mbar))
         sign = -1 if params.d0 < 0 else 1
@@ -328,19 +328,19 @@ def ref_exact_chain(params, n, fam, dps=40):
 
         an = a + n
         if fam in ("a", "b"):
-            upper = [{(1, n, n): mp.mpc(1)}, {}]
+            upper = [{(n, n): mp.mpc(1)}, {}]
         else:
             c = an ** 2 * (an + 1) ** 2 * (d(n + 1) - d(n)) / b ** 2
-            upper = [{(1, n, n + 1): 1j * c, (1, n + 1, n + 1): -1j * c * b / (an * (an + 1))},
-                     {(1, n + 1, n + 1): mp.mpc(1)}]
+            upper = [{(n, n + 1): 1j * c, (n + 1, n + 1): -1j * c * b / (an * (an + 1))},
+                     {(n + 1, n + 1): mp.mpc(1)}]
         for k in range(n - 1, -1, -1):
             rows = []
             for i, f in enumerate(upper):
                 # f' + w_(k+i) f, with w_m = (a+m)/rho - b/(a+m)
                 acc, am = {}, a + k + i
-                for (mu, j, kk), coeff in f.items():
-                    add(acc, (mu, j - 1, kk), coeff * (mu * a + j + am))
-                    add(acc, (mu, j, kk), -coeff * (b / (a + kk) + b / am))
+                for (j, kk), coeff in f.items():
+                    add(acc, (j - 1, kk), coeff * (a + j + am))
+                    add(acc, (j, kk), -coeff * (b / (a + kk) + b / am))
                 rows.append(acc)
             for key, coeff in upper[0].items():
                 add(rows[1], key, 1j * (d(k + 1) - d(k)) * coeff)
@@ -355,7 +355,7 @@ def ref_exact_chain(params, n, fam, dps=40):
 def exact_departure(poly, exact):
     """Largest |coefficient - exact coefficient| of a float poly, over the
     largest |exact coefficient|; 0.0 when both are zero."""
-    got = {(mu, j, k): coeff for mu, j, k, coeff in poly.terms}
+    got = {(j, k): coeff for j, k, coeff in poly.terms}
     if not got and not exact:
         return 0.0
     worst = max(abs(mp.mpc(got.get(key, 0)) - exact.get(key, 0)) for key in got.keys() | exact)
@@ -369,7 +369,7 @@ def record_samples():
     """One record of each record type in the package, with both ExpoPoly and
     SpinorFn also as built past their constructors."""
     fig2, fig3 = NRParams(1.5, 0.5), DiracParams(1.0, 2.0, 1.0, 0.1)
-    poly = ExpoPoly(1.3, 0.7, ((1, 0, 0, 1.0 - 2j), (0, -1, None, 0.5)))
+    poly = ExpoPoly(1.3, 0.7, ((0, 0, 1.0 - 2j), (-1, None, 0.5)))
     chain = dc.eigenfunction_chain(fig3, 2, "c")
     return [fig2, fig3,
             PhysicalParams(hbar=1.0, m=1.0, c=1.0, e=1.0, k=2.0, pz=1.0, ell=1.5),
@@ -442,7 +442,7 @@ def ref_render_json(table, meta):
 
 def ref_laurent(params, pairs):
     a, b = params.a, params.b
-    return ExpoPoly.sum(a, b, [ExpoPoly.term(a, b, coeff, mu=0, j=j) for coeff, j in pairs])
+    return ExpoPoly.sum(a, b, [ExpoPoly.term(a, b, coeff, j=j) for coeff, j in pairs])
 
 
 def ref_superpotential(params, n):
@@ -461,7 +461,7 @@ def ref_const(params, value):
 
 def ref_w_coef(params, n):
     an = params.a + n
-    return ExpoPoly.term(params.a, params.b, an, mu=0, j=-1) + ref_const(params, -params.b / an)
+    return ExpoPoly.term(params.a, params.b, an, j=-1) + ref_const(params, -params.b / an)
 
 
 def ref_pot_matrix(params, parts, size):
@@ -515,16 +515,16 @@ def ref_b_op(params, n):
 
 def ref_kernel_chi(params, n):
     a, b = params.a, params.b
-    return dc.SpinorFn((ExpoPoly.term(a, b, 1.0, mu=1, j=n, k=n), ExpoPoly.zero(a, b)))
+    return dc.SpinorFn((ExpoPoly.term(a, b, 1.0, j=n, k=n), ExpoPoly.zero(a, b)))
 
 
 def ref_kernel_xi(params, n):
     a, b = params.a, params.b
     an = a + n
     c = ref_xi_coef(params, n)
-    comp0 = (ExpoPoly.term(a, b, 1j * c, mu=1, j=n, k=n + 1)
-             + ExpoPoly.term(a, b, -1j * c * b / (an * (an + 1)), mu=1, j=n + 1, k=n + 1))
-    comp1 = ExpoPoly.term(a, b, 1.0, mu=1, j=n + 1, k=n + 1)
+    comp0 = (ExpoPoly.term(a, b, 1j * c, j=n, k=n + 1)
+             + ExpoPoly.term(a, b, -1j * c * b / (an * (an + 1)), j=n + 1, k=n + 1))
+    comp1 = ExpoPoly.term(a, b, 1.0, j=n + 1, k=n + 1)
     return dc.SpinorFn((comp0, comp1))
 
 
@@ -541,7 +541,7 @@ def ref_kernel_residual(p, n):
 
 def hex_poly(poly):
     """Keys and float.hex of both coefficient parts of every term."""
-    return [(mu, j, k, coeff.real.hex(), coeff.imag.hex()) for mu, j, k, coeff in poly.terms]
+    return [(j, k, coeff.real.hex(), coeff.imag.hex()) for j, k, coeff in poly.terms]
 
 
 def hex_operator(op):

@@ -307,8 +307,8 @@ class TestConfigValidation:
             f = chain(params, n, fam)
             if (n, fam) != (1, "c"):
                 return f
-            mu, j, k, _ = f.components[1].terms[0]
-            bump = expalg.ExpoPoly(params.a, params.b, ((mu, j, k, 1e-9 * f.max_abs_coeff()),))
+            j, k, _ = f.components[1].terms[0]
+            bump = expalg.ExpoPoly(params.a, params.b, ((j, k, 1e-9 * f.max_abs_coeff()),))
             return dc.SpinorFn((f.components[0], f.components[1] + bump) + f.components[2:])
 
         monkeypatch.setattr(dc, "eigenfunction_chain", departed)

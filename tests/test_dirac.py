@@ -158,7 +158,7 @@ class TestKernels:
         from susy_ladder.expalg import ExpoPoly
         for n in range(0, 3):
             bd = dc.b_dagger(FIG3, n)
-            probe_poly = ExpoPoly.term(FIG3.a, FIG3.b, 1.0, mu=1, j=n, k=n + 2)
+            probe_poly = ExpoPoly.term(FIG3.a, FIG3.b, 1.0, j=n, k=n + 2)
             z = ExpoPoly.zero(FIG3.a, FIG3.b)
             for probe in (dc.SpinorFn((probe_poly, z)), dc.SpinorFn((z, probe_poly))):
                 image = bd.apply(probe)
@@ -353,10 +353,10 @@ class TestOperatorCache:
                     scaled = upper.scale(weights[1])
                     assert [bits(c.terms) for c in fast.components[2:]] == \
                         [bits(c.terms) for c in scaled.components]
-                    lowered = [{(mu, j, k): coeff for mu, j, k, coeff in c} for c in phi[2:]]
+                    lowered = [{(j, k): coeff for j, k, coeff in c} for c in phi[2:]]
                     scale = max(abs(x) for c in lowered for x in c.values())
                     for c, ref in zip(fast.components[2:], lowered):
-                        new = {(mu, j, k): coeff for mu, j, k, coeff in c.terms}
+                        new = {(j, k): coeff for j, k, coeff in c.terms}
                         assert max((abs(new.get(key, 0j) - ref.get(key, 0j))
                                     for key in new | ref), default=0.0) <= 1e-13 * scale
 

@@ -13,6 +13,7 @@ from conftest import (bits, random_dirac, random_nr, random_poly, random_spinor,
                       ref_hamiltonian, ref_ladder, ref_scale, rng_for)
 
 from susy_ladder import dirac as dc
+from susy_ladder import expalg
 from susy_ladder import nonrel as nr
 from susy_ladder.errors import ContextMismatch, DivergentIntegral, DomainError
 from susy_ladder.expalg import ExpoPoly, Term, _wrap, apply_operator, eval_rows
@@ -21,57 +22,54 @@ from susy_ladder.params import DiracParams, NRParams, default_rho_max
 from susy_ladder.verify import NR_POINTS
 
 
-def term(a, b, coeff, mu=0, j=0, k=None):
-    return ExpoPoly.term(a, b, coeff, mu=mu, j=j, k=k)
+term = ExpoPoly.term
 
 
 def hex_bits(terms):
     """Keys and the .hex() of both coefficient parts, so that -0.0 counts."""
-    return [(mu, j, k, coeff.real.hex(), coeff.imag.hex()) for mu, j, k, coeff in terms]
+    return [(j, k, coeff.real.hex(), coeff.imag.hex()) for j, k, coeff in terms]
 
 
 class TestCanonicalForm:
     def test_like_terms_merge(self):
         # rho^a e^(-b rho/(a+1)) + 2 * same -> one term with coefficient 3
-        p = term(1.5, 0.5, 1.0, mu=1, k=1) + term(1.5, 0.5, 2.0, mu=1, k=1)
+        p = term(1.5, 0.5, 1.0, k=1) + term(1.5, 0.5, 2.0, k=1)
         assert len(p.terms) == 1
         ((*_, coeff),) = p.terms
         assert coeff == 3.0 + 0j
 
     def test_additive_inverse_empties(self):
-        p = term(1.5, 0.5, 1.0, mu=1, j=2, k=1)
+        p = term(1.5, 0.5, 1.0, j=2, k=1)
         assert len((p - p).terms) == 0
         assert (p - p).is_zero(1e-15)
 
     def test_add_identity(self):
-        p = term(1.5, 0.5, 2.5, mu=1, j=1, k=2)
+        p = term(1.5, 0.5, 2.5, j=1, k=2)
         assert p + ExpoPoly.zero(1.5, 0.5) == p
 
     def test_distinct_decays_do_not_merge(self):
-        p = term(1.0, 1.0, 1.0, mu=1, j=0, k=0) + term(1.0, 1.0, 1.0, mu=1, j=0, k=1)
+        p = term(1.0, 1.0, 1.0, j=0, k=0) + term(1.0, 1.0, 1.0, j=0, k=1)
         assert len(p.terms) == 2
 
     def test_exponent_multiplier_restricted(self):
-        with pytest.raises(ValueError):
+        # k alone tells a term's kind: there is no exponent multiplier to give
+        with pytest.raises(TypeError):
             ExpoPoly.term(1.0, 1.0, 1.0, mu=2)
 
     @pytest.mark.parametrize("build", [
-        lambda: term(1.0, 1.0, 1.0, mu=2),
         lambda: term(1.0, 1.0, 1.0, j=1.5),
         lambda: term(1.0, 1.0, 1.0, k=1.5),
-        lambda: ExpoPoly(1.0, 1.0, (Term(2, 0, None, 1.0),)),
-        lambda: ExpoPoly(1.0, 1.0, (Term(0, 1.5, None, 1.0),)),
-        lambda: ExpoPoly(1.0, 1.0, (Term(0, 0, 1.5, 1.0),)),
-        lambda: ExpoPoly(1.0, 1.0, (Term(1, 0, 0, 1.0), Term(2, 0.5, None, 1.0))),
-    ], ids=["mu=2", "j=1.5", "k=1.5",
-            "ctor-mu=2", "ctor-j=1.5", "ctor-k=1.5", "ctor-second-term"])
+        lambda: ExpoPoly(1.0, 1.0, (Term(1.5, None, 1.0),)),
+        lambda: ExpoPoly(1.0, 1.0, (Term(0, 1.5, 1.0),)),
+        lambda: ExpoPoly(1.0, 1.0, (Term(0, 0, 1.0), Term(0.5, None, 1.0))),
+    ], ids=["j=1.5", "k=1.5", "ctor-j=1.5", "ctor-k=1.5", "ctor-second-term"])
     def test_bad_term_keys_rejected(self, build):
         with pytest.raises(ValueError):
             build()
 
     def test_decay_rate_must_be_positive(self):
         with pytest.raises(ValueError):
-            term(1.0, 1.0, 1.0, mu=0, j=0, k=-1)
+            term(1.0, 1.0, 1.0, j=-1, k=-1)
 
     @pytest.mark.parametrize("a, b, k", [
         (0.0, 1.0, None), (-1.0, 1.0, None), (1.0, 0.0, None), (1.0, -0.5, None),
@@ -79,9 +77,9 @@ class TestCanonicalForm:
     ], ids=["a=0", "a<0", "b=0", "b<0", "a+k<0", "a+k=0"])
     def test_term_checks_the_context_and_the_rate(self, a, b, k):
         with pytest.raises(ValueError):
-            ExpoPoly.term(a, b, 1.0, mu=1, j=0, k=k)
+            ExpoPoly.term(a, b, 1.0, j=0, k=k)
         with pytest.raises(ValueError):
-            ExpoPoly(a, b, (Term(1, 0, k, 1.0 + 0j),))
+            ExpoPoly(a, b, (Term(0, k, 1.0 + 0j),))
         if k is None:
             with pytest.raises(ValueError):
                 ExpoPoly.zero(a, b)
@@ -91,34 +89,55 @@ class TestCanonicalForm:
         coeffs = [complex(rng.standard_normal(), rng.standard_normal()) for _ in range(10)]
         coeffs += [0.0, 0j, complex(-0.0, -0.0), complex(-0.0, 1.0), complex(2.0, -0.0), -3]
         for coeff in coeffs:
-            for mu, j, k in [(0, 0, None), (1, 2, 0), (0, -1, None), (1, -3, 4)]:
-                made = term(1.3, 0.7, coeff, mu=mu, j=j, k=k)
-                assert made == ExpoPoly(1.3, 0.7, (Term(mu, j, k, coeff),))
-                assert bits(made.terms) == bits(ref_canonical([Term(mu, j, k, coeff)]))
+            for j, k in [(0, None), (2, 0), (-1, None), (-3, 4)]:
+                made = term(1.3, 0.7, coeff, j=j, k=k)
+                assert made == ExpoPoly(1.3, 0.7, (Term(j, k, coeff),))
+                assert bits(made.terms) == bits(ref_canonical([Term(j, k, coeff)]))
 
     @pytest.mark.parametrize("coeff", [0, 0.0, -0.0, 0j, complex(-0.0, -0.0)])
     def test_term_drops_a_zero_coefficient(self, coeff):
-        assert term(1.3, 0.7, coeff, mu=1, j=1, k=0).terms == ()
+        assert term(1.3, 0.7, coeff, j=1, k=0).terms == ()
 
     def test_term_stores_no_negative_zero(self):
-        ((*_, coeff),) = term(1.3, 0.7, complex(-0.0, 1.0), mu=1, j=1, k=0).terms
+        ((*_, coeff),) = term(1.3, 0.7, complex(-0.0, 1.0), j=1, k=0).terms
         assert (coeff.real.hex(), coeff.imag.hex()) == ("0x0.0p+0", "0x1.0000000000000p+0")
 
-    def test_undecayed_term_sorts_first_within_mu_and_j(self):
-        # keys (mu, j, None) and (mu, j, k) do not compare as plain tuples
+    def test_undecayed_term_sorts_first_within_j(self):
+        # keys (j, None) and (j, k) do not compare as plain tuples, so the
+        # sort falls back to _order
         a, b = 1.3, 0.7
-        p = ExpoPoly(a, b, (Term(0, 1, 2, 1.0 + 0j), Term(1, 0, 0, 4.0 + 0j),
-                            Term(0, 1, None, 2.0 + 0j), Term(0, 1, 0, 3.0 + 0j),
-                            Term(0, 0, 5, 5.0 + 0j)))
-        assert [t[:3] for t in p.terms] == [(0, 0, 5), (0, 1, None), (0, 1, 0),
-                                            (0, 1, 2), (1, 0, 0)]
-        # d/drho of rho^2 lands on (0, 1, None), that of rho e^(-b rho/(a+1))
-        # on (0, 0, 1) and (0, 1, 1)
+        keys = [(1, 2), (0, 0), (1, None), (1, 0), (0, 5)]
+        with pytest.raises(TypeError):
+            sorted(keys)
+        p = ExpoPoly(a, b, [Term(*key, float(i)) for i, key in enumerate(keys, 1)])
+        assert [t[:2] for t in p.terms] == [(0, 0), (0, 5), (1, None), (1, 0), (1, 2)]
+        # d/drho of rho^2 lands on (1, None), that of rho^(a+1) e^(-b rho/(a+1))
+        # on (0, 1) and (1, 1)
         f = term(a, b, 1.0, j=2) + term(a, b, 2.0, j=1, k=1)
         (row,) = apply_operator([[1.0]], [[term(a, b, 0.5, j=-1)]], [f])
-        assert [t[:3] for t in row.terms] == [(0, 0, 1), (0, 1, None), (0, 1, 1)]
+        assert [t[:2] for t in row.terms] == [(0, 1), (1, None), (1, 1)]
         (expect,) = ref_apply(a, b, [[1.0]], [[term(a, b, 0.5, j=-1)]], [f.terms])
         assert bits(row.terms) == bits(expect)
+
+    def test_laurent_and_decayed_terms_sort_through_the_natural_sort(self, monkeypatch):
+        # No j holds both kinds, so the keys' plain tuple order is defined,
+        # and it is (j, Laurent first, k): _order is never called.
+        def refuse(key):
+            raise AssertionError("the natural sort fell back to _order")
+
+        monkeypatch.setattr(expalg, "_order", refuse)
+        keys = [(2, None), (0, 3), (-1, None), (1, 0), (0, 1)]
+        p = ExpoPoly(1.3, 0.7, [Term(*key, float(i)) for i, key in enumerate(keys, 1)])
+        expect = [(-1, None), (0, 1), (0, 3), (1, 0), (2, None)]
+        assert [t[:2] for t in p.terms] == expect
+        assert bits(p.terms) == bits(ref_canonical(p.terms[::-1]))
+        assert [t[:2] for t in (p + p.scale(2.0)).terms] == expect
+
+    def test_the_old_four_field_layout_is_refused(self):
+        # a (mu, j, k, coeff) term raises rather than being read as (j, k, coeff)
+        for build in (ExpoPoly, ExpoPoly.ordered):
+            with pytest.raises(ValueError):
+                build(1.0, 1.0, [(1, 0, 0, 1.0)])
 
     def test_context_mismatch(self):
         with pytest.raises(ContextMismatch):
@@ -132,9 +151,9 @@ class TestSignedZero:
     def test_no_negative_zero_and_unit_scale_is_exact(self):
         a, b = 1.3, 0.7
         rng = rng_for(71)
-        signed = [term(a, b, complex(-0.0, 1.0), mu=1, j=1, k=0),
-                  term(a, b, complex(1.0, -0.0), mu=0, j=-1),
-                  term(a, b, complex(-0.0, -0.0) - 2.5j, mu=1, j=2, k=3)]
+        signed = [term(a, b, complex(-0.0, 1.0), j=1, k=0),
+                  term(a, b, complex(1.0, -0.0), j=-1),
+                  term(a, b, complex(-0.0, -0.0) - 2.5j, j=2, k=3)]
         polys = [random_poly(rng, a, b, n_terms=5) for _ in range(20)] + signed
         polys.append(ExpoPoly.sum(a, b, signed))
         for p in polys:
@@ -163,12 +182,12 @@ class TestSum:
         p = random_poly(rng_for(50), a, b)
         q = term(a, b, 1.0)
         parts = [p, q, p.scale(-(1.0 - 2.0 ** -52)), p.scale(1e-3)]
-        left = {(mu, j, k): coeff
-                for mu, j, k, coeff in functools.reduce(operator.add, parts[:3]).terms}
-        assert left.pop((0, 0, None)) == 1.0
-        assert left.keys() == {t[:3] for t in p.terms}
-        for mu, j, k, coeff in p.terms:
-            assert 0.0 < abs(left[mu, j, k]) <= 1e-15 * abs(coeff)
+        left = {(j, k): coeff
+                for j, k, coeff in functools.reduce(operator.add, parts[:3]).terms}
+        assert left.pop((0, None)) == 1.0
+        assert left.keys() == {t[:2] for t in p.terms}
+        for j, k, coeff in p.terms:
+            assert 0.0 < abs(left[j, k]) <= 1e-15 * abs(coeff)
         assert (p + (-p)).terms == ()
         chained = functools.reduce(operator.add, parts)
         assert ExpoPoly.sum(a, b, parts).terms == chained.terms
@@ -204,8 +223,8 @@ class TestSubtract:
         a, b = self.a, self.b
         coeffs = [2.0, -0.5, 3j, -1.5j, complex(-0.0, 1.0), complex(1.0, -0.0),
                   complex(-0.0, -0.0) - 2.5j, complex(2.0, 0.0), 1e-320, -1e-320j]
-        polys = [term(a, b, c, mu=1, j=j, k=0) for j, c in enumerate(coeffs)]
-        polys += [term(a, b, c, mu=1, j=1, k=0) for c in coeffs]
+        polys = [term(a, b, c, j=j, k=0) for j, c in enumerate(coeffs)]
+        polys += [term(a, b, c, j=1, k=0) for c in coeffs]
         polys.append(ExpoPoly.sum(a, b, polys[:len(coeffs)]))
         for f in polys:
             for g in polys:
@@ -215,12 +234,12 @@ class TestSubtract:
         a, b = self.a, self.b
         rng = rng_for(171)
         p = random_poly(rng, a, b, n_terms=5)
-        keys = [t[:3] for t in p.terms]
-        disjoint = ExpoPoly(a, b, [(0, j, None, 1.5 - 1j) for j in range(3)])
-        overlap = ExpoPoly(a, b, [(*keys[0], 0.25j), (0, -1, None, 2.0)])
+        keys = [t[:2] for t in p.terms]
+        disjoint = ExpoPoly(a, b, [(j, None, 1.5 - 1j) for j in range(3)])
+        overlap = ExpoPoly(a, b, [(*keys[0], 0.25j), (-1, None, 2.0)])
         same = ExpoPoly(a, b, [(*key, complex(*rng.standard_normal(2))) for key in keys])
         # p's real parts cancel exactly: only the imaginary parts are left
-        real = ExpoPoly(a, b, [(mu, j, k, coeff.real) for mu, j, k, coeff in p.terms])
+        real = ExpoPoly(a, b, [(j, k, coeff.real) for j, k, coeff in p.terms])
         for q in (disjoint, overlap, same, real, p, ExpoPoly.zero(a, b)):
             self.check(p, q)
             self.check(q, p)
@@ -228,15 +247,14 @@ class TestSubtract:
         assert all(coeff.real == 0.0 for *_, coeff in (p - real).terms)
 
     def test_undecayed_and_decayed_keys_at_one_power(self):
-        # (0, 1, None) and (0, 1, k) do not compare as plain tuples, which
-        # sends the sort to its _order fallback
+        # (1, None) and (1, k) do not compare as plain tuples, which sends
+        # the sort to its _order fallback
         a, b = self.a, self.b
-        p = ExpoPoly(a, b, [(0, 1, None, 2.0 + 1j), (0, 1, 2, -1.0), (1, 0, 0, 0.5j)])
-        q = ExpoPoly(a, b, [(0, 1, 0, 3.0), (0, 1, None, 2.0 - 1j), (0, 0, 5, 1.0)])
+        p = ExpoPoly(a, b, [(1, None, 2.0 + 1j), (1, 2, -1.0), (0, 0, 0.5j)])
+        q = ExpoPoly(a, b, [(1, 0, 3.0), (1, None, 2.0 - 1j), (0, 5, 1.0)])
         for f, g in ((p, q), (q, p), (p, p), (p, ExpoPoly.zero(a, b))):
             self.check(f, g)
-        assert [t[:3] for t in (p - q).terms] == [(0, 0, 5), (0, 1, None), (0, 1, 0),
-                                                  (0, 1, 2), (1, 0, 0)]
+        assert [t[:2] for t in (p - q).terms] == [(0, 0), (0, 5), (1, None), (1, 0), (1, 2)]
 
     def test_context_mismatch(self):
         with pytest.raises(ContextMismatch):
@@ -270,7 +288,7 @@ class TestSlottedPoly:
 
     def test_no_instance_dict(self):
         a, b = 1.3, 0.7
-        polys = [ExpoPoly(a, b, ((1, 0, 0, 1.0),)), ExpoPoly.zero(a, b), term(a, b, 2.0),
+        polys = [ExpoPoly(a, b, ((0, 0, 1.0),)), ExpoPoly.zero(a, b), term(a, b, 2.0),
                  random_poly(rng_for(174), a, b), _wrap(a, b, ())]
         for p in polys:
             assert not hasattr(p, "__dict__")
@@ -289,7 +307,7 @@ class TestSlottedPoly:
         assert hash(_wrap(1.3, 0.7, ())) == hash(ExpoPoly(1.3, 0.7))
 
     def test_fields_are_frozen(self):
-        for p in (ExpoPoly(1.3, 0.7, ((0, 1, None, 1.0),)), _wrap(1.3, 0.7, ())):
+        for p in (ExpoPoly(1.3, 0.7, ((1, None, 1.0),)), _wrap(1.3, 0.7, ())):
             for name, value in (("a", 2.0), ("b", 2.0), ("terms", ())):
                 with pytest.raises(AttributeError, match=f"'{name}'"):
                     setattr(p, name, value)
@@ -318,8 +336,8 @@ class TestPlainTupleTerms:
         laurent = term(a, b, 2.0, j=-1) + term(a, b, -0.5)
         zero = ExpoPoly.zero(a, b)
         results = [
-            ExpoPoly(a, b, p.terms), ExpoPoly(a, b, [(1, 0, 0, 1.0), (0, 2, None, 2.0)]),
-            term(a, b, 2.0, mu=1, j=1, k=0), ExpoPoly.sum(a, b, [p, q, laurent]),
+            ExpoPoly(a, b, p.terms), ExpoPoly(a, b, [(0, 0, 1.0), (2, None, 2.0)]),
+            term(a, b, 2.0, j=1, k=0), ExpoPoly.sum(a, b, [p, q, laurent]),
             p + q, p - q, -p, p.scale(2.5j), p.conjugate(), p.differentiate(),
             p.mul_laurent(laurent),
             *apply_operator([[1.0, 0.5], [0.0, -1.0]], [[laurent, zero], [laurent, laurent]],
@@ -346,7 +364,7 @@ class TestPlainTupleTerms:
             assert not gc.is_tracked(p.terms)
 
     def test_constructor_stores_plain_tuples_equal_to_term_input(self):
-        given = (Term(0, -1, None, 0.5 + 0j), Term(1, 2, 0, 1.5 - 2j))
+        given = (Term(-1, None, 0.5 + 0j), Term(2, 0, 1.5 - 2j))
         p = ExpoPoly(1.3, 0.7, given)
         assert p.terms == given
         assert [type(t) for t in p.terms] == [tuple, tuple]
@@ -385,7 +403,7 @@ class TestApplyOperator:
                     got = op.apply(f).components
                     assert [bits(c.terms) for c in got] == [bits(t) for t in expect]
         # Random operators: multipliers 0, 1, 1+0j and others, potentials of
-        # no, one and several terms, on columns of several (mu, k) groups.
+        # no, one and several terms, on columns of several k groups.
         a, b = p.a, p.b
         consts = [0.0, 1.0, 1 + 0j, -1.0, -1j, 0.5 + 2.0j]
         for _ in range(10):
@@ -400,13 +418,13 @@ class TestApplyOperator:
             columns = [random_poly(rng, a, b, n_terms=5)
                        + term(a, b, complex(*rng.standard_normal(2)), j=int(rng.integers(-1, 3)))
                        for _ in range(size)]
-            assert len({(mu, k) for f in columns for mu, _, k, _ in f.terms}) > 1
+            assert len({k for f in columns for _, k, _ in f.terms}) > 1
             got = apply_operator(dcoef, potential, columns)
             expect = ref_apply(a, b, dcoef, potential, [f.terms for f in columns])
             assert [bits(row.terms) for row in got] == [bits(t) for t in expect]
         # A unit multiplier adds f' as it is. Here f' has the coefficient
         # 1e308 * (a + 3) = inf + 0j, which times 1 + 0j has a NaN imaginary part.
-        f = term(a, b, 1e308, mu=1, j=3, k=0)
+        f = term(a, b, 1e308, j=3, k=0)
         (row,) = apply_operator([[1 + 0j]], [[ExpoPoly.zero(a, b)]], [f])
         (expect,) = ref_apply(a, b, [[1 + 0j]], [[ExpoPoly.zero(a, b)]], [f.terms])
         assert bits(row.terms) == bits(expect)
@@ -435,7 +453,7 @@ class TestApplyOperator:
         # as 0j + that on a fresh key, and added to the derivative's
         # coefficient on a shared one.
         assert repr((1j * complex(-1.0)).real) == "-0.0"
-        f = term(a, b, 1j, mu=1, j=1, k=0) + term(a, b, 1j, j=2)
+        f = term(a, b, 1j, j=1, k=0) + term(a, b, 1j, j=2)
         for pot in (term(a, b, -1.0), term(a, b, -1.0, j=-1)):
             for c in (0.0, 1.0, -1j):
                 got = apply_operator([[c]], [[pot]], [f])
@@ -452,10 +470,10 @@ class TestApplyOperator:
                 foreign = ExpoPoly(*ctx, pot.terms)
                 with pytest.raises(ContextMismatch):
                     apply_operator([[0.0]], [[foreign]], [f])
-        for bad in (term(a, b, 1.0, mu=1), term(a, b, 1.0, k=1)):
-            for pot in (bad, bad + term(a, b, 0.5)):
-                with pytest.raises(ValueError, match="pure Laurent"):
-                    apply_operator([[1.0]], [[pot]], [f])
+        bad = term(a, b, 1.0, k=1)
+        for pot in (bad, bad + term(a, b, 0.5)):
+            with pytest.raises(ValueError, match="pure Laurent"):
+                apply_operator([[1.0]], [[pot]], [f])
 
     @pytest.mark.parametrize("tag", range(4))
     def test_scalar_operators_match_the_per_part_reference(self, tag):
@@ -546,32 +564,30 @@ class TestSameKeyOps:
     def test_match_canonicalizing_the_mapped_terms(self):
         a, b = 1.3, 0.7
         rng = rng_for(75)
-        real = ExpoPoly.sum(a, b, [term(a, b, 2.0, mu=1, j=1, k=0), term(a, b, -0.5, j=-1),
-                                   term(a, b, complex(0.0, 3.0), mu=1, j=2, k=3)])
+        real = ExpoPoly.sum(a, b, [term(a, b, 2.0, j=1, k=0), term(a, b, -0.5, j=-1),
+                                   term(a, b, complex(0.0, 3.0), j=2, k=3)])
         polys = [random_poly(rng, a, b, n_terms=5) for _ in range(10)] + [real]
         scales = [-1.0, 0.5, 0.0, 1e-320, -1j, np.complex128(-1j), np.float64(0.3),
                   complex(0.0, -0.0), 2.5 - 1.5j]
         for p in polys:
             assert bits(p.conjugate().terms) == bits(ref_canonical(
-                [Term(mu, j, k, coeff.conjugate()) for mu, j, k, coeff in p.terms]))
+                [Term(j, k, coeff.conjugate()) for j, k, coeff in p.terms]))
             for c in scales:
                 assert bits(p.scale(c).terms) == bits(ref_scale(p.terms, c))
 
 
 class TestScaleAndPower:
     def test_scale_one_and_zero(self):
-        p = term(1.5, 0.5, 2.0, mu=1, j=1, k=1)
+        p = term(1.5, 0.5, 2.0, j=1, k=1)
         assert p.scale(1.0) == p
         assert p.scale(0.0).is_zero(1e-15)
 
     def test_scale_i_squared(self):
-        p = term(1.5, 0.5, 1.0, mu=1)
+        p = term(1.5, 0.5, 1.0, k=0)
         assert p.scale(1j).scale(1j) == p.scale(-1.0)
 
     def test_mul_laurent_requires_pure_laurent(self):
-        p = term(1.5, 0.5, 1.0, mu=1, k=1)
-        with pytest.raises(ValueError):
-            p.mul_laurent(term(1.5, 0.5, 1.0, mu=1))
+        p = term(1.5, 0.5, 1.0, k=1)
         with pytest.raises(ValueError):
             p.mul_laurent(term(1.5, 0.5, 1.0, k=1))
 
@@ -580,17 +596,17 @@ class TestDifferentiate:
     def test_product_rule_single_term(self):
         # d/drho rho^a e^(-beta rho) = a rho^(a-1) e - beta rho^a e
         a, b = 1.5, 0.5
-        p = term(a, b, 1.0, mu=1, j=0, k=1)
+        p = term(a, b, 1.0, j=0, k=1)
         beta = b / (a + 1)
-        expected = term(a, b, a, mu=1, j=-1, k=1) + term(a, b, -beta, mu=1, j=0, k=1)
+        expected = term(a, b, a, j=-1, k=1) + term(a, b, -beta, j=0, k=1)
         assert (p.differentiate() - expected).is_zero(1e-15)
 
     def test_constant_derivative_vanishes(self):
         assert term(1.0, 1.0, 7.0).differentiate().is_zero(1e-15)
 
     def test_pure_power(self):
-        p = term(1.5, 0.5, 1.0, mu=0, j=2)
-        assert p.differentiate() == term(1.5, 0.5, 2.0, mu=0, j=1)
+        p = term(1.5, 0.5, 1.0, j=2)
+        assert p.differentiate() == term(1.5, 0.5, 2.0, j=1)
 
     def test_linearity_randomized(self):
         rng = rng_for(10)
@@ -615,19 +631,19 @@ class TestDifferentiate:
 
 class TestEval:
     def test_unit_power_no_decay(self):
-        # rho^a with zero decay rate at rho=1 is 1
-        assert term(1.5, 0.5, 1.0, mu=1).eval(1.0) == pytest.approx(1.0)
+        # a power with zero decay rate at rho=1 is 1
+        assert term(1.5, 0.5, 1.0, j=3).eval(1.0) == pytest.approx(1.0)
 
     def test_linear(self):
-        assert term(1.0, 1.0, 2.0, mu=0, j=1).eval(3.5) == pytest.approx(7.0)
+        assert term(1.0, 1.0, 2.0, j=1).eval(3.5) == pytest.approx(7.0)
 
     def test_fractional_power_with_decay(self):
         # rho^1.5 e^(-0.2 rho) at rho=2, context a=1.5, b=0.5, k=1
-        p = term(1.5, 0.5, 1.0, mu=1, j=0, k=1)
+        p = term(1.5, 0.5, 1.0, j=0, k=1)
         assert p.eval(2.0) == pytest.approx(2.0 ** 1.5 * math.exp(-0.4), rel=1e-14)
 
     def test_domain_error(self):
-        p = term(1.5, 0.5, 1.0, mu=1)
+        p = term(1.5, 0.5, 1.0, k=0)
         for rho in (0.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 p.eval(rho)
@@ -675,18 +691,18 @@ class TestSampler:
 
     @staticmethod
     def random_grouped_poly(rng, a, b):
-        """Three or four (mu, k) groups, each with offsets j drawn with gaps,
-        and real, purely imaginary or general complex coefficients."""
-        keys = [(0, None), (1, None), (0, 0), (1, 0), (0, 2), (1, 3)]
+        """Three or four k groups, each with offsets j drawn with gaps, and
+        real, purely imaginary or general complex coefficients."""
+        ks = [None, 0, 2, 3]
         terms = []
-        for g in rng.choice(len(keys), size=int(rng.integers(3, 5)), replace=False):
-            mu, k = keys[g]
+        for g in rng.choice(len(ks), size=int(rng.integers(3, 5)), replace=False):
+            k = ks[g]
             for j in sorted(rng.choice(np.arange(-1, 7), size=int(rng.integers(1, 6)),
                                        replace=False)):
                 x, y = rng.standard_normal(2)
                 coeff = (complex(x, y), complex(0.0, y), complex(-abs(x), 0.0))[
                     int(rng.integers(0, 3))]
-                terms.append(Term(mu, int(j), k, coeff))
+                terms.append(Term(int(j), k, coeff))
         return ExpoPoly(a, b, terms)
 
     def test_random_polys_with_gaps_and_imaginary_coefficients(self):
@@ -694,8 +710,7 @@ class TestSampler:
         polys = [self.random_grouped_poly(rng, a, b)
                  for a, b in [(1.3, 0.7)] * 20 + [(0.6, 1.9)] * 10]
         assert any(j2 - j1 > 1 for f in polys
-                   for (mu1, j1, k1, _), (mu2, j2, k2, _) in zip(f.terms, f.terms[1:])
-                   if (mu1, k1) == (mu2, k2))
+                   for (j1, k1, _), (j2, k2, _) in zip(f.terms, f.terms[1:]) if k1 == k2)
         assert any(coeff.real == 0.0 and coeff.imag != 0.0
                    for f in polys for *_, coeff in f.terms)
         for rhos in self.GRIDS:
@@ -706,14 +721,15 @@ class TestSampler:
             assert rows.tobytes() == np.stack([ref_eval_array(f, rhos) for f in polys]).tobytes()
             spinor = dc.SpinorFn(tuple(polys[:4]))
             self.assert_same(spinor, rhos)
-        # Factors are keyed by kind and value: rho^1.5 is mu=1, j=0 at a=1.5
-        # and mu=1, j=1 at a=0.5, and b/(a+k) is 0.9/1.5 at k=0 and at k=1.
-        # r's power rho^0.6 has the value of that decay rate.
-        p, q, r = (ExpoPoly(1.5, 0.9, [Term(1, 0, 0, 0.5 - 1j), Term(1, 2, 0, 2.0)]),
-                   ExpoPoly(0.5, 0.9, [Term(1, 1, 1, -1.5), Term(1, 3, 1, 0.25j)]),
-                   ExpoPoly(0.6, 0.9, [Term(1, 0, None, 1.0 + 1j)]))
-        assert (1 * p.a + 0, p.b / (p.a + 0)) == (1 * q.a + 1, q.b / (q.a + 1))
-        assert 1 * r.a + 0 == p.b / (p.a + 0)
+        # Factors are keyed by kind and value: rho^1.5 is j=0 at a=1.5 and
+        # j=1 at a=0.5, and b/(a+k) is 0.9/1.5 at k=0 and at k=1. r's power
+        # rho^0.6 has the value of that decay rate, and its rate 0.9/0.6 the
+        # value of that power.
+        p, q, r = (ExpoPoly(1.5, 0.9, [Term(0, 0, 0.5 - 1j), Term(2, 0, 2.0)]),
+                   ExpoPoly(0.5, 0.9, [Term(1, 1, -1.5), Term(3, 1, 0.25j)]),
+                   ExpoPoly(0.6, 0.9, [Term(0, 0, 1.0 + 1j)]))
+        assert (p.a + 0, p.b / (p.a + 0)) == (q.a + 1, q.b / (q.a + 1))
+        assert (r.a + 0, r.b / (r.a + 0)) == (p.b / (p.a + 0), p.a + 0)
         rhos = self.GRIDS[1]
         rows = eval_rows([p, q, r, p], rhos)
         assert rows.tobytes() == np.stack([ref_eval_array(f, rhos)
@@ -747,9 +763,9 @@ class TestSampler:
         # float) meet the power and decay factors. Each row keeps the
         # reference's bits, NaN signs included.
         a, b = 1.3, 0.7
-        groups = [(0, None, [2e300, -3e299j, complex(1e300, -5e299)]),
-                  (1, 0, [complex(-1e300, 1e300), 7e299, complex(0.0, -2e300), 1e300])]
-        poly = ExpoPoly(a, b, [Term(mu, j, k, c) for mu, k, coeffs in groups
+        groups = [(None, [2e300, -3e299j, complex(1e300, -5e299)]),
+                  (0, [complex(-1e300, 1e300), 7e299, complex(0.0, -2e300), 1e300])]
+        poly = ExpoPoly(a, b, [Term(j, k, c) for k, coeffs in groups
                                for j, c in enumerate(coeffs)])
         rhos = self.GRIDS[1]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -785,22 +801,22 @@ class TestSampler:
 class TestInnerProduct:
     def test_gamma_identity(self):
         # <rho e^(-rho/2), rho e^(-rho/2)> = Gamma(3)/1^3 = 2; rate 1/2 = b/(a+k)
-        p = term(1.0, 1.0, 1.0, mu=0, j=1, k=1)
+        p = term(1.0, 1.0, 1.0, j=0, k=1)
         assert p.inner_product(p) == pytest.approx(2.0, rel=1e-14)
 
     def test_pure_exponential(self):
         # <e^(-rho), e^(-rho)> = 1/2 with b/(a+k) = 2/2
-        p = term(1.0, 2.0, 1.0, mu=0, j=0, k=1)
+        p = term(1.0, 2.0, 1.0, j=-1, k=1)
         assert p.inner_product(p) == pytest.approx(0.5, rel=1e-14)
 
     def test_fractional_power(self):
         # <rho^1.5 e^(-0.2 rho), same> = Gamma(4)/0.4^4 = 234.375
-        p = term(1.5, 0.5, 1.0, mu=1, j=0, k=1)
+        p = term(1.5, 0.5, 1.0, j=0, k=1)
         assert p.inner_product(p) == pytest.approx(234.375, rel=1e-14)
 
     def test_left_argument_conjugated(self):
-        p = term(1.0, 1.0, 1j, mu=1, j=0, k=0)
-        q = term(1.0, 1.0, 1.0, mu=1, j=0, k=0)
+        p = term(1.0, 1.0, 1j, j=0, k=0)
+        q = term(1.0, 1.0, 1.0, j=0, k=0)
         assert p.inner_product(q).imag < 0
 
     def test_self_inner_real_nonnegative(self):
@@ -812,12 +828,12 @@ class TestInnerProduct:
             assert val.real >= 0
 
     def test_divergent_power(self):
-        p = term(1.0, 1.0, 1.0, mu=0, j=-1, k=0)
+        p = term(1.0, 1.0, 1.0, j=-2, k=0)
         with pytest.raises(DivergentIntegral):
             p.inner_product(p)
 
     def test_divergent_rate(self):
-        p = term(1.0, 1.0, 1.0, mu=0, j=1)
+        p = term(1.0, 1.0, 1.0, j=1)
         with pytest.raises(DivergentIntegral):
             p.inner_product(p)
 
@@ -858,18 +874,17 @@ class TestInnerProduct:
 
 class TestIsZero:
     def test_residual_scale_floor(self):
-        p = term(1.5, 0.5, 1e-14, mu=1)
+        p = term(1.5, 0.5, 1e-14, k=0)
         assert p.is_zero(1e-12)
-        assert not term(1.5, 0.5, 1.0, mu=1).is_zero(1e-12)
+        assert not term(1.5, 0.5, 1.0, k=0).is_zero(1e-12)
 
     def test_closure_of_operations(self):
         # differentiation, power shifts, sums and scalings never leave the
-        # (mu, j, k) key set
+        # (j, k) key set
         rng = rng_for(15)
         p = random_poly(rng, 1.1, 0.9, n_terms=4)
         q = p.differentiate().mul_laurent(term(1.1, 0.9, 1.0, j=-1)) + p.scale(2.3j)
-        for mu, j, k, _ in q.terms:
-            assert mu in (0, 1)
+        for j, k, _ in q.terms:
             assert isinstance(j, int)
             assert k is None or isinstance(k, int)
 
@@ -878,8 +893,8 @@ class TestOrdered:
     """ExpoPoly.ordered builds terms given in canonical key order without a
     merge or a sort, with the constructor's checks."""
 
-    KEYS = [(0, -2, None), (0, -1, None), (0, 0, None), (0, 0, 1), (0, 0, 3),
-            (0, 1, 0), (1, -1, None), (1, 0, None), (1, 0, 2), (1, 3, 1)]
+    KEYS = [(-2, None), (-1, None), (-1, 0), (0, None), (0, 1), (0, 3),
+            (1, 0), (2, None), (2, 2), (3, 1)]
     COEFFS = [1.5, complex(-0.0, 2.0), 0.0, complex(-0.0, -0.0), complex(3.0, -0.0), -0.0,
               2, complex(0.0, -0.0), complex(float("inf"), 1.0), complex(float("nan"), 0.0)]
 
@@ -887,43 +902,42 @@ class TestOrdered:
         a, b = 1.3, 0.7
         terms = [(*key, coeff) for key, coeff in zip(self.KEYS, self.COEFFS)]
         built = ExpoPoly.ordered(a, b, terms)
-        ref = ExpoPoly.sum(a, b, [ExpoPoly.term(a, b, c, mu=mu, j=j, k=k)
-                                  for mu, j, k, c in terms])
+        ref = ExpoPoly.sum(a, b, [ExpoPoly.term(a, b, c, j=j, k=k) for j, k, c in terms])
         assert repr(bits(built.terms)) == repr(bits(ref.terms))
-        assert [t[:3] for t in built.terms] == [t[:3] for t in ref.terms]
+        assert [t[:2] for t in built.terms] == [t[:2] for t in ref.terms]
         assert len(built.terms) == 6
-        assert all(type(t) is tuple and type(t[3]) is complex for t in built.terms)
+        assert all(type(t) is tuple and type(t[2]) is complex for t in built.terms)
         from_terms = ExpoPoly.ordered(a, b, [Term(*t) for t in terms])
         assert repr(bits(from_terms.terms)) == repr(bits(built.terms))
         assert ExpoPoly.ordered(a, b, ()).terms == ()
 
     @pytest.mark.parametrize("terms", [
-        [(0, 0, None, 1.0), (0, -1, None, 1.0)],
-        [(0, 0, 1, 1.0), (0, 0, None, 1.0)],
-        [(1, 0, None, 1.0), (0, 5, None, 1.0)],
-        [(0, 0, 2, 1.0), (0, 0, 1, 0.0)],
-    ], ids=["j", "decayed-before-undecayed", "mu", "k-with-zero-coeff"])
+        [(0, None, 1.0), (-1, None, 1.0)],
+        [(0, 1, 1.0), (0, None, 1.0)],
+        [(1, None, 1.0), (0, 5, 1.0)],
+        [(0, 2, 1.0), (0, 1, 0.0)],
+    ], ids=["j", "decayed-before-undecayed", "j-across-kinds", "k-with-zero-coeff"])
     def test_refuses_keys_out_of_order(self, terms):
         with pytest.raises(ValueError, match="out of canonical order or repeated"):
             ExpoPoly.ordered(1.5, 0.5, terms)
 
     @pytest.mark.parametrize("terms", [
-        [(0, -1, None, 1.0), (0, -1, None, 2.0)],
-        [(1, 2, 3, 1.0), (1, 2, 3, 0.0)],
+        [(-1, None, 1.0), (-1, None, 2.0)],
+        [(2, 3, 1.0), (2, 3, 0.0)],
     ], ids=["undecayed", "decayed-with-zero-coeff"])
     def test_refuses_a_repeated_key(self, terms):
         with pytest.raises(ValueError, match="out of canonical order or repeated"):
             ExpoPoly.ordered(1.5, 0.5, terms)
 
     @pytest.mark.parametrize("key, message", [
-        ((2, 0, None), "exponent multiplier"),
-        ((0, 1.0, None), "exponent offset"),
-        ((1, 0, 1.0), "decay index must be"),
-        ((1, 0, -2), "non-positive rate"),
+        ((1, 0, 0), "too many values to unpack"),
+        ((1.0, None), "exponent offset"),
+        ((0, 1.0), "decay index must be"),
+        ((0, -2), "non-positive rate"),
     ])
     def test_refuses_a_bad_key(self, key, message):
         with pytest.raises(ValueError, match=message):
-            ExpoPoly.ordered(1.5, 0.5, [(0, -3, None, 1.0), (*key, 1.0)])
+            ExpoPoly.ordered(1.5, 0.5, [(-3, None, 1.0), (*key, 1.0)])
 
     @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, -2.0),
                                       (float("nan"), 1.0)])

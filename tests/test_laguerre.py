@@ -1,7 +1,7 @@
 """Tests of the closed-form Laguerre normalisation, of sampling the closed
 form and of Horner sampling, against 40-digit references.
 
-Every reference forms the powers mu*a + j and the rates b/(a+k) in mpmath
+Every reference forms the powers a + j and the rates b/(a+k) in mpmath
 from the float inputs: the Gamma sum of a deep chain cancels over about ten
 orders of magnitude, so float-rounded powers would move it by more than the
 tolerances tested here.
@@ -38,11 +38,11 @@ def chain_polys(n):
 
 def gamma_sum(poly, terms=None):
     """<poly, poly> by the Gamma sum, in DPS digits; over terms in place of
-    poly's own when given, as (mu, j, k, coeff) with coeff a float or mpc."""
+    poly's own when given, as decayed (j, k, coeff) with coeff a float or mpc."""
     with mp.workdps(DPS):
         a, b = mp.mpf(poly.a), mp.mpf(poly.b)
-        keys = [(mu * a + j, b / (a + k), mp.mpc(coeff))
-                for mu, j, k, coeff in (poly.terms if terms is None else terms)]
+        keys = [(a + j, b / (a + k), mp.mpc(coeff))
+                for j, k, coeff in (poly.terms if terms is None else terms)]
         total = mp.mpf(0)
         for p1, r1, c1 in keys:
             for p2, r2, c2 in keys:
@@ -55,8 +55,8 @@ def samples(poly, rhos):
     """poly at rhos, in DPS digits."""
     with mp.workdps(DPS):
         a, b = mp.mpf(poly.a), mp.mpf(poly.b)
-        keys = [(mu * a + j, 0 if k is None else b / (a + k), mp.mpc(coeff))
-                for mu, j, k, coeff in poly.terms]
+        keys = [(j if k is None else a + j, 0 if k is None else b / (a + k), mp.mpc(coeff))
+                for j, k, coeff in poly.terms]
         return np.array([complex(sum(c * mp.mpf(r) ** p * mp.exp(-g * mp.mpf(r))
                                      for p, g, c in keys))
                          for r in rhos])
@@ -65,9 +65,9 @@ def samples(poly, rhos):
 def term_sum(poly, rhos):
     """poly at rhos as one float power and exp per term, summed in term order."""
     total = np.zeros(rhos.shape, dtype=complex)
-    for mu, j, k, coeff in poly.terms:
+    for j, k, coeff in poly.terms:
         rate = 0.0 if k is None else poly.b / (poly.a + k)
-        total += coeff * rhos ** (mu * poly.a + j) * np.exp(-rate * rhos)
+        total += coeff * rhos ** (j if k is None else poly.a + j) * np.exp(-rate * rhos)
     return total
 
 
@@ -76,9 +76,9 @@ def departure(poly):
     run down from the top coefficient in DPS digits."""
     with mp.workdps(DPS):
         terms = poly.terms
-        mu, j0, k, _ = terms[0]
+        j0, k, _ = terms[0]
         a, b = mp.mpf(poly.a), mp.mpf(poly.b)
-        alpha, m, two_beta = 2 * (mu * a + j0) - 1, len(terms) - 1, 2 * b / (a + k)
+        alpha, m, two_beta = 2 * (a + j0) - 1, len(terms) - 1, 2 * b / (a + k)
         *_, top = terms[-1]
         expect, worst = mp.mpc(top), mp.mpf(0)
         for i in range(m - 1, -1, -1):
@@ -145,25 +145,27 @@ class TestNotALaguerreFunction:
     def poly(self, *terms):
         return ExpoPoly(self.a, self.b, tuple(terms))
 
+    # at a = 1, where the lowest power p0 = a + j0 reaches 0
     @pytest.mark.parametrize("terms", [
         (),
-        ((1, 1, None, 1.0),),                            # no decay
-        ((1, 1, 2, 1.0), (1, 2, 3, 1.0)),                # two decay indices
-        ((1, 1, 2, 1.0), (1, 3, 2, 1.0)),                # a gap in the powers
-        ((0, 1, 2, 1.0), (1, 1, 2, 1.0)),                # two values of mu
-        ((0, -2, 2, 1.0),),                              # p0 = -2, alpha <= -1
-        ((0, 0, 2, 1.0),),                               # p0 = 0, alpha = -1
-    ], ids=["zero", "no-decay", "two-rates", "gap", "two-mu", "negative-p0", "zero-p0"])
+        ((2, None, 1.0),),                               # no decay
+        ((1, 2, 1.0), (2, 3, 1.0)),                      # two decay indices
+        ((1, 2, 1.0), (3, 2, 1.0)),                      # a gap in the powers
+        ((1, None, 1.0), (1, 2, 1.0)),                   # a Laurent and a decayed term
+        ((-3, 2, 1.0),),                                 # p0 = -2, alpha <= -1
+        ((-1, 2, 1.0),),                                 # p0 = 0, alpha = -1
+    ], ids=["zero", "no-decay", "two-rates", "gap", "laurent-and-decayed", "negative-p0",
+            "zero-p0"])
     def test_wrong_shape_raises_value_error(self, terms):
         with pytest.raises(ValueError):
-            laguerre_norm2(self.poly(*terms))
+            laguerre_norm2(ExpoPoly(1.0, self.b, terms))
 
     def test_departed_coefficients_raise_precision_loss(self):
         f = nr.eigenfunction(FIG2, 6)
         scale = f.max_abs_coeff()
         for i in range(len(f.terms) - 1):
-            mu, j, k, coeff = f.terms[i]
-            bumped = f + self.poly((mu, j, k, 1e3 * LAGUERRE_TOL * scale))
+            j, k, coeff = f.terms[i]
+            bumped = f + self.poly((j, k, 1e3 * LAGUERRE_TOL * scale))
             with pytest.raises(PrecisionLoss, match="depart from the Laguerre form"):
                 laguerre_norm2(bumped)
             with pytest.raises(PrecisionLoss):
@@ -172,7 +174,7 @@ class TestNotALaguerreFunction:
     def test_random_polys_raise(self):
         rng = rng_for(71)
         for _ in range(20):
-            terms = [(1, int(j), 3, complex(*rng.standard_normal(2))) for j in range(1, 5)]
+            terms = [(int(j), 3, complex(*rng.standard_normal(2))) for j in range(1, 5)]
             with pytest.raises(PrecisionLoss):
                 laguerre_norm2(self.poly(*terms))
 
@@ -180,24 +182,24 @@ class TestNotALaguerreFunction:
         """Chains, bumped chains, random polys, every wrong shape, and
         coefficients that are NaN or infinite first, last or inside."""
         f = nr.eigenfunction(FIG2, 6)
-        bumped = [f + self.poly((*t[:3], s * 1e3 * LAGUERRE_TOL * f.max_abs_coeff()))
+        bumped = [f + self.poly((*t[:2], s * 1e3 * LAGUERRE_TOL * f.max_abs_coeff()))
                   for t in f.terms for s in (1.0, 1e-6)]
         rng = rng_for(72)
         polys = chain_polys(5) + chain_polys(13) + bumped
-        polys += [self.poly(*[(1, j, 3, complex(*rng.standard_normal(2)))
+        polys += [self.poly(*[(j, 3, complex(*rng.standard_normal(2)))
                               for j in range(1, 5)]) for _ in range(10)]
         polys += [self.poly(*terms) for terms in [
-            (), ((1, 1, None, 1.0),), ((1, 1, 2, 1.0), (1, 2, 3, 1.0)),
-            ((1, 1, 2, 1.0), (1, 3, 2, 1.0)), ((0, 1, 2, 1.0), (1, 1, 2, 1.0)),
-            ((0, -2, 2, 1.0),), ((0, 0, 2, 1.0),), ((1, 1, 2, 1.0), (1, 2, None, 1.0))]]
+            (), ((1, None, 1.0),), ((1, 2, 1.0), (2, 3, 1.0)),
+            ((1, 2, 1.0), (3, 2, 1.0)), ((1, None, 1.0), (1, 2, 1.0)),
+            ((-4, 2, 1.0),), ((-2, 2, 1.0),), ((1, 2, 1.0), (2, None, 1.0))]]
         # p0 = a = 1e-20 is positive, but alpha = 2 p0 - 1 rounds to -1
-        polys.append(ExpoPoly(1e-20, 1.0, ((1, 0, 0, 1.0),)))
+        polys.append(ExpoPoly(1e-20, 1.0, ((0, 0, 1.0),)))
         # A NaN first coefficient makes the largest |coeff| NaN, which lets
         # a departure pass that a finite largest |coeff| refuses (bumped[4]).
         for g in (f, bumped[4]):
             for bad in (float("nan"), float("inf"), complex(1.0, float("nan"))):
                 for i in (0, 3, len(g.terms) - 1):
-                    polys.append(ExpoPoly(g.a, g.b, g.terms[:i] + (g.terms[i][:3] + (bad,),)
+                    polys.append(ExpoPoly(g.a, g.b, g.terms[:i] + (g.terms[i][:2] + (bad,),)
                                           + g.terms[i + 1:]))
         return polys
 
@@ -240,14 +242,14 @@ class TestNotALaguerreFunction:
 
     def test_a_rate_that_rounds_to_0_is_refused_naming_the_rate(self):
         # a and b are positive, but 2 b/(a+k) underflows, so the norm has no log
-        f = ExpoPoly(1e300, 1e-300, ((1, 0, 0, 1.0),))
+        f = ExpoPoly(1e300, 1e-300, ((0, 0, 1.0),))
         for fn in (laguerre_norm2, lambda p: laguerre_columns({"G0": (p,)}, [1.0])):
             with pytest.raises(ValueError, match=r"^decay rate 2 beta = 2 b/\(a\+k\) = 0\.0 "
                                                  r"is not above 0$"):
                 fn(f)
 
     def test_normalize_spinor_refuses_a_non_chain(self):
-        gap = self.poly((1, 1, 2, 1.0), (1, 3, 2, 1.0))
+        gap = self.poly((1, 2, 1.0), (3, 2, 1.0))
         phi = dc.SpinorFn((gap, ExpoPoly.zero(self.a, self.b)))
         with pytest.raises(ValueError):
             dc.normalize_spinor(phi)
@@ -269,12 +271,12 @@ class TestHornerSampling:
             assert horner <= 1e-8
 
     def test_gaps_and_negative_powers(self):
-        # V0 of fig2 (powers -2 and -1, no decay) and terms in three (mu, k)
+        # V0 of fig2 (powers -2 and -1, no decay) and terms in three k
         # groups, one with a gap of two in j.
         rhos = np.geomspace(1e-3, 50.0, 64)
         polys = [nr.potential(FIG2, 0),
-                 ExpoPoly(FIG2.a, FIG2.b, ((1, 1, 2, 1.5 - 2j), (1, 3, 2, 0.25),
-                                           (0, -1, None, 3.0), (0, 2, 4, -1j)))]
+                 ExpoPoly(FIG2.a, FIG2.b, ((1, 2, 1.5 - 2j), (3, 2, 0.25),
+                                           (-1, None, 3.0), (2, 4, -1j)))]
         for poly in polys:
             magnitude = sum(np.abs(term_sum(ExpoPoly(poly.a, poly.b, (t,)), rhos))
                             for t in poly.terms)
@@ -294,16 +296,16 @@ def unit_closed_form(polys, rhos):
             if not poly.terms:
                 forms.append(None)
                 continue
-            mu, j0, k, _ = poly.terms[0]
+            j0, k, _ = poly.terms[0]
             *_, top = poly.terms[-1]
             m = len(poly.terms) - 1
             a, b = mp.mpf(poly.a), mp.mpf(poly.b)
-            beta, alpha = b / (a + k), 2 * (mu * a + j0) - 1
+            beta, alpha = b / (a + k), 2 * (a + j0) - 1
             t = mp.mpc(top)
             norm2 += (abs(t) ** 2 * mp.factorial(m) * mp.gamma(m + alpha + 1)
                       * (2 * m + alpha + 1) / (2 * beta) ** (2 * m + alpha + 2))
             forms.append((t * mp.factorial(m) * (-1) ** m / (2 * beta) ** m,
-                          laguerre_shape(poly.a, poly.b, mu, j0, k, m, rhos)))
+                          laguerre_shape(poly.a, poly.b, j0, k, m, rhos)))
         norm = mp.sqrt(norm2)
         return [np.zeros(len(rhos), dtype=complex) if form is None
                 else np.array([complex(form[0] * g / norm) for g in form[1]])
@@ -311,12 +313,12 @@ def unit_closed_form(polys, rhos):
 
 
 @functools.lru_cache(maxsize=None)
-def laguerre_shape(a, b, mu, j0, k, m, rhos):
+def laguerre_shape(a, b, j0, k, m, rhos):
     """rho^p0 e^(-beta rho) L_m^(2 p0 - 1)(2 beta rho) at rhos in DPS
     digits, L_m by its three-term recurrence; once per shape."""
     with mp.workdps(DPS):
         a, b = mp.mpf(a), mp.mpf(b)
-        p0, beta = mu * a + j0, b / (a + k)
+        p0, beta = a + j0, b / (a + k)
         alpha = 2 * p0 - 1
         out = []
         for r in rhos:
@@ -438,7 +440,7 @@ class TestLengthScale:
     """b is a length scale: rho -> rho/b maps (a, b, d0, mbar) to its twin
     (a, 1, d0/b, mbar/b). Scalar energies scale by b^2 and Dirac energies by
     b, and a normalised chain f is sqrt(b) g(b rho) for its twin's chain g,
-    so the coefficient of rho^(mu a + j) is sqrt(b) b^(mu a + j) times the
+    so the coefficient of rho^(a + j) is sqrt(b) b^(a + j) times the
     twin's. Measured over these draws (b from 1.1e-6 to 6.2e5), levels 0..12:
     energies within 3.1e-16 relative, coefficients within 4.6e-14 of the
     chain's largest. verify.run_all rests on this: it runs every row at the twin."""
@@ -458,11 +460,11 @@ class TestLengthScale:
 
     @staticmethod
     def departure(parts, twin, b):
-        """Largest |c - sqrt(b) b^(mu a + j) c_twin| over the chain's largest |c|."""
-        assert [[t[:3] for t in f.terms] for f in parts] == [[t[:3] for t in g.terms] for g in twin]
-        pairs = [(c, c2 * math.sqrt(b) * b ** (mu * f.a + j))
+        """Largest |c - sqrt(b) b^(a + j) c_twin| over the chain's largest |c|."""
+        assert [[t[:2] for t in f.terms] for f in parts] == [[t[:2] for t in g.terms] for g in twin]
+        pairs = [(c, c2 * math.sqrt(b) * b ** (f.a + j))
                  for f, g in zip(parts, twin)
-                 for (mu, j, _, c), (*_, c2) in zip(f.terms, g.terms)]
+                 for (j, _, c), (*_, c2) in zip(f.terms, g.terms)]
         return max(abs(c - c2) for c, c2 in pairs) / max(abs(c) for c, _ in pairs)
 
     def test_energies_scale_with_b(self):

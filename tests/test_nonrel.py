@@ -17,14 +17,14 @@ SETS = (FIG2, NRParams(1.0, 2.0), NRParams(0.4, 2.5))  # the figure regimes and 
 
 
 def coeffs(poly):
-    return {(mu, j, k): coeff for mu, j, k, coeff in poly.terms}
+    return {(j, k): coeff for j, k, coeff in poly.terms}
 
 
 class TestSuperpotential:
     def test_fig2_level_one(self):
         w = nr.superpotential(FIG2, 1)
-        assert coeffs(w) == {(0, -1, None): pytest.approx(2.5),
-                             (0, 0, None): pytest.approx(-0.2)}
+        assert coeffs(w) == {(-1, None): pytest.approx(2.5),
+                             (0, None): pytest.approx(-0.2)}
 
     def test_small_b_limit(self):
         w = nr.superpotential(NRParams(1.0, 1e-14), 1)
@@ -32,8 +32,8 @@ class TestSuperpotential:
 
     def test_direct_substitution(self):
         w = nr.superpotential(NRParams(1.0, 2.0), 2)
-        assert coeffs(w) == {(0, -1, None): pytest.approx(3.0),
-                             (0, 0, None): pytest.approx(-2.0 / 3.0)}
+        assert coeffs(w) == {(-1, None): pytest.approx(3.0),
+                             (0, None): pytest.approx(-2.0 / 3.0)}
 
     def test_equals_ground_state_log_derivative(self):
         # clearing the single-term denominator: g' = W_{n+1} g
@@ -63,9 +63,9 @@ class TestFactorizationEnergy:
 class TestPotential:
     def test_fig2_levels(self):
         assert coeffs(nr.potential(FIG2, 0)) == {
-            (0, -2, None): pytest.approx(1.875), (0, -1, None): pytest.approx(-0.5)}
+            (-2, None): pytest.approx(1.875), (-1, None): pytest.approx(-0.5)}
         assert coeffs(nr.potential(FIG2, 1)) == {
-            (0, -2, None): pytest.approx(4.375), (0, -1, None): pytest.approx(-0.5)}
+            (-2, None): pytest.approx(4.375), (-1, None): pytest.approx(-0.5)}
 
     def test_shape_invariance_parameter_shift(self):
         # level n+1 at strength a matches level n at strength a+1, term by term
@@ -96,7 +96,7 @@ class TestPotential:
 class TestGroundState:
     def test_fig2_form(self):
         g = nr.ground_state(FIG2, 0)
-        assert coeffs(g) == {(1, 1, 1): pytest.approx(1.0)}
+        assert coeffs(g) == {(1, 1): pytest.approx(1.0)}
         assert g.eval(2.0) == pytest.approx(2.0 ** 2.5 * math.exp(-0.2 * 2.0))
 
     def test_annihilated_by_raising_operator(self):
@@ -179,8 +179,8 @@ class TestEigenfunctions:
         for params in SETS:
             for n in range(0, 13):
                 f = nr.eigenfunction(params, n)
-                keys = {(mu, j, k) for mu, j, k, _ in f.terms}
-                assert keys == {(1, 1 + j, n + 1) for j in range(n + 1)}
+                keys = {(j, k) for j, k, _ in f.terms}
+                assert keys == {(1 + j, n + 1) for j in range(n + 1)}
 
     def test_eigen_equation_exact(self):
         # residual measured against the chain's own coefficient scale, which

@@ -57,8 +57,8 @@ def test_reprs_name_every_field():
     assert repr(DiracParams(1.0, 2.0, 1.0, 0.1)) == "DiracParams(a=1.0, b=2.0, d0=1.0, mbar=0.1)"
     assert repr(CheckResult("x", False, "d, e")) == "CheckResult(name='x', passed=False, detail='d, e')"
     assert repr(LogGrid(100.0, 1024)) == "LogGrid(rho_max=100.0, n_points=1024)"
-    assert (repr(ExpoPoly(1.3, 0.7, ((0, -1, None, 0.5),)))
-            == "ExpoPoly(a=1.3, b=0.7, terms=((0, -1, None, (0.5+0j)),))")
+    assert (repr(ExpoPoly(1.3, 0.7, ((-1, None, 0.5),)))
+            == "ExpoPoly(a=1.3, b=0.7, terms=((-1, None, (0.5+0j)),))")
     assert (repr(SpinorFn((zero, zero)))
             == "SpinorFn(components=(ExpoPoly(a=1.0, b=2.0, terms=()), "
                "ExpoPoly(a=1.0, b=2.0, terms=())))")

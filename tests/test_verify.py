@@ -40,7 +40,7 @@ def test_nr_eigen_check_fails_a_chain_that_lost_a_term(monkeypatch):
         f = full(params, n)
         if n != 7:
             return f
-        smallest = min(f.terms, key=lambda t: abs(t[3]))
+        smallest = min(f.terms, key=lambda t: abs(t[2]))
         return ExpoPoly(f.a, f.b, tuple(t for t in f.terms if t is not smallest))
 
     monkeypatch.setattr(vf.nr, "eigenfunction", lossy)
@@ -79,8 +79,8 @@ def test_eigen_rows_pass_at_large_eigenvalues():
     for row in (vf.check_nr_eigen(NRParams(q.a, q.b)), vf.check_dirac_eigen(q)):
         assert row.passed, f"{row.name}: {row.detail}"
         assert float(row.detail.rsplit(" ", 1)[1]) <= 1e-14, row.detail
-    assert vf.eigen_residual(ExpoPoly.term(q.a, q.b, 3e-11, mu=1, j=0, k=0),
-                             ExpoPoly.term(q.a, q.b, 2.0, mu=1, j=0, k=0), -1e5) == 1.5e-16
+    assert vf.eigen_residual(ExpoPoly.term(q.a, q.b, 3e-11, j=0, k=0),
+                             ExpoPoly.term(q.a, q.b, 2.0, j=0, k=0), -1e5) == 1.5e-16
 
 
 def test_cli_verify_exit_codes(tmp_path, monkeypatch):
