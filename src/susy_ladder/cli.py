@@ -61,6 +61,11 @@ _LEVELS_HELP = (f"number of levels (default 3), at most {MAX_LEVELS}: {_CAP_REAS
 FIG2_NR = NRParams(1.5, 0.5)
 FIG3_DIRAC = DiracParams(1.0, 2.0, 1.0, 0.1)
 _FIGURE_MODES = ("fig2", "fig3", "verify")
+# Why an ArithmeticError ends a run, in the package's words: float ** reports
+# an overflow as an errno tuple worded by the C library, and the wording of
+# the others varies with the Python version.
+_RANGE_REASONS = {OverflowError: "a result is too large for a float",
+                  ZeroDivisionError: "float division by zero"}
 
 _DIMENSIONLESS = DiracParams._fields
 _PHYSICAL = PhysicalParams._fields
@@ -379,8 +384,9 @@ def run(cfg: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
+        reason = _RANGE_REASONS.get(type(exc), "a float operation failed")
         print(f"error: the parameters take the arithmetic out of float range "
-              f"({type(exc).__name__}: {exc})", file=sys.stderr)
+              f"({type(exc).__name__}: {reason})", file=sys.stderr)
         return 2
 
     text = _render_csv(table) if cfg.fmt == "csv" else _render_json(table, _meta(cfg))

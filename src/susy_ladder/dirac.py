@@ -382,20 +382,35 @@ def _lowered_kernel(params: DiracParams, n: int, kernel) -> SpinorFn:
     lists of coefficients c_j and e_j over one range of j, and each step
     takes every new coefficient of a component in one pass:
 
-        c'_j = 0j - c_j beta + c_(j+1) p_(j+1) + (0j + c_(j+1) w1 + c_j w0),
-        e'_j = 0j - e_j beta + e_(j+1) p_(j+1) + c_j i delta + (0j + e_(j+1) v1 + e_j v0),
+        c'_j = 0.0 - c_j beta + c_(j+1) p_(j+1) + (0.0 + c_(j+1) w1 + c_j w0),
+        e'_j = 0.0 - e_j beta + e_(j+1) p_(j+1) + c_j i delta + (0.0 + e_(j+1) v1 + e_j v0),
 
     with p_j = a + j and (w1, w0), (v1, v0) the 1/rho and constant
     coefficients of w_k and w_(k+1). That is the grouping
     MatrixOp.apply sums each key in (see expalg.apply_operator), so the
     chain equals applying each operator in turn, bit for bit. (MatrixOp.apply
     adds the lower row's i delta part before its derivative part; neither
-    has a -0.0 part, so their order changes no bit.) A coefficient that
-    underflows to zero (w_k's constant, delta_k), which b_op's entry drops,
-    or a zero decay rate, reads a column of 0j instead of the chain's: it
-    adds a finite 0j, which changes no bit of a sum that starts from 0j,
-    where a product of the chain's column with zero would turn an infinite
-    coefficient into NaN.
+    has a -0.0 part, so their order changes no bit.)
+
+    Every coefficient but i delta is real, so each component stays on one
+    axis: chi's upper component is real and xi's imaginary, and each lower
+    component is i times its upper one. The chain runs in floats, one per
+    coefficient on its component's axis, with i delta c_j read as delta c_j
+    for chi and -delta c_j for xi (i i = -1), and builds each term's
+    complex(c) or complex(0.0, c) once, at the end. That keeps every bit of
+    a finite coefficient: complex times float promotes the float, so each
+    product's part on the axis is the float product minus a zero, and its
+    other part sums zeros. Both only flip the sign of a zero, which the 0.0
+    head of every sum clears, so no stored part is -0.0.
+
+    A coefficient that underflows to zero (w_k's constant, delta_k), which
+    b_op's entry drops, or a zero decay rate, reads a column of 0.0 instead
+    of the chain's: it adds a finite 0.0, which changes no bit of a sum that
+    starts from 0.0, where a product of the chain's column with zero would
+    turn an infinite coefficient into NaN. A coefficient that overflows
+    reads inf or NaN on its axis and 0.0 off it, at the same key where
+    MatrixOp.apply, which multiplies inf by the 0.0 off the axis, reads
+    nan+nanj; every finite coefficient keeps its bits.
 
     Cached per (params, n, kernel), so families a/b (and c/d) lower it once;
     a four-family sweep holds two entries per (params, n). The result is
@@ -407,32 +422,35 @@ def _lowered_kernel(params: DiracParams, n: int, kernel) -> SpinorFn:
     _, rate, _ = used[0][0]
     lo = min(terms[0][0] for terms in used)
     top = max(terms[-1][0] for terms in used)
+    # xi's lower component is real, chi's is zero
+    turned = any(coeff.real for _, _, coeff in seed[1].terms)
     cols = []
-    for f in seed:
-        col = [0j] * (top - lo + 1)
+    for f, imag in zip(seed, (turned, not turned)):
+        col = [0.0] * (top - lo + 1)
         for j, _, coeff in f.terms:
-            col[j - lo] = coeff
+            col[j - lo] = coeff.imag if imag else coeff.real
         cols.append(col)
     upper, lower = cols
     beta = b / (a + rate)
     for k in range(n - 1, -1, -1):
-        w1, w0 = (0j + c for c in w_coeffs(params, k))
-        v1, v0 = (0j + c for c in w_coeffs(params, k + 1))
-        idelta = complex(0.0, _delta(params, k))
+        w1, w0 = w_coeffs(params, k)
+        v1, v0 = w_coeffs(params, k + 1)
+        delta = -_delta(params, k) if turned else _delta(params, k)
         lo -= 1
         # entry j of xs is c_j and of ys c_(j+1), for j from lo up
-        xs, ys = [0j, *upper], [*upper, 0j]
-        xl, yl = [0j, *lower], [*lower, 0j]
-        zeros = [0j] * len(xs)
+        xs, ys = [0.0, *upper], [*upper, 0.0]
+        xl, yl = [0.0, *lower], [*lower, 0.0]
+        zeros = [0.0] * len(xs)
         js = range(lo + 1, lo + 1 + len(xs))
-        upper = [0j + -x * beta + y * (a + j) + (0j + y * w1 + z * w0)
+        upper = [0.0 + -x * beta + y * (a + j) + (0.0 + y * w1 + z * w0)
                  for x, y, z, j in zip(xs if beta else zeros, ys, xs if w0 else zeros, js)]
-        lower = [0j + -x * beta + y * (a + j) + u * idelta + (0j + y * v1 + z * v0)
-                 for x, y, u, z, j in zip(xl if beta else zeros, yl, xs if idelta else zeros,
+        lower = [0.0 + -x * beta + y * (a + j) + u * delta + (0.0 + y * v1 + z * v0)
+                 for x, y, u, z, j in zip(xl if beta else zeros, yl, xs if delta else zeros,
                                           xl if v0 else zeros, js)]
     return _wrap_spinor(tuple(
-        _wrap(a, b, tuple([(j, rate, c) for j, c in enumerate(col, lo) if c != 0j]))
-        for col in (upper, lower)))
+        _wrap(a, b, tuple([(j, rate, complex(0.0, c) if imag else complex(c))
+                           for j, c in enumerate(col, lo) if c]))
+        for col, imag in ((upper, turned), (lower, not turned))))
 
 
 def eigenfunction_chain(params: DiracParams, n: int, fam: str) -> SpinorFn:

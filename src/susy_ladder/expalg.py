@@ -495,9 +495,12 @@ def apply_operator(dcoef, potential, components) -> tuple[ExpoPoly, ...]:
     row adds it. The float result of a key depends on that order alone,
     not on the order in which the keys are visited. nonrel.eigenfunction
     and dirac._lowered_kernel take the same sums over coefficient lists,
-    bit for bit, with each potential's coefficients read from the helpers
-    it is built from (params.w_coeffs, dirac._delta), so they build no
-    operator and call no apply_operator.
+    in floats on each component's one axis (real or imaginary), with each
+    potential's coefficients read from the helpers it is built from
+    (params.w_coeffs, dirac._delta), so they build no operator and call no
+    apply_operator. They keep every finite coefficient's bits; where a
+    coefficient overflows, they read inf or NaN on its axis and 0.0 off it,
+    where the rows here read nan+nanj.
     """
     a, b = components[0].a, components[0].b
     derivs = [_deriv_map(f.terms, a, b) for f in components]

@@ -104,32 +104,44 @@ def eigenfunction(params: NRParams, n: int) -> ExpoPoly:
     the list of their coefficients c_j, and each step takes every new
     coefficient in one pass:
 
-        c'_j = 0j + (0j - c_j beta + c_(j+1) (a+j+1)
-                     + (0j + c_(j+1) (a+k) - c_j b/(a+k))) / sqrt(2).
+        c'_j = 0.0 + (0.0 - c_j beta + c_(j+1) (a+j+1)
+                      + (0.0 + c_(j+1) (a+k) - c_j b/(a+k))) / sqrt(2).
 
     That is the grouping ScalarLadder.apply sums each key in (see
     expalg.apply_operator), so the chain equals applying the ladders one by
     one, bit for bit. W_k's coefficients are those superpotential stores.
+
+    Every coefficient the ladders touch is real, so the chain runs in
+    floats and builds each term's complex(c_j) once, at the end. That keeps
+    every bit of a finite coefficient: complex times float promotes the
+    float, so each product's real part is the float product minus a zero,
+    and its imaginary part sums zeros. Both only flip the sign of a zero,
+    which the 0.0 head of every sum clears, so no stored part is -0.0.
+
     A term that superpotential drops as an exact zero, or a zero decay rate,
-    reads a column of 0j instead of the chain's: it then adds a finite 0j,
-    which changes no bit of a sum that starts from 0j, where a product of
+    reads a column of 0.0 instead of the chain's: it then adds a finite 0.0,
+    which changes no bit of a sum that starts from 0.0, where a product of
     the chain's column with zero would turn an infinite coefficient into NaN.
+    A coefficient that overflows reads inf or NaN in its real part and 0.0 in
+    its imaginary part, at the same key where the ladders, which multiply
+    inf by the 0.0 imaginary parts, read nan+nanj; every finite coefficient
+    keeps its bits.
     """
     ((top, rate, coeff),) = ground_state(params, n).terms
     a, b = params.a, params.b
     beta = b / (a + rate)
     scale = 1.0 / SQRT2
-    coeffs = [coeff]
+    coeffs = [coeff.real]
     for k in range(n, 0, -1):
-        inv, const = (0j + c for c in w_coeffs(params, k))
+        inv, const = w_coeffs(params, k)
         # entry j of xs is c_j and of ys c_(j+1), for j from k to top
-        xs, ys = [0j, *coeffs], [*coeffs, 0j]
-        zeros = [0j] * len(xs)
-        coeffs = [0j + (0j + -x * beta + y * (a + j) + (0j + y * inv + z * const)) * scale
+        xs, ys = [0.0, *coeffs], [*coeffs, 0.0]
+        zeros = [0.0] * len(xs)
+        coeffs = [0.0 + (0.0 + -x * beta + y * (a + j) + (0.0 + y * inv + z * const)) * scale
                   for x, y, z, j in zip(xs if beta else zeros, ys,
                                         xs if const else zeros, range(k + 1, top + 2))]
-    return _wrap(a, b, tuple([(j, rate, c)
-                              for j, c in enumerate(coeffs, top - len(coeffs) + 1) if c != 0j]))
+    return _wrap(a, b, tuple([(j, rate, complex(c))
+                              for j, c in enumerate(coeffs, top - len(coeffs) + 1) if c]))
 
 
 def normalize(f: ExpoPoly) -> ExpoPoly:

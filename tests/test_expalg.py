@@ -538,6 +538,49 @@ class TestChainRecurrences:
                     ref = ref_apply(a, b, op.dcoef, op.potential, ref)
                 assert got == [hex_bits(t) for t in ref]
 
+    # Sets whose chains overflow: the operators read nan+nanj there, the
+    # float recurrences inf or NaN on the coefficient's axis and 0.0 off it.
+    OVERFLOW_SETS = [(1.0, 1e100, 1.0, 1.0), (1e-3, 1e150, 0.0, 0.5)]
+
+    @staticmethod
+    def overflowed(got, ref):
+        """The count of ref's non-finite coefficients, after checking that got
+        has ref's keys, ref's bits wherever ref is finite, and elsewhere one
+        non-finite part and one 0.0; and that each coefficient of got is a
+        complex with no -0.0 part."""
+        assert [(j, k) for j, k, _ in got] == [(j, k) for j, k, _ in ref]
+        count = 0
+        for (_, _, c), (_, _, r) in zip(got, ref):
+            assert type(c) is complex
+            parts = (c.real, c.imag)
+            assert all(math.copysign(1.0, x) == 1.0 for x in parts if x == 0.0)
+            if math.isfinite(r.real) and math.isfinite(r.imag):
+                assert (c.real.hex(), c.imag.hex()) == (r.real.hex(), r.imag.hex())
+            else:
+                count += 1
+                assert sorted(map(math.isfinite, parts)) == [False, True]
+                assert 0.0 in parts
+        return count
+
+    @pytest.mark.parametrize("a, b, d0, mbar", OVERFLOW_SETS)
+    def test_overflowing_chains_keep_every_finite_coefficient(self, a, b, d0, mbar):
+        p, q = NRParams(a, b), DiracParams(a, b, d0, mbar)
+        counts = []
+        for n in self.LEVELS:
+            f = nr.ground_state(p, n)
+            for k in range(n, 0, -1):
+                f = nr.ladder(p, k, "annihilation").apply(f)
+            counts.append(self.overflowed(nr.eigenfunction(p, n).terms, f.terms))
+            ops = [dc.b_op(q, k) for k in range(n - 1, -1, -1)]
+            for kernel in (dc.kernel_chi, dc.kernel_xi):
+                half = kernel(q, n)
+                for op in ops:
+                    half = op.apply(half)
+                got = dc._lowered_kernel(q, n, kernel).components
+                counts += [self.overflowed(g.terms, r.terms)
+                           for g, r in zip(got, half.components, strict=True)]
+        assert sum(counts) > 0
+
     def test_chains_apply_no_operator_step_by_step(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a chain applied an operator one step at a time")
