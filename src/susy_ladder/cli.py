@@ -10,9 +10,11 @@ Every mode but verify runs in pure Python and never imports numpy, which
 would otherwise be the largest cost of a cold run. Each mode imports only
 the hierarchy it tables, when its builder runs: nonrel for nr-spectrum,
 nr-eigenfunctions and fig2, dirac for dirac-spectrum, dirac-eigenfunctions
-and fig3, and verify (with the oracle, numpy and scipy) for verify alone.
-The package's records are plain slotted classes (record.Record), which
-import nothing more and generate no code. The tables sample each unit-norm
+and fig3, and verify (with the oracle and numpy) for verify alone. The
+oracle solves on the LAPACK numpy's wheel ships, so no mode loads scipy
+unless numpy ships none (see oracle). The package's records are plain
+slotted classes (record.Record), which import nothing more and generate
+no code. The tables sample each unit-norm
 eigenfunction from its Laguerre closed form (expalg.laguerre_columns), on
 FIG_SAMPLES points that equal np.linspace's bit for bit. A chain that has
 left that form fails with PrecisionLoss, and a sample that is not finite
@@ -268,7 +270,7 @@ def _table_fig3(cfg: RunConfig):
 
 def _table_verify(cfg: RunConfig):
     # Imported here, not at module level: verify pulls in the oracle and
-    # scipy.linalg, which no other mode needs and which dominate cold start.
+    # numpy, which no other mode needs and which dominate cold start.
     from . import verify as vf
 
     results = vf.run_all(_params(cfg, scalar=True), _params(cfg, scalar=False))

@@ -101,7 +101,11 @@ class ExpoPoly(Record):
     @classmethod
     def term(cls, a: float, b: float, coeff: complex, j: int = 0,
              k: int | None = None) -> "ExpoPoly":
-        return cls.ordered(a, b, ((j, k, coeff),))
+        """ordered of the one term (j, k, coeff), without its rank and list."""
+        _check_positive_context(a, b)
+        _check_key(a, j, k)
+        coeff = 0j + complex(coeff)
+        return _wrap(a, b, ((j, k, coeff),) if coeff != 0j else ())
 
     @classmethod
     def ordered(cls, a: float, b: float, terms) -> "ExpoPoly":

@@ -16,6 +16,14 @@ This avoids the spurious eigenbranches that naive first-order
 discretizations produce. Each doubled spinor channel is solved once, so
 reported multiplicities count +/- energy pairs once.
 
+Every channel is solved by LAPACK's dstebz, W. Kahan's Sturm-count
+bisection (LAPACK Users' Guide, 3rd ed., SIAM 1999), for the eigenvalues
+inside a window. The routine is bound through ctypes, once at import, from
+the ILP64 OpenBLAS that numpy's wheel ships and that import numpy has
+already loaded, so the oracle loads no scipy. Where numpy ships no such
+library, scipy.linalg.eigh_tridiagonal, which calls the same routine, is
+used instead; LAPACK names the library bound, or "scipy fallback".
+
 Channel k = a - 1/2 is solved only where k >= 0. For a < 1/2 both rho^a and
 rho^(1-a) are square-integrable at the origin (Weyl's limit-circle case;
 G. Teschl, Mathematical Methods in Quantum Mechanics, AMS GSM 157), and the
@@ -32,10 +40,12 @@ component's norm at a = 1e-3, where it goes like rho^(2a) over a length a/b.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import GridTooCoarse, TailNotDecayed
 from .params import DiracParams, NRParams, default_rho_max
@@ -43,10 +53,10 @@ from .record import Record, set_field
 
 RICHARDSON_SHIFT = 1e-4
 # Absolute tolerance on eps for the bisection, far below RICHARDSON_SHIFT.
-# scipy's default (tol=0) is machine epsilon times ||T||_1, and a log grid's
-# diagonal reaches 2 / (h rho_min)^2, so that default is wider than any
-# window a solve is asked about: at fig3 on 2048 points it puts level 0's
-# eps = -4.000 of the k = 1/2 channel at -3.193.
+# dstebz's default (ABSTOL <= 0, scipy's tol=0) is machine epsilon times
+# ||T||_1, and a log grid's diagonal reaches 2 / (h rho_min)^2, so that
+# default is wider than any window a solve is asked about: at fig3 on 2048
+# points it puts level 0's eps = -4.000 of the k = 1/2 channel at -3.193.
 BISECTION_TOL = 1e-12
 # rho_min / rho_max of a LogGrid. With the regular solution imposed at the
 # inner end, a shallow grid loses what the leading power rho^k misses inside
@@ -55,6 +65,90 @@ BISECTION_TOL = 1e-12
 # 1e-6, 1e-9, 1e-12 and 1e-20 pass the scalar check on 200, 200, 200 and 166
 # and the scan check on 95, 100, 99 and 97.
 LOG_GRID_DEPTH = 1e-9
+
+
+# -- the bisection ---------------------------------------------------------
+
+# The 64-bit integer of the ILP64 OpenBLAS in numpy's wheel (the 64_ suffix).
+_INT = ctypes.c_int64
+_INT_P = ctypes.POINTER(_INT)
+_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+_ARRAY = ctypes.c_void_p
+# DSTEBZ(RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W, IBLOCK,
+# ISPLIT, WORK, IWORK, INFO), then the lengths of RANGE and ORDER.
+_DSTEBZ_ARGTYPES = [ctypes.c_char_p, ctypes.c_char_p, _INT_P, _DOUBLE_P, _DOUBLE_P,
+                    _INT_P, _INT_P, _DOUBLE_P, _ARRAY, _ARRAY, _INT_P, _INT_P,
+                    _ARRAY, _ARRAY, _ARRAY, _ARRAY, _ARRAY, _INT_P,
+                    ctypes.c_size_t, ctypes.c_size_t]
+
+
+def _bundled_dstebz():
+    """(dstebz, the library's path) from the ILP64 OpenBLAS that numpy's
+    wheel ships (numpy.libs beside numpy, or numpy/.dylibs), which import
+    numpy has already loaded for its own BLAS calls; None where numpy ships
+    no such library."""
+    root = os.path.dirname(np.__file__)
+    found = [*glob.glob(os.path.join(root, os.pardir, "numpy.libs", "libscipy_openblas64_*")),
+             *glob.glob(os.path.join(root, ".dylibs", "libscipy_openblas64_*"))]
+    try:
+        path = os.path.realpath(found[0])
+        dstebz = ctypes.CDLL(path).scipy_dstebz_64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    dstebz.restype = None
+    dstebz.argtypes = _DSTEBZ_ARGTYPES
+    return dstebz, path
+
+
+def _bound_solver(dstebz):
+    """eigh_tridiagonal(d, e, eigvals_only=True, tol=..., select="v",
+    select_range=(lo, hi)) on the LAPACK routine dstebz, the call shape
+    _channel_eigs uses: scipy.linalg.eigh_tridiagonal's one call to dstebz,
+    RANGE 'V' and ORDER 'E', with its checks and messages.
+
+    Fortran takes every argument by reference, the two character lengths
+    it appends to the list by value.
+    """
+    def eigh_tridiagonal(d, e, *, eigvals_only, tol, select, select_range):
+        if not eigvals_only or select != "v":
+            raise ValueError("only eigenvalues inside a value window are bound")
+        d = np.asarray_chkfinite(d, np.float64, "C")
+        e = np.asarray_chkfinite(e, np.float64, "C")
+        n = d.size
+        if d.ndim != 1 or e.ndim != 1:
+            raise ValueError("expected a 1-D array")
+        if n != e.size + 1:
+            raise ValueError(f"d ({n}) must have one more element than e ({e.size})")
+        lo, hi = select_range
+        w = np.empty(n)
+        ints = np.empty(5 * n, np.int64)  # IBLOCK, ISPLIT, then IWORK's 3n
+        work = np.empty(4 * n)
+        m, nsplit, info = _INT(), _INT(), _INT()
+        dstebz(b"V", b"E", _INT(n), ctypes.c_double(lo), ctypes.c_double(hi), _INT(1), _INT(1),
+               ctypes.c_double(tol), d.ctypes.data, e.ctypes.data, m, nsplit, w.ctypes.data,
+               ints.ctypes.data, ints[n:].ctypes.data, work.ctypes.data,
+               ints[2 * n:].ctypes.data, info, 1, 1)
+        if info.value:
+            raise np.linalg.LinAlgError(
+                f"stebz (eigh_tridiagonal) did not converge (LAPACK info={info.value})")
+        return w[:m.value]
+    return eigh_tridiagonal
+
+
+def _load_solver():
+    """(eigh_tridiagonal, the path of the library it calls) on numpy's
+    bundled dstebz, or scipy.linalg.eigh_tridiagonal and "scipy fallback"
+    where numpy ships no such library."""
+    found = _bundled_dstebz()
+    if found is None:
+        from scipy.linalg import eigh_tridiagonal
+        return eigh_tridiagonal, "scipy fallback"
+    dstebz, path = found
+    return _bound_solver(dstebz), path
+
+
+# Every solve goes through this name (bench/tracing.py counts grid points on it).
+eigh_tridiagonal, LAPACK = _load_solver()
 
 
 class RadialGrid(Record):

@@ -656,12 +656,13 @@ class TestParser:
 
 
 def test_cli_import_loads_no_scipy():
-    # Only verify needs the oracle; importing it eagerly would put scipy's
-    # import cost on every mode's cold start.
+    # The oracle solves on the LAPACK numpy's wheel ships; only a numpy
+    # without one (oracle's fallback) would load scipy.linalg.
     script = ("import sys, susy_ladder.cli; "
               "assert 'scipy' not in sys.modules, 'cli loaded scipy'; "
-              "import susy_ladder.oracle; "
-              "assert 'scipy.integrate' not in sys.modules, 'oracle loaded scipy.integrate'")
+              "import susy_ladder.oracle as oracle; "
+              "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+              "assert oracle.LAPACK == 'scipy fallback' or not loaded, loaded")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -698,12 +699,18 @@ def test_non_verify_modes_load_no_numpy():
     assert out.returncode == 0, out.stderr
 
 
-def test_verify_still_loads_numpy_and_scipy():
+def test_verify_loads_numpy_and_no_scipy_where_numpy_ships_lapack():
+    # verify solves on the dstebz of numpy's bundled OpenBLAS; scipy.linalg
+    # is loaded only where numpy ships none.
     script = ("import contextlib, io, sys\n"
               "from susy_ladder.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    assert main(['verify']) == 0\n"
-              "assert 'numpy' in sys.modules and 'scipy.linalg' in sys.modules\n")
+              "from susy_ladder import oracle\n"
+              "assert 'numpy' in sys.modules\n"
+              "bundled = oracle._bundled_dstebz() is not None\n"
+              "assert bundled == (oracle.LAPACK != 'scipy fallback')\n"
+              "assert ('scipy' in sys.modules) == (not bundled), oracle.LAPACK\n")
     out = _run_script(script)
     assert out.returncode == 0, out.stderr
 

@@ -3,7 +3,8 @@ process through cli.main and compared with its entry in cli_bytes.json.
 
 A table or refusal entry pins the exit code and the sha256 of stdout. A
 verify entry pins the exit code and each row's name and pass/fail only:
-its details read LAPACK through scipy, whose version varies. Table bytes
+its details read LAPACK, numpy's bundled OpenBLAS or scipy's, whose
+version varies. Table bytes
 read Python's math module, whose exp, log and pow come from the C library,
 so a runner with another libm may differ; such an entry is recorded and
 pinned on that runner, never loosened to a comparison of values.

@@ -11,6 +11,7 @@ from conftest import residual_scalar
 from susy_ladder import dirac as dc
 from susy_ladder import nonrel as nr
 from susy_ladder import oracle as orc
+from susy_ladder import verify as vf
 from susy_ladder.errors import GridTooCoarse, TailNotDecayed
 from susy_ladder.params import DiracParams, NRParams, default_rho_max
 
@@ -283,6 +284,98 @@ class TestSpectrumScan:
         found = raw_scalar(FIG2, FIG2_WINDOW, grid)
         assert len(found) == len(expect) == 3
         assert np.max(np.abs(found - expect)) <= 1e-12
+
+
+# The sets CI runs verify at (tests/test_cli.py CI_SETS), the defaults first.
+CI_VERIFY_SETS = [(1.5, 0.5, (1.0, 2.0, 1.0, 0.1))] + [
+    (q[0], q[1], q) for q in [(1.0, 2.0, 1.0, 0.1), (1.2, 0.8, 0.4, 0.2),
+                              (0.5764322215230082, 2.1485527100721353, 1.0, 0.1),
+                              (0.5, 2.0, 0.1, 0.2), (2.3, 0.45, -0.7, 1.1),
+                              (1.3, 0.9, -0.4, 0.6)]]
+
+
+def _twin_solves(nr_params, dirac_params):
+    """(d, e, keywords, result) of every solve verify's two oracle rows make
+    at the b = 1 twins: the scalar channel and both dirac-fd-scan channels,
+    each at N and 2N - 1 points."""
+    q = dirac_params
+    calls = []
+    solve = orc.eigh_tridiagonal
+
+    def recorded(d, e, **kwargs):
+        calls.append((d, e, kwargs, solve(d, e, **kwargs)))
+        return calls[-1][-1]
+    orc.eigh_tridiagonal = recorded
+    try:
+        vf.check_nr_fd(NRParams(nr_params.a, 1.0))
+        vf.check_dirac_scan(DiracParams(q.a, 1.0, q.d0 / q.b, q.mbar / q.b))
+    finally:
+        orc.eigh_tridiagonal = solve
+    return calls
+
+
+def _hex(values):
+    return [float(x).hex() for x in values]
+
+
+class TestBundledLapack:
+    """The dstebz of numpy's bundled OpenBLAS against scipy.linalg.eigh_tridiagonal,
+    the reference."""
+
+    def assert_matches_scipy(self, calls):
+        from scipy.linalg import eigh_tridiagonal
+        for d, e, kwargs, found in calls:
+            assert _hex(found) == _hex(eigh_tridiagonal(d, e, **kwargs)), len(d)
+
+    @pytest.mark.parametrize("a, b, dirac", CI_VERIFY_SETS)
+    def test_equals_scipy_bit_for_bit_at_the_ci_sets(self, a, b, dirac):
+        calls = _twin_solves(NRParams(a, b), DiracParams(*dirac))
+        # one scalar channel, one or two Dirac channels, each at N and 2N - 1
+        assert len(calls) == (6 if dirac[0] >= 0.5 else 4)
+        assert {len(d) for d, *_ in calls} == {vf.NR_POINTS, 2 * vf.NR_POINTS - 1,
+                                               vf.SCAN_POINTS, 2 * vf.SCAN_POINTS - 1}
+        self.assert_matches_scipy(calls)
+
+    def test_equals_scipy_bit_for_bit_at_random_twins(self):
+        rng = np.random.default_rng(44)
+        calls = [c for _ in range(50)
+                 for c in _twin_solves(vf.random_nr(rng), vf.random_dirac(rng))]
+        assert len(calls) >= 200
+        self.assert_matches_scipy(calls)
+
+    def test_scipy_is_the_fallback(self, monkeypatch):
+        # where numpy ships no bundled LAPACK, the same rows run on scipy's
+        from scipy.linalg import eigh_tridiagonal
+        nr_params, dirac_params = NRParams(1.5, 0.5), DiracParams(1.0, 2.0, 1.0, 0.1)
+        bundled = vf.run_all(nr_params, dirac_params)
+        monkeypatch.setattr(orc, "_bundled_dstebz", lambda: None)
+        solve, lapack = orc._load_solver()
+        assert solve is eigh_tridiagonal and lapack == "scipy fallback"
+        monkeypatch.setattr(orc, "eigh_tridiagonal", solve)
+        assert vf.run_all(nr_params, dirac_params) == bundled
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["d", "e"])
+    def test_non_finite_input_raises_scipys_error(self, bad, which):
+        from scipy.linalg import eigh_tridiagonal
+        d, e = np.full(64, 2.0), np.full(63, -1.0)
+        (d if which == "d" else e)[5] = bad
+        kwargs = {"eigvals_only": True, "tol": orc.BISECTION_TOL, "select": "v",
+                  "select_range": (0.0, 1.0)}
+        with pytest.raises(ValueError) as ours:
+            orc.eigh_tridiagonal(d, e, **kwargs)
+        with pytest.raises(ValueError) as ref:
+            eigh_tridiagonal(d, e, **kwargs)
+        assert str(ours.value) == str(ref.value) == "array must not contain infs or NaNs"
+
+    @pytest.mark.parametrize("info", [-4, 1, 3])
+    def test_nonzero_info_raises_linalg_error(self, info):
+        def dstebz(*args):
+            args[17].value = info  # INFO
+        solve = orc._bound_solver(dstebz)
+        with pytest.raises(np.linalg.LinAlgError, match=f"info={info}"):
+            solve(np.full(64, 2.0), np.full(63, -1.0), eigvals_only=True,
+                  tol=orc.BISECTION_TOL, select="v", select_range=(0.0, 1.0))
 
 
 class TestQuadrature:
