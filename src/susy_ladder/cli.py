@@ -14,11 +14,13 @@ and fig3, and verify (with the oracle and numpy) for verify alone. The
 oracle solves on the LAPACK numpy's wheel ships, so no mode loads scipy
 unless numpy ships none (see oracle). The package's records are plain
 slotted classes (record.Record), which import nothing more and generate
-no code. The tables sample each unit-norm
-eigenfunction from its Laguerre closed form (expalg.laguerre_columns), on
-FIG_SAMPLES points that equal np.linspace's bit for bit. A chain that has
-left that form fails with PrecisionLoss, and a sample that is not finite
-with NonFiniteSample, each naming its column.
+no code. Like verify, the tables build their chains at the b = 1 twin
+(params.b1_twin). They sample each unit-norm eigenfunction from its Laguerre
+closed form (expalg.laguerre_columns) at b rho, rho on FIG_SAMPLES points
+that equal np.linspace's bit for bit, and scale G by sqrt(b) and densities
+by b. The rho column, --rho-max, V0 and the energies stay at the user's set.
+A chain that has left that form fails with PrecisionLoss, and a sample that
+is not finite with NonFiniteSample, each naming its column.
 
 The renderer formats each column once: a column of floats is handed as it
 is to one %.16e, any other column as its cells' text, quoted as csv.writer
@@ -27,9 +29,10 @@ row in C, so a table costs about one float format per cell.
 
 Exit codes: 0 success, 2 invalid configuration or parameters (including
 more eigenfunction levels than MAX_LEVELS, a window whose samples are not
-finite, or parameters whose arithmetic leaves the float range), 3 when
-verify finds a failed check (an oracle grid that does not converge on
-refinement fails its check; the other checks still run).
+finite, a b = 1 twin a float cannot hold, or parameters whose arithmetic
+leaves the float range), 3 when verify finds a failed check (an oracle
+grid that does not converge on refinement fails its check; the other
+checks still run).
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from pathlib import Path
 
 from .errors import LadderError, LevelCapExceeded, NonFiniteSample
 from .expalg import laguerre_columns
-from .params import FAMILIES, DiracParams, NRParams, PhysicalParams, default_rho_max
+from .params import FAMILIES, DiracParams, NRParams, PhysicalParams, b1_twin, default_rho_max
 from .record import Record, set_field
 
 FIG_SAMPLES = 512
@@ -161,11 +164,12 @@ def _samples(rho_max: float) -> list[float]:
     return [i * step + start for i in range(div)] + [rho_max]
 
 
-def _eigen_rows(cfg: RunConfig, scalar: bool) -> tuple[NRParams | DiracParams, list[float]]:
-    """cfg's parameters (see _params) and its eigenfunction table's rho
-    column: _samples up to --rho-max, by default the window of its top level."""
+def _eigen_rows(cfg: RunConfig, scalar: bool) -> tuple[float, NRParams | DiracParams, list]:
+    """b, the b = 1 twin of cfg's parameters (see _params) and the table's rho
+    column in user units: _samples up to --rho-max, by default the top level's window."""
     params = _params(cfg, scalar)
-    return params, _samples(cfg.rho_max or default_rho_max(params, cfg.levels - 1))
+    xs = _samples(cfg.rho_max or default_rho_max(params, cfg.levels - 1))
+    return params.b, b1_twin(params), xs
 
 
 def _finite(name: str, xs: list[float], values: list[float]) -> list[float]:
@@ -205,11 +209,13 @@ def _table_nr_spectrum(cfg: RunConfig):
 def _table_nr_eigenfunctions(cfg: RunConfig):
     from . import nonrel as nr
 
-    params, xs = _eigen_rows(cfg, scalar=True)
-    table = {"rho": xs}
-    chains = {f"G{n}": (nr.eigenfunction(params, n),) for n in range(cfg.levels)}
-    for name, ((amp, f),) in laguerre_columns(chains, xs).items():
-        table[name] = _finite(name, xs, [amp.real * v for v in f])
+    b, twin, xs = _eigen_rows(cfg, scalar=True)
+    table, root_b = {"rho": xs}, math.sqrt(b)
+    chains = {f"G{n}": (nr.eigenfunction(twin, n),) for n in range(cfg.levels)}
+    # G(rho) = sqrt(b) G_twin(b rho), with sqrt(b) in the amplitude
+    for name, ((amp, f),) in laguerre_columns(chains, [b * x for x in xs]).items():
+        scale = amp.real * root_b
+        table[name] = _finite(name, xs, [scale * v for v in f])
     return table
 
 
@@ -227,14 +233,14 @@ def _table_dirac_eigenfunctions(cfg: RunConfig):
     all sampled in one laguerre_columns call, which shares each shape's f."""
     from . import dirac as dc
 
-    params, xs = _eigen_rows(cfg, scalar=False)
-    chains = {f"density_{fam}{n}": dc.eigenfunction_chain(params, n, fam).components
+    b, twin, xs = _eigen_rows(cfg, scalar=False)
+    chains = {f"density_{fam}{n}": dc.eigenfunction_chain(twin, n, fam).components
               for fam in cfg.families for n in range(cfg.levels)}
     table = {"rho": xs}
     # Every chain stacks two 2-component halves, so each density sums four
-    # components, left to right from 0.0.
-    for name, quad in laguerre_columns(chains, xs).items():
-        (w0, v0), (w1, v1), (w2, v2), (w3, v3) = [(abs(amp) ** 2, f) for amp, f in quad]
+    # components, left to right from 0.0: density(rho) = b density_twin(b rho).
+    for name, quad in laguerre_columns(chains, [b * x for x in xs]).items():
+        (w0, v0), (w1, v1), (w2, v2), (w3, v3) = [(abs(amp) ** 2 * b, f) for amp, f in quad]
         density = [0.0 + w0 * f0 * f0 + w1 * f1 * f1 + w2 * f2 * f2 + w3 * f3 * f3
                    for f0, f1, f2, f3 in zip(v0, v1, v2, v3)]
         table[name] = _finite(name, xs, density)

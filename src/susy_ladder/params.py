@@ -119,6 +119,17 @@ class PhysicalParams(Record):
         )
 
 
+def b1_twin(params: NRParams | DiracParams) -> NRParams | DiracParams:
+    """(a, 1) or (a, 1, d0/b, mbar/b), which rho -> b rho maps params onto at
+    every level (b is a length scale); ValueError when a float cannot hold it."""
+    if isinstance(params, NRParams):
+        return NRParams(params.a, 1.0)
+    twin = (params.a, 1.0, params.d0 / params.b, params.mbar / params.b)
+    if not all(map(math.isfinite, twin)):
+        raise ValueError(f"the b = 1 twin (a, 1, d0/b, mbar/b) = {twin} is not finite")
+    return DiracParams(*twin)
+
+
 def w_coeffs(params, n: int) -> tuple[float, float]:
     """The 1/rho and constant coefficients (a+n, -b/(a+n)) of
     W_n = (a+n)/rho - b/(a+n), the superpotential both hierarchies share."""

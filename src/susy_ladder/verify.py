@@ -16,7 +16,7 @@ from . import nonrel as nr
 from . import oracle as orc
 from .errors import GridTooCoarse, TailNotDecayed
 from .expalg import ExpoPoly, eval_rows
-from .params import DiracParams, NRParams, PhysicalParams, default_rho_max
+from .params import DiracParams, NRParams, PhysicalParams, b1_twin, default_rho_max
 from .record import Record, set_field
 
 SEED = 20121028
@@ -331,13 +331,9 @@ def check_gamma_vs_quadrature(params: NRParams) -> CheckResult:
 
 
 def run_all(nr_params: NRParams, dirac_params: DiracParams) -> list[CheckResult]:
-    """Every row at the b = 1 twins (a, 1) and (a, 1, d0/b, mbar/b), so each
-    bound reads in units of b (b^2 for energies; TestLengthScale)."""
-    q = dirac_params
-    twin = (q.a, 1.0, q.d0 / q.b, q.mbar / q.b)
-    if not all(map(math.isfinite, twin)):
-        raise ValueError(f"verify's b = 1 twin (a, 1, d0/b, mbar/b) = {twin} is not finite")
-    nr_params, dirac_params = NRParams(nr_params.a, 1.0), DiracParams(*twin)
+    """Every row at the b = 1 twins (params.b1_twin), so each bound reads in
+    units of b (b^2 for energies; TestLengthScale)."""
+    nr_params, dirac_params = b1_twin(nr_params), b1_twin(dirac_params)
     return [
         check_riccati(),
         check_nr_factorization(),

@@ -147,19 +147,23 @@ def ref_eval_array(f, rhos):
 # The CLI samples every density column of a Dirac eigenfunction table in one
 # expalg.laguerre_columns call. This is the per-column sampler it replaced,
 # kept as the reference it must match bit for bit: each column's spinor is
-# sampled in a call of its own.
+# sampled in a call of its own. Both build the chains at the b = 1 twin
+# (a, 1, d0/b, mbar/b) and take a density as b times the twin's at b rho.
 
 
 def ref_dirac_densities(params, xs, families, levels):
-    """{column name: density samples}, one laguerre_columns call per column."""
+    """{column name: density samples at xs} of params, one laguerre_columns
+    call per column."""
+    b = params.b
+    twin = DiracParams(params.a, 1.0, params.d0 / b, params.mbar / b)
     table = {}
     for fam in families:
         for n in range(levels):
             name = f"density_{fam}{n}"
-            chain = dc.eigenfunction_chain(params, n, fam)
+            chain = dc.eigenfunction_chain(twin, n, fam)
             density = [0.0] * len(xs)
-            for amp, f in laguerre_columns({name: chain.components}, xs)[name]:
-                weight = abs(amp) ** 2
+            for amp, f in laguerre_columns({name: chain.components}, [b * x for x in xs])[name]:
+                weight = abs(amp) ** 2 * b
                 density = [d + weight * v * v for d, v in zip(density, f)]
             table[name] = density
     return table

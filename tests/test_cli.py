@@ -383,14 +383,14 @@ def test_out_of_range_arithmetic_exits_2_with_one_error_line(argv, kind):
                           f"({kind}: {_RANGE_REASONS[kind]})\n")
 
 
-# A chain whose coefficients themselves leave the float range: at b = 1e100
-# the level-4 chain's coefficients overflow, so its column is refused as not
-# finite, naming it and the first rho.
+# A column past the float range: at b = 1e308 the twin's unit-norm chain is
+# finite, but the density b |c|^2 f^2 at the first rho overflows, so the
+# column is refused as not finite, naming it and the first rho.
 def test_a_chain_past_the_float_range_is_refused_as_non_finite(capsys):
-    argv = ["nr-eigenfunctions", "--a", "1", "--b", "1e100", "--levels", "13"]
+    argv = ["dirac-eigenfunctions", "--a", "1e-3", "--b", "1e308", "--d0", "1", "--mbar", "1"]
     assert capture(argv) == (2, "")
-    rho = default_rho_max(NRParams(1.0, 1e100), 12) / FIG_SAMPLES
-    assert capsys.readouterr().err == (f"error: column G4 is not finite at rho = "
+    rho = default_rho_max(DiracParams(1e-3, 1e308, 1.0, 1.0), 2) / FIG_SAMPLES
+    assert capsys.readouterr().err == (f"error: column density_a0 is not finite at rho = "
                                        f"{_fmt_float(rho)}: the window reaches past what "
                                        "a float can hold\n")
 
@@ -433,24 +433,62 @@ def test_large_a_tables_exit_0_with_finite_columns(argv, capsys):
                     assert _sign_changes(column) == int(name[1:]), name
 
 
-# d0 = 0 with b^2 underflowing: every d_n is 0, so d_(n+1) + d_n, which the
-# intertwiner and the xi kernel divide by, is 0 too. The tables reach the
-# xi kernel's division and exit 2 with one error line.
-_D0_ZERO_B_UNDERFLOW = [
-    (["fig3"], "ZeroDivisionError: float division by zero"),
-    (["dirac-eigenfunctions", "--families", "a,c", "--levels", "2"],
-     "ZeroDivisionError: float division by zero"),
-]
+def _columns(text):
+    """{name: column of floats} of a CSV table."""
+    header, *lines = text.splitlines()
+    return dict(zip(header.split(","), zip(*(map(float, line.split(",")) for line in lines))))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("argv, reason", _D0_ZERO_B_UNDERFLOW,
-                         ids=[a[0] for a, _ in _D0_ZERO_B_UNDERFLOW])
-def test_d0_zero_with_b_squared_underflowing_exits_2(argv, reason, capsys):
-    argv = [*argv, "--a", "1", "--b", "1e-200", "--d0", "0", "--mbar", "1"]
-    assert capture(argv) == (2, "")
-    assert capsys.readouterr().err == ("error: the parameters take the arithmetic out of "
-                                       f"float range ({reason})\n")
+# Sets the tables refused while they built their chains at the user's b and
+# print at the b = 1 twin:
+# - the Dirac band a <= 1e-4, b <= a, where density_a1's chain departed
+#   from its Laguerre form by 1.1e-13 to 5.3e-10;
+# - d0 = 0 with b^2 underflowing at b = 1e-200: every d_n was 0, and the xi
+#   kernel divided by d_(n+1) + d_n. The twin (1, 1, 0, 1e200) divides by
+#   nothing that vanishes;
+# - the scalar table at b = 1e-200, whose G2 departed by 1, and at
+#   b = 1e100, 13 levels, whose level-4 coefficients overflowed.
+# Each prints finite columns, nonnegative densities and n sign changes in
+# G_n. (In the band, level 0 of families a and b decays at rate b/a, so it
+# underflows to 0 on every row of these windows, with or without the twin.)
+_BAND = [("1e-6", "1e-6"), ("1e-6", "1e-7"), ("1e-4", "1e-5"), ("1e-8", "1e-9")]
+_TWIN_MENDED = (
+    [["dirac-eigenfunctions", "--a", a, "--b", b, "--d0", "0.3", "--mbar", "0.5",
+      "--levels", levels] for a, b in _BAND for levels in ("3", "13")]
+    + [[mode, "--a", "1", "--b", "1e-200", "--d0", "0", "--mbar", "1"]
+       for mode in ("fig3", "dirac-eigenfunctions")]
+    + [[mode, "--a", "1", "--b", "1e-200"] for mode in ("nr-eigenfunctions", "fig2")]
+    + [["nr-eigenfunctions", "--a", "1", "--b", "1e100", "--levels", "13"]])
+
+
+@pytest.mark.parametrize("argv", _TWIN_MENDED, ids=" ".join)
+def test_sets_the_twin_mends_print_finite_columns(argv, capsys):
+    code, text = capture(argv)
+    assert (code, capsys.readouterr().err) == (0, "")
+    columns = _columns(text)
+    assert len(columns["rho"]) == FIG_SAMPLES
+    assert all(math.isfinite(x) for column in columns.values() for x in column)
+    for name, column in columns.items():
+        if name.startswith("density_"):
+            assert min(column) >= 0.0, name
+        if name[0] == "G":
+            assert _sign_changes(column) == int(name[1:]), name
+
+
+def test_d0_zero_with_b_squared_underflowing_prints_at_the_twin(capsys):
+    # fig3 at (1, 1e-200, 0, 1): its densities are 1e-200 times the twin's
+    # at 1e-200 rho, and its energies are the user set's.
+    code, text = capture(["fig3", "--a", "1", "--b", "1e-200", "--d0", "0", "--mbar", "1"])
+    assert (code, capsys.readouterr().err) == (0, "")
+    columns = _columns(text)
+    twin = _columns(capture(["fig3", "--a", "1", "--b", "1", "--d0", "0", "--mbar", "1e200",
+                             "--rho-max", repr(1e-200 * columns["rho"][-1])])[1])
+    params = DiracParams(1.0, 1e-200, 0.0, 1.0)
+    for name, column in columns.items():
+        if name.startswith("density_"):
+            assert column == pytest.approx([1e-200 * x for x in twin[name]], rel=1e-13), name
+        elif name.startswith("E_"):
+            assert column[0] == dc.family_eigenvalue(params, int(name[3:]), name[2])
 
 
 def test_verify_at_d0_zero_with_b_squared_underflowing_runs_the_twin(capsys):
@@ -470,16 +508,17 @@ def test_verify_at_d0_zero_with_b_squared_underflowing_runs_the_twin(capsys):
     assert rows["dirac-eigen-equations"][1].endswith(" 5.173e-216\"")
 
 
+@pytest.mark.parametrize("mode", ["verify", "dirac-eigenfunctions", "fig3"])
 @pytest.mark.parametrize("argv, ratio", [
     (["--d0", "1", "--mbar", "1"], "(1.0, 1.0, inf, inf)"),
     (["--d0", "0", "--mbar", "1"], "(1.0, 1.0, 0.0, inf)"),
 ], ids=["d0", "mbar"])
-def test_verify_refuses_a_twin_a_float_cannot_hold(argv, ratio, capsys):
+def test_a_twin_a_float_cannot_hold_is_refused_in_one_line(mode, argv, ratio, capsys):
     # b = 1e-310 puts d0/b or mbar/b past the float range: one error line
-    # naming the twin, exit 2
-    assert capture(["verify", "--a", "1", "--b", "1e-310", *argv]) == (2, "")
+    # naming the twin, which verify and the tables build alike, exit 2
+    assert capture([mode, "--a", "1", "--b", "1e-310", *argv]) == (2, "")
     assert capsys.readouterr().err == (
-        f"error: verify's b = 1 twin (a, 1, d0/b, mbar/b) = {ratio} is not finite\n")
+        f"error: the b = 1 twin (a, 1, d0/b, mbar/b) = {ratio} is not finite\n")
 
 
 # a = 1e-20 is positive, but alpha = 2a - 1 of the chains' lowest power
@@ -498,19 +537,21 @@ def test_alpha_that_rounds_to_minus_1_exits_2_naming_alpha(argv, capsys):
                                        "alpha = 2 p0 - 1 = -1.0, not above -1\n")
 
 
-# a and b are finite and positive, but the chains' decay rate 2b/(a+k)
-# rounds to 0, whose log the closed-form norm would take
-_RATE_AT_0 = [
+# a and b are finite and positive, and at b = 1e-300 the chains' decay rate
+# 2b/(a+k) rounded to 0. The twin's rate 2/(a+k) is 2e-300, but its level-1
+# coefficient ratio (alpha+1)/(2 beta) is 1e600, so G1 leaves its Laguerre
+# form; expalg still refuses a rate of 0 (test_laguerre.TestNotALaguerreFunction).
+_HUGE_A = [
     ["fig2", "--a", "1e300", "--b", "1e-300"],
     ["nr-eigenfunctions", "--a", "1e300", "--b", "1e-300", "--levels", "2"],
 ]
 
 
-@pytest.mark.parametrize("argv", _RATE_AT_0, ids=[a[0] for a in _RATE_AT_0])
-def test_decay_rate_that_rounds_to_0_exits_2_naming_the_rate(argv, capsys):
+@pytest.mark.parametrize("argv", _HUGE_A, ids=[a[0] for a in _HUGE_A])
+def test_huge_a_exits_2_naming_the_column_that_leaves_the_laguerre_form(argv, capsys):
     assert capture(argv) == (2, "")
-    assert capsys.readouterr().err == ("error: decay rate 2 beta = 2 b/(a+k) = 0.0 "
-                                       "is not above 0\n")
+    assert capsys.readouterr().err == ("error: column G1: coefficients depart from the "
+                                       "Laguerre form by inf of the largest (tolerance 1e-13)\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -786,8 +827,9 @@ def test_dirac_table_matches_the_per_column_reference(argv):
     cfg = config_from_args(build_parser().parse_args(argv))
     fig3 = cfg.mode == "fig3"
     table = (cli._table_fig3 if fig3 else cli._table_dirac_eigenfunctions)(cfg)
-    params, xs = cli._eigen_rows(cfg, scalar=False)
-    expect = {"rho": xs} | ref_dirac_densities(params, xs, ("a", "c") if fig3 else cfg.families,
+    xs = cli._eigen_rows(cfg, scalar=False)[2]
+    expect = {"rho": xs} | ref_dirac_densities(cli._params(cfg, scalar=False), xs,
+                                               ("a", "c") if fig3 else cfg.families,
                                                3 if fig3 else cfg.levels)
     expect |= {name: column for name, column in table.items() if name.startswith("E_")}
     assert {name: _hex(column) for name, column in table.items()} == \
@@ -800,6 +842,7 @@ def test_dirac_table_runs_one_recurrence_per_shape(monkeypatch):
     # Families a/b (and c/d) share their components' shapes (p0, M, beta), and
     # c/d at level n share them with a/b at level n+1: 13 levels of all four
     # families need 27 recurrences, where sampling each column alone ran 102.
+    # The chains are the b = 1 twin's.
     calls = []
     sample = expalg._laguerre_function
 
@@ -810,7 +853,7 @@ def test_dirac_table_runs_one_recurrence_per_shape(monkeypatch):
     monkeypatch.setattr(expalg, "_laguerre_function", counted)
     assert capture(["dirac-eigenfunctions", "--a", "1.3", "--b", "0.9", "--d0", "-0.4",
                     "--mbar", "0.6", "--levels", "13"])[0] == 0
-    params = DiracParams(1.3, 0.9, -0.4, 0.6)
+    params = DiracParams(1.3, 1.0, -0.4 / 0.9, 0.6 / 0.9)
     shapes = {(p0, m, two_beta)
               for fam in "abcd" for n in range(13)
               for c in dc.eigenfunction_chain(params, n, fam).components if c.terms
@@ -820,7 +863,7 @@ def test_dirac_table_runs_one_recurrence_per_shape(monkeypatch):
 
 def test_tables_read_each_chain_component_shape_once(monkeypatch):
     # One _laguerre_shape call per nonzero component of every column's
-    # chain, so each column's departure check runs once.
+    # chain, built at the b = 1 twin, so each column's departure check runs once.
     calls = []
     shape = expalg._laguerre_shape
 
@@ -829,14 +872,14 @@ def test_tables_read_each_chain_component_shape_once(monkeypatch):
         return shape(poly)
 
     monkeypatch.setattr(expalg, "_laguerre_shape", counted)
-    params = DiracParams(1.3, 0.9, -0.4, 0.6)
+    params = DiracParams(1.3, 1.0, -0.4 / 0.9, 0.6 / 0.9)
     assert capture(["dirac-eigenfunctions", "--a", "1.3", "--b", "0.9", "--d0", "-0.4",
                     "--mbar", "0.6", "--levels", "5"])[0] == 0
     assert calls == [c for fam in "abcd" for n in range(5)
                      for c in dc.eigenfunction_chain(params, n, fam).components if c.terms]
     calls.clear()
     assert capture(["nr-eigenfunctions", "--a", "1.3", "--b", "0.9", "--levels", "5"])[0] == 0
-    assert calls == [nr.eigenfunction(NRParams(1.3, 0.9), n) for n in range(5)]
+    assert calls == [nr.eigenfunction(NRParams(1.3, 1.0), n) for n in range(5)]
 
 
 def test_renderer_matches_the_reference_on_edge_cells():

@@ -100,6 +100,18 @@ _TABLES = [
     ["fig2", "--rho-max", "1e300"],
     ["fig3", "--rho-max", "1e300"],
     ["dirac-eigenfunctions", *_FIG3, "--rho-max", "1e-300"],
+    # sets refused before the tables built at the b = 1 twin: the Dirac band
+    # a <= 1e-4, b <= a, and b^2 underflowing or the chains' coefficients
+    # overflowing at b = 1e-200 and 1e100
+    *[["dirac-eigenfunctions", "--a", a, "--b", b, "--d0", "0.3", "--mbar", "0.5",
+       "--levels", levels]
+      for a, b in [("1e-6", "1e-6"), ("1e-6", "1e-7"), ("1e-4", "1e-5"), ("1e-8", "1e-9")]
+      for levels in ("3", "13")],
+    ["fig3", "--a", "1", "--b", "1e-200", "--d0", "0", "--mbar", "1"],
+    ["dirac-eigenfunctions", "--a", "1", "--b", "1e-200", "--d0", "0", "--mbar", "1"],
+    ["nr-eigenfunctions", "--a", "1", "--b", "1e-200"],
+    ["fig2", "--a", "1", "--b", "1e-200"],
+    ["nr-eigenfunctions", "--a", "1", "--b", "1e100", "--levels", "13"],
 ]
 
 # refusals: exit 2 and nothing on stdout
@@ -115,8 +127,6 @@ _REFUSALS = [
     ["nr-spectrum", "--a", "1", "--b", "1e200"],
     ["dirac-spectrum", "--a", "1e-300", "--b", "1", "--d0", "0", "--mbar", "0"],
     ["fig3", "--a", "1e-200", "--b", "1", "--d0", "1", "--mbar", "1"],
-    ["nr-eigenfunctions", "--a", "1", "--b", "1e100", "--levels", "13"],
-    ["fig3", "--a", "1", "--b", "1e-200", "--d0", "0", "--mbar", "1"],
     ["fig3", "--a", "1e-20", "--b", "1", "--d0", "0.5", "--mbar", "1"],
     ["fig2", "--a", "1e300", "--b", "1e-300"],
 ]

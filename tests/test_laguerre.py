@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from conftest import random_dirac, random_nr, ref_exact_chain, ref_laguerre_norm2, rng_for
 
+from susy_ladder import cli, expalg
 from susy_ladder import dirac as dc
-from susy_ladder import expalg
 from susy_ladder import nonrel as nr
 from susy_ladder.cli import _samples
 from susy_ladder.errors import DomainError, PrecisionLoss
@@ -336,11 +336,11 @@ def unit_eigenfunction(params, n, rhos):
     with mp.workdps(DPS):
         a, b = mp.mpf(params.a), mp.mpf(params.b)
         alpha, beta = 2 * a + 1, b / (a + n + 1)
-        norm2 = (mp.gamma(n + alpha + 1) * (2 * n + alpha + 1)
-                 / (mp.factorial(n) * (2 * beta) ** (alpha + 2)))
+        norm = mp.sqrt(mp.gamma(n + alpha + 1) * (2 * n + alpha + 1)
+                       / (mp.factorial(n) * (2 * beta) ** (alpha + 2)))
         return np.array([float(abs(mp.mpf(r) ** (a + 1) * mp.exp(-beta * mp.mpf(r))
-                                   * mp.laguerre(n, alpha, 2 * beta * mp.mpf(r))))
-                         / float(mp.sqrt(norm2)) for r in rhos])
+                                   * mp.laguerre(n, alpha, 2 * beta * mp.mpf(r))) / norm)
+                         for r in rhos])
 
 
 class TestLaguerreSampling:
@@ -487,3 +487,48 @@ class TestLengthScale:
                           for fam in dc.FAMILIES]
                 worst = max([worst] + [self.departure(f, g, b) for f, g in pairs])
         assert worst <= self.TOL
+
+
+class TestTableColumns:
+    """Every G and density column of the eigenfunction tables at b != 1,
+    against the 40-digit closed form at the user's set, on every 4th row.
+    The tables build their chains at the b = 1 twin and sample them at
+    b rho; the references use no twin (the Dirac ones take each component's
+    top coefficient from the chain built at the user's b). Measured worst
+    share of a column's peak, chains built at the user's b / at the twin:
+    - fig2: 1.9e-15 / 1.9e-15; fig3: 9.0e-16 / 6.9e-16;
+    - (1.3, 0.9, -0.4, 0.6), 13 levels: G 6.3e-15 / 8.2e-15, densities
+      1.25e-14 / 1.08e-14;
+    - a = 100, b = 1e12: G 7.9e-14 / 9.4e-14, densities 2.0e-13 / 1.84e-13;
+    - a = 100, b = 1e-12: G 9.3e-14 / 9.2e-14, densities 1.71e-13 / 1.72e-13.
+    At a = 100 both sit near 4 p0 eps for G and 8 p0 eps for the squared
+    densities (TestLaguerreSampling), p0 = a + 1."""
+
+    _CI = ["--a", "1.3", "--b", "0.9"]
+    TABLES = ([(["fig2"], 3e-14), (["fig3"], 3e-14),
+               (["nr-eigenfunctions", *_CI, "--levels", "13"], 3e-14),
+               (["dirac-eigenfunctions", *_CI, "--d0", "-0.4", "--mbar", "0.6", "--levels", "13"],
+                3e-14)]
+              + [([mode, "--a", "100", "--b", b, *extra], 4e-13) for b in ("1e12", "1e-12")
+                 for mode, extra in [("nr-eigenfunctions", []),
+                                     ("dirac-eigenfunctions", ["--d0", "0.3", "--mbar", "0.5"])]])
+
+    @pytest.mark.parametrize("argv, tol", TABLES, ids=[" ".join(a) for a, _ in TABLES])
+    def test_columns_match_the_closed_form_at_the_users_set(self, argv, tol):
+        cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
+        table = getattr(cli, "_table_" + cfg.mode.replace("-", "_"))(cfg)
+        xs = table["rho"][::4]
+        worst = 0.0
+        for name, column in table.items():
+            if name[0] == "G":
+                ref = unit_eigenfunction(cli._params(cfg, scalar=True), int(name[1:]), xs)
+                got = np.abs(column[::4])
+            elif name.startswith("density_"):
+                chain = dc.eigenfunction_chain(cli._params(cfg, scalar=False), int(name[9:]),
+                                               name[8])
+                ref = sum(np.abs(c) ** 2 for c in unit_closed_form(chain.components, xs))
+                got = np.array(column[::4])
+            else:
+                continue
+            worst = max(worst, np.max(np.abs(got - ref)) / np.max(ref))
+        assert worst <= tol
