@@ -11,8 +11,9 @@ would otherwise be the largest cost of a cold run. Each mode imports only
 the hierarchy it tables, when its builder runs: nonrel for nr-spectrum,
 nr-eigenfunctions and fig2, dirac for dirac-spectrum, dirac-eigenfunctions
 and fig3, and verify (with the oracle and numpy) for verify alone. The
-oracle solves on the LAPACK numpy's wheel ships, so no mode loads scipy
-unless numpy ships none (see oracle). The package's records are plain
+oracle solves its Laguerre-basis matrices with numpy alone, and binds the
+LAPACK numpy's wheel ships, so no mode loads scipy unless numpy ships none
+(see oracle). The package's records are plain
 slotted classes (record.Record), which import nothing more and generate
 no code. Like verify, the tables build their chains at the b = 1 twin
 (params.b1_twin). They sample each unit-norm eigenfunction from its Laguerre
@@ -31,8 +32,8 @@ Exit codes: 0 success, 2 invalid configuration or parameters (including
 more eigenfunction levels than MAX_LEVELS, a window whose samples are not
 finite, a b = 1 twin a float cannot hold, or parameters whose arithmetic
 leaves the float range), 3 when verify finds a failed check (an oracle
-grid that does not converge on refinement fails its check; the other
-checks still run).
+solve whose values move when its basis is halved fails its check; the
+other checks still run).
 """
 
 from __future__ import annotations
@@ -450,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="susy-ladder",
         description="Exact ladder-operator spectra for a charged particle in a "
-                    "1/rho magnetic field, with finite-difference verification.")
+                    "1/rho magnetic field, with verification against an independent oracle.")
     sub = parser.add_subparsers(dest="mode", required=True, metavar="mode",
                                 parser_class=_ModeParser)
     for mode in _MODE_FLAGS:

@@ -28,7 +28,9 @@ class NegativeRadicand(LadderError):
 
 
 class GridTooCoarse(LadderError):
-    """Refining the grid moved an eigenvalue by more than the stability threshold."""
+    """The oracle's Ritz values did not converge: halving the Laguerre basis
+    changed the count inside the window or moved a value by more than
+    oracle.SHIFT_BOUND of itself."""
 
 
 class TailNotDecayed(LadderError):

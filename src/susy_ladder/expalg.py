@@ -370,7 +370,8 @@ def _laguerre_shape(poly: ExpoPoly) -> tuple[float, float, int, float, complex]:
         coef_i = -coef_(i+1) (i+1)(alpha+i+1) / ((M-i) 2 beta).
 
     Raises ValueError when poly does not have that shape, and PrecisionLoss
-    when a coefficient departs from the recurrence, run down from t, by more
+    when a coefficient is not finite, when the recurrence run down from t
+    leaves the float range, or when a coefficient departs from it by more
     than LAGUERRE_TOL times the largest coefficient.
     """
     terms = poly.terms
@@ -396,13 +397,20 @@ def _laguerre_shape(poly: ExpoPoly) -> tuple[float, float, int, float, complex]:
     if not two_beta > 0.0:
         raise ValueError(f"decay rate 2 beta = 2 b/(a+k) = {two_beta} is not above 0")
     top = terms[-1][2]
-    expect, worst = top, 0.0
+    expect, worst, total = top, 0.0, abs(top)
     for i in range(m - 1, -1, -1):
         expect = -expect * ((i + 1) * (alpha + i + 1) / ((m - i) * two_beta))
         d = abs(terms[i][2] - expect)
-        # d > worst skips a NaN departure exactly as max(worst, d) does
+        # d > worst skips a NaN departure exactly as max(worst, d) does, but
+        # the sum keeps it
+        total += d
         if d > worst:
             worst = d
+    if not math.isfinite(total):
+        if not all(map(math.isfinite, map(abs, map(_coeff, terms)))):
+            raise PrecisionLoss("a coefficient is not finite")
+        raise PrecisionLoss("the closed form run down from the top coefficient "
+                            "leaves the float range")
     scale = poly.max_abs_coeff()
     if worst > LAGUERRE_TOL * scale:
         raise PrecisionLoss(f"coefficients depart from the Laguerre form by "

@@ -1,41 +1,46 @@
-"""Finite-difference cross-checks, independent of the ladder construction.
+"""Cross-checks independent of the ladder construction.
 
-This module consumes only parameter records and sampled function values. Its
-solves and its quadrature share one grid, uniform in x = ln rho (LogGrid).
+This module consumes only parameter records and sampled function values.
 Both eigenvalue problems are solved through the bare Coulomb channel
 
     -u'' + [(k^2 - 1/4)/rho^2 - 2b/rho] u = eps u,   eps = -b^2/(k + 1/2 + m)^2,
 
-with the regular solution rho^(k + 1/2) imposed at the inner end, and each
-returns the levels inside a window of values. The scalar problem is
+and each returns the levels inside a window of values. The scalar problem is
 k = a + 1/2, eps = 2 epsilon. The matrix problem is probed through the
 squared operator, whose two decoupled channels, k = a - 1/2 (components 1
 and 3) and k = a + 1/2 (components 2 and 4), are these shifted by
-C = b^2/a^2 + d0^2 + mbar^2: E^2 = C + eps, with C kept out of the matrix.
+C = b^2/a^2 + d0^2 + mbar^2: E^2 = C + eps, with C kept out of the solve.
 This avoids the spurious eigenbranches that naive first-order
 discretizations produce. Each doubled spinor channel is solved once, so
 reported multiplicities count +/- energy pairs once.
 
-Every channel is solved by LAPACK's dstebz, W. Kahan's Sturm-count
-bisection (LAPACK Users' Guide, 3rd ed., SIAM 1999), for the eigenvalues
-inside a window. The routine is bound through ctypes, once at import, from
-the ILP64 OpenBLAS that numpy's wheel ships and that import numpy has
-already loaded, so the oracle loads no scipy. Where numpy ships no such
-library, scipy.linalg.eigh_tridiagonal, which calls the same routine, is
-used instead; LAPACK names the library bound, or "scipy fallback".
+Every channel is solved by Rayleigh-Ritz on BASIS_SIZE Laguerre functions
+x^(k+1/2) e^(-x/2) L_m^(2k)(x), x = c rho, each scaled by
+sqrt(m!/Gamma(m+2k+1)) (Heller and Yamani, Phys. Rev. A 9 (1974) 1201).
+Its matrices are closed-form tridiagonals: the overlap S has
+S_mm = 2m + 2k + 1 and S_m,m+1 = -sqrt((m+1)(m+2k+1)), the kinetic and
+centrifugal part is c^2 K with K = (diag S - offdiag S)/4, and the Coulomb
+part is -2bc I, so the pencil is (c^2 K - 2bc I) v = eps S v. The basis goes
+like rho^(k+1/2) at the origin, the regular solution wherever 2k > -1, so
+both channels are solved at every a > 0. Ritz values bound each level from
+above (Hylleraas-Undheim; MacDonald, Phys. Rev. 43 (1933) 830), so the
+solves at the two window-end scales c = 2 sqrt(-eps) combine by a plain
+minimum; no scale is taken from an analytic level.
 
-Channel k = a - 1/2 is solved only where k >= 0. For a < 1/2 both rho^a and
-rho^(1-a) are square-integrable at the origin (Weyl's limit-circle case;
-G. Teschl, Mathematical Methods in Quantum Mechanics, AMS GSM 157), and the
-ghost row does not pin the wanted rho^a: at a = 0.1 the channel's lowest
-eps is off by 16% while refinement moves it by 2%. Level 0 lies in that
-channel alone, so below a = 1/2 the scan does not see it.
+The module also binds LAPACK's dstebz, W. Kahan's Sturm-count bisection
+(LAPACK Users' Guide, 3rd ed., SIAM 1999), as eigh_tridiagonal: through
+ctypes, once at import, from the ILP64 OpenBLAS that numpy's wheel ships and
+that import numpy has already loaded, so the oracle loads no scipy. Where
+numpy ships no such library, scipy.linalg.eigh_tridiagonal, which calls the
+same routine, is used instead; LAPACK names the library bound, or "scipy
+fallback". No oracle solve calls it; the tests' grid reference does.
 
-Inner products are the trapezoid rule in x, which converges exponentially
-on integrands that decay at both ends (Trefethen and Weideman, SIAM Review 56
-(2014) 385). The strip [0, LOG_GRID_DEPTH * rho_max] left out holds nothing
-of a scalar integrand, rho^(2a+2) at the origin, but about 3e-4 of a Dirac
-component's norm at a = 1e-3, where it goes like rho^(2a) over a length a/b.
+Inner products are the trapezoid rule in x = ln rho on a LogGrid, which
+converges exponentially on integrands that decay at both ends (Trefethen and
+Weideman, SIAM Review 56 (2014) 385). The strip
+[0, LOG_GRID_DEPTH * rho_max] left out holds nothing of a scalar integrand,
+rho^(2a+2) at the origin, but about 3e-4 of a Dirac component's norm at
+a = 1e-3, where it goes like rho^(2a) over a length a/b.
 """
 
 from __future__ import annotations
@@ -51,19 +56,15 @@ from .errors import GridTooCoarse, TailNotDecayed
 from .params import DiracParams, NRParams, default_rho_max
 from .record import Record, set_field
 
-RICHARDSON_SHIFT = 1e-4
-# Absolute tolerance on eps for the bisection, far below RICHARDSON_SHIFT.
-# dstebz's default (ABSTOL <= 0, scipy's tol=0) is machine epsilon times
-# ||T||_1, and a log grid's diagonal reaches 2 / (h rho_min)^2, so that
-# default is wider than any window a solve is asked about: at fig3 on 2048
-# points it puts level 0's eps = -4.000 of the k = 1/2 channel at -3.193.
-BISECTION_TOL = 1e-12
-# rho_min / rho_max of a LogGrid. With the regular solution imposed at the
-# inner end, a shallow grid loses what the leading power rho^k misses inside
-# rho_min, while the step h grows like ln(rho_max / rho_min). Of the 200
-# random_nr draws (1024 points) and the 100 random_dirac draws (2048 points),
-# 1e-6, 1e-9, 1e-12 and 1e-20 pass the scalar check on 200, 200, 200 and 166
-# and the scan check on 95, 100, 99 and 97.
+# Laguerre functions per channel solve: 4 per level checked (levels 0..2) plus 40.
+BASIS_SIZE = 4 * 3 + 40
+# Largest relative move of a value in the window when the basis is halved.
+# At the CI sets' twins and at b = 1 the move is at most 1.6e-12 from
+# a = 1e-3 to 60, and 8.7e-7 at a = 1e-8, in levels 1-2 of channel
+# k = a - 1/2, where S_00 = 2a.
+SHIFT_BOUND = 1e-5
+# rho_min / rho_max of a LogGrid. The trapezoid rule leaves out what lies
+# inside rho_min, while its step h grows like ln(rho_max / rho_min).
 LOG_GRID_DEPTH = 1e-9
 
 
@@ -103,8 +104,8 @@ def _bundled_dstebz():
 def _bound_solver(dstebz):
     """eigh_tridiagonal(d, e, eigvals_only=True, tol=..., select="v",
     select_range=(lo, hi)) on the LAPACK routine dstebz, the call shape
-    _channel_eigs uses: scipy.linalg.eigh_tridiagonal's one call to dstebz,
-    RANGE 'V' and ORDER 'E', with its checks and messages.
+    the tests' grid reference uses: scipy.linalg.eigh_tridiagonal's one call
+    to dstebz, RANGE 'V' and ORDER 'E', with its checks and messages.
 
     Fortran takes every argument by reference, the two character lengths
     it appends to the list by value.
@@ -147,7 +148,7 @@ def _load_solver():
     return _bound_solver(dstebz), path
 
 
-# Every solve goes through this name (bench/tracing.py counts grid points on it).
+# bench/tracing.py counts grid points on this name; only the tests' grid reference calls it.
 eigh_tridiagonal, LAPACK = _load_solver()
 
 
@@ -193,8 +194,7 @@ def default_grid(params, n_max: int, n_points: int) -> RadialGrid:
 
 class LogGrid(Record):
     """Grid uniform in x = ln rho on [LOG_GRID_DEPTH * rho_max, rho_max], with
-    step h in x, the regular solution imposed at the inner end and a
-    Dirichlet end one step beyond the outer one.
+    step h in x, for the trapezoid rule of quad_inner.
 
     Points crowd geometrically toward the origin: every decade of rho gets
     ln(10) / h of them.
@@ -223,57 +223,39 @@ class LogGrid(Record):
         return np.geomspace(self.rho_min, self.rho_max, self.n_points)
 
 
-def _refined(solve, grid: LogGrid) -> list[float]:
-    """The Richardson values (4 fine - coarse) / 3 of solve(grid) and solve
-    on the same window at half the step (2N - 1 points): the imposed regular
-    solution leaves an error of order h^2 only. Raises GridTooCoarse when the
-    two differ in count or any value moves by more than RICHARDSON_SHIFT."""
-    coarse = np.asarray(solve(grid))
-    fine = np.asarray(solve(LogGrid(grid.rho_max, 2 * grid.n_points - 1)))
-    if len(fine) != len(coarse):
-        raise GridTooCoarse(
-            f"refinement changed the eigenvalue count from {len(coarse)} to {len(fine)}")
-    shift = float(np.max(np.abs(fine - coarse), initial=0.0))
-    if shift > RICHARDSON_SHIFT:
-        raise GridTooCoarse(f"an eigenvalue moved by {shift:.3e} on refinement")
-    return [float(x) for x in (4.0 * fine - coarse) / 3.0]
+def _ritz_values(k: float, b: float, c: float, size: int) -> np.ndarray:
+    """The Ritz values of channel k on size Laguerre functions at scale c,
+    ascending (see the module docstring)."""
+    m = np.arange(size)
+    diag = np.diag(2.0 * m + (2.0 * k + 1.0))
+    off = np.diag(-np.sqrt(m[1:] * (m[1:] + 2.0 * k)), 1)
+    s = diag + off + off.T
+    h = (0.25 * c * c) * (diag - off - off.T) - (2.0 * b * c) * np.eye(size)
+    lower_inv = np.linalg.inv(np.linalg.cholesky(s))
+    return np.linalg.eigvalsh(lower_inv @ h @ lower_inv.T)
 
 
-def _require_log_grid(grid) -> None:
-    if not isinstance(grid, LogGrid):
-        raise TypeError(f"the oracle runs on a LogGrid, got {type(grid).__name__}")
-
-
-def _channel_tridiag(k: float, b: float, grid: LogGrid):
-    # The channel whose regular solution is u ~ rho^(k + 1/2).
-    # u = rho^(1/2) v on x = ln rho gives -v'' + [k^2 - 2b rho] v
-    # = eps rho^2 v; scaling by w = rho v makes it one symmetric tridiagonal
-    # problem in eps. The first row takes the ghost value v_-1 = e^(-kh) v_0
-    # of the regular solution v ~ e^(kx); the last row is Dirichlet.
-    rho = grid.points
-    h = grid.h
-    d = (2.0 / h ** 2 + k * k - 2.0 * b * rho) / rho ** 2
-    d[0] -= math.exp(-k * h) / (h * rho[0]) ** 2
-    return d, -1.0 / (h ** 2 * rho[:-1] * rho[1:])
-
-
-def _channel_eigs(k: float, b: float, grid: LogGrid, **select) -> np.ndarray:
-    d, e = _channel_tridiag(k, b, grid)
-    return eigh_tridiagonal(d, e, eigvals_only=True, tol=BISECTION_TOL, **select)
-
-
-def _window_eigs(k: float, b: float, window: tuple[float, float], grid: LogGrid,
-                 scale: float = 1.0) -> list[float]:
-    """The Richardson values (_refined) of scale * eps for channel k's eps
-    inside window / scale, ascending. Each solve scales its values, so the
-    refinement shift is taken on the values returned. Any grid but a LogGrid
-    raises TypeError."""
-    _require_log_grid(grid)
+def _channel_levels(k: float, b: float, window: tuple[float, float]) -> np.ndarray:
+    """Channel k's eps inside window, ascending: the elementwise minimum of
+    its Ritz values at the scales c = 2 sqrt(-lo) and 2 sqrt(-hi). Raises
+    GridTooCoarse when the same solve on half the basis finds another count
+    or moves a value by more than SHIFT_BOUND of itself."""
     lo, hi = window
-    if not lo < hi:
-        raise ValueError("window must satisfy lo < hi")
-    select = {"select": "v", "select_range": (lo / scale, hi / scale)}
-    return _refined(lambda g: scale * _channel_eigs(k, b, g, **select), grid)
+    if not -math.inf < lo < hi < 0:
+        raise ValueError("window must satisfy lo < hi < 0")
+
+    def solve(size: int) -> np.ndarray:
+        values = np.minimum(*(_ritz_values(k, b, 2.0 * math.sqrt(-x), size) for x in window))
+        return values[(lo <= values) & (values <= hi)]
+
+    full, half = solve(BASIS_SIZE), solve(BASIS_SIZE // 2)
+    if len(half) != len(full):
+        raise GridTooCoarse(
+            f"halving the basis changed the eigenvalue count from {len(full)} to {len(half)}")
+    shift = float(np.max(np.abs(half - full) / np.abs(full), initial=0.0))
+    if not shift <= SHIFT_BOUND:
+        raise GridTooCoarse(f"an eigenvalue moved by {shift:.3e} of itself on halving the basis")
+    return full
 
 
 class ResidualReport(Record):
@@ -298,16 +280,13 @@ def _l2_report(r: np.ndarray, f: np.ndarray, h: float) -> ResidualReport:
 # -- scalar problem ----------------------------------------------------------
 
 
-def fd_schrodinger_eigs(params: NRParams, window: tuple[float, float],
-                        grid: LogGrid) -> list[float]:
-    """The Richardson levels epsilon inside a window given in epsilon, ascending.
-
-    The scalar operator times 2 is the channel k = a + 1/2 with
-    eps = 2 epsilon, halved inside each solve, so the refinement shift is
-    taken on epsilon (_window_eigs). A grid too short for a level leaves it
-    out of the count.
-    """
-    return _window_eigs(params.a + 0.5, params.b, window, grid, 0.5)
+def fd_schrodinger_eigs(params: NRParams, window: tuple[float, float]) -> list[float]:
+    """The levels epsilon inside a window given in epsilon, ascending: the
+    scalar operator times 2 is channel k = a + 1/2 with eps = 2 epsilon
+    (_channel_levels)."""
+    lo, hi = window
+    return [0.5 * float(x)
+            for x in _channel_levels(params.a + 0.5, params.b, (2.0 * lo, 2.0 * hi))]
 
 
 # -- matrix problem ----------------------------------------------------------
@@ -338,19 +317,14 @@ def residual_dirac(phi: np.ndarray, energy: float, params: DiracParams,
     return _l2_report(r, phi[:, inner], h)
 
 
-def dirac_spectrum_scan(params: DiracParams, window: tuple[float, float],
-                        grid: LogGrid) -> list[float]:
-    """The Richardson eps = E^2 - C of the squared operator's channels
-    inside a window given in eps, ascending (see the module docstring).
-
-    Level n >= 1 lies in both channels and level 0 in k = a - 1/2 alone,
-    which is solved only where k >= 0. Each channel is refined on its own,
-    so a near-degenerate pair is never matched across channels. Any grid but
-    a LogGrid raises TypeError, and a refinement shift past RICHARDSON_SHIFT
-    raises GridTooCoarse (_refined).
-    """
-    return sorted(x for k in (params.a - 0.5, params.a + 0.5) if k >= 0
-                  for x in _window_eigs(k, params.b, window, grid))
+def dirac_spectrum_scan(params: DiracParams, window: tuple[float, float]) -> list[float]:
+    """The eps = E^2 - C of the squared operator's channels k = a - 1/2 and
+    a + 1/2 inside a window given in eps, ascending (see the module
+    docstring): level 0 lies in channel a - 1/2 alone and every higher level
+    in both. Each channel is solved on its own (_channel_levels), so a
+    near-degenerate pair is never matched across channels."""
+    return sorted(float(x) for k in (params.a - 0.5, params.a + 0.5)
+                  for x in _channel_levels(k, params.b, window))
 
 
 # -- quadrature --------------------------------------------------------------
@@ -365,7 +339,8 @@ def quad_inner(f: np.ndarray, g: np.ndarray, grid: LogGrid) -> complex:
     decayed at rho_max (relative 1e-16), since the quadrature cannot see past
     the grid.
     """
-    _require_log_grid(grid)
+    if not isinstance(grid, LogGrid):
+        raise TypeError(f"the oracle runs on a LogGrid, got {type(grid).__name__}")
     prod = np.conjugate(np.asarray(f)) * np.asarray(g)
     peak = float(np.max(np.abs(prod)))
     if peak > 0 and abs(prod[-1]) > 1e-16 * peak:

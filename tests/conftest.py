@@ -14,9 +14,9 @@ from susy_ladder import dirac as dc
 from susy_ladder import nonrel as nr
 from susy_ladder import oracle as orc
 from susy_ladder.cli import RunConfig
-from susy_ladder.errors import PrecisionLoss
+from susy_ladder.errors import GridTooCoarse, PrecisionLoss
 from susy_ladder.expalg import LAGUERRE_TOL, ExpoPoly, Term, _wrap, laguerre_columns
-from susy_ladder.params import DiracParams, NRParams, PhysicalParams
+from susy_ladder.params import DiracParams, NRParams, PhysicalParams, default_rho_max
 from susy_ladder.verify import (CheckResult, random_dirac, random_nr,  # noqa: F401
                                 random_phys, random_poly, random_spinor)
 
@@ -195,12 +195,17 @@ def ref_laguerre_norm2(poly):
                          "not above -1")
     m = len(terms) - 1
     two_beta = 2.0 * b / (a + k)
+    if not all(math.isfinite(abs(coeff)) for *_, coeff in terms):
+        raise PrecisionLoss("a coefficient is not finite")
     *_, top = terms[-1]
     expect, worst = top, 0.0
     for i in range(m - 1, -1, -1):
         expect = -expect * ((i + 1) * (alpha + i + 1) / ((m - i) * two_beta))
         *_, coeff = terms[i]
         worst = max(worst, abs(coeff - expect))
+    if not math.isfinite(abs(expect)):
+        raise PrecisionLoss("the closed form run down from the top coefficient "
+                            "leaves the float range")
     scale = max((abs(coeff) for *_, coeff in terms), default=0.0)
     if worst > LAGUERRE_TOL * scale:
         raise PrecisionLoss(f"coefficients depart from the Laguerre form by "
@@ -305,6 +310,85 @@ def residual_scalar(f, energy, params, grid):
     v = params.a * (params.a + 1) / (2.0 * pts[inner] ** 2) - params.b / pts[inner]
     r = -0.5 * d2 + (v - energy) * f[inner]
     return orc._l2_report(r, f[inner], h)
+
+
+# -- finite-difference reference for the oracle's channel solves -------------------
+#
+# The bare Coulomb channel -u'' + [(k^2 - 1/4)/rho^2 - 2b/rho] u = eps u on
+# an oracle.LogGrid: u = rho^(1/2) v on x = ln rho gives
+# -v'' + [k^2 - 2b rho] v = eps rho^2 v, and scaling by w = rho v makes it one
+# symmetric tridiagonal problem in eps. The first row takes the ghost value
+# v_-1 = e^(-kh) v_0 of the regular solution v ~ e^(kx); the last row is
+# Dirichlet. The imposed regular solution leaves an error of order h^2, so
+# the Richardson value (4 fine - coarse)/3 at half the step (2N - 1 points)
+# removes it. Below k = 0 the ghost row does not pin rho^(k+1/2) (Weyl's
+# limit-circle case), so the reference solves channel k = a - 1/2 only where
+# k >= 0. Every solve bisects on oracle.eigh_tridiagonal, the bundled LAPACK.
+
+# The largest absolute move of a value on halving the step (in b^2 units at
+# a b = 1 twin): the reference's error budget.
+RICHARDSON_SHIFT = 1e-4
+# Absolute tolerance on eps for the bisection. dstebz's default (ABSTOL <= 0,
+# scipy's tol=0) is machine epsilon times ||T||_1, and a log grid's diagonal
+# reaches 2 / (h rho_min)^2, so that default is wider than any window: at fig3
+# on 2048 points it puts level 0's eps = -4.000 of the k = 1/2 channel at -3.193.
+BISECTION_TOL = 1e-12
+# LogGrid points of the scalar and the scan reference.
+REF_NR_POINTS = 1024
+REF_SCAN_POINTS = 2048
+
+
+def ref_channel_tridiag(k, b, grid):
+    """(d, e) of channel k on grid."""
+    rho, h = grid.points, grid.h
+    d = (2.0 / h ** 2 + k * k - 2.0 * b * rho) / rho ** 2
+    d[0] -= math.exp(-k * h) / (h * rho[0]) ** 2
+    return d, -1.0 / (h ** 2 * rho[:-1] * rho[1:])
+
+
+def ref_channel_eigs(k, b, grid, window):
+    """Channel k's unrefined eps inside window, ascending."""
+    d, e = ref_channel_tridiag(k, b, grid)
+    return orc.eigh_tridiagonal(d, e, eigvals_only=True, tol=BISECTION_TOL, select="v",
+                                select_range=window)
+
+
+def ref_refined(solve, grid):
+    """The Richardson values of solve(grid) and solve at half the step.
+    Raises GridTooCoarse when the two differ in count or any value moves by
+    more than RICHARDSON_SHIFT."""
+    coarse = np.asarray(solve(grid))
+    fine = np.asarray(solve(orc.LogGrid(grid.rho_max, 2 * grid.n_points - 1)))
+    if len(fine) != len(coarse):
+        raise GridTooCoarse(
+            f"refinement changed the eigenvalue count from {len(coarse)} to {len(fine)}")
+    shift = float(np.max(np.abs(fine - coarse), initial=0.0))
+    if shift > RICHARDSON_SHIFT:
+        raise GridTooCoarse(f"an eigenvalue moved by {shift:.3e} on refinement")
+    return [float(x) for x in (4.0 * fine - coarse) / 3.0]
+
+
+def ref_window_eigs(k, b, window, grid, scale=1.0):
+    """The Richardson values of scale * eps for channel k's eps inside
+    window / scale, so the shift is taken on the values returned."""
+    lo, hi = window
+    return ref_refined(lambda g: scale * ref_channel_eigs(k, b, g, (lo / scale, hi / scale)),
+                       grid)
+
+
+def ref_scalar_levels(params, window, points=REF_NR_POINTS):
+    """The scalar levels epsilon inside a window in epsilon, on a LogGrid to
+    default_rho_max(params, 3): channel k = a + 1/2 with eps = 2 epsilon."""
+    grid = orc.LogGrid(default_rho_max(params, 3), points)
+    return ref_window_eigs(params.a + 0.5, params.b, window, grid, 0.5)
+
+
+def ref_scan_levels(params, window, points=REF_SCAN_POINTS):
+    """The squared operator's eps inside a window in eps, each channel
+    refined on its own, channel k = a - 1/2 only where k >= 0."""
+    grid = orc.LogGrid(default_rho_max(params, 3), points)
+    return sorted(x for k in (params.a - 0.5, params.a + 0.5) if k >= 0
+                  for x in ref_window_eigs(k, params.b, window, grid))
 
 
 # -- 40-digit reference for the Dirac chains -----------------------------------------

@@ -7,7 +7,8 @@ Tolerances are fixed here; nothing is tuned at runtime.
 import math
 import time
 
-from conftest import random_phys, ref_superpotential_matrix_residual, residual_scalar, rng_for
+from conftest import (random_phys, ref_channel_eigs, ref_superpotential_matrix_residual,
+                      residual_scalar, rng_for)
 
 from susy_ladder import dirac as dc
 from susy_ladder import nonrel as nr
@@ -23,23 +24,22 @@ def report(index: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_scalar_regime():
-    """Spectrum values, FD agreement at 1024 log-grid points, node counts; under 10 s."""
+    """Spectrum values, oracle agreement to 1e-12 relative, node counts; under 10 s."""
     start = time.monotonic()
     expect = [-0.02, -0.25 / 24.5, -0.25 / 40.5]
     analytic = [nr.spectrum_radial(FIG2, n) for n in range(3)]
     spectrum_ok = all(abs(x - y) <= 1e-12 for x, y in zip(analytic, expect))
 
-    grid = orc.LogGrid(default_rho_max(FIG2, 3), 1024)
-    fd = orc.fd_schrodinger_eigs(FIG2, (-0.021, -0.005), grid)
-    fd_err = max(abs(x - y) for x, y in zip(fd, analytic))
-    fd_ok = len(fd) == 3 and fd_err <= 1e-5
+    fd = orc.fd_schrodinger_eigs(FIG2, (-0.021, -0.005))
+    fd_err = max(abs(x - y) / abs(y) for x, y in zip(fd, analytic))
+    fd_ok = len(fd) == 3 and fd_err <= 1e-12
 
     nodes = [len(nr.eigenfunction_nodes(FIG2, n)) for n in range(3)]
     nodes_ok = nodes == [0, 1, 2]
 
     elapsed = time.monotonic() - start
     ok = spectrum_ok and fd_ok and nodes_ok and elapsed <= 10.0
-    report(1, ok, f"spectrum {analytic}, fd error {fd_err:.2e}, nodes {nodes}, "
+    report(1, ok, f"spectrum {analytic}, oracle error {fd_err:.2e}, nodes {nodes}, "
                   f"{elapsed:.2f} s")
     assert spectrum_ok
     assert fd_ok
@@ -59,11 +59,10 @@ def test_criterion_2_matrix_regime():
                         == dc.family_eigenvalue(FIG3, n + 1, "a")
                         for n in range(3))
 
-    grid = orc.LogGrid(40.0 * (FIG3.a + 4) / FIG3.b, 2048)
     # the scan takes and returns eps = E^2 - C; magnitudes are sqrt(C + eps)
     const = (FIG3.b / FIG3.a) ** 2 + FIG3.d0 ** 2 + FIG3.mbar ** 2
     found = [math.sqrt(const + x) for x in
-             orc.dirac_spectrum_scan(FIG3, (0.9 ** 2 - const, 2.2 ** 2 - const), grid)]
+             orc.dirac_spectrum_scan(FIG3, (0.9 ** 2 - const, 2.2 ** 2 - const))]
     # analytic ladder within the window: level 0 once, each higher level twice
     ladder = [math.hypot(FIG3.mbar, dc.dn(FIG3, n)) for n in range(8)]
     in_window = [(x, 1 if n == 0 else 2) for n, x in enumerate(ladder)
@@ -173,14 +172,21 @@ def test_criterion_5_xi_superpotential_identity():
 
 
 def test_criterion_6_oracle_convergence():
-    """Eigenvalue refinement ratio ~4 (order h^2) and residual-stencil ratio
-    ~16 (order h^4) on the first scalar eigenfunction."""
+    """Refinement ratio ~4 (order h^2) of the finite-difference reference's
+    eigenvalue, a Ritz value that falls to the level as the basis grows, and
+    residual-stencil ratio ~16 (order h^4) on the first scalar eigenfunction."""
     exact = nr.spectrum_radial(FIG2, 0)
-    # one unrefined solve of the channel k = a + 1/2, whose eps is 2 epsilon
-    eig_errs = [0.5 * orc._channel_eigs(FIG2.a + 0.5, FIG2.b, orc.LogGrid(280.0, n),
-                                        select="v", select_range=(-0.042, -0.038))[0] - exact
+    # one unrefined reference solve of the channel k = a + 1/2, whose eps is 2 epsilon
+    eig_errs = [0.5 * ref_channel_eigs(FIG2.a + 0.5, FIG2.b, orc.LogGrid(280.0, n),
+                                       (-0.042, -0.038))[0] - exact
                 for n in (1024, 2047)]
     eig_ratio = eig_errs[0] / eig_errs[1]
+    # level 0's Ritz value at a scale 1.5 times its own: above the level,
+    # and falling to it as the basis grows
+    scale = 1.5 * 2 * math.sqrt(-2 * exact)
+    ritz = [0.5 * orc._ritz_values(FIG2.a + 0.5, FIG2.b, scale, n)[0] for n in (2, 4, 8, 16)]
+    ritz_ok = all(x > y >= exact * (1 + 1e-13) for x, y in zip(ritz, ritz[1:]))
+    ritz_ok = ritz_ok and abs(ritz[-1] - exact) <= 1e-12 * abs(exact)
 
     rels = []
     for n in (8192, 16384):
@@ -189,10 +195,12 @@ def test_criterion_6_oracle_convergence():
         rels.append(residual_scalar(f, exact, FIG2, grid).relative_l2)
     res_ratio = rels[0] / rels[1]
 
-    ok = 3.5 <= eig_ratio <= 4.5 and 14.0 <= res_ratio <= 18.0
-    report(6, ok, f"eigenvalue ratio {eig_ratio:.3f} in [3.5, 4.5], "
+    ok = 3.5 <= eig_ratio <= 4.5 and ritz_ok and 14.0 <= res_ratio <= 18.0
+    report(6, ok, f"eigenvalue ratio {eig_ratio:.3f} in [3.5, 4.5], Ritz values "
+                  f"{', '.join(f'{x:.3e}' for x in ritz)} falling to {exact:.3e}, "
                   f"residual ratio {res_ratio:.3f} in [14, 18]")
     assert 3.5 <= eig_ratio <= 4.5
+    assert ritz_ok
     assert 14.0 <= res_ratio <= 18.0
 
 

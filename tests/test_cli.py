@@ -538,9 +538,11 @@ def test_alpha_that_rounds_to_minus_1_exits_2_naming_alpha(argv, capsys):
 
 
 # a and b are finite and positive, and at b = 1e-300 the chains' decay rate
-# 2b/(a+k) rounded to 0. The twin's rate 2/(a+k) is 2e-300, but its level-1
-# coefficient ratio (alpha+1)/(2 beta) is 1e600, so G1 leaves its Laguerre
-# form; expalg still refuses a rate of 0 (test_laguerre.TestNotALaguerreFunction).
+# 2b/(a+k) rounded to 0. The twin's rate 2/(a+k) is 2e-300, and its level-1
+# coefficients (1.4e300 and -1.4e-300) are finite, but the closed form's
+# coefficient ratio (alpha+1)/(2 beta) is 1e600, so the Laguerre form of G1
+# cannot be checked; expalg still refuses a rate of 0
+# (test_laguerre.TestNotALaguerreFunction).
 _HUGE_A = [
     ["fig2", "--a", "1e300", "--b", "1e-300"],
     ["nr-eigenfunctions", "--a", "1e300", "--b", "1e-300", "--levels", "2"],
@@ -550,8 +552,8 @@ _HUGE_A = [
 @pytest.mark.parametrize("argv", _HUGE_A, ids=[a[0] for a in _HUGE_A])
 def test_huge_a_exits_2_naming_the_column_that_leaves_the_laguerre_form(argv, capsys):
     assert capture(argv) == (2, "")
-    assert capsys.readouterr().err == ("error: column G1: coefficients depart from the "
-                                       "Laguerre form by inf of the largest (tolerance 1e-13)\n")
+    assert capsys.readouterr().err == ("error: column G1: the closed form run down from the "
+                                       "top coefficient leaves the float range\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -697,8 +699,8 @@ class TestParser:
 
 
 def test_cli_import_loads_no_scipy():
-    # The oracle solves on the LAPACK numpy's wheel ships; only a numpy
-    # without one (oracle's fallback) would load scipy.linalg.
+    # The oracle binds the LAPACK numpy's wheel ships; only a numpy without
+    # one (oracle's fallback) would load scipy.linalg.
     script = ("import sys, susy_ladder.cli; "
               "assert 'scipy' not in sys.modules, 'cli loaded scipy'; "
               "import susy_ladder.oracle as oracle; "
@@ -741,8 +743,8 @@ def test_non_verify_modes_load_no_numpy():
 
 
 def test_verify_loads_numpy_and_no_scipy_where_numpy_ships_lapack():
-    # verify solves on the dstebz of numpy's bundled OpenBLAS; scipy.linalg
-    # is loaded only where numpy ships none.
+    # the oracle binds the dstebz of numpy's bundled OpenBLAS at import;
+    # scipy.linalg is loaded only where numpy ships none.
     script = ("import contextlib, io, sys\n"
               "from susy_ladder.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"

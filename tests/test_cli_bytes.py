@@ -3,8 +3,7 @@ process through cli.main and compared with its entry in cli_bytes.json.
 
 A table or refusal entry pins the exit code and the sha256 of stdout. A
 verify entry pins the exit code and each row's name and pass/fail only:
-its details read LAPACK, numpy's bundled OpenBLAS or scipy's, whose
-version varies. Table bytes
+its details read numpy's linear algebra, whose version varies. Table bytes
 read Python's math module, whose exp, log and pow come from the C library,
 so a runner with another libm may differ; such an entry is recorded and
 pinned on that runner, never loosened to a comparison of values.
@@ -35,7 +34,9 @@ _FIG3 = ["--a", "1", "--b", "2", "--d0", "1", "--mbar", "0.1"]
 _ELL_0 = ["--hbar", "1", "--m", "1", "--c", "1", "--e", "1", "--k", "1", "--pz", "1",
           "--ell", "0"]
 
-# verify at every set CI runs, and at a = 1e-5, a = 100 and (1, 1e-200, 0, 1)
+# verify at every set CI runs but (1e-8, 1, 0.3, 0.5) and (28, 1), which
+# tests/test_verify.py pins row by row, and at a = 1e-5, a = 100 and
+# (1, 1e-200, 0, 1)
 _VERIFY = [
     [],
     _FIG3,

@@ -160,6 +160,24 @@ class TestNotALaguerreFunction:
         with pytest.raises(ValueError):
             laguerre_norm2(ExpoPoly(1.0, self.b, terms))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("i", [0, 3, 6])
+    def test_a_coefficient_that_is_not_finite_raises_precision_loss(self, bad, i):
+        # named before the departure test, which skips a NaN departure; a NaN
+        # after the first term is also missed by max_abs_coeff
+        f = nr.eigenfunction(FIG2, 6)
+        terms = tuple((j, k, bad if n == i else c) for n, (j, k, c) in enumerate(f.terms))
+        with pytest.raises(PrecisionLoss, match="^a coefficient is not finite$"):
+            laguerre_norm2(ExpoPoly(f.a, f.b, terms))
+
+    def test_a_closed_form_past_the_float_range_raises_precision_loss(self):
+        # at (1e300, 1) level 1's coefficients are finite, but their ratio
+        # (alpha+1)/(2 beta) is 1e600
+        f = nr.eigenfunction(NRParams(1e300, 1.0), 1)
+        assert all(math.isfinite(abs(c)) for *_, c in f.terms)
+        with pytest.raises(PrecisionLoss, match="leaves the float range"):
+            laguerre_norm2(f)
+
     def test_departed_coefficients_raise_precision_loss(self):
         f = nr.eigenfunction(FIG2, 6)
         scale = f.max_abs_coeff()
@@ -194,8 +212,9 @@ class TestNotALaguerreFunction:
             ((-4, 2, 1.0),), ((-2, 2, 1.0),), ((1, 2, 1.0), (2, None, 1.0))]]
         # p0 = a = 1e-20 is positive, but alpha = 2 p0 - 1 rounds to -1
         polys.append(ExpoPoly(1e-20, 1.0, ((0, 0, 1.0),)))
-        # A NaN first coefficient makes the largest |coeff| NaN, which lets
-        # a departure pass that a finite largest |coeff| refuses (bumped[4]).
+        # A NaN first coefficient made the largest |coeff| NaN, which let a
+        # departure pass that a finite largest |coeff| refuses (bumped[4]);
+        # a coefficient that is not finite is now refused before that test.
         for g in (f, bumped[4]):
             for bad in (float("nan"), float("inf"), complex(1.0, float("nan"))):
                 for i in (0, 3, len(g.terms) - 1):

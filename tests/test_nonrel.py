@@ -262,11 +262,10 @@ class TestSpectra:
 
     def test_matches_fd_oracle(self):
         from susy_ladder import oracle as orc
-        grid = orc.LogGrid(default_rho_max(FIG2, 3), 1024)
-        fd = orc.fd_schrodinger_eigs(FIG2, (-0.021, -0.005), grid)
+        fd = orc.fd_schrodinger_eigs(FIG2, (-0.021, -0.005))
         assert len(fd) == 3
         for n in range(3):
-            assert abs(fd[n] - nr.spectrum_radial(FIG2, n)) <= 1e-5
+            assert fd[n] == pytest.approx(nr.spectrum_radial(FIG2, n), rel=1e-12)
 
 
 class TestPhysicalSpectrum:

@@ -15,7 +15,7 @@ from susy_ladder import dirac as dc
 from susy_ladder import verify as vf
 from susy_ladder.cli import main
 from susy_ladder.expalg import ExpoPoly
-from susy_ladder.params import DiracParams, NRParams
+from susy_ladder.params import DiracParams, NRParams, b1_twin
 
 
 def test_all_checks_pass_on_canonical_regimes():
@@ -104,24 +104,22 @@ def test_cli_verify_exit_codes(tmp_path, monkeypatch):
 EXAMPLE_SET = ["--a", "1.2", "--b", "0.8", "--d0", "0.4", "--mbar", "0.2"]
 
 
-@pytest.mark.parametrize("argv, failed, grid, points", [
-    ([], "nr-fd-eigenvalues", "NR_POINTS", 64),
-    # 128 log-grid points move an eps by 5.161e-04 on refinement, five times
-    # the bound (256 points move it by 1.262e-04, too near the bound to pin)
-    (EXAMPLE_SET, "dirac-fd-scan", "SCAN_POINTS", 128),
-], ids=["coarse-nr-grid", "unstable-dirac-scan"])
-def test_cli_verify_reports_unconverged_oracle(argv, failed, grid, points, capsys,
-                                               monkeypatch):
-    # a refinement shift past the oracle's bound fails its own check;
-    # the other checks still run and print
-    monkeypatch.setattr(vf, grid, points)
+@pytest.mark.parametrize("argv", [[], EXAMPLE_SET], ids=["defaults", "example-set"])
+def test_cli_verify_reports_unconverged_oracle(argv, capsys, monkeypatch):
+    # With the shift bound forced to 0, halving the basis moves a value past
+    # it in both oracle rows, and each fails with the move it read; the
+    # other checks still run and print
+    monkeypatch.setattr(vf.orc, "SHIFT_BOUND", 0.0)
     assert main(["verify", *argv]) == 3
     rows = [line.split(",", 2) for line in capsys.readouterr().out.splitlines()[1:]]
     assert len(rows) == 15
-    by_name = {name: (passed, detail) for name, passed, detail in rows}
-    passed, detail = by_name[failed]
-    assert passed == "FAIL"
-    assert detail.startswith("grid too coarse: ")
+    failed = {name: detail for name, passed, detail in rows if passed == "FAIL"}
+    assert sorted(failed) == ["dirac-fd-scan", "nr-fd-eigenvalues"]
+    for detail in failed.values():
+        prefix = "basis not converged: an eigenvalue moved by "
+        assert detail.startswith(prefix), detail
+        assert detail.endswith(" of itself on halving the basis")
+        assert 0.0 < float(detail[len(prefix):].split()[0]) <= 1e-11
 
 
 def test_cli_verify_passes_at_d0_0(capsys):
@@ -147,19 +145,26 @@ def test_cli_verify_checks_the_zero_mode_at_d0_and_mbar_0(capsys):
     passed, detail = rows["dirac-fd-scan"]
     assert passed == "pass"
     assert detail.startswith('"window (-4.667e-01, -6.551e-02), levels 0..2 with '
-                             'multiplicities 1,2,2: max |fd - analytic| ')
-    assert float(detail.split()[-3]) <= 1e-9
+                             'multiplicities 1,2,2: max |found - analytic| / |analytic| ')
+    assert _reading(detail) <= 1e-12
     assert all(passed == "pass" for passed, _ in rows.values())
     # a positive ground magnitude is scanned and checked with the others
     detail = vf.check_dirac_scan(DiracParams(1.5, 0.5, 0.0, 0.3)).detail
     assert "levels 0..2 with multiplicities 1,2,2: " in detail
 
 
+def _reading(detail):
+    """The relative reading of an oracle row's detail."""
+    return float(detail.split("max |found - analytic| / |analytic| ")[1].split()[0])
+
+
 def test_dirac_scan_window_shows_both_ends_at_a_50():
-    # Four decimals would print both ends, -4.200e-4 and -3.629e-4, as -0.0004.
-    detail = vf.check_dirac_scan(DiracParams(50.0, 1.0, 0.0, 0.0)).detail
-    assert detail == ("window (-4.200e-04, -3.629e-04), levels 0..2 with multiplicities "
-                      "1,2,2: found 0 values, expected 5")
+    # Four decimals would print both ends, -4.200e-4 and -3.629e-4, as
+    # -0.0004. The grid solve found none of the five values there.
+    result = vf.check_dirac_scan(DiracParams(50.0, 1.0, 0.0, 0.0))
+    assert result.passed
+    assert result.detail.startswith("window (-4.200e-04, -3.629e-04), levels 0..2 with "
+                                    "multiplicities 1,2,2: max |found - analytic| / |analytic| ")
 
 
 def test_cli_verify_passes_at_fig3_parameters(capsys):
@@ -233,13 +238,14 @@ def test_dirac_scan_passes_at_b_2_small_d0_and_mbar_near_a_half(a):
     *[(a, b) for a in (0.05, 0.1, 0.2, 0.3) for b in (0.1, 1.0, 3.0)],
 ], ids=["verify-example", "rng0-draw9", "rng0-draw22", "rng0-draw24",
         *[f"small-a-{a}-{b}" for a in (0.05, 0.1, 0.2, 0.3) for b in (0.1, 1, 3)]])
-def test_nr_fd_check_passes_on_the_log_grid(a, b):
+def test_nr_fd_check_passes_where_the_grid_solve_was_steep(a, b):
     # the rng0 draws are random_nr(np.random.default_rng(0)) draws. On a wall
-    # grid at 4096 points, draw 24 and eight of the small-a sets moved by more
-    # than RICHARDSON_SHIFT on refinement (2.3e-4 to 6.3e-3): rho^(a+1) is
-    # steep at the origin for small a.
+    # grid at 4096 points, draw 24 and eight of the small-a sets moved by
+    # 2.3e-4 to 6.3e-3 on refinement: rho^(a+1) is steep at the origin for
+    # small a. The basis goes like rho^(a+1) there.
     result = vf.check_nr_fd(NRParams(a, b))
     assert result.passed, result.detail
+    assert _reading(result.detail) <= 1e-12
 
 
 # The four-component formulation of the two Dirac checks, kept as the
@@ -344,8 +350,8 @@ def test_xi_row_passes_at_small_a(a):
 
 @pytest.mark.parametrize("a", ["1e-3", "0.05"])
 def test_cli_verify_passes_every_row_at_small_a(a, capsys):
-    # Below a = 1/2 the scan checks levels 1 and 2 in channel k = a + 1/2
-    # and says that level 0 is left to the algebraic rows.
+    # Below a = 1/2 the scan checks level 0 in channel k = a - 1/2, where
+    # the grid solve left it to the algebraic rows.
     assert main(["verify", "--a", a, "--b", "0.9", "--d0", "-0.4", "--mbar", "0.6"]) == 0
     out, err = capsys.readouterr()
     lines = out.splitlines()
@@ -354,8 +360,9 @@ def test_cli_verify_passes_every_row_at_small_a(a, capsys):
         r.name for r in vf.run_all(NRParams(1.5, 0.5), DiracParams(1.0, 2.0, 1.0, 0.1))]
     assert all(line.split(",", 2)[1] == "pass" for line in lines[1:])
     assert "\nxi-superpotential-identity,pass,max coefficient " in out
-    assert "multiplicities 0,1,1: " in out
-    assert 'level 0 is left to the algebraic rows (a < 1/2)"\n' in out
+    assert "dirac-fd-scan,pass,\"window (" in out
+    assert "multiplicities 1,2,2: " in out
+    assert "left to the algebraic rows" not in out
 
 
 @pytest.mark.parametrize("a", [1e-3, 0.01, 0.05, 0.1, 0.3, 0.4, 0.49, 0.5, 1.3, 4.0, 8.0])
@@ -364,7 +371,7 @@ def test_dirac_scan_passes_from_a_1e_3_to_8(a):
     # down: a shift of 12 on E^2 at a = 0.05 and of 89 at 1e-3.
     result = vf.check_dirac_scan(DiracParams(a, 0.9, -0.4, 0.6))
     assert result.passed, result.detail
-    assert float(result.detail.split("max |fd - analytic| ")[1].split()[0]) <= 1e-5
+    assert _reading(result.detail) <= 1e-10
 
 
 def _rows(params):
@@ -384,15 +391,15 @@ def test_dirac_scan_fails_a_level_off_by_2e_3(params, level, monkeypatch):
     assert all(r.passed for r in _rows(params).values())
     scan = vf.orc.dirac_spectrum_scan
 
-    def off_scan(p, window, grid):
+    def off_scan(p, window):
         eps = -(p.b / (p.a + level)) ** 2
         return [x + 2e-3 * p.b ** 2 if abs(x - eps) < 1e-6 * p.b ** 2 else x
-                for x in scan(p, window, grid)]
+                for x in scan(p, window)]
 
     monkeypatch.setattr(vf.orc, "dirac_spectrum_scan", off_scan)
     result = _rows(params)["dirac-fd-scan"]
     assert not result.passed
-    assert float(result.detail.split("max |fd - analytic| ")[1].split()[0]) >= 1.9e-3
+    assert _reading(result.detail) >= 1.9e-3
     monkeypatch.setattr(vf.orc, "dirac_spectrum_scan", scan)
     exact = vf.dc.family_eigenvalue
 
@@ -525,26 +532,29 @@ def test_cli_verify_reads_orthogonality_at_a_30(capsys):
             in capsys.readouterr().out)
 
 
-def test_nr_fd_row_refuses_the_unconverged_solve_at_large_b():
-    # Called directly, a row's bounds are absolute: at b = 100, a = 1e-3 the
-    # shift is 8.001e-2 on epsilon (not on 2 epsilon), far past the bound.
-    # run_all hands the row the b = 1 twin, where it passes
-    # (test_a_set_scaled_by_100_passes_every_row_its_original_passes).
-    result = vf.check_nr_fd(NRParams(1e-3, 100.0))
-    assert not result.passed
-    assert result.detail == "grid too coarse: an eigenvalue moved by 8.001e-02 on refinement"
+def test_oracle_rows_read_relative_errors_at_large_b():
+    # Called directly at b = 100, a = 1e-3 the grid solve moved an epsilon by
+    # 8.001e-2 on refinement and failed. Read relative to each level, both
+    # rows read there what they read at the b = 1 twin.
+    for row, large, twin in (
+            (vf.check_nr_fd, NRParams(1e-3, 100.0), NRParams(1e-3, 1.0)),
+            (vf.check_dirac_scan, DiracParams(1e-3, 100.0, 1.0, 1.0),
+             DiracParams(1e-3, 1.0, 0.01, 0.01))):
+        result = row(large)
+        assert result.passed, result.detail
+        assert _reading(result.detail) <= 10 * _reading(row(twin).detail) + 1e-14
 
 
-def test_nr_fd_row_counts_the_levels_a_short_grid_holds(monkeypatch):
-    # At fig2's twin (1.5, 1), which run_all hands the row, a Dirichlet end
-    # at rho = 32 pushes level 2 out of the window. The end at rho = 50 that
-    # fig2 had, 25 at the twin, moves a level by 2.2e-4 on refinement, past
-    # RICHARDSON_SHIFT in b^2 units.
-    monkeypatch.setattr(vf, "default_rho_max", lambda params, n_max: 32.0)
-    result = vf.check_nr_fd(NRParams(1.5, 1.0))
-    assert not result.passed
-    assert result.detail == ("window (-8.400e-02, -2.061e-02), levels 0..2 with "
-                             "multiplicities 1,1,1: found 2 values, expected 3")
+@pytest.mark.parametrize("rho_max", [lambda params, n_max: 32.0, lambda params, n_max: 1e-3])
+def test_oracle_rows_do_not_read_the_sampling_window(rho_max, monkeypatch):
+    # The basis has no window: with verify.default_rho_max at rho = 32, where
+    # the grid solve lost level 2 of fig2's twin, or at 1e-3, both oracle
+    # rows read what they read without it
+    nr_params, dirac_params = NRParams(1.5, 1.0), DiracParams(1.0, 1.0, 0.5, 0.05)
+    rows = vf.check_nr_fd(nr_params), vf.check_dirac_scan(dirac_params)
+    monkeypatch.setattr(vf, "default_rho_max", rho_max)
+    assert (vf.check_nr_fd(nr_params), vf.check_dirac_scan(dirac_params)) == rows
+    assert all(r.passed for r in rows)
 
 
 # The CI set (1.3, 0.9, -0.4, 0.6) scaled to b = 0.009, 0.9 and 100
@@ -555,15 +565,15 @@ _SCALED_CI = [DiracParams(1.3, b, -0.4 * b / 0.9, 0.6 * b / 0.9) for b in (0.009
 def test_nr_fd_row_fails_a_level_off_by_1e_3_relative_at_every_b(params, monkeypatch):
     # spectrum_radial 0.1% too large at level 1 leaves the window and its
     # count as they are. In absolute units the row passed it at b = 0.009
-    # (3.719e-9) and failed unmutated at b = 100 (grid too coarse); at the
-    # twin it reads 4.591e-5 against 1e-5 at every b.
+    # (3.719e-9) and failed unmutated at b = 100 (grid too coarse); read
+    # relative to the level at the twin it reads 9.990e-4 at every b.
     assert all(r.passed for r in _rows(params).values())
     exact = vf.nr.spectrum_radial
     monkeypatch.setattr(vf.nr, "spectrum_radial",
                         lambda p, n: exact(p, n) * (1.001 if n == 1 else 1.0))
     result = _rows(params)["nr-fd-eigenvalues"]
     assert not result.passed
-    assert " max |fd - analytic| 4.591e-05 (tol 1e-05)" in result.detail
+    assert " max |found - analytic| / |analytic| 9.990e-04 (tol 1e-11)" in result.detail
 
 
 def test_dirac_scan_fails_doubled_eps_at_a_1e_3(monkeypatch):
@@ -573,10 +583,10 @@ def test_dirac_scan_fails_doubled_eps_at_a_1e_3(monkeypatch):
     assert all(r.passed for r in _rows(params).values())
     scan = vf.orc.dirac_spectrum_scan
     monkeypatch.setattr(vf.orc, "dirac_spectrum_scan",
-                        lambda p, window, grid: [2.0 * x for x in scan(p, window, grid)])
+                        lambda p, window: [2.0 * x for x in scan(p, window)])
     result = _rows(params)["dirac-fd-scan"]
     assert not result.passed
-    assert float(result.detail.split("max |fd - analytic| ")[1].split()[0]) > 0.9
+    assert _reading(result.detail) > 0.9
 
 
 @pytest.mark.parametrize("small, large", [
@@ -590,3 +600,68 @@ def test_a_set_scaled_by_100_passes_every_row_its_original_passes(small, large):
     assert [n for n, r in _rows(small).items() if r.passed] == [
         n for n, r in rows.items() if r.passed]
     assert all(r.passed for r in rows.values())
+
+
+# The sets CI runs verify at (tests/test_cli.py CI_SETS), the defaults first.
+_CI_VERIFY = [(NRParams(1.5, 0.5), DiracParams(1.0, 2.0, 1.0, 0.1))] + [
+    (NRParams(q[0], q[1]), DiracParams(*q))
+    for q in [(1.0, 2.0, 1.0, 0.1), (1.2, 0.8, 0.4, 0.2),
+              (0.5764322215230082, 2.1485527100721353, 1.0, 0.1), (0.5, 2.0, 0.1, 0.2),
+              (2.3, 0.45, -0.7, 1.1), (1.3, 0.9, -0.4, 0.6)]]
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("nr_params, dirac_params", _CI_VERIFY)
+def test_oracle_rows_fail_a_level_off_by_10_times_their_bound(nr_params, dirac_params, level,
+                                                              monkeypatch):
+    # spectrum_radial off by 1e-10 of itself at one level fails
+    # nr-fd-eigenvalues (1e-11); the scan's analytic levels are written into
+    # its row, so the scan's value at one level is moved by 1e-4 of itself
+    # instead, which fails dirac-fd-scan (1e-5)
+    # the rows run_all makes, at the b = 1 twins
+    p, q = b1_twin(nr_params), b1_twin(dirac_params)
+    assert vf.check_nr_fd(p).passed and vf.check_dirac_scan(q).passed
+    exact, scan = vf.nr.spectrum_radial, vf.orc.dirac_spectrum_scan
+
+    def off_scan(p, window):
+        eps = -(p.b / (p.a + level)) ** 2
+        return [x * (1 + 1e-4) if abs(x - eps) < 1e-6 * abs(eps) else x
+                for x in scan(p, window)]
+
+    monkeypatch.setattr(vf.nr, "spectrum_radial",
+                        lambda p, n: exact(p, n) * (1 + 1e-10 if n == level else 1.0))
+    monkeypatch.setattr(vf.orc, "dirac_spectrum_scan", off_scan)
+    for row, tol in ((vf.check_nr_fd(p), 1e-11), (vf.check_dirac_scan(q), 1e-5)):
+        assert not row.passed, row.detail
+        assert 9 * tol <= _reading(row.detail) <= 11 * tol, row.detail
+
+
+@pytest.mark.parametrize("a", [1e-8, 1e-5, 1e-3, 0.1, 0.5, 1.0, 7.0, 28.0, 50.0, 60.0])
+def test_oracle_rows_pass_at_b_1_from_a_1e_8_to_60(a):
+    # Every level in one channel of the scalar problem, levels 0, 1 and 2
+    # once, twice and twice in the scan, each read at least ten times below
+    # its row's bound. The grid solve failed nr-fd-eigenvalues from a = 28,
+    # found no value in either row at a = 50 and 60, and skipped level 0 of
+    # the scan below a = 1/2.
+    for result, counts, tol in ((vf.check_nr_fd(NRParams(a, 1.0)), "1,1,1", 1e-11),
+                                (vf.check_dirac_scan(DiracParams(a, 1.0, 0.3, 0.5)), "1,2,2",
+                                 1e-5)):
+        assert result.passed, result.detail
+        assert f"levels 0..2 with multiplicities {counts}: " in result.detail
+        assert _reading(result.detail) <= tol / 10, result.detail
+
+
+@pytest.mark.parametrize("argv, failed", [
+    (["--a", "1e-8", "--b", "1", "--d0", "0.3", "--mbar", "0.5"],
+     ["xi-superpotential-identity"]),
+    (["--a", "28", "--b", "1"], ["nr-orthogonality", "gamma-vs-quadrature"]),
+], ids=["a-1e-8", "a-28"])
+def test_cli_verify_passes_both_oracle_rows_where_other_rows_fail(argv, failed, capsys):
+    # The CI steps at a = 1e-8 (ROADMAP item 18) and a = 28 (items 1 and
+    # 19): exit 3 through the other rows, with both oracle rows passing.
+    assert main(["verify", *argv]) == 3
+    rows = {name: passed for name, passed, _ in
+            (line.split(",", 2) for line in capsys.readouterr().out.splitlines()[1:])}
+    assert len(rows) == 15
+    assert rows["nr-fd-eigenvalues"] == rows["dirac-fd-scan"] == "pass"
+    assert [name for name, passed in rows.items() if passed == "FAIL"] == failed
